@@ -609,6 +609,14 @@ def infer_pitch(*modules) -> Fraction:
     return _frac_gcd(vals)
 
 
+def fold_eps0(parts, delta, tau=None) -> Fraction:
+    """The fold scale for pruned `parts` within delta: eps0 = tau/m with tau
+    the coarsest pitch of their grids (unless given) and m minimal such
+    that eps0 < delta/4."""
+    tau = infer_pitch(*parts) if tau is None else as_frac(tau)
+    return tau / (int(4 * tau / delta) + 1)
+
+
 def tack(A: GridModule, B: GridModule, delta, tau=None,
          check_stages: bool = False, check: bool = True,
          verify_cert: bool = True):
@@ -630,8 +638,7 @@ def tack(A: GridModule, B: GridModule, delta, tau=None,
     if A.total_dim() == 0 or B.total_dim() == 0:
         raise ValueError("tack needs nonzero modules")
     A, B = prune(A), prune(B)
-    tau = infer_pitch(A, B) if tau is None else as_frac(tau)
-    eps0 = tau / (int(4 * tau / delta) + 1)
+    eps0 = fold_eps0([A, B], delta, tau)
     assert eps0 < delta / 4
     M, cert, _ = fold([A, B], eps0, check_stages=check_stages,
                       verify_cert=verify_cert)
@@ -661,23 +668,11 @@ def iso_certificate(W: ModuleMorphism) -> InterleavingCertificate:
     W.validate()
     if not W.is_isomorphism():
         raise CertificateError("witness is not an isomorphism")
-    A, B = W.source, W.target
-    grid = certificate_grid(A, B, 0)
-    Winv = W.inverse()
-    f = {}
-    g = {}
-    for vidx in grid.vertices():
-        vidx = tuple(vidx)
-        fi = A.grid.floor_index(grid.coord(vidx))
-        if fi is None:
-            continue
-        m = W.at(fi)
-        if m.size and m.any():
-            f[vidx] = m
-        m = Winv.at(fi)
-        if m.size and m.any():
-            g[vidx] = m
-    cert = InterleavingCertificate(A, B, 0, grid, f, g)
+    # at eps 0 the evaluation grid of two modules on one grid is that grid
+    f = {v: m for v, m in W.mats.items() if m.size and m.any()}
+    g = {v: m for v, m in W.inverse().mats.items() if m.size and m.any()}
+    cert = InterleavingCertificate(W.source, W.target, 0, W.source.grid,
+                                   f, g)
     cert.verify()
     return cert
 

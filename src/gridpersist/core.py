@@ -101,21 +101,6 @@ class Grid:
             idx.append(i)
         return tuple(idx)
 
-    def strict_floor_index(self, point):
-        """Index of the largest vertex strictly below point in every axis."""
-        idx = []
-        for k, x in enumerate(point):
-            i = self._axis_floor(k, x)
-            if i >= 0 and self.axes[k][i] == x:
-                i -= 1
-            if i < 0:
-                return None
-            idx.append(i)
-        return tuple(idx)
-
-    def contains_point(self, point):
-        return all(x in ax for ax, x in zip(self.axes, point))
-
     def index_of(self, point):
         idx = self.floor_index(point)
         if idx is None or self.coord(idx) != tuple(as_frac(x) for x in point):

@@ -1,11 +1,15 @@
 """Decomposing modules into indecomposables via their endomorphism algebras.
 
-A module is indecomposable iff its endomorphism algebra is local.  Locality
-is decided exactly: the radical is the kernel of the trace bilinear form of
-the regular representation (valid for p > dim End, asserted per call), and
-the semisimple quotient is a division algebra iff it is commutative with a
-one-dimensional Frobenius-fixed subspace.  Splittings come from lifting a
-nontrivial idempotent of the quotient and taking pointwise image and kernel.
+A module is indecomposable iff its endomorphism algebra is local.  One
+routine, _idempotent, decides locality and finds the splitting idempotent
+together: the radical is the kernel of the trace bilinear form of the
+regular representation (valid for p > dim End; smaller fields are searched
+exhaustively), and the semisimple quotient is a division algebra iff it is
+commutative with a one-dimensional Frobenius-fixed subspace; otherwise a
+nontrivial idempotent of the quotient lifts through the radical.
+decompose compresses its input once, builds one endomorphism algebra per
+recursion node, splits by pointwise image and kernel, and transports the
+summands and the witness back to the input's grid.
 """
 
 from __future__ import annotations
@@ -13,8 +17,9 @@ from __future__ import annotations
 import numpy as np
 
 from . import field
-from .core import GridModule, ModuleMorphism, direct_sum, hom_space
-from .kan import compress
+from .core import GridModule, ModuleMorphism, hom_space, sum_module
+from .kan import (compress, compression_witness,
+                  morphism_restriction_extension, restriction_extension)
 
 
 # -- tiny dense polynomial helpers over F_p (ascending coefficients) ----------
@@ -34,19 +39,6 @@ def _pmul(a, b, p):
                 out[i + j] = (out[i + j] + x * y) % p
     return _ptrim(out)
 
-def _pmod(a, b, p):
-    a = list(a)
-    db, lead = len(b) - 1, b[-1]
-    inv = field.minv_scalar(lead, p)
-    while len(a) - 1 >= db and a:
-        c = a[-1] * inv % p
-        if c:
-            for i in range(db + 1):
-                a[len(a) - 1 - db + i] = (a[len(a) - 1 - db + i] - c * b[i]) % p
-        a.pop()
-        _ptrim(a)
-    return a
-
 def _pdivmod(a, b, p):
     a = list(a)
     db, lead = len(b) - 1, b[-1]
@@ -65,7 +57,7 @@ def _pdivmod(a, b, p):
 def _pgcd(a, b, p):
     a, b = list(a), list(b)
     while b:
-        a, b = b, _pmod(a, b, p)
+        a, b = b, _pdivmod(a, b, p)[1]
     if a:
         inv = field.minv_scalar(a[-1], p)
         a = [x * inv % p for x in a]
@@ -96,11 +88,11 @@ def _zippad(a, b):
 
 def _ppowmod(base, e, mod, p):
     result = [1]
-    base = _pmod(base, mod, p)
+    base = _pdivmod(base, mod, p)[1]
     while e:
         if e & 1:
-            result = _pmod(_pmul(result, base, p), mod, p)
-        base = _pmod(_pmul(base, base, p), mod, p)
+            result = _pdivmod(_pmul(result, base, p), mod, p)[1]
+        base = _pdivmod(_pmul(base, base, p), mod, p)[1]
         e >>= 1
     return result
 
@@ -295,24 +287,41 @@ class _Quotient:
 
 def is_indecomposable(M: GridModule) -> bool:
     """True iff M is nonzero with local endomorphism algebra."""
-    if M.total_dim() == 0:
-        return False
-    A = end_algebra(compress(M))
-    return _is_local(A)
+    return M.total_dim() > 0 and _idempotent(end_algebra(compress(M))) is None
 
 
-def _is_local(A: EndAlgebra) -> bool:
+def find_idempotent(M: GridModule, seed: int = 0) -> ModuleMorphism:
+    """A nontrivial idempotent endomorphism of a decomposable module."""
+    A = end_algebra(M)
+    e = _idempotent(A, seed) if A.dim else None
+    if e is None:
+        raise ValueError("module is zero or indecomposable")
+    return A.morphism_of(e)
+
+
+def _idempotent(A: EndAlgebra, seed: int = 0):
+    """Coordinates of a nontrivial idempotent of A (dim A > 0), or None
+    exactly when A is local."""
     if A.p <= A.dim:
         # trace form unavailable; locality <=> only trivial idempotents,
         # decidable by exhaustion for small fields
-        return _enumerate_idempotent(A) is None
-    rad = radical(A)
-    B = _Quotient(A, rad)
-    if B.dim == 1:
-        return True
-    if not B.is_commutative():
-        return False  # a noncommutative division algebra over F_p cannot exist
-    return B.frobenius_fixed_basis().shape[1] == 1
+        return _enumerate_idempotent(A)
+    B = _Quotient(A, radical(A))
+    e_b = _quotient_idempotent(B, np.random.RandomState(seed))
+    if e_b is None:
+        return None
+    # lift through the radical: a -> 3a^2 - 2a^3 converges to an idempotent
+    a = B.embed(e_b)
+    for _ in range(200):
+        sq = A.mul(a, a)
+        if np.array_equal(sq, a):
+            break
+        a = (3 * sq - 2 * A.mul(sq, a)) % A.p
+    else:
+        raise RuntimeError("idempotent lifting did not converge")
+    if not a.any() or np.array_equal(a, A.one):
+        raise RuntimeError("lifted idempotent is trivial")
+    return a
 
 
 def _enumerate_idempotent(A: EndAlgebra):
@@ -330,39 +339,17 @@ def _enumerate_idempotent(A: EndAlgebra):
     return None
 
 
-def find_idempotent(M: GridModule, seed: int = 0) -> ModuleMorphism:
-    """A nontrivial idempotent endomorphism of a decomposable module."""
-    A = end_algebra(M)
-    if A.dim == 0:
-        raise ValueError("zero module has no nontrivial idempotent")
-    if A.p <= A.dim:
-        e = _enumerate_idempotent(A)
-        if e is None:
-            raise ValueError("module is indecomposable")
-        return A.morphism_of(e)
-    rad = radical(A)
-    B = _Quotient(A, rad)
-    rng = np.random.RandomState(seed)
-    e_b = _quotient_idempotent(B, rng)
-    # lift through the radical: a -> 3a^2 - 2a^3 converges to an idempotent
-    a = B.embed(e_b)
-    for _ in range(200):
-        sq = A.mul(a, a)
-        if np.array_equal(sq, a):
-            break
-        a = (3 * sq - 2 * A.mul(sq, a)) % A.p
-    else:
-        raise RuntimeError("idempotent lifting did not converge")
-    if not a.any() or np.array_equal(a, A.one):
-        raise RuntimeError("lifted idempotent is trivial")
-    return A.morphism_of(a)
-
-
-def _quotient_idempotent(B: _Quotient, rng) -> np.ndarray:
+def _quotient_idempotent(B: _Quotient, rng):
+    """A nontrivial idempotent of the semisimple quotient, or None when it
+    is a field (a finite division algebra is commutative, and a commutative
+    semisimple algebra is a field iff its Frobenius-fixed space is the
+    prime field)."""
     if B.dim <= 1:
-        raise ValueError("quotient algebra is a field; module is indecomposable")
+        return None
     if B.is_commutative():
         V = B.frobenius_fixed_basis()
+        if V.shape[1] == 1:
+            return None
         # pick a fixed vector independent from 1
         for j in range(V.shape[1]):
             v = V[:, j]
@@ -388,7 +375,7 @@ def _quotient_idempotent(B: _Quotient, rng) -> np.ndarray:
             continue
         g1, g2 = split
         _, u, _ = _pxgcd(g1, g2, B.p)
-        e = B.eval_poly(_pmod(_pmul(u, g1, B.p), g, B.p), b)
+        e = B.eval_poly(_pdivmod(_pmul(u, g1, B.p), g, B.p)[1], b)
         if e.any() and not np.array_equal(e, B.one) \
                 and np.array_equal(B.mul(e, e), e):
             return e
@@ -464,7 +451,7 @@ def _split_by_bases(M: GridModule, bases1, bases0):
                 steps[(vidx, k)] = sol
     M1 = GridModule(M.grid, dims1, steps1, p)
     M0 = GridModule(M.grid, dims0, steps0, p)
-    S, _, _ = direct_sum(M1, M0)
+    S = sum_module(M1, M0)
     mats = {}
     for vidx in M.grid.vertices():
         vidx = tuple(vidx)
@@ -505,61 +492,50 @@ def fitting_split(M: GridModule, phi: ModuleMorphism):
 def decompose(M: GridModule, seed: int = 0):
     """Decompose M into indecomposable summands.
 
+    M is compressed once; the recursion splits the compressed module C and
+    builds one endomorphism algebra per node, which either is local (a
+    summand) or yields the idempotent to split along.  Summands and witness
+    then move back to M's grid: summands by restriction-extension, exact
+    because M's grid refines C's, and the witness through
+    compression_witness.
+
     Returns (summands, witness) where witness is a verified isomorphism
     direct_sum(*summands) -> M, all on M's grid.  Summands are ordered by
     (total dimension, dimension vector).  The zero module yields ([], id).
     """
     if M.total_dim() == 0:
         return [], ModuleMorphism(M, M, {})
-    summands, witness = _decompose_rec(M, seed)
-    order = sorted(range(len(summands)),
-                   key=lambda i: (summands[i].total_dim(),
-                                  summands[i].dims.ravel().tolist()))
-    summands_sorted = [summands[i] for i in order]
-    S_sorted, _, _ = direct_sum(*summands_sorted)
-    S_orig, _, _ = direct_sum(*summands)
-    perm = {}
-    for vidx in M.grid.vertices():
-        vidx = tuple(vidx)
-        d = S_orig.dim(vidx)
-        if d == 0:
-            continue
-        offs_orig = np.cumsum([0] + [s.dim(vidx) for s in summands])
-        offs_sorted = np.cumsum([0] + [s.dim(vidx) for s in summands_sorted])
-        mat = field.zeros(d, d)
-        for newpos, i in enumerate(order):
-            di = summands[i].dim(vidx)
-            if di:
-                mat[offs_orig[i]:offs_orig[i] + di,
-                    offs_sorted[newpos]:offs_sorted[newpos] + di] = field.eye(di)
-        perm[vidx] = mat
-    P = ModuleMorphism(S_sorted, S_orig, perm)
-    W = witness.compose(P)
-    W = ModuleMorphism(S_sorted, M, W.mats)
+    C = compress(M)
+    parts = sorted(((restriction_extension(X, M.grid), X, inc)
+                    for X, inc in _decompose_rec(C, seed)),
+                   key=lambda t: (t[0].total_dim(), t[0].dims.ravel().tolist()))
+    # the inclusions side by side: sum of the parts on C's grid -> C
+    Wc = ModuleMorphism(
+        sum_module(*(X for _, X, _ in parts)), C,
+        {v: np.concatenate([inc[v] for _, _, inc in parts if v in inc], axis=1)
+         for v in C.support_vertices()})
+    W = compression_witness(M, C).compose(
+        morphism_restriction_extension(Wc, M.grid))
+    summands = [Y for Y, _, _ in parts]
+    W = ModuleMorphism(sum_module(*summands), M, W.mats)
     W.validate()
     if not W.is_isomorphism():
         raise RuntimeError("decomposition witness failed verification")
-    return summands_sorted, W
+    return summands, W
 
 
 def _decompose_rec(M: GridModule, seed: int):
-    if is_indecomposable(M):
-        return [M], ModuleMorphism.identity(M)
-    e = find_idempotent(M, seed)
-    M1, M0, W = split_by_idempotent(M, e)
-    s1, w1 = _decompose_rec(M1, seed + 1)
-    s0, w0 = _decompose_rec(M0, seed + 1)
-    summands = s1 + s0
-    S, _, _ = direct_sum(*summands)
-    mats = {}
-    for vidx in M.grid.vertices():
-        vidx = tuple(vidx)
-        if S.dim(vidx) == 0:
-            continue
-        a, b = w1.at(vidx), w0.at(vidx)
-        mat = field.zeros(M1.dim(vidx) + M0.dim(vidx), S.dim(vidx))
-        mat[:a.shape[0], :a.shape[1]] = a
-        mat[a.shape[0]:, a.shape[1]:] = b
-        mats[vidx] = mat
-    Wsum = W.compose(ModuleMorphism(S, W.source, mats))
-    return summands, ModuleMorphism(S, M, Wsum.mats)
+    """[(X, components of an inclusion X -> M)] over indecomposable
+    summands X of M, from one endomorphism algebra of M."""
+    A = end_algebra(M)
+    e = _idempotent(A, seed)
+    if e is None:
+        return [(M, ModuleMorphism.identity(M).mats)]
+    M1, M0, W = split_by_idempotent(M, A.morphism_of(e))
+    out = []
+    for side, part in enumerate((M1, M0)):
+        for X, inc in _decompose_rec(part, seed + 1):
+            out.append((X, {v: field.mmul(np.split(W.mats[v], [M1.dim(v)],
+                                                   axis=1)[side], m, M.p)
+                            for v, m in inc.items()}))
+    return out

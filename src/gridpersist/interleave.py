@@ -16,127 +16,18 @@ import numpy as np
 from . import field
 from .core import (Grid, GridModule, as_frac, pt_shift, sum_module,
                    zero_module)
-from .kan import restriction_extension, snap_to_lattice, union_axes
+from .kan import (_axis_floors, _component_ids, _dict_from_ids, _flat,
+                  _flat_floors, _floors_via, _map_ids, _unique_rows,
+                  _vertices, restriction_extension, snap_to_lattice,
+                  union_axes)
 
 
 class CertificateError(ValueError):
     pass
 
 
-# -- evaluation-grid signatures ------------------------------------------------
-#
-# Certificate routines evaluate natural maps at every vertex of an evaluation
-# grid.  A natural map is constant on cells of the common refinement, so each
-# vertex is described by its floors in the grids involved (per-axis tables,
-# combined into flat indices) and by the components it carries; vertices with
-# equal descriptions share one evaluation.
-
-def _axis_floors(mod_grid: Grid, grid: Grid, shift=0):
-    """Per-axis arrays: floor index in mod_grid of every coordinate of grid,
-    shifted by `shift`, or -1 when no coordinate of mod_grid lies below."""
-    return [np.array([mod_grid._axis_floor(k, c + shift) for c in ax],
-                     dtype=np.int64) for k, ax in enumerate(grid.axes)]
-
-
-def _flat_floors(mod_grid: Grid, grid: Grid, shift=0) -> np.ndarray:
-    """Array over grid.shape: flat index (in mod_grid) of the floor of each
-    vertex shifted by `shift`, or -1 where there is none."""
-    return _flat(_axis_floors(mod_grid, grid, shift), mod_grid.shape)
-
-
-def _flat(tabs, shape) -> np.ndarray:
-    """Combine per-axis index arrays (-1 for none) into flat indices over a
-    grid of the given shape, -1 where any axis has none; the result spans
-    the product of the tables' lengths."""
-    n = len(tabs)
-    out = np.zeros([len(t) for t in tabs], dtype=np.int64)
-    none = np.zeros(out.shape, dtype=bool)
-    stride = 1
-    for k in reversed(range(n)):
-        t = tabs[k]
-        view = [1] * n
-        view[k] = len(t)
-        out += (np.maximum(t, 0) * stride).reshape(view)
-        none |= (t < 0).reshape(view)
-        stride *= shape[k]
-    out[none] = -1
-    return out
-
-
 def _vertex(flat: int, shape):
     return tuple(int(i) for i in np.unravel_index(int(flat), shape))
-
-
-def _vertices(flat: np.ndarray, shape):
-    """Index tuples of flat indices (entries -1 map to the last vertex)."""
-    return list(zip(*(a.tolist() for a in
-                      np.unravel_index(np.asarray(flat) % int(np.prod(shape)),
-                                       shape))))
-
-
-def _component_ids(comp, shape, drop_zero: bool = False):
-    """(ids, mats): ids is a flat array over a grid of the given shape with
-    ids[v] indexing mats for each vertex carrying an entry of comp, and -1
-    elsewhere; equal matrices share one index.  Entries at keys outside the
-    grid are ignored.  With drop_zero, zero and empty matrices count as
-    absent."""
-    n = len(shape)
-    size = int(np.prod(shape))
-    ids = np.full(size, -1, dtype=np.int64)
-    mats, canon, by_obj = [], {}, {}
-    strides = np.cumprod((1,) + tuple(shape[:0:-1]))[::-1]
-    keys, vals = [], []
-    for v, m in comp.items():
-        if len(v) == n and all(0 <= i < s for i, s in zip(v, shape)):
-            keys.append(v)
-            vals.append(m)
-    if not keys:
-        return ids, mats
-    flat = np.asarray(keys, dtype=np.int64) @ strides
-    cids = []
-    for m in vals:
-        c = by_obj.get(id(m))
-        if c is None:
-            if drop_zero and not (m.size and m.any()):
-                c = -1
-            else:
-                key = (m.shape, m.dtype.str, m.tobytes())
-                c = canon.get(key)
-                if c is None:
-                    c = canon[key] = len(mats)
-                    mats.append(m)
-            by_obj[id(m)] = c
-        cids.append(c)
-    ids[flat] = cids
-    return ids, mats
-
-
-def _unique_rows(sig: np.ndarray):
-    """(rows, first, inverse): the distinct rows of an integer matrix with
-    entries >= -1, the index of a row holding each, and the distinct-row
-    index of every row."""
-    if not sig.size:
-        rows, first, inv = np.unique(sig, axis=0, return_index=True,
-                                     return_inverse=True)
-        return rows, first, inv.reshape(-1)
-    # pack each row into one integer when the ranges allow: a 1-d unique is
-    # much faster than a row-wise one
-    span = sig.max(axis=0) + 2
-    if float(np.prod(span.astype(float))) < 2.0 ** 62:
-        weights = np.cumprod(np.concatenate([[1], span[:0:-1]]))[::-1]
-        _, first, inv = np.unique((sig + 1) @ weights, return_index=True,
-                                  return_inverse=True)
-        return sig[first], first, inv.reshape(-1)
-    rows, first, inv = np.unique(sig, axis=0, return_index=True,
-                                 return_inverse=True)
-    return rows, first, inv.reshape(-1)
-
-
-def _dict_from_ids(ids: np.ndarray, mats):
-    """{vertex: mats[ids[vertex]]} over the vertices with ids >= 0."""
-    where = np.argwhere(ids >= 0)
-    return dict(zip(map(tuple, where.tolist()),
-                    [mats[i] for i in ids[ids >= 0].tolist()]))
 
 
 # -- epsilon-trivial regions --------------------------------------------------
@@ -439,28 +330,6 @@ def _dims_at(mod: GridModule, grid: Grid, shift=0) -> np.ndarray:
                                                        shift).ravel()]
 
 
-def _map_ids(mod: GridModule, src: np.ndarray, dst: np.ndarray):
-    """(ids, mats) for the structure maps of mod between the flat floors
-    src <= dst, vertex by vertex; ids is -1 where the map is zero (or src
-    is -1, no floor)."""
-    ids = np.full(len(src), -1, dtype=np.int64)
-    mats = []
-    live = src >= 0
-    if not live.any():
-        return ids, mats
-    pairs, _, inv = _unique_rows(np.stack([src[live], dst[live]], axis=1))
-    vals = np.full(len(pairs), -1, dtype=np.int64)
-    shape = mod.grid.shape
-    for j, (a, b) in enumerate(zip(_vertices(pairs[:, 0], shape),
-                                   _vertices(pairs[:, 1], shape))):
-        m = mod.structure_map(a, b)
-        if m.size and m.any():
-            vals[j] = len(mats)
-            mats.append(m)
-    ids[live] = vals[inv]
-    return ids, mats
-
-
 def identity_certificate(M: GridModule, eps,
                          verify: bool = True) -> InterleavingCertificate:
     """The certificate d(M, M) <= eps via shift units."""
@@ -671,19 +540,17 @@ def snap_certificate(M: GridModule, pitch, margin_cells: int = 6):
     here = _axis_floors(L.grid, grid)
 
     def in_m(lattice_idx):
-        # floors in M of lattice coordinates, axis by axis
-        return [np.array([M.grid._axis_floor(k, L.grid.axes[k][i]) if i >= 0
-                          else -1 for i in t], dtype=np.int64)
-                for k, t in enumerate(lattice_idx)]
+        # flat floors in M of lattice coordinates
+        return _flat(_floors_via(M.grid, L.grid, lattice_idx),
+                     M.grid.shape).ravel()
 
     src = _flat(_axis_floors(M.grid, grid), M.grid.shape)
     below = [np.array([i < 0 or L.grid.axes[k][i] < c
                        for i, c in zip(t, grid.axes[k])])
              for k, t in enumerate(up)]
     src[_flat([np.where(b, -1, 0) for b in below], grid.shape) < 0] = -1
-    fids, fmats = _map_ids(M, src.ravel(),
-                           _flat(in_m(up), M.grid.shape).ravel())
-    gids, gmats = _map_ids(M, _flat(in_m(here), M.grid.shape).ravel(),
+    fids, fmats = _map_ids(M, src.ravel(), in_m(up))
+    gids, gmats = _map_ids(M, in_m(here),
                            _flat_floors(M.grid, grid, pitch).ravel())
     cert = InterleavingCertificate(
         M, L, pitch, grid, _dict_from_ids(fids.reshape(grid.shape), fmats),

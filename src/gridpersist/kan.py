@@ -7,12 +7,152 @@ equality of extensions; in general it snaps the module to the new grid.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 import numpy as np
 
 from . import field
 from .core import Grid, GridModule, ModuleMorphism, as_frac, pt_shift
+
+
+# -- evaluation-grid signatures ------------------------------------------------
+#
+# Certificate routines evaluate natural maps at every vertex of an evaluation
+# grid.  A natural map is constant on cells of the common refinement, so each
+# vertex is described by its floors in the grids involved (per-axis tables,
+# combined into flat indices) and by the components it carries; vertices with
+# equal descriptions share one evaluation.
+
+def _axis_floors(mod_grid: Grid, grid: Grid, shift=0):
+    """Per-axis arrays: floor index in mod_grid of every coordinate of grid,
+    shifted by `shift`, or -1 when no coordinate of mod_grid lies below."""
+    return [np.array([mod_grid._axis_floor(k, c + shift) for c in ax],
+                     dtype=np.int64) for k, ax in enumerate(grid.axes)]
+
+
+def _floors_via(mod_grid: Grid, via: Grid, tabs):
+    """Per-axis arrays: floor index in mod_grid of the coordinate of `via`
+    at each index of the per-axis index arrays tabs (-1 stays -1)."""
+    return [np.array([mod_grid._axis_floor(k, via.axes[k][i]) if i >= 0
+                      else -1 for i in t], dtype=np.int64)
+            for k, t in enumerate(tabs)]
+
+
+def _flat_floors(mod_grid: Grid, grid: Grid, shift=0) -> np.ndarray:
+    """Array over grid.shape: flat index (in mod_grid) of the floor of each
+    vertex shifted by `shift`, or -1 where there is none."""
+    return _flat(_axis_floors(mod_grid, grid, shift), mod_grid.shape)
+
+
+def _flat(tabs, shape) -> np.ndarray:
+    """Combine per-axis index arrays (-1 for none) into flat indices over a
+    grid of the given shape, -1 where any axis has none; the result spans
+    the product of the tables' lengths."""
+    n = len(tabs)
+    out = np.zeros([len(t) for t in tabs], dtype=np.int64)
+    none = np.zeros(out.shape, dtype=bool)
+    stride = 1
+    for k in reversed(range(n)):
+        t = tabs[k]
+        view = [1] * n
+        view[k] = len(t)
+        out += (np.maximum(t, 0) * stride).reshape(view)
+        none |= (t < 0).reshape(view)
+        stride *= shape[k]
+    out[none] = -1
+    return out
+
+
+def _vertices(flat: np.ndarray, shape):
+    """Index tuples of flat indices (entries -1 map to the last vertex)."""
+    return list(zip(*(a.tolist() for a in
+                      np.unravel_index(np.asarray(flat) % int(np.prod(shape)),
+                                       shape))))
+
+
+def _component_ids(comp, shape, drop_zero: bool = False):
+    """(ids, mats): ids is a flat array over a grid of the given shape with
+    ids[v] indexing mats for each vertex carrying an entry of comp, and -1
+    elsewhere; equal matrices share one index.  Entries at keys outside the
+    grid are ignored.  With drop_zero, zero and empty matrices count as
+    absent."""
+    n = len(shape)
+    size = int(np.prod(shape))
+    ids = np.full(size, -1, dtype=np.int64)
+    mats, canon, by_obj = [], {}, {}
+    strides = np.cumprod((1,) + tuple(shape[:0:-1]))[::-1]
+    keys, vals = [], []
+    for v, m in comp.items():
+        if len(v) == n and all(0 <= i < s for i, s in zip(v, shape)):
+            keys.append(v)
+            vals.append(m)
+    if not keys:
+        return ids, mats
+    flat = np.asarray(keys, dtype=np.int64) @ strides
+    cids = []
+    for m in vals:
+        c = by_obj.get(id(m))
+        if c is None:
+            if drop_zero and not (m.size and m.any()):
+                c = -1
+            else:
+                key = (m.shape, m.dtype.str, m.tobytes())
+                c = canon.get(key)
+                if c is None:
+                    c = canon[key] = len(mats)
+                    mats.append(m)
+            by_obj[id(m)] = c
+        cids.append(c)
+    ids[flat] = cids
+    return ids, mats
+
+
+def _unique_rows(sig: np.ndarray):
+    """(rows, first, inverse): the distinct rows of an integer matrix with
+    entries >= -1, the index of a row holding each, and the distinct-row
+    index of every row."""
+    if not sig.size:
+        rows, first, inv = np.unique(sig, axis=0, return_index=True,
+                                     return_inverse=True)
+        return rows, first, inv.reshape(-1)
+    # pack each row into one integer when the ranges allow: a 1-d unique is
+    # much faster than a row-wise one
+    span = sig.max(axis=0) + 2
+    if float(np.prod(span.astype(float))) < 2.0 ** 62:
+        weights = np.cumprod(np.concatenate([[1], span[:0:-1]]))[::-1]
+        _, first, inv = np.unique((sig + 1) @ weights, return_index=True,
+                                  return_inverse=True)
+        return sig[first], first, inv.reshape(-1)
+    rows, first, inv = np.unique(sig, axis=0, return_index=True,
+                                 return_inverse=True)
+    return rows, first, inv.reshape(-1)
+
+
+def _dict_from_ids(ids: np.ndarray, mats):
+    """{vertex: mats[ids[vertex]]} over the vertices with ids >= 0."""
+    where = np.argwhere(ids >= 0)
+    return dict(zip(map(tuple, where.tolist()),
+                    [mats[i] for i in ids[ids >= 0].tolist()]))
+
+
+def _map_ids(mod: GridModule, src: np.ndarray, dst: np.ndarray):
+    """(ids, mats) for the structure maps of mod between the flat floors
+    src <= dst, vertex by vertex; ids is -1 where the map is zero (or src
+    is -1, no floor)."""
+    ids = np.full(len(src), -1, dtype=np.int64)
+    mats = []
+    live = src >= 0
+    if not live.any():
+        return ids, mats
+    pairs, _, inv = _unique_rows(np.stack([src[live], dst[live]], axis=1))
+    vals = np.full(len(pairs), -1, dtype=np.int64)
+    shape = mod.grid.shape
+    for j, (a, b) in enumerate(zip(_vertices(pairs[:, 0], shape),
+                                   _vertices(pairs[:, 1], shape))):
+        m = mod.structure_map(a, b)
+        if m.size and m.any():
+            vals[j] = len(mats)
+            mats.append(m)
+    ids[live] = vals[inv]
+    return ids, mats
 
 
 def restriction_extension(M: GridModule, grid: Grid) -> GridModule:
@@ -23,29 +163,20 @@ def restriction_extension(M: GridModule, grid: Grid) -> GridModule:
     """
     if grid.n != M.grid.n:
         raise ValueError("dimension mismatch")
-    # per-axis floor tables, then dims and steps by table lookup only
-    tabs = [np.array([M.grid._axis_floor(k, c) for c in ax], dtype=np.int64)
-            for k, ax in enumerate(grid.axes)]
-    dims = M.dims[np.ix_(*(np.maximum(t, 0) for t in tabs))].copy()
-    valid = np.ones(grid.shape, dtype=bool)
-    for k, t in enumerate(tabs):
-        shape = [1] * grid.n
-        shape[k] = len(t)
-        valid &= (t >= 0).reshape(shape)
-    dims[~valid] = 0
+    src = _flat_floors(M.grid, grid)
+    dims = np.append(M.dims.ravel(), 0)[src]
     steps = {}
-    shape = grid.shape
-    for vidx in np.argwhere(dims > 0):
-        vidx = tuple(int(i) for i in vidx)
-        fl = tuple(int(tabs[k][i]) for k, i in enumerate(vidx))
-        for k in range(grid.n):
-            if vidx[k] + 1 >= shape[k]:
-                continue
-            w = vidx[:k] + (vidx[k] + 1,) + vidx[k + 1:]
-            if dims[w] == 0:
-                continue
-            fw = tuple(int(tabs[a][i]) for a, i in enumerate(w))
-            steps[(vidx, k)] = M.structure_map(fl, fw)
+    for k in range(grid.n):
+        lo = tuple(slice(None, -1) if a == k else slice(None)
+                   for a in range(grid.n))
+        hi = tuple(slice(1, None) if a == k else slice(None)
+                   for a in range(grid.n))
+        live = (dims[lo] > 0) & (dims[hi] > 0)
+        ids, mats = _map_ids(M, src[lo][live], src[hi][live])
+        for v, i, dv, dw in zip(map(tuple, np.argwhere(live).tolist()),
+                                ids.tolist(), dims[lo][live].tolist(),
+                                dims[hi][live].tolist()):
+            steps[(v, k)] = mats[i] if i >= 0 else field.zeros(dw, dv)
     return GridModule(grid, dims, steps, M.p)
 
 
@@ -62,16 +193,9 @@ def morphism_restriction_extension(f: ModuleMorphism, grid: Grid) -> ModuleMorph
     """The induced morphism between the restriction-extensions on `grid`."""
     Mg = restriction_extension(f.source, grid)
     Ng = restriction_extension(f.target, grid)
-    mats = {}
-    for vidx in grid.vertices():
-        vidx = tuple(vidx)
-        fi = f.source.grid.floor_index(grid.coord(vidx))
-        if fi is None:
-            continue
-        m = f.at(fi)
-        if m.size and m.any():
-            mats[vidx] = m.copy()
-    return ModuleMorphism(Mg, Ng, mats)
+    ids, mats = _component_ids(f.mats, f.source.grid.shape, drop_zero=True)
+    at = np.append(ids, -1)[_flat_floors(f.source.grid, grid)]
+    return ModuleMorphism(Mg, Ng, _dict_from_ids(at, mats))
 
 
 def union_axes(*grids_or_axes):
@@ -218,17 +342,8 @@ def compression_witness(M: GridModule, C: GridModule) -> ModuleMorphism:
     """The natural isomorphism (C extended onto M's grid) -> M, for C a
     compression of M.  Components are structure maps of M from the floor in
     C's grid up to each vertex."""
-    Cm = restriction_extension(C, M.grid)
-    mats = {}
-    for vidx in M.grid.vertices():
-        vidx = tuple(vidx)
-        x = M.grid.coord(vidx)
-        fi = C.grid.floor_index(x)
-        if fi is None:
-            continue
-        src = C.grid.coord(fi)
-        m = M.structure_map_points(src, x)
-        if m.size and m.any():
-            mats[vidx] = m
-    w = ModuleMorphism(Cm, M, mats)
-    return w
+    src = _floors_via(M.grid, C.grid, _axis_floors(C.grid, M.grid))
+    ids, mats = _map_ids(M, _flat(src, M.grid.shape).ravel(),
+                         np.arange(M.dims.size))
+    return ModuleMorphism(restriction_extension(C, M.grid), M,
+                          _dict_from_ids(ids.reshape(M.grid.shape), mats))

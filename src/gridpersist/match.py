@@ -23,7 +23,7 @@ from .interleave import (CertificateError, InterleavingCertificate,
                          trivial_certificate, triviality_radius,
                          weaken_certificate)
 from .kan import prune, restriction_extension, union_axes
-from .construct import fold, infer_pitch, iso_certificate
+from .construct import fold, fold_eps0, iso_certificate
 
 
 class EpsIndecomposability:
@@ -279,8 +279,7 @@ def instability_demo(M: GridModule, delta, seed: int = 0) -> InstabilityReport:
     parts, W = decompose(M, seed)
     if len(parts) < 2:
         raise ValueError("need a decomposable module with >= 2 summands")
-    tau = infer_pitch(*(prune(X) for X in parts))
-    eps0 = tau / (int(4 * tau / delta) + 1)
+    eps0 = fold_eps0([prune(X) for X in parts], delta)
     cur, fold_c, _ = fold(parts, eps0, verify_cert=False)
     total = compose_chain([fold_c, iso_certificate(W)], verify=True)
     if total.eps >= delta:

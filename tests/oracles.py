@@ -71,9 +71,10 @@ def gauss_nullspace(rows, p):
     return basis
 
 
-def mat_mul(a, b, p):
+def mat_mul(a, b, p, cols=0):
+    """a b mod p; cols is b's column count, which a b with no rows loses."""
     return [[sum(x * y for x, y in zip(ra, cb)) % p
-             for cb in zip(*b)] for ra in a]
+             for cb in zip(*b)] if b else [0] * cols for ra in a]
 
 
 def mat_eye(n):
@@ -101,7 +102,8 @@ def path_map(M, v, w):
     p = M.p
     dims = M.dims
     cur = list(v)
-    m = mat_eye(int(dims[tuple(v)]))
+    cols = int(dims[tuple(v)])
+    m = mat_eye(cols)
     for k in range(len(v)):
         while cur[k] < w[k]:
             src = tuple(cur)
@@ -113,7 +115,7 @@ def path_map(M, v, w):
                 sm = mat_zero(dt, ds)
             else:
                 sm = [[int(x) % p for x in row] for row in step.tolist()]
-            m = mat_mul(sm, m, p)
+            m = mat_mul(sm, m, p, cols)
     return m
 
 
@@ -306,23 +308,10 @@ def certificate_holds(c):
         return 0 if fl is None else int(X.dims[fl])
 
     def smap(X, x, y):
-        # composed here rather than by path_map, so that zero spaces on the
-        # path keep the column count
         fx, fy = ext_floor(X, x), ext_floor(X, y)
         if fx is None:
             return mat_zero(dim(X, y), 0)
-        cols = int(X.dims[fx])
-        cur, m = list(fx), mat_eye(cols)
-        for k in range(len(fx)):
-            while cur[k] < fy[k]:
-                src = tuple(cur)
-                cur[k] += 1
-                step = X.steps.get((src, k))
-                sm = mat_zero(int(X.dims[tuple(cur)]), int(X.dims[src])) \
-                    if step is None else \
-                    [[int(t) % p for t in row] for row in step.tolist()]
-                m = mul(sm, m, cols)
-        return m
+        return path_map(X, fx, fy)
 
     def comp(d, X, Y, v):
         rows, cols = dim(Y, up(at(v), eps)), dim(X, at(v))
@@ -332,10 +321,6 @@ def certificate_holds(c):
         if tuple(m.shape) != (rows, cols):
             return None, cols
         return [[int(t) % p for t in row] for row in m.tolist()], cols
-
-    def mul(a, b, cols):
-        return [[sum(x * y for x, y in zip(row, col)) % p
-                 for col in zip(*b)] if b else [0] * cols for row in a]
 
     for v in product(*(range(len(ax)) for ax in axes)):
         x = at(v)
@@ -352,19 +337,19 @@ def certificate_holds(c):
             gw, _ = comp(c.g, N, M, w)
             if fw is None or gw is None:
                 return False
-            if mul(fw, smap(M, x, y), fc) != \
-                    mul(smap(N, up(x, eps), up(y, eps)), f, fc):
+            if mat_mul(fw, smap(M, x, y), p, fc) != \
+                    mat_mul(smap(N, up(x, eps), up(y, eps)), f, p, fc):
                 return False
-            if mul(gw, smap(N, x, y), gc) != \
-                    mul(smap(M, up(x, eps), up(y, eps)), g, gc):
+            if mat_mul(gw, smap(N, x, y), p, gc) != \
+                    mat_mul(smap(M, up(x, eps), up(y, eps)), g, p, gc):
                 return False
         ve = tuple(bisect_right(ax, t) - 1 for ax, t in zip(axes, up(x, eps)))
         fe, _ = comp(c.f, M, N, ve)
         ge, _ = comp(c.g, N, M, ve)
         if fe is None or ge is None:
             return False
-        if mul(ge, f, fc) != smap(M, x, up(x, 2 * eps)):
+        if mat_mul(ge, f, p, fc) != smap(M, x, up(x, 2 * eps)):
             return False
-        if mul(fe, g, gc) != smap(N, x, up(x, 2 * eps)):
+        if mat_mul(fe, g, p, gc) != smap(N, x, up(x, 2 * eps)):
             return False
     return True

@@ -15,7 +15,7 @@ from gridpersist.core import (Grid, GridModule, ModuleMorphism, direct_sum,
 from gridpersist.kan import common_refinement
 
 from conftest import rect
-from oracles import hom_dim
+from oracles import hom_dim, path_map
 
 
 def test_grid_floor_and_coord():
@@ -83,6 +83,18 @@ def test_hom_space_matches_dense_oracle():
         assert len(basis) == hom_dim(M, N)
         for f in basis:
             assert f.is_valid()
+        # the oracle's structure maps keep their shape through zero spaces
+        verts = [tuple(v) for v in M.grid.vertices()]
+        for v in verts:
+            for w in verts:
+                if not all(a <= b for a, b in zip(v, w)):
+                    continue
+                m = path_map(M, v, w)
+                assert len(m) == M.dim(w)
+                assert all(len(row) == M.dim(v) for row in m)
+                assert np.array_equal(
+                    np.array(m, dtype=np.int64).reshape(M.dim(w), M.dim(v)),
+                    M.structure_map(v, w))
 
 
 def test_end_of_G_is_one_dimensional():

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gridpersist import field
+from gridpersist import decomp, field
 from gridpersist.cli import random_module
 from gridpersist.construct import module_G
 from gridpersist.core import (direct_sum, interval_module, is_isomorphic,
@@ -13,7 +13,8 @@ from gridpersist.core import (direct_sum, interval_module, is_isomorphic,
 from gridpersist.decomp import (decompose, end_algebra, find_idempotent,
                                 fitting_split, is_indecomposable, radical,
                                 split_by_idempotent)
-from gridpersist.kan import common_refinement, union_axes, restriction_extension
+from gridpersist.kan import (common_refinement, compress, restriction_extension,
+                             union_axes)
 from gridpersist.core import Grid
 
 from conftest import rect
@@ -178,3 +179,81 @@ def test_structure_constants_match_composition():
                     v = tuple(v)
                     assert np.array_equal(prod.at(v) % M.p,
                                           comp.at(v) % M.p), (M, i, j, v)
+
+
+def _refined_shuffled(seed, ways=3):
+    # as the decompose benchmark builds it: each grid cell split `ways`
+    # ways, then a random basis change
+    R = random_module(2, 4, 3, seed=seed)
+    ax = sorted({Fraction(i) + Fraction(j, ways)
+                 for i in range(3) for j in range(ways)} | {Fraction(3)})
+    M = random_basis_change(restriction_extension(R, Grid([ax, ax])), seed)
+    return R, M
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_decompose_builds_one_end_per_node_on_the_compressed_grid(
+        seed, monkeypatch):
+    _, M = _refined_shuffled(seed)
+    shape = compress(M).grid.shape
+    built, compressed = [], []
+    init = decomp.EndAlgebra.__init__
+
+    def counting_init(self, X):
+        built.append(X.grid.shape)
+        init(self, X)
+
+    def counting_compress(X):
+        compressed.append(X)
+        return compress(X)
+
+    monkeypatch.setattr(decomp.EndAlgebra, "__init__", counting_init)
+    monkeypatch.setattr(decomp, "compress", counting_compress)
+    parts, w = decompose(M)
+    assert len(parts) >= 2
+    assert len(built) == 2 * len(parts) - 1
+    assert all(a <= b for s in built for a, b in zip(s, shape))
+    assert compressed == [M]
+    assert w.target is M and w.is_isomorphism()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_decompose_of_refined_module_matches_unrefined(seed):
+    R, M = _refined_shuffled(seed)
+    parts, w = decompose(M)
+    assert all(X.grid == M.grid for X in parts)
+    assert np.array_equal(sum(X.dims for X in parts), M.dims)
+    want, _ = decompose(R)
+    assert len(parts) == len(want)
+    assert sorted(X.dims.ravel().tolist() for X in parts) == sorted(
+        restriction_extension(X, M.grid).dims.ravel().tolist() for X in want)
+
+
+@pytest.mark.parametrize("p", [2, 3, 65521])
+def test_find_idempotent_raises_exactly_on_indecomposables(p):
+    X = interval_module((0,), (2,), p=p)
+    Y = interval_module((1,), (3,), p=p)
+    A = interval_module((0, 0), (1, 1), p=p)
+    B = interval_module((2, 2), (3, 3), p=p)
+    G = module_G(p=p)
+    corpus = [X, interval_module((0, 0), (2, 1), p=p), G,
+              direct_sum(*_refine_all(X, Y))[0],
+              random_basis_change(direct_sum(*_refine_all(A, B))[0], seed=2),
+              random_basis_change(direct_sum(G, G)[0], seed=3)]
+    corpus += [random_module(2, 2, 1, seed=s, p=p) for s in range(4)]
+    verdicts = set()
+    for M in corpus:
+        if M.total_dim() == 0:
+            continue
+        try:
+            e = find_idempotent(M)
+            raised = False
+        except ValueError:
+            raised = True
+        assert raised == is_indecomposable(M), M
+        if not raised:
+            e.validate()
+            assert all(np.array_equal(field.mmul(m, m, p), m % p)
+                       for m in e.mats.values())
+        verdicts.add(raised)
+    assert verdicts == {True, False}

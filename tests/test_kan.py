@@ -8,10 +8,12 @@ from gridpersist import field
 from gridpersist.cli import random_module
 from gridpersist.core import Grid, hom_space, interval_module, is_isomorphic
 from gridpersist.kan import (common_refinement, compress, compression_witness,
-                             prune, regular_grid, restrict,
+                             morphism_restriction_extension, prune,
+                             regular_grid, restrict,
                              restriction_extension, shift, shift_unit,
                              snap_to_lattice, union_axes)
 
+import oracles as O
 from oracles import hom_dim
 
 
@@ -130,3 +132,43 @@ def test_compress_preserves_iso_class():
     g = Grid(union_axes(R.grid, C.grid))
     assert is_isomorphic(restriction_extension(R, g),
                          restriction_extension(C, g))
+
+
+def _as_mat(m, rows, cols):
+    return np.array(m, dtype=np.int64).reshape(rows, cols)
+
+
+def test_floor_table_maps_match_vertexwise_oracle():
+    # restriction_extension, morphism_restriction_extension and
+    # compression_witness read floors from per-axis tables; pin them to
+    # floors and paths taken vertex by vertex on the raw data
+    for s in range(4):
+        M = random_module(2, 3, 2, seed=s)
+        grid = Grid([[Fraction(k, 3) - 1 for k in range(14)]] * 2)
+        R = restriction_extension(M, grid)
+        f = hom_space(M, M)[-1]
+        fR = morphism_restriction_extension(f, grid)
+        for v in map(tuple, grid.vertices()):
+            fv = O.ext_floor(M, grid.coord(v))
+            assert R.dim(v) == (0 if fv is None else M.dim(fv))
+            assert np.array_equal(fR.at(v), f.at(fv) if fv is not None else
+                                  np.zeros((0, 0), dtype=np.int64))
+            for k in range(2):
+                if v[k] + 1 == grid.shape[k]:
+                    continue
+                w = v[:k] + (v[k] + 1,) + v[k + 1:]
+                if R.dim(v) and R.dim(w):
+                    fw = O.ext_floor(M, grid.coord(w))
+                    assert np.array_equal(R.steps[(v, k)], _as_mat(
+                        O.path_map(M, fv, fw), R.dim(w), R.dim(v)))
+        Rf = restriction_extension(M, _finer(M.grid))
+        C = compress(Rf)
+        wit = compression_witness(Rf, C)
+        for v in map(tuple, Rf.grid.vertices()):
+            fc = O.ext_floor(C, Rf.grid.coord(v))
+            if fc is None:
+                assert not wit.at(v).any()
+                continue
+            src = O.ext_floor(Rf, C.grid.coord(fc))
+            assert np.array_equal(wit.at(v), _as_mat(
+                O.path_map(Rf, src, v), Rf.dim(v), C.dim(fc)))
