@@ -7,8 +7,7 @@ and constructive approximation of any module by an indecomposable one.
 
 from .core import (DEFAULT_PRIME, Grid, GridModule, ModuleMorphism,
                    direct_sum, free_module, hom_space, interval_module,
-                   is_isomorphic, max_pointwise_dim, random_basis_change,
-                   zero_module)
+                   is_isomorphic, random_basis_change, zero_module)
 from .decomp import decompose, end_algebra, is_indecomposable
 from .interleave import (CertificateError, InterleavingCertificate,
                          TrivialRegion, compose_certificates, compose_chain,

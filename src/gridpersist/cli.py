@@ -104,7 +104,7 @@ def _diag(kind, message):
 def _load(path, want=None):
     try:
         obj = io.load(path)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, OverflowError) as exc:
         raise CliError(2, "malformed-input", f"{path}: {exc}")
     if want is not None and not isinstance(obj, want):
         raise CliError(2, "malformed-input",
@@ -131,11 +131,7 @@ def _emit(obj):
 
 def cmd_validate(args):
     for path in args.module:
-        M = _load(path, GridModule)
-        try:
-            M.validate()
-        except ValueError as exc:
-            raise CliError(1, "verification-failure", f"{path}: {exc}")
+        _load(path, GridModule)   # loading validates
     _emit({"status": "ok", "modules": len(args.module)})
     return 0
 

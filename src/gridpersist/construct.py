@@ -485,14 +485,16 @@ def _join_chain(Ys, joins, eta, ell, ellp):
             v[ell], v[ellp] = x, b - eta
             links.append((src, gm.index_of(tuple(v)), ellp, ig))
         owner_of_tip = ig
-    M = sum_module(*pieces)
+    S = sum_module(*pieces)
     offs = np.cumsum([P.dims for P in pieces], axis=0) - \
         np.stack([P.dims for P in pieces])
+    steps = dict(S.steps)
     for src, v, k, dst in links:
         w = v[:k] + (v[k] + 1,) + v[k + 1:]
-        blk = M.steps[(v, k)].copy()
+        blk = steps[(v, k)].copy()
         blk[offs[dst][w], offs[src][v]] = 1
-        M.steps[(v, k)] = blk
+        steps[(v, k)] = blk
+    M = GridModule(gm, S.dims, steps, p)
     M.validate()
     return M, TrivialRegion(boxes)
 

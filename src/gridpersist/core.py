@@ -108,13 +108,19 @@ class Grid:
         return idx
 
 
+def _strides(shape) -> np.ndarray:
+    """Flat-index strides of a C-ordered grid of the given shape."""
+    return np.cumprod((1,) + tuple(shape[:0:-1]), dtype=np.int64)[::-1]
+
+
 class GridModule:
     """dims: array over grid.shape; steps[(vidx, k)]: matrix for the edge
     from vidx to its successor along axis k.
 
     A step entry must be present for every edge whose endpoints both have
     positive dimension; zero maps are stored explicitly.  Modules are treated
-    as immutable once built (structure maps are memoized).
+    as immutable once built (structure maps are memoized, and the step
+    tensor is built once).
     """
 
     def __init__(self, grid: Grid, dims, steps, p: int = DEFAULT_PRIME):
@@ -123,6 +129,7 @@ class GridModule:
         self.dims = np.asarray(dims, dtype=np.int64).reshape(grid.shape)
         self.steps = steps
         self._smap_cache = {}
+        self._tensor = None
 
     # -- basic accessors ---------------------------------------------------
 
@@ -153,6 +160,8 @@ class GridModule:
         return int(self.dims.sum())
 
     def max_pointwise_dim(self) -> int:
+        """Largest dimension the extension attains at any point of Q^n (it
+        takes its values at grid vertices, and 0 off-support)."""
         return int(self.dims.max()) if self.dims.size else 0
 
     def support_vertices(self):
@@ -196,6 +205,100 @@ class GridModule:
             cache[(vidx, w)] = m
         return m
 
+    def _step_index(self):
+        """(ks, flat, mats) of the stored steps: axis, flat vertex and matrix
+        of each, after checking that every key is a vertex with a successor
+        and every matrix has the shape the dims demand (ValueError)."""
+        n, shape = self.grid.n, self.grid.shape
+        keys = list(self.steps)
+        mats = list(self.steps.values())
+        if not keys:
+            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), []
+        try:
+            vs = np.array([v for v, _ in keys]).reshape(len(keys), -1)
+            ks = np.array([k for _, k in keys])
+        except (TypeError, ValueError):
+            raise ValueError("malformed step keys") from None
+        if vs.dtype.kind not in "iu" or ks.dtype.kind not in "iu":
+            raise ValueError("step keys must be integers")
+        if vs.shape[1] != n or ((ks < 0) | (ks >= n)).any():
+            raise ValueError("step key is not (vertex, axis) of the grid")
+        flat = np.ravel_multi_index(vs.T, shape)  # ValueError off the grid
+        last = vs[np.arange(len(ks)), ks] + 1 >= np.array(shape)[ks]
+        if last.any():
+            i = int(np.flatnonzero(last)[0])
+            raise ValueError(f"step at {keys[i][0]} axis {keys[i][1]}: "
+                             "no successor")
+        dims = self.dims.ravel()
+        want = np.stack([dims[flat + _strides(shape)[ks]], dims[flat]], axis=1)
+        shp = np.array([m.shape for m in mats], dtype=np.int64).reshape(-1, 2)
+        bad = (shp != want).any(axis=1)
+        if bad.any():
+            i = int(np.flatnonzero(bad)[0])
+            raise ValueError(f"step at {keys[i][0]} axis {keys[i][1]}: shape "
+                             f"{mats[i].shape}, want {tuple(want[i].tolist())}")
+        return ks, flat, mats
+
+    def step_tensor(self) -> np.ndarray:
+        """The steps as one int64 array T of shape (n, V, D, D), V the number
+        of vertices and D = max_pointwise_dim(): T[k, v] holds step(v, k) of
+        the flat vertex v in its top-left block and zeros elsewhere (also
+        where v has no successor along k).  Built on first use; raises
+        ValueError where _step_index does.
+        """
+        if self._tensor is None:
+            D = self.max_pointwise_dim()
+            T = np.zeros((self.grid.n, self.dims.size, D, D), dtype=np.int64)
+            ks, flat, mats = self._step_index()
+            cols = self.dims.ravel()[flat]
+            # scatter every entry: entry e of the step s it belongs to sits
+            # at row e // cols[s], column e % cols[s]
+            size = np.array([m.size for m in mats], dtype=np.int64)
+            s = np.repeat(np.arange(len(mats)), size)
+            e = np.arange(len(s)) - np.repeat(np.cumsum(size) - size, size)
+            T[ks[s], flat[s], e // cols[s], e % cols[s]] = np.concatenate(
+                [m.ravel() for m in mats] + [np.zeros(0, dtype=np.int64)])
+            self._tensor = T
+        return self._tensor
+
+    def structure_maps(self, src, dst) -> np.ndarray:
+        """Structure maps between arrays of flat vertex indices src <= dst.
+
+        Returns an int64 array of shape (len(src), D, D) whose entry i holds
+        the map M(src[i]) -> M(dst[i]) in its top-left dims[dst[i]] x
+        dims[src[i]] block and zeros elsewhere.  The maps compose along
+        axis 0, then axis 1, and so on, with one batched product per step
+        of the longest path, reduced mod p after every step (the inner
+        dimension is D; see field.mmul for the overflow condition).
+        """
+        T = self.step_tensor()
+        D = T.shape[-1]
+        shape = self.grid.shape
+        src = np.asarray(src, dtype=np.int64).ravel()
+        dst = np.asarray(dst, dtype=np.int64).ravel()
+        gaps = (np.stack(np.unravel_index(dst, shape))
+                - np.stack(np.unravel_index(src, shape)))
+        if (gaps < 0).any():
+            raise ValueError("structure maps need src <= dst")
+        live = np.arange(D) < self.dims.ravel()[src][:, None]
+        R = np.eye(D, dtype=np.int64) * live[:, None, :]
+        at = src.copy()
+        order = np.arange(len(src))
+        for k, stride in enumerate(_strides(shape).tolist()):
+            if not gaps[k].any():
+                continue
+            # longest walks first, so the walks still going are a prefix
+            o = np.argsort(-gaps[k], kind="stable")
+            R, at, order, gap = R[o], at[o], order[o], gaps[k][o]
+            gaps = gaps[:, o]
+            for t in range(int(gap[0])):
+                m = int(np.count_nonzero(gap > t))
+                R[:m] = np.matmul(T[k, at[:m]], R[:m]) % self.p
+                at[:m] += stride
+        out = np.empty_like(R)
+        out[order] = R
+        return out
+
     def structure_map_points(self, x, y) -> np.ndarray:
         """Structure map of the extension between arbitrary points x <= y."""
         if not pt_leq(x, y):
@@ -209,38 +312,54 @@ class GridModule:
     # -- validation ---------------------------------------------------------
 
     def validate(self):
-        """Check shapes, entry ranges, presence of steps, and commutativity.
+        """Check the prime, shapes, entry ranges, presence of steps, and
+        commutativity.
 
-        Raises ValueError on the first violation.
+        The prime must keep products of D x D matrices exact in int64
+        ((p-1)**2 * max(D, 1) < 2**63, D = max_pointwise_dim()).  Every
+        commuting square is checked on the step tensor, by two batched
+        products per pair of axes.  Raises ValueError on a violation.
         """
-        if not field.is_probable_prime(self.p):
-            raise ValueError(f"p={self.p} is not prime")
+        p = self.p
+        if not field.is_probable_prime(p):
+            raise ValueError(f"p={p} is not prime")
+        D = self.max_pointwise_dim()
+        if (p - 1) ** 2 * max(D, 1) >= 2 ** 63:
+            raise ValueError(f"p={p} is too large for exact int64 products "
+                             f"at pointwise dimension {D}")
         if (self.dims < 0).any():
             raise ValueError("negative dimension")
-        for (vidx, k), m in self.steps.items():
-            if not self.has_succ(vidx, k):
-                raise ValueError(f"step at {vidx} axis {k}: no successor")
-            want = (self.dim(self.succ(vidx, k)), self.dim(vidx))
-            if m.shape != want:
-                raise ValueError(f"step at {vidx} axis {k}: shape {m.shape}, want {want}")
-            if m.size and ((m < 0).any() or (m >= self.p).any()):
-                raise ValueError(f"step at {vidx} axis {k}: entries out of [0,p)")
-        for vidx in self.grid.vertices():
-            vidx = tuple(vidx)
-            for k in range(self.grid.n):
-                if not self.has_succ(vidx, k):
-                    continue
-                w = self.succ(vidx, k)
-                if self.dim(vidx) > 0 and self.dim(w) > 0 and (vidx, k) not in self.steps:
-                    raise ValueError(f"missing step at {vidx} axis {k}")
-                for l in range(k + 1, self.grid.n):
-                    if not self.has_succ(vidx, l):
-                        continue
-                    u = self.succ(vidx, l)
-                    a = field.mmul(self.step(w, l), self.step(vidx, k), self.p)
-                    b = field.mmul(self.step(u, k), self.step(vidx, l), self.p)
-                    if not np.array_equal(a, b):
-                        raise ValueError(f"square at {vidx} axes ({k},{l}) does not commute")
+        shape, n = self.grid.shape, self.grid.n
+        T = self.step_tensor()
+        ks, flat, _ = self._step_index()
+        present = np.zeros((n, self.dims.size), dtype=bool)
+        present[ks, flat] = True
+        pos = self.dims.ravel() > 0
+        idx = np.arange(self.dims.size).reshape(shape)
+        # flat vertices with a successor along axis k, kept grid-shaped
+        lo = [np.take(idx, range(shape[k] - 1), axis=k) for k in range(n)]
+        stride = _strides(shape)
+
+        def at(v, bad):
+            return tuple(np.unravel_index(int(v[bad][0]), shape))
+
+        for k in range(n):
+            v = lo[k].ravel()
+            bad = ((T[k, v] < 0) | (T[k, v] >= p)).any(axis=(1, 2))
+            if bad.any():
+                raise ValueError(f"step at {at(v, bad)} axis {k}: "
+                                 "entries out of [0,p)")
+            bad = pos[v] & pos[v + stride[k]] & ~present[k, v]
+            if bad.any():
+                raise ValueError(f"missing step at {at(v, bad)} axis {k}")
+            for l in range(k + 1, n):
+                u = np.take(lo[k], range(shape[l] - 1), axis=l).ravel()
+                bad = (np.matmul(T[l, u + stride[k]], T[k, u]) % p
+                       != np.matmul(T[k, u + stride[l]], T[l, u]) % p
+                       ).any(axis=(1, 2))
+                if bad.any():
+                    raise ValueError(f"square at {at(u, bad)} axes ({k},{l}) "
+                                     "does not commute")
         return True
 
     def is_valid(self) -> bool:
@@ -362,33 +481,20 @@ def zero_module(n: int, p: int = DEFAULT_PRIME) -> GridModule:
     return GridModule(grid, np.zeros((1,) * n, dtype=np.int64), {}, p)
 
 
-def max_pointwise_dim(M: GridModule) -> int:
-    """Largest dimension the extension of M attains at any point of Q^n.
-
-    The extension takes its values at grid vertices (and 0 off-support),
-    so the maximum over the dims array decides it.
-    """
-    return int(M.dims.max())
-
-
 def free_module(grid: Grid, gen_point, p: int = DEFAULT_PRIME) -> GridModule:
     """The module that is k at every vertex >= gen_point and 0 elsewhere."""
     gen_point = tuple(as_frac(x) for x in gen_point)
     dims = np.zeros(grid.shape, dtype=np.int64)
-    steps = {}
     for vidx in grid.vertices():
-        vidx = tuple(vidx)
         if pt_leq(gen_point, grid.coord(vidx)):
             dims[vidx] = 1
-    M = GridModule(grid, dims, steps, p)
+    steps = {}
     for vidx in grid.vertices():
-        vidx = tuple(vidx)
         for k in range(grid.n):
-            if M.has_succ(vidx, k):
-                w = M.succ(vidx, k)
-                if dims[vidx] and dims[w]:
-                    steps[(vidx, k)] = field.eye(1)
-    return M
+            w = vidx[:k] + (vidx[k] + 1,) + vidx[k + 1:]
+            if w[k] < grid.shape[k] and dims[vidx] and dims[w]:
+                steps[(vidx, k)] = field.eye(1)
+    return GridModule(grid, dims, steps, p)
 
 
 def interval_module(a, b, p: int = DEFAULT_PRIME) -> GridModule:

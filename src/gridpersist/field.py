@@ -1,8 +1,11 @@
 """Exact linear algebra over a prime field F_p, on numpy int64 arrays.
 
 All matrices are numpy arrays of dtype int64 with entries in [0, p).
-p must be prime and small enough that (p-1)**2 * max_dim fits in int64,
-which holds comfortably for every p < 2**31 at the matrix sizes used here.
+p must be prime, and a product is exact only while (p-1)**2 * (inner
+dimension) < 2**63.  GridModule.validate enforces this for the inner
+dimension of structure-map products, the module's largest pointwise
+dimension D; p = 2**31 - 1 already fails it at D = 3.  The default prime
+keeps products exact up to inner dimension 2**31.
 """
 
 from __future__ import annotations

@@ -17,8 +17,8 @@ from . import field
 from .core import (Grid, GridModule, as_frac, pt_shift, sum_module,
                    zero_module)
 from .kan import (_axis_floors, _component_ids, _dict_from_ids, _flat,
-                  _flat_floors, _floors_via, _map_ids, _unique_rows,
-                  _vertices, restriction_extension, snap_to_lattice,
+                  _flat_floors, _floors_via, _map_ids, _unique_maps,
+                  _unique_rows, restriction_extension, snap_to_lattice,
                   union_axes)
 
 
@@ -89,16 +89,9 @@ def is_eps_trivial(M: GridModule, eps) -> bool:
     eps = as_frac(eps)
     if eps < 0:
         raise ValueError("eps must be >= 0")
-    for vidx in M.grid.vertices():
-        vidx = tuple(vidx)
-        if M.dim(vidx) == 0:
-            continue
-        x = M.grid.coord(vidx)
-        w = M.grid.floor_index(pt_shift(x, eps))
-        m = M.structure_map(vidx, w)
-        if m.size and m.any():
-            return False
-    return True
+    src = np.flatnonzero(M.dims.ravel() > 0)
+    ids, _ = _map_ids(M, src, _flat_floors(M.grid, M.grid, eps).ravel()[src])
+    return not (ids >= 0).any()
 
 
 def triviality_radius(M: GridModule):
@@ -222,22 +215,11 @@ class InterleavingCertificate:
         canon, cmats = {}, []
 
         def smap_ids(mod, src, dst):
-            pairs, _, inv = _unique_rows(np.stack([src, dst], axis=1))
-            dims = mod.dims.ravel()
+            mats, inv = _unique_maps(mod, src, dst)
             vals = []
-            for a, b, va, vb in zip(pairs[:, 0].tolist(), pairs[:, 1].tolist(),
-                                    _vertices(pairs[:, 0], mod.grid.shape),
-                                    _vertices(pairs[:, 1], mod.grid.shape)):
-                if a < 0:
-                    m = field.zeros(0 if b < 0 else int(dims[b]), 0)
-                elif a == b:
-                    m = field.eye(int(dims[a]))
-                else:
-                    m = mod.structure_map(va, vb)
-                key = (m.shape, m.dtype.str, m.tobytes())
-                c = canon.get(key)
-                if c is None:
-                    c = canon[key] = len(cmats)
+            for m in mats:
+                c = canon.setdefault((m.shape, m.tobytes()), len(cmats))
+                if c == len(cmats):
                     cmats.append(m)
                 vals.append(c)
             return np.array(vals, dtype=np.int64)[inv]

@@ -57,6 +57,7 @@ def module_to_obj(M: GridModule) -> dict:
 
 
 def module_from_obj(obj: dict) -> GridModule:
+    """The module an object describes; ValueError unless it validates."""
     if obj.get("type") != "module":
         raise ValueError("not a module object")
     grid = _axes_from(obj["axes"])
@@ -64,8 +65,10 @@ def module_from_obj(obj: dict) -> GridModule:
     for entry in obj["steps"]:
         vidx = tuple(entry["vertex"])
         steps[(vidx, entry["axis"])] = field.fmat(entry["matrix"], obj["p"])
-    return GridModule(grid, np.array(obj["dims"], dtype=np.int64),
-                      steps, obj["p"])
+    M = GridModule(grid, np.array(obj["dims"], dtype=np.int64),
+                   steps, obj["p"])
+    M.validate()
+    return M
 
 
 def morphism_to_obj(f: ModuleMorphism) -> dict:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import field
-from .core import Grid, GridModule, ModuleMorphism, as_frac, pt_shift
+from .core import Grid, GridModule, ModuleMorphism, _strides, as_frac
 
 
 # -- evaluation-grid signatures ------------------------------------------------
@@ -61,13 +61,6 @@ def _flat(tabs, shape) -> np.ndarray:
     return out
 
 
-def _vertices(flat: np.ndarray, shape):
-    """Index tuples of flat indices (entries -1 map to the last vertex)."""
-    return list(zip(*(a.tolist() for a in
-                      np.unravel_index(np.asarray(flat) % int(np.prod(shape)),
-                                       shape))))
-
-
 def _component_ids(comp, shape, drop_zero: bool = False):
     """(ids, mats): ids is a flat array over a grid of the given shape with
     ids[v] indexing mats for each vertex carrying an entry of comp, and -1
@@ -78,7 +71,6 @@ def _component_ids(comp, shape, drop_zero: bool = False):
     size = int(np.prod(shape))
     ids = np.full(size, -1, dtype=np.int64)
     mats, canon, by_obj = [], {}, {}
-    strides = np.cumprod((1,) + tuple(shape[:0:-1]))[::-1]
     keys, vals = [], []
     for v, m in comp.items():
         if len(v) == n and all(0 <= i < s for i, s in zip(v, shape)):
@@ -86,7 +78,7 @@ def _component_ids(comp, shape, drop_zero: bool = False):
             vals.append(m)
     if not keys:
         return ids, mats
-    flat = np.asarray(keys, dtype=np.int64) @ strides
+    flat = np.asarray(keys, dtype=np.int64) @ _strides(shape)
     cids = []
     for m in vals:
         c = by_obj.get(id(m))
@@ -133,26 +125,50 @@ def _dict_from_ids(ids: np.ndarray, mats):
                     [mats[i] for i in ids[ids >= 0].tolist()]))
 
 
+def _pair_maps(mod: GridModule, src: np.ndarray, dst: np.ndarray):
+    """(maps, rows, cols, inv) for the distinct pairs of flat floors
+    src <= dst: their structure maps, zero-padded as
+    GridModule.structure_maps returns them, the row and column count of
+    each, and the distinct-pair index of every pair.  A pair with src -1
+    (no floor) has the empty map, with no columns and dims[dst] rows (none
+    when dst is -1 too)."""
+    pairs, _, inv = _unique_rows(np.stack([src, dst], axis=1))
+    live = pairs[:, 0] >= 0
+    D = mod.max_pointwise_dim()
+    maps = np.zeros((len(pairs), D, D), dtype=np.int64)
+    maps[live] = mod.structure_maps(pairs[live, 0], pairs[live, 1])
+    dims = np.append(mod.dims.ravel(), 0)
+    return maps, dims[pairs[:, 1]], dims[pairs[:, 0]], inv
+
+
+def _unique_maps(mod: GridModule, src: np.ndarray, dst: np.ndarray):
+    """(mats, inv): the distinct structure maps of mod between the flat
+    floors src <= dst (see _pair_maps), each once by content, and the index
+    into mats of the map of every pair."""
+    maps, rows, cols, inv = _pair_maps(mod, src, dst)
+    # padding is zero, so rows, cols and entries decide a map
+    _, first, same = _unique_rows(np.concatenate(
+        [rows[:, None], cols[:, None], maps.reshape(len(maps), maps.shape[1] ** 2)], axis=1))
+    mats = [maps[j, :r, :c].copy()
+            for j, r, c in zip(first.tolist(), rows[first].tolist(),
+                               cols[first].tolist())]
+    return mats, same[inv]
+
+
 def _map_ids(mod: GridModule, src: np.ndarray, dst: np.ndarray):
     """(ids, mats) for the structure maps of mod between the flat floors
-    src <= dst, vertex by vertex; ids is -1 where the map is zero (or src
-    is -1, no floor)."""
+    src <= dst, one matrix per distinct pair; ids is -1 where the map is
+    zero (or src is -1, no floor)."""
     ids = np.full(len(src), -1, dtype=np.int64)
-    mats = []
     live = src >= 0
     if not live.any():
-        return ids, mats
-    pairs, _, inv = _unique_rows(np.stack([src[live], dst[live]], axis=1))
-    vals = np.full(len(pairs), -1, dtype=np.int64)
-    shape = mod.grid.shape
-    for j, (a, b) in enumerate(zip(_vertices(pairs[:, 0], shape),
-                                   _vertices(pairs[:, 1], shape))):
-        m = mod.structure_map(a, b)
-        if m.size and m.any():
-            vals[j] = len(mats)
-            mats.append(m)
-    ids[live] = vals[inv]
-    return ids, mats
+        return ids, []
+    maps, rows, cols, inv = _pair_maps(mod, src[live], dst[live])
+    nonzero = maps.any(axis=(1, 2))
+    ids[live] = np.where(nonzero, np.cumsum(nonzero) - 1, -1)[inv]
+    return ids, [maps[j, :r, :c].copy() for j, r, c in
+                 zip(*(x[nonzero].tolist() for x in
+                       (np.arange(len(maps)), rows, cols)))]
 
 
 def restriction_extension(M: GridModule, grid: Grid) -> GridModule:
@@ -235,16 +251,11 @@ def shift_unit(M: GridModule, r) -> ModuleMorphism:
         raise ValueError("shift unit needs r >= 0")
     Mr = shift(M, r)
     grid = Grid(union_axes(M.grid, Mr.grid))
-    A = restriction_extension(M, grid)
-    B = restriction_extension(Mr, grid)
-    mats = {}
-    for vidx in grid.vertices():
-        vidx = tuple(vidx)
-        x = grid.coord(vidx)
-        m = M.structure_map_points(x, pt_shift(x, r))
-        if m.size and m.any():
-            mats[vidx] = m
-    return ModuleMorphism(A, B, mats)
+    ids, mats = _map_ids(M, _flat_floors(M.grid, grid).ravel(),
+                         _flat_floors(M.grid, grid, r).ravel())
+    return ModuleMorphism(restriction_extension(M, grid),
+                          restriction_extension(Mr, grid),
+                          _dict_from_ids(ids.reshape(grid.shape), mats))
 
 
 def regular_grid(n: int, pitch, lo, hi) -> Grid:

@@ -12,8 +12,7 @@ from gridpersist.construct import (add_antenna, add_thin_corner,
                                    has_antenna, has_thin_corner, infer_pitch,
                                    iso_certificate, module_G, tack)
 from gridpersist.core import (direct_sum, interval_module, is_isomorphic,
-                              max_pointwise_dim, zero_module,
-                              ModuleMorphism)
+                              zero_module, ModuleMorphism)
 from gridpersist.decomp import is_indecomposable
 from gridpersist.interleave import is_eps_trivial, triviality_radius
 from gridpersist.kan import common_refinement, restriction_extension
@@ -25,7 +24,7 @@ def test_module_G_shape_and_invariants():
     G = module_G()
     assert G.validate()
     assert G.total_dim() == 25
-    assert max_pointwise_dim(G) == 2
+    assert G.max_pointwise_dim() == 2
     assert is_indecomposable(G)
     # the two characteristic zero steps next to one-dimensional values
     assert not G.steps.get(((0, 3), 1), np.zeros((1, 1))).any()

@@ -10,8 +10,8 @@ from gridpersist.cli import random_module
 from gridpersist.construct import module_G
 from gridpersist.core import (Grid, GridModule, ModuleMorphism, direct_sum,
                               free_module, hom_space, interval_module,
-                              is_isomorphic, max_pointwise_dim,
-                              random_basis_change, zero_module)
+                              is_isomorphic, random_basis_change,
+                              zero_module)
 from gridpersist.kan import common_refinement
 
 from conftest import rect
@@ -105,10 +105,10 @@ def test_end_of_G_is_one_dimensional():
 
 def test_max_pointwise_dim():
     G = module_G()
-    assert max_pointwise_dim(G) == 2
-    assert max_pointwise_dim(zero_module(2)) == 0
+    assert G.max_pointwise_dim() == 2
+    assert zero_module(2).max_pointwise_dim() == 0
     S, _, _ = direct_sum(G, G)
-    assert max_pointwise_dim(S) == 4
+    assert S.max_pointwise_dim() == 4
 
 
 def test_structure_map_composes_along_paths():
@@ -153,3 +153,73 @@ def test_morphism_identity_and_compose():
     basis = hom_space(M, M)
     f = ModuleMorphism.linear_combination(basis, [1] * len(basis), M.p)
     assert f.is_valid()
+
+
+def _pairs_below(M):
+    """Flat index arrays (src, dst) of every pair of vertices v <= w."""
+    verts = [tuple(v) for v in M.grid.vertices()]
+    pairs = [(np.ravel_multi_index(v, M.grid.shape),
+              np.ravel_multi_index(w, M.grid.shape))
+             for v in verts for w in verts
+             if all(a <= b for a, b in zip(v, w))]
+    return np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+
+
+def test_structure_maps_match_path_oracle_and_point_query():
+    # random modules have zero-dimensional vertices on many paths and
+    # vertices of dimension below D, whose padding must stay zero
+    for n, size, max_dim, seed in [(2, 4, 3, 0), (2, 4, 3, 5), (3, 3, 2, 1),
+                                   (1, 6, 2, 2), (2, 3, 1, 3)]:
+        M = random_module(n, size, max_dim, seed=seed)
+        D = M.max_pointwise_dim()
+        assert (M.dims == 0).any() and (M.dims < D).any()
+        src, dst = _pairs_below(M)
+        maps = M.structure_maps(src, dst)
+        assert maps.shape == (len(src), D, D)
+        for m, a, b in zip(maps, src.tolist(), dst.tolist()):
+            v = tuple(np.unravel_index(a, M.grid.shape))
+            w = tuple(np.unravel_index(b, M.grid.shape))
+            r, c = M.dim(w), M.dim(v)
+            assert not m[r:].any() and not m[:, c:].any()
+            assert np.array_equal(m[:r, :c], M.structure_map(v, w))
+            want = np.array(path_map(M, v, w), dtype=np.int64).reshape(r, c)
+            assert np.array_equal(m[:r, :c], want)
+
+
+def test_structure_maps_of_zero_module_and_empty_batch():
+    Z = zero_module(2)
+    assert Z.structure_maps([0], [0]).shape == (1, 0, 0)
+    assert Z.structure_maps([], []).shape == (0, 0, 0)
+    G = module_G()
+    assert G.structure_maps([], []).shape == (0, 2, 2)
+    with pytest.raises(ValueError):
+        G.structure_maps([1], [0])
+
+
+def test_validate_rejects_wrong_shape():
+    G = module_G()
+    key = next(k for k, m in G.steps.items() if m.size)
+    steps = dict(G.steps)
+    steps[key] = field.zeros(steps[key].shape[0] + 1, steps[key].shape[1])
+    with pytest.raises(ValueError, match="shape"):
+        GridModule(G.grid, G.dims.copy(), steps, G.p).validate()
+
+
+def test_validate_rejects_out_of_range_entry():
+    G = module_G()
+    key = next(k for k, m in G.steps.items() if m.size)
+    steps = dict(G.steps)
+    steps[key] = steps[key].copy()
+    steps[key][0, 0] = G.p
+    with pytest.raises(ValueError, match="out of"):
+        GridModule(G.grid, G.dims.copy(), steps, G.p).validate()
+
+
+def test_validate_rejects_prime_too_large_for_int64_products():
+    # (p-1)**2 * 3 >= 2**63: products of 3 x 3 matrices overflow int64,
+    # so the commutativity checks could pass on wrapped-around values
+    assert random_module(2, 3, 3, seed=1).validate()
+    M = random_module(2, 3, 3, seed=1, p=2**31 - 1)
+    assert M.max_pointwise_dim() == 3
+    with pytest.raises(ValueError, match="too large"):
+        M.validate()

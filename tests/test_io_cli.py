@@ -181,6 +181,63 @@ def test_cli_precondition_violation_is_exit_3(files):
     assert "precondition-violation" in r.stderr
 
 
+def _non_commuting_G_obj():
+    """module_G with one internal step doubled: the square above it no
+    longer commutes."""
+    obj = io.module_to_obj(module_G())
+    step = next(s for s in obj["steps"] if s["vertex"] == [1, 3]
+                and s["axis"] == 0)
+    step["matrix"] = [[2 * x % obj["p"] for x in row] for row in step["matrix"]]
+    return obj
+
+
+def test_loader_rejects_invalid_modules():
+    with pytest.raises(ValueError, match="commute"):
+        io.from_obj(_non_commuting_G_obj())
+    obj = io.module_to_obj(module_G())
+    obj["p"] = 4
+    with pytest.raises(ValueError, match="not prime"):
+        io.from_obj(obj)
+
+
+def test_cli_decompose_rejects_non_commuting_module(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(_non_commuting_G_obj()))
+    r = _run(["decompose", str(path)])
+    assert r.returncode == 2
+    assert "malformed-input" in r.stderr
+
+
+def test_cli_approx_indec_rejects_non_commuting_module(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(_non_commuting_G_obj()))
+    r = _run(["approx-indec", str(path), "--eps", "1/2"])
+    assert r.returncode == 2
+    assert "malformed-input" in r.stderr
+
+
+def test_cli_rejects_composite_prime_without_traceback(tmp_path):
+    obj = io.module_to_obj(module_G())
+    obj["p"] = 4
+    path = tmp_path / "p4.json"
+    path.write_text(json.dumps(obj))
+    r = _run(["decompose", str(path)])
+    assert r.returncode == 2
+    assert "malformed-input" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+def test_cli_certify_rejects_non_commuting_embedded_module(tmp_path):
+    obj = io.certificate_to_obj(identity_certificate(module_G(),
+                                                     Fraction(1, 2)))
+    obj["m_module"] = _non_commuting_G_obj()
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(obj))
+    r = _run(["certify", str(path)])
+    assert r.returncode == 2
+    assert "malformed-input" in r.stderr
+
+
 def test_cli_match(files):
     r = _run(["match", str(files["a"]), str(files["a"]), "--eps", "1/10"])
     assert r.returncode == 0
