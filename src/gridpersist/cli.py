@@ -19,7 +19,7 @@ import numpy as np
 
 from . import field, io
 from .core import Grid, GridModule
-from .decomp import decompose, is_indecomposable
+from .decomp import FieldTooSmall, decompose, is_indecomposable
 from .field import DEFAULT_PRIME
 from .construct import approximate_indecomposable, tack
 from .match import bottleneck_upper_bound, matching_to_interleaving
@@ -138,7 +138,10 @@ def cmd_validate(args):
 
 def cmd_decompose(args):
     M = _load(args.module, GridModule)
-    parts, witness = decompose(M, _seed(args))
+    try:
+        parts, witness = decompose(M, _seed(args))
+    except FieldTooSmall as exc:
+        raise CliError(3, "precondition-violation", exc)
     out = {"summands": [io.module_to_obj(X) for X in parts]}
     if args.emit_proof:
         out["witness"] = io.morphism_to_obj(witness)

@@ -26,7 +26,7 @@ from .interleave import (CertificateError, InterleavingCertificate,
                          certificate_grid, compose_certificates,
                          compose_chain, local_change_certificate,
                          snap_certificate, trivial_certificate)
-from .kan import prune, restriction_extension, union_axes
+from .kan import prune, restriction_extension, union_grid
 
 
 # -- the gadget G ---------------------------------------------------------------
@@ -431,7 +431,7 @@ def _join_chain(Ys, joins, eta, ell, ellp):
         for i in range(6):
             extra[ellp].add(b + i * eta)
         plans.append((t, tB, a, b, runA, runB))
-    gm = Grid(union_axes(*(Y.grid for Y in Ys), extra))
+    gm = union_grid(*(Y.grid for Y in Ys), extra)
     pieces = [Y if Y.grid == gm else restriction_extension(Y, gm) for Y in Ys]
     links = []   # (piece index at v, vertex v, axis, piece index at v + e_k)
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
+from math import gcd, lcm
 from itertools import product
 
 import numpy as np
@@ -45,30 +46,99 @@ def pt_leq(x, y):
     return all(a <= b for a, b in zip(x, y))
 
 
+# below this magnitude the difference of any two values is exact in int64
+_INT64_SAFE = 2 ** 62
+
+
+def _exact(arrays):
+    """Integer sequences as numpy arrays: all int64 when every magnitude is
+    below 2**62, otherwise all object arrays of Python ints.  Both dtypes
+    run the same numpy expressions exactly."""
+    def magnitude(a):
+        if not len(a):
+            return 0
+        if isinstance(a, np.ndarray):
+            return max(-int(a.min()), int(a.max()))
+        return max(-min(a), max(a))
+
+    small = all(magnitude(a) < _INT64_SAFE for a in arrays)
+    return [np.array(a, dtype=np.int64 if small else object) for a in arrays]
+
+
+def _affine(a: np.ndarray, f: int, s: int) -> np.ndarray:
+    """a * f + s, exactly, for an ascending integer array a and f >= 1: in
+    int64 when no value can reach 2**62, else in Python ints."""
+    if f == 1 and s == 0:
+        return a
+    if (a.dtype == np.int64 and f < _INT64_SAFE and abs(s) < _INT64_SAFE and
+            (not len(a) or max(-int(a[0]), int(a[-1])) * f + abs(s)
+             < _INT64_SAFE)):
+        return a * f + s
+    return a.astype(object) * f + s
+
+
+def _over_den(axes):
+    """(den, nums) for axes of Fractions: the least common denominator of
+    all coordinates, and per axis the list of coordinates times den."""
+    den = lcm(*(c.denominator for ax in axes for c in ax))
+    return den, [[c.numerator * (den // c.denominator) for c in ax]
+                 for ax in axes]
+
+
 class Grid:
-    """A finite grid: the product of strictly increasing coordinate lists."""
+    """A finite grid: the product of strictly increasing coordinate lists.
+
+    The coordinates are held as integers over one common denominator: den
+    is the least common multiple of their denominators, and nums[k] holds
+    axis k's coordinates times den (see _exact for the dtype).  Every floor
+    and comparison runs on these integers; the Fraction coordinates, axes,
+    are built on first use.
+    """
 
     def __init__(self, axes):
-        self.axes = tuple(tuple(as_frac(c) for c in ax) for ax in axes)
-        for ax in self.axes:
-            if len(ax) == 0:
+        axes = tuple(tuple(as_frac(c) for c in ax) for ax in axes)
+        self._set(*_over_den(axes))
+        self._axes = axes
+
+    @classmethod
+    def from_ints(cls, den: int, nums) -> "Grid":
+        """The grid whose axis k holds the coordinates nums[k] / den (nums
+        numpy integer arrays, int64 or object)."""
+        c = gcd(den, *(int(np.gcd.reduce(a)) for a in nums if len(a)))
+        g = cls.__new__(cls)
+        g._set(den // c, [a // c for a in nums] if c > 1 else nums)
+        g._axes = None
+        return g
+
+    def _set(self, den, nums):
+        self.den = den
+        self.nums = tuple(_exact(nums))
+        for a in self.nums:
+            if len(a) == 0:
                 raise ValueError("empty axis")
-            if any(ax[i] >= ax[i + 1] for i in range(len(ax) - 1)):
+            if not (a[1:] > a[:-1]).all():
                 raise ValueError("axis coordinates must be strictly increasing")
-        self.n = len(self.axes)
-        self.shape = tuple(len(ax) for ax in self.axes)
-        # float shadows guide the bisection; exact comparisons fix up the
-        # result, so rounding can never change an answer
-        self._fax = tuple(tuple(float(c) for c in ax) for ax in self.axes)
+        self.n = len(self.nums)
+        self.shape = tuple(len(a) for a in self.nums)
+
+    @property
+    def axes(self):
+        if self._axes is None:
+            self._axes = tuple(tuple(Fraction(x, self.den) for x in a.tolist())
+                               for a in self.nums)
+        return self._axes
 
     def __eq__(self, other):
-        return isinstance(other, Grid) and self.axes == other.axes
+        return self is other or (
+            isinstance(other, Grid) and self.den == other.den
+            and self.shape == other.shape
+            and all(np.array_equal(a, b) for a, b in zip(self.nums, other.nums)))
 
     def __hash__(self):
-        return hash(self.axes)
+        return hash((self.den, tuple(tuple(a.tolist()) for a in self.nums)))
 
     def __repr__(self):
-        return f"Grid({[len(ax) for ax in self.axes]} coords/axis, n={self.n})"
+        return f"Grid({list(self.shape)} coords/axis, n={self.n})"
 
     def vertices(self):
         return np.ndindex(self.shape)
@@ -77,19 +147,10 @@ class Grid:
         return tuple(self.axes[k][i] for k, i in enumerate(vidx))
 
     def _axis_floor(self, k, x):
-        """Largest i with axes[k][i] <= x, or -1.
-
-        Bisects on floats, which is exact except on float ties: conversion is
-        correctly rounded, so a < b whenever float(a) < float(b).  Only
-        tied neighbours are re-compared exactly.
-        """
-        fax = self._fax[k]
-        fx = float(x)
-        i = bisect_right(fax, fx)
-        ax = self.axes[k]
-        while i > 0 and fax[i - 1] == fx and ax[i - 1] > x:
-            i -= 1
-        return i - 1
+        """Largest i with axes[k][i] <= x, or -1."""
+        x = as_frac(x)
+        return bisect_right(self.nums[k],
+                            x.numerator * self.den // x.denominator) - 1
 
     def floor_index(self, point):
         """Index of the largest vertex <= point, or None if there is none."""
@@ -103,7 +164,9 @@ class Grid:
 
     def index_of(self, point):
         idx = self.floor_index(point)
-        if idx is None or self.coord(idx) != tuple(as_frac(x) for x in point):
+        if idx is None or any(
+                int(self.nums[k][i]) * x.denominator != x.numerator * self.den
+                for k, (i, x) in enumerate(zip(idx, map(as_frac, point)))):
             raise ValueError(f"{point} is not a grid vertex")
         return idx
 
@@ -247,9 +310,9 @@ class GridModule:
         ValueError where _step_index does.
         """
         if self._tensor is None:
+            ks, flat, mats = self._step_index()
             D = self.max_pointwise_dim()
             T = np.zeros((self.grid.n, self.dims.size, D, D), dtype=np.int64)
-            ks, flat, mats = self._step_index()
             cols = self.dims.ravel()[flat]
             # scatter every entry: entry e of the step s it belongs to sits
             # at row e // cols[s], column e % cols[s]

@@ -22,6 +22,11 @@ from .kan import (compress, compression_witness,
                   morphism_restriction_extension, restriction_extension)
 
 
+class FieldTooSmall(ValueError):
+    """p <= dim End and p ** dim End is too large to search: the field is
+    too small for this module's endomorphism algebra."""
+
+
 # -- tiny dense polynomial helpers over F_p (ascending coefficients) ----------
 
 def _ptrim(a):
@@ -204,7 +209,8 @@ def radical(A: EndAlgebra) -> np.ndarray:
     """Basis (columns) of the Jacobson radical, via the trace form of the
     regular representation.  Requires p > dim A."""
     if A.p <= A.dim:
-        raise ValueError(f"radical via trace form needs p > dim End = {A.dim}")
+        raise FieldTooSmall(
+            f"radical via trace form needs p > dim End = {A.dim}")
     if A.dim == 0:
         return field.zeros(0, 0)
     # L_i: left multiplication by basis i;  G_ij = tr(L_i L_j)
@@ -328,8 +334,9 @@ def _enumerate_idempotent(A: EndAlgebra):
     """Exhaustive search for a nontrivial idempotent (small p**dim only)."""
     from itertools import product as iproduct
     if A.p ** A.dim > 1 << 22:
-        raise ValueError(f"p={A.p} too small for the trace-form radical and "
-                         f"p^dim={A.p}^{A.dim} too large for exhaustion")
+        raise FieldTooSmall(f"p={A.p} too small for the trace-form radical "
+                            f"and p^dim={A.p}^{A.dim} too large for "
+                            "exhaustion")
     for coeffs in iproduct(range(A.p), repeat=A.dim):
         x = np.array(coeffs, dtype=np.int64)
         if not x.any() or np.array_equal(x, A.one):

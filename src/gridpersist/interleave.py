@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from math import ceil, lcm
 
 import numpy as np
 
@@ -17,9 +18,9 @@ from . import field
 from .core import (Grid, GridModule, as_frac, pt_shift, sum_module,
                    zero_module)
 from .kan import (_axis_floors, _component_ids, _dict_from_ids, _flat,
-                  _flat_floors, _floors_via, _map_ids, _unique_maps,
-                  _unique_rows, restriction_extension, snap_to_lattice,
-                  union_axes)
+                  _flat_floors, _floors_via, _is_subgrid, _map_ids, _on,
+                  _unique_maps, _unique_rows, restriction_extension,
+                  snap_to_lattice, union_grid)
 
 
 class CertificateError(ValueError):
@@ -66,8 +67,9 @@ class TrivialRegion:
         every box corner must be a grid coordinate."""
         inside = np.zeros(grid.shape, dtype=bool)
         for box in self.boxes:
-            inside[tuple(slice(bisect_left(ax, lo), bisect_left(ax, hi))
-                         for (lo, hi), ax in zip(box, grid.axes))] = True
+            inside[tuple(slice(bisect_left(a, ceil(lo * grid.den)),
+                               bisect_left(a, ceil(hi * grid.den)))
+                         for (lo, hi), a in zip(box, grid.nums))] = True
         return inside
 
     def corner_coords(self, axis: int):
@@ -138,13 +140,8 @@ def certificate_grid(M: GridModule, N: GridModule, eps, extra_axes=None) -> Grid
     checking naturality and the triangle identities at vertices decides them
     at every point of R^n."""
     eps = as_frac(eps)
-    axes = union_axes(M.grid, N.grid, *( [extra_axes] if extra_axes else [] ))
-    out = []
-    for ax in axes:
-        s = set(ax)
-        s |= {c - eps for c in ax} | {c - 2 * eps for c in ax}
-        out.append(sorted(s))
-    return Grid(out)
+    return union_grid(M.grid, N.grid, *([extra_axes] if extra_axes else []),
+                      shifts=(0, eps, 2 * eps))
 
 
 class InterleavingCertificate:
@@ -175,10 +172,8 @@ class InterleavingCertificate:
         M, N, eps, P = self.m_module, self.n_module, self.eps, self.grid
         if eps < 0:
             raise CertificateError("negative eps")
-        need = certificate_grid(M, N, eps)
-        for ax_need, ax_have in zip(need.axes, P.axes):
-            if not set(ax_need) <= set(ax_have):
-                raise CertificateError("evaluation grid too coarse")
+        if not _is_subgrid(certificate_grid(M, N, eps), P):
+            raise CertificateError("evaluation grid too coarse")
         p = M.p
         shape = P.shape
 
@@ -413,7 +408,7 @@ def _require_same_module(A: GridModule, B: GridModule):
     if A.p != B.p or A.grid.n != B.grid.n:
         raise CertificateError("middle modules do not match")
     if A.grid != B.grid:
-        g = Grid(union_axes(A.grid, B.grid))
+        g = union_grid(A.grid, B.grid)
         A = restriction_extension(A, g)
         B = restriction_extension(B, g)
     if not np.array_equal(A.dims, B.dims):
@@ -478,7 +473,7 @@ def block_sum_certificates(certs, verify: bool = True):
 
 
 def _sum_on_union(mods) -> GridModule:
-    grid = Grid(union_axes(*(X.grid for X in mods)))
+    grid = union_grid(*(X.grid for X in mods))
     return sum_module(*(X if X.grid == grid else
                         restriction_extension(X, grid) for X in mods))
 
@@ -527,9 +522,10 @@ def snap_certificate(M: GridModule, pitch, margin_cells: int = 6):
                      M.grid.shape).ravel()
 
     src = _flat(_axis_floors(M.grid, grid), M.grid.shape)
-    below = [np.array([i < 0 or L.grid.axes[k][i] < c
-                       for i, c in zip(t, grid.axes[k])])
-             for k, t in enumerate(up)]
+    # f vanishes where the lattice floor of x + pitch lies below x
+    den = lcm(L.grid.den, grid.den)
+    below = [(t < 0) | (a[np.maximum(t, 0)] < c)
+             for t, a, c in zip(up, _on(L.grid, den), _on(grid, den))]
     src[_flat([np.where(b, -1, 0) for b in below], grid.shape) < 0] = -1
     fids, fmats = _map_ids(M, src.ravel(), in_m(up))
     gids, gmats = _map_ids(M, in_m(here),

@@ -10,12 +10,19 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
 from . import field
 from .core import Grid, GridModule, ModuleMorphism, as_frac
 from .interleave import InterleavingCertificate
+
+# A module's step tensor holds one D x D block per vertex and axis (D the
+# largest pointwise dimension).  The loader refuses a module whose tensor
+# would have more entries than this (128 MiB of int64) before building it:
+# a few bytes of "dims" could otherwise ask for any amount of memory.
+MAX_TENSOR_ENTRIES = 1 << 24
 
 
 def frac_str(x) -> str:
@@ -24,10 +31,25 @@ def frac_str(x) -> str:
 
 
 def parse_frac(s: str) -> Fraction:
-    if "/" in s:
-        num, den = s.split("/")
-        return Fraction(int(num), int(den))
-    return Fraction(int(s))
+    """The rational a "num/den" or "num" string stands for (ValueError on
+    anything else, a zero denominator included)."""
+    if not isinstance(s, str):
+        raise ValueError(f"not a rational string: {s!r}")
+    num, den = s.split("/") if "/" in s else (s, "1")
+    if int(den) == 0:
+        raise ValueError(f"zero denominator in {s!r}")
+    return Fraction(int(num), int(den))
+
+
+def _obj(obj, kind: str):
+    if not isinstance(obj, dict) or obj.get("type") != kind:
+        raise ValueError(f"not a {kind} object")
+
+
+def _int(x, what: str) -> int:
+    if type(x) is not int:   # bool is not an integer here
+        raise ValueError(f"{what} must be an integer, not {x!r}")
+    return x
 
 
 def _axes_obj(grid: Grid):
@@ -35,11 +57,55 @@ def _axes_obj(grid: Grid):
 
 
 def _axes_from(obj) -> Grid:
+    if not isinstance(obj, list) or set(map(type, obj)) - {list}:
+        raise ValueError("axes must be a list of coordinate lists")
     return Grid([[parse_frac(c) for c in ax] for ax in obj])
 
 
 def _matrix_obj(m: np.ndarray, p: int):
     return [[int(x) % p for x in row] for row in m.tolist()]
+
+
+def _matrix_reader(p: int):
+    """A function that reads JSON matrices over F_p: ValueError unless the
+    value is a list of equal-length lists of integers (bool is not an
+    integer).  Equal matrices are read once and share one array."""
+    seen = {}
+
+    def read(rows):
+        key = repr(rows)
+        m = seen.get(key)
+        if m is None:
+            if (not isinstance(rows, list) or set(map(type, rows)) - {list}
+                    or set(map(type, chain.from_iterable(rows))) - {int}):
+                raise ValueError("a matrix must be a list of rows of integers")
+            m = seen[key] = field.fmat(rows, p)
+        return m
+
+    return read
+
+
+def _vertices(vs, shape):
+    """JSON vertices as index tuples; ValueError unless each is a list of
+    one integer per axis, inside the grid of the given shape."""
+    n = len(shape)
+    if (set(map(type, vs)) - {list} or set(map(len, vs)) - {n}
+            or set(map(type, chain.from_iterable(vs))) - {int}):
+        raise ValueError(f"vertices must be lists of {n} integers")
+    a = np.array(vs, dtype=np.int64).reshape(len(vs), n)
+    if ((a < 0) | (a >= np.array(shape, dtype=np.int64))).any():
+        raise ValueError("vertex outside the grid")
+    return list(map(tuple, vs))
+
+
+def _components(entries, shape, read) -> dict:
+    """{vertex: matrix} from a JSON list of {"vertex", "matrix"} entries;
+    ValueError unless the vertices are distinct integer vertices of the
+    grid of the given shape."""
+    keys = _vertices([e["vertex"] for e in entries], shape)
+    if len(set(keys)) != len(keys):
+        raise ValueError("duplicate component vertex")
+    return dict(zip(keys, [read(e["matrix"]) for e in entries]))
 
 
 def module_to_obj(M: GridModule) -> dict:
@@ -58,15 +124,25 @@ def module_to_obj(M: GridModule) -> dict:
 
 def module_from_obj(obj: dict) -> GridModule:
     """The module an object describes; ValueError unless it validates."""
-    if obj.get("type") != "module":
-        raise ValueError("not a module object")
+    _obj(obj, "module")
+    p = _int(obj["p"], "p")
     grid = _axes_from(obj["axes"])
-    steps = {}
-    for entry in obj["steps"]:
-        vidx = tuple(entry["vertex"])
-        steps[(vidx, entry["axis"])] = field.fmat(entry["matrix"], obj["p"])
-    M = GridModule(grid, np.array(obj["dims"], dtype=np.int64),
-                   steps, obj["p"])
+    dims = np.asarray(obj["dims"], dtype=object)
+    if set(map(type, dims.ravel())) - {int}:
+        raise ValueError("dimensions must be integers")
+    D = max(dims.ravel().tolist(), default=0)
+    if grid.n * dims.size * max(D, 0) ** 2 > MAX_TENSOR_ENTRIES:
+        raise ValueError(f"pointwise dimension {D} on {dims.size} vertices "
+                         f"exceeds the loader's limit of "
+                         f"{MAX_TENSOR_ENTRIES} step tensor entries")
+    entries = obj["steps"]
+    keys = list(zip(_vertices([e["vertex"] for e in entries], grid.shape),
+                    [_int(e["axis"], "a step axis") for e in entries]))
+    if len(set(keys)) != len(keys):
+        raise ValueError("duplicate step")
+    read = _matrix_reader(p)
+    M = GridModule(grid, dims.astype(np.int64),
+                   dict(zip(keys, [read(e["matrix"]) for e in entries])), p)
     M.validate()
     return M
 
@@ -85,13 +161,11 @@ def morphism_to_obj(f: ModuleMorphism) -> dict:
 
 
 def morphism_from_obj(obj: dict) -> ModuleMorphism:
-    if obj.get("type") != "morphism":
-        raise ValueError("not a morphism object")
+    _obj(obj, "morphism")
     src = module_from_obj(obj["source"])
     tgt = module_from_obj(obj["target"])
-    mats = {tuple(c["vertex"]): field.fmat(c["matrix"], src.p)
-            for c in obj["components"]}
-    return ModuleMorphism(src, tgt, mats)
+    return ModuleMorphism(src, tgt, _components(
+        obj["components"], src.grid.shape, _matrix_reader(src.p)))
 
 
 def certificate_to_obj(c: InterleavingCertificate) -> dict:
@@ -113,20 +187,24 @@ def certificate_to_obj(c: InterleavingCertificate) -> dict:
 
 
 def certificate_from_obj(obj: dict) -> InterleavingCertificate:
-    if obj.get("type") != "certificate":
-        raise ValueError("not a certificate object")
+    _obj(obj, "certificate")
     M = module_from_obj(obj["m_module"])
     N = module_from_obj(obj["n_module"])
-    p = M.p
-    f = {tuple(e["vertex"]): field.fmat(e["matrix"], p) for e in obj["f"]}
-    g = {tuple(e["vertex"]): field.fmat(e["matrix"], p) for e in obj["g"]}
-    return InterleavingCertificate(M, N, parse_frac(obj["eps"]),
-                                   _axes_from(obj["grid"]), f, g)
+    if M.p != N.p:
+        raise ValueError("mixed primes")
+    grid = _axes_from(obj["grid"])
+    if not M.grid.n == N.grid.n == grid.n:
+        raise ValueError("modules and grid of different dimensions")
+    read = _matrix_reader(M.p)
+    return InterleavingCertificate(
+        M, N, parse_frac(obj["eps"]), grid,
+        _components(obj["f"], grid.shape, read),
+        _components(obj["g"], grid.shape, read))
 
 
 def from_obj(obj: dict):
     """Decode any serialized object by its type tag."""
-    kind = obj.get("type")
+    kind = obj.get("type") if isinstance(obj, dict) else None
     if kind == "module":
         return module_from_obj(obj)
     if kind == "morphism":

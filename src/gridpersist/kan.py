@@ -7,10 +7,14 @@ equality of extensions; in general it snaps the module to the new grid.
 
 from __future__ import annotations
 
+from itertools import chain
+from math import lcm, prod
+
 import numpy as np
 
 from . import field
-from .core import Grid, GridModule, ModuleMorphism, _strides, as_frac
+from .core import (Grid, GridModule, ModuleMorphism, _affine, _exact,
+                   _over_den, _strides, as_frac)
 
 
 # -- evaluation-grid signatures ------------------------------------------------
@@ -21,19 +25,33 @@ from .core import Grid, GridModule, ModuleMorphism, _strides, as_frac
 # combined into flat indices) and by the components it carries; vertices with
 # equal descriptions share one evaluation.
 
+def _on(grid: Grid, L: int, shift=0):
+    """Per-axis integer arrays: grid's coordinates plus shift, times L (a
+    multiple of grid.den and of the denominator of shift)."""
+    return [_affine(a, L // grid.den, int(shift * L)) for a in grid.nums]
+
+
 def _axis_floors(mod_grid: Grid, grid: Grid, shift=0):
     """Per-axis arrays: floor index in mod_grid of every coordinate of grid,
     shifted by `shift`, or -1 when no coordinate of mod_grid lies below."""
-    return [np.array([mod_grid._axis_floor(k, c + shift) for c in ax],
-                     dtype=np.int64) for k, ax in enumerate(grid.axes)]
+    shift = as_frac(shift)
+    L = lcm(mod_grid.den, grid.den, shift.denominator)
+    return [np.searchsorted(a, b, side="right") - 1
+            for a, b in zip(_on(mod_grid, L), _on(grid, L, shift))]
 
 
 def _floors_via(mod_grid: Grid, via: Grid, tabs):
     """Per-axis arrays: floor index in mod_grid of the coordinate of `via`
     at each index of the per-axis index arrays tabs (-1 stays -1)."""
-    return [np.array([mod_grid._axis_floor(k, via.axes[k][i]) if i >= 0
-                      else -1 for i in t], dtype=np.int64)
-            for k, t in enumerate(tabs)]
+    return [np.where(t >= 0, f[np.maximum(t, 0)], -1)
+            for f, t in zip(_axis_floors(mod_grid, via), tabs)]
+
+
+def _is_subgrid(sub: Grid, grid: Grid) -> bool:
+    """Is every coordinate of sub a coordinate of grid on the same axis?"""
+    L = lcm(sub.den, grid.den)
+    return sub.n == grid.n and all(
+        np.isin(a, b).all() for a, b in zip(_on(sub, L), _on(grid, L)))
 
 
 def _flat_floors(mod_grid: Grid, grid: Grid, shift=0) -> np.ndarray:
@@ -64,36 +82,37 @@ def _flat(tabs, shape) -> np.ndarray:
 def _component_ids(comp, shape, drop_zero: bool = False):
     """(ids, mats): ids is a flat array over a grid of the given shape with
     ids[v] indexing mats for each vertex carrying an entry of comp, and -1
-    elsewhere; equal matrices share one index.  Entries at keys outside the
-    grid are ignored.  With drop_zero, zero and empty matrices count as
-    absent."""
+    elsewhere; equal matrices share one index, in order of first
+    appearance.  Entries at keys outside the grid are ignored.  With
+    drop_zero, zero and empty matrices count as absent."""
     n = len(shape)
-    size = int(np.prod(shape))
-    ids = np.full(size, -1, dtype=np.int64)
-    mats, canon, by_obj = [], {}, {}
-    keys, vals = [], []
-    for v, m in comp.items():
-        if len(v) == n and all(0 <= i < s for i, s in zip(v, shape)):
-            keys.append(v)
-            vals.append(m)
-    if not keys:
-        return ids, mats
-    flat = np.asarray(keys, dtype=np.int64) @ _strides(shape)
-    cids = []
-    for m in vals:
-        c = by_obj.get(id(m))
-        if c is None:
-            if drop_zero and not (m.size and m.any()):
-                c = -1
-            else:
-                key = (m.shape, m.dtype.str, m.tobytes())
-                c = canon.get(key)
-                if c is None:
-                    c = canon[key] = len(mats)
-                    mats.append(m)
-            by_obj[id(m)] = c
-        cids.append(c)
-    ids[flat] = cids
+    ids = np.full(int(np.prod(shape)), -1, dtype=np.int64)
+    keys, vals = list(comp), list(comp.values())
+    if set(map(len, keys)) - {n}:
+        vals = [m for v, m in zip(keys, vals) if len(v) == n]
+        keys = [v for v in keys if len(v) == n]
+    vs = np.fromiter(chain.from_iterable(keys), dtype=np.int64,
+                     count=len(keys) * n).reshape(len(keys), n)
+    at = np.flatnonzero(((vs >= 0) & (vs < np.array(shape, dtype=np.int64))
+                         ).all(axis=1))
+    if not len(at):
+        return ids, []
+    # the content of each distinct matrix object is looked at once
+    _, first, inv = np.unique(
+        np.fromiter(map(id, vals), dtype=np.uint64, count=len(vals))[at],
+        return_index=True, return_inverse=True)
+    mats, canon = [], {}
+    cids = np.empty(len(first), dtype=np.int64)
+    for u in np.argsort(first).tolist():
+        m = vals[at[first[u]]]
+        if drop_zero and not (m.size and m.any()):
+            cids[u] = -1
+            continue
+        c = cids[u] = canon.setdefault((m.shape, m.dtype.str, m.tobytes()),
+                                       len(mats))
+        if c == len(mats):
+            mats.append(m)
+    ids[vs[at] @ _strides(shape)] = cids[inv.reshape(-1)]
     return ids, mats
 
 
@@ -108,7 +127,7 @@ def _unique_rows(sig: np.ndarray):
     # pack each row into one integer when the ranges allow: a 1-d unique is
     # much faster than a row-wise one
     span = sig.max(axis=0) + 2
-    if float(np.prod(span.astype(float))) < 2.0 ** 62:
+    if prod(span.tolist()) < 2 ** 62:
         weights = np.cumprod(np.concatenate([[1], span[:0:-1]]))[::-1]
         _, first, inv = np.unique((sig + 1) @ weights, return_index=True,
                                   return_inverse=True)
@@ -198,10 +217,9 @@ def restriction_extension(M: GridModule, grid: Grid) -> GridModule:
 
 def restrict(M: GridModule, grid: Grid) -> GridModule:
     """Restriction to a subgrid (every axis a subset of M's axis)."""
-    for ax_new, ax_old in zip(grid.axes, M.grid.axes):
-        if not set(ax_new) <= set(ax_old):
-            raise ValueError("restrict requires a subgrid; "
-                             "use restriction_extension to snap")
+    if not _is_subgrid(grid, M.grid):
+        raise ValueError("restrict requires a subgrid; "
+                         "use restriction_extension to snap")
     return restriction_extension(M, grid)
 
 
@@ -214,32 +232,41 @@ def morphism_restriction_extension(f: ModuleMorphism, grid: Grid) -> ModuleMorph
     return ModuleMorphism(Mg, Ng, _dict_from_ids(at, mats))
 
 
+def union_grid(*grids_or_axes, shifts=(0,)) -> Grid:
+    """The grid whose axis k holds c - s for every coordinate c on axis k of
+    one of the arguments (grids or per-axis coordinate collections) and
+    every s in shifts."""
+    def ints(g):
+        if isinstance(g, Grid):
+            return g.den, g.nums
+        # a coordinate collection may be empty on some axes
+        den, nums = _over_den([sorted(map(as_frac, ax)) for ax in g])
+        return den, _exact(nums)
+
+    parts = [ints(g) for g in grids_or_axes]
+    shifts = [as_frac(s) for s in shifts]
+    L = lcm(*(d for d, _ in parts), *(s.denominator for s in shifts))
+    return Grid.from_ints(L, [
+        np.unique(np.concatenate([_affine(ax[k], L // d, -int(s * L))
+                                  for d, ax in parts for s in shifts]))
+        for k in range(len(parts[0][1]))])
+
+
 def union_axes(*grids_or_axes):
     """Per-axis union of coordinate sets."""
-    axes_list = []
-    for g in grids_or_axes:
-        axes_list.append(g.axes if isinstance(g, Grid) else g)
-    n = len(axes_list[0])
-    out = []
-    for k in range(n):
-        s = set()
-        for axes in axes_list:
-            s.update(as_frac(c) for c in axes[k])
-        out.append(sorted(s))
-    return out
+    return [list(ax) for ax in union_grid(*grids_or_axes).axes]
 
 
 def common_refinement(M: GridModule, N: GridModule):
     """Both modules re-expressed on the union grid. Returns (M', N', grid)."""
-    grid = Grid(union_axes(M.grid, N.grid))
+    grid = union_grid(M.grid, N.grid)
     return restriction_extension(M, grid), restriction_extension(N, grid), grid
 
 
 def shift(M: GridModule, r) -> GridModule:
     """The shifted module M[r], with M[r](x) = M(x + r); its grid is M's
     grid translated by -r."""
-    r = as_frac(r)
-    grid = Grid([[c - r for c in ax] for ax in M.grid.axes])
+    grid = union_grid(M.grid, shifts=(r,))
     return GridModule(grid, M.dims.copy(), dict(M.steps), M.p)
 
 
@@ -250,7 +277,7 @@ def shift_unit(M: GridModule, r) -> ModuleMorphism:
     if r < 0:
         raise ValueError("shift unit needs r >= 0")
     Mr = shift(M, r)
-    grid = Grid(union_axes(M.grid, Mr.grid))
+    grid = union_grid(M.grid, shifts=(0, r))
     ids, mats = _map_ids(M, _flat_floors(M.grid, grid).ravel(),
                          _flat_floors(M.grid, grid, r).ravel())
     return ModuleMorphism(restriction_extension(M, grid),
@@ -261,14 +288,16 @@ def shift_unit(M: GridModule, r) -> ModuleMorphism:
 def regular_grid(n: int, pitch, lo, hi) -> Grid:
     """The grid with axis coordinates lo_i, lo_i+pitch, ..., >= hi_i."""
     pitch = as_frac(pitch)
-    axes = []
-    for k in range(n):
-        a, b = as_frac(lo[k]), as_frac(hi[k])
-        count = int((b - a) / pitch)
+    lo = [as_frac(x) for x in lo[:n]]
+    L = lcm(pitch.denominator, *(a.denominator for a in lo))
+    nums = []
+    for a, b in zip(lo, hi):
+        count = int((as_frac(b) - a) / pitch)
         if a + count * pitch < b:
             count += 1
-        axes.append([a + i * pitch for i in range(count + 1)])
-    return Grid(axes)
+        nums.append(_affine(np.arange(count + 1, dtype=np.int64),
+                            int(pitch * L), int(a * L)))
+    return Grid.from_ints(L, nums)
 
 
 def snap_to_lattice(M: GridModule, pitch, margin_cells: int = 2) -> GridModule:
@@ -276,11 +305,10 @@ def snap_to_lattice(M: GridModule, pitch, margin_cells: int = 2) -> GridModule:
     plus a margin.  The result is pitch-interleaved with M."""
     pitch = as_frac(pitch)
     lo, hi = [], []
-    for ax in M.grid.axes:
-        a = (ax[0] / pitch).__floor__() - margin_cells
-        b = (ax[-1] / pitch).__ceil__() + margin_cells
-        lo.append(a * pitch)
-        hi.append(b * pitch)
+    step = pitch * M.grid.den
+    for a in M.grid.nums:
+        lo.append(((int(a[0]) / step).__floor__() - margin_cells) * pitch)
+        hi.append(((int(a[-1]) / step).__ceil__() + margin_cells) * pitch)
     grid = regular_grid(M.grid.n, pitch, lo, hi)
     return restriction_extension(M, grid)
 
@@ -294,7 +322,7 @@ def prune(M: GridModule) -> GridModule:
     the same extension as M (not merely an isomorphic one), so pruned
     modules stay interchangeable inside certificate chains.
     """
-    return _drop_coords(M, lambda m: np.array_equal(m, field.eye(m.shape[0])))
+    return _drop_coords(M, invertible=False)
 
 
 def compress(M: GridModule) -> GridModule:
@@ -305,47 +333,58 @@ def compress(M: GridModule) -> GridModule:
     dropped when its slice is zero.  The result is isomorphic to M (same
     extension up to natural isomorphism), usually on a much smaller grid.
     """
-    return _drop_coords(M, lambda m: np.array_equal(m, field.eye(m.shape[0]))
-                        or field.is_invertible(m, M.p))
+    return _drop_coords(M, invertible=True)
 
 
-def _drop_coords(M: GridModule, step_ok) -> GridModule:
-    """Restrict M, axis after axis until nothing changes, to the
-    coordinates _kept_coords keeps."""
-    cur = M
-    changed = True
-    while changed:
-        changed = False
-        for k in range(cur.grid.n):
-            keep = _kept_coords(cur, k, step_ok)
-            if len(keep) < cur.grid.shape[k]:
-                axes = [list(ax) for ax in cur.grid.axes]
-                axes[k] = [axes[k][i] for i in keep]
-                cur = restrict(cur, Grid(axes))
-                changed = True
-    return cur
+def _drop_coords(M: GridModule, invertible: bool) -> GridModule:
+    """Restrict M once to the coordinates _kept_coords keeps on each axis.
+
+    Deciding every axis on M itself drops what dropping axis after axis
+    until nothing changes would: by commutativity, a step beside a dropped
+    coordinate of another axis equals (or, for invertible steps, is
+    conjugate to) the step next to it on the kept side, so dropping never
+    changes another coordinate's test.  For the same reason the
+    invertibility tests of an axis need only the rows at coordinates the
+    axes before it keep.
+    """
+    keep = []
+    for k in range(M.grid.n):
+        keep.append(_kept_coords(M, k, invertible, keep))
+    if all(len(kp) == s for kp, s in zip(keep, M.grid.shape)):
+        return M
+    return restriction_extension(M, Grid.from_ints(
+        M.grid.den, [a[kp] for a, kp in zip(M.grid.nums, keep)]))
 
 
-def _kept_coords(M: GridModule, k: int, step_ok):
+def _kept_coords(M: GridModule, k: int, invertible: bool, kept_before=()):
     """Indices along axis k that carry information: the initial one unless
     its slice is zero, and every other one unless its slice has the
-    previous slice's dimensions and each step into it passes step_ok (a
-    square matrix)."""
-    keep = []
-    for j in range(M.grid.shape[k]):
-        if j == 0:
-            if np.take(M.dims, 0, axis=k).any():
-                keep.append(0)
-            continue
-        prev = np.take(M.dims, j - 1, axis=k)
-        if not np.array_equal(prev, np.take(M.dims, j, axis=k)):
-            keep.append(j)
-            continue
-        for ridx in np.argwhere(prev > 0).tolist():
-            vidx = tuple(ridx[:k]) + (j - 1,) + tuple(ridx[k:])
-            if not step_ok(M.step(vidx, k)):
-                keep.append(j)
-                break
+    previous slice's dimensions and each step into it is an identity (or,
+    with invertible, an invertible matrix; those are tested only at the
+    indices kept_before[a] on each axis a < k)."""
+    shape, s = M.grid.shape, M.grid.shape[k]
+    dims = np.moveaxis(M.dims, k, 0).reshape(s, -1)
+    rows = np.zeros(shape[:k] + shape[k + 1:], dtype=bool)
+    rows[np.ix_(*kept_before, *(range(m) for m in shape[k + 1:]))] = True
+    rows = rows.ravel()
+    T = M.step_tensor()[k]
+    D = T.shape[-1]
+    # the steps from slice j - 1 into slice j, for j = 1 .. s - 1
+    steps = np.moveaxis(T.reshape(shape + (D, D)), k, 0)[:-1].reshape(
+        s - 1, dims.shape[1], D, D)
+    # identity of size dims[v] padded with zeros: its diagonal, and nothing
+    # nonzero off it
+    live = np.arange(D) < dims[:-1, :, None]
+    ident = ((np.diagonal(steps, axis1=2, axis2=3) == live).all(axis=2)
+             & (np.count_nonzero(steps, axis=(2, 3)) == live.sum(axis=2)))
+    ok = (dims[1:] == dims[:-1]).all(axis=1)
+    for j in np.flatnonzero(ok & ~ident.all(axis=1)).tolist():
+        test = ~ident[j] & rows
+        ok[j] = invertible and all(
+            field.is_invertible(steps[j, r, :d, :d], M.p)
+            for r, d in zip(np.flatnonzero(test).tolist(),
+                            dims[j][test].tolist()))
+    keep = ([0] if dims[0].any() else []) + (np.flatnonzero(~ok) + 1).tolist()
     return keep or [0]
 
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import networkx as nx
 
-from .core import Grid, GridModule, as_frac, is_isomorphic, zero_module
+from .core import GridModule, as_frac, is_isomorphic, zero_module
 from .decomp import decompose, is_indecomposable
 from .interleave import (CertificateError, InterleavingCertificate,
                          TrivialRegion, certificate_grid, compose_chain,
@@ -22,7 +22,7 @@ from .interleave import (CertificateError, InterleavingCertificate,
                          pair_sum_certificates, rank_lower_bound,
                          trivial_certificate, triviality_radius,
                          weaken_certificate)
-from .kan import prune, restriction_extension, union_axes
+from .kan import prune, restriction_extension, union_grid
 from .construct import fold, fold_eps0, iso_certificate
 
 
@@ -99,7 +99,7 @@ def summand_certificate(X: GridModule, Y: GridModule, eps):
         return local_change_certificate(X, Y, TrivialRegion([]), eps)
     except CertificateError:
         pass
-    g = Grid(union_axes(X.grid, Y.grid))
+    g = union_grid(X.grid, Y.grid)
     Xg, Yg = restriction_extension(X, g), restriction_extension(Y, g)
     iso = is_isomorphic(Xg, Yg)
     if iso:

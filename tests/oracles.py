@@ -353,3 +353,68 @@ def certificate_holds(c):
         if mat_mul(fe, g, p, gc) != smap(N, x, up(x, 2 * eps)):
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# floors and unions of Fraction coordinates
+
+def axis_floors(mod_axes, axes, shift=0):
+    """Per axis: the index of the largest coordinate of mod_axes <= each
+    coordinate of axes plus shift, or -1, by exact Fraction comparison."""
+    return [[bisect_right(list(m), Fraction(c) + shift) - 1 for c in ax]
+            for m, ax in zip(mod_axes, axes)]
+
+
+def union_of_axes(axes_list, shifts=(0,)):
+    """Per axis: the sorted set of c - s over coordinates c and shifts s."""
+    return [sorted({Fraction(c) - s for axes in axes_list for c in axes[k]
+                    for s in shifts})
+            for k in range(len(axes_list[0]))]
+
+
+# ---------------------------------------------------------------------------
+# coordinate dropping, staged
+
+def staged_kept_coords(M, invertible):
+    """The coordinates kept by dropping them axis after axis until nothing
+    changes, each pass working on the module restricted so far: on an axis,
+    the initial coordinate goes when its slice is zero, and another when its
+    slice has the previous kept slice's dimensions and every step into it
+    (the path map from the previous kept coordinate) is an identity, or with
+    invertible of full rank.  Returns per axis the kept indices of M's
+    grid."""
+    p, dims = M.p, M.dims
+    n = dims.ndim
+    keep = [list(range(s)) for s in dims.shape]
+
+    def slice_at(k, i):
+        return [v for v in product(*keep[:k], [i], *keep[k + 1:])]
+
+    def passes(m, d):
+        if invertible:
+            return gauss_rank(m, p) == d
+        return m == mat_eye(d)
+
+    changed = True
+    while changed:
+        changed = False
+        for k in range(n):
+            kept = []
+            for j, i in enumerate(keep[k]):
+                here = slice_at(k, i)
+                if j == 0:
+                    if any(dims[v] for v in here):
+                        kept.append(i)
+                    continue
+                prev = slice_at(k, keep[k][j - 1])
+                if [int(dims[v]) for v in prev] != [int(dims[v]) for v in here]:
+                    kept.append(i)
+                    continue
+                if not all(passes(path_map(M, u, v), int(dims[u]))
+                           for u, v in zip(prev, here) if dims[u]):
+                    kept.append(i)
+            kept = kept or keep[k][:1]
+            if kept != keep[k]:
+                keep[k] = kept
+                changed = True
+    return keep

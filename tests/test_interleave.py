@@ -18,7 +18,8 @@ from gridpersist.interleave import (CertificateError, InterleavingCertificate,
                                     snap_certificate, sum_certificates,
                                     triviality_radius, trivial_certificate,
                                     weaken_certificate)
-from gridpersist.kan import common_refinement, regular_grid, restriction_extension
+from gridpersist.kan import (common_refinement, regular_grid, restrict,
+                            restriction_extension)
 
 from conftest import rect
 import oracles as O
@@ -285,3 +286,18 @@ def test_verify_agrees_with_vertexwise_oracle():
         assert c.is_valid() == want
         outcomes.add(want)
     assert outcomes == {True, False}
+
+
+def test_verify_rejects_grid_missing_a_coordinate_by_a_near_tie():
+    # the evaluation grid must hold every c, c - eps and c - 2 eps exactly;
+    # one coordinate moved by 10**-30 no longer does
+    M = random_module(2, 3, 2, seed=5)
+    c = identity_certificate(M, Fraction(1, 3))
+    axes = [list(ax) for ax in c.grid.axes]
+    axes[1][2] += Fraction(1, 10 ** 30)
+    bad = InterleavingCertificate(M, M, c.eps, Grid(axes), c.f, c.g)
+    with pytest.raises(CertificateError, match="too coarse"):
+        bad.verify()
+    finer = Grid([ax + [ax[-1] + 1] for ax in axes])
+    with pytest.raises(ValueError, match="subgrid"):
+        restrict(restriction_extension(M, c.grid), finer)

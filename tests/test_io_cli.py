@@ -12,7 +12,8 @@ import pytest
 from gridpersist import io
 from gridpersist.cli import main, random_module
 from gridpersist.construct import module_G
-from gridpersist.core import ModuleMorphism, direct_sum, interval_module
+from gridpersist.core import (Grid, GridModule, ModuleMorphism, direct_sum,
+                              interval_module)
 from gridpersist.interleave import identity_certificate, snap_certificate
 from gridpersist.kan import common_refinement
 
@@ -181,6 +182,39 @@ def test_cli_precondition_violation_is_exit_3(files):
     assert "precondition-violation" in r.stderr
 
 
+def test_cli_decompose_on_one_coordinate_axes(tmp_path):
+    M = GridModule(Grid([[0], [0, 1]]), np.array([[2, 2]]),
+                   {((0, 0), 1): np.eye(2, dtype=np.int64)})
+    path = tmp_path / "k2.json"
+    path.write_text(io.dumps(M))
+    r = _run(["decompose", str(path)])
+    assert r.returncode == 0, r.stderr
+    assert len(json.loads(r.stdout)["summands"]) == 2
+
+
+def test_cli_decompose_field_too_small_is_exit_3(tmp_path):
+    # End of k^5 at one vertex has dimension 25: over F_2 the trace form
+    # fails and 2^25 idempotent candidates are too many to search
+    M = GridModule(Grid([[0], [0]]), np.array([[5]]), {}, 2)
+    path = tmp_path / "k5.json"
+    path.write_text(io.dumps(M))
+    r = _run(["decompose", str(path)])
+    assert r.returncode == 3
+    assert "precondition-violation" in r.stderr
+
+
+def test_cli_decompose_does_not_report_internal_errors_as_exit_3(
+        files, monkeypatch):
+    import gridpersist.cli as cli
+
+    def broken(M, seed=0):
+        raise ValueError("split witness is not an isomorphism")
+
+    monkeypatch.setattr(cli, "decompose", broken)
+    with pytest.raises(ValueError, match="not an isomorphism"):
+        main(["decompose", str(files["a"])])
+
+
 def _non_commuting_G_obj():
     """module_G with one internal step doubled: the square above it no
     longer commutes."""
@@ -245,3 +279,108 @@ def test_cli_match(files):
     r2 = _run(["match", str(files["a"]), str(files["b"]), "--eps", "1/10"])
     assert r2.returncode == 0
     assert json.loads(r2.stdout)["status"] == "no-matching-found"
+
+
+# -- fail-closed loading of entries and vertices ----------------------------
+
+
+def _cli(capsys, tmp_path, command, obj, *extra):
+    """Run a subcommand in-process on obj saved as JSON: (exit code,
+    stderr).  An exception escaping main fails the calling test."""
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(obj))
+    code = main([command, str(path), *extra])
+    return code, capsys.readouterr().err
+
+
+def _cert_obj():
+    return io.certificate_to_obj(identity_certificate(module_G(),
+                                                      Fraction(1, 2)))
+
+
+def _first_nonzero(entries):
+    return next(e for e in entries if any(any(r) for r in e["matrix"]))
+
+
+@pytest.mark.parametrize("entry", [0.5, True])
+def test_loader_rejects_non_integer_module_entries(entry, capsys, tmp_path):
+    obj = io.module_to_obj(module_G())
+    step = _first_nonzero(obj["steps"])
+    if entry is True:
+        step["matrix"] = [[True if x == 1 else x for x in r]
+                          for r in step["matrix"]]
+        assert any(True in r for r in step["matrix"])
+    else:
+        step["matrix"][0][0] += entry
+    with pytest.raises(ValueError, match="integers"):
+        io.from_obj(obj)
+    code, err = _cli(capsys, tmp_path, "decompose", obj)
+    assert code == 2 and "malformed-input" in err
+
+
+def test_loader_rejects_non_integer_morphism_entries():
+    obj = io.morphism_to_obj(ModuleMorphism.identity(module_G()))
+    _first_nonzero(obj["components"])["matrix"][0][0] = 1.0
+    with pytest.raises(ValueError, match="integers"):
+        io.from_obj(obj)
+
+
+def test_loader_rejects_non_integer_certificate_entries(capsys, tmp_path):
+    obj = _cert_obj()
+    _first_nonzero(obj["f"])["matrix"][0][0] = 1.5
+    with pytest.raises(ValueError, match="integers"):
+        io.from_obj(obj)
+    code, err = _cli(capsys, tmp_path, "certify", obj)
+    assert code == 2 and "malformed-input" in err
+
+
+@pytest.mark.parametrize("case", ["string", "fraction", "outside", "negative",
+                                  "too-short", "too-long", "duplicate"])
+def test_cli_certify_rejects_bad_component_vertex(case, capsys, tmp_path):
+    obj = _cert_obj()
+    shape = [len(ax) for ax in obj["grid"]]
+    entry = obj["f"][0]
+    entry["vertex"] = {"string": ["a", 0], "fraction": [0.5, 0],
+                       "outside": [shape[0], 0], "negative": [-1, 0],
+                       "too-short": [0], "too-long": [0, 0, 0],
+                       "duplicate": obj["f"][1]["vertex"]}[case]
+    with pytest.raises(ValueError):
+        io.from_obj(obj)
+    code, err = _cli(capsys, tmp_path, "certify", obj)
+    assert code == 2 and "malformed-input" in err
+
+
+def test_loader_rejects_morphism_vertex_outside_source_grid():
+    obj = io.morphism_to_obj(ModuleMorphism.identity(module_G()))
+    obj["components"][0]["vertex"] = [len(obj["source"]["axes"][0]), 0]
+    with pytest.raises(ValueError, match="outside"):
+        io.from_obj(obj)
+
+
+def test_loader_rejects_duplicate_module_step(capsys, tmp_path):
+    obj = io.module_to_obj(module_G())
+    obj["steps"].append(dict(obj["steps"][0]))
+    with pytest.raises(ValueError, match="duplicate"):
+        io.from_obj(obj)
+    code, err = _cli(capsys, tmp_path, "decompose", obj)
+    assert code == 2 and "malformed-input" in err
+
+
+def test_zero_denominator_is_malformed_input(capsys, tmp_path):
+    with pytest.raises(ValueError, match="zero denominator"):
+        io.parse_frac("1/0")
+    obj = io.module_to_obj(module_G())
+    obj["axes"][0][1] = "1/0"
+    code, err = _cli(capsys, tmp_path, "decompose", obj)
+    assert code == 2 and "malformed-input" in err
+
+
+def test_loader_refuses_huge_dimensions_before_allocating(capsys, tmp_path):
+    # one vertex of dimension 10**9 needs no step, but its D x D blocks
+    # would take 16 EB
+    obj = {"type": "module", "p": 65521, "axes": [["0"], ["0"]],
+           "dims": [[10 ** 9]], "steps": []}
+    with pytest.raises(ValueError, match="limit"):
+        io.from_obj(obj)
+    code, err = _cli(capsys, tmp_path, "decompose", obj)
+    assert code == 2 and "malformed-input" in err

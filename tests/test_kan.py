@@ -4,10 +4,17 @@ from fractions import Fraction
 
 import numpy as np
 
+import pytest
+
 from gridpersist import field
 from gridpersist.cli import random_module
-from gridpersist.core import Grid, hom_space, interval_module, is_isomorphic
-from gridpersist.kan import (common_refinement, compress, compression_witness,
+from gridpersist.construct import approximate_indecomposable, tack
+from gridpersist.core import (Grid, GridModule, free_module, hom_space,
+                              interval_module, is_isomorphic,
+                              random_basis_change, zero_module)
+from gridpersist.interleave import certificate_grid
+from gridpersist.kan import (_axis_floors, _component_ids, _floors_via,
+                             common_refinement, compress, compression_witness,
                              morphism_restriction_extension, prune,
                              regular_grid, restrict,
                              restriction_extension, shift, shift_unit,
@@ -172,3 +179,149 @@ def test_floor_table_maps_match_vertexwise_oracle():
             src = O.ext_floor(Rf, C.grid.coord(fc))
             assert np.array_equal(wit.at(v), _as_mat(
                 O.path_map(Rf, src, v), Rf.dim(v), C.dim(fc)))
+
+
+# -- integer coordinates against Fraction oracles ------------------------------
+
+F = Fraction
+BIG = (10 ** 12 + 39, 10 ** 13 + 37, 2 ** 61 - 1)
+
+
+def _grid_pairs():
+    """(A, B, shifts): pairs of grids with their shifts, from small lattices
+    (int64 arithmetic) to coprime denominators whose common denominator
+    exceeds 2**62 (Python ints), with exact ties and near-ties."""
+    lat = Grid([[F(i, 8) for i in range(-4, 13)], [F(i, 6) for i in range(9)]])
+    off = Grid([[F(2 * i + 1, 16) for i in range(-3, 9)],
+                [F(i, 4) - F(1, 12) for i in range(6)]])
+    third = F(1, 3)
+    near = Grid([[third - F(1, 10 ** 30), third, third + F(1, 10 ** 30)],
+                 [F(0), third + F(1, 10 ** 30), 1]])
+    thirds = Grid([[F(i, 3) for i in range(-2, 5)], [F(i, 3) for i in range(4)]])
+    big = [Grid([[F(i, q) + F(j, 7) for i in range(-3, 4) for j in (0,)],
+                 [F(i * i, q) for i in range(5)]]) for q in BIG]
+    mixed = Grid([[F(1, BIG[0]), F(1, BIG[1]) + F(1, 2), F(1, BIG[2]) + 1],
+                  [F(-1, BIG[2]), F(0), F(1, BIG[0])]])
+    shifts = (0, F(1, 16), -F(1, 16), F(1, 8), -F(3, 8), F(1, 10 ** 30),
+              -F(1, 10 ** 30), F(1, BIG[1]), -F(2, BIG[2]))
+    return [(lat, off, shifts), (off, lat, shifts), (lat, lat, shifts),
+            (thirds, near, shifts), (near, thirds, shifts),
+            (big[0], big[1], shifts), (big[1], big[2], shifts),
+            (big[2], mixed, shifts), (mixed, lat, shifts), (lat, mixed, shifts)]
+
+
+def test_grid_integers_take_int64_or_python_ints_by_size():
+    lat = Grid([[F(i, 8) for i in range(-4, 13)], [F(i, 6) for i in range(9)]])
+    assert lat.den == 24 and lat.nums[0].dtype == np.int64
+    wide = Grid([[F(1, BIG[1]), F(1, BIG[0]) + 1]])
+    assert wide.den == BIG[0] * BIG[1] and wide.nums[0].dtype == object
+    for g in [lat, wide] + [A for A, _, _ in _grid_pairs()]:
+        assert [[F(int(x), g.den) for x in a] for a in g.nums] == \
+            [list(ax) for ax in g.axes]
+        assert Grid.from_ints(g.den * 6, [a * 6 for a in g.nums]) == g
+    with pytest.raises(ValueError, match="strictly increasing"):
+        Grid([[F(1, BIG[0]) + 1, F(1, BIG[1]) + 1]])
+
+
+def test_floors_match_fraction_oracle():
+    for A, B, shifts in _grid_pairs():
+        for s in shifts:
+            want = O.axis_floors(A.axes, B.axes, s)
+            assert [t.tolist() for t in _axis_floors(A, B, s)] == want
+            for v in map(tuple, B.vertices()):
+                x = tuple(c + s for c in B.coord(v))
+                fl = tuple(want[k][i] for k, i in enumerate(v))
+                assert A.floor_index(x) == (None if min(fl) < 0 else fl)
+        tabs = [np.array([-1, 0, len(ax) - 1, len(ax) // 2]) for ax in B.axes]
+        via = O.axis_floors(A.axes, B.axes)
+        assert [t.tolist() for t in _floors_via(A, B, tabs)] == \
+            [[f[i] if i >= 0 else -1 for i in t.tolist()]
+             for f, t in zip(via, tabs)]
+
+
+def test_unions_and_certificate_grids_match_fraction_oracle():
+    for A, B, shifts in _grid_pairs():
+        assert union_axes(A, B) == O.union_of_axes([A.axes, B.axes])
+        for eps in (F(0), F(1, 16), F(1, 10 ** 30), F(1, BIG[2])):
+            M = interval_module(A.coord((0, 0)), A.coord((1, 1)))
+            N = interval_module(B.coord((0, 0)), B.coord((1, 1)))
+            M = restriction_extension(M, A)
+            N = restriction_extension(N, B)
+            P = certificate_grid(M, N, eps)
+            assert [list(ax) for ax in P.axes] == O.union_of_axes(
+                [A.axes, B.axes], (0, eps, 2 * eps))
+
+
+def test_component_ids_share_objects_and_equal_content():
+    shape = (3, 4)
+    a = np.array([[1, 2]], dtype=np.int64)
+    b = a.copy()
+    z = np.zeros((1, 2), dtype=np.int64)
+    c = np.array([[5, 0]], dtype=np.int64)
+    comp = {(2, 3): c, (0, 0): a, (1, 1): z, (0, 1): b, (5, 0): c,
+            (-1, 2): a, (1, 2, 0): a, (2, 0): a, (1, 3): z}
+    ids, mats = _component_ids(comp, shape)
+    # first appearance among in-grid keys: c, then a (b equals it), then z
+    assert [m is x for m, x in zip(mats, (c, a, z))] == [True] * 3
+    want = np.full(shape, -1)
+    want[2, 3], want[0, 0], want[0, 1], want[2, 0] = 0, 1, 1, 1
+    want[1, 1] = want[1, 3] = 2
+    assert np.array_equal(ids.reshape(shape), want)
+    ids, mats = _component_ids(comp, shape, drop_zero=True)
+    want[1, 1] = want[1, 3] = -1
+    assert len(mats) == 2 and np.array_equal(ids.reshape(shape), want)
+    ids, mats = _component_ids({(7, 7): a, (0,): a}, shape)
+    assert mats == [] and (ids == -1).all()
+
+
+def _step_kinds_module():
+    """Dimension 2 on a 4 x 2 grid; along axis 0 the steps are the identity,
+    a unipotent non-identity and a singular map, the same on both rows;
+    along axis 1 they are identities."""
+    eye = np.eye(2, dtype=np.int64)
+    along = [eye, np.array([[1, 1], [0, 1]]), np.array([[1, 0], [0, 0]])]
+    steps = {((i, j), 0): along[i] for i in range(3) for j in range(2)}
+    steps.update({((i, 0), 1): eye for i in range(4)})
+    M = GridModule(Grid([range(4), range(2)]), np.full((4, 2), 2), steps)
+    assert M.validate()
+    return M
+
+
+def _drop_corpus():
+    out = [_step_kinds_module()]
+    for s in range(4):
+        M = random_module(2, 3, 2, seed=s)
+        out.append(M)
+        R = restriction_extension(M, _finer(_finer(M.grid)))
+        out += [R, random_basis_change(R, s)]
+    A, B = interval_module((0, 0), (2, 2)), interval_module((3, 3), (5, 5))
+    out.append(tack(A, B, Fraction(1))[0])
+    out.append(approximate_indecomposable(random_module(2, 3, 2, seed=4),
+                                          Fraction(1, 2)).module)
+    # a zero module, a one-coordinate axis, and a pruned free module (a
+    # (1, 1) grid) that is pruned and compressed again
+    out.append(zero_module(2))
+    out.append(restriction_extension(zero_module(2), Grid([[0, 1, 2], [0]])))
+    M = random_module(2, 3, 2, seed=5)
+    out.append(restriction_extension(
+        M, Grid([M.grid.axes[0], M.grid.axes[1][-1:]])))
+    out.append(prune(free_module(Grid([[0, 1]] * 2), (0, 0))))
+    return out
+
+
+def test_prune_and_compress_match_staged_oracle():
+    M = _step_kinds_module()
+    assert prune(M).grid.shape == (3, 1) and compress(M).grid.shape == (2, 1)
+    for M in _drop_corpus():
+        for drop, invertible in ((prune, False), (compress, True)):
+            keep = O.staged_kept_coords(M, invertible)
+            C = drop(M)
+            assert [list(ax) for ax in C.grid.axes] == \
+                [[ax[i] for i in kp] for ax, kp in zip(M.grid.axes, keep)]
+            assert np.array_equal(C.dims, M.dims[np.ix_(*keep)])
+            for (v, k), m in C.steps.items():
+                u = tuple(kp[i] for kp, i in zip(keep, v))
+                w = list(u)
+                w[k] = keep[k][v[k] + 1]
+                assert m.tolist() == [list(r) for r in
+                                      O.path_map(M, u, tuple(w))] or not m.size
