@@ -709,8 +709,8 @@ def approximate_indecomposable(N: GridModule, eps, seed: int = 0,
             raise RuntimeError("cube module failed indecomposability")
         return ApproxResult(M, total, None, [])
     L, snap_c = snap_certificate(N, eps / 2)
-    # the lattice window repeats data heavily; prune keeps the extension
-    # identical while shrinking every later stage's evaluation grids
+    # a lattice ceiling where nothing changes repeats the slice below it;
+    # prune drops it, keeping the extension identical
     L = prune(L)
     if L.total_dim() == 0:
         M = interval_module((0,) * n, (eps,) * n, p=N.p)

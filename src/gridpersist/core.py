@@ -31,11 +31,6 @@ def as_frac(x) -> Fraction:
     return Fraction(x)
 
 
-def pt(*coords):
-    """A point in Q^n as a tuple of Fractions."""
-    return tuple(as_frac(c) for c in coords)
-
-
 def pt_shift(point, r):
     """Translate every coordinate by the scalar r (diagonal shift)."""
     r = as_frac(r)

@@ -415,6 +415,11 @@ def _coprime_split(g, p, rng):
 def split_by_idempotent(M: GridModule, e: ModuleMorphism):
     """Split M as image(e) + kernel(e).  Returns (M_im, M_ker, witness) with
     witness a verified isomorphism direct_sum(M_im, M_ker) -> M."""
+    return _checked(*_split_along(M, e))
+
+
+def _split_along(M: GridModule, e: ModuleMorphism):
+    """split_by_idempotent with the witness left unchecked."""
     bases_im, bases_ker = {}, {}
     for vidx in M.grid.vertices():
         vidx = tuple(vidx)
@@ -467,7 +472,11 @@ def _split_by_bases(M: GridModule, bases1, bases0):
         b1 = bases1.get(vidx, field.zeros(M.dim(vidx), 0))
         b0 = bases0.get(vidx, field.zeros(M.dim(vidx), 0))
         mats[vidx] = np.concatenate([b1, b0], axis=1)
-    W = ModuleMorphism(S, M, mats)
+    return M1, M0, ModuleMorphism(S, M, mats)
+
+
+def _checked(M1: GridModule, M0: GridModule, W: ModuleMorphism):
+    """(M1, M0, W) once W is a natural isomorphism."""
     W.validate()
     if not W.is_isomorphism():
         raise ValueError("split witness is not an isomorphism")
@@ -491,7 +500,7 @@ def fitting_split(M: GridModule, phi: ModuleMorphism):
         bases0[vidx] = field.nullspace(power, M.p)
         if bases1[vidx].shape[1] + bases0[vidx].shape[1] != M.dim(vidx):
             raise ValueError("power did not stabilize")
-    return _split_by_bases(M, bases1, bases0)
+    return _checked(*_split_by_bases(M, bases1, bases0))
 
 
 # -- full decomposition --------------------------------------------------------
@@ -538,7 +547,8 @@ def _decompose_rec(M: GridModule, seed: int):
     e = _idempotent(A, seed)
     if e is None:
         return [(M, ModuleMorphism.identity(M).mats)]
-    M1, M0, W = split_by_idempotent(M, A.morphism_of(e))
+    # decompose checks the assembled witness, which covers every split
+    M1, M0, W = _split_along(M, A.morphism_of(e))
     out = []
     for side, part in enumerate((M1, M0)):
         for X, inc in _decompose_rec(part, seed + 1):

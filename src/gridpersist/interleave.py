@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from math import ceil, lcm
+from math import ceil
 
 import numpy as np
 
@@ -18,7 +18,7 @@ from . import field
 from .core import (Grid, GridModule, as_frac, pt_shift, sum_module,
                    zero_module)
 from .kan import (_axis_floors, _component_ids, _dict_from_ids, _flat,
-                  _flat_floors, _floors_via, _is_subgrid, _map_ids, _on,
+                  _flat_floors, _floors_via, _is_subgrid, _map_ids,
                   _unique_maps, _unique_rows, restriction_extension,
                   snap_to_lattice, union_grid)
 
@@ -503,32 +503,27 @@ def weaken_certificate(c: InterleavingCertificate, eps2) -> InterleavingCertific
     return compose_chain([c, unit], verify=True)
 
 
-def snap_certificate(M: GridModule, pitch, margin_cells: int = 6):
+def snap_certificate(M: GridModule, pitch):
     """Snap M to the (pitch Z)^n lattice and certify d(M, snap) <= pitch.
 
-    Returns (L, cert).  With t the lattice floor of x + pitch, f maps M(x)
-    to L(x + pitch) = M(t) by M's structure map (zero unless x <= t); with
-    s the lattice floor of x, g maps L(x) = M(s) to M(x + pitch).
+    Returns (L, cert), L = snap_to_lattice(M, pitch): L(y) is M at the
+    floor in M's grid of y's floor in L's grid.  f maps M(x) to L(x + pitch)
+    and g maps L(x) to M(x + pitch) by M's structure maps, as the ceiling of
+    each coordinate of M at or below x is in L's grid, at or below x + pitch.
     """
     pitch = as_frac(pitch)
-    L = snap_to_lattice(M, pitch, margin_cells)
+    L = snap_to_lattice(M, pitch)
     grid = certificate_grid(M, L, pitch)
-    up = _axis_floors(L.grid, grid, pitch)
-    here = _axis_floors(L.grid, grid)
 
-    def in_m(lattice_idx):
-        # flat floors in M of lattice coordinates
-        return _flat(_floors_via(M.grid, L.grid, lattice_idx),
+    def in_m(shift):
+        # flat floors in M of the floors in L of the vertices plus shift
+        return _flat(_floors_via(M.grid, L.grid,
+                                 _axis_floors(L.grid, grid, shift)),
                      M.grid.shape).ravel()
 
-    src = _flat(_axis_floors(M.grid, grid), M.grid.shape)
-    # f vanishes where the lattice floor of x + pitch lies below x
-    den = lcm(L.grid.den, grid.den)
-    below = [(t < 0) | (a[np.maximum(t, 0)] < c)
-             for t, a, c in zip(up, _on(L.grid, den), _on(grid, den))]
-    src[_flat([np.where(b, -1, 0) for b in below], grid.shape) < 0] = -1
-    fids, fmats = _map_ids(M, src.ravel(), in_m(up))
-    gids, gmats = _map_ids(M, in_m(here),
+    fids, fmats = _map_ids(M, _flat_floors(M.grid, grid).ravel(),
+                           in_m(pitch))
+    gids, gmats = _map_ids(M, in_m(0),
                            _flat_floors(M.grid, grid, pitch).ravel())
     cert = InterleavingCertificate(
         M, L, pitch, grid, _dict_from_ids(fids.reshape(grid.shape), fmats),

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from itertools import chain
+from math import prod
 
 import numpy as np
 
@@ -18,10 +19,11 @@ from . import field
 from .core import Grid, GridModule, ModuleMorphism, as_frac
 from .interleave import InterleavingCertificate
 
-# A module's step tensor holds one D x D block per vertex and axis (D the
-# largest pointwise dimension).  The loader refuses a module whose tensor
-# would have more entries than this (128 MiB of int64) before building it:
-# a few bytes of "dims" could otherwise ask for any amount of memory.
+# The loader refuses a module whose step tensor (one D x D block per vertex
+# and axis, D the largest pointwise dimension), or a certificate whose
+# evaluation grid, would pass this many entries or vertices (128 MiB of
+# int64) before building it: a few bytes of "dims" or a few thousand
+# coordinates could otherwise ask for any amount of memory.
 MAX_TENSOR_ENTRIES = 1 << 24
 
 
@@ -161,11 +163,14 @@ def morphism_to_obj(f: ModuleMorphism) -> dict:
 
 
 def morphism_from_obj(obj: dict) -> ModuleMorphism:
+    """The morphism an object describes; ValueError unless it is natural."""
     _obj(obj, "morphism")
     src = module_from_obj(obj["source"])
     tgt = module_from_obj(obj["target"])
-    return ModuleMorphism(src, tgt, _components(
+    f = ModuleMorphism(src, tgt, _components(
         obj["components"], src.grid.shape, _matrix_reader(src.p)))
+    f.validate()
+    return f
 
 
 def certificate_to_obj(c: InterleavingCertificate) -> dict:
@@ -188,11 +193,14 @@ def certificate_to_obj(c: InterleavingCertificate) -> dict:
 
 def certificate_from_obj(obj: dict) -> InterleavingCertificate:
     _obj(obj, "certificate")
+    grid = _axes_from(obj["grid"])
+    if prod(grid.shape) > MAX_TENSOR_ENTRIES:
+        raise ValueError(f"evaluation grid of {prod(grid.shape)} vertices "
+                         f"exceeds the loader's limit of {MAX_TENSOR_ENTRIES}")
     M = module_from_obj(obj["m_module"])
     N = module_from_obj(obj["n_module"])
     if M.p != N.p:
         raise ValueError("mixed primes")
-    grid = _axes_from(obj["grid"])
     if not M.grid.n == N.grid.n == grid.n:
         raise ValueError("modules and grid of different dimensions")
     read = _matrix_reader(M.p)

@@ -285,32 +285,20 @@ def shift_unit(M: GridModule, r) -> ModuleMorphism:
                           _dict_from_ids(ids.reshape(grid.shape), mats))
 
 
-def regular_grid(n: int, pitch, lo, hi) -> Grid:
-    """The grid with axis coordinates lo_i, lo_i+pitch, ..., >= hi_i."""
+def snap_to_lattice(M: GridModule, pitch) -> GridModule:
+    """Snap M onto the lattice (pitch Z)^n: x -> M(lattice floor of x),
+    pitch-interleaved with M.  It changes only at the lattice ceilings of
+    M's coordinates (every c <= floor(x) has its ceiling between the two),
+    so it is M's restriction-extension onto the grid of those ceilings."""
     pitch = as_frac(pitch)
-    lo = [as_frac(x) for x in lo[:n]]
-    L = lcm(pitch.denominator, *(a.denominator for a in lo))
-    nums = []
-    for a, b in zip(lo, hi):
-        count = int((as_frac(b) - a) / pitch)
-        if a + count * pitch < b:
-            count += 1
-        nums.append(_affine(np.arange(count + 1, dtype=np.int64),
-                            int(pitch * L), int(a * L)))
-    return Grid.from_ints(L, nums)
-
-
-def snap_to_lattice(M: GridModule, pitch, margin_cells: int = 2) -> GridModule:
-    """Snap M onto the lattice (pitch * Z)^n, windowed to cover M's grid
-    plus a margin.  The result is pitch-interleaved with M."""
-    pitch = as_frac(pitch)
-    lo, hi = [], []
-    step = pitch * M.grid.den
-    for a in M.grid.nums:
-        lo.append(((int(a[0]) / step).__floor__() - margin_cells) * pitch)
-        hi.append(((int(a[-1]) / step).__ceil__() + margin_cells) * pitch)
-    grid = regular_grid(M.grid.n, pitch, lo, hi)
-    return restriction_extension(M, grid)
+    if pitch <= 0:
+        raise ValueError("the lattice pitch must be positive")
+    a, b = pitch.numerator, pitch.denominator
+    q = M.grid.den * a
+    # c = m / den has ceiling ceil(m b / q) * a / b
+    return restriction_extension(M, Grid.from_ints(b, [
+        _affine(np.unique(-(_affine(-m[::-1], b, 0) // q)), a, 0)
+        for m in M.grid.nums]))
 
 
 def prune(M: GridModule) -> GridModule:

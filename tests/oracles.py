@@ -4,12 +4,17 @@ Everything here is deliberately written from first principles with plain
 Python integers: no code from gridpersist's linear algebra or certificate
 machinery is reused, so agreement between the two is meaningful.  The only
 gridpersist objects consumed are the raw data of a module (grid axes, dims
-array, step matrices), which are the ground truth being tested.
+array, step matrices), which are the ground truth being tested; the window
+snap and regular grids are built as such raw data.
 """
 
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import product
+
+import numpy as np
+
+from gridpersist.core import Grid, GridModule
 
 
 # ---------------------------------------------------------------------------
@@ -370,6 +375,75 @@ def union_of_axes(axes_list, shifts=(0,)):
     return [sorted({Fraction(c) - s for axes in axes_list for c in axes[k]
                     for s in shifts})
             for k in range(len(axes_list[0]))]
+
+
+def regular_grid(n, pitch, lo, hi):
+    """The Grid whose axis i holds lo_i, lo_i + pitch, ... up to the first
+    coordinate >= hi_i (just lo_i when hi_i <= lo_i)."""
+    pitch = Fraction(pitch)
+    axes = []
+    for a, b in zip(lo[:n], hi):
+        ax = [Fraction(a)]
+        while ax[-1] < b:
+            ax.append(ax[-1] + pitch)
+        axes.append(ax)
+    return Grid(axes)
+
+
+# ---------------------------------------------------------------------------
+# lattice snapping on a regular window
+
+def window_snap(M, pitch, margin_cells=6):
+    """The snap x -> M(floor of x in (pitch Z)^n) on a regular window: per
+    axis the lattice points from margin_cells below the lattice floor of M's
+    least coordinate to margin_cells above the lattice ceiling of its
+    largest.  Dims and steps come from M's raw data by ext_floor and
+    path_map."""
+    pitch = Fraction(pitch)
+    lo, hi = [], []
+    for ax in _axes(M):
+        lo.append(((ax[0] / pitch).__floor__() - margin_cells) * pitch)
+        hi.append(((ax[-1] / pitch).__ceil__() + margin_cells) * pitch)
+    grid = regular_grid(M.grid.n, pitch, lo, hi)
+    axes = [list(ax) for ax in grid.axes]
+    fl = {v: ext_floor(M, tuple(ax[i] for ax, i in zip(axes, v)))
+          for v in product(*(range(len(ax)) for ax in axes))}
+    dims = np.zeros(grid.shape, dtype=np.int64)
+    steps = {}
+    for v, f in fl.items():
+        dims[v] = 0 if f is None else int(M.dims[f])
+    for v, f in fl.items():
+        for k in range(M.grid.n):
+            w = v[:k] + (v[k] + 1,) + v[k + 1:]
+            if w in fl and dims[v] and dims[w]:
+                steps[(v, k)] = np.array(path_map(M, f, fl[w]),
+                                         dtype=np.int64).reshape(
+                    int(dims[w]), int(dims[v]))
+    return GridModule(grid, dims, steps, M.p)
+
+
+def same_extension(A, B):
+    """Do A and B have equal extensions?  Compares the dims at every vertex
+    of the union of both grids and the structure map along every edge of
+    it, each taken from the raw data at the floors in A's and B's grids."""
+    axes = union_of_axes([_axes(A), _axes(B)])
+
+    def value(X, v):
+        fl = ext_floor(X, tuple(ax[i] for ax, i in zip(axes, v)))
+        return fl, 0 if fl is None else int(X.dims[fl])
+
+    for v in product(*(range(len(ax)) for ax in axes)):
+        (fa, da), (fb, db) = value(A, v), value(B, v)
+        if da != db:
+            return False
+        for k in range(len(axes)):
+            if v[k] + 1 == len(axes[k]) or not da:
+                continue
+            w = v[:k] + (v[k] + 1,) + v[k + 1:]
+            (ga, ea), (gb, _) = value(A, w), value(B, w)
+            if ea and path_map(A, fa, ga) != path_map(B, fb, gb):
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -25,13 +25,14 @@ from gridpersist.interleave import (identity_certificate, is_eps_trivial,
                                     rank_lower_bound, snap_certificate,
                                     factor_through_grid, trivial_certificate,
                                     triviality_radius, weaken_certificate)
-from gridpersist.kan import (common_refinement, regular_grid,
-                             restriction_extension, shift, union_axes,
+from gridpersist.kan import (common_refinement, restriction_extension,
+                             shift, union_axes,
                              morphism_restriction_extension)
 from gridpersist.match import instability_demo, is_eps_indecomposable
 
 from conftest import rect, random_rect
 import oracles as O
+from oracles import regular_grid
 
 
 def report(n, ok, detail):

@@ -8,8 +8,8 @@ import pytest
 from gridpersist import decomp, field
 from gridpersist.cli import random_module
 from gridpersist.construct import module_G
-from gridpersist.core import (direct_sum, interval_module, is_isomorphic,
-                              random_basis_change, zero_module)
+from gridpersist.core import (ModuleMorphism, direct_sum, interval_module,
+                              is_isomorphic, random_basis_change, zero_module)
 from gridpersist.decomp import (decompose, end_algebra, find_idempotent,
                                 fitting_split, is_indecomposable, radical,
                                 split_by_idempotent)
@@ -215,6 +215,40 @@ def test_decompose_builds_one_end_per_node_on_the_compressed_grid(
     assert all(a <= b for s in built for a, b in zip(s, shape))
     assert compressed == [M]
     assert w.target is M and w.is_isomorphism()
+
+
+def _count_validate(monkeypatch):
+    calls = []
+    check = ModuleMorphism.validate
+
+    def counting_validate(self):
+        calls.append(self)
+        return check(self)
+
+    monkeypatch.setattr(ModuleMorphism, "validate", counting_validate)
+    return calls
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_decompose_checks_one_witness(seed, monkeypatch):
+    # the witness checked on M's grid implies every split on the way, so
+    # the splits inside the recursion go unchecked
+    _, M = _refined_shuffled(seed)
+    calls = _count_validate(monkeypatch)
+    parts, w = decompose(M)
+    assert len(parts) >= 2
+    assert calls == [w]
+
+
+def test_public_splits_check_their_witness(monkeypatch):
+    X, Y = _refine_all(rect((0, 0), (2, 2)), rect((10, 10), (12, 12)))
+    S, incs, projs = direct_sum(X, Y)
+    e = incs[0].compose(projs[0])
+    calls = _count_validate(monkeypatch)
+    for split in (split_by_idempotent, fitting_split):
+        calls.clear()
+        w = split(S, e)[2]
+        assert calls == [w]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

@@ -2,10 +2,11 @@
 
 Mutants of genuine module and certificate objects replace one node (a
 leaf or a whole subtree) with an int, float, string, bool, null or list, or
-drop one dict key or list element.  Loading must fail with one of the
-documented exception types or give an object that validates; a loaded
-certificate must verify or raise CertificateError; the CLI must answer with
-an exit code in 0-3 and no traceback.
+drop one dict key or list element; long-axis mutants put axes of 5000
+coordinates in place of a grid or one of its axes.  Loading must fail with
+one of the documented exception types or give an object that validates; a
+loaded certificate must verify or raise CertificateError; the CLI must
+answer with an exit code in 0-3 and no traceback.
 """
 
 import copy
@@ -38,6 +39,13 @@ LEAVES = st.one_of(
     st.lists(st.one_of(INTS, st.lists(INTS, max_size=3)), max_size=3))
 LOAD_ERRORS = (ValueError, KeyError, TypeError, OverflowError)
 
+# long axes in place of a grid's axes or of one axis: a certificate grid of
+# two of them has 25 million vertices, which the loader must refuse before
+# verify builds tables over it
+LONG_AXIS = [f"{i}/2" for i in range(-10, 4990)]
+LONG = st.sampled_from([LONG_AXIS, [LONG_AXIS, LONG_AXIS],
+                        [LONG_AXIS, ["0"]]])
+
 
 def _paths(x, path=()):
     yield path
@@ -49,9 +57,10 @@ def _paths(x, path=()):
             yield from _paths(v, path + (i,))
 
 
-def mutants(obj):
-    """A strategy of copies of obj with one node replaced or dropped."""
-    paths = list(_paths(obj))[1:]
+def mutants(obj, values=None, where=lambda path: True):
+    """A strategy of copies of obj with one node at a path that `where`
+    accepts replaced by one of `values` (by default a leaf, or dropped)."""
+    paths = [path for path in list(_paths(obj))[1:] if where(path)]
 
     def apply(path, value):
         out = copy.deepcopy(obj)
@@ -65,7 +74,14 @@ def mutants(obj):
         return out
 
     return st.builds(apply, st.sampled_from(paths),
-                     st.one_of(st.just(_DROP), LEAVES))
+                     st.one_of(st.just(_DROP), LEAVES) if values is None
+                     else values)
+
+
+def _on_axes(path):
+    # a module's axes or a certificate's grid, or one axis of either
+    return path[-1] in ("axes", "grid") or (
+        len(path) > 1 and path[-2] in ("axes", "grid"))
 
 
 _DROP = object()
@@ -98,6 +114,14 @@ def test_loads_of_mutated_module_fails_closed(mutant):
 @FUZZ
 @given(mutants(CERT))
 def test_loads_of_mutated_certificate_fails_closed(mutant):
+    _check_loads(mutant)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.one_of(mutants(MODULE, LONG, _on_axes),
+                 mutants(CERT, LONG, _on_axes)))
+def test_loads_of_long_axis_mutants_fails_closed(mutant):
     _check_loads(mutant)
 
 

@@ -18,11 +18,12 @@ from gridpersist.interleave import (CertificateError, InterleavingCertificate,
                                     snap_certificate, sum_certificates,
                                     triviality_radius, trivial_certificate,
                                     weaken_certificate)
-from gridpersist.kan import (common_refinement, regular_grid, restrict,
-                            restriction_extension)
+from gridpersist.kan import (common_refinement, restrict,
+                             restriction_extension, shift)
 
 from conftest import rect
 import oracles as O
+from oracles import regular_grid
 
 
 # -- triviality ---------------------------------------------------------------
@@ -145,6 +146,17 @@ def test_snap_certificate_verifies():
         assert L.validate()
         assert c.eps == Fraction(1, 2)
         c.verify()
+
+
+def test_snap_certificate_matches_oracle():
+    # every component of the snap certificate, checked vertex by vertex
+    for M in (random_module(2, 3, 2, seed=31),
+              shift(random_module(2, 3, 2, seed=32), Fraction(5, 3)),
+              interval_module((0, 0), (1, 1))):
+        for pitch in (Fraction(1, 2), Fraction(1, 3), Fraction(1, 8)):
+            L, c = snap_certificate(M, pitch)
+            assert c.eps == pitch
+            assert O.certificate_holds(c)
 
 
 def test_flip_swaps_sides():

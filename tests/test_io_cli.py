@@ -1,5 +1,6 @@
 """Serialization round-trips and the command-line interface."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -15,7 +16,7 @@ from gridpersist.construct import module_G
 from gridpersist.core import (Grid, GridModule, ModuleMorphism, direct_sum,
                               interval_module)
 from gridpersist.interleave import identity_certificate, snap_certificate
-from gridpersist.kan import common_refinement
+from gridpersist.kan import common_refinement, shift
 
 
 def _same_module(A, B):
@@ -384,3 +385,62 @@ def test_loader_refuses_huge_dimensions_before_allocating(capsys, tmp_path):
         io.from_obj(obj)
     code, err = _cli(capsys, tmp_path, "decompose", obj)
     assert code == 2 and "malformed-input" in err
+
+
+def test_loader_refuses_huge_evaluation_grids_before_verifying(capsys,
+                                                                tmp_path):
+    # two axes of 5000 coordinates take about 90 kB of JSON; verify would
+    # build its tables over all 25 million vertices
+    obj = _cert_obj()
+    axis = [f"{i}/2" for i in range(-10, 4990)]
+    obj["grid"] = [axis, list(axis)]
+    with pytest.raises(ValueError, match="limit"):
+        io.from_obj(obj)
+    code, err = _cli(capsys, tmp_path, "certify", obj)
+    assert code == 2 and "malformed-input" in err
+
+
+def test_loader_rejects_non_natural_morphism(capsys, tmp_path):
+    obj = io.morphism_to_obj(ModuleMorphism.identity(module_G()))
+    io.from_obj(obj).validate()
+    # twice the identity at one vertex breaks the squares around it
+    entry = _first_nonzero(obj["components"])
+    entry["matrix"] = [[2 * x for x in row] for row in entry["matrix"]]
+    with pytest.raises(ValueError, match="naturality"):
+        io.from_obj(obj)
+    code, err = _cli(capsys, tmp_path, "validate", obj)
+    assert code == 2 and "naturality" in err
+
+
+# -- byte-stable output ------------------------------------------------------
+
+# sha256 of the stdout of `approx-indec <m> --eps 1/2 --seed 0 --emit-proof`
+# and `decompose <m> --seed 0 --emit-proof`; a change to these digests is a
+# change to the CLI's output for a fixed seed
+STABLE_OUTPUT = {
+    "on-integers": (
+        lambda: random_module(2, 3, 2, seed=0),
+        "5833c3d0781a08ebe9c1fe5937a2912c87df552b3dc8afe9a2c96ce3d01dd083",
+        "d101a2ca60ebc48789d2729198b9a15546089a1939636c51427e6b6666866028"),
+    "off-lattice": (
+        lambda: shift(random_module(2, 3, 2, seed=10), Fraction(-1, 7)),
+        "e2b6abdca73c6930874e4c998923e51f6beaa5480d7fc1b95ba10e38a4bc59bf",
+        "4cfbfb947df799292dbb707e7cdce28e66b175923cd18e3e4e1f988f9c03b4bf"),
+    "negative": (
+        lambda: shift(random_module(2, 3, 2, seed=21), Fraction(5, 3)),
+        "0c4d25cae61faa72ef38f4de6df8fa1a4a080e8a73456b28cdd0cfdb1b8642da",
+        "4ae47a554b647618d7efc72e17005719d93162edc6c05d7981f8b2cb0b448c32"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STABLE_OUTPUT))
+def test_cli_proof_output_is_byte_stable(case, capsys, tmp_path):
+    build, approx_sha, decompose_sha = STABLE_OUTPUT[case]
+    path = tmp_path / "m.json"
+    io.save(build(), path)
+    for argv, want in (
+            (["approx-indec", str(path), "--eps", "1/2"], approx_sha),
+            (["decompose", str(path)], decompose_sha)):
+        assert main(argv + ["--seed", "0", "--emit-proof"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == want, argv[0]

@@ -16,12 +16,11 @@ from gridpersist.interleave import certificate_grid
 from gridpersist.kan import (_axis_floors, _component_ids, _floors_via,
                              common_refinement, compress, compression_witness,
                              morphism_restriction_extension, prune,
-                             regular_grid, restrict,
-                             restriction_extension, shift, shift_unit,
-                             snap_to_lattice, union_axes)
+                             restrict, restriction_extension, shift,
+                             shift_unit, snap_to_lattice, union_axes)
 
 import oracles as O
-from oracles import hom_dim
+from oracles import hom_dim, regular_grid
 
 
 def _finer(grid):
@@ -104,6 +103,41 @@ def test_snap_of_on_lattice_module_is_unchanged():
     for k in set(a.steps) | set(b.steps):
         assert np.array_equal(a.steps.get(k, 0 * b.steps[k]),
                               b.steps.get(k, 0 * a.steps[k]))
+
+
+def _snap_cases():
+    for s in range(2):
+        M = random_module(2, 3, 2, seed=40 + s)
+        yield M
+        yield restriction_extension(M, _finer(M.grid))
+        yield shift(M, Fraction(5, 3))      # negative coordinates
+        yield shift(M, Fraction(-1, 7))
+    # coordinates held as Python ints, each just below an integer
+    yield shift(random_module(2, 4, 2, seed=42), Fraction(1, 2 ** 61 - 1))
+    yield interval_module((0, 0), (1, 1))   # on every lattice used here
+    yield interval_module((Fraction(-3, 2), -1), (Fraction(1, 2), 2))
+
+
+@pytest.mark.parametrize("pitch", [Fraction(1, 2), Fraction(1, 3),
+                                   Fraction(1, 8)])
+def test_snap_matches_window_oracle(pitch):
+    # the snap on the lattice ceilings of M's coordinates has the extension
+    # of the snap on a regular window with a margin, and is never larger
+    # than M on any axis
+    for M in _snap_cases():
+        L = snap_to_lattice(M, pitch)
+        assert L.validate()
+        assert all(a <= b for a, b in zip(L.grid.shape, M.grid.shape))
+        assert all((c / pitch).denominator == 1
+                   for ax in L.grid.axes for c in ax)
+        assert O.same_extension(L, O.window_snap(M, pitch))
+
+
+def test_snap_refuses_a_pitch_that_is_not_positive():
+    M = random_module(2, 3, 2, seed=40)
+    for pitch in (0, Fraction(-1, 2)):
+        with pytest.raises(ValueError, match="positive"):
+            snap_to_lattice(M, pitch)
 
 
 def test_regular_grid_pitch():
