@@ -184,7 +184,16 @@ def cmd_match(args):
     M = _load(args.module_a, GridModule)
     N = _load(args.module_b, GridModule)
     eps = _parse_frac(args.eps)
-    result = bottleneck_upper_bound(M, N, eps, seed=_seed(args))
+    for bad, why in ((eps < 0, "eps must be >= 0"),
+                     (M.grid.n != N.grid.n,
+                      "modules with different numbers of parameters"),
+                     (M.p != N.p, "modules over different primes")):
+        if bad:
+            raise CliError(3, "precondition-violation", why)
+    try:
+        result = bottleneck_upper_bound(M, N, eps, seed=_seed(args))
+    except FieldTooSmall as exc:
+        raise CliError(3, "precondition-violation", exc)
     out = {"status": result.status, "eps": io.frac_str(eps)}
     if result.matched:
         out["pairs"] = [

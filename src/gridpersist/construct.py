@@ -5,9 +5,12 @@ any module by an indecomposable within any interleaving tolerance.
 
 Axes are 0-indexed here; the constructions treat axis 0 / axis 1 the way the
 informal pictures treat their first two coordinates, freezing the remaining
-coordinates.  Every constructor returns its result together with a verified
-local-change interleaving certificate back to its input; nothing is trusted
-without verification.
+coordinates.  Every constructor returns its result together with a
+local-change interleaving certificate back to its input, verified unless
+the caller passes verify_cert=False.  approximate_indecomposable and
+match.instability_demo do so for the fold: its stage certificates are never
+verified on their own, only the composite certificate they build, which
+is always verified before it is returned.
 """
 
 from __future__ import annotations
@@ -26,7 +29,8 @@ from .interleave import (CertificateError, InterleavingCertificate,
                          certificate_grid, compose_certificates,
                          compose_chain, local_change_certificate,
                          snap_certificate, trivial_certificate)
-from .kan import prune, restriction_extension, union_grid
+from .kan import (_axis_floors, _flat, prune, restriction_extension,
+                  union_grid)
 
 
 # -- the gadget G ---------------------------------------------------------------
@@ -102,17 +106,20 @@ def _refine(M: GridModule, extra_per_axis) -> GridModule:
 
 # -- corner and antenna detection ------------------------------------------------
 
+def _first_vertex(A: GridModule, mask: np.ndarray):
+    """The coordinates of the first vertex (in C order) where mask holds, or
+    None."""
+    at = np.argwhere(mask.reshape(A.grid.shape))
+    return A.grid.coord(tuple(at[0].tolist())) if len(at) else None
+
+
 def has_thin_corner(A: GridModule):
     """A vertex r with A(r) one-dimensional and A vanishing strictly below r
     (in every axis-combination), or None."""
-    for vidx in A.grid.vertices():
-        vidx = tuple(vidx)
-        if A.dim(vidx) != 1:
-            continue
-        lower = A.dims[tuple(slice(0, i + 1) for i in vidx)]
-        if int(lower.sum()) == 1:
-            return A.grid.coord(vidx)
-    return None
+    lower = A.dims
+    for k in range(A.grid.n):
+        lower = lower.cumsum(axis=k)
+    return _first_vertex(A, (A.dims == 1) & (lower == 1))
 
 
 def has_antenna(A: GridModule, axis: int, eps=None):
@@ -120,35 +127,20 @@ def has_antenna(A: GridModule, axis: int, eps=None):
     zero structure maps out of r along every other axis (at lattice shift eps
     when given, else to the immediate grid successor).  Returns the first
     such vertex or None."""
-    eps = None if eps is None else as_frac(eps)
-    found = []
-    for vidx in A.grid.vertices():
-        vidx = tuple(vidx)
-        if A.dim(vidx) != 1:
+    shape = A.grid.shape
+    found = ((A.dims == 1) & (A.dims.cumsum(axis=axis) == 1)).ravel()
+    for j in range(A.grid.n):
+        if j == axis:
             continue
-        r = A.grid.coord(vidx)
-        ray = [vidx[:axis] + (j,) + vidx[axis + 1:] for j in range(vidx[axis])]
-        if any(A.dim(u) for u in ray):
-            continue
-        ok = True
-        for j in range(A.grid.n):
-            if j == axis:
-                continue
-            if eps is not None:
-                y = list(r)
-                y[j] += eps
-                m = A.structure_map_points(r, tuple(y))
-            else:
-                if not A.has_succ(vidx, j):
-                    ok = False
-                    break
-                m = A.step(vidx, j)
-            if m.size and m.any():
-                ok = False
-                break
-        if ok:
-            found.append(r)
-    return found[0] if found else None
+        # where the map out of each vertex along axis j lands (-1: nowhere)
+        tabs = [np.arange(s) for s in shape]
+        tabs[j] = (np.append(np.arange(1, shape[j]), -1) if eps is None else
+                   _axis_floors(A.grid, A.grid, eps)[j])
+        dst = _flat(tabs, shape).ravel()
+        found &= dst >= 0
+        at = np.flatnonzero(found)
+        found[at] = ~A.structure_maps(at, dst[at]).any(axis=(1, 2))
+    return _first_vertex(A, found)
 
 
 # -- thin corner -----------------------------------------------------------------
@@ -251,11 +243,9 @@ def add_antenna(A: GridModule, eps, check: bool = True,
         dims[v] = _G_DIMS[(gx, gy)]
     steps = {}
     out = GridModule(grid, dims, steps, p)
-    g44 = {}  # composite G(x,y) -> G(4,4) = k, used along frozen axes
-    Gm = module_G(p)
-    for gx in range(5):
-        for gy in range(5):
-            g44[(gx, gy)] = Gm.structure_map((gx, gy), (4, 4))
+    # composites G(x,y) -> G(4,4) = k, used along frozen axes; G's flat
+    # vertex 5 x + y is (x, y)
+    g44 = module_G(p).structure_maps(np.arange(25), np.full(25, 24))
     for v in grid.vertices():
         v = tuple(v)
         for k in range(n):
@@ -275,7 +265,8 @@ def add_antenna(A: GridModule, eps, check: bool = True,
                         raise RuntimeError("block boundary mismatch")
                     steps[(v, k)] = old
                 else:
-                    steps[(v, k)] = field.mmul(old, g44[(gx, gy)], p)
+                    steps[(v, k)] = field.mmul(
+                        old, g44[5 * gx + gy, :1, :_G_DIMS[(gx, gy)]], p)
             elif w in block:
                 if Aref.dim(v) != 0:
                     raise RuntimeError("nonzero module below the corner")
@@ -319,10 +310,8 @@ def move_antenna(A: GridModule, eps, s, check: bool = True,
             raise ValueError(f"need s[{k}] > r[{k}]")
         if ((s[k] - r[k]) / eps).denominator != 1:
             raise ValueError("target not on the lattice")
-    for vidx in A.grid.vertices():
-        vidx = tuple(vidx)
-        if A.dim(vidx) and A.grid.coord(vidx)[0] <= s[0]:
-            raise ValueError("module must vanish at axis-0 coordinates <= s_0")
+    if A.dims[:A.grid._axis_floor(0, s[0]) + 1].any():
+        raise ValueError("module must vanish at axis-0 coordinates <= s_0")
 
     # half-open staircase boxes T_1 ... T_n (stage k moves along axis k-1)
     boxes = []
@@ -345,12 +334,9 @@ def move_antenna(A: GridModule, eps, s, check: bool = True,
     Aref = _refine(A, extra)
     grid = Aref.grid
     rv = grid.index_of(r)
-    in_T = {tuple(v): region.contains(grid.coord(tuple(v)))
-            for v in grid.vertices()}
+    in_T = region.mask(grid)
     dims = Aref.dims.copy()
-    for v, inside in in_T.items():
-        if inside:
-            dims[v] = 1
+    dims[in_T] = 1
     steps = {}
     out = GridModule(grid, dims, steps, A.p)
     for v in grid.vertices():
@@ -620,9 +606,9 @@ def fold_eps0(parts, delta, tau=None) -> Fraction:
 
 
 def tack(A: GridModule, B: GridModule, delta, tau=None,
-         check_stages: bool = False, check: bool = True,
-         verify_cert: bool = True):
-    """Replace A + B by a single indecomposable within delta.
+         check_stages: bool = False):
+    """Replace two indecomposables A and B (ValueError otherwise) by a
+    single indecomposable within delta of A + B.
 
     The fold of [A, B] (see `fold`) at eps0 = tau/m, with tau the coarsest
     pitch of both (pruned) grids unless given and m minimal such that
@@ -640,11 +626,12 @@ def tack(A: GridModule, B: GridModule, delta, tau=None,
     if A.total_dim() == 0 or B.total_dim() == 0:
         raise ValueError("tack needs nonzero modules")
     A, B = prune(A), prune(B)
+    if not (is_indecomposable(A) and is_indecomposable(B)):
+        raise ValueError("tack joins two indecomposable modules")
     eps0 = fold_eps0([A, B], delta, tau)
     assert eps0 < delta / 4
-    M, cert, _ = fold([A, B], eps0, check_stages=check_stages,
-                      verify_cert=verify_cert)
-    if check and not is_indecomposable(M):
+    M, cert, _ = fold([A, B], eps0, check_stages=check_stages)
+    if not is_indecomposable(M):
         raise RuntimeError("tacked module failed its indecomposability check")
     assert cert.eps == Fraction(8, 5) * eps0 < delta
     return M, cert
@@ -656,7 +643,8 @@ class ApproxResult:
     """The approximation, its verified certificate to the input, the snap
     certificate, and the stage certificates: for k >= 2 summands those of
     the fold (one per summand, then the join), for a zero snap the cube's
-    certificate, otherwise none."""
+    certificate, otherwise none.  The fold's stage certificates are never
+    verified on their own, only as parts of `certificate`."""
 
     def __init__(self, module, certificate, snap_cert, stage_certs):
         self.module = module
@@ -679,8 +667,8 @@ def iso_certificate(W: ModuleMorphism) -> InterleavingCertificate:
     return cert
 
 
-def approximate_indecomposable(N: GridModule, eps, seed: int = 0,
-                               check_stages: bool = False) -> ApproxResult:
+def approximate_indecomposable(N: GridModule, eps, seed: int = 0
+                               ) -> ApproxResult:
     """An indecomposable module within eps of N, with a verified certificate.
 
     Snap N to the (eps/2)-lattice (certificate eps/2) and decompose the
@@ -726,9 +714,7 @@ def approximate_indecomposable(N: GridModule, eps, seed: int = 0,
     if len(parts) == 1:
         M = parts[0]
     else:
-        M, fold_c, stage_certs = fold(parts, eps / 4,
-                                      check_stages=check_stages,
-                                      verify_cert=False)
+        M, fold_c, stage_certs = fold(parts, eps / 4, verify_cert=False)
         chain.append(fold_c)
     total = compose_chain(chain + [iso_certificate(W), snap_c.flip()],
                           verify=True)

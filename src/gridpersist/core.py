@@ -177,8 +177,7 @@ class GridModule:
 
     A step entry must be present for every edge whose endpoints both have
     positive dimension; zero maps are stored explicitly.  Modules are treated
-    as immutable once built (structure maps are memoized, and the step
-    tensor is built once).
+    as immutable once built (the step tensor is built once).
     """
 
     def __init__(self, grid: Grid, dims, steps, p: int = DEFAULT_PRIME):
@@ -186,7 +185,6 @@ class GridModule:
         self.p = p
         self.dims = np.asarray(dims, dtype=np.int64).reshape(grid.shape)
         self.steps = steps
-        self._smap_cache = {}
         self._tensor = None
 
     # -- basic accessors ---------------------------------------------------
@@ -232,36 +230,12 @@ class GridModule:
     # -- structure maps ----------------------------------------------------
 
     def structure_map(self, vidx, widx) -> np.ndarray:
-        """Composite matrix along any monotone path from vidx to widx."""
-        vidx, widx = tuple(vidx), tuple(widx)
-        cache = self._smap_cache
-        m = cache.get((vidx, widx))
-        if m is not None:
-            return m
-        if any(a > b for a, b in zip(vidx, widx)):
-            raise ValueError(f"{vidx} !<= {widx}")
-        ds = self.dim(vidx)
-        if self.dims[tuple(slice(a, b + 1)
-                           for a, b in zip(vidx, widx))].min() == 0:
-            # every monotone path composes to the same map, and one of them
-            # passes through a zero space
-            m = cache[(vidx, widx)] = field.zeros(self.dim(widx), ds)
-            return m
-        # walk back from widx, last axis with slack first, to a known map
-        path = []
-        w = widx
-        while (m := cache.get((vidx, w))) is None:
-            if w == vidx:
-                m = cache[(vidx, w)] = field.eye(ds)
-                break
-            k = max(a for a in range(self.grid.n) if vidx[a] < w[a])
-            prev = w[:k] + (w[k] - 1,) + w[k + 1:]
-            path.append((w, prev, k))
-            w = prev
-        for w, prev, k in reversed(path):
-            m = field.mmul(self.step(prev, k), m, self.p)
-            cache[(vidx, w)] = m
-        return m
+        """The structure map M(vidx) -> M(widx), vidx <= widx: the one-pair
+        case of structure_maps."""
+        v, w = (int(np.ravel_multi_index(tuple(x), self.grid.shape))
+                for x in (vidx, widx))
+        m = self.structure_maps([v], [w])[0]
+        return m[:self.dim(widx), :self.dim(vidx)].copy()
 
     def _step_index(self):
         """(ks, flat, mats) of the stored steps: axis, flat vertex and matrix

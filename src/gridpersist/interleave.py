@@ -8,9 +8,9 @@ is trusted downstream.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from fractions import Fraction
-from math import ceil
+from math import ceil, lcm
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from .core import (Grid, GridModule, as_frac, pt_shift, sum_module,
                    zero_module)
 from .kan import (_axis_floors, _component_ids, _dict_from_ids, _flat,
                   _flat_floors, _floors_via, _is_subgrid, _map_ids,
-                  _unique_maps, _unique_rows, restriction_extension,
+                  _pair_maps, _unique_maps, _unique_rows, restriction_extension,
                   snap_to_lattice, union_grid)
 
 
@@ -92,8 +92,11 @@ def is_eps_trivial(M: GridModule, eps) -> bool:
     if eps < 0:
         raise ValueError("eps must be >= 0")
     src = np.flatnonzero(M.dims.ravel() > 0)
-    ids, _ = _map_ids(M, src, _flat_floors(M.grid, M.grid, eps).ravel()[src])
-    return not (ids >= 0).any()
+    dst = _flat_floors(M.grid, M.grid, eps).ravel()[src]
+    # maps into zero spaces vanish without composing them
+    live = M.dims.ravel()[dst] > 0
+    return not (live.any() and
+                M.structure_maps(src[live], dst[live]).any())
 
 
 def triviality_radius(M: GridModule):
@@ -128,8 +131,12 @@ def triviality_radius(M: GridModule):
 
 
 def is_strictly_eps_trivial(M: GridModule, eps) -> bool:
-    r = triviality_radius(M)
-    return r is not None and r < as_frac(eps)
+    """Is M eps'-trivial for some eps' < eps?  Triviality changes only at
+    differences of M's coordinates, multiples of 1/M.grid.den, so it is
+    enough to test the largest eps' < eps on the common lattice."""
+    eps = as_frac(eps)
+    return eps > 0 and is_eps_trivial(
+        M, eps - Fraction(1, lcm(M.grid.den, eps.denominator)))
 
 
 # -- certificates -------------------------------------------------------------
@@ -600,53 +607,42 @@ def rank_lower_bound(M: GridModule, N: GridModule, max_candidates: int = 96):
 
 
 def _rank_violation(M: GridModule, N: GridModule, eps) -> bool:
-    """Is there a window witnessing rk_M > rk_N at shift eps?"""
-    for vidx in M.grid.vertices():
-        vidx = tuple(vidx)
-        if M.dim(vidx) == 0:
-            continue
-        a = M.grid.coord(vidx)
-        # smallest admissible upper cell: the one containing a + 2 eps,
-        # provided its supremum strictly exceeds a + 2 eps on every axis
-        vb = []
-        sup = []
-        ok = True
-        for k, x in enumerate(a):
-            ax = M.grid.axes[k]
-            t = x + 2 * eps
-            j = bisect_right(ax, t) - 1
-            if j < 0:
-                ok = False
-                break
-            nxt = ax[j + 1] if j + 1 < len(ax) else None
-            if nxt is not None and nxt <= t:
-                ok = False
-                break
-            vb.append(j)
-            sup.append(nxt)
-        if not ok:
-            continue
-        r_m = field.rank(M.structure_map(vidx, tuple(vb)), M.p)
-        if r_m == 0:
-            continue
-        # N-rank over the widest window that fits strictly inside
-        src = N.grid.floor_index(pt_shift(a, eps))
-        if src is None:
-            r_n = 0
-        else:
-            tgt = []
-            for k in range(N.grid.n):
-                ax = N.grid.axes[k]
-                if sup[k] is None:
-                    tgt.append(len(ax) - 1)
-                else:
-                    limit = sup[k] - eps
-                    j = len([c for c in ax if c < limit]) - 1
-                    tgt.append(max(j, src[k]))
-            r_n = field.rank(N.structure_map(src, tuple(tgt)), N.p)
-        if r_n < r_m:
-            return True
-    return False
+    """Is there a window witnessing rk_M > rk_N at shift eps?
+
+    Every support vertex a of M is tested at once.  The M-rank runs from a
+    to the floor of a + 2 eps, whose cell's supremum (the next coordinate,
+    when there is one) strictly exceeds a + 2 eps on every axis.  The
+    N-rank runs over the widest window strictly inside: from the floor of
+    a + eps up to the floor of supremum - eps - 1/L (1/L the lattice of
+    both grids and eps), or to N's top on an axis with no supremum.  Each
+    distinct map's rank is computed once.
+    """
+    eps = as_frac(eps)
+    vs = np.flatnonzero(M.dims.ravel() > 0)
+    at = np.unravel_index(vs, M.grid.shape)
+    top = [f[i] for f, i in zip(_axis_floors(M.grid, M.grid, 2 * eps), at)]
+    r_m = _ranks(M, vs, np.ravel_multi_index(top, M.grid.shape))
+    live = r_m > 0
+    src = [f[i] for f, i in zip(_axis_floors(N.grid, M.grid, eps), at)]
+    if (live & np.any([c < 0 for c in src], axis=0)).any():
+        return True    # N is zero at a + eps
+    L = lcm(M.grid.den, N.grid.den, eps.denominator)
+    inner = _axis_floors(N.grid, M.grid, -eps - Fraction(1, L))
+    # the supremum of the cell at index j is coordinate j + 1
+    tgt = [np.maximum(np.append(f[1:], s - 1)[t[live]], c[live])
+           for f, s, t, c in zip(inner, N.grid.shape, top, src)]
+    r_n = _ranks(N, np.ravel_multi_index([c[live] for c in src], N.grid.shape),
+                 np.ravel_multi_index(tgt, N.grid.shape))
+    return bool((r_n < r_m[live]).any())
+
+
+def _ranks(mod: GridModule, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Ranks of mod's structure maps between the flat vertices src <= dst,
+    one rank computation per distinct map."""
+    if not len(src):
+        return np.zeros(0, dtype=np.int64)
+    mats, inv = _unique_maps(mod, src, dst)
+    return np.array([field.rank(m, mod.p) for m in mats], dtype=np.int64)[inv]
 
 
 # -- factoring through a bounded-mesh grid ------------------------------------
@@ -670,23 +666,22 @@ def factor_through_grid(L: GridModule, window: Grid, r):
     for ax_w, ax_l in zip(window.axes, L.grid.axes):
         if ax_w[-1] < ax_l[-1]:
             raise ValueError("window must cover L's grid on top")
-    p = L.p
-    m_mats = {}
-    for vidx in window.vertices():
-        vidx = tuple(vidx)
-        v = window.coord(vidx)
-        tgt = window.coord(window.floor_index(pt_shift(v, beta)))
-        src_f = L.grid.floor_index(pt_shift(v, r))
-        tgt_f = L.grid.floor_index(tgt)
-        if src_f is None:
-            m_mats[vidx] = field.zeros(0 if tgt_f is None else L.dim(tgt_f), 0)
-            continue
-        if not all(a <= b for a, b in zip(src_f, tgt_f)):
-            raise ValueError(f"factorization undefined at {v}")
-        m_mats[vidx] = L.structure_map(src_f, tgt_f)
-        # verify the square eta_beta = m o (eta_r)_P at this vertex
-        eta_r = L.structure_map_points(v, pt_shift(v, r))
-        eta_beta = L.structure_map_points(v, tgt)
-        if not np.array_equal(field.mmul(m_mats[vidx], eta_r, p), eta_beta):
-            raise ValueError(f"factorization square fails at {v}")
-    return m_mats
+    # floors in L of v, of v + r and of the window floor t of v + beta.
+    # On each axis t is the next window coordinate after v or later, so
+    # t >= v + alpha >= v + r, or t = v on the window's top, where both
+    # floors are L's top; m is the structure map between the last two
+    base, src, tgt = (_flat(f, L.grid.shape).ravel() for f in (
+        _axis_floors(L.grid, window), _axis_floors(L.grid, window, r),
+        _floors_via(L.grid, window, _axis_floors(window, window, beta))))
+    maps, rows, cols, inv = _pair_maps(L, src, tgt)
+    # verify the square eta_beta = m o (eta_r)_P wherever v has a floor in L
+    on = np.flatnonzero(base >= 0)
+    eta_r = L.structure_maps(base[on], src[on])
+    eta_beta = L.structure_maps(base[on], tgt[on])
+    fails = np.flatnonzero((np.matmul(maps[inv[on]], eta_r) % L.p
+                            != eta_beta).any(axis=(1, 2)))
+    if len(fails):
+        raise ValueError("factorization square fails at "
+                         f"{window.coord(_vertex(on[fails[0]], window.shape))}")
+    return {v: maps[j, :rows[j], :cols[j]].copy()
+            for v, j in zip(window.vertices(), inv.tolist())}

@@ -18,9 +18,9 @@ from .core import GridModule, as_frac, is_isomorphic, zero_module
 from .decomp import decompose, is_indecomposable
 from .interleave import (CertificateError, InterleavingCertificate,
                          TrivialRegion, certificate_grid, compose_chain,
-                         is_strictly_eps_trivial, local_change_certificate,
-                         pair_sum_certificates, rank_lower_bound,
-                         trivial_certificate, triviality_radius,
+                         is_eps_trivial, is_strictly_eps_trivial,
+                         local_change_certificate, pair_sum_certificates,
+                         rank_lower_bound, trivial_certificate,
                          weaken_certificate)
 from .kan import prune, restriction_extension, union_grid
 from .construct import fold, fold_eps0, iso_certificate
@@ -69,8 +69,7 @@ def is_eps_indecomposable(M: GridModule, eps, seed: int = 0):
 
 def _pad_to_zero_certificate(X: GridModule, eps):
     """A certificate d(X, 0) <= eps, available iff X is 2eps-trivial."""
-    rho = triviality_radius(X)
-    if rho is None or rho > 2 * eps:
+    if not is_eps_trivial(X, 2 * eps):
         return None
     try:
         return trivial_certificate(X, eps)
@@ -138,6 +137,9 @@ class MatchResult:
 
 
 def _padded_summands(M: GridModule, N: GridModule, seed: int = 0):
+    if M.grid.n != N.grid.n or M.p != N.p:
+        raise ValueError("need two modules with the same number of "
+                         "parameters over the same prime")
     left, _ = decompose(M, seed)
     right, _ = decompose(N, seed)
     n = M.grid.n

@@ -292,6 +292,105 @@ def triviality_radius_bruteforce(M):
 
 
 # ---------------------------------------------------------------------------
+# rank windows, thin corners and antennas, vertex by vertex
+
+def _vertices(M):
+    return product(*(range(s) for s in M.dims.shape))
+
+
+def _is_zero(m):
+    return not any(any(row) for row in m)
+
+
+def rank_violation(M, N, eps):
+    """Is there a support vertex a of M with rk M(a -> b) > rk N(a + eps ->
+    t)?  b is the floor of a + 2 eps; t is the floor in N of the largest
+    point strictly below sup - eps on each axis (sup the coordinate after b,
+    N's top where there is none), but never below the floor of a + eps."""
+    p = M.p
+    am, an = _axes(M), _axes(N)
+    for v in _vertices(M):
+        if not M.dims[v]:
+            continue
+        a = [am[k][i] for k, i in enumerate(v)]
+        b = ext_floor(M, [x + 2 * eps for x in a])
+        r_m = gauss_rank(path_map(M, v, b), p)
+        if r_m == 0:
+            continue
+        src = ext_floor(N, [x + eps for x in a])
+        r_n = 0
+        if src is not None:
+            tgt = []
+            for k, ax in enumerate(an):
+                if b[k] + 1 == len(am[k]):
+                    tgt.append(len(ax) - 1)
+                else:
+                    limit = am[k][b[k] + 1] - eps
+                    tgt.append(max(len([c for c in ax if c < limit]) - 1,
+                                   src[k]))
+            r_n = gauss_rank(path_map(N, src, tuple(tgt)), p)
+        if r_n < r_m:
+            return True
+    return False
+
+
+def rank_lower_bound(M, N, max_candidates=96):
+    """The largest candidate eps (half-differences of coordinates and their
+    9/10 multiples, the 2 max_candidates largest) with a rank violation
+    either way, or 0."""
+    cands = set()
+    for A in (M, N):
+        coords = sorted({c for ax in _axes(A) for c in ax})
+        for i, c1 in enumerate(coords):
+            for c2 in coords[i + 1:]:
+                cands |= {(c2 - c1) / 2, (c2 - c1) / 2 * Fraction(9, 10)}
+    for eps in sorted(cands, reverse=True)[:2 * max_candidates]:
+        if rank_violation(M, N, eps) or rank_violation(N, M, eps):
+            return eps
+    return Fraction(0)
+
+
+def has_thin_corner(A):
+    """The coordinates of the first vertex r (in C order) with A(r)
+    one-dimensional and A zero at every other vertex <= r, or None."""
+    axes = _axes(A)
+    for v in _vertices(A):
+        if A.dims[v] == 1 and A.dims[tuple(slice(0, i + 1) for i in v)
+                                     ].sum() == 1:
+            return tuple(axes[k][i] for k, i in enumerate(v))
+    return None
+
+
+def has_antenna(A, axis, eps=None):
+    """The coordinates of the first vertex r (in C order) with A(r)
+    one-dimensional, A zero on the ray below r along `axis`, and a zero map
+    from r to r + eps e_j (to the next vertex along j when eps is None;
+    there must be one) for every other axis j, or None."""
+    axes = _axes(A)
+    shape = A.dims.shape
+    for v in _vertices(A):
+        if A.dims[v] != 1 or any(A.dims[v[:axis] + (i,) + v[axis + 1:]]
+                                 for i in range(v[axis])):
+            continue
+        r = [axes[k][i] for k, i in enumerate(v)]
+        ok = True
+        for j in range(len(shape)):
+            if j == axis:
+                continue
+            if eps is None:
+                w = v[:j] + (v[j] + 1,) + v[j + 1:]
+                ok = v[j] + 1 < shape[j] and _is_zero(path_map(A, v, w))
+            else:
+                ok = _is_zero(path_map(A, v, ext_floor(
+                    A, r[:j] + [r[j] + eps] + r[j + 1:])))
+            if not ok:
+                break
+        if ok:
+            return tuple(r)
+    return None
+
+
+# ---------------------------------------------------------------------------
 # interleaving certificates, vertex by vertex
 
 def certificate_holds(c):

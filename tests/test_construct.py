@@ -1,11 +1,13 @@
 """The joining pipeline: gadget, corners, antennas, tack, approximation."""
 
+import hashlib
 import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from gridpersist import construct, io
 from gridpersist.cli import random_module
 from gridpersist.construct import (add_antenna, add_thin_corner,
                                    approximate_indecomposable, fold,
@@ -18,6 +20,7 @@ from gridpersist.interleave import is_eps_trivial, triviality_radius
 from gridpersist.kan import common_refinement, restriction_extension
 
 from conftest import rect
+import oracles as O
 
 
 def test_module_G_shape_and_invariants():
@@ -160,3 +163,44 @@ def test_fold_of_four_squares_with_stage_checks():
     S, _, _ = direct_sum(*(restriction_extension(X, g) for X in parts))
     assert np.array_equal(S.dims, cert.n_module.dims)
     assert infer_pitch(M) >= Fraction(1, 40)
+
+
+def test_tack_of_three_parameter_intervals():
+    # n = 3: the odd-n fold axes, the frozen-axis gadget composites of
+    # add_antenna, and the relocated antenna along axis n - 1
+    A = interval_module((0, 0, 0), (2, 2, 2))
+    B = interval_module((3, 1, 2), (5, 4, 3))
+    M, cert = tack(A, B, 1)
+    assert M.validate()
+    assert is_indecomposable(M)
+    assert cert.eps == Fraction(8, 25)
+    cert.verify()
+    # a change to this digest is a change to the fold's output
+    assert hashlib.sha256(io.dumps(cert).encode()).hexdigest() == (
+        "38d21b3b1d2655f7095091f7a7cc2bb1b131b8eff60257418c949f28c8200545")
+
+
+def test_corner_and_antenna_detection_match_oracle(
+        monkeypatch):
+    stages = []
+    for name in ("add_thin_corner", "add_antenna", "move_antenna"):
+        def record(*args, _stage=getattr(construct, name), **kwargs):
+            out = _stage(*args, **kwargs)
+            stages.append(out[0])
+            return out
+        monkeypatch.setattr(construct, name, record)
+    tack(rect((0, 0), (2, 2)), rect((Fraction(1, 3), 0), (Fraction(5, 2), 3)),
+         Fraction(1, 2))
+    tack(interval_module((0, 0, 0), (2, 2, 2)),
+         interval_module((3, 1, 2), (5, 4, 3)), 1)
+    approximate_indecomposable(random_module(2, 3, 2, seed=0), Fraction(1, 2))
+    assert len(stages) == 24   # three stages for each of 2 + 2 + 4 parts
+    shuffled = [random_module(n, 4 - n, 2, seed=s)
+                for n in (2, 3) for s in range(6)]
+    for X in stages + shuffled:
+        assert has_thin_corner(X) == O.has_thin_corner(X)
+        for axis in range(X.grid.n):
+            for eps in (None, Fraction(1, 40), Fraction(1, 20),
+                        Fraction(1, 10), Fraction(1, 8)):
+                assert (has_antenna(X, axis, eps)
+                        == O.has_antenna(X, axis, eps)), (X, axis, eps)

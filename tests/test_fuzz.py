@@ -6,7 +6,8 @@ drop one dict key or list element; long-axis mutants put axes of 5000
 coordinates in place of a grid or one of its axes.  Loading must fail with
 one of the documented exception types or give an object that validates; a
 loaded certificate must verify or raise CertificateError; the CLI must
-answer with an exit code in 0-3 and no traceback.
+answer with an exit code in 0-3 and no traceback, also when a mutant is
+the first of the two modules of `tack` or `match`.
 """
 
 import copy
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 
 from gridpersist import io
 from gridpersist.cli import random_module
-from gridpersist.core import GridModule
+from gridpersist.core import GridModule, interval_module
 from gridpersist.interleave import (CertificateError, InterleavingCertificate,
                                     identity_certificate)
 
@@ -125,9 +126,20 @@ def test_loads_of_long_axis_mutants_fails_closed(mutant):
     _check_loads(mutant)
 
 
+# `tack` and `match` take a fixed interval module after the mutant, then
+# these options
+OPTIONS = {"tack": ["--delta", "1"], "match": ["--eps", "1/2"]}
+
+
 @pytest.mark.parametrize("command,obj", [("decompose", MODULE),
-                                         ("certify", CERT)])
+                                         ("certify", CERT),
+                                         ("tack", MODULE), ("match", MODULE)])
 def test_cli_on_mutants_exits_with_a_documented_code(command, obj, tmp_path):
+    extra = []
+    if command in OPTIONS:
+        extra = [str(tmp_path / "interval.json")] + OPTIONS[command]
+        io.save(interval_module((0, 0), (2, 2)), extra[0])
+
     @settings(derandomize=True, deadline=None, max_examples=4,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(mutants(obj))
@@ -135,7 +147,7 @@ def test_cli_on_mutants_exits_with_a_documented_code(command, obj, tmp_path):
         path = tmp_path / "mutant.json"
         path.write_text(json.dumps(mutant))
         r = subprocess.run([sys.executable, "-m", "gridpersist.cli", command,
-                            str(path)], capture_output=True, text=True)
+                            str(path)] + extra, capture_output=True, text=True)
         assert r.returncode in (0, 1, 2, 3)
         assert "Traceback" not in r.stderr
 

@@ -9,6 +9,7 @@ from gridpersist.cli import random_module
 from gridpersist.construct import module_G
 from gridpersist.core import Grid, direct_sum, interval_module, zero_module
 from gridpersist.interleave import (CertificateError, InterleavingCertificate,
+                                    _rank_violation,
                                     TrivialRegion, compose_certificates,
                                     compose_chain, certificate_grid,
                                     factor_through_grid, identity_certificate,
@@ -19,7 +20,7 @@ from gridpersist.interleave import (CertificateError, InterleavingCertificate,
                                     triviality_radius, trivial_certificate,
                                     weaken_certificate)
 from gridpersist.kan import (common_refinement, restrict,
-                             restriction_extension, shift)
+                             restriction_extension, shift, snap_to_lattice)
 
 from conftest import rect
 import oracles as O
@@ -61,6 +62,30 @@ def test_triviality_matches_bruteforce_on_random_modules():
         M = random_module(2, 3, 2, seed=s)
         r = triviality_radius(M)
         assert r == O.triviality_radius_bruteforce(M)
+
+
+def _triviality_corpus():
+    for s in range(8):
+        M = random_module(2, 3, 2, seed=s)
+        for r in (0, Fraction(1, 7), Fraction(-3, 8)):
+            yield shift(M, r)
+    yield rect((5, 5), (Fraction(21, 4), Fraction(21, 4)))
+    yield rect((Fraction(1, 3), 0), (1, Fraction(1, 2)))
+    yield module_G()
+    yield zero_module(2)
+
+
+def test_strict_and_doubled_triviality_match_the_radius():
+    # is_strictly_eps_trivial tests one eps below eps on the lattice of M's
+    # coordinates and eps; the radius sweeps every vertex's thresholds
+    for M in _triviality_corpus():
+        rho = triviality_radius(M)
+        for k in range(25):
+            eps = Fraction(k, 8)
+            assert is_strictly_eps_trivial(M, eps) == (
+                rho is not None and rho < eps), (M, eps)
+            assert is_eps_trivial(M, 2 * eps) == (
+                rho is not None and rho <= 2 * eps), (M, eps)
 
 
 def test_trivial_region_box_logic():
@@ -208,6 +233,34 @@ def test_rank_lower_bound_interval_vs_zero_scales_with_width():
         lbs[w] = rank_lower_bound(S, Z)
     assert lbs[2] > 0
     assert lbs[4] == 2 * lbs[2]
+
+
+def _rank_pairs(kind):
+    for s in range(4):
+        M = random_module(2, 3, 2, seed=s)
+        if kind == "snap":
+            for pitch in (Fraction(1, 2), Fraction(1, 3), Fraction(3, 4)):
+                L = snap_to_lattice(M, pitch)
+                yield M, L
+                yield L, M
+        elif kind == "shifted":
+            for r in (Fraction(1, 7), Fraction(-2, 5), Fraction(3, 2)):
+                yield M, shift(M, r)
+            yield M, random_module(2, 3, 2, seed=s + 10)
+        else:
+            yield M, zero_module(2)
+            yield zero_module(2), M
+            S, _, _ = direct_sum(M, M)
+            yield S, zero_module(2)
+
+
+@pytest.mark.parametrize("kind", ["snap", "shifted", "zero"])
+def test_rank_lower_bound_matches_per_vertex_oracle(kind):
+    for M, N in _rank_pairs(kind):
+        assert rank_lower_bound(M, N) == O.rank_lower_bound(M, N)
+        for eps in (Fraction(1, 8), Fraction(9, 20), Fraction(1, 2),
+                    Fraction(5, 7)):
+            assert _rank_violation(M, N, eps) == O.rank_violation(M, N, eps)
 
 
 def test_rank_lower_bound_below_certificate_eps():

@@ -282,6 +282,46 @@ def test_cli_match(files):
     assert json.loads(r2.stdout)["status"] == "no-matching-found"
 
 
+def _tack_inputs(case):
+    A = interval_module((0, 0), (2, 2))
+    if case == "random":
+        return random_module(2, 3, 2, seed=3), A
+    B = interval_module((3, 3), (5, 5))
+    S, _, _ = direct_sum(*common_refinement(A, B)[:2])
+    return S, A
+
+
+@pytest.mark.parametrize("case", ["random", "two-intervals"])
+def test_cli_tack_rejects_decomposable_input(case, capsys, tmp_path):
+    paths = []
+    for i, M in enumerate(_tack_inputs(case)):
+        paths.append(str(tmp_path / f"{i}.json"))
+        io.save(M, paths[-1])
+    for a, b in (paths, paths[::-1]):
+        assert main(["tack", a, b, "--delta", "1"]) == 3
+        assert "indecomposable" in capsys.readouterr().err
+
+
+def _match_inputs(case):
+    A = interval_module((0, 0), (2, 2))
+    if case == "negative-eps":
+        return A, A, "-1/2"
+    if case == "different-n":
+        return A, interval_module((0, 0, 0), (2, 2, 2)), "1/2"
+    return A, interval_module((0, 0), (2, 2), p=65519), "1/2"
+
+
+@pytest.mark.parametrize("case", ["negative-eps", "different-n",
+                                  "different-p"])
+def test_cli_match_precondition_violation_is_exit_3(case, capsys, tmp_path):
+    A, B, eps = _match_inputs(case)
+    io.save(A, tmp_path / "a.json")
+    io.save(B, tmp_path / "b.json")
+    assert main(["match", str(tmp_path / "a.json"), str(tmp_path / "b.json"),
+                 f"--eps={eps}"]) == 3
+    assert "precondition-violation" in capsys.readouterr().err
+
+
 # -- fail-closed loading of entries and vertices ----------------------------
 
 
