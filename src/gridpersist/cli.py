@@ -19,7 +19,8 @@ import numpy as np
 
 from . import field, io
 from .core import Grid, GridModule
-from .decomp import FieldTooSmall, decompose, is_indecomposable
+from .decomp import (FieldTooSmall, PreconditionError, decompose,
+                     is_indecomposable)
 from .field import DEFAULT_PRIME
 from .construct import approximate_indecomposable, tack
 from .match import bottleneck_upper_bound, matching_to_interleaving
@@ -155,7 +156,7 @@ def cmd_tack(args):
     delta = _parse_frac(args.delta)
     try:
         M, cert = tack(A, B, delta)
-    except ValueError as exc:
+    except (PreconditionError, FieldTooSmall) as exc:
         raise CliError(3, "precondition-violation", exc)
     out = {"module": io.module_to_obj(M),
            "certificate_eps": io.frac_str(cert.eps)}
@@ -170,7 +171,7 @@ def cmd_approx_indec(args):
     eps = _parse_frac(args.eps)
     try:
         res = approximate_indecomposable(N, eps, seed=_seed(args))
-    except ValueError as exc:
+    except (PreconditionError, FieldTooSmall) as exc:
         raise CliError(3, "precondition-violation", exc)
     out = {"module": io.module_to_obj(res.module),
            "certificate_eps": io.frac_str(res.certificate.eps)}

@@ -23,7 +23,7 @@ import numpy as np
 from . import field
 from .core import (Grid, GridModule, ModuleMorphism, as_frac,
                    interval_module, sum_module)
-from .decomp import decompose, is_indecomposable
+from .decomp import PreconditionError, decompose, is_indecomposable
 from .interleave import (CertificateError, InterleavingCertificate,
                          TrivialRegion, block_sum_certificates,
                          certificate_grid, compose_certificates,
@@ -508,12 +508,13 @@ def fold(parts, eps0, check_stages: bool = False, verify_cert: bool = True):
     """
     eps0 = as_frac(eps0)
     if len(parts) < 2:
-        raise ValueError("a fold needs at least two modules")
+        raise PreconditionError("a fold needs at least two modules")
     n = parts[0].grid.n
     if n < 2 or any(X.grid.n != n for X in parts):
-        raise ValueError("need modules with the same n >= 2 parameters")
+        raise PreconditionError("need modules with the same n >= 2 "
+                                "parameters")
     if any(X.total_dim() == 0 for X in parts):
-        raise ValueError("fold needs nonzero modules")
+        raise PreconditionError("fold needs nonzero modules")
     eta = eps0 / 10
     ell, ellp = _fold_axes(n)
     prepared = []
@@ -587,7 +588,7 @@ def _frac_gcd(vals):
                            v.numerator * out.denominator),
                        out.denominator * v.denominator)
     if out == 0:
-        raise ValueError("cannot infer a pitch from an all-zero grid")
+        raise PreconditionError("cannot infer a pitch from an all-zero grid")
     return out
 
 
@@ -619,15 +620,16 @@ def tack(A: GridModule, B: GridModule, delta, tau=None,
     """
     delta = as_frac(delta)
     if delta <= 0:
-        raise ValueError("delta must be positive")
+        raise PreconditionError("delta must be positive")
     n = A.grid.n
-    if n < 2 or B.grid.n != n:
-        raise ValueError("need two modules with the same n >= 2 parameters")
+    if n < 2 or B.grid.n != n or B.p != A.p:
+        raise PreconditionError("need two modules over one prime with the "
+                                "same n >= 2 parameters")
     if A.total_dim() == 0 or B.total_dim() == 0:
-        raise ValueError("tack needs nonzero modules")
+        raise PreconditionError("tack needs nonzero modules")
     A, B = prune(A), prune(B)
     if not (is_indecomposable(A) and is_indecomposable(B)):
-        raise ValueError("tack joins two indecomposable modules")
+        raise PreconditionError("tack joins two indecomposable modules")
     eps0 = fold_eps0([A, B], delta, tau)
     assert eps0 < delta / 4
     M, cert, _ = fold([A, B], eps0, check_stages=check_stages)
@@ -682,10 +684,11 @@ def approximate_indecomposable(N: GridModule, eps, seed: int = 0
     """
     eps = as_frac(eps)
     if eps <= 0:
-        raise ValueError("eps must be positive")
+        raise PreconditionError("eps must be positive")
     n = N.grid.n
     if n < 2:
-        raise ValueError("indecomposable approximation needs n >= 2 parameters")
+        raise PreconditionError("indecomposable approximation needs n >= 2 "
+                                "parameters")
     if N.total_dim() == 0:
         # the only module at distance 0 from N is zero, so approximate by the
         # unit eps-cube, which sits at distance exactly eps/2

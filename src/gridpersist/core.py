@@ -301,7 +301,7 @@ class GridModule:
         dims[src[i]] block and zeros elsewhere.  The maps compose along
         axis 0, then axis 1, and so on, with one batched product per step
         of the longest path, reduced mod p after every step (the inner
-        dimension is D; see field.mmul for the overflow condition).
+        dimension is D, which validate bounds; see the field module).
         """
         T = self.step_tensor()
         D = T.shape[-1]
@@ -373,7 +373,8 @@ class GridModule:
         stride = _strides(shape)
 
         def at(v, bad):
-            return tuple(np.unravel_index(int(v[bad][0]), shape))
+            return tuple(int(i) for i in
+                         np.unravel_index(int(v[bad][0]), shape))
 
         for k in range(n):
             v = lo[k].ravel()

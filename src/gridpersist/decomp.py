@@ -1,14 +1,17 @@
 """Decomposing modules into indecomposables via their endomorphism algebras.
 
 A module is indecomposable iff its endomorphism algebra is local.  One
-routine, _idempotent, decides locality and finds the splitting idempotent
-together: the radical is the kernel of the trace bilinear form of the
-regular representation (valid for p > dim End; smaller fields are searched
-exhaustively), and the semisimple quotient is a division algebra iff it is
-commutative with a one-dimensional Frobenius-fixed subspace; otherwise a
-nontrivial idempotent of the quotient lifts through the radical.
-decompose compresses its input once, builds one endomorphism algebra per
-recursion node, splits by pointwise image and kernel, and transports the
+routine, _idempotent, decides locality and finds a splitting idempotent
+together, on any algebra given by its structure table: the radical is the
+kernel of the trace bilinear form of the regular representation (valid for
+p > dim; smaller fields are searched exhaustively), and the semisimple
+quotient, restricted to a table of its own, is a division algebra iff it
+is commutative with a one-dimensional Frobenius-fixed subspace; otherwise
+a nontrivial idempotent of the quotient lifts through the radical.
+decompose compresses its input once to C and builds End(C) once.  It
+splits End(C) into primitive orthogonal idempotents by running
+_idempotent on corner algebras eAe, each restricted from its parent's
+table, splits C once along the images of all of them, and transports the
 summands and the witness back to the input's grid.
 """
 
@@ -25,6 +28,12 @@ from .kan import (compress, compression_witness,
 class FieldTooSmall(ValueError):
     """p <= dim End and p ** dim End is too large to search: the field is
     too small for this module's endomorphism algebra."""
+
+
+class PreconditionError(ValueError):
+    """An input breaks a documented precondition of tack, fold or
+    approximate_indecomposable (the CLI answers it, like FieldTooSmall,
+    with exit 3; any other ValueError there is an internal fault)."""
 
 
 # -- tiny dense polynomial helpers over F_p (ascending coefficients) ----------
@@ -101,23 +110,18 @@ def _ppowmod(base, e, mod, p):
         e >>= 1
     return result
 
-def _poly_roots(g, p, rng):
-    """All roots in F_p of a squarefree product of linear factors."""
-    g = [x % p for x in g]
-    if len(g) - 1 <= 0:
-        return []
-    if len(g) == 2:
-        return [(-g[0]) * field.minv_scalar(g[1], p) % p]
+def _linear_split(g, p, rng):
+    """A proper monic factor of g, a product of at least two distinct
+    linear factors over F_p: one root for small p, otherwise one
+    equal-degree split gcd(g, (x + a)^((p-1)/2) - 1) that works."""
     if p <= 64:
-        return [x for x in range(p) if _peval(g, x, p) == 0]
+        return [-next(x for x in range(p) if _peval(g, x, p) == 0) % p, 1]
     for _ in range(200):
-        a = int(rng.randint(0, p))
-        h = _ppowmod([a, 1], (p - 1) // 2, g, p)
+        h = _ppowmod([int(rng.randint(0, p)), 1], (p - 1) // 2, g, p)
         h = _ptrim([(h[0] - 1) % p] + h[1:]) if h else [p - 1]
         d = _pgcd(h, g, p)
         if 0 < len(d) - 1 < len(g) - 1:
-            q, _ = _pdivmod(g, d, p)
-            return _poly_roots(d, p, rng) + _poly_roots(q, p, rng)
+            return d
     raise RuntimeError("root splitting failed")
 
 def _peval(g, x, p):
@@ -127,17 +131,83 @@ def _peval(g, x, p):
     return acc
 
 
-# -- endomorphism algebras -----------------------------------------------------
+# -- finite algebras by structure table ----------------------------------------
 
-class EndAlgebra:
+class _Algebra:
+    """A finite-dimensional F_p-algebra: table[i, j, k] is the coefficient
+    of basis element k in b_i b_j, and one holds the unit's coordinates.
+    Every contraction goes through field.mmul, so products are exact at
+    any prime."""
+
+    def __init__(self, table, one, p):
+        self.table, self.one, self.p = table, one, p
+        self.dim = len(one)
+
+    def mul(self, x, y):
+        """x y for coordinate vectors, or row by row for stacks of them."""
+        D, p = self.dim, self.p
+        xt = field.mmul(np.reshape(x, (-1, D)) % p,
+                        self.table.reshape(D, D * D), p)
+        return field.mmul(np.reshape(y, (-1, 1, D)) % p,
+                          xt.reshape(-1, D, D), p).reshape(np.shape(x))
+
+    def restrict(self, embed, project, one):
+        """The algebra on the columns of embed (D x d): products are taken
+        here and read back by project (d x D), a left inverse of embed on
+        a subalgebra and the projection along the ideal for a quotient.
+        one is its unit in this algebra's coordinates; the result keeps
+        embed, which maps its coordinates back here."""
+        D, d, p = self.dim, embed.shape[1], self.p
+        t = field.mmul(embed.T, self.table.reshape(D, D * D), p)  # a, (j, k)
+        t = field.mmul(embed.T, t.reshape(d, D, D).transpose(1, 0, 2)
+                       .reshape(D, d * D), p)                     # b, (a, k)
+        t = field.mmul(t.reshape(d * d, D), project.T, p)       # (b, a), c
+        sub = _Algebra(np.ascontiguousarray(
+            t.reshape(d, d, d).transpose(1, 0, 2)),
+            field.mmul(project, one.reshape(-1, 1), p)[:, 0], p)
+        sub.embed = embed
+        return sub
+
+    def is_commutative(self) -> bool:
+        return np.array_equal(self.table, self.table.transpose(1, 0, 2))
+
+    def frobenius_fixed_basis(self) -> np.ndarray:
+        """Basis of {x : x^p = x} of a commutative algebra; its dimension is
+        the number of simple factors when the algebra is semisimple.  All
+        basis elements go to the p-th power in one square-and-multiply."""
+        D, e = self.dim, self.p
+        acc, base = np.tile(self.one, (D, 1)), field.eye(D)
+        while e:
+            if e & 1:
+                acc = self.mul(acc, base)
+            base = self.mul(base, base)
+            e >>= 1
+        return field.nullspace((acc.T - field.eye(D)) % self.p, self.p)
+
+    def min_poly(self, b):
+        rows = [self.one % self.p]
+        cur = self.one.copy()
+        while True:
+            cur = self.mul(cur, b)
+            sol = field.solve(np.stack(rows, axis=1), cur, self.p)
+            if sol is not None:
+                return [(-int(c)) % self.p for c in sol] + [1]
+            rows.append(cur)
+
+    def eval_poly(self, g, b):
+        acc = np.zeros(self.dim, dtype=np.int64)
+        for c in reversed(g):
+            acc = (self.mul(acc, b) + c * self.one) % self.p
+        return acc
+
+
+class EndAlgebra(_Algebra):
     """End(M) in a fixed basis, with structure constants and a solver for
     expressing arbitrary endomorphisms in that basis."""
 
     def __init__(self, M: GridModule):
         self.module = M
-        self.p = M.p
         self.basis = hom_space(M, M)
-        self.dim = len(self.basis)
         self._verts = [tuple(v) for v in np.argwhere(M.dims > 0).tolist()]
         sizes = [M.dim(v) ** 2 for v in self._verts]
         # where each vertex's entries sit in the stacked vectors
@@ -146,6 +216,7 @@ class EndAlgebra:
                        zip(self._verts, np.cumsum([0] + sizes).tolist(), sizes)}
         self._vecmat = (np.stack([self._vec(f) for f in self.basis], axis=1)
                         if self.basis else field.zeros(self._len, 0))
+        self.p, self.dim = M.p, len(self.basis)
         if self.dim:
             self.table = self._structure_constants()
             self.one = self.coords_of(ModuleMorphism.identity(M))
@@ -171,6 +242,15 @@ class EndAlgebra:
     def morphism_of(self, coords) -> ModuleMorphism:
         return ModuleMorphism.linear_combination(self.basis, coords, self.p)
 
+    def image_bases(self, coords):
+        """One dict per coordinate column: vertex -> column basis of the
+        image of that endomorphism there."""
+        comps = field.mmul(self._vecmat, coords, self.p)
+        return [{v: field.column_space(
+                    comps[s, i].reshape(self.module.dim(v), -1), self.p)
+                 for v, s in self._slots.items()}
+                for i in range(coords.shape[1])]
+
     def _structure_constants(self):
         D, p = self.dim, self.p
         # a basis element is determined by its entries on D pivot rows of
@@ -188,107 +268,42 @@ class EndAlgebra:
             rows = piv[vert_of == vi] - offs[vi]
             mats = np.stack([f.at(v) for f in self.basis])  # D x d x d
             a, c = rows // d, rows % d
-            # (f_i o f_j)[a, c] = sum_b f_i[a, b] f_j[b, c]
+            # (f_i o f_j)[a, c] = sum_b f_i[a, b] f_j[b, c], inner size d
+            # is bounded by GridModule.validate
             blocks.append(np.einsum("irb,jbr->ijr", mats[:, a, :],
                                     mats[:, :, c]) % p)
         prod_vecs = np.concatenate(blocks, axis=2).reshape(D * D, D)
         coeffs = field.mmul(field.minv(sub, p), prod_vecs.T, p)
         # table[i, j, k]: coefficient of basis k in f_i o f_j
-        return coeffs.T.reshape(D, D, D) % p
-
-    # element arithmetic in coordinates
-    def mul(self, x, y):
-        return np.einsum("i,j,ijk->k", x % self.p, y % self.p, self.table) % self.p
+        return np.ascontiguousarray(coeffs.T.reshape(D, D, D))
 
 
 def end_algebra(M: GridModule) -> EndAlgebra:
     return EndAlgebra(M)
 
 
-def radical(A: EndAlgebra) -> np.ndarray:
+def radical(A: _Algebra) -> np.ndarray:
     """Basis (columns) of the Jacobson radical, via the trace form of the
     regular representation.  Requires p > dim A."""
     if A.p <= A.dim:
         raise FieldTooSmall(
-            f"radical via trace form needs p > dim End = {A.dim}")
+            f"radical via trace form needs p > dim = {A.dim}")
     if A.dim == 0:
         return field.zeros(0, 0)
-    # L_i: left multiplication by basis i;  G_ij = tr(L_i L_j)
-    L = A.table.transpose(0, 2, 1) % A.p          # L[i][k, j] = c_{ij}^k
-    G = np.einsum("ikm,jmk->ij", L, L) % A.p
+    # G_ij = tr(L_i L_j) = sum_{k,m} c_{im}^k c_{jk}^m
+    D = A.dim
+    G = field.mmul(A.table.reshape(D, D * D),
+                   A.table.transpose(0, 2, 1).reshape(D, D * D).T, A.p)
     return field.nullspace(G, A.p)
 
 
-class _Quotient:
-    """The semisimple quotient B = A / rad in a complement basis."""
-
-    def __init__(self, A: EndAlgebra, rad: np.ndarray):
-        self.p = A.p
-        self.A = A
-        D, r = A.dim, rad.shape[1]
-        piv = set(field.rref(rad.T, A.p)[1]) if r else set()
-        comp_idx = [j for j in range(D) if j not in piv]
-        C = field.zeros(D, len(comp_idx))
-        for k, j in enumerate(comp_idx):
-            C[j, k] = 1
-        self.embed_mat = C                      # B coords -> A coords
-        full = np.concatenate([C, rad], axis=1) if r else C
-        inv = field.minv(full, A.p)
-        self.project_mat = inv[: len(comp_idx)]  # A coords -> B coords
-        self.dim = len(comp_idx)
-        self.one = self.project(A.one)
-
-    def project(self, x):
-        return field.mmul(self.project_mat, np.asarray(x).reshape(-1, 1), self.p)[:, 0]
-
-    def embed(self, b):
-        return field.mmul(self.embed_mat, np.asarray(b).reshape(-1, 1), self.p)[:, 0]
-
-    def mul(self, b1, b2):
-        return self.project(self.A.mul(self.embed(b1), self.embed(b2)))
-
-    def power(self, b, e):
-        acc = self.one.copy()
-        base = b % self.p
-        while e:
-            if e & 1:
-                acc = self.mul(acc, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return acc
-
-    def is_commutative(self) -> bool:
-        for i in range(self.dim):
-            ei = np.eye(self.dim, dtype=np.int64)[i]
-            for j in range(i + 1, self.dim):
-                ej = np.eye(self.dim, dtype=np.int64)[j]
-                if not np.array_equal(self.mul(ei, ej), self.mul(ej, ei)):
-                    return False
-        return True
-
-    def frobenius_fixed_basis(self) -> np.ndarray:
-        """Basis of {x : x^p = x}; its dimension is the number of simple
-        factors when the quotient is commutative."""
-        F = np.stack([self.power(np.eye(self.dim, dtype=np.int64)[i], self.p)
-                      for i in range(self.dim)], axis=1)
-        return field.nullspace((F - field.eye(self.dim)) % self.p, self.p)
-
-    def min_poly(self, b):
-        rows = [self.one % self.p]
-        cur = self.one.copy()
-        while True:
-            cur = self.mul(cur, b)
-            A = np.stack(rows, axis=1)
-            sol = field.solve(A, cur, self.p)
-            if sol is not None:
-                return [(-int(c)) % self.p for c in sol] + [1]
-            rows.append(cur)
-
-    def eval_poly(self, g, b):
-        acc = np.zeros(self.dim, dtype=np.int64)
-        for c in reversed(g):
-            acc = (self.mul(acc, b) + c * self.one) % self.p
-        return acc
+def _corner(A: _Algebra, f) -> _Algebra:
+    """The corner algebra fAf of an idempotent f, on a column basis of
+    x -> f x f; the reduced rows of that map give the coordinates."""
+    F = np.tile(f, (A.dim, 1))
+    fxf = A.mul(A.mul(F, field.eye(A.dim)), F).T
+    R, piv = field.rref(fxf, A.p)
+    return A.restrict(fxf[:, piv], R[:len(piv)], f)
 
 
 def is_indecomposable(M: GridModule) -> bool:
@@ -305,19 +320,27 @@ def find_idempotent(M: GridModule, seed: int = 0) -> ModuleMorphism:
     return A.morphism_of(e)
 
 
-def _idempotent(A: EndAlgebra, seed: int = 0):
+def _idempotent(A: _Algebra, seed: int = 0):
     """Coordinates of a nontrivial idempotent of A (dim A > 0), or None
     exactly when A is local."""
+    if A.dim == 1:
+        return None   # A is the prime field
     if A.p <= A.dim:
         # trace form unavailable; locality <=> only trivial idempotents,
         # decidable by exhaustion for small fields
         return _enumerate_idempotent(A)
-    B = _Quotient(A, radical(A))
+    # the semisimple quotient A / rad, on standard basis vectors that
+    # complete a basis of the radical
+    rad = radical(A)
+    piv = set(field.rref(rad.T, A.p)[1]) if rad.shape[1] else set()
+    C = field.eye(A.dim)[:, [j for j in range(A.dim) if j not in piv]]
+    P = field.minv(np.concatenate([C, rad], axis=1), A.p)[:C.shape[1]]
+    B = A.restrict(C, P, A.one)
     e_b = _quotient_idempotent(B, np.random.RandomState(seed))
     if e_b is None:
         return None
     # lift through the radical: a -> 3a^2 - 2a^3 converges to an idempotent
-    a = B.embed(e_b)
+    a = field.mmul(C, e_b.reshape(-1, 1), A.p)[:, 0]
     for _ in range(200):
         sq = A.mul(a, a)
         if np.array_equal(sq, a):
@@ -330,7 +353,7 @@ def _idempotent(A: EndAlgebra, seed: int = 0):
     return a
 
 
-def _enumerate_idempotent(A: EndAlgebra):
+def _enumerate_idempotent(A: _Algebra):
     """Exhaustive search for a nontrivial idempotent (small p**dim only)."""
     from itertools import product as iproduct
     if A.p ** A.dim > 1 << 22:
@@ -346,36 +369,27 @@ def _enumerate_idempotent(A: EndAlgebra):
     return None
 
 
-def _quotient_idempotent(B: _Quotient, rng):
+def _quotient_idempotent(B: _Algebra, rng):
     """A nontrivial idempotent of the semisimple quotient, or None when it
     is a field (a finite division algebra is commutative, and a commutative
     semisimple algebra is a field iff its Frobenius-fixed space is the
-    prime field)."""
+    prime field).  It comes from a coprime split g1 g2 of the minimal
+    polynomial g of an element b: with u g1 = 1 mod g2, (u g1)(b) is an
+    idempotent."""
     if B.dim <= 1:
         return None
     if B.is_commutative():
         V = B.frobenius_fixed_basis()
         if V.shape[1] == 1:
             return None
-        # pick a fixed vector independent from 1
-        for j in range(V.shape[1]):
-            v = V[:, j]
-            if field.rank(np.stack([B.one, v]), B.p) == 2:
-                break
-        else:
-            raise RuntimeError("no splitting element in Frobenius-fixed space")
-        g = B.min_poly(v)  # squarefree, splits into distinct linear factors
-        roots = _poly_roots(g, B.p, rng)
-        if len(roots) < 2:
-            raise RuntimeError("fixed element has too few eigenvalues")
-        lam = roots[0]
-        h, _ = _pdivmod(g, [(-lam) % B.p, 1], B.p)
-        scale = field.minv_scalar(_peval(h, lam, B.p), B.p)
-        e = (B.eval_poly(h, v) * scale) % B.p
-        return e
-    # matrix-algebra case: split the minimal polynomial of a random element
-    for _ in range(256):
-        b = rng.randint(0, B.p, size=B.dim).astype(np.int64)
+        # a fixed vector independent from 1: its minimal polynomial is a
+        # product of at least two distinct linear factors
+        elements = (V[:, j] for j in range(V.shape[1])
+                    if field.rank(np.stack([B.one, V[:, j]]), B.p) == 2)
+    else:
+        elements = (rng.randint(0, B.p, size=B.dim).astype(np.int64)
+                    for _ in range(256))
+    for b in elements:
         g = B.min_poly(b)
         split = _coprime_split(g, B.p, rng)
         if split is None:
@@ -386,7 +400,7 @@ def _quotient_idempotent(B: _Quotient, rng):
         if e.any() and not np.array_equal(e, B.one) \
                 and np.array_equal(B.mul(e, e), e):
             return e
-    raise RuntimeError("no idempotent found in matrix algebra quotient")
+    raise RuntimeError("no idempotent found in the semisimple quotient")
 
 
 def _coprime_split(g, p, rng):
@@ -401,13 +415,25 @@ def _coprime_split(g, p, rng):
         q, r = _pdivmod(g, u, p)
         if not r and len(_pgcd(u, q, p)) == 1:
             return u, q
-    if len(u) - 1 == deg:  # splits completely: peel one root off
-        roots = _poly_roots(g, p, rng)
-        if len(roots) >= 2:
-            g1 = [(-roots[0]) % p, 1]
-            q, _ = _pdivmod(g, g1, p)
-            return g1, q
+    if len(u) - 1 == deg:  # distinct linear factors: any split is coprime
+        g1 = _linear_split(g, p, rng)
+        return g1, _pdivmod(g, g1, p)[0]
     return None
+
+
+def _primitive_idempotents(A: _Algebra, seed: int):
+    """Coordinates of primitive orthogonal idempotents of A that sum to 1:
+    split off an idempotent g, then go on in the corner algebras of g and
+    1 - g, whose idempotents lie under g and 1 - g."""
+    g = _idempotent(A, seed)
+    if g is None:
+        return [A.one]
+    out = []
+    for f in (g, (A.one - g) % A.p):
+        B = _corner(A, f)
+        out += [field.mmul(B.embed, e.reshape(-1, 1), A.p)[:, 0]
+                for e in _primitive_idempotents(B, seed + 1)]
+    return out
 
 
 # -- splitting a module -------------------------------------------------------
@@ -415,92 +441,73 @@ def _coprime_split(g, p, rng):
 def split_by_idempotent(M: GridModule, e: ModuleMorphism):
     """Split M as image(e) + kernel(e).  Returns (M_im, M_ker, witness) with
     witness a verified isomorphism direct_sum(M_im, M_ker) -> M."""
-    return _checked(*_split_along(M, e))
-
-
-def _split_along(M: GridModule, e: ModuleMorphism):
-    """split_by_idempotent with the witness left unchecked."""
-    bases_im, bases_ker = {}, {}
-    for vidx in M.grid.vertices():
-        vidx = tuple(vidx)
-        if M.dim(vidx) == 0:
-            continue
-        ev = e.at(vidx)
+    for v in M.support_vertices():
+        ev = e.at(v)
         if not np.array_equal(field.mmul(ev, ev, M.p), ev):
-            raise ValueError(f"not idempotent at {vidx}")
-        bases_im[vidx] = field.column_space(ev, M.p)
-        bases_ker[vidx] = field.nullspace(ev, M.p)
-        if bases_im[vidx].shape[1] + bases_ker[vidx].shape[1] != M.dim(vidx):
-            raise ValueError(f"image and kernel do not complement at {vidx}")
-    return _split_by_bases(M, bases_im, bases_ker)
-
-
-def _split_by_bases(M: GridModule, bases1, bases0):
-    p = M.p
-    dims1 = np.zeros(M.grid.shape, dtype=np.int64)
-    dims0 = np.zeros(M.grid.shape, dtype=np.int64)
-    for v, b in bases1.items():
-        dims1[v] = b.shape[1]
-    for v, b in bases0.items():
-        dims0[v] = b.shape[1]
-    steps1, steps0 = {}, {}
-    for vidx in M.grid.vertices():
-        vidx = tuple(vidx)
-        for k in range(M.grid.n):
-            if vidx[k] + 1 >= M.grid.shape[k]:
-                continue
-            w = M.succ(vidx, k)
-            st = M.step(vidx, k)
-            for dims, bases, steps in ((dims1, bases1, steps1),
-                                       (dims0, bases0, steps0)):
-                dv, dw = int(dims[vidx]), int(dims[w])
-                if dv == 0 or dw == 0:
-                    continue
-                rhs = field.mmul(st, bases[vidx], p)
-                sol = field.solve(bases[w], rhs, p)
-                if sol is None:
-                    raise ValueError("subspaces are not preserved by the steps")
-                steps[(vidx, k)] = sol
-    M1 = GridModule(M.grid, dims1, steps1, p)
-    M0 = GridModule(M.grid, dims0, steps0, p)
-    S = sum_module(M1, M0)
-    mats = {}
-    for vidx in M.grid.vertices():
-        vidx = tuple(vidx)
-        if M.dim(vidx) == 0:
-            continue
-        b1 = bases1.get(vidx, field.zeros(M.dim(vidx), 0))
-        b0 = bases0.get(vidx, field.zeros(M.dim(vidx), 0))
-        mats[vidx] = np.concatenate([b1, b0], axis=1)
-    return M1, M0, ModuleMorphism(S, M, mats)
-
-
-def _checked(M1: GridModule, M0: GridModule, W: ModuleMorphism):
-    """(M1, M0, W) once W is a natural isomorphism."""
-    W.validate()
-    if not W.is_isomorphism():
-        raise ValueError("split witness is not an isomorphism")
-    return M1, M0, W
+            raise ValueError(f"not idempotent at {v}")
+    return _image_kernel_split(M, {v: e.at(v) for v in M.support_vertices()})
 
 
 def fitting_split(M: GridModule, phi: ModuleMorphism):
     """Fitting decomposition along an endomorphism: M = im(phi^N) + ker(phi^N)
     for N large enough to stabilize.  Returns (M_im, M_ker, witness)."""
-    N = max(1, M.max_pointwise_dim())
-    bases1, bases0 = {}, {}
-    for vidx in M.grid.vertices():
-        vidx = tuple(vidx)
-        if M.dim(vidx) == 0:
+    powers = {}
+    for v in M.support_vertices():
+        powers[v] = field.eye(M.dim(v))
+        for _ in range(max(1, M.max_pointwise_dim())):
+            powers[v] = field.mmul(powers[v], phi.at(v), M.p)
+    return _image_kernel_split(M, powers)
+
+
+def _image_kernel_split(M: GridModule, mats):
+    """(M_im, M_ker, W) along the pointwise images and kernels of mats
+    (support vertex -> endomorphism of M there), once W is checked."""
+    bases = [{v: field.column_space(a, M.p) for v, a in mats.items()},
+             {v: field.nullspace(a, M.p) for v, a in mats.items()}]
+    parts = _split_by_bases(M, bases)
+    W = _side_by_side(M, parts, bases)
+    W.validate()
+    if not W.is_isomorphism():
+        raise ValueError("split witness is not an isomorphism")
+    return (*parts, W)
+
+
+def _split_by_bases(M: GridModule, bases):
+    """The summands of M spanned by the columns of bases[0], bases[1], ...
+    (dicts over M's support that side by side give a basis of M at every
+    vertex).  Their steps are the diagonal blocks of M's steps in those
+    bases; decompose and _image_kernel_split check the result."""
+    p = M.p
+    dims = np.zeros((len(bases),) + M.grid.shape, dtype=np.int64)
+    W, Winv, offs = {}, {}, {}
+    for v in M.support_vertices():
+        W[v] = np.concatenate([b[v] for b in bases], axis=1)
+        if W[v].shape[1] != M.dim(v):
+            raise ValueError(f"the subspaces do not complement at {v}")
+        Winv[v] = field.minv(W[v], p)
+        widths = [b[v].shape[1] for b in bases]
+        dims[(slice(None),) + v] = widths
+        offs[v] = np.cumsum([0] + widths).tolist()
+    steps = [{} for _ in bases]
+    for (v, k), st in M.steps.items():
+        v = tuple(v)
+        w = M.succ(v, k)
+        if v not in W or w not in W:
             continue
-        a = phi.at(vidx)
-        power = field.eye(M.dim(vidx))
-        for _ in range(N):
-            power = field.mmul(power, a, M.p)
-        bases1[vidx] = field.column_space(power, M.p)
-        bases0[vidx] = field.nullspace(power, M.p)
-        if bases1[vidx].shape[1] + bases0[vidx].shape[1] != M.dim(vidx):
-            raise ValueError("power did not stabilize")
-    return _checked(*_split_by_bases(M, bases1, bases0))
+        T = field.mmul(Winv[w], field.mmul(st, W[v], p), p)
+        for i, s in enumerate(steps):
+            if dims[i][v] and dims[i][w]:
+                s[(v, k)] = T[offs[w][i]:offs[w][i + 1],
+                              offs[v][i]:offs[v][i + 1]]
+    return [GridModule(M.grid, d, s, p) for d, s in zip(dims, steps)]
+
+
+def _side_by_side(M: GridModule, parts, bases) -> ModuleMorphism:
+    """The morphism sum_module(*parts) -> M that includes each part by its
+    basis (unchecked)."""
+    return ModuleMorphism(sum_module(*parts), M, {
+        v: np.concatenate([b[v] for b in bases], axis=1)
+        for v in M.support_vertices()})
 
 
 # -- full decomposition --------------------------------------------------------
@@ -508,10 +515,12 @@ def fitting_split(M: GridModule, phi: ModuleMorphism):
 def decompose(M: GridModule, seed: int = 0):
     """Decompose M into indecomposable summands.
 
-    M is compressed once; the recursion splits the compressed module C and
-    builds one endomorphism algebra per node, which either is local (a
-    summand) or yields the idempotent to split along.  Summands and witness
-    then move back to M's grid: summands by restriction-extension, exact
+    M is compressed once to C, and End(C) is built once.  A complete set of
+    primitive orthogonal idempotents of End(C) comes from splitting off
+    one idempotent at a time in corner algebras, each restricted from its
+    parent's structure table, so no module is built on the way; C then
+    splits once along the images of all of them.  Summands and witness
+    move back to M's grid: summands by restriction-extension, exact
     because M's grid refines C's, and the witness through
     compression_witness.
 
@@ -522,14 +531,12 @@ def decompose(M: GridModule, seed: int = 0):
     if M.total_dim() == 0:
         return [], ModuleMorphism(M, M, {})
     C = compress(M)
-    parts = sorted(((restriction_extension(X, M.grid), X, inc)
-                    for X, inc in _decompose_rec(C, seed)),
+    A = end_algebra(C)
+    bases = A.image_bases(np.stack(_primitive_idempotents(A, seed), axis=1))
+    parts = sorted(((restriction_extension(X, M.grid), X, b)
+                    for X, b in zip(_split_by_bases(C, bases), bases)),
                    key=lambda t: (t[0].total_dim(), t[0].dims.ravel().tolist()))
-    # the inclusions side by side: sum of the parts on C's grid -> C
-    Wc = ModuleMorphism(
-        sum_module(*(X for _, X, _ in parts)), C,
-        {v: np.concatenate([inc[v] for _, _, inc in parts if v in inc], axis=1)
-         for v in C.support_vertices()})
+    Wc = _side_by_side(C, [X for _, X, _ in parts], [b for _, _, b in parts])
     W = compression_witness(M, C).compose(
         morphism_restriction_extension(Wc, M.grid))
     summands = [Y for Y, _, _ in parts]
@@ -538,21 +545,3 @@ def decompose(M: GridModule, seed: int = 0):
     if not W.is_isomorphism():
         raise RuntimeError("decomposition witness failed verification")
     return summands, W
-
-
-def _decompose_rec(M: GridModule, seed: int):
-    """[(X, components of an inclusion X -> M)] over indecomposable
-    summands X of M, from one endomorphism algebra of M."""
-    A = end_algebra(M)
-    e = _idempotent(A, seed)
-    if e is None:
-        return [(M, ModuleMorphism.identity(M).mats)]
-    # decompose checks the assembled witness, which covers every split
-    M1, M0, W = _split_along(M, A.morphism_of(e))
-    out = []
-    for side, part in enumerate((M1, M0)):
-        for X, inc in _decompose_rec(part, seed + 1):
-            out.append((X, {v: field.mmul(np.split(W.mats[v], [M1.dim(v)],
-                                                   axis=1)[side], m, M.p)
-                            for v, m in inc.items()}))
-    return out

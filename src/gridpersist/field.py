@@ -1,11 +1,14 @@
 """Exact linear algebra over a prime field F_p, on numpy int64 arrays.
 
-All matrices are numpy arrays of dtype int64 with entries in [0, p).
-p must be prime, and a product is exact only while (p-1)**2 * (inner
-dimension) < 2**63.  GridModule.validate enforces this for the inner
-dimension of structure-map products, the module's largest pointwise
-dimension D; p = 2**31 - 1 already fails it at D = 3.  The default prime
-keeps products exact up to inner dimension 2**31.
+All matrices are numpy arrays of dtype int64 with entries in [0, p), and
+p must be prime with (p-1)**2 < 2**63.  mmul is exact at every such prime
+and any inner dimension: it sums the inner dimension in chunks of at most
+(2**63 - 1) // (p-1)**2 terms, reduced mod p in between (one chunk up to
+inner dimension 2**31 at the default prime, so no cost there).  The
+batched products over a module's step tensor (GridModule.validate,
+structure_maps) have the module's largest pointwise dimension D as inner
+dimension and run unchunked; GridModule.validate requires
+(p-1)**2 * D < 2**63 for them, so p = 2**31 - 1 is accepted up to D = 2.
 """
 
 from __future__ import annotations
@@ -54,12 +57,21 @@ def eye(n: int) -> np.ndarray:
 
 
 def mmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Matrix product mod p."""
-    if a.shape[1] != b.shape[0]:
+    """Matrix product mod p of factors with entries of magnitude < p, exact
+    for any inner dimension.  Two stacks of matrices with the same leading
+    axes multiply pairwise."""
+    n = a.shape[-1]
+    if n != b.shape[-2]:
         raise ValueError(f"shape mismatch {a.shape} @ {b.shape}")
-    if a.shape[0] == 0 or b.shape[1] == 0 or a.shape[1] == 0:
-        return zeros(a.shape[0], b.shape[1])
-    return (a @ b) % p
+    if a.size == 0 or b.size == 0:
+        return np.zeros(a.shape[:-1] + b.shape[-1:], dtype=np.int64)
+    if (p - 1) ** 2 <= (2 ** 63 - 1) // n:
+        return (a @ b) % p
+    chunk = (2 ** 63 - 1) // (int(p) - 1) ** 2
+    out = 0
+    for s in range(0, n, chunk):
+        out = (out + (a[..., s:s + chunk] @ b[..., s:s + chunk, :]) % p) % p
+    return out
 
 
 def minv_scalar(x: int, p: int) -> int:

@@ -215,6 +215,27 @@ def test_validate_rejects_out_of_range_entry():
         GridModule(G.grid, G.dims.copy(), steps, G.p).validate()
 
 
+def test_validate_names_vertices_with_plain_ints():
+    # the message is the CLI's exit-2 diagnostic, so it shows (0, 1), not
+    # numpy scalar reprs
+    M = random_module(2, 3, 2, seed=1)
+    for key, want in ((((0, 2), 0), "square at (0, 1) axes (0,1) does not "
+                                    "commute"),
+                      (((0, 1), 1), "square at (0, 1) axes (0,1) does not "
+                                    "commute")):
+        steps = dict(M.steps)
+        steps[key] = steps[key].copy()
+        steps[key][0, 0] = (steps[key][0, 0] + 1) % M.p
+        with pytest.raises(ValueError) as exc:
+            GridModule(M.grid, M.dims.copy(), steps, M.p).validate()
+        assert str(exc.value) == want
+    steps = dict(M.steps)
+    steps[((0, 1), 1)] = steps[((0, 1), 1)] + M.p
+    with pytest.raises(ValueError) as exc:
+        GridModule(M.grid, M.dims.copy(), steps, M.p).validate()
+    assert str(exc.value) == "step at (0, 1) axis 1: entries out of [0,p)"
+
+
 def test_validate_rejects_prime_too_large_for_int64_products():
     # (p-1)**2 * 3 >= 2**63: products of 3 x 3 matrices overflow int64,
     # so the commutativity checks could pass on wrapped-around values

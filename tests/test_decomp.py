@@ -194,10 +194,13 @@ def _refined_shuffled(seed, ways=3):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_decompose_builds_one_end_per_node_on_the_compressed_grid(
         seed, monkeypatch):
+    # one End(C) for C = compress(M), split by its corner algebras, and
+    # one split of C along all the idempotents
     _, M = _refined_shuffled(seed)
     shape = compress(M).grid.shape
-    built, compressed = [], []
+    built, compressed, splits = [], [], []
     init = decomp.EndAlgebra.__init__
+    split = decomp._split_by_bases
 
     def counting_init(self, X):
         built.append(X.grid.shape)
@@ -207,12 +210,17 @@ def test_decompose_builds_one_end_per_node_on_the_compressed_grid(
         compressed.append(X)
         return compress(X)
 
+    def counting_split(X, bases):
+        splits.append(len(bases))
+        return split(X, bases)
+
     monkeypatch.setattr(decomp.EndAlgebra, "__init__", counting_init)
     monkeypatch.setattr(decomp, "compress", counting_compress)
+    monkeypatch.setattr(decomp, "_split_by_bases", counting_split)
     parts, w = decompose(M)
     assert len(parts) >= 2
-    assert len(built) == 2 * len(parts) - 1
-    assert all(a <= b for s in built for a, b in zip(s, shape))
+    assert built == [shape]
+    assert splits == [len(parts)]
     assert compressed == [M]
     assert w.target is M and w.is_isomorphism()
 
@@ -291,3 +299,88 @@ def test_find_idempotent_raises_exactly_on_indecomposables(p):
                        for m in e.mats.values())
         verdicts.add(raised)
     assert verdicts == {True, False}
+
+
+# -- the complete set of primitive idempotents --------------------------------
+
+def _idempotent_corpus(p):
+    X = interval_module((0, 0), (2, 2), p=p)
+    Y = interval_module((1, 1), (3, 3), p=p)
+    G = module_G(p=p)
+    Xr, Yr = _refine_all(X, Y)
+    corpus = [
+        (random_basis_change(direct_sum(G, G)[0], seed=3), 2),
+        (random_basis_change(direct_sum(Xr, Xr, Yr)[0], seed=4), 3),
+        (random_basis_change(direct_sum(Xr, Yr)[0], seed=5), 2),
+        (random_module(2, 3, 2, seed=2, p=p), None),
+        (random_module(2, 2, 2, seed=6, p=p), None)]
+    R = random_module(2, 3, 2, seed=4, p=p)
+    ax = sorted({Fraction(i, 2) for i in range(5)})
+    corpus.append((random_basis_change(
+        restriction_extension(R, Grid([ax, ax])), seed=7), None))
+    return corpus
+
+
+@pytest.mark.parametrize("p", [2, 3, 65521])
+def test_primitive_idempotents_are_complete_orthogonal_and_local(p):
+    for M, k in _idempotent_corpus(p):
+        C = compress(M)
+        A = end_algebra(C)
+        idems = decomp._primitive_idempotents(A, 0)
+        if k is not None:
+            assert len(idems) == k
+        assert np.array_equal(sum(idems) % p, A.one)
+        for i, e in enumerate(idems):
+            assert e.any()
+            for j, f in enumerate(idems):
+                assert np.array_equal(A.mul(e, f), e if i == j else 0 * e)
+        bases = A.image_bases(np.stack(idems, axis=1))
+        for e, X in zip(idems, decomp._split_by_bases(C, bases)):
+            X.validate()
+            d = O.hom_dim(X, X)
+            # the corner eAe is End(eC)
+            assert decomp._corner(A, e).dim == d
+            if p ** d <= 4096:
+                assert O.find_idempotent_bruteforce(X) is None
+        parts, w = decompose(M)
+        assert len(parts) == len(idems)
+        assert w.is_isomorphism()
+
+
+# -- exactness at the largest prime validate accepts ---------------------------
+
+P31 = 2 ** 31 - 1
+
+
+def test_end_algebra_is_exact_at_the_largest_accepted_prime():
+    # at p = 2**31 - 1 and pointwise dimension 2, one product of three
+    # factors overflows int64; every product must come out exact
+    X = interval_module((0, 0), (2, 2), p=P31)
+    Y = interval_module((1, 1), (3, 3), p=P31)
+    Xr, Yr = _refine_all(X, Y)
+    M = random_basis_change(direct_sum(Xr, Yr)[0], seed=3)
+    assert M.validate() and M.max_pointwise_dim() == 2
+    A = end_algebra(M)
+    assert A.dim == 3
+    t = A.table.tolist()
+    for i in range(3):
+        for j in range(3):
+            prod = A.morphism_of(t[i][j])
+            for v in M.support_vertices():
+                want = O.mat_mul(A.basis[i].at(v).tolist(),
+                                 A.basis[j].at(v).tolist(), P31)
+                assert prod.at(v).tolist() == want
+    rng = np.random.default_rng(0)
+    pairs = [([P31 - 1] * 3, [P31 - 1] * 3)]
+    pairs += [(rng.integers(0, P31, 3).tolist(),
+               rng.integers(0, P31, 3).tolist()) for _ in range(5)]
+    for x, y in pairs:
+        want = [sum(x[i] * y[j] * t[i][j][k] for i in range(3)
+                    for j in range(3)) % P31 for k in range(3)]
+        assert A.mul(np.array(x), np.array(y)).tolist() == want
+    assert not is_indecomposable(M)
+    parts, w = decompose(M)
+    assert sorted(X.total_dim() for X in parts) == [4, 4]
+    assert all(is_indecomposable(X) for X in parts)
+    assert {tuple(X.dims.ravel()) for X in parts} == {
+        tuple(Xr.dims.ravel()), tuple(Yr.dims.ravel())}

@@ -100,3 +100,23 @@ def test_probable_prime():
     assert field.is_probable_prime(2)
     assert not field.is_probable_prime(65520)
     assert not field.is_probable_prime(1)
+
+
+@pytest.mark.parametrize("p", [2, 65521, 2 ** 31 - 1])
+def test_mmul_is_exact_for_any_inner_dimension(p):
+    # at 2**31 - 1 two products of (p-1)**2 already fill int64, so longer
+    # sums must be reduced in chunks
+    from oracles import mat_mul
+    rng = np.random.default_rng(p % 1000)
+    for n in (0, 1, 2, 3, 7):
+        a, b = _rand_mat(rng, 3, n, p), _rand_mat(rng, n, 4, p)
+        a[:, :1], b[:1] = p - 1, p - 1
+        assert field.mmul(a, b, p).tolist() == mat_mul(a.tolist(),
+                                                       b.tolist(), p, cols=4)
+    # stacks multiply pairwise
+    a = rng.integers(0, p, size=(5, 2, 7)).astype(np.int64)
+    b = rng.integers(0, p, size=(5, 7, 3)).astype(np.int64)
+    out = field.mmul(a, b, p)
+    assert out.shape == (5, 2, 3)
+    for i in range(5):
+        assert out[i].tolist() == mat_mul(a[i].tolist(), b[i].tolist(), p)

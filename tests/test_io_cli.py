@@ -15,7 +15,8 @@ from gridpersist.cli import main, random_module
 from gridpersist.construct import module_G
 from gridpersist.core import (Grid, GridModule, ModuleMorphism, direct_sum,
                               interval_module)
-from gridpersist.interleave import identity_certificate, snap_certificate
+from gridpersist.interleave import (CertificateError, identity_certificate,
+                                    snap_certificate)
 from gridpersist.kan import common_refinement, shift
 
 
@@ -216,6 +217,23 @@ def test_cli_decompose_does_not_report_internal_errors_as_exit_3(
         main(["decompose", str(files["a"])])
 
 
+def test_cli_tack_and_approx_indec_do_not_report_internal_faults_as_exit_3(
+        files, monkeypatch, capsys):
+    # a failed stage certificate inside the fold is a fault of the library,
+    # not of the input, although CertificateError is a ValueError
+    import gridpersist.construct as construct
+
+    def broken(*args, **kwargs):
+        raise CertificateError("antenna certificate fails at (0, 0)")
+
+    monkeypatch.setattr(construct, "add_antenna", broken)
+    for argv in (["tack", str(files["a"]), str(files["b"]), "--delta", "1"],
+                 ["approx-indec", str(files["module"]), "--eps", "1/2"]):
+        with pytest.raises(CertificateError, match="antenna"):
+            main(argv)
+        assert "precondition-violation" not in capsys.readouterr().err
+
+
 def _non_commuting_G_obj():
     """module_G with one internal step doubled: the square above it no
     longer commutes."""
@@ -300,6 +318,27 @@ def test_cli_tack_rejects_decomposable_input(case, capsys, tmp_path):
     for a, b in (paths, paths[::-1]):
         assert main(["tack", a, b, "--delta", "1"]) == 3
         assert "indecomposable" in capsys.readouterr().err
+
+
+def _tack_precondition_inputs(case):
+    A = interval_module((0, 0), (2, 2))
+    if case == "different-p":
+        return A, interval_module((0, 0), (2, 2), p=65519)
+    if case == "different-n":
+        return A, interval_module((0, 0, 0), (2, 2, 2))
+    # one vertex at the origin: no grid pitch to scale the fold by
+    point = GridModule(Grid([[0], [0]]), np.array([[1]]), {})
+    return point, point
+
+
+@pytest.mark.parametrize("case", ["different-p", "different-n", "no-pitch"])
+def test_cli_tack_precondition_violation_is_exit_3(case, capsys, tmp_path):
+    paths = []
+    for i, M in enumerate(_tack_precondition_inputs(case)):
+        paths.append(str(tmp_path / f"{i}.json"))
+        io.save(M, paths[-1])
+    assert main(["tack", *paths, "--delta", "1"]) == 3
+    assert "precondition-violation" in capsys.readouterr().err
 
 
 def _match_inputs(case):
@@ -456,21 +495,43 @@ def test_loader_rejects_non_natural_morphism(capsys, tmp_path):
 
 # sha256 of the stdout of `approx-indec <m> --eps 1/2 --seed 0 --emit-proof`
 # and `decompose <m> --seed 0 --emit-proof`; a change to these digests is a
-# change to the CLI's output for a fixed seed
+# change to the CLI's output for a fixed seed.  The summands' bases follow
+# the idempotents decompose finds, so a new splitting strategy changes the
+# digests but none of STABLE_SHAPE below.
 STABLE_OUTPUT = {
     "on-integers": (
         lambda: random_module(2, 3, 2, seed=0),
-        "5833c3d0781a08ebe9c1fe5937a2912c87df552b3dc8afe9a2c96ce3d01dd083",
-        "d101a2ca60ebc48789d2729198b9a15546089a1939636c51427e6b6666866028"),
+        "a4b84a70825d80492f3136deca886c6d064cf89d566fea71c84b38e33dc02d4b",
+        "a09c5adff3fe3d9fa32205a4bff5e782be70f918b23ec6c6afaa0e03297e57ae"),
     "off-lattice": (
         lambda: shift(random_module(2, 3, 2, seed=10), Fraction(-1, 7)),
-        "e2b6abdca73c6930874e4c998923e51f6beaa5480d7fc1b95ba10e38a4bc59bf",
-        "4cfbfb947df799292dbb707e7cdce28e66b175923cd18e3e4e1f988f9c03b4bf"),
+        "cbb7db9fe84bd7198a6e9167740a398fbdc32e73d26c80991286cdd3c47e6790",
+        "66f7bad0be42f3ccc10fba6e5cec088611e9b26800df4feee1e04f926a1d8f20"),
     "negative": (
         lambda: shift(random_module(2, 3, 2, seed=21), Fraction(5, 3)),
-        "0c4d25cae61faa72ef38f4de6df8fa1a4a080e8a73456b28cdd0cfdb1b8642da",
-        "4ae47a554b647618d7efc72e17005719d93162edc6c05d7981f8b2cb0b448c32"),
+        "40066b0f9a1147190042eee2e282825778b6cd6460c068965deb878639725c88",
+        "88577f00a952d77e64a65c2cea243ebb83211b4787ea2e997755b977e2b2ab90"),
 }
+
+# what the outputs above must keep under any valid choice of idempotents:
+# the summand count, sha256 of the JSON of the summands' sorted dims
+# arrays, sha256 of the JSON of the approximation's dims array, and its
+# certificate eps
+STABLE_SHAPE = {
+    "on-integers": (
+        4, "b1ac1dfd04507d9bcf697cb816b80adbb86814068aed13cce2c0ba570cd431c4",
+        "9e1014a911c31b6997f7dfc7caa073ee5ee7e8022b322d0389babf75efeb1b63"),
+    "off-lattice": (
+        5, "12b8cf2e30ea528400d1b84689082e58bd70bb5d34589329c70cd43fd7e3073c",
+        "484bb4af9a428b1033fa45990b92395d93417f37e2acdee698b8de9efeacdbfb"),
+    "negative": (
+        5, "cb5adf993260a89a37ff6dc171d1d75715625a74203087c274239a3d2a013788",
+        "0fe455e0a1d4ee4a3a483b583933a96a3e22317f5565e300d3f1aa72a17fdb14"),
+}
+
+
+def _json_sha(obj):
+    return hashlib.sha256(json.dumps(obj).encode()).hexdigest()
 
 
 @pytest.mark.parametrize("case", sorted(STABLE_OUTPUT))
@@ -478,9 +539,22 @@ def test_cli_proof_output_is_byte_stable(case, capsys, tmp_path):
     build, approx_sha, decompose_sha = STABLE_OUTPUT[case]
     path = tmp_path / "m.json"
     io.save(build(), path)
-    for argv, want in (
-            (["approx-indec", str(path), "--eps", "1/2"], approx_sha),
-            (["decompose", str(path)], decompose_sha)):
-        assert main(argv + ["--seed", "0", "--emit-proof"]) == 0
-        out = capsys.readouterr().out
-        assert hashlib.sha256(out.encode()).hexdigest() == want, argv[0]
+    outs = {}
+    for argv in (["approx-indec", str(path), "--eps", "1/2"],
+                 ["decompose", str(path)]):
+        runs = []
+        for _ in range(2):
+            assert main(argv + ["--seed", "0", "--emit-proof"]) == 0
+            runs.append(capsys.readouterr().out)
+        assert runs[0] == runs[1], argv[0]
+        outs[argv[0]] = runs[0]
+    approx, dec = (json.loads(outs[c]) for c in ("approx-indec", "decompose"))
+    k, summand_dims_sha, approx_dims_sha = STABLE_SHAPE[case]
+    assert len(dec["summands"]) == k
+    assert _json_sha(sorted(X["dims"] for X in dec["summands"])) \
+        == summand_dims_sha
+    assert _json_sha(approx["module"]["dims"]) == approx_dims_sha
+    assert approx["certificate_eps"] == "9/20"
+    for cmd, want in (("approx-indec", approx_sha),
+                      ("decompose", decompose_sha)):
+        assert hashlib.sha256(outs[cmd].encode()).hexdigest() == want, cmd
