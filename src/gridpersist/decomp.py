@@ -6,8 +6,12 @@ together, on any algebra given by its structure table: the radical is the
 kernel of the trace bilinear form of the regular representation (valid for
 p > dim; smaller fields are searched exhaustively), and the semisimple
 quotient, restricted to a table of its own, is a division algebra iff it
-is commutative with a one-dimensional Frobenius-fixed subspace; otherwise
-a nontrivial idempotent of the quotient lifts through the radical.
+is commutative with a one-dimensional Frobenius-fixed subalgebra.
+Otherwise powers taken in the algebra give a nontrivial idempotent, in
+the manner of Cantor-Zassenhaus: (c^((p-1)/2) + c^(p-1)) / 2 for a
+Frobenius-fixed c of the quotient, or of the commutative subalgebra F_p[b]
+of a random b when the quotient is noncommutative; it lifts through the
+radical.
 decompose compresses its input once to C and builds End(C) once.  It
 splits End(C) into primitive orthogonal idempotents by running
 _idempotent on corner algebras eAe, each restricted from its parent's
@@ -34,101 +38,6 @@ class PreconditionError(ValueError):
     """An input breaks a documented precondition of tack, fold or
     approximate_indecomposable (the CLI answers it, like FieldTooSmall,
     with exit 3; any other ValueError there is an internal fault)."""
-
-
-# -- tiny dense polynomial helpers over F_p (ascending coefficients) ----------
-
-def _ptrim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-def _pmul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return _ptrim(out)
-
-def _pdivmod(a, b, p):
-    a = list(a)
-    db, lead = len(b) - 1, b[-1]
-    inv = field.minv_scalar(lead, p)
-    q = [0] * max(len(a) - db, 0)
-    while len(a) - 1 >= db and a:
-        c = a[-1] * inv % p
-        q[len(a) - 1 - db] = c
-        if c:
-            for i in range(db + 1):
-                a[len(a) - 1 - db + i] = (a[len(a) - 1 - db + i] - c * b[i]) % p
-        a.pop()
-        _ptrim(a)
-    return _ptrim(q), a
-
-def _pgcd(a, b, p):
-    a, b = list(a), list(b)
-    while b:
-        a, b = b, _pdivmod(a, b, p)[1]
-    if a:
-        inv = field.minv_scalar(a[-1], p)
-        a = [x * inv % p for x in a]
-    return a
-
-def _pxgcd(a, b, p):
-    """(g, u, v) with u a + v b = g, g monic."""
-    r0, r1 = list(a), list(b)
-    s0, s1 = [1], []
-    t0, t1 = [], [1]
-    while r1:
-        q, r = _pdivmod(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, _ptrim([(x - y) % p for x, y in
-                             _zippad(s0, _pmul(q, s1, p))])
-        t0, t1 = t1, _ptrim([(x - y) % p for x, y in
-                             _zippad(t0, _pmul(q, t1, p))])
-    if r0:
-        inv = field.minv_scalar(r0[-1], p)
-        r0 = [x * inv % p for x in r0]
-        s0 = [x * inv % p for x in s0]
-        t0 = [x * inv % p for x in t0]
-    return r0, s0, t0
-
-def _zippad(a, b):
-    k = max(len(a), len(b))
-    return zip(a + [0] * (k - len(a)), b + [0] * (k - len(b)))
-
-def _ppowmod(base, e, mod, p):
-    result = [1]
-    base = _pdivmod(base, mod, p)[1]
-    while e:
-        if e & 1:
-            result = _pdivmod(_pmul(result, base, p), mod, p)[1]
-        base = _pdivmod(_pmul(base, base, p), mod, p)[1]
-        e >>= 1
-    return result
-
-def _linear_split(g, p, rng):
-    """A proper monic factor of g, a product of at least two distinct
-    linear factors over F_p: one root for small p, otherwise one
-    equal-degree split gcd(g, (x + a)^((p-1)/2) - 1) that works."""
-    if p <= 64:
-        return [-next(x for x in range(p) if _peval(g, x, p) == 0) % p, 1]
-    for _ in range(200):
-        h = _ppowmod([int(rng.randint(0, p)), 1], (p - 1) // 2, g, p)
-        h = _ptrim([(h[0] - 1) % p] + h[1:]) if h else [p - 1]
-        d = _pgcd(h, g, p)
-        if 0 < len(d) - 1 < len(g) - 1:
-            return d
-    raise RuntimeError("root splitting failed")
-
-def _peval(g, x, p):
-    acc = 0
-    for c in reversed(g):
-        acc = (acc * x + c) % p
-    return acc
 
 
 # -- finite algebras by structure table ----------------------------------------
@@ -171,34 +80,25 @@ class _Algebra:
     def is_commutative(self) -> bool:
         return np.array_equal(self.table, self.table.transpose(1, 0, 2))
 
-    def frobenius_fixed_basis(self) -> np.ndarray:
-        """Basis of {x : x^p = x} of a commutative algebra; its dimension is
-        the number of simple factors when the algebra is semisimple.  All
-        basis elements go to the p-th power in one square-and-multiply."""
-        D, e = self.dim, self.p
-        acc, base = np.tile(self.one, (D, 1)), field.eye(D)
+    def power(self, x, e: int):
+        """x ** e by square-and-multiply, row by row for stacks."""
+        acc = np.broadcast_to(self.one, np.shape(x)).copy()
+        x = np.asarray(x) % self.p
         while e:
             if e & 1:
-                acc = self.mul(acc, base)
-            base = self.mul(base, base)
+                acc = self.mul(acc, x)
             e >>= 1
-        return field.nullspace((acc.T - field.eye(D)) % self.p, self.p)
-
-    def min_poly(self, b):
-        rows = [self.one % self.p]
-        cur = self.one.copy()
-        while True:
-            cur = self.mul(cur, b)
-            sol = field.solve(np.stack(rows, axis=1), cur, self.p)
-            if sol is not None:
-                return [(-int(c)) % self.p for c in sol] + [1]
-            rows.append(cur)
-
-    def eval_poly(self, g, b):
-        acc = np.zeros(self.dim, dtype=np.int64)
-        for c in reversed(g):
-            acc = (self.mul(acc, b) + c * self.one) % self.p
+            if e:
+                x = self.mul(x, x)
         return acc
+
+    def frobenius_fixed_basis(self) -> np.ndarray:
+        """Basis of {x : x^p = x} of a commutative algebra: a subalgebra
+        F_p^s, s the number of local factors (of simple factors when the
+        algebra is semisimple), spanned by its primitive idempotents."""
+        I = field.eye(self.dim)
+        return field.nullspace((self.power(I, self.p).T - I) % self.p,
+                               self.p)
 
 
 class EndAlgebra(_Algebra):
@@ -372,53 +272,46 @@ def _enumerate_idempotent(A: _Algebra):
 def _quotient_idempotent(B: _Algebra, rng):
     """A nontrivial idempotent of the semisimple quotient, or None when it
     is a field (a finite division algebra is commutative, and a commutative
-    semisimple algebra is a field iff its Frobenius-fixed space is the
-    prime field).  It comes from a coprime split g1 g2 of the minimal
-    polynomial g of an element b: with u g1 = 1 mod g2, (u g1)(b) is an
-    idempotent."""
+    semisimple algebra is a field iff its Frobenius-fixed subalgebra is the
+    prime field).  A commutative quotient splits by _fixed_idempotent; a
+    noncommutative one splits the same way inside the commutative
+    subalgebra F_p[b] of a random element b, on the reduced basis of the
+    span of 1, b, b^2, ..., until some F_p[b] is not local."""
     if B.dim <= 1:
         return None
     if B.is_commutative():
-        V = B.frobenius_fixed_basis()
-        if V.shape[1] == 1:
-            return None
-        # a fixed vector independent from 1: its minimal polynomial is a
-        # product of at least two distinct linear factors
-        elements = (V[:, j] for j in range(V.shape[1])
-                    if field.rank(np.stack([B.one, V[:, j]]), B.p) == 2)
-    else:
-        elements = (rng.randint(0, B.p, size=B.dim).astype(np.int64)
-                    for _ in range(256))
-    for b in elements:
-        g = B.min_poly(b)
-        split = _coprime_split(g, B.p, rng)
-        if split is None:
-            continue
-        g1, g2 = split
-        _, u, _ = _pxgcd(g1, g2, B.p)
-        e = B.eval_poly(_pdivmod(_pmul(u, g1, B.p), g, B.p)[1], b)
-        if e.any() and not np.array_equal(e, B.one) \
-                and np.array_equal(B.mul(e, e), e):
-            return e
+        return _fixed_idempotent(B, rng)
+    for _ in range(256):
+        b = rng.randint(0, B.p, size=B.dim).astype(np.int64)
+        powers = [B.one]
+        for _ in range(B.dim - 1):
+            powers.append(B.mul(powers[-1], b))
+        R, piv = field.rref(np.stack(powers), B.p)
+        S = B.restrict(R[:len(piv)].T, field.eye(B.dim)[piv], B.one)
+        e = _fixed_idempotent(S, rng)
+        if e is not None:
+            return field.mmul(S.embed, e.reshape(-1, 1), B.p)[:, 0]
     raise RuntimeError("no idempotent found in the semisimple quotient")
 
 
-def _coprime_split(g, p, rng):
-    """g = g1 * g2 with gcd(g1, g2) = 1, both nontrivial; None if not found."""
-    deg = len(g) - 1
-    if deg < 2:
+def _fixed_idempotent(S: _Algebra, rng):
+    """A nontrivial idempotent of a commutative algebra S, or None when its
+    Frobenius-fixed subalgebra V = F_p^s has s = 1.  For c in V the element
+    (c^((p-1)/2) + c^(p-1)) / 2 is an idempotent: 1 on the factors of V
+    where c is a nonzero square, 0 on the others (p is odd: the trace-form
+    path has p > dim >= 2).  Candidates c are drawn sixteen at a time and
+    raised in one power."""
+    V = S.frobenius_fixed_basis()
+    if V.shape[1] == 1:
         return None
-    # product of distinct linear factors
-    u = _pgcd(_ptrim([(a - b) % p for a, b in
-                      _zippad(_ppowmod([0, 1], p, g, p), [0, 1])]), g, p)
-    if 0 < len(u) - 1 < deg:
-        q, r = _pdivmod(g, u, p)
-        if not r and len(_pgcd(u, q, p)) == 1:
-            return u, q
-    if len(u) - 1 == deg:  # distinct linear factors: any split is coprime
-        g1 = _linear_split(g, p, rng)
-        return g1, _pdivmod(g, g1, p)[0]
-    return None
+    p = S.p
+    for _ in range(64):
+        c = field.mmul(rng.randint(0, p, size=(16, V.shape[1])), V.T, p)
+        h = S.power(c, (p - 1) // 2)
+        for e in (h + S.mul(h, h)) % p * ((p + 1) // 2) % p:
+            if e.any() and not np.array_equal(e, S.one):
+                return e
+    raise RuntimeError("no idempotent found in the Frobenius-fixed subalgebra")
 
 
 def _primitive_idempotents(A: _Algebra, seed: int):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gridpersist import decomp, field
+from gridpersist import decomp, field, io
 from gridpersist.cli import random_module
 from gridpersist.construct import module_G
 from gridpersist.core import (ModuleMorphism, direct_sum, interval_module,
@@ -384,3 +384,138 @@ def test_end_algebra_is_exact_at_the_largest_accepted_prime():
     assert all(is_indecomposable(X) for X in parts)
     assert {tuple(X.dims.ravel()) for X in parts} == {
         tuple(Xr.dims.ravel()), tuple(Yr.dims.ravel())}
+
+
+# -- idempotents from powers in the algebra -----------------------------------
+
+def _matrix_algebra(mats, p, seed):
+    """The algebra spanned by the square matrices mats, closed under
+    products, on a random basis of their span: (structure table, unit)."""
+    rng = np.random.RandomState(seed)
+    D = len(mats)
+    while True:
+        P = rng.randint(0, p, size=(D, D)).astype(np.int64)
+        if field.rank(P, p) == D:
+            break
+    mats = [sum(int(P[k, i]) * mats[k] % p for k in range(D)) % p
+            for i in range(D)]
+    vecs = np.stack([m.ravel() for m in mats], axis=1)
+    table = np.zeros((D, D, D), dtype=np.int64)
+    for i in range(D):
+        for j in range(D):
+            table[i, j] = field.solve(
+                vecs, field.mmul(mats[i], mats[j], p).ravel(), p)
+    one = field.solve(vecs, field.eye(len(mats[0])).ravel(), p)
+    return decomp._Algebra(table, one, p), mats
+
+
+def _units(n, cells):
+    out = []
+    for i, j in cells:
+        m = field.zeros(n, n)
+        m[i, j] = 1
+        out.append(m)
+    return out
+
+
+def _nonresidue(p):
+    return next(n for n in range(2, p) if pow(n, (p - 1) // 2, p) == p - 1)
+
+
+def _semisimple_algebras(p):
+    """(name, matrices spanning a semisimple algebra, is it a field)."""
+    x = field.fmat([[0, _nonresidue(p)], [1, 0]], p)   # x^2 = nonresidue
+    full = [(i, j) for i in range(2) for j in range(2)]
+    out = [(f"F_p^{s}", _units(s, [(i, i) for i in range(s)]), False)
+           for s in (2, 3, 4)]
+    out += [("F_p^2 field", [field.eye(2), x], True),
+            ("M_2", _units(2, full), False),
+            ("M_2 x F_p", _units(3, full + [(2, 2)]), False)]
+    return out
+
+
+def _matrix_power(m, e, p):
+    # square-and-multiply on Python integers, independent of field.mmul
+    acc = [[int(i == j) for j in range(len(m))] for i in range(len(m))]
+    base = m.tolist()
+    while e:
+        if e & 1:
+            acc = O.mat_mul(acc, base, p)
+        base = O.mat_mul(base, base, p)
+        e >>= 1
+    return acc
+
+
+@pytest.mark.parametrize("p", [3, 5, 65521, P31])
+def test_power_and_quotient_idempotent_on_hand_built_tables(p):
+    for seed, (name, mats, is_field) in enumerate(_semisimple_algebras(p)):
+        B, basis = _matrix_algebra(mats, p, seed)
+        x = np.random.RandomState(seed).randint(0, p, size=(3, B.dim))
+        for e in (0, 1, (p - 1) // 2, p):
+            got = B.power(x, e)
+            assert got.shape == x.shape
+            if p < 8:
+                want = np.tile(B.one, (3, 1))
+                for _ in range(e):
+                    want = B.mul(want, x)
+                assert np.array_equal(got, want), (name, e)
+            for xr, gr in zip(x, got):
+                m, g = (sum(int(c) * b % p for c, b in zip(r, basis)) % p
+                        for r in (xr, gr))
+                assert g.tolist() == _matrix_power(m, e, p), (name, e)
+        e = decomp._quotient_idempotent(B, np.random.RandomState(seed))
+        if is_field:
+            assert e is None, name
+        else:
+            assert e is not None, name
+            assert e.any() and not np.array_equal(e, B.one), name
+            assert np.array_equal(B.mul(e, e), e), name
+
+
+def _decompose_twice(M):
+    runs = [decompose(M, seed=7) for _ in range(2)]
+    assert [io.dumps(X) for X in runs[0][0]] == \
+        [io.dumps(X) for X in runs[1][0]]
+    return runs[0]
+
+
+def test_decompose_splits_a_noncommutative_quotient(monkeypatch):
+    # End(G+G+I+I+I) / rad = M_2(F_p) x M_3(F_p): split inside F_p[b]
+    G = module_G()
+    I = interval_module((0, 0), (1, 1))
+    Gr, Ir = _refine_all(G, I)
+    M = random_basis_change(direct_sum(Gr, Gr, Ir, Ir, Ir)[0], seed=13)
+    seen = []
+    split = decomp._quotient_idempotent
+
+    def spy(B, rng):
+        seen.append(B.is_commutative())
+        return split(B, rng)
+
+    monkeypatch.setattr(decomp, "_quotient_idempotent", spy)
+    parts, w = _decompose_twice(M)
+    assert False in seen
+    w.validate()
+    assert w.is_isomorphism()
+    assert sorted(X.dims.ravel().tolist() for X in parts) == sorted(
+        X.dims.ravel().tolist() for X in (Gr, Gr, Ir, Ir, Ir))
+
+
+@pytest.mark.parametrize("p, corners", [
+    (3, [((0, 0), (1, 1)), ((4, 4), (5, 5))]),
+    (5, [((0, 0), (1, 1)), ((2, 3), (3, 4)), ((4, 0), (6, 1))])])
+def test_decompose_splits_by_the_trace_form_at_small_primes(
+        p, corners, monkeypatch):
+    # p > dim End, so the split takes powers c^((p-1)/2) with (p-1)/2 in
+    # {1, 2}; exhaustive search is never needed
+    def refuse(A):
+        raise AssertionError("exhaustive search on a trace-form algebra")
+
+    monkeypatch.setattr(decomp, "_enumerate_idempotent", refuse)
+    pieces = _refine_all(*(rect(a, b, p=p) for a, b in corners))
+    M = random_basis_change(direct_sum(*pieces)[0], seed=p)
+    parts, w = _decompose_twice(M)
+    w.validate()
+    assert w.is_isomorphism()
+    assert sorted(X.dims.ravel().tolist() for X in parts) == sorted(
+        X.dims.ravel().tolist() for X in pieces)
