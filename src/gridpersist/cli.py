@@ -3,8 +3,9 @@
 Subcommands: validate, decompose, tack, approx-indec, match, certify.  All
 results print as JSON on stdout; diagnostics go to stderr as one JSON object
 per line.  Exit codes: 0 all verifications passed, 1 a verification failed,
-2 malformed input, 3 precondition violation.  --seed fixes randomness, with
-the PF_SEED environment variable as fallback.
+2 malformed input, 3 precondition violation.  --seed (decompose,
+approx-indec, match) fixes randomness, with the PF_SEED environment
+variable as fallback; tack makes no random choice.
 """
 
 from __future__ import annotations
@@ -241,7 +242,6 @@ def build_parser():
     p.add_argument("module_a")
     p.add_argument("module_b")
     p.add_argument("--delta", required=True)
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--emit-proof", action="store_true")
     p.set_defaults(func=cmd_tack)
 

@@ -3,6 +3,13 @@ antennas, antenna relocation, folding k modules into one indecomposable by
 a chain of gadgets (tacking is the fold of two), and the approximation of
 any module by an indecomposable within any interleaving tolerance.
 
+Every stage is a local change on an eps-trivial region, and every stage
+builds its module the same way, by one splice (_splice): on a refinement
+of the input's grid, the input keeps its data outside a vertex mask, new
+pieces (a one-dimensional corner, a placed copy of G, constant
+one-dimensional runs) supply the data inside it, and given link matrices
+wire the edges that leave the pieces.
+
 Axes are 0-indexed here; the constructions treat axis 0 / axis 1 the way the
 informal pictures treat their first two coordinates, freezing the remaining
 coordinates.  Every constructor returns its result together with a
@@ -35,15 +42,12 @@ from .kan import (_axis_floors, _flat, prune, restriction_extension,
 
 # -- the gadget G ---------------------------------------------------------------
 
-_G_DIMS = {}
-for _y, _row in zip((4, 3, 2, 1, 0),
-                    ((1, 1, 1, 1, 1),
-                     (1, 2, 2, 2, 1),
-                     (0, 1, 2, 2, 1),
-                     (0, 0, 1, 2, 1),
-                     (0, 0, 0, 1, 1))):
-    for _x, _d in enumerate(_row):
-        _G_DIMS[(_x, _y)] = _d
+# _G_DIMS[x, y]: the rows below run from y = 4 down to y = 0
+_G_DIMS = np.array([(1, 1, 1, 1, 1),
+                    (1, 2, 2, 2, 1),
+                    (0, 1, 2, 2, 1),
+                    (0, 0, 1, 2, 1),
+                    (0, 0, 0, 1, 1)])[::-1].T
 
 
 def _g_steps(p):
@@ -83,25 +87,87 @@ def _g_steps(p):
     return s
 
 
+def _place_G(grid: Grid, origin, axes, p):
+    """G on the 5 x 5 grid vertices from the vertex at `origin` along axes
+    = (a, b): (x, y) of G sits at that vertex + x e_a + y e_b.  Returns
+    (G, block), block[(x, y)] the grid vertex of (x, y)."""
+    o = grid.index_of(origin)
+    block = {}
+    for x, y in np.ndindex(5, 5):
+        v = list(o)
+        v[axes[0]] += x
+        v[axes[1]] += y
+        block[(x, y)] = tuple(v)
+    dims = np.zeros(grid.shape, dtype=np.int64)
+    for g, v in block.items():
+        dims[v] = _G_DIMS[g]
+    steps = {(block[g], axes[k]): m for (g, k), m in _g_steps(p).items()}
+    return GridModule(grid, dims, steps, p), block
+
+
 def module_G(p: int = field.DEFAULT_PRIME) -> GridModule:
     """The rigid 25-dimensional gadget on {0,...,4}^2: its endomorphism
     algebra is just the scalars, and it carries an axis-0 antenna at (0,3)
     and an axis-1 antenna at (3,0)."""
-    grid = Grid([range(5), range(5)])
-    dims = np.zeros((5, 5), dtype=np.int64)
-    for (x, y), d in _G_DIMS.items():
-        dims[x, y] = d
-    M = GridModule(grid, dims, _g_steps(p), p)
+    M, _ = _place_G(Grid([range(5), range(5)]), (0, 0), (0, 1), p)
     M.validate()
     return M
 
 
-# -- refinement ---------------------------------------------------------------------
+# -- the splice --------------------------------------------------------------------
 
-def _refine(M: GridModule, extra_per_axis) -> GridModule:
-    axes = [sorted(set(ax) | set(extra_per_axis[k]))
-            for k, ax in enumerate(M.grid.axes)]
-    return restriction_extension(M, Grid(axes))
+def _run(grid: Grid, cells: np.ndarray, ends, p):
+    """A constant one-dimensional run on the vertex mask `cells`: the piece
+    (identity steps between cells) and its links {(v, k): ends[w]} for the
+    edges from a cell v into a vertex w = v + e_k listed in `ends`."""
+    one = field.eye(1)
+    steps, links = {}, {}
+    for v in map(tuple, np.argwhere(cells).tolist()):
+        for k in range(grid.n):
+            w = v[:k] + (v[k] + 1,) + v[k + 1:]
+            if w in ends:
+                links[(v, k)] = ends[w]
+            elif w[k] < grid.shape[k] and cells[w]:
+                steps[(v, k)] = one
+    return GridModule(grid, cells.astype(np.int64), steps, p), links
+
+
+def _splice(base: GridModule, region: np.ndarray, pieces, links):
+    """The module that is `base` outside the vertex mask `region` and the
+    sum of `pieces` (modules on base's grid with disjoint supports) inside
+    it, with links[(v, k)] the matrix of the edge v -> v + e_k leaving a
+    piece.  Every other edge between nonzero vertices is zero, except that
+    an edge from a nonzero base vertex outside the region into a nonzero
+    vertex inside it raises ValueError unless links names it.  The result
+    is validated."""
+    grid, n = base.grid, base.grid.n
+    dims = np.where(region, sum(P.dims for P in pieces), base.dims)
+    # base steps between two vertices outside the region
+    steps = dict(base.steps)
+    for v in map(tuple, np.argwhere(region).tolist()):
+        for k in range(n):
+            steps.pop((v, k), None)
+            steps.pop((v[:k] + (v[k] - 1,) + v[k + 1:], k), None)
+    for P in pieces:
+        steps.update(P.steps)
+    steps.update(links)
+    pos = dims > 0
+    for k in range(n):
+        lo = tuple(slice(None, -1) if j == k else slice(None) for j in range(n))
+        hi = tuple(slice(1, None) if j == k else slice(None) for j in range(n))
+        bad = ~region[lo] & (base.dims[lo] > 0) & region[hi] & pos[hi]
+        for v in map(tuple, np.argwhere(bad).tolist()):
+            if (v, k) not in links:
+                raise ValueError(f"the module's support at {grid.coord(v)} "
+                                 f"enters the spliced region along axis {k}")
+        touch = pos[lo] & pos[hi] & (region[lo] | region[hi])
+        for v in map(tuple, np.argwhere(touch).tolist()):
+            if (v, k) not in steps:
+                w = v[:k] + (v[k] + 1,) + v[k + 1:]
+                steps[(v, k)] = field.zeros(int(dims[w]), int(dims[v]))
+    out = GridModule(grid, dims, steps, base.p)
+    out.validate()
+    return out
 
 
 # -- corner and antenna detection ------------------------------------------------
@@ -156,8 +222,12 @@ def add_thin_corner(A: GridModule, eps, check: bool = True,
                     verify_cert: bool = True):
     """Make the minimal support corner one-dimensional at half pitch.
 
-    Returns (A2, certificate at eps/2, corner vertex r).  A2 differs from A
-    only on the (eps/2)-trivial box [r, r + eps/2)^n.
+    Returns (A2, certificate at eps/2, corner vertex r).  The corner r is
+    the least support vertex in coordinate order, a minimal one.  A2 is the
+    splice of A, refined at r + eps/2 and r + eps, with a one-dimensional
+    piece at r, linked into A by the steps out of r restricted to one basis
+    line of A(r): the first that some step out of r keeps nonzero.  It
+    differs from A only on the (eps/2)-trivial box [r, r + eps/2)^n.
     """
     eps = as_frac(eps)
     _assert_lattice(A, eps)
@@ -166,40 +236,23 @@ def add_thin_corner(A: GridModule, eps, check: bool = True,
     if check and not is_indecomposable(A):
         raise ValueError("input must be indecomposable")
     h = eps / 2
-    support = A.support_vertices()
-    minimal = [v for v in support
-               if not any(w != v and all(a <= b for a, b in zip(w, v))
-                          for w in support)]
-    rv = min(minimal, key=lambda v: A.grid.coord(v))
+    n, p = A.grid.n, A.p
+    rv = tuple(np.argwhere(A.dims > 0)[0].tolist())
     r = A.grid.coord(rv)
     # the inclusion of the new 1-dim corner into A(r)
-    iota = None
-    for k in range(A.grid.n):
-        if A.has_succ(rv, k):
-            st = A.step(rv, k)
-            for col in range(st.shape[1]):
-                if st[:, col].any():
-                    iota = field.zeros(A.dim(rv), 1)
-                    iota[col, 0] = 1
-                    break
-        if iota is not None:
-            break
-    if iota is None:
-        iota = field.zeros(A.dim(rv), 1)
-        iota[0, 0] = 1
-    Aref = _refine(A, [{r[k] + h, r[k] + eps} for k in range(A.grid.n)])
+    cols = [c for k in range(n) if A.has_succ(rv, k)
+            for c in np.flatnonzero(A.step(rv, k).any(axis=0)).tolist()]
+    iota = field.zeros(A.dim(rv), 1)
+    iota[cols[0] if cols else 0, 0] = 1
+    Aref = restriction_extension(
+        A, union_grid(A.grid, [{r[k] + h, r[k] + eps} for k in range(n)]))
     rv = Aref.grid.index_of(r)
-    dims = Aref.dims.copy()
-    dims[rv] = 1
-    steps = {}
-    for (v, k), m in Aref.steps.items():
-        if v == rv:
-            steps[(v, k)] = field.mmul(m, iota, A.p)
-        else:
-            steps[(v, k)] = m
-    A2 = GridModule(Aref.grid, dims, steps, A.p)
-    A2.validate()
-    region = TrivialRegion([[(r[k], r[k] + h) for k in range(A.grid.n)]])
+    corner = np.zeros(Aref.grid.shape, dtype=bool)
+    corner[rv] = True
+    A2 = _splice(Aref, corner, [GridModule(Aref.grid, corner, {}, p)],
+                 {(rv, k): field.mmul(Aref.steps[(rv, k)], iota, p)
+                  for k in range(n) if (rv, k) in Aref.steps})
+    region = TrivialRegion([[(r[k], r[k] + h) for k in range(n)]])
     cert = local_change_certificate(Aref, A2, region, h, verify=verify_cert)
     if has_thin_corner(A2) is None:
         raise RuntimeError("corner construction failed its own check")
@@ -214,9 +267,13 @@ def add_antenna(A: GridModule, eps, check: bool = True,
                 verify_cert: bool = True):
     """Splice the gadget into the thin corner, producing an axis-0 antenna.
 
-    Requires has_thin_corner(A) over the eps-lattice.  Returns
-    (A2, certificate at eps, antenna tip r + (3 eps/5) e_1); A2 differs from
-    A only on the eps-trivial box [r, r + 4 eps/5)^n, over pitch eps/5.
+    Requires has_thin_corner(A) over the eps-lattice.  A2 is the splice of
+    A, refined at pitch q = eps/5 around the corner r, with a copy of G on
+    the block r + q {0..4}^2 of axes 0 and 1: every edge that leaves the
+    block maps through G's top corner G(4, 4), which takes the place of
+    the one-dimensional corner value.  Returns (A2, certificate at eps,
+    antenna tip r + 3 q e_1); A2 differs from A only on the eps-trivial
+    box [r, r + 4 q)^n.
     """
     eps = as_frac(eps)
     _assert_lattice(A, eps)
@@ -229,50 +286,23 @@ def add_antenna(A: GridModule, eps, check: bool = True,
     q = eps / 5
     extra = [{r[k] + j * q for j in range(1, 6)} if k < 2 else
              {r[k] + q, r[k] + eps} for k in range(n)]
-    Aref = _refine(A, extra)
-    p = A.p
-    gsteps = _g_steps(p)
-    grid = Aref.grid
-
-    def gvert(gx, gy):
-        return grid.index_of((r[0] + gx * q, r[1] + gy * q) + tuple(r[2:]))
-
-    block = {gvert(gx, gy): (gx, gy) for gx in range(5) for gy in range(5)}
-    dims = Aref.dims.copy()
-    for v, (gx, gy) in block.items():
-        dims[v] = _G_DIMS[(gx, gy)]
-    steps = {}
-    out = GridModule(grid, dims, steps, p)
-    # composites G(x,y) -> G(4,4) = k, used along frozen axes; G's flat
-    # vertex 5 x + y is (x, y)
-    g44 = module_G(p).structure_maps(np.arange(25), np.full(25, 24))
-    for v in grid.vertices():
-        v = tuple(v)
+    Aref = restriction_extension(A, union_grid(A.grid, extra))
+    grid, p = Aref.grid, A.p
+    G, block = _place_G(grid, r, (0, 1), p)
+    region = np.zeros(grid.shape, dtype=bool)
+    for v in block.values():
+        region[v] = True
+    # the composites G(x, y) -> G(4, 4); block lists (4, 4) last
+    flat = np.ravel_multi_index(np.array(list(block.values())).T, grid.shape)
+    tops = G.structure_maps(flat, np.full(25, flat[-1]))
+    links = {}
+    for (g, v), top in zip(block.items(), tops):
         for k in range(n):
-            if not out.has_succ(v, k):
-                continue
-            w = out.succ(v, k)
-            if dims[v] == 0 or dims[w] == 0:
-                continue
-            if v in block and w in block:
-                steps[(v, k)] = gsteps.get((block[v], k),
-                                           field.zeros(int(dims[w]), int(dims[v])))
-            elif v in block:
-                gx, gy = block[v]
-                old = Aref.step(v, k)  # a map out of the old corner value k
-                if k < 2:
-                    if (k == 0 and gx != 4) or (k == 1 and gy != 4):
-                        raise RuntimeError("block boundary mismatch")
-                    steps[(v, k)] = old
-                else:
-                    steps[(v, k)] = field.mmul(
-                        old, g44[5 * gx + gy, :1, :_G_DIMS[(gx, gy)]], p)
-            elif w in block:
-                if Aref.dim(v) != 0:
-                    raise RuntimeError("nonzero module below the corner")
-            else:
-                steps[(v, k)] = Aref.step(v, k)
-    out.validate()
+            w = v[:k] + (v[k] + 1,) + v[k + 1:]
+            if _G_DIMS[g] and (v, k) in Aref.steps and not region[w]:
+                links[(v, k)] = field.mmul(Aref.steps[(v, k)],
+                                           top[:1, :_G_DIMS[g]], p)
+    out = _splice(Aref, region, [G], links)
     region = TrivialRegion([[(r[k], r[k] + 4 * q) for k in range(n)]])
     cert = local_change_certificate(Aref, out, region, eps,
                                     verify=verify_cert)
@@ -292,9 +322,13 @@ def move_antenna(A: GridModule, eps, s, check: bool = True,
     staircase, one axis at a time.
 
     Requires s_k < r_k on even axes (0-indexed), s_k > r_k on odd axes, and
-    A zero wherever the axis-0 coordinate is <= s_0.  Returns
-    (A2, certificate at eps, new antenna axis): the antenna ends up on
-    axis 0 when n is even and on axis n-1 when n is odd.
+    A zero wherever the axis-0 coordinate is <= s_0.  A2 is the splice of
+    A, refined at s, s + eps, r and r + eps, with a constant
+    one-dimensional run on the staircase T that feeds the old antenna at r
+    by the identity; support of A right below T makes that splice, and so
+    this function, raise ValueError.  Returns (A2, certificate at eps, new
+    antenna axis): the antenna ends up on axis 0 when n is even and on axis
+    n-1 when n is odd.
     """
     eps = as_frac(eps)
     _assert_lattice(A, eps)
@@ -331,31 +365,11 @@ def move_antenna(A: GridModule, eps, s, check: bool = True,
         boxes.append(box)
     region = TrivialRegion(boxes)
     extra = [{s[k], s[k] + eps, r[k], r[k] + eps} for k in range(n)]
-    Aref = _refine(A, extra)
+    Aref = restriction_extension(A, union_grid(A.grid, extra))
     grid = Aref.grid
-    rv = grid.index_of(r)
     in_T = region.mask(grid)
-    dims = Aref.dims.copy()
-    dims[in_T] = 1
-    steps = {}
-    out = GridModule(grid, dims, steps, A.p)
-    for v in grid.vertices():
-        v = tuple(v)
-        for k in range(n):
-            if not out.has_succ(v, k):
-                continue
-            w = out.succ(v, k)
-            if dims[v] == 0 or dims[w] == 0:
-                continue
-            if in_T[v] and (in_T[w] or w == rv):
-                steps[(v, k)] = field.eye(1)
-            elif in_T[v]:
-                steps[(v, k)] = field.zeros(int(dims[w]), int(dims[v]))
-            elif in_T[w]:
-                raise ValueError("staircase crosses the module's support")
-            else:
-                steps[(v, k)] = Aref.step(v, k)
-    out.validate()
+    run, links = _run(grid, in_T, {grid.index_of(r): field.eye(1)}, A.p)
+    out = _splice(Aref, in_T, [run], links)
     cert = local_change_certificate(Aref, out, region, eps,
                                     verify=verify_cert)
     new_axis = 0 if n % 2 == 0 else n - 1
@@ -383,13 +397,12 @@ def _join_chain(Ys, joins, eta, ell, ellp):
     to the bottom cells (4,0) and (3,0) of a gadget on
     [a - 5 eta, a) x [b, b + 5 eta) (axes ell, ellp), and that gadget's own
     antenna at (0,3) is the chain's free antenna for the next join.
-    Returns (M, region): M is the sum of the Ys, the runs and the gadgets
-    with the feeding maps, and agrees with the sum of the Ys outside the
-    union `region` of all runs and gadget boxes.
+    Returns (M, region): M is the splice of the sum of the Ys with the runs
+    and the gadgets as pieces, and agrees with the sum of the Ys outside
+    the union `region` of all runs and gadget boxes.
     """
     n = Ys[0].grid.n
     p = Ys[0].p
-    gsteps = _g_steps(p)
     boxes, extra = [], [set() for _ in range(n)]
     plans = []
     for t, a, b in joins:
@@ -418,71 +431,47 @@ def _join_chain(Ys, joins, eta, ell, ellp):
             extra[ellp].add(b + i * eta)
         plans.append((t, tB, a, b, runA, runB))
     gm = union_grid(*(Y.grid for Y in Ys), extra)
-    pieces = [Y if Y.grid == gm else restriction_extension(Y, gm) for Y in Ys]
-    links = []   # (piece index at v, vertex v, axis, piece index at v + e_k)
+    Ys = [Y if Y.grid == gm else restriction_extension(Y, gm) for Y in Ys]
+    base = sum_module(*Ys)
+    below = np.cumsum([Y.dims for Y in Ys], axis=0)
 
-    def add_piece(dims, steps):
-        pieces.append(GridModule(gm, dims, steps, p))
-        return len(pieces) - 1
+    def into(i, v):
+        """The inclusion of k as Ys[i](v) into the sum at v."""
+        m = field.zeros(int(base.dims[v]), 1)
+        m[below[i][v] - Ys[i].dims[v], 0] = 1
+        return m
 
-    def run_piece(run, tip, owner):
-        cells = TrivialRegion(run).mask(gm)
-        tipv = gm.index_of(tip)
-        cells[tipv] = False
-        steps = {}
-        me = len(pieces)
-        for v in map(tuple, np.argwhere(cells).tolist()):
-            for k in range(n):
-                if v[k] + 1 >= gm.shape[k]:
-                    continue
-                w = v[:k] + (v[k] + 1,) + v[k + 1:]
-                if cells[w]:
-                    steps[(v, k)] = field.eye(1)
-                elif w == tipv:
-                    links.append((me, v, k, owner))
-        return add_piece(cells.astype(np.int64), steps)
-
-    owner_of_tip = 0
+    region = np.zeros(gm.shape, dtype=bool)
+    pieces, links = [], {}
+    tip_in = into(0, gm.index_of(plans[0][0]))
     for j, (t, tB, a, b, runA, runB) in enumerate(plans):
-        ia = run_piece(runA, t, owner_of_tip)
-        ib = run_piece(runB, tB, j + 1)
-
-        def gv(gx, gy):
-            x = list(t)
-            x[ell], x[ellp] = a - (5 - gx) * eta, b + gy * eta
-            return gm.index_of(tuple(x))
-
-        block = {gv(gx, gy): (gx, gy) for gx in range(5) for gy in range(5)}
-        dims = np.zeros(gm.shape, dtype=np.int64)
-        for v, g in block.items():
-            dims[v] = _G_DIMS[g]
-        steps = {}
-        for v, g in block.items():
-            for k in (ell, ellp):
-                w = v[:k] + (v[k] + 1,) + v[k + 1:]
-                if w in block and dims[v] and dims[w]:
-                    st = gsteps.get((g, 0 if k == ell else 1))
-                    steps[(v, k)] = st if st is not None else \
-                        field.zeros(int(dims[w]), int(dims[v]))
-        ig = add_piece(dims, steps)
-        # the two rises feed the gadget's bottom cells (4,0) and (3,0)
-        for src, x in ((ia, a - eta), (ib, a - 2 * eta)):
-            v = list(t)
-            v[ell], v[ellp] = x, b - eta
-            links.append((src, gm.index_of(tuple(v)), ellp, ig))
-        owner_of_tip = ig
-    S = sum_module(*pieces)
-    offs = np.cumsum([P.dims for P in pieces], axis=0) - \
-        np.stack([P.dims for P in pieces])
-    steps = dict(S.steps)
-    for src, v, k, dst in links:
-        w = v[:k] + (v[k] + 1,) + v[k + 1:]
-        blk = steps[(v, k)].copy()
-        blk[offs[dst][w], offs[src][v]] = 1
-        steps[(v, k)] = blk
-    M = GridModule(gm, S.dims, steps, p)
-    M.validate()
-    return M, TrivialRegion(boxes)
+        corner = list(t)
+        corner[ell], corner[ellp] = a - 5 * eta, b
+        G, block = _place_G(gm, corner, (ell, ellp), p)
+        # only G's support: the staircase of the next antenna may run
+        # through the zero cells of its column x = 0
+        region |= G.dims > 0
+        pieces.append(G)
+        # the two runs feed the two antennas and rise to the gadget's
+        # bottom cells (4,0) and (3,0)
+        tv, tBv = gm.index_of(t), gm.index_of(tB)
+        for run, tip, m, g in ((runA, tv, tip_in, (4, 0)),
+                               (runB, tBv, into(j + 1, tBv), (3, 0))):
+            cells = TrivialRegion(run).mask(gm)
+            cells[tip] = False
+            piece, piece_links = _run(gm, cells,
+                                      {tip: m, block[g]: field.eye(1)}, p)
+            region |= cells
+            pieces.append(piece)
+            links.update(piece_links)
+        tip_in = field.eye(1)   # the next join feeds this gadget's (0, 3)
+    # from the second join on, the antenna of Ys[j + 1] sits at the zero
+    # cell (0, 2) of the gadget before; its maps into that gadget vanish
+    for _, tB, *_ in plans[1:]:
+        v = gm.index_of(tB)
+        for k in (ell, ellp):
+            links[(v, k)] = field.zeros(1, int(base.dims[v]))
+    return _splice(base, region, pieces, links), TrivialRegion(boxes)
 
 
 def fold(parts, eps0, check_stages: bool = False, verify_cert: bool = True):
@@ -707,8 +696,7 @@ def approximate_indecomposable(N: GridModule, eps, seed: int = 0
         M = interval_module((0,) * n, (eps,) * n, p=N.p)
         cube_c = trivial_certificate(M, eps / 2)  # d(M, 0) <= eps/2, exact
         # the snapped module is the zero extension; its data matches 0
-        total = compose_certificates(cube_c, snap_c.flip())
-        total.verify()
+        total = compose_certificates(cube_c, snap_c.flip())   # verified
         if not is_indecomposable(M):
             raise RuntimeError("cube module failed indecomposability")
         return ApproxResult(M, total, snap_c, [cube_c])

@@ -15,8 +15,7 @@ from math import ceil, lcm
 import numpy as np
 
 from . import field
-from .core import (Grid, GridModule, as_frac, pt_shift, sum_module,
-                   zero_module)
+from .core import Grid, GridModule, as_frac, sum_module, zero_module
 from .kan import (_axis_floors, _component_ids, _dict_from_ids, _flat,
                   _flat_floors, _floors_via, _is_subgrid, _map_ids,
                   _pair_maps, _unique_maps, _unique_rows, restriction_extension,
@@ -102,32 +101,20 @@ def is_eps_trivial(M: GridModule, eps) -> bool:
 def triviality_radius(M: GridModule):
     """The infimum of the eps for which M is eps-trivial.
 
-    Returns a Fraction (the set of trivial eps is the closed ray up from it),
-    or None when M is not eps-trivial for any eps (unbounded support).
+    Returns a Fraction (the set of trivial eps is the closed ray up from
+    it; 0 for the zero module), or None when M is not eps-trivial for any
+    eps (unbounded support).  Triviality is monotone in eps and changes
+    only at differences of two coordinates on one axis, so the radius is
+    the least such difference at which M is trivial, found by bisection;
+    past the largest one every map lands at the top vertex.
     """
-    worst = Fraction(0)
-    for vidx in M.grid.vertices():
-        vidx = tuple(vidx)
-        if M.dim(vidx) == 0:
-            continue
-        x = M.grid.coord(vidx)
-        thresholds = sorted({c - x[k] for k in range(M.grid.n)
-                             for c in M.grid.axes[k] if c > x[k]})
-        rho = None
-        for eps in thresholds:
-            w = M.grid.floor_index(pt_shift(x, eps))
-            m = M.structure_map(vidx, w)
-            if not (m.size and m.any()):
-                rho = eps
-                break
-        if rho is None:
-            top = tuple(s - 1 for s in M.grid.shape)
-            m = M.structure_map(vidx, top)
-            if m.size and m.any():
-                return None  # never becomes zero: support escapes the grid
-            rho = thresholds[-1] if thresholds else Fraction(0)
-        worst = max(worst, rho)
-    return worst
+    if M.total_dim() == 0:
+        return Fraction(0)
+    d = np.unique(np.concatenate([np.subtract.outer(a, a).ravel()
+                                  for a in M.grid.nums]))
+    d = [Fraction(int(x), M.grid.den) for x in d[d > 0]]
+    i = bisect_left(d, True, key=lambda eps: is_eps_trivial(M, eps))
+    return d[i] if i < len(d) else None
 
 
 def is_strictly_eps_trivial(M: GridModule, eps) -> bool:

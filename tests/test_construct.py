@@ -7,17 +7,18 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gridpersist import construct, io
+from gridpersist import construct, field, io
 from gridpersist.cli import random_module
 from gridpersist.construct import (add_antenna, add_thin_corner,
                                    approximate_indecomposable, fold,
                                    has_antenna, has_thin_corner, infer_pitch,
-                                   iso_certificate, module_G, tack)
-from gridpersist.core import (direct_sum, interval_module, is_isomorphic,
-                              zero_module, ModuleMorphism)
+                                   iso_certificate, module_G, move_antenna,
+                                   tack)
+from gridpersist.core import (Grid, GridModule, direct_sum, interval_module,
+                              is_isomorphic, zero_module, ModuleMorphism)
 from gridpersist.decomp import is_indecomposable
 from gridpersist.interleave import is_eps_trivial, triviality_radius
-from gridpersist.kan import common_refinement, restriction_extension
+from gridpersist.kan import common_refinement, prune, restriction_extension
 
 from conftest import rect
 import oracles as O
@@ -204,3 +205,68 @@ def test_corner_and_antenna_detection_match_oracle(
                         Fraction(1, 10), Fraction(1, 8)):
                 assert (has_antenna(X, axis, eps)
                         == O.has_antenna(X, axis, eps)), (X, axis, eps)
+
+
+def _digests(*objs):
+    return tuple(hashlib.sha256(io.dumps(x).encode()).hexdigest()[:16]
+                 for x in objs)
+
+
+# sha256 prefixes of io.dumps of (module, certificate) after each stage
+STAGE_DIGESTS = {
+    "n2": [("fcc727c31696d075", "b665951445be7045"),
+           ("a4b509a66eef7570", "85ab68e143b35771"),
+           ("7deb585a1088b95b", "f729de0b138caccf")],
+    "n3": [("bec4fe8da7672909", "f979f81e02502063"),
+           ("c2265192c9b6aa2b", "a3d467922a6cc332"),
+           ("bab4f511c22c212c", "220781140ce35fe2")],
+    "n3-random": [("fdfd1009b6bc5f4a", "2767b26f69412c6f"),
+                  ("dc4835e4999bad75", "11db6faec162d8e9"),
+                  ("0d7c7c4386b17b96", "c57f633867286f68")],
+}
+
+
+@pytest.mark.parametrize("name", sorted(STAGE_DIGESTS))
+def test_stage_outputs_are_pinned(name):
+    # corner at eps 1, antenna at 1/2 and relocation at 1/10, as in a fold
+    # at eps0 = 1; a change to a digest is a change to that stage's output
+    X = {"n2": interval_module((0, 0), (2, 2)),
+         "n3": interval_module((0, 0, 0), (2, 2, 2)),
+         "n3-random": prune(random_module(3, 2, 2, seed=41))}[name]
+    n = X.grid.n
+    s = (Fraction(-1, 5), Fraction(1, 2), Fraction(-1, 5))[:n]
+    X1, c1, r = add_thin_corner(X, 1)
+    X2, c2, tip = add_antenna(X1, Fraction(1, 2))
+    X3, c3, axis = move_antenna(X2, Fraction(1, 10), s)
+    assert r == (0,) * n and tip == (0, Fraction(3, 10)) + (0,) * (n - 2)
+    assert axis == (0 if n == 2 else n - 1)
+    assert [_digests(X1, c1), _digests(X2, c2),
+            _digests(X3, c3)] == STAGE_DIGESTS[name]
+
+
+def test_thin_corner_keeps_the_corner_line_that_leaves():
+    # a two-dimensional corner whose first basis vector dies along axis 0:
+    # the new one-dimensional corner is the second, which survives
+    p = 65521
+    V = GridModule(Grid([range(2), range(2)]), [[2, 1], [1, 0]],
+                   {((0, 0), 0): field.fmat([[0, 1]], p),
+                    ((0, 0), 1): field.fmat([[1, 0]], p)}, p)
+    V1, cert, r = add_thin_corner(V, 1, check=False)
+    assert r == (0, 0) and V1.dims.tolist() == [[1, 2, 1], [2, 2, 1],
+                                                [1, 1, 0]]
+    assert _digests(V1, cert) == ("3dc48e82482d712b", "31a90c7e8cb4865c")
+
+
+def test_move_antenna_refuses_support_under_the_staircase():
+    A1, _, _ = add_thin_corner(interval_module((0, 0), (2, 2)), 1)
+    A2, _, tip = add_antenna(A1, Fraction(1, 2))
+    # a two-dimensional block (so it holds no antenna of its own) right of
+    # s_0, just below the staircase's first row at r_1 = 3/10
+    B = interval_module((Fraction(-1, 10), 0), (0, Fraction(3, 10)))
+    A, B, _ = common_refinement(A2, B)
+    S, _, _ = direct_sum(A, B, B)
+    assert has_antenna(S, 0, eps=Fraction(1, 10)) == tip
+    with pytest.raises(ValueError):
+        move_antenna(S, Fraction(1, 10), (Fraction(-1, 5), Fraction(1, 2)))
+    # the same target is fine without the block
+    move_antenna(A2, Fraction(1, 10), (Fraction(-1, 5), Fraction(1, 2)))

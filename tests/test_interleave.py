@@ -75,9 +75,15 @@ def _triviality_corpus():
     yield zero_module(2)
 
 
+def test_triviality_radius_matches_bruteforce_on_shifted_modules():
+    # shifts by 1/7 and -3/8 put coordinates off the integers and below 0
+    for M in _triviality_corpus():
+        assert triviality_radius(M) == O.triviality_radius_bruteforce(M), M
+
+
 def test_strict_and_doubled_triviality_match_the_radius():
     # is_strictly_eps_trivial tests one eps below eps on the lattice of M's
-    # coordinates and eps; the radius sweeps every vertex's thresholds
+    # coordinates and eps; the radius bisects over coordinate differences
     for M in _triviality_corpus():
         rho = triviality_radius(M)
         for k in range(25):
