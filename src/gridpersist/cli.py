@@ -140,10 +140,7 @@ def cmd_validate(args):
 
 def cmd_decompose(args):
     M = _load(args.module, GridModule)
-    try:
-        parts, witness = decompose(M, _seed(args))
-    except FieldTooSmall as exc:
-        raise CliError(3, "precondition-violation", exc)
+    parts, witness = decompose(M, _seed(args))
     out = {"summands": [io.module_to_obj(X) for X in parts]}
     if args.emit_proof:
         out["witness"] = io.morphism_to_obj(witness)
@@ -155,10 +152,7 @@ def cmd_tack(args):
     A = _load(args.module_a, GridModule)
     B = _load(args.module_b, GridModule)
     delta = _parse_frac(args.delta)
-    try:
-        M, cert = tack(A, B, delta)
-    except (PreconditionError, FieldTooSmall) as exc:
-        raise CliError(3, "precondition-violation", exc)
+    M, cert = tack(A, B, delta)
     out = {"module": io.module_to_obj(M),
            "certificate_eps": io.frac_str(cert.eps)}
     if args.emit_proof:
@@ -170,10 +164,7 @@ def cmd_tack(args):
 def cmd_approx_indec(args):
     N = _load(args.module, GridModule)
     eps = _parse_frac(args.eps)
-    try:
-        res = approximate_indecomposable(N, eps, seed=_seed(args))
-    except (PreconditionError, FieldTooSmall) as exc:
-        raise CliError(3, "precondition-violation", exc)
+    res = approximate_indecomposable(N, eps, seed=_seed(args))
     out = {"module": io.module_to_obj(res.module),
            "certificate_eps": io.frac_str(res.certificate.eps)}
     if args.emit_proof:
@@ -192,10 +183,7 @@ def cmd_match(args):
                      (M.p != N.p, "modules over different primes")):
         if bad:
             raise CliError(3, "precondition-violation", why)
-    try:
-        result = bottleneck_upper_bound(M, N, eps, seed=_seed(args))
-    except FieldTooSmall as exc:
-        raise CliError(3, "precondition-violation", exc)
+    result = bottleneck_upper_bound(M, N, eps, seed=_seed(args))
     out = {"status": result.status, "eps": io.frac_str(eps)}
     if result.matched:
         out["pairs"] = [
@@ -274,6 +262,10 @@ def main(argv=None):
     except CliError as exc:
         _diag(exc.kind, exc)
         return exc.code
+    except (PreconditionError, FieldTooSmall) as exc:
+        # the input breaks a precondition that the library checks
+        _diag("precondition-violation", exc)
+        return 3
 
 
 if __name__ == "__main__":

@@ -13,11 +13,11 @@ wire the edges that leave the pieces.
 Axes are 0-indexed here; the constructions treat axis 0 / axis 1 the way the
 informal pictures treat their first two coordinates, freezing the remaining
 coordinates.  Every constructor returns its result together with a
-local-change interleaving certificate back to its input, verified unless
-the caller passes verify_cert=False.  approximate_indecomposable and
-match.instability_demo do so for the fold: its stage certificates are never
-verified on their own, only the composite certificate they build, which
-is always verified before it is returned.
+local-change interleaving certificate back to its input.  The stages and
+the fold return their certificates unverified: what the construction
+claims is the bound on the composite, so only the composite is verified,
+once, by the function that returns it (tack, approximate_indecomposable
+and match.instability_demo).
 """
 
 from __future__ import annotations
@@ -218,8 +218,7 @@ def _assert_lattice(A: GridModule, eps):
                 raise ValueError(f"grid coordinate {c} not on the {eps}-lattice")
 
 
-def add_thin_corner(A: GridModule, eps, check: bool = True,
-                    verify_cert: bool = True):
+def add_thin_corner(A: GridModule, eps, check: bool = True):
     """Make the minimal support corner one-dimensional at half pitch.
 
     Returns (A2, certificate at eps/2, corner vertex r).  The corner r is
@@ -227,7 +226,8 @@ def add_thin_corner(A: GridModule, eps, check: bool = True,
     splice of A, refined at r + eps/2 and r + eps, with a one-dimensional
     piece at r, linked into A by the steps out of r restricted to one basis
     line of A(r): the first that some step out of r keeps nonzero.  It
-    differs from A only on the (eps/2)-trivial box [r, r + eps/2)^n.
+    differs from A only on the (eps/2)-trivial box [r, r + eps/2)^n.  The
+    certificate is not verified here.
     """
     eps = as_frac(eps)
     _assert_lattice(A, eps)
@@ -253,7 +253,7 @@ def add_thin_corner(A: GridModule, eps, check: bool = True,
                  {(rv, k): field.mmul(Aref.steps[(rv, k)], iota, p)
                   for k in range(n) if (rv, k) in Aref.steps})
     region = TrivialRegion([[(r[k], r[k] + h) for k in range(n)]])
-    cert = local_change_certificate(Aref, A2, region, h, verify=verify_cert)
+    cert = local_change_certificate(Aref, A2, region, h, verify=False)
     if has_thin_corner(A2) is None:
         raise RuntimeError("corner construction failed its own check")
     if check and not is_indecomposable(A2):
@@ -263,8 +263,7 @@ def add_thin_corner(A: GridModule, eps, check: bool = True,
 
 # -- antenna splice ----------------------------------------------------------------
 
-def add_antenna(A: GridModule, eps, check: bool = True,
-                verify_cert: bool = True):
+def add_antenna(A: GridModule, eps, check: bool = True):
     """Splice the gadget into the thin corner, producing an axis-0 antenna.
 
     Requires has_thin_corner(A) over the eps-lattice.  A2 is the splice of
@@ -273,7 +272,7 @@ def add_antenna(A: GridModule, eps, check: bool = True,
     block maps through G's top corner G(4, 4), which takes the place of
     the one-dimensional corner value.  Returns (A2, certificate at eps,
     antenna tip r + 3 q e_1); A2 differs from A only on the eps-trivial
-    box [r, r + 4 q)^n.
+    box [r, r + 4 q)^n.  The certificate is not verified here.
     """
     eps = as_frac(eps)
     _assert_lattice(A, eps)
@@ -304,8 +303,7 @@ def add_antenna(A: GridModule, eps, check: bool = True,
                                            top[:1, :_G_DIMS[g]], p)
     out = _splice(Aref, region, [G], links)
     region = TrivialRegion([[(r[k], r[k] + 4 * q) for k in range(n)]])
-    cert = local_change_certificate(Aref, out, region, eps,
-                                    verify=verify_cert)
+    cert = local_change_certificate(Aref, out, region, eps, verify=False)
     tip = (r[0], r[1] + 3 * q) + tuple(r[2:])
     if has_antenna(out, 0, eps=q) != tip:
         raise RuntimeError("antenna construction failed its own check")
@@ -316,8 +314,7 @@ def add_antenna(A: GridModule, eps, check: bool = True,
 
 # -- antenna relocation ------------------------------------------------------------
 
-def move_antenna(A: GridModule, eps, s, check: bool = True,
-                 verify_cert: bool = True):
+def move_antenna(A: GridModule, eps, s, check: bool = True):
     """Relocate an axis-0 antenna at r to the vertex s by laying a constant-k
     staircase, one axis at a time.
 
@@ -328,7 +325,7 @@ def move_antenna(A: GridModule, eps, s, check: bool = True,
     by the identity; support of A right below T makes that splice, and so
     this function, raise ValueError.  Returns (A2, certificate at eps, new
     antenna axis): the antenna ends up on axis 0 when n is even and on axis
-    n-1 when n is odd.
+    n-1 when n is odd.  The certificate is not verified here.
     """
     eps = as_frac(eps)
     _assert_lattice(A, eps)
@@ -370,8 +367,7 @@ def move_antenna(A: GridModule, eps, s, check: bool = True,
     in_T = region.mask(grid)
     run, links = _run(grid, in_T, {grid.index_of(r): field.eye(1)}, A.p)
     out = _splice(Aref, in_T, [run], links)
-    cert = local_change_certificate(Aref, out, region, eps,
-                                    verify=verify_cert)
+    cert = local_change_certificate(Aref, out, region, eps, verify=False)
     new_axis = 0 if n % 2 == 0 else n - 1
     if has_antenna(out, new_axis, eps=eps) is None:
         raise RuntimeError("relocation failed its own antenna check")
@@ -474,7 +470,7 @@ def _join_chain(Ys, joins, eta, ell, ellp):
     return _splice(base, region, pieces, links), TrivialRegion(boxes)
 
 
-def fold(parts, eps0, check_stages: bool = False, verify_cert: bool = True):
+def fold(parts, eps0, check_stages: bool = False):
     """Join k >= 2 indecomposables, all on the eps0-lattice, into one
     indecomposable M with d(M, X_1 + ... + X_k) <= 8/5 eps0.
 
@@ -490,10 +486,10 @@ def fold(parts, eps0, check_stages: bool = False, verify_cert: bool = True):
     Returns (M, cert, stage_certs): cert is d(M, S) <= 8/5 eps0 with S the
     direct sum of the parts on a common refinement of their grids (same
     extension as X_1 + ... + X_k, blocks in the order of `parts`);
-    stage_certs are
-    the per-summand certificates d(Y_i, X_i) <= 11/10 eps0 (Y_i the
-    relocated summand), followed by the join certificate d(M, sum Y_i) <=
-    eps0/2.
+    stage_certs are the per-summand certificates d(Y_i, X_i) <= 11/10 eps0
+    (Y_i the relocated summand), followed by the join certificate
+    d(M, sum Y_i) <= eps0/2.  None of them is verified here: the caller
+    verifies cert, or a composite that contains it.
     """
     eps0 = as_frac(eps0)
     if len(parts) < 2:
@@ -508,10 +504,8 @@ def fold(parts, eps0, check_stages: bool = False, verify_cert: bool = True):
     ell, ellp = _fold_axes(n)
     prepared = []
     for X in parts:
-        X1, c1, _ = add_thin_corner(prune(X), eps0, check=check_stages,
-                                    verify_cert=verify_cert)
-        X2, c2, alpha = add_antenna(X1, eps0 / 2, check=check_stages,
-                                    verify_cert=verify_cert)
+        X1, c1, _ = add_thin_corner(prune(X), eps0, check=check_stages)
+        X2, c2, alpha = add_antenna(X1, eps0 / 2, check=check_stages)
         prepared.append((X2, c1, c2, alpha))
 
     def support_min(X, k):
@@ -535,8 +529,7 @@ def fold(parts, eps0, check_stages: bool = False, verify_cert: bool = True):
 
     def relocate(i, target):
         X2, c1, c2, _ = prepared[i]
-        Y, c3, axis = move_antenna(X2, eta, target, check=check_stages,
-                                   verify_cert=verify_cert)
+        Y, c3, axis = move_antenna(X2, eta, target, check=check_stages)
         assert axis == ell
         prep = compose_chain([c3.flip(), c2.flip(), c1.flip()], verify=False)
         return Y, prep
@@ -560,8 +553,8 @@ def fold(parts, eps0, check_stages: bool = False, verify_cert: bool = True):
     M, region = _join_chain(Ys, joins, eta, ell, ellp)
     block, SY, _ = block_sum_certificates(preps, verify=False)
     join = local_change_certificate(SY, M, region, 5 * eta,
-                                    verify=verify_cert).flip()
-    cert = compose_chain([join, block], verify=verify_cert)
+                                    verify=False).flip()
+    cert = compose_chain([join, block], verify=False)
     assert cert.eps == Fraction(8, 5) * eps0
     return M, cert, preps + [join]
 
@@ -605,7 +598,8 @@ def tack(A: GridModule, B: GridModule, delta, tau=None,
     eps0 < delta/4: thin corners (eps0/2), antennas at pitch eps0/10
     (eps0/2), relocation of both antennas to a common out-of-support corner
     (eps0/10) and the gadget join (eps0/2).  The returned certificate
-    between M and A + B has eps = 1.6 eps0 < delta.
+    between M and A + B has eps = 1.6 eps0 < delta, and is verified here,
+    the one verification of the whole fold.
     """
     delta = as_frac(delta)
     if delta <= 0:
@@ -622,6 +616,7 @@ def tack(A: GridModule, B: GridModule, delta, tau=None,
     eps0 = fold_eps0([A, B], delta, tau)
     assert eps0 < delta / 4
     M, cert, _ = fold([A, B], eps0, check_stages=check_stages)
+    cert.verify()
     if not is_indecomposable(M):
         raise RuntimeError("tacked module failed its indecomposability check")
     assert cert.eps == Fraction(8, 5) * eps0 < delta
@@ -631,11 +626,12 @@ def tack(A: GridModule, B: GridModule, delta, tau=None,
 # -- the approximation pipeline ------------------------------------------------
 
 class ApproxResult:
-    """The approximation, its verified certificate to the input, the snap
-    certificate, and the stage certificates: for k >= 2 summands those of
-    the fold (one per summand, then the join), for a zero snap the cube's
-    certificate, otherwise none.  The fold's stage certificates are never
-    verified on their own, only as parts of `certificate`."""
+    """The approximation, its certificate to the input (verified by
+    approximate_indecomposable), the snap certificate, and the stage
+    certificates: for k >= 2 summands those of the fold (one per summand,
+    then the join), for a zero snap the cube's certificate, otherwise none.
+    The fold's stage certificates are never verified on their own, only as
+    parts of `certificate`."""
 
     def __init__(self, module, certificate, snap_cert, stage_certs):
         self.module = module
@@ -645,13 +641,16 @@ class ApproxResult:
 
 
 def iso_certificate(W: ModuleMorphism) -> InterleavingCertificate:
-    """A 0-interleaving from a verified isomorphism W: A -> B."""
-    W.validate()
-    if not W.is_isomorphism():
-        raise CertificateError("witness is not an isomorphism")
+    """The verified 0-interleaving (W, W^-1) from an isomorphism W: A -> B.
+    Its verification checks that W and W^-1 are natural and inverse to each
+    other; a W that is not a natural isomorphism raises CertificateError."""
+    try:
+        inv = W.inverse()
+    except ValueError as exc:   # a singular or non-square component
+        raise CertificateError("witness is not an isomorphism") from exc
     # at eps 0 the evaluation grid of two modules on one grid is that grid
     f = {v: m for v, m in W.mats.items() if m.size and m.any()}
-    g = {v: m for v, m in W.inverse().mats.items() if m.size and m.any()}
+    g = {v: m for v, m in inv.mats.items() if m.size and m.any()}
     cert = InterleavingCertificate(W.source, W.target, 0, W.source.grid,
                                    f, g)
     cert.verify()
@@ -705,7 +704,7 @@ def approximate_indecomposable(N: GridModule, eps, seed: int = 0
     if len(parts) == 1:
         M = parts[0]
     else:
-        M, fold_c, stage_certs = fold(parts, eps / 4, verify_cert=False)
+        M, fold_c, stage_certs = fold(parts, eps / 4)
         chain.append(fold_c)
     total = compose_chain(chain + [iso_certificate(W), snap_c.flip()],
                           verify=True)

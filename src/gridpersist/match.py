@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-import networkx as nx
-
 from .core import GridModule, as_frac, is_isomorphic, zero_module
 from .decomp import decompose, is_indecomposable
 from .interleave import (CertificateError, InterleavingCertificate,
@@ -157,6 +155,8 @@ def bottleneck_upper_bound(M: GridModule, N: GridModule, eps,
     Both summand lists are padded with zero modules to equal length; an edge
     (i, j) exists when summand_certificate found a verified eps-certificate.
     """
+    import networkx as nx   # loaded on first use: a slow import
+
     eps = as_frac(eps)
     if eps < 0:
         raise ValueError("eps must be >= 0")
@@ -209,6 +209,8 @@ def matching_lower_bound(M: GridModule, N: GridModule, seed: int = 0):
     those per-edge bounds is therefore a lower bound for d_B.  Returns
     (bound, edge_bounds) with edge_bounds[(i, j)] the per-pair bound.
     """
+    import networkx as nx   # loaded on first use: a slow import
+
     left, right = _padded_summands(M, N, seed)
     bounds = {}
     for i, X in enumerate(left):
@@ -282,7 +284,7 @@ def instability_demo(M: GridModule, delta, seed: int = 0) -> InstabilityReport:
     if len(parts) < 2:
         raise ValueError("need a decomposable module with >= 2 summands")
     eps0 = fold_eps0([prune(X) for X in parts], delta)
-    cur, fold_c, _ = fold(parts, eps0, verify_cert=False)
+    cur, fold_c, _ = fold(parts, eps0)
     total = compose_chain([fold_c, iso_certificate(W)], verify=True)
     if total.eps >= delta:
         raise RuntimeError("stage certificates exceeded the delta budget")

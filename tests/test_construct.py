@@ -17,7 +17,8 @@ from gridpersist.construct import (add_antenna, add_thin_corner,
 from gridpersist.core import (Grid, GridModule, direct_sum, interval_module,
                               is_isomorphic, zero_module, ModuleMorphism)
 from gridpersist.decomp import is_indecomposable
-from gridpersist.interleave import is_eps_trivial, triviality_radius
+from gridpersist.interleave import (CertificateError, InterleavingCertificate,
+                                    is_eps_trivial, triviality_radius)
 from gridpersist.kan import common_refinement, prune, restriction_extension
 
 from conftest import rect
@@ -51,6 +52,7 @@ def test_add_antenna_produces_antenna_and_keeps_indecomposable():
     A1, c1, _ = add_thin_corner(A, 1)
     A2, c2, tip = add_antenna(A1, Fraction(1, 2))
     assert A2.validate()
+    c1.verify()
     c2.verify()
     assert has_antenna(A2, 0)
     assert is_indecomposable(A2)
@@ -242,6 +244,8 @@ def test_stage_outputs_are_pinned(name):
     assert axis == (0 if n == 2 else n - 1)
     assert [_digests(X1, c1), _digests(X2, c2),
             _digests(X3, c3)] == STAGE_DIGESTS[name]
+    for c in (c1, c2, c3):
+        c.verify()
 
 
 def test_thin_corner_keeps_the_corner_line_that_leaves():
@@ -255,11 +259,12 @@ def test_thin_corner_keeps_the_corner_line_that_leaves():
     assert r == (0, 0) and V1.dims.tolist() == [[1, 2, 1], [2, 2, 1],
                                                 [1, 1, 0]]
     assert _digests(V1, cert) == ("3dc48e82482d712b", "31a90c7e8cb4865c")
+    cert.verify()
 
 
 def test_move_antenna_refuses_support_under_the_staircase():
-    A1, _, _ = add_thin_corner(interval_module((0, 0), (2, 2)), 1)
-    A2, _, tip = add_antenna(A1, Fraction(1, 2))
+    A1, c1, _ = add_thin_corner(interval_module((0, 0), (2, 2)), 1)
+    A2, c2, tip = add_antenna(A1, Fraction(1, 2))
     # a two-dimensional block (so it holds no antenna of its own) right of
     # s_0, just below the staircase's first row at r_1 = 3/10
     B = interval_module((Fraction(-1, 10), 0), (0, Fraction(3, 10)))
@@ -269,4 +274,64 @@ def test_move_antenna_refuses_support_under_the_staircase():
     with pytest.raises(ValueError):
         move_antenna(S, Fraction(1, 10), (Fraction(-1, 5), Fraction(1, 2)))
     # the same target is fine without the block
+    _, c3, _ = move_antenna(A2, Fraction(1, 10),
+                            (Fraction(-1, 5), Fraction(1, 2)))
+    for c in (c1, c2, c3):
+        c.verify()
+
+
+def _count_verify_calls(monkeypatch):
+    calls = []
+    verify = InterleavingCertificate.verify
+
+    def counted(self):
+        calls.append(self.eps)
+        return verify(self)
+
+    monkeypatch.setattr(InterleavingCertificate, "verify", counted)
+    return calls
+
+
+def test_tack_verifies_only_the_certificate_it_returns(monkeypatch):
+    calls = _count_verify_calls(monkeypatch)
+    _, cert = tack(rect((0, 0), (2, 2)), rect((3, 1), (5, 4)), 1)
+    assert calls == [cert.eps] == [Fraction(8, 25)]
+
+
+def test_fold_and_its_stages_leave_verification_to_the_caller(monkeypatch):
+    calls = _count_verify_calls(monkeypatch)
+    A1, _, _ = add_thin_corner(rect((0, 0), (2, 2)), 1)
+    A2, _, _ = add_antenna(A1, Fraction(1, 2))
     move_antenna(A2, Fraction(1, 10), (Fraction(-1, 5), Fraction(1, 2)))
+    fold([rect((0, 0), (2, 2)), rect((3, 1), (5, 4)), rect((1, 5), (2, 6))],
+         Fraction(1, 4))
+    assert calls == []
+
+
+def _with_component(W, v, m):
+    mats = dict(W.mats)
+    mats[v] = m
+    return ModuleMorphism(W.source, W.target, mats)
+
+
+def test_iso_certificate_refuses_a_witness_that_is_no_isomorphism():
+    W = ModuleMorphism.identity(module_G())
+    v = next(v for v, m in W.mats.items() if len(m) == 2)
+    # twice the identity at one vertex is invertible but not natural
+    with pytest.raises(CertificateError):
+        iso_certificate(_with_component(W, v, 2 * field.eye(2)))
+    # a rank-one component is not invertible
+    with pytest.raises(CertificateError, match="not an isomorphism"):
+        iso_certificate(_with_component(W, v, field.fmat([[1, 0], [0, 0]],
+                                                         W.p)))
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="fold at odd n >= 3 of three or more parts is "
+                          "decomposable (ROADMAP Open item 1)")
+def test_fold_of_three_three_parameter_cubes_is_indecomposable():
+    parts = [interval_module((3 * i, 0, 0), (3 * i + 1, 1, 1))
+             for i in range(3)]
+    M, cert, _ = fold(parts, Fraction(1, 4))
+    cert.verify()
+    assert is_indecomposable(M)

@@ -1,5 +1,7 @@
 """Epsilon-indecomposability, summand matching, and the stability gap."""
 
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -107,3 +109,11 @@ def test_instability_gap_and_growth():
     near = demo(6)
     assert near.d_b_lower <= far.d_b_lower
     assert near.gap <= far.gap
+
+
+def test_importing_the_package_does_not_load_networkx():
+    # only the matchings need networkx; every CLI call pays for its import
+    code = "import sys, gridpersist; print('networkx' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
