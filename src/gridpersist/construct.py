@@ -28,7 +28,7 @@ from math import gcd
 import numpy as np
 
 from . import field
-from .core import (Grid, GridModule, ModuleMorphism, as_frac,
+from .core import (Components, Grid, GridModule, ModuleMorphism, as_frac,
                    interval_module, sum_module)
 from .decomp import PreconditionError, decompose, is_indecomposable
 from .interleave import (CertificateError, InterleavingCertificate,
@@ -649,10 +649,11 @@ def iso_certificate(W: ModuleMorphism) -> InterleavingCertificate:
     except ValueError as exc:   # a singular or non-square component
         raise CertificateError("witness is not an isomorphism") from exc
     # at eps 0 the evaluation grid of two modules on one grid is that grid
-    f = {v: m for v, m in W.mats.items() if m.size and m.any()}
-    g = {v: m for v, m in inv.mats.items() if m.size and m.any()}
-    cert = InterleavingCertificate(W.source, W.target, 0, W.source.grid,
-                                   f, g)
+    shape = W.source.grid.shape
+    cert = InterleavingCertificate(
+        W.source, W.target, 0, W.source.grid,
+        Components.of(W.mats, shape, drop_zero=True),
+        Components.of(inv.mats, shape, drop_zero=True))
     cert.verify()
     return cert
 

@@ -13,9 +13,10 @@ convention, so refining a grid never changes the meaning of a module.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections.abc import Mapping
 from fractions import Fraction
-from math import gcd, lcm
 from itertools import product
+from math import gcd, lcm, prod
 
 import numpy as np
 
@@ -169,6 +170,90 @@ class Grid:
 def _strides(shape) -> np.ndarray:
     """Flat-index strides of a C-ordered grid of the given shape."""
     return np.cumprod((1,) + tuple(shape[:0:-1]), dtype=np.int64)[::-1]
+
+
+def _vertex(flat: int, shape):
+    """The index tuple of the flat index of a vertex of a grid of shape."""
+    return tuple(int(i) for i in np.unravel_index(int(flat), shape))
+
+
+class Components(Mapping):
+    """A read-only {vertex: matrix} table over a grid of the given shape.
+
+    ids is a flat int64 array over the grid in C order: -1 where there is
+    no component, else an index into mats, which holds each distinct
+    matrix once by content, in order of first appearance.  The builders of
+    certificates and morphisms return tables; their consumers read any
+    vertex -> matrix mapping through Components.of.
+    """
+
+    def __init__(self, shape, ids, mats, drop_zero: bool = False):
+        """The table of mats[ids[v]] at each vertex v with ids[v] >= 0, for
+        ids over the grid in C order and mats that may repeat a matrix;
+        with drop_zero, zero and empty matrices count as absent."""
+        canon = {}   # content -> (index, first matrix with it)
+        kind = np.array([-1 if drop_zero and not (m.size and m.any()) else
+                         canon.setdefault((m.shape, m.dtype.str, m.tobytes()),
+                                          (len(canon), m))[0]
+                         for m in mats], dtype=np.int64)
+        reps = [m for _, m in canon.values()]
+        ids = np.array(ids, dtype=np.int64).ravel()
+        ids[ids >= 0] = kind[ids[ids >= 0]]
+        live = np.flatnonzero(ids >= 0)
+        # number the distinct matrices in order of first appearance
+        used, first, inv = np.unique(ids[live], return_index=True,
+                                     return_inverse=True)
+        order = np.argsort(first)
+        ids[live] = np.argsort(order)[inv.reshape(-1)]
+        self.shape, self.ids = tuple(shape), ids
+        self.mats = [reps[c] for c in used[order].tolist()]
+
+    @classmethod
+    def of(cls, comp, shape, drop_zero: bool = False) -> "Components":
+        """comp as a table over a grid of the given shape: a table of that
+        shape as it is (unless drop_zero finds a zero matrix in it); any
+        other mapping with its entries at keys outside the grid ignored,
+        equal matrices numbered in order of first appearance in comp.  With
+        drop_zero, zero and empty matrices count as absent."""
+        shape = tuple(shape)
+        if isinstance(comp, Components) and comp.shape == shape and (
+                not drop_zero or all(m.size and m.any() for m in comp.mats)):
+            return comp
+        keys = [v for v in comp if len(v) == len(shape)]
+        vs = np.array(keys, dtype=np.int64).reshape(len(keys), len(shape))
+        at = np.flatnonzero(((vs >= 0) & (vs < shape)).all(axis=1)).tolist()
+        # the entries in comp's order, as a table along one axis
+        line = cls((len(at),), np.arange(len(at)),
+                   [comp[keys[i]] for i in at], drop_zero)
+        t = cls.__new__(cls)
+        t.shape, t.mats = shape, line.mats
+        t.ids = np.full(prod(shape), -1, dtype=np.int64)
+        t.ids[vs[at] @ _strides(shape)] = line.ids
+        return t
+
+    def misfits(self, rows, cols) -> np.ndarray:
+        """The flat vertices v whose component is not rows[v] x cols[v]."""
+        shapes = [m.shape if m.ndim == 2 else (-1, -1) for m in self.mats]
+        got = np.array(shapes + [(-1, -1)], dtype=np.int64)[self.ids]
+        return np.flatnonzero((self.ids >= 0) & ((got[:, 0] != rows)
+                                                 | (got[:, 1] != cols)))
+
+    def __getitem__(self, vidx):
+        try:
+            i = self.ids[np.ravel_multi_index(vidx, self.shape)]
+        except (ValueError, TypeError):
+            raise KeyError(vidx) from None
+        if i < 0:
+            raise KeyError(vidx)
+        return self.mats[i]
+
+    def __iter__(self):
+        """The vertices carrying a component, in C (sorted) order."""
+        return map(tuple, np.argwhere(self.ids.reshape(self.shape) >= 0
+                                      ).tolist())
+
+    def __len__(self):
+        return int(np.count_nonzero(self.ids >= 0))
 
 
 class GridModule:
@@ -371,28 +456,24 @@ class GridModule:
         # flat vertices with a successor along axis k, kept grid-shaped
         lo = [np.take(idx, range(shape[k] - 1), axis=k) for k in range(n)]
         stride = _strides(shape)
-
-        def at(v, bad):
-            return tuple(int(i) for i in
-                         np.unravel_index(int(v[bad][0]), shape))
-
         for k in range(n):
             v = lo[k].ravel()
             bad = ((T[k, v] < 0) | (T[k, v] >= p)).any(axis=(1, 2))
             if bad.any():
-                raise ValueError(f"step at {at(v, bad)} axis {k}: "
-                                 "entries out of [0,p)")
+                raise ValueError(f"step at {_vertex(v[bad][0], shape)} axis "
+                                 f"{k}: entries out of [0,p)")
             bad = pos[v] & pos[v + stride[k]] & ~present[k, v]
             if bad.any():
-                raise ValueError(f"missing step at {at(v, bad)} axis {k}")
+                raise ValueError(f"missing step at "
+                                 f"{_vertex(v[bad][0], shape)} axis {k}")
             for l in range(k + 1, n):
                 u = np.take(lo[k], range(shape[l] - 1), axis=l).ravel()
                 bad = (np.matmul(T[l, u + stride[k]], T[k, u]) % p
                        != np.matmul(T[k, u + stride[l]], T[l, u]) % p
                        ).any(axis=(1, 2))
                 if bad.any():
-                    raise ValueError(f"square at {at(u, bad)} axes ({k},{l}) "
-                                     "does not commute")
+                    raise ValueError(f"square at {_vertex(u[bad][0], shape)} "
+                                     f"axes ({k},{l}) does not commute")
         return True
 
     def is_valid(self) -> bool:
@@ -410,8 +491,9 @@ class GridModule:
 class ModuleMorphism:
     """A natural transformation between two modules on the same grid.
 
-    mats[vidx] is the component at vidx, of shape (target.dim, source.dim);
-    missing entries stand for the zero (or empty) matrix.
+    mats is any vertex -> matrix mapping (the builders return a Components
+    table): mats[vidx] is the component at vidx, of shape (target.dim,
+    source.dim); missing entries stand for the zero (or empty) matrix.
     """
 
     def __init__(self, source: GridModule, target: GridModule, mats):
@@ -432,21 +514,35 @@ class ModuleMorphism:
         return m
 
     def validate(self):
-        M, N = self.source, self.target
-        for vidx, m in self.mats.items():
-            want = (N.dim(vidx), M.dim(vidx))
-            if m.shape != want:
-                raise ValueError(f"component at {vidx}: shape {m.shape}, want {want}")
-        for vidx in M.grid.vertices():
-            vidx = tuple(vidx)
-            for k in range(M.grid.n):
-                if not M.has_succ(vidx, k):
-                    continue
-                w = M.succ(vidx, k)
-                a = field.mmul(self.at(w), M.step(vidx, k), self.p)
-                b = field.mmul(N.step(vidx, k), self.at(vidx), self.p)
-                if not np.array_equal(a, b):
-                    raise ValueError(f"naturality fails at {vidx} axis {k}")
+        """Check the shape of every component and naturality along every
+        edge, all vertices at once on the step tensors; raises ValueError
+        on a violation."""
+        M, N, p = self.source, self.target, self.p
+        shape = M.grid.shape
+        t = Components.of(self.mats, shape)
+        rows, cols = N.dims.ravel(), M.dims.ravel()
+        bad = t.misfits(rows, cols)
+        if len(bad):
+            v = bad[0]
+            raise ValueError(f"component at {_vertex(v, shape)}: shape "
+                             f"{t.mats[t.ids[v]].shape}, want "
+                             f"{(int(rows[v]), int(cols[v]))}")
+        # every component zero-padded to the largest dimensions
+        C = np.zeros((len(t.mats) + 1, N.max_pointwise_dim(),
+                      M.max_pointwise_dim()), dtype=np.int64)
+        for j, m in enumerate(t.mats):
+            C[j, :m.shape[0], :m.shape[1]] = m
+        C = C[t.ids]
+        TM, TN = M.step_tensor(), N.step_tensor()
+        idx = np.arange(t.ids.size).reshape(shape)
+        for k, stride in enumerate(_strides(shape).tolist()):
+            v = np.take(idx, range(shape[k] - 1), axis=k).ravel()
+            bad = np.flatnonzero((np.matmul(C[v + stride], TM[k, v]) % p
+                                  != np.matmul(TN[k, v], C[v]) % p
+                                  ).any(axis=(1, 2)))
+            if len(bad):
+                raise ValueError(f"naturality fails at "
+                                 f"{_vertex(v[bad[0]], shape)} axis {k}")
         return True
 
     def is_valid(self) -> bool:
@@ -457,31 +553,46 @@ class ModuleMorphism:
             return False
 
     def compose(self, other: "ModuleMorphism") -> "ModuleMorphism":
-        """self o other."""
+        """self o other; each distinct pair of components is multiplied
+        once, and zero products are left out."""
         if other.target is not self.source and other.target.dims.shape != self.source.dims.shape:
             raise ValueError("composition mismatch")
-        mats = {}
-        for vidx in self.source.grid.vertices():
-            vidx = tuple(vidx)
-            m = field.mmul(self.at(vidx), other.at(vidx), self.p)
-            if m.size and m.any():
-                mats[vidx] = m
-        return ModuleMorphism(other.source, self.target, mats)
+        shape = self.source.grid.shape
+        a, b = (Components.of(x.mats, shape) for x in (self, other))
+        live = (a.ids >= 0) & (b.ids >= 0)
+        pairs, at = np.unique(a.ids[live] * len(b.mats) + b.ids[live],
+                              return_inverse=True)
+        prods = [field.mmul(a.mats[u // len(b.mats)], b.mats[u % len(b.mats)],
+                            self.p) for u in pairs.tolist()]
+        ids = np.full(live.size, -1, dtype=np.int64)
+        ids[live] = at.reshape(-1)
+        return ModuleMorphism(other.source, self.target,
+                              Components(shape, ids, prods, drop_zero=True))
 
     def is_isomorphism(self) -> bool:
+        """Is the component at every vertex of the support invertible?  Each
+        distinct component is tested once."""
         if not np.array_equal(self.source.dims, self.target.dims):
             return False
-        return all(field.is_invertible(self.at(tuple(v)), self.p)
-                   for v in self.source.grid.vertices()
-                   if self.source.dim(tuple(v)) > 0)
+        t = Components.of(self.mats, self.source.grid.shape)
+        ids = t.ids[self.source.dims.ravel() > 0]
+        return bool((ids >= 0).all()) and all(
+            field.is_invertible(t.mats[i], self.p)
+            for i in np.unique(ids).tolist())
 
     def inverse(self) -> "ModuleMorphism":
-        mats = {}
-        for vidx in self.source.grid.vertices():
-            vidx = tuple(vidx)
-            if self.target.dim(vidx) > 0:
-                mats[vidx] = field.minv(self.at(vidx), self.p)
-        return ModuleMorphism(self.target, self.source, mats)
+        """The componentwise inverse on the target's support (ValueError
+        where a component there is missing or singular); each distinct
+        component is inverted once."""
+        t = Components.of(self.mats, self.source.grid.shape)
+        live = self.target.dims.ravel() > 0
+        gaps = np.flatnonzero(live & (t.ids < 0))
+        if len(gaps):
+            raise ValueError(f"no component at {_vertex(gaps[0], t.shape)}")
+        used = np.unique(t.ids[live])
+        return ModuleMorphism(self.target, self.source, Components(
+            t.shape, np.where(live, np.searchsorted(used, t.ids), -1),
+            [field.minv(t.mats[i], self.p) for i in used.tolist()]))
 
     @staticmethod
     def identity(M: GridModule) -> "ModuleMorphism":
@@ -596,22 +707,18 @@ def direct_sum(*modules):
     Returns (S, inclusions, projections) with witness morphisms.
     """
     S = sum_module(*modules)
-    grid = S.grid
+    dims = np.stack([M.dims.ravel() for M in modules])
     inclusions, projections = [], []
-    for i, M in enumerate(modules):
-        inc, prj = {}, {}
-        for vidx in grid.vertices():
-            vidx = tuple(vidx)
-            d = M.dim(vidx)
-            if d == 0:
-                continue
-            off = sum(modules[j].dim(vidx) for j in range(i))
-            m = field.zeros(S.dim(vidx), d)
-            m[off:off + d] = field.eye(d)
-            inc[vidx] = m
-            prj[vidx] = m.T.copy()
-        inclusions.append(ModuleMorphism(M, S, inc))
-        projections.append(ModuleMorphism(S, M, prj))
+    for M, d, off in zip(modules, dims, np.cumsum(dims, axis=0) - dims):
+        # one inclusion per distinct (dimension, offset, total dimension)
+        blocks, at = np.unique(np.stack([d, off, S.dims.ravel()], axis=1),
+                               axis=0, return_inverse=True)
+        inc = [field.eye(t)[:, o:o + k] for k, o, t in blocks.tolist()]
+        ids = np.where(d > 0, at.reshape(-1), -1)
+        inclusions.append(ModuleMorphism(M, S, Components(S.grid.shape, ids,
+                                                          inc)))
+        projections.append(ModuleMorphism(S, M, Components(
+            S.grid.shape, ids, [m.T.copy() for m in inc])))
     return S, inclusions, projections
 
 

@@ -15,19 +15,15 @@ from math import ceil, lcm
 import numpy as np
 
 from . import field
-from .core import Grid, GridModule, as_frac, sum_module, zero_module
-from .kan import (_axis_floors, _component_ids, _dict_from_ids, _flat,
-                  _flat_floors, _floors_via, _is_subgrid, _map_ids,
-                  _pair_maps, _unique_maps, _unique_rows, restriction_extension,
-                  snap_to_lattice, union_grid)
+from .core import (Components, Grid, GridModule, _vertex, as_frac,
+                   sum_module, zero_module)
+from .kan import (_axis_floors, _flat, _flat_floors, _floors_via, _is_subgrid,
+                  _pair_maps, _unique_maps, _unique_rows,
+                  restriction_extension, snap_to_lattice, union_grid)
 
 
 class CertificateError(ValueError):
     pass
-
-
-def _vertex(flat: int, shape):
-    return tuple(int(i) for i in np.unravel_index(int(flat), shape))
 
 
 # -- epsilon-trivial regions --------------------------------------------------
@@ -142,7 +138,9 @@ class InterleavingCertificate:
     """A claimed eps-interleaving between the extensions of M and N.
 
     f[v]: M^(v) -> N^(v+eps) and g[v]: N^(v) -> M^(v+eps) for every vertex v
-    of the evaluation grid.  verify() re-checks everything exactly.
+    of the evaluation grid.  f and g may be any vertex -> matrix mappings
+    (missing entries are zero); the builders here return Components tables.
+    verify() re-checks everything exactly.
     """
 
     def __init__(self, M: GridModule, N: GridModule, eps, grid: Grid, f, g):
@@ -180,21 +178,14 @@ class InterleavingCertificate:
         # dimension lookups by flat floor index; index -1 (no floor) is 0
         dm = np.append(M.dims.ravel(), 0)
         dn = np.append(N.dims.ravel(), 0)
-        fid, fmats = _component_ids(self.f, shape)
-        gid, gmats = _component_ids(self.g, shape)
-        for name, ids, mats, rows, cols in (("f", fid, fmats, dn[ne], dm[m0]),
-                                            ("g", gid, gmats, dm[me], dn[n0])):
-            shp = np.array([m.shape if m.ndim == 2 else (-1, -1)
-                            for m in mats], dtype=np.int64).reshape(-1, 2)
-            has = ids >= 0
-            safe = np.maximum(ids, 0)
-            bad = has & ((shp[safe, 0] != rows) | (shp[safe, 1] != cols)) \
-                if len(mats) else has
-            if bad.any():
-                v = int(np.flatnonzero(bad)[0])
+        F, G = Components.of(self.f, shape), Components.of(self.g, shape)
+        for name, t, rows, cols in (("f", F, dn[ne], dm[m0]),
+                                    ("g", G, dm[me], dn[n0])):
+            bad = t.misfits(rows, cols)
+            if len(bad):
                 raise CertificateError(
-                    f"{name} shape at {_vertex(v, shape)}: "
-                    f"{mats[ids[v]].shape}")
+                    f"{name} shape at {_vertex(bad[0], shape)}: "
+                    f"{t.mats[t.ids[bad[0]]].shape}")
         if pe.min(initial=0) < 0:
             # x + eps fell below the grid: only possible when eps < 0
             raise CertificateError("evaluation grid not closed under -eps")
@@ -204,7 +195,7 @@ class InterleavingCertificate:
         canon, cmats = {}, []
 
         def smap_ids(mod, src, dst):
-            mats, inv = _unique_maps(mod, src, dst)
+            inv, mats = _unique_maps(mod, src, dst)
             vals = []
             for m in mats:
                 c = canon.setdefault((m.shape, m.tobytes()), len(cmats))
@@ -213,8 +204,8 @@ class InterleavingCertificate:
                 vals.append(c)
             return np.array(vals, dtype=np.int64)[inv]
 
-        def comp(mats, i, rows, cols):
-            return mats[i] if i >= 0 else field.zeros(rows, cols)
+        def comp(t, i, rows, cols):
+            return t.mats[i] if i >= 0 else field.zeros(rows, cols)
 
         onto = {}
 
@@ -237,11 +228,10 @@ class InterleavingCertificate:
             # naturality of f: f(w) M(v->w) = N(v+eps->w+eps) f(v), and of
             # g likewise; absent components are zero of the shape the two
             # structure maps determine
-            for name, ids, mats, a0, b0, ma, mb in (
-                    ("f", fid, fmats, m0, ne, M, N),
-                    ("g", gid, gmats, n0, me, N, M)):
+            for name, t, a0, b0, ma, mb in (("f", F, m0, ne, M, N),
+                                            ("g", G, n0, me, N, M)):
                 ca_all = smap_ids(ma, a0[src], a0[dst])
-                sig = np.stack([ids[src], ids[dst], ca_all,
+                sig = np.stack([t.ids[src], t.ids[dst], ca_all,
                                 smap_ids(mb, b0[src], b0[dst])], axis=1)
                 kinds = np.unique(ca_all)
                 covered[name][dst] |= np.isin(
@@ -249,8 +239,8 @@ class InterleavingCertificate:
                 rows, first, _ = _unique_rows(sig)
                 for (iv, iw, ca, cb), e in zip(rows.tolist(), first.tolist()):
                     sa, sb = cmats[ca], cmats[cb]
-                    cv = comp(mats, iv, sb.shape[1], sa.shape[1])
-                    cw = comp(mats, iw, sb.shape[0], sa.shape[0])
+                    cv = comp(t, iv, sb.shape[1], sa.shape[1])
+                    cw = comp(t, iw, sb.shape[0], sa.shape[0])
                     if not np.array_equal(field.mmul(cw, sa, p),
                                           field.mmul(sb, cv, p)):
                         raise CertificateError(
@@ -262,20 +252,18 @@ class InterleavingCertificate:
         # predecessor of v agree at v whenever the structure map from there
         # onto M(v) (resp. N(v)) is onto; by induction along the grid order
         # only the other vertices, where M(v) has generators, are checked
-        for name, up_ids, up_mats, ids, mats, x0, x2e, mid, mod, cov in (
-                ("g.f", gid, gmats, fid, fmats, m0, m2e, dn[ne], M,
-                 covered["f"]),
-                ("f.g", fid, fmats, gid, gmats, n0, n2e, dm[me], N,
-                 covered["g"])):
+        for name, up, t, x0, x2e, mid, mod, cov in (
+                ("g.f", G, F, m0, m2e, dn[ne], M, covered["f"]),
+                ("f.g", F, G, n0, n2e, dm[me], N, covered["g"])):
             at = np.flatnonzero((x0 >= 0) & ~cov)
-            sig = np.stack([up_ids[pe[at]], ids[at],
+            sig = np.stack([up.ids[pe[at]], t.ids[at],
                             smap_ids(mod, x0[at], x2e[at]), mid[at]], axis=1)
             rows, first, _ = _unique_rows(sig)
             for (iu, iv, c, d), v in zip(rows.tolist(), at[first].tolist()):
                 target = cmats[c]
-                up = comp(up_mats, iu, target.shape[0], d)
-                here = comp(mats, iv, d, target.shape[1])
-                if not np.array_equal(field.mmul(up, here, p), target):
+                there = comp(up, iu, target.shape[0], d)
+                here = comp(t, iv, d, target.shape[1])
+                if not np.array_equal(field.mmul(there, here, p), target):
                     raise CertificateError(
                         f"triangle {name} fails at {_vertex(v, shape)}")
         return True
@@ -306,10 +294,10 @@ def identity_certificate(M: GridModule, eps,
     """The certificate d(M, M) <= eps via shift units."""
     eps = as_frac(eps)
     grid = certificate_grid(M, M, eps)
-    ids, mats = _map_ids(M, _flat_floors(M.grid, grid).ravel(),
-                         _flat_floors(M.grid, grid, eps).ravel())
-    fdict = _dict_from_ids(ids.reshape(grid.shape), mats)
-    cert = InterleavingCertificate(M, M, eps, grid, fdict, dict(fdict))
+    ids, mats = _unique_maps(M, _flat_floors(M.grid, grid).ravel(),
+                             _flat_floors(M.grid, grid, eps).ravel())
+    f = Components(grid.shape, ids, mats, drop_zero=True)
+    cert = InterleavingCertificate(M, M, eps, grid, f, f)
     if verify:
         cert.verify()
     return cert
@@ -356,31 +344,26 @@ def compose_chain(certs, verify: bool = True) -> InterleavingCertificate:
         # the composite component zero.
         cols, mats, s = [], [], 0
         for c, comp in zip(ordered, comps):
-            ids, cm = _component_ids(comp, c.grid.shape, drop_zero=True)
+            t = Components.of(comp, c.grid.shape, drop_zero=True)
             fl = _flat_floors(c.grid, grid, s).ravel()
-            cols.append(np.where(fl >= 0, ids[np.maximum(fl, 0)], -1))
-            mats.append(cm)
+            cols.append(np.where(fl >= 0, t.ids[np.maximum(fl, 0)], -1))
+            mats.append(t.mats)
             s += c.eps
         sig = np.stack(cols, axis=1)
         live = (sig >= 0).all(axis=1)
         out = np.full(len(sig), -1, dtype=np.int64)
+        rows, _, out[live] = _unique_rows(sig[live])
         prods = []
-        if live.any():
-            rows, _, inv = _unique_rows(sig[live])
-            vals = np.full(len(rows), -1, dtype=np.int64)
-            for j, row in enumerate(rows.tolist()):
-                m = mats[0][row[0]]
-                for cm, i in zip(mats[1:], row[1:]):
-                    m = field.mmul(cm[i], m, p)
-                if m.any():
-                    vals[j] = len(prods)
-                    prods.append(m)
-            out[live] = vals[inv]
-        return _dict_from_ids(out.reshape(grid.shape), prods)
+        for row in rows.tolist():
+            m = mats[0][row[0]]
+            for cm, i in zip(mats[1:], row[1:]):
+                m = field.mmul(cm[i], m, p)
+            prods.append(m)
+        return Components(grid.shape, out, prods, drop_zero=True)
 
-    fdict = fill(certs, [c.f for c in certs])
-    gdict = fill(certs[::-1], [c.g for c in reversed(certs)])
-    cert = InterleavingCertificate(M, L, eps, grid, fdict, gdict)
+    f = fill(certs, [c.f for c in certs])
+    g = fill(certs[::-1], [c.g for c in reversed(certs)])
+    cert = InterleavingCertificate(M, L, eps, grid, f, g)
     if verify:
         cert.verify()
     return cert
@@ -432,35 +415,33 @@ def block_sum_certificates(certs, verify: bool = True):
         # row and column dimensions (needed where the component is absent)
         cols, mats = [], []
         for c, comp, R, C in zip(certs, comps, rows_of, cols_of):
-            ids, cm = _component_ids(comp, c.grid.shape, drop_zero=True)
+            t = Components.of(comp, c.grid.shape, drop_zero=True)
             fl = _flat_floors(c.grid, grid).ravel()
-            cols += [np.where(fl >= 0, ids[np.maximum(fl, 0)], -1),
+            cols += [np.where(fl >= 0, t.ids[np.maximum(fl, 0)], -1),
                      _dims_at(R, grid, eps), _dims_at(C, grid)]
-            mats.append(cm)
+            mats.append(t.mats)
         sig = np.stack(cols, axis=1)
         live = (sig[:, 0::3] >= 0).any(axis=1)
         out = np.full(len(sig), -1, dtype=np.int64)
+        rows, _, out[live] = _unique_rows(sig[live])
         blocks = []
-        if live.any():
-            rows, _, inv = _unique_rows(sig[live])
-            for row in rows.tolist():
-                trip = list(zip(row[0::3], row[1::3], row[2::3]))
-                m = field.zeros(sum(t[1] for t in trip), sum(t[2] for t in trip))
-                r = c = 0
-                for cm, (i, dr, dc) in zip(mats, trip):
-                    if i >= 0:
-                        m[r:r + dr, c:c + dc] = cm[i]
-                    r += dr
-                    c += dc
-                blocks.append(m)
-            out[live] = inv
-        return _dict_from_ids(out.reshape(grid.shape), blocks)
+        for row in rows.tolist():
+            trip = list(zip(row[0::3], row[1::3], row[2::3]))
+            m = field.zeros(sum(t[1] for t in trip), sum(t[2] for t in trip))
+            r = c = 0
+            for cm, (i, dr, dc) in zip(mats, trip):
+                if i >= 0:
+                    m[r:r + dr, c:c + dc] = cm[i]
+                r += dr
+                c += dc
+            blocks.append(m)
+        return Components(grid.shape, out, blocks)
 
-    fdict = fill([c.f for c in certs], [c.n_module for c in certs],
-                 [c.m_module for c in certs])
-    gdict = fill([c.g for c in certs], [c.m_module for c in certs],
-                 [c.n_module for c in certs])
-    cert = InterleavingCertificate(S1, S2, eps, grid, fdict, gdict)
+    f = fill([c.f for c in certs], [c.n_module for c in certs],
+             [c.m_module for c in certs])
+    g = fill([c.g for c in certs], [c.m_module for c in certs],
+             [c.n_module for c in certs])
+    cert = InterleavingCertificate(S1, S2, eps, grid, f, g)
     if verify:
         cert.verify()
     return cert, S1, S2
@@ -482,7 +463,8 @@ def pair_sum_certificates(c1: InterleavingCertificate,
 
 def sum_certificates(c: InterleavingCertificate, X: GridModule):
     """Certify d(M + X, N + X) <= eps from d(M, N) <= eps."""
-    return pair_sum_certificates(c, identity_certificate(X, c.eps))
+    return pair_sum_certificates(c, identity_certificate(X, c.eps,
+                                                         verify=False))
 
 
 def weaken_certificate(c: InterleavingCertificate, eps2) -> InterleavingCertificate:
@@ -515,13 +497,13 @@ def snap_certificate(M: GridModule, pitch):
                                  _axis_floors(L.grid, grid, shift)),
                      M.grid.shape).ravel()
 
-    fids, fmats = _map_ids(M, _flat_floors(M.grid, grid).ravel(),
-                           in_m(pitch))
-    gids, gmats = _map_ids(M, in_m(0),
-                           _flat_floors(M.grid, grid, pitch).ravel())
+    fids, fmats = _unique_maps(M, _flat_floors(M.grid, grid).ravel(),
+                               in_m(pitch))
+    gids, gmats = _unique_maps(M, in_m(0),
+                               _flat_floors(M.grid, grid, pitch).ravel())
     cert = InterleavingCertificate(
-        M, L, pitch, grid, _dict_from_ids(fids.reshape(grid.shape), fmats),
-        _dict_from_ids(gids.reshape(grid.shape), gmats))
+        M, L, pitch, grid, Components(grid.shape, fids, fmats, drop_zero=True),
+        Components(grid.shape, gids, gmats, drop_zero=True))
     cert.verify()
     return L, cert
 
@@ -552,15 +534,18 @@ def local_change_certificate(M: GridModule, M2: GridModule,
         raise CertificateError(
             f"modules differ outside the region at {grid.coord(v)}")
     # the eps-shift structure maps of both modules
-    own, own_mats = _map_ids(M, fm0, _flat_floors(M.grid, grid, eps).ravel())
-    other, other_mats = _map_ids(M2, f20,
-                                 _flat_floors(M2.grid, grid, eps).ravel())
-    other = np.where(other >= 0, other + len(own_mats), -1)
+    own, own_mats = _unique_maps(M, fm0,
+                                 _flat_floors(M.grid, grid, eps).ravel())
+    other, other_mats = _unique_maps(M2, f20,
+                                     _flat_floors(M2.grid, grid, eps).ravel())
+    other += len(own_mats)
     mats = own_mats + other_mats
-    fids = np.where(inside, own, other).reshape(grid.shape)
-    gids = np.where(inside, other, own).reshape(grid.shape)
-    cert = InterleavingCertificate(M, M2, eps, grid, _dict_from_ids(fids, mats),
-                                   _dict_from_ids(gids, mats))
+    cert = InterleavingCertificate(
+        M, M2, eps, grid,
+        Components(grid.shape, np.where(inside, own, other), mats,
+                   drop_zero=True),
+        Components(grid.shape, np.where(inside, other, own), mats,
+                   drop_zero=True))
     if verify:
         cert.verify()
     return cert
@@ -628,7 +613,7 @@ def _ranks(mod: GridModule, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     one rank computation per distinct map."""
     if not len(src):
         return np.zeros(0, dtype=np.int64)
-    mats, inv = _unique_maps(mod, src, dst)
+    inv, mats = _unique_maps(mod, src, dst)
     return np.array([field.rank(m, mod.p) for m in mats], dtype=np.int64)[inv]
 
 

@@ -16,7 +16,8 @@ from math import prod
 import numpy as np
 
 from . import field
-from .core import Grid, GridModule, ModuleMorphism, as_frac
+from .core import (Components, Grid, GridModule, ModuleMorphism, _strides,
+                   as_frac)
 from .interleave import InterleavingCertificate
 
 # The loader refuses a module whose step tensor (one D x D block per vertex
@@ -61,6 +62,8 @@ def _axes_obj(grid: Grid):
 def _axes_from(obj) -> Grid:
     if not isinstance(obj, list) or set(map(type, obj)) - {list}:
         raise ValueError("axes must be a list of coordinate lists")
+    if not obj:
+        raise ValueError("a grid needs at least one axis")
     return Grid([[parse_frac(c) for c in ax] for ax in obj])
 
 
@@ -87,9 +90,9 @@ def _matrix_reader(p: int):
     return read
 
 
-def _vertices(vs, shape):
-    """JSON vertices as index tuples; ValueError unless each is a list of
-    one integer per axis, inside the grid of the given shape."""
+def _vertices(vs, shape) -> np.ndarray:
+    """JSON vertices as the rows of an integer array; ValueError unless each
+    is a list of one integer per axis, inside the grid of the given shape."""
     n = len(shape)
     if (set(map(type, vs)) - {list} or set(map(len, vs)) - {n}
             or set(map(type, chain.from_iterable(vs))) - {int}):
@@ -97,17 +100,33 @@ def _vertices(vs, shape):
     a = np.array(vs, dtype=np.int64).reshape(len(vs), n)
     if ((a < 0) | (a >= np.array(shape, dtype=np.int64))).any():
         raise ValueError("vertex outside the grid")
-    return list(map(tuple, vs))
+    return a
 
 
-def _components(entries, shape, read) -> dict:
-    """{vertex: matrix} from a JSON list of {"vertex", "matrix"} entries;
-    ValueError unless the vertices are distinct integer vertices of the
-    grid of the given shape."""
-    keys = _vertices([e["vertex"] for e in entries], shape)
-    if len(set(keys)) != len(keys):
+def _components(entries, shape, read) -> Components:
+    """The table of a JSON list of {"vertex", "matrix"} entries; ValueError
+    unless the vertices are distinct integer vertices of the grid of the
+    given shape."""
+    at = _vertices([e["vertex"] for e in entries], shape) @ _strides(shape)
+    if len(np.unique(at)) != len(at):
         raise ValueError("duplicate component vertex")
-    return dict(zip(keys, [read(e["matrix"]) for e in entries]))
+    mats = [read(e["matrix"]) for e in entries]
+    # read shares one array among equal matrices: number those arrays
+    _, first, kind = np.unique(
+        np.fromiter(map(id, mats), np.uint64, len(mats)),
+        return_index=True, return_inverse=True)
+    ids = np.full(prod(shape), -1, dtype=np.int64)
+    ids[at] = kind.reshape(-1)
+    return Components(shape, ids, [mats[i] for i in first.tolist()])
+
+
+def _component_list(comp, shape, p: int):
+    """JSON {"vertex", "matrix"} entries of a vertex -> matrix mapping over
+    the grid of the given shape, vertices in C (that is, sorted) order."""
+    t = Components.of(comp, shape)
+    rows = [_matrix_obj(m, p) for m in t.mats]
+    return [{"vertex": list(v), "matrix": [r[:] for r in rows[i]]}
+            for v, i in zip(t, t.ids[t.ids >= 0].tolist())]
 
 
 def module_to_obj(M: GridModule) -> dict:
@@ -138,7 +157,8 @@ def module_from_obj(obj: dict) -> GridModule:
                          f"exceeds the loader's limit of "
                          f"{MAX_TENSOR_ENTRIES} step tensor entries")
     entries = obj["steps"]
-    keys = list(zip(_vertices([e["vertex"] for e in entries], grid.shape),
+    keys = list(zip(map(tuple, _vertices([e["vertex"] for e in entries],
+                                         grid.shape).tolist()),
                     [_int(e["axis"], "a step axis") for e in entries]))
     if len(set(keys)) != len(keys):
         raise ValueError("duplicate step")
@@ -150,15 +170,11 @@ def module_from_obj(obj: dict) -> GridModule:
 
 
 def morphism_to_obj(f: ModuleMorphism) -> dict:
-    comps = []
-    for vidx in sorted(f.mats):
-        comps.append({"vertex": list(vidx),
-                      "matrix": _matrix_obj(f.mats[vidx], f.source.p)})
     return {
         "type": "morphism",
         "source": module_to_obj(f.source),
         "target": module_to_obj(f.target),
-        "components": comps,
+        "components": _component_list(f.mats, f.source.grid.shape, f.p),
     }
 
 
@@ -175,19 +191,14 @@ def morphism_from_obj(obj: dict) -> ModuleMorphism:
 
 def certificate_to_obj(c: InterleavingCertificate) -> dict:
     p = c.m_module.p
-
-    def comp_list(d):
-        return [{"vertex": list(v), "matrix": _matrix_obj(d[v], p)}
-                for v in sorted(d)]
-
     return {
         "type": "certificate",
         "eps": frac_str(c.eps),
         "m_module": module_to_obj(c.m_module),
         "n_module": module_to_obj(c.n_module),
         "grid": _axes_obj(c.grid),
-        "f": comp_list(c.f),
-        "g": comp_list(c.g),
+        "f": _component_list(c.f, c.grid.shape, p),
+        "g": _component_list(c.g, c.grid.shape, p),
     }
 
 

@@ -7,14 +7,13 @@ equality of extensions; in general it snaps the module to the new grid.
 
 from __future__ import annotations
 
-from itertools import chain
 from math import lcm, prod
 
 import numpy as np
 
 from . import field
-from .core import (Grid, GridModule, ModuleMorphism, _affine, _exact,
-                   _over_den, _strides, as_frac)
+from .core import (Components, Grid, GridModule, ModuleMorphism, _affine,
+                   _exact, _over_den, as_frac)
 
 
 # -- evaluation-grid signatures ------------------------------------------------
@@ -22,8 +21,10 @@ from .core import (Grid, GridModule, ModuleMorphism, _affine, _exact,
 # Certificate routines evaluate natural maps at every vertex of an evaluation
 # grid.  A natural map is constant on cells of the common refinement, so each
 # vertex is described by its floors in the grids involved (per-axis tables,
-# combined into flat indices) and by the components it carries; vertices with
-# equal descriptions share one evaluation.
+# combined into flat indices) and by the components it carries (their ids in
+# a core.Components table, read from any vertex -> matrix mapping by
+# Components.of); vertices with equal descriptions share one evaluation, and
+# the builders hand their id tables over as Components.
 
 def _on(grid: Grid, L: int, shift=0):
     """Per-axis integer arrays: grid's coordinates plus shift, times L (a
@@ -79,51 +80,15 @@ def _flat(tabs, shape) -> np.ndarray:
     return out
 
 
-def _component_ids(comp, shape, drop_zero: bool = False):
-    """(ids, mats): ids is a flat array over a grid of the given shape with
-    ids[v] indexing mats for each vertex carrying an entry of comp, and -1
-    elsewhere; equal matrices share one index, in order of first
-    appearance.  Entries at keys outside the grid are ignored.  With
-    drop_zero, zero and empty matrices count as absent."""
-    n = len(shape)
-    ids = np.full(int(np.prod(shape)), -1, dtype=np.int64)
-    keys, vals = list(comp), list(comp.values())
-    if set(map(len, keys)) - {n}:
-        vals = [m for v, m in zip(keys, vals) if len(v) == n]
-        keys = [v for v in keys if len(v) == n]
-    vs = np.fromiter(chain.from_iterable(keys), dtype=np.int64,
-                     count=len(keys) * n).reshape(len(keys), n)
-    at = np.flatnonzero(((vs >= 0) & (vs < np.array(shape, dtype=np.int64))
-                         ).all(axis=1))
-    if not len(at):
-        return ids, []
-    # the content of each distinct matrix object is looked at once
-    _, first, inv = np.unique(
-        np.fromiter(map(id, vals), dtype=np.uint64, count=len(vals))[at],
-        return_index=True, return_inverse=True)
-    mats, canon = [], {}
-    cids = np.empty(len(first), dtype=np.int64)
-    for u in np.argsort(first).tolist():
-        m = vals[at[first[u]]]
-        if drop_zero and not (m.size and m.any()):
-            cids[u] = -1
-            continue
-        c = cids[u] = canon.setdefault((m.shape, m.dtype.str, m.tobytes()),
-                                       len(mats))
-        if c == len(mats):
-            mats.append(m)
-    ids[vs[at] @ _strides(shape)] = cids[inv.reshape(-1)]
-    return ids, mats
-
-
 def _unique_rows(sig: np.ndarray):
     """(rows, first, inverse): the distinct rows of an integer matrix with
     entries >= -1, the index of a row holding each, and the distinct-row
     index of every row."""
     if not sig.size:
-        rows, first, inv = np.unique(sig, axis=0, return_index=True,
-                                     return_inverse=True)
-        return rows, first, inv.reshape(-1)
+        # no rows, or no columns and so a single distinct row
+        k = min(len(sig), 1)
+        return sig[:k], np.zeros(k, dtype=np.int64), np.zeros(len(sig),
+                                                              dtype=np.int64)
     # pack each row into one integer when the ranges allow: a 1-d unique is
     # much faster than a row-wise one
     span = sig.max(axis=0) + 2
@@ -137,13 +102,6 @@ def _unique_rows(sig: np.ndarray):
     return rows, first, inv.reshape(-1)
 
 
-def _dict_from_ids(ids: np.ndarray, mats):
-    """{vertex: mats[ids[vertex]]} over the vertices with ids >= 0."""
-    where = np.argwhere(ids >= 0)
-    return dict(zip(map(tuple, where.tolist()),
-                    [mats[i] for i in ids[ids >= 0].tolist()]))
-
-
 def _pair_maps(mod: GridModule, src: np.ndarray, dst: np.ndarray):
     """(maps, rows, cols, inv) for the distinct pairs of flat floors
     src <= dst: their structure maps, zero-padded as
@@ -155,13 +113,14 @@ def _pair_maps(mod: GridModule, src: np.ndarray, dst: np.ndarray):
     live = pairs[:, 0] >= 0
     D = mod.max_pointwise_dim()
     maps = np.zeros((len(pairs), D, D), dtype=np.int64)
-    maps[live] = mod.structure_maps(pairs[live, 0], pairs[live, 1])
+    if live.any():
+        maps[live] = mod.structure_maps(pairs[live, 0], pairs[live, 1])
     dims = np.append(mod.dims.ravel(), 0)
     return maps, dims[pairs[:, 1]], dims[pairs[:, 0]], inv
 
 
 def _unique_maps(mod: GridModule, src: np.ndarray, dst: np.ndarray):
-    """(mats, inv): the distinct structure maps of mod between the flat
+    """(ids, mats): the distinct structure maps of mod between the flat
     floors src <= dst (see _pair_maps), each once by content, and the index
     into mats of the map of every pair."""
     maps, rows, cols, inv = _pair_maps(mod, src, dst)
@@ -171,23 +130,7 @@ def _unique_maps(mod: GridModule, src: np.ndarray, dst: np.ndarray):
     mats = [maps[j, :r, :c].copy()
             for j, r, c in zip(first.tolist(), rows[first].tolist(),
                                cols[first].tolist())]
-    return mats, same[inv]
-
-
-def _map_ids(mod: GridModule, src: np.ndarray, dst: np.ndarray):
-    """(ids, mats) for the structure maps of mod between the flat floors
-    src <= dst, one matrix per distinct pair; ids is -1 where the map is
-    zero (or src is -1, no floor)."""
-    ids = np.full(len(src), -1, dtype=np.int64)
-    live = src >= 0
-    if not live.any():
-        return ids, []
-    maps, rows, cols, inv = _pair_maps(mod, src[live], dst[live])
-    nonzero = maps.any(axis=(1, 2))
-    ids[live] = np.where(nonzero, np.cumsum(nonzero) - 1, -1)[inv]
-    return ids, [maps[j, :r, :c].copy() for j, r, c in
-                 zip(*(x[nonzero].tolist() for x in
-                       (np.arange(len(maps)), rows, cols)))]
+    return same[inv], mats
 
 
 def restriction_extension(M: GridModule, grid: Grid) -> GridModule:
@@ -207,11 +150,11 @@ def restriction_extension(M: GridModule, grid: Grid) -> GridModule:
         hi = tuple(slice(1, None) if a == k else slice(None)
                    for a in range(grid.n))
         live = (dims[lo] > 0) & (dims[hi] > 0)
-        ids, mats = _map_ids(M, src[lo][live], src[hi][live])
-        for v, i, dv, dw in zip(map(tuple, np.argwhere(live).tolist()),
-                                ids.tolist(), dims[lo][live].tolist(),
-                                dims[hi][live].tolist()):
-            steps[(v, k)] = mats[i] if i >= 0 else field.zeros(dw, dv)
+        maps, rows, cols, inv = _pair_maps(M, src[lo][live], src[hi][live])
+        mats = [m[:r, :c].copy()
+                for m, r, c in zip(maps, rows.tolist(), cols.tolist())]
+        for v, i in zip(map(tuple, np.argwhere(live).tolist()), inv.tolist()):
+            steps[(v, k)] = mats[i]
     return GridModule(grid, dims, steps, M.p)
 
 
@@ -227,9 +170,9 @@ def morphism_restriction_extension(f: ModuleMorphism, grid: Grid) -> ModuleMorph
     """The induced morphism between the restriction-extensions on `grid`."""
     Mg = restriction_extension(f.source, grid)
     Ng = restriction_extension(f.target, grid)
-    ids, mats = _component_ids(f.mats, f.source.grid.shape, drop_zero=True)
-    at = np.append(ids, -1)[_flat_floors(f.source.grid, grid)]
-    return ModuleMorphism(Mg, Ng, _dict_from_ids(at, mats))
+    t = Components.of(f.mats, f.source.grid.shape, drop_zero=True)
+    at = np.append(t.ids, -1)[_flat_floors(f.source.grid, grid)]
+    return ModuleMorphism(Mg, Ng, Components(grid.shape, at, t.mats))
 
 
 def union_grid(*grids_or_axes, shifts=(0,)) -> Grid:
@@ -278,11 +221,11 @@ def shift_unit(M: GridModule, r) -> ModuleMorphism:
         raise ValueError("shift unit needs r >= 0")
     Mr = shift(M, r)
     grid = union_grid(M.grid, shifts=(0, r))
-    ids, mats = _map_ids(M, _flat_floors(M.grid, grid).ravel(),
-                         _flat_floors(M.grid, grid, r).ravel())
+    ids, mats = _unique_maps(M, _flat_floors(M.grid, grid).ravel(),
+                             _flat_floors(M.grid, grid, r).ravel())
     return ModuleMorphism(restriction_extension(M, grid),
                           restriction_extension(Mr, grid),
-                          _dict_from_ids(ids.reshape(grid.shape), mats))
+                          Components(grid.shape, ids, mats, drop_zero=True))
 
 
 def snap_to_lattice(M: GridModule, pitch) -> GridModule:
@@ -381,7 +324,7 @@ def compression_witness(M: GridModule, C: GridModule) -> ModuleMorphism:
     compression of M.  Components are structure maps of M from the floor in
     C's grid up to each vertex."""
     src = _floors_via(M.grid, C.grid, _axis_floors(C.grid, M.grid))
-    ids, mats = _map_ids(M, _flat(src, M.grid.shape).ravel(),
-                         np.arange(M.dims.size))
+    ids, mats = _unique_maps(M, _flat(src, M.grid.shape).ravel(),
+                             np.arange(M.dims.size))
     return ModuleMorphism(restriction_extension(C, M.grid), M,
-                          _dict_from_ids(ids.reshape(M.grid.shape), mats))
+                          Components(M.grid.shape, ids, mats, drop_zero=True))

@@ -14,11 +14,16 @@ from gridpersist.construct import (add_antenna, add_thin_corner,
                                    has_antenna, has_thin_corner, infer_pitch,
                                    iso_certificate, module_G, move_antenna,
                                    tack)
-from gridpersist.core import (Grid, GridModule, direct_sum, interval_module,
-                              is_isomorphic, zero_module, ModuleMorphism)
-from gridpersist.decomp import is_indecomposable
+from gridpersist.core import (Components, Grid, GridModule, direct_sum,
+                              interval_module, is_isomorphic, zero_module,
+                              ModuleMorphism)
+from gridpersist.decomp import decompose, is_indecomposable
 from gridpersist.interleave import (CertificateError, InterleavingCertificate,
-                                    is_eps_trivial, triviality_radius)
+                                    TrivialRegion, compose_chain,
+                                    identity_certificate, is_eps_trivial,
+                                    local_change_certificate,
+                                    pair_sum_certificates, snap_certificate,
+                                    triviality_radius)
 from gridpersist.kan import common_refinement, prune, restriction_extension
 
 from conftest import rect
@@ -335,3 +340,41 @@ def test_fold_of_three_three_parameter_cubes_is_indecomposable():
     M, cert, _ = fold(parts, Fraction(1, 4))
     cert.verify()
     assert is_indecomposable(M)
+
+
+def _built_certificates():
+    M = random_module(2, 3, 2, seed=4)
+    half = Fraction(1, 2)
+    idc = identity_certificate(M, Fraction(1, 3))
+    corner = TrivialRegion([[(0, Fraction(1, 4)), (0, Fraction(1, 4))]])
+    _, W = decompose(M)
+    _, _, stages = fold([rect((0, 0), (2, 2)), rect((3, 1), (5, 4)),
+                         rect((1, 5), (2, 6))], Fraction(1, 4))
+    return [idc, snap_certificate(M, half)[1],
+            local_change_certificate(M, M, corner, half),
+            compose_chain([idc, idc]),
+            pair_sum_certificates(idc, identity_certificate(
+                rect((1, 1), (3, 3)), Fraction(1, 3)))[0],
+            iso_certificate(W)] + stages
+
+
+def test_builders_return_component_tables():
+    for c in _built_certificates():
+        shape = c.grid.shape
+        for t in (c.f, c.g):
+            assert isinstance(t, Components) and t.shape == shape
+            assert Components.of(t, shape) is t
+            keys = list(t)
+            assert keys == sorted(keys) and len(keys) == len(t)
+            assert t.get(shape) is None
+            absent = np.flatnonzero(t.ids < 0)
+            if len(absent):
+                v = tuple(map(int, np.unravel_index(absent[0], shape)))
+                assert t.get(v) is None and v not in t
+            u = Components.of(dict(t), shape)
+            assert np.array_equal(u.ids, t.ids)
+            assert len(u.mats) == len(t.mats)
+            assert all(np.array_equal(a, b) for a, b in zip(u.mats, t.mats))
+        plain = InterleavingCertificate(c.m_module, c.n_module, c.eps, c.grid,
+                                        dict(c.f), dict(c.g))
+        assert io.dumps(plain) == io.dumps(c)

@@ -1,5 +1,6 @@
 """Modules on grids: validation, sums, hom spaces, isomorphism."""
 
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -8,11 +9,12 @@ import pytest
 from gridpersist import field
 from gridpersist.cli import random_module
 from gridpersist.construct import module_G
-from gridpersist.core import (Grid, GridModule, ModuleMorphism, direct_sum,
-                              free_module, hom_space, interval_module,
-                              is_isomorphic, random_basis_change,
-                              zero_module)
-from gridpersist.kan import common_refinement
+from gridpersist.core import (Components, Grid, GridModule, ModuleMorphism,
+                              direct_sum, free_module, hom_space,
+                              interval_module, is_isomorphic,
+                              random_basis_change, zero_module)
+from gridpersist.decomp import decompose
+from gridpersist.kan import common_refinement, restriction_extension
 
 from conftest import rect
 from oracles import hom_dim, path_map
@@ -153,6 +155,22 @@ def test_morphism_identity_and_compose():
     basis = hom_space(M, M)
     f = ModuleMorphism.linear_combination(basis, [1] * len(basis), M.p)
     assert f.is_valid()
+    g = ModuleMorphism.linear_combination(basis, range(len(basis)), M.p)
+    fg = f.compose(g)
+    assert fg.is_valid()
+    for v in M.grid.vertices():
+        assert np.array_equal(fg.at(v), field.mmul(f.at(v), g.at(v), M.p))
+
+
+def test_morphism_validate_names_the_failing_vertex():
+    M = random_module(2, 3, 2, seed=1)
+    v = tuple(map(int, max(M.support_vertices(), key=M.dim)))
+    for m, msg in ((field.eye(M.dim(v) + 1), f"component at {v}: shape"),
+                   (2 * field.eye(M.dim(v)), "naturality fails at")):
+        mats = dict(ModuleMorphism.identity(M).mats)
+        mats[v] = m
+        with pytest.raises(ValueError, match=re.escape(msg)):
+            ModuleMorphism(M, M, mats).validate()
 
 
 def _pairs_below(M):
@@ -244,3 +262,40 @@ def test_validate_rejects_prime_too_large_for_int64_products():
     assert M.max_pointwise_dim() == 3
     with pytest.raises(ValueError, match="too large"):
         M.validate()
+
+
+def test_isomorphism_tests_each_distinct_component_once(monkeypatch):
+    M = restriction_extension(random_module(2, 3, 2, seed=2),
+                              Grid([[Fraction(i, 4) for i in range(10)]] * 2))
+    _, W = decompose(M)
+    distinct = len(Components.of(W.mats, M.grid.shape).mats)
+    assert distinct < len(M.support_vertices())
+    calls = []
+    rank = field.rank
+    monkeypatch.setattr(field, "rank",
+                        lambda a, p: calls.append(a.shape) or rank(a, p))
+    assert W.is_isomorphism()
+    assert 0 < len(calls) <= distinct
+    calls.clear()
+    assert W.inverse().is_isomorphism()
+    assert len(calls) <= distinct
+
+
+def test_one_singular_component_among_shared_identities():
+    M = random_module(2, 3, 2, seed=4)
+    eye = {d: field.eye(d) for d in range(1, M.max_pointwise_dim() + 1)}
+    mats = {v: eye[M.dim(v)] for v in M.support_vertices()}
+    v = max(M.support_vertices(), key=M.dim)
+    assert M.dim(v) == 2
+    assert ModuleMorphism(M, M, mats).is_isomorphism()
+    inv = ModuleMorphism(M, M, mats).inverse()
+    assert all(np.array_equal(inv.at(w), eye[M.dim(w)]) for w in mats)
+    singular = dict(mats)
+    singular[v] = field.zeros(M.dim(v), M.dim(v))
+    singular[v][0, 0] = 1
+    missing = {w: m for w, m in mats.items() if w != v}
+    for comps in (singular, missing):
+        W = ModuleMorphism(M, M, comps)
+        assert not W.is_isomorphism()
+        with pytest.raises(ValueError):
+            W.inverse()

@@ -160,6 +160,17 @@ def test_pair_sum_and_sum_certificates():
         c2.verify()
 
 
+def test_sum_certificates_verifies_only_its_result(monkeypatch):
+    calls = []
+    verify = InterleavingCertificate.verify
+    monkeypatch.setattr(InterleavingCertificate, "verify",
+                        lambda self: calls.append(self) or verify(self))
+    A = random_module(2, 3, 2, seed=1)
+    cA = identity_certificate(A, Fraction(1, 3), verify=False)
+    c, _, _ = sum_certificates(cA, random_module(2, 3, 2, seed=31))
+    assert calls == [c]
+
+
 def test_weaken_certificate():
     M = random_module(2, 3, 2, seed=9)
     c = identity_certificate(M, Fraction(1, 4))

@@ -437,6 +437,24 @@ def test_loader_rejects_morphism_vertex_outside_source_grid():
         io.from_obj(obj)
 
 
+def test_cli_refuses_grids_without_axes(tmp_path):
+    flat = {"type": "module", "p": 5, "axes": [], "dims": 1, "steps": []}
+    module = tmp_path / "flat.json"
+    module.write_text(json.dumps(flat))
+    cert = tmp_path / "flat_cert.json"
+    cert.write_text(json.dumps({"type": "certificate", "eps": "0/1",
+                                "m_module": flat, "n_module": flat,
+                                "grid": [], "f": [], "g": []}))
+    m = str(module)
+    for argv in (["validate", m], ["decompose", m],
+                 ["match", m, m, "--eps", "1"], ["certify", str(cert)],
+                 ["tack", m, m, "--delta", "1"],
+                 ["approx-indec", m, "--eps", "1/2"]):
+        r = _run(argv)
+        assert r.returncode == 2, argv
+        assert "malformed-input" in r.stderr and "Traceback" not in r.stderr
+
+
 def test_loader_rejects_duplicate_module_step(capsys, tmp_path):
     obj = io.module_to_obj(module_G())
     obj["steps"].append(dict(obj["steps"][0]))

@@ -9,11 +9,11 @@ import pytest
 from gridpersist import field
 from gridpersist.cli import random_module
 from gridpersist.construct import approximate_indecomposable, tack
-from gridpersist.core import (Grid, GridModule, free_module, hom_space,
-                              interval_module, is_isomorphic,
+from gridpersist.core import (Components, Grid, GridModule, free_module,
+                              hom_space, interval_module, is_isomorphic,
                               random_basis_change, zero_module)
 from gridpersist.interleave import certificate_grid
-from gridpersist.kan import (_axis_floors, _component_ids, _floors_via,
+from gridpersist.kan import (_axis_floors, _floors_via,
                              common_refinement, compress, compression_witness,
                              morphism_restriction_extension, prune,
                              restrict, restriction_extension, shift,
@@ -294,17 +294,20 @@ def test_component_ids_share_objects_and_equal_content():
     c = np.array([[5, 0]], dtype=np.int64)
     comp = {(2, 3): c, (0, 0): a, (1, 1): z, (0, 1): b, (5, 0): c,
             (-1, 2): a, (1, 2, 0): a, (2, 0): a, (1, 3): z}
-    ids, mats = _component_ids(comp, shape)
+    t = Components.of(comp, shape)
+    ids, mats = t.ids, t.mats
     # first appearance among in-grid keys: c, then a (b equals it), then z
     assert [m is x for m, x in zip(mats, (c, a, z))] == [True] * 3
     want = np.full(shape, -1)
     want[2, 3], want[0, 0], want[0, 1], want[2, 0] = 0, 1, 1, 1
     want[1, 1] = want[1, 3] = 2
     assert np.array_equal(ids.reshape(shape), want)
-    ids, mats = _component_ids(comp, shape, drop_zero=True)
+    t = Components.of(comp, shape, drop_zero=True)
+    ids, mats = t.ids, t.mats
     want[1, 1] = want[1, 3] = -1
     assert len(mats) == 2 and np.array_equal(ids.reshape(shape), want)
-    ids, mats = _component_ids({(7, 7): a, (0,): a}, shape)
+    t = Components.of({(7, 7): a, (0,): a}, shape)
+    ids, mats = t.ids, t.mats
     assert mats == [] and (ids == -1).all()
 
 
