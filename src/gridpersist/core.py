@@ -209,6 +209,17 @@ class Components(Mapping):
         self.mats = [reps[c] for c in used[order].tolist()]
 
     @classmethod
+    def shared(cls, shape, at, mats) -> "Components":
+        """The table of mats[i] at the distinct flat vertices at[i], numbered
+        by id() first (equal matrices often share one array), then content."""
+        _, first, kind = np.unique(
+            np.fromiter(map(id, mats), np.uint64, len(mats)),
+            return_index=True, return_inverse=True)
+        ids = np.full(prod(shape), -1, dtype=np.int64)
+        ids[at] = kind.reshape(-1)
+        return cls(shape, ids, [mats[i] for i in first.tolist()])
+
+    @classmethod
     def of(cls, comp, shape, drop_zero: bool = False) -> "Components":
         """comp as a table over a grid of the given shape: a table of that
         shape as it is (unless drop_zero finds a zero matrix in it); any
@@ -256,13 +267,22 @@ class Components(Mapping):
         return int(np.count_nonzero(self.ids >= 0))
 
 
+def _padded(mats, rows: int, cols: int) -> np.ndarray:
+    """The matrices zero-padded to rows x cols and stacked, followed by one
+    zero matrix, so that index -1 (no component) reads as zero."""
+    out = np.zeros((len(mats) + 1, rows, cols), dtype=np.int64)
+    for j, m in enumerate(mats):
+        out[j, :m.shape[0], :m.shape[1]] = m
+    return out
+
+
 class GridModule:
     """dims: array over grid.shape; steps[(vidx, k)]: matrix for the edge
     from vidx to its successor along axis k.
 
     A step entry must be present for every edge whose endpoints both have
     positive dimension; zero maps are stored explicitly.  Modules are treated
-    as immutable once built (the step tensor is built once).
+    as immutable once built (the step tensor and table are built once).
     """
 
     def __init__(self, grid: Grid, dims, steps, p: int = DEFAULT_PRIME):
@@ -270,7 +290,7 @@ class GridModule:
         self.p = p
         self.dims = np.asarray(dims, dtype=np.int64).reshape(grid.shape)
         self.steps = steps
-        self._tensor = None
+        self._tensor = self._table = None
 
     # -- basic accessors ---------------------------------------------------
 
@@ -367,16 +387,19 @@ class GridModule:
             ks, flat, mats = self._step_index()
             D = self.max_pointwise_dim()
             T = np.zeros((self.grid.n, self.dims.size, D, D), dtype=np.int64)
-            cols = self.dims.ravel()[flat]
-            # scatter every entry: entry e of the step s it belongs to sits
-            # at row e // cols[s], column e % cols[s]
-            size = np.array([m.size for m in mats], dtype=np.int64)
-            s = np.repeat(np.arange(len(mats)), size)
-            e = np.arange(len(s)) - np.repeat(np.cumsum(size) - size, size)
-            T[ks[s], flat[s], e // cols[s], e % cols[s]] = np.concatenate(
-                [m.ravel() for m in mats] + [np.zeros(0, dtype=np.int64)])
+            T[ks, flat] = _padded(mats, D, D)[:-1]
             self._tensor = T
         return self._tensor
+
+    def step_table(self) -> Components:
+        """The stored steps as a Components table over (n,) + grid.shape,
+        entry (k, v) holding step(v, k) where stored.  Built on first use;
+        raises ValueError where _step_index does."""
+        if self._table is None:
+            ks, flat, mats = self._step_index()
+            self._table = Components.shared((self.grid.n,) + self.grid.shape,
+                                            ks * self.dims.size + flat, mats)
+        return self._table
 
     def structure_maps(self, src, dst) -> np.ndarray:
         """Structure maps between arrays of flat vertex indices src <= dst.
@@ -448,9 +471,7 @@ class GridModule:
             raise ValueError("negative dimension")
         shape, n = self.grid.shape, self.grid.n
         T = self.step_tensor()
-        ks, flat, _ = self._step_index()
-        present = np.zeros((n, self.dims.size), dtype=bool)
-        present[ks, flat] = True
+        present = self.step_table().ids.reshape(n, -1) >= 0
         pos = self.dims.ravel() > 0
         idx = np.arange(self.dims.size).reshape(shape)
         # flat vertices with a successor along axis k, kept grid-shaped
@@ -528,11 +549,7 @@ class ModuleMorphism:
                              f"{t.mats[t.ids[v]].shape}, want "
                              f"{(int(rows[v]), int(cols[v]))}")
         # every component zero-padded to the largest dimensions
-        C = np.zeros((len(t.mats) + 1, N.max_pointwise_dim(),
-                      M.max_pointwise_dim()), dtype=np.int64)
-        for j, m in enumerate(t.mats):
-            C[j, :m.shape[0], :m.shape[1]] = m
-        C = C[t.ids]
+        C = _padded(t.mats, N.max_pointwise_dim(), M.max_pointwise_dim())[t.ids]
         TM, TN = M.step_tensor(), N.step_tensor()
         idx = np.arange(t.ids.size).reshape(shape)
         for k, stride in enumerate(_strides(shape).tolist()):

@@ -15,8 +15,8 @@ from math import ceil, lcm
 import numpy as np
 
 from . import field
-from .core import (Components, Grid, GridModule, _vertex, as_frac,
-                   sum_module, zero_module)
+from .core import (Components, Grid, GridModule, _padded, _strides, _vertex,
+                   as_frac, sum_module, zero_module)
 from .kan import (_axis_floors, _flat, _flat_floors, _floors_via, _is_subgrid,
                   _pair_maps, _unique_maps, _unique_rows,
                   restriction_extension, snap_to_lattice, union_grid)
@@ -158,8 +158,12 @@ class InterleavingCertificate:
         must have, every naturality square along each grid edge, and both
         triangle identities at each vertex where M (resp. N) has generators;
         at the other vertices the triangles follow from the checked
-        naturality.  Vertices are grouped by signature (the components and
-        structure maps involved); each distinct check runs once.
+        naturality.  The two ends of a grid edge have floors at most one
+        step apart in M and N, so the structure maps of a naturality square
+        are read off the modules' step tables; only the triangles walk
+        structure maps.  Vertices are grouped by signature (the components
+        and structure maps involved); the distinct checks of a kind run as
+        one batched product.
         """
         M, N, eps, P = self.m_module, self.n_module, self.eps, self.grid
         if eps < 0:
@@ -190,33 +194,48 @@ class InterleavingCertificate:
             # x + eps fell below the grid: only possible when eps < 0
             raise CertificateError("evaluation grid not closed under -eps")
 
-        # structure maps, deduplicated by content: a check depends only on
-        # the matrices involved, and refined grids repeat the same few maps
+        # structure maps, numbered by content: a check depends only on the
+        # matrices involved, and refined grids repeat the same few maps.
+        # New contents in a batch are numbered in order of shape, then
+        # entries (the order _unique_maps lists them in), so the checks and
+        # the failure reported do not depend on how the maps were found
         canon, cmats = {}, []
 
-        def smap_ids(mod, src, dst):
-            inv, mats = _unique_maps(mod, src, dst)
-            vals = []
-            for m in mats:
-                c = canon.setdefault((m.shape, m.tobytes()), len(cmats))
-                if c == len(cmats):
+        def number(mats):
+            ids = np.empty(len(mats), dtype=np.int64)
+            for i in sorted(range(len(mats)), key=lambda i: (
+                    mats[i].shape, mats[i].ravel().tolist())):
+                m = mats[i]
+                ids[i] = canon.setdefault((m.shape, m.tobytes()), len(cmats))
+                if ids[i] == len(cmats):
                     cmats.append(m)
-                vals.append(c)
-            return np.array(vals, dtype=np.int64)[inv]
+            return ids
 
-        def comp(t, i, rows, cols):
-            return t.mats[i] if i >= 0 else field.zeros(rows, cols)
+        def edge_ids(mod, a, b, k):
+            # the maps of mod from floor a to floor b of the ends of edges
+            # along axis k: the identity where a == b, the empty map where
+            # a is -1, else the step at a (zero where none is stored)
+            t, d = mod.step_table(), np.append(mod.dims.ravel(), 0)
+            step = (a >= 0) & (b == a + _strides(mod.grid.shape)[k])
+            if not ((a == b) | (a < 0) | step).all():
+                raise CertificateError("evaluation grid too coarse")
+            sid = np.where(step, t.ids[k * mod.dims.size + np.maximum(a, 0)],
+                           -1)
+            maps, _, inv = _unique_rows(np.stack([sid, d[b], d[a], a == b], 1))
+            return number([t.mats[i] if i >= 0 else field.eye(r) if eye else
+                           field.zeros(r, c)
+                           for i, r, c, eye in maps.tolist()])[inv]
 
-        onto = {}
+        # components and structure maps zero-padded to one square size
+        D = max(M.max_pointwise_dim(), N.max_pointwise_dim())
+        CF, CG = (_padded(t.mats, D, D) for t in (F, G))
 
-        def is_onto(c):
-            got = onto.get(c)
-            if got is None:
-                m = cmats[c]
-                got = onto[c] = field.rank(m, p) == m.shape[0]
-            return got
+        def failing(lhs, rhs):
+            return np.flatnonzero((lhs % p != rhs % p).any(axis=(1, 2)))
 
-        # vertices reached from a predecessor by an onto map of M (resp. N)
+        # vertices reached from a predecessor by an onto map of M (resp. N),
+        # and whether each of cmats is onto
+        onto = []
         covered = {"f": np.zeros(len(m0), dtype=bool),
                    "g": np.zeros(len(n0), dtype=bool)}
         idx = np.arange(int(np.prod(shape))).reshape(shape)
@@ -226,46 +245,41 @@ class InterleavingCertificate:
             src = np.take(idx, range(shape[k] - 1), axis=k).ravel()
             dst = src + idx.strides[k] // idx.itemsize
             # naturality of f: f(w) M(v->w) = N(v+eps->w+eps) f(v), and of
-            # g likewise; absent components are zero of the shape the two
-            # structure maps determine
-            for name, t, a0, b0, ma, mb in (("f", F, m0, ne, M, N),
-                                            ("g", G, n0, me, N, M)):
-                ca_all = smap_ids(ma, a0[src], a0[dst])
+            # g likewise; absent components are zero
+            for name, t, C, a0, b0, ma, mb in (("f", F, CF, m0, ne, M, N),
+                                               ("g", G, CG, n0, me, N, M)):
+                ca_all = edge_ids(ma, a0[src], a0[dst], k)
                 sig = np.stack([t.ids[src], t.ids[dst], ca_all,
-                                smap_ids(mb, b0[src], b0[dst])], axis=1)
-                kinds = np.unique(ca_all)
-                covered[name][dst] |= np.isin(
-                    ca_all, kinds[[is_onto(c) for c in kinds.tolist()]])
+                                edge_ids(mb, b0[src], b0[dst], k)], axis=1)
+                onto += [field.rank(m, p) == len(m) for m in cmats[len(onto):]]
+                covered[name][dst] |= np.array(onto, dtype=bool)[ca_all]
                 rows, first, _ = _unique_rows(sig)
-                for (iv, iw, ca, cb), e in zip(rows.tolist(), first.tolist()):
-                    sa, sb = cmats[ca], cmats[cb]
-                    cv = comp(t, iv, sb.shape[1], sa.shape[1])
-                    cw = comp(t, iw, sb.shape[0], sa.shape[0])
-                    if not np.array_equal(field.mmul(cw, sa, p),
-                                          field.mmul(sb, cv, p)):
-                        raise CertificateError(
-                            f"{name} naturality fails at "
-                            f"{_vertex(src[e], shape)} axis {k}")
+                S = _padded(cmats, D, D)
+                iv, iw, ca, cb = rows.T
+                bad = failing(np.matmul(C[iw], S[ca]), np.matmul(S[cb], C[iv]))
+                if len(bad):
+                    raise CertificateError(
+                        f"{name} naturality fails at "
+                        f"{_vertex(src[first[bad[0]]], shape)} axis {k}")
         # triangle identities g[eps] o f = eta_2eps and f[eps] o g = eta_2eps;
         # the component at v + eps is the one at its floor pe in P.  Both
         # sides are natural (checked above), so two of them that agree at a
         # predecessor of v agree at v whenever the structure map from there
         # onto M(v) (resp. N(v)) is onto; by induction along the grid order
         # only the other vertices, where M(v) has generators, are checked
-        for name, up, t, x0, x2e, mid, mod, cov in (
-                ("g.f", G, F, m0, m2e, dn[ne], M, covered["f"]),
-                ("f.g", F, G, n0, n2e, dm[me], N, covered["g"])):
+        for name, up, Cu, t, C, x0, x2e, mid, mod, cov in (
+                ("g.f", G, CG, F, CF, m0, m2e, dn[ne], M, covered["f"]),
+                ("f.g", F, CF, G, CG, n0, n2e, dm[me], N, covered["g"])):
             at = np.flatnonzero((x0 >= 0) & ~cov)
-            sig = np.stack([up.ids[pe[at]], t.ids[at],
-                            smap_ids(mod, x0[at], x2e[at]), mid[at]], axis=1)
+            inv, walks = _unique_maps(mod, x0[at], x2e[at])
+            sig = np.stack([up.ids[pe[at]], t.ids[at], number(walks)[inv],
+                            mid[at]], axis=1)
             rows, first, _ = _unique_rows(sig)
-            for (iu, iv, c, d), v in zip(rows.tolist(), at[first].tolist()):
-                target = cmats[c]
-                there = comp(up, iu, target.shape[0], d)
-                here = comp(t, iv, d, target.shape[1])
-                if not np.array_equal(field.mmul(there, here, p), target):
-                    raise CertificateError(
-                        f"triangle {name} fails at {_vertex(v, shape)}")
+            iu, iv, c, _ = rows.T
+            bad = failing(np.matmul(Cu[iu], C[iv]), _padded(cmats, D, D)[c])
+            if len(bad):
+                raise CertificateError(f"triangle {name} fails at "
+                                       f"{_vertex(at[first[bad[0]]], shape)}")
         return True
 
     def is_valid(self) -> bool:

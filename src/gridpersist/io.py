@@ -110,14 +110,8 @@ def _components(entries, shape, read) -> Components:
     at = _vertices([e["vertex"] for e in entries], shape) @ _strides(shape)
     if len(np.unique(at)) != len(at):
         raise ValueError("duplicate component vertex")
-    mats = [read(e["matrix"]) for e in entries]
-    # read shares one array among equal matrices: number those arrays
-    _, first, kind = np.unique(
-        np.fromiter(map(id, mats), np.uint64, len(mats)),
-        return_index=True, return_inverse=True)
-    ids = np.full(prod(shape), -1, dtype=np.int64)
-    ids[at] = kind.reshape(-1)
-    return Components(shape, ids, [mats[i] for i in first.tolist()])
+    # read shares one array among equal matrices
+    return Components.shared(shape, at, [read(e["matrix"]) for e in entries])
 
 
 def _component_list(comp, shape, p: int):

@@ -24,7 +24,10 @@ from .core import (Components, Grid, GridModule, ModuleMorphism, _affine,
 # combined into flat indices) and by the components it carries (their ids in
 # a core.Components table, read from any vertex -> matrix mapping by
 # Components.of); vertices with equal descriptions share one evaluation, and
-# the builders hand their id tables over as Components.
+# the builders hand their id tables over as Components.  The two ends of an
+# edge of an evaluation grid have floors equal or one step apart, so verify
+# reads a naturality square's maps off GridModule.step_table; structure maps
+# are walked (_unique_maps) only for the triangle identities.
 
 def _on(grid: Grid, L: int, shift=0):
     """Per-axis integer arrays: grid's coordinates plus shift, times L (a
@@ -97,9 +100,14 @@ def _unique_rows(sig: np.ndarray):
         _, first, inv = np.unique((sig + 1) @ weights, return_index=True,
                                   return_inverse=True)
         return sig[first], first, inv.reshape(-1)
-    rows, first, inv = np.unique(sig, axis=0, return_index=True,
-                                 return_inverse=True)
-    return rows, first, inv.reshape(-1)
+    # else unique over each row's bytes, then the few distinct rows sorted
+    # by value, as a row-wise unique would return them
+    sig = np.ascontiguousarray(sig)
+    _, first, inv = np.unique(
+        sig.view(np.dtype((np.void, sig.itemsize * sig.shape[1]))).ravel(),
+        return_index=True, return_inverse=True)
+    order = np.lexsort(sig[first].T[::-1])
+    return sig[first[order]], first[order], np.argsort(order)[inv.reshape(-1)]
 
 
 def _pair_maps(mod: GridModule, src: np.ndarray, dst: np.ndarray):

@@ -155,32 +155,38 @@ def bottleneck_upper_bound(M: GridModule, N: GridModule, eps,
     Both summand lists are padded with zero modules to equal length; an edge
     (i, j) exists when summand_certificate found a verified eps-certificate.
     """
-    import networkx as nx   # loaded on first use: a slow import
-
     eps = as_frac(eps)
     if eps < 0:
         raise ValueError("eps must be >= 0")
     left, right = _padded_summands(M, N, seed)
     certs = {}
-    graph = nx.Graph()
-    graph.add_nodes_from(("L", i) for i in range(len(left)))
-    graph.add_nodes_from(("R", j) for j in range(len(right)))
     for i, X in enumerate(left):
         for j, Y in enumerate(right):
             c = summand_certificate(X, Y, eps)
             if c is not None:
                 certs[(i, j)] = c
-                graph.add_edge(("L", i), ("R", j))
-    matching = nx.bipartite.maximum_matching(
-        graph, top_nodes=[("L", i) for i in range(len(left))])
-    pairs = []
-    for i in range(len(left)):
-        partner = matching.get(("L", i))
-        if partner is None:
-            return MatchResult(False, eps, left, right, [])
-        j = partner[1]
-        pairs.append((i, j, certs[(i, j)]))
-    return MatchResult(True, eps, left, right, pairs)
+    partner = _perfect_matching(len(left), len(right), certs)
+    if partner is None:
+        return MatchResult(False, eps, left, right, [])
+    return MatchResult(True, eps, left, right,
+                       [(i, j, certs[(i, j)]) for i, j in enumerate(partner)])
+
+
+def _perfect_matching(n_left: int, n_right: int, edges):
+    """The right partner of every left node in a maximum matching of the
+    bipartite graph with the given (i, j) edges, or None when it leaves a
+    left node unmatched.  Nodes are integers (left i, right n_left + j):
+    their hashes, unlike those of strings, do not change between runs, so
+    neither does the matching."""
+    import networkx as nx   # loaded on first use: a slow import
+
+    graph = nx.Graph()
+    graph.add_nodes_from(range(n_left + n_right))
+    graph.add_edges_from((i, n_left + j) for i, j in edges)
+    matching = nx.bipartite.maximum_matching(graph, top_nodes=range(n_left))
+    if any(i not in matching for i in range(n_left)):
+        return None
+    return [matching[i] - n_left for i in range(n_left)]
 
 
 def matching_to_interleaving(result: MatchResult) -> InterleavingCertificate:
@@ -209,8 +215,6 @@ def matching_lower_bound(M: GridModule, N: GridModule, seed: int = 0):
     those per-edge bounds is therefore a lower bound for d_B.  Returns
     (bound, edge_bounds) with edge_bounds[(i, j)] the per-pair bound.
     """
-    import networkx as nx   # loaded on first use: a slow import
-
     left, right = _padded_summands(M, N, seed)
     bounds = {}
     for i, X in enumerate(left):
@@ -219,15 +223,8 @@ def matching_lower_bound(M: GridModule, N: GridModule, seed: int = 0):
     best = None
     values = sorted(set(bounds.values()))
     for v in values:
-        graph = nx.Graph()
-        graph.add_nodes_from(("L", i) for i in range(len(left)))
-        graph.add_nodes_from(("R", j) for j in range(len(right)))
-        for (i, j), b in bounds.items():
-            if b <= v:
-                graph.add_edge(("L", i), ("R", j))
-        matching = nx.bipartite.maximum_matching(
-            graph, top_nodes=[("L", i) for i in range(len(left))])
-        if all(("L", i) in matching for i in range(len(left))):
+        if _perfect_matching(len(left), len(right), [
+                e for e, b in bounds.items() if b <= v]) is not None:
             best = v
             break
     if best is None:

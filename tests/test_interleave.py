@@ -5,9 +5,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from gridpersist import field, interleave
 from gridpersist.cli import random_module
-from gridpersist.construct import module_G
-from gridpersist.core import Grid, direct_sum, interval_module, zero_module
+from gridpersist.construct import fold, module_G
+from gridpersist.core import (Grid, GridModule, direct_sum, interval_module,
+                              zero_module)
 from gridpersist.interleave import (CertificateError, InterleavingCertificate,
                                     _rank_violation,
                                     TrivialRegion, compose_certificates,
@@ -368,6 +370,127 @@ def test_verify_agrees_with_vertexwise_oracle():
         assert c.is_valid() == want
         outcomes.add(want)
     assert outcomes == {True, False}
+
+
+def _rebased(M, v, a):
+    """M with the basis at vertex v changed by the invertible matrix a: a
+    valid module whose steps into and out of v differ from M's."""
+    p, ai = M.p, field.minv(a, M.p)
+    steps = dict(M.steps)
+    for (u, k), m in M.steps.items():
+        if u == v:
+            steps[(u, k)] = field.mmul(m, ai, p)
+        elif M.succ(u, k) == v:
+            steps[(u, k)] = field.mmul(a, m, p)
+    return GridModule(M.grid, M.dims, steps, p)
+
+
+def _without_zero_steps(M):
+    """M with its stored zero steps left out, which read as zero anyway."""
+    return GridModule(M.grid, M.dims, {key: m for key, m in M.steps.items()
+                                       if m.any()}, M.p)
+
+
+def test_verify_agrees_with_oracle_on_missing_steps_late_supports_and_stages():
+    # naturality reads each map off a step table: the identity between
+    # equal floors, the empty map from below a grid, a stored step, or zero
+    # where none is stored; the oracle composes everything at every vertex
+    rng = np.random.default_rng(5)
+    third, half = Fraction(1, 3), Fraction(1, 2)
+    X, Y, _ = common_refinement(rect((0, 0), (1, 2)), rect((1, 0), (2, 2)))
+    sparse = [_without_zero_steps(direct_sum(X, Y)[0]),
+              _without_zero_steps(random_module(2, 3, 2, seed=5))]
+    for A in sparse:   # an edge between nonzero spaces without a step
+        assert any(A.dims[v] and A.dims[A.succ(v, k)] and (v, k) not in A.steps
+                   for v in A.grid.vertices() for k in range(2)
+                   if A.has_succ(v, k))
+    certs = [identity_certificate(A, half, verify=False) for A in sparse]
+    # modules whose grid or support begins inside the evaluation grid: the
+    # snap of an off-lattice module, a support starting at (1, 1), and the
+    # zero module, whose one vertex sits above the grid's bottom
+    certs.append(snap_certificate(shift(random_module(2, 3, 2, seed=2),
+                                        Fraction(-1, 7)), third)[1])
+    certs.append(identity_certificate(
+        common_refinement(rect((0, 0), (2, 2)), rect((1, 1), (3, 3)))[1],
+        third))
+    # d(A, 0) <= eps holds exactly when A is 2 eps-trivial
+    A, Z = rect((0, 0), (1, 1)), zero_module(2)
+    for eps in (Fraction(1, 4), half):
+        certs.append(InterleavingCertificate(
+            A, Z, eps, certificate_grid(A, Z, eps), {}, {}))
+    certs += fold([rect((0, 0), (2, 2)), rect((3, 1), (5, 4))], 1)[2]
+    cases = []
+    for c in certs:
+        cases.append(("built", c))
+        p = c.m_module.p
+        f = dict(c.f)
+        keys = sorted(v for v, m in f.items() if m.size)
+        if keys:
+            v = keys[int(rng.integers(len(keys)))]
+            f[v] = (f[v] + 1) % p
+            cases.append(("component", InterleavingCertificate(
+                c.m_module, c.n_module, c.eps, c.grid, f, c.g)))
+        # a changed basis at one vertex of M: a changed step, same dims
+        M = c.m_module
+        live = [v for (v, _), m in M.steps.items() if m.size]
+        if live:
+            v = live[int(rng.integers(len(live)))]
+            cases.append(("step", InterleavingCertificate(
+                _rebased(M, v, 2 * field.eye(M.dim(v))), c.n_module, c.eps,
+                c.grid, c.f, c.g)))
+    outcomes = {"built": [], "component": [], "step": []}
+    for kind, c in cases:
+        want = O.certificate_holds(c)
+        assert c.is_valid() == want
+        outcomes[kind].append(want)
+    # every built certificate holds but d(A, 0) <= 1/4
+    assert outcomes["built"] == [True] * 4 + [False] + [True] * 4
+    assert False in outcomes["component"] and False in outcomes["step"]
+
+
+def test_verify_walks_structure_maps_only_for_the_triangles(monkeypatch):
+    # a naturality square joins floors equal or one step apart, so its maps
+    # are read off the step tables; one walk per triangle identity remains
+    M = random_module(2, 3, 2, seed=1)
+    certs = [identity_certificate(M, Fraction(1, 2)),
+             snap_certificate(shift(M, Fraction(-1, 7)), Fraction(1, 3))[1]]
+    walk, walks = GridModule.structure_maps, []
+
+    def counting(self, src, dst):
+        walks.append(len(src))
+        return walk(self, src, dst)
+
+    monkeypatch.setattr(GridModule, "structure_maps", counting)
+    for c in certs:
+        walks.clear()
+        assert c.verify()
+        assert 1 <= len(walks) <= 2
+    assert M.step_table() is M.step_table()
+
+
+def test_verify_fails_closed_when_floors_skip_a_step(monkeypatch):
+    # with the subgrid check fooled, an evaluation grid that lacks one of
+    # M's coordinates puts the floors of an edge's ends two steps apart;
+    # verify must refuse rather than pass the certificate restricted to it
+    M = random_module(2, 3, 2, seed=4)
+    c = identity_certificate(M, 1)
+    monkeypatch.setattr(interleave, "_is_subgrid", lambda sub, grid: True)
+    for k in range(2):
+        x = M.grid.axes[k][1]
+        axes = [list(ax) for ax in c.grid.axes]
+        keep = [i for i, y in enumerate(axes[k]) if y != x]
+        # the next coordinate after x is M's next one, so nothing between
+        assert axes[k][axes[k].index(x) + 1] == M.grid.axes[k][2]
+        axes[k] = [axes[k][i] for i in keep]
+
+        def restricted(t):
+            return {v: t[w] for v in np.ndindex(*map(len, axes))
+                    if (w := v[:k] + (keep[v[k]],) + v[k + 1:]) in t}
+
+        coarse = InterleavingCertificate(M, M, c.eps, Grid(axes),
+                                         restricted(c.f), restricted(c.g))
+        with pytest.raises(CertificateError, match="too coarse"):
+            coarse.verify()
 
 
 def test_verify_rejects_grid_missing_a_coordinate_by_a_near_tie():

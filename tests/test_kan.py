@@ -13,7 +13,7 @@ from gridpersist.core import (Components, Grid, GridModule, free_module,
                               hom_space, interval_module, is_isomorphic,
                               random_basis_change, zero_module)
 from gridpersist.interleave import certificate_grid
-from gridpersist.kan import (_axis_floors, _floors_via,
+from gridpersist.kan import (_axis_floors, _floors_via, _unique_rows,
                              common_refinement, compress, compression_witness,
                              morphism_restriction_extension, prune,
                              restrict, restriction_extension, shift,
@@ -362,3 +362,23 @@ def test_prune_and_compress_match_staged_oracle():
                 w[k] = keep[k][v[k] + 1]
                 assert m.tolist() == [list(r) for r in
                                       O.path_map(M, u, tuple(w))] or not m.size
+
+
+def test_unique_rows_matches_rowwise_unique():
+    # rows too wide to pack into one integer take the byte-view path; every
+    # path must return np.unique(axis=0)'s rows, first indices and inverse
+    rng = np.random.default_rng(3)
+    cases = [rng.integers(-1, 4, size=(1, 40)),
+             np.full((6, 30), -1), np.full((5, 70), 7)]
+    for rows, width, hi in ((350, 18, 9), (2000, 18, 40), (500, 83, 3),
+                            (40, 3, 2)):
+        base = rng.integers(-1, hi, size=(max(rows // 8, 1), width))
+        cases.append(base[rng.integers(0, len(base), size=rows)])
+    wide = rng.integers(-1, 2 ** 40, size=(300, 5))
+    cases.append(np.concatenate([wide, wide[::-1], wide[:7]]))
+    for sig in cases:
+        want = np.unique(sig, axis=0, return_index=True, return_inverse=True)
+        got = _unique_rows(sig)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+        assert np.array_equal(got[2], want[2].reshape(-1))

@@ -1,13 +1,17 @@
 """Epsilon-indecomposability, summand matching, and the stability gap."""
 
+import os
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
 
+from gridpersist import io
+from gridpersist.cli import random_module
 from gridpersist.construct import module_G
-from gridpersist.core import direct_sum, interval_module, zero_module
+from gridpersist.core import (direct_sum, interval_module, random_basis_change,
+                              zero_module)
 from gridpersist.interleave import rank_lower_bound
 from gridpersist.kan import common_refinement
 from gridpersist.match import (bottleneck_upper_bound, instability_demo,
@@ -117,3 +121,19 @@ def test_importing_the_package_does_not_load_networkx():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_cli_match_output_does_not_depend_on_string_hashing(tmp_path):
+    # the summand matching must not follow the per-process hash of strings
+    path = str(tmp_path / "m.json")
+    io.save(random_basis_change(random_module(2, 3, 2, seed=3), 1), path)
+    outs = set()
+    for seed in ("1", "2", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        r = subprocess.run([sys.executable, "-m", "gridpersist.cli", "match",
+                            path, path, "--eps", "1/2", "--seed", "0",
+                            "--emit-proof"], capture_output=True, text=True,
+                           env=env)
+        assert r.returncode == 0, r.stderr
+        outs.add(r.stdout)
+    assert len(outs) == 1
