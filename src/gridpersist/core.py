@@ -276,13 +276,52 @@ def _padded(mats, rows: int, cols: int) -> np.ndarray:
     return out
 
 
+def _unique_rows(sig: np.ndarray):
+    """(rows, first, inverse): the distinct rows of an integer matrix with
+    entries >= -1, the index of a row holding each, and the distinct-row
+    index of every row."""
+    if not sig.size:
+        # no rows, or no columns and so a single distinct row
+        k = min(len(sig), 1)
+        return sig[:k], np.zeros(k, dtype=np.int64), np.zeros(len(sig),
+                                                              dtype=np.int64)
+    # pack each row into one integer when the ranges allow: a 1-d unique is
+    # much faster than a row-wise one
+    span = sig.max(axis=0) + 2
+    if prod(span.tolist()) < 2 ** 62:
+        weights = np.cumprod(np.concatenate([[1], span[:0:-1]]))[::-1]
+        _, first, inv = np.unique((sig + 1) @ weights, return_index=True,
+                                  return_inverse=True)
+        return sig[first], first, inv.reshape(-1)
+    # else unique over each row's bytes, then the few distinct rows sorted
+    # by value, as a row-wise unique would return them
+    sig = np.ascontiguousarray(sig)
+    _, first, inv = np.unique(
+        sig.view(np.dtype((np.void, sig.itemsize * sig.shape[1]))).ravel(),
+        return_index=True, return_inverse=True)
+    order = np.lexsort(sig[first].T[::-1])
+    return sig[first[order]], first[order], np.argsort(order)[inv.reshape(-1)]
+
+
+def _failing_squares(sig: np.ndarray, p: int, F, A, B) -> np.ndarray:
+    """Check F[j] A[a] = B[b] F[i] (mod p) once per distinct row (i, j, a, b)
+    of the id array sig, on stacks made by _padded (id -1 reads as zero);
+    return the index in sig of the first row holding each failing distinct
+    row, in the order of _unique_rows."""
+    rows, first, _ = _unique_rows(sig)
+    i, j, a, b = rows.T
+    bad = (np.matmul(F[j], A[a]) % p != np.matmul(B[b], F[i]) % p
+           ).any(axis=(1, 2))
+    return first[bad]
+
+
 class GridModule:
     """dims: array over grid.shape; steps[(vidx, k)]: matrix for the edge
     from vidx to its successor along axis k.
 
     A step entry must be present for every edge whose endpoints both have
     positive dimension; zero maps are stored explicitly.  Modules are treated
-    as immutable once built (the step tensor and table are built once).
+    as immutable once built; step_table(), built once, is the one step store.
     """
 
     def __init__(self, grid: Grid, dims, steps, p: int = DEFAULT_PRIME):
@@ -290,7 +329,7 @@ class GridModule:
         self.p = p
         self.dims = np.asarray(dims, dtype=np.int64).reshape(grid.shape)
         self.steps = steps
-        self._tensor = self._table = None
+        self._table = None
 
     # -- basic accessors ---------------------------------------------------
 
@@ -328,10 +367,6 @@ class GridModule:
     def support_vertices(self):
         return [tuple(v) for v in np.argwhere(self.dims > 0)]
 
-    def copy(self):
-        return GridModule(self.grid, self.dims.copy(),
-                          {k: m.copy() for k, m in self.steps.items()}, self.p)
-
     # -- structure maps ----------------------------------------------------
 
     def structure_map(self, vidx, widx) -> np.ndarray:
@@ -342,63 +377,44 @@ class GridModule:
         m = self.structure_maps([v], [w])[0]
         return m[:self.dim(widx), :self.dim(vidx)].copy()
 
-    def _step_index(self):
-        """(ks, flat, mats) of the stored steps: axis, flat vertex and matrix
-        of each, after checking that every key is a vertex with a successor
-        and every matrix has the shape the dims demand (ValueError)."""
-        n, shape = self.grid.n, self.grid.shape
-        keys = list(self.steps)
-        mats = list(self.steps.values())
-        if not keys:
-            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), []
-        try:
-            vs = np.array([v for v, _ in keys]).reshape(len(keys), -1)
-            ks = np.array([k for _, k in keys])
-        except (TypeError, ValueError):
-            raise ValueError("malformed step keys") from None
-        if vs.dtype.kind not in "iu" or ks.dtype.kind not in "iu":
-            raise ValueError("step keys must be integers")
-        if vs.shape[1] != n or ((ks < 0) | (ks >= n)).any():
-            raise ValueError("step key is not (vertex, axis) of the grid")
-        flat = np.ravel_multi_index(vs.T, shape)  # ValueError off the grid
-        last = vs[np.arange(len(ks)), ks] + 1 >= np.array(shape)[ks]
-        if last.any():
-            i = int(np.flatnonzero(last)[0])
-            raise ValueError(f"step at {keys[i][0]} axis {keys[i][1]}: "
-                             "no successor")
-        dims = self.dims.ravel()
-        want = np.stack([dims[flat + _strides(shape)[ks]], dims[flat]], axis=1)
-        shp = np.array([m.shape for m in mats], dtype=np.int64).reshape(-1, 2)
-        bad = (shp != want).any(axis=1)
-        if bad.any():
-            i = int(np.flatnonzero(bad)[0])
-            raise ValueError(f"step at {keys[i][0]} axis {keys[i][1]}: shape "
-                             f"{mats[i].shape}, want {tuple(want[i].tolist())}")
-        return ks, flat, mats
-
-    def step_tensor(self) -> np.ndarray:
-        """The steps as one int64 array T of shape (n, V, D, D), V the number
-        of vertices and D = max_pointwise_dim(): T[k, v] holds step(v, k) of
-        the flat vertex v in its top-left block and zeros elsewhere (also
-        where v has no successor along k).  Built on first use; raises
-        ValueError where _step_index does.
-        """
-        if self._tensor is None:
-            ks, flat, mats = self._step_index()
-            D = self.max_pointwise_dim()
-            T = np.zeros((self.grid.n, self.dims.size, D, D), dtype=np.int64)
-            T[ks, flat] = _padded(mats, D, D)[:-1]
-            self._tensor = T
-        return self._tensor
-
     def step_table(self) -> Components:
         """The stored steps as a Components table over (n,) + grid.shape,
-        entry (k, v) holding step(v, k) where stored.  Built on first use;
-        raises ValueError where _step_index does."""
-        if self._table is None:
-            ks, flat, mats = self._step_index()
-            self._table = Components.shared((self.grid.n,) + self.grid.shape,
-                                            ks * self.dims.size + flat, mats)
+        entry (k, v) holding step(v, k) where stored, each distinct matrix
+        once.  Built on first use, after checking that every key is a
+        vertex with a successor and every matrix has the shape the dims
+        demand (ValueError)."""
+        if self._table is not None:
+            return self._table
+        n, shape = self.grid.n, self.grid.shape
+        keys, mats = list(self.steps), list(self.steps.values())
+        at = np.zeros(0, dtype=np.int64)
+        if keys:
+            try:
+                vs = np.array([v for v, _ in keys]).reshape(len(keys), -1)
+                ks = np.array([k for _, k in keys])
+            except (TypeError, ValueError):
+                raise ValueError("malformed step keys") from None
+            if vs.dtype.kind not in "iu" or ks.dtype.kind not in "iu":
+                raise ValueError("step keys must be integers")
+            if vs.shape[1] != n or ((ks < 0) | (ks >= n)).any():
+                raise ValueError("step key is not (vertex, axis) of the grid")
+            flat = np.ravel_multi_index(vs.T, shape)  # ValueError off the grid
+            last = vs[np.arange(len(ks)), ks] + 1 >= np.array(shape)[ks]
+            if last.any():
+                i = int(np.flatnonzero(last)[0])
+                raise ValueError(f"step at {keys[i][0]} axis {keys[i][1]}: "
+                                 "no successor")
+            dims = self.dims.ravel()
+            want = np.stack([dims[flat + _strides(shape)[ks]], dims[flat]], 1)
+            shp = np.array([m.shape for m in mats], dtype=np.int64)
+            bad = (shp.reshape(-1, 2) != want).any(axis=1)
+            if bad.any():
+                i = int(np.flatnonzero(bad)[0])
+                raise ValueError(f"step at {keys[i][0]} axis {keys[i][1]}: "
+                                 f"shape {mats[i].shape}, want "
+                                 f"{tuple(want[i].tolist())}")
+            at = ks * dims.size + flat
+        self._table = Components.shared((n,) + shape, at, mats)
         return self._table
 
     def structure_maps(self, src, dst) -> np.ndarray:
@@ -409,10 +425,13 @@ class GridModule:
         dims[src[i]] block and zeros elsewhere.  The maps compose along
         axis 0, then axis 1, and so on, with one batched product per step
         of the longest path, reduced mod p after every step (the inner
-        dimension is D, which validate bounds; see the field module).
+        dimension is D, which validate bounds; see the field module), each
+        step gathered by id from the step table padded to D x D.
         """
-        T = self.step_tensor()
-        D = T.shape[-1]
+        t = self.step_table()
+        D = self.max_pointwise_dim()
+        S = _padded(t.mats, D, D)
+        ids = t.ids.reshape(self.grid.n, -1)
         shape = self.grid.shape
         src = np.asarray(src, dtype=np.int64).ravel()
         dst = np.asarray(dst, dtype=np.int64).ravel()
@@ -433,7 +452,7 @@ class GridModule:
             gaps = gaps[:, o]
             for t in range(int(gap[0])):
                 m = int(np.count_nonzero(gap > t))
-                R[:m] = np.matmul(T[k, at[:m]], R[:m]) % self.p
+                R[:m] = np.matmul(S[ids[k, at[:m]]], R[:m]) % self.p
                 at[:m] += stride
         out = np.empty_like(R)
         out[order] = R
@@ -453,12 +472,13 @@ class GridModule:
 
     def validate(self):
         """Check the prime, shapes, entry ranges, presence of steps, and
-        commutativity.
-
-        The prime must keep products of D x D matrices exact in int64
-        ((p-1)**2 * max(D, 1) < 2**63, D = max_pointwise_dim()).  Every
-        commuting square is checked on the step tensor, by two batched
-        products per pair of axes.  Raises ValueError on a violation.
+        commutativity on the step table: entries once per distinct step
+        matrix, squares once per distinct quadruple of step ids (a missing
+        step reads as zero).  The prime must keep products of D x D
+        matrices exact in int64 ((p-1)**2 * max(D, 1) < 2**63, D =
+        max_pointwise_dim()).  Raises ValueError at the first vertex in C
+        order of the first failing check: per axis k, entry ranges,
+        presence, then the squares (k, l) for l > k.
         """
         p = self.p
         if not field.is_probable_prime(p):
@@ -470,8 +490,12 @@ class GridModule:
         if (self.dims < 0).any():
             raise ValueError("negative dimension")
         shape, n = self.grid.shape, self.grid.n
-        T = self.step_tensor()
-        present = self.step_table().ids.reshape(n, -1) >= 0
+        t = self.step_table()
+        ids = t.ids.reshape(n, -1)
+        S = _padded(t.mats, D, D)
+        # per step id (and -1 last): does the matrix leave [0, p)?
+        wild = np.array([bool(((m < 0) | (m >= p)).any()) for m in t.mats]
+                        + [False])
         pos = self.dims.ravel() > 0
         idx = np.arange(self.dims.size).reshape(shape)
         # flat vertices with a successor along axis k, kept grid-shaped
@@ -479,22 +503,23 @@ class GridModule:
         stride = _strides(shape)
         for k in range(n):
             v = lo[k].ravel()
-            bad = ((T[k, v] < 0) | (T[k, v] >= p)).any(axis=(1, 2))
+            bad = wild[ids[k, v]]
             if bad.any():
                 raise ValueError(f"step at {_vertex(v[bad][0], shape)} axis "
                                  f"{k}: entries out of [0,p)")
-            bad = pos[v] & pos[v + stride[k]] & ~present[k, v]
+            bad = pos[v] & pos[v + stride[k]] & (ids[k, v] < 0)
             if bad.any():
                 raise ValueError(f"missing step at "
                                  f"{_vertex(v[bad][0], shape)} axis {k}")
             for l in range(k + 1, n):
                 u = np.take(lo[k], range(shape[l] - 1), axis=l).ravel()
-                bad = (np.matmul(T[l, u + stride[k]], T[k, u]) % p
-                       != np.matmul(T[k, u + stride[l]], T[l, u]) % p
-                       ).any(axis=(1, 2))
-                if bad.any():
-                    raise ValueError(f"square at {_vertex(u[bad][0], shape)} "
-                                     f"axes ({k},{l}) does not commute")
+                # the square at u: the axis-l steps natural along axis k
+                bad = _failing_squares(np.stack(
+                    [ids[l, u], ids[l, u + stride[k]], ids[k, u],
+                     ids[k, u + stride[l]]], axis=1), p, S, S, S)
+                if len(bad):
+                    raise ValueError(f"square at {_vertex(u[min(bad)], shape)}"
+                                     f" axes ({k},{l}) does not commute")
         return True
 
     def is_valid(self) -> bool:
@@ -536,8 +561,9 @@ class ModuleMorphism:
 
     def validate(self):
         """Check the shape of every component and naturality along every
-        edge, all vertices at once on the step tensors; raises ValueError
-        on a violation."""
+        edge on the step tables, once per distinct (component at v, at
+        v + e_k, M-step, N-step); raises ValueError at the first vertex in
+        C order of the first failing axis."""
         M, N, p = self.source, self.target, self.p
         shape = M.grid.shape
         t = Components.of(self.mats, shape)
@@ -548,18 +574,20 @@ class ModuleMorphism:
             raise ValueError(f"component at {_vertex(v, shape)}: shape "
                              f"{t.mats[t.ids[v]].shape}, want "
                              f"{(int(rows[v]), int(cols[v]))}")
-        # every component zero-padded to the largest dimensions
-        C = _padded(t.mats, N.max_pointwise_dim(), M.max_pointwise_dim())[t.ids]
-        TM, TN = M.step_tensor(), N.step_tensor()
+        # components and steps zero-padded to the largest dimensions
+        DM, DN = M.max_pointwise_dim(), N.max_pointwise_dim()
+        tm, tn = M.step_table(), N.step_table()
+        C = _padded(t.mats, DN, DM)
+        SM, SN = _padded(tm.mats, DM, DM), _padded(tn.mats, DN, DN)
         idx = np.arange(t.ids.size).reshape(shape)
         for k, stride in enumerate(_strides(shape).tolist()):
             v = np.take(idx, range(shape[k] - 1), axis=k).ravel()
-            bad = np.flatnonzero((np.matmul(C[v + stride], TM[k, v]) % p
-                                  != np.matmul(TN[k, v], C[v]) % p
-                                  ).any(axis=(1, 2)))
+            bad = _failing_squares(np.stack(
+                [t.ids[v], t.ids[v + stride], tm.ids[k * idx.size + v],
+                 tn.ids[k * idx.size + v]], axis=1), p, C, SM, SN)
             if len(bad):
                 raise ValueError(f"naturality fails at "
-                                 f"{_vertex(v[bad[0]], shape)} axis {k}")
+                                 f"{_vertex(v[bad.min()], shape)} axis {k}")
         return True
 
     def is_valid(self) -> bool:
@@ -613,9 +641,10 @@ class ModuleMorphism:
 
     @staticmethod
     def identity(M: GridModule) -> "ModuleMorphism":
-        mats = {tuple(v): field.eye(M.dim(tuple(v)))
-                for v in M.grid.vertices() if M.dim(tuple(v)) > 0}
-        return ModuleMorphism(M, M, mats)
+        """The identity of M, one identity matrix per positive dimension."""
+        sizes, at = np.unique(M.dims, return_inverse=True)
+        return ModuleMorphism(M, M, Components(M.grid.shape, at, [
+            field.eye(s) for s in sizes.tolist()], drop_zero=True))
 
     @staticmethod
     def linear_combination(basis, coeffs, p):

@@ -5,7 +5,7 @@ p must be prime with (p-1)**2 < 2**63.  mmul is exact at every such prime
 and any inner dimension: it sums the inner dimension in chunks of at most
 (2**63 - 1) // (p-1)**2 terms, reduced mod p in between (one chunk up to
 inner dimension 2**31 at the default prime, so no cost there).  The
-batched products over a module's step tensor (GridModule.validate,
+batched products of step matrices padded to D x D (GridModule.validate,
 structure_maps) have the module's largest pointwise dimension D as inner
 dimension and run unchunked; GridModule.validate requires
 (p-1)**2 * D < 2**63 for them, so p = 2**31 - 1 is accepted up to D = 2.

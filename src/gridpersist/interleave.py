@@ -15,11 +15,12 @@ from math import ceil, lcm
 import numpy as np
 
 from . import field
-from .core import (Components, Grid, GridModule, _padded, _strides, _vertex,
-                   as_frac, sum_module, zero_module)
+from .core import (Components, Grid, GridModule, _failing_squares, _padded,
+                   _strides, _unique_rows, _vertex, as_frac, sum_module,
+                   zero_module)
 from .kan import (_axis_floors, _flat, _flat_floors, _floors_via, _is_subgrid,
-                  _pair_maps, _unique_maps, _unique_rows,
-                  restriction_extension, snap_to_lattice, union_grid)
+                  _pair_maps, _unique_maps, restriction_extension,
+                  snap_to_lattice, union_grid)
 
 
 class CertificateError(ValueError):
@@ -230,9 +231,6 @@ class InterleavingCertificate:
         D = max(M.max_pointwise_dim(), N.max_pointwise_dim())
         CF, CG = (_padded(t.mats, D, D) for t in (F, G))
 
-        def failing(lhs, rhs):
-            return np.flatnonzero((lhs % p != rhs % p).any(axis=(1, 2)))
-
         # vertices reached from a predecessor by an onto map of M (resp. N),
         # and whether each of cmats is onto
         onto = []
@@ -253,14 +251,12 @@ class InterleavingCertificate:
                                 edge_ids(mb, b0[src], b0[dst], k)], axis=1)
                 onto += [field.rank(m, p) == len(m) for m in cmats[len(onto):]]
                 covered[name][dst] |= np.array(onto, dtype=bool)[ca_all]
-                rows, first, _ = _unique_rows(sig)
                 S = _padded(cmats, D, D)
-                iv, iw, ca, cb = rows.T
-                bad = failing(np.matmul(C[iw], S[ca]), np.matmul(S[cb], C[iv]))
+                bad = _failing_squares(sig, p, C, S, S)
                 if len(bad):
                     raise CertificateError(
                         f"{name} naturality fails at "
-                        f"{_vertex(src[first[bad[0]]], shape)} axis {k}")
+                        f"{_vertex(src[bad[0]], shape)} axis {k}")
         # triangle identities g[eps] o f = eta_2eps and f[eps] o g = eta_2eps;
         # the component at v + eps is the one at its floor pe in P.  Both
         # sides are natural (checked above), so two of them that agree at a
@@ -276,7 +272,8 @@ class InterleavingCertificate:
                             mid[at]], axis=1)
             rows, first, _ = _unique_rows(sig)
             iu, iv, c, _ = rows.T
-            bad = failing(np.matmul(Cu[iu], C[iv]), _padded(cmats, D, D)[c])
+            diff = np.matmul(Cu[iu], C[iv]) - _padded(cmats, D, D)[c]
+            bad = np.flatnonzero((diff % p).any(axis=(1, 2)))
             if len(bad):
                 raise CertificateError(f"triangle {name} fails at "
                                        f"{_vertex(at[first[bad[0]]], shape)}")
@@ -400,14 +397,16 @@ def _require_same_module(A: GridModule, B: GridModule):
         raise CertificateError("middle modules do not match")
     if A.grid != B.grid:
         g = union_grid(A.grid, B.grid)
-        A = restriction_extension(A, g)
-        B = restriction_extension(B, g)
-    if not np.array_equal(A.dims, B.dims):
+        A, B = (restriction_extension(X, g) for X in (A, B))
+    # both step tables numbered jointly by content, zero and empty steps
+    # read as absent (an edge carried by neither is a zero map on both)
+    ta, tb = A.step_table(), B.step_table()
+    ids = Components((2,) + ta.shape, np.concatenate(
+        [ta.ids, np.where(tb.ids >= 0, tb.ids + len(ta.mats), -1)]),
+        ta.mats + tb.mats, drop_zero=True).ids.reshape(2, -1)
+    if not (np.array_equal(A.dims, B.dims) and
+            np.array_equal(ids[0], ids[1])):
         raise CertificateError("middle modules do not match")
-    # edges carried by neither dict are zero maps on both sides
-    for vidx, k in set(A.steps) | set(B.steps):
-        if not np.array_equal(A.step(vidx, k), B.step(vidx, k)):
-            raise CertificateError("middle modules do not match")
 
 
 def block_sum_certificates(certs, verify: bool = True):

@@ -20,11 +20,11 @@ from .core import (Components, Grid, GridModule, ModuleMorphism, _strides,
                    as_frac)
 from .interleave import InterleavingCertificate
 
-# The loader refuses a module whose step tensor (one D x D block per vertex
-# and axis, D the largest pointwise dimension), or a certificate whose
-# evaluation grid, would pass this many entries or vertices (128 MiB of
-# int64) before building it: a few bytes of "dims" or a few thousand
-# coordinates could otherwise ask for any amount of memory.
+# The loader refuses a module with n * V * D**2 above this many entries (V
+# vertices, D the largest pointwise dimension; structure_maps gathers a D x D
+# block per walk and step), or a certificate whose evaluation grid would pass
+# this many vertices (128 MiB of int64), before building it: a few bytes of
+# "dims" or a few thousand coordinates could otherwise ask for any memory.
 MAX_TENSOR_ENTRIES = 1 << 24
 
 

@@ -7,13 +7,13 @@ equality of extensions; in general it snaps the module to the new grid.
 
 from __future__ import annotations
 
-from math import lcm, prod
+from math import lcm
 
 import numpy as np
 
 from . import field
 from .core import (Components, Grid, GridModule, ModuleMorphism, _affine,
-                   _exact, _over_den, as_frac)
+                   _exact, _over_den, _unique_rows, as_frac)
 
 
 # -- evaluation-grid signatures ------------------------------------------------
@@ -26,8 +26,8 @@ from .core import (Components, Grid, GridModule, ModuleMorphism, _affine,
 # Components.of); vertices with equal descriptions share one evaluation, and
 # the builders hand their id tables over as Components.  The two ends of an
 # edge of an evaluation grid have floors equal or one step apart, so verify
-# reads a naturality square's maps off GridModule.step_table; structure maps
-# are walked (_unique_maps) only for the triangle identities.
+# reads a naturality square's maps off GridModule.step_table, the one step
+# store; structure maps are walked (_unique_maps) only for the triangles.
 
 def _on(grid: Grid, L: int, shift=0):
     """Per-axis integer arrays: grid's coordinates plus shift, times L (a
@@ -83,33 +83,6 @@ def _flat(tabs, shape) -> np.ndarray:
     return out
 
 
-def _unique_rows(sig: np.ndarray):
-    """(rows, first, inverse): the distinct rows of an integer matrix with
-    entries >= -1, the index of a row holding each, and the distinct-row
-    index of every row."""
-    if not sig.size:
-        # no rows, or no columns and so a single distinct row
-        k = min(len(sig), 1)
-        return sig[:k], np.zeros(k, dtype=np.int64), np.zeros(len(sig),
-                                                              dtype=np.int64)
-    # pack each row into one integer when the ranges allow: a 1-d unique is
-    # much faster than a row-wise one
-    span = sig.max(axis=0) + 2
-    if prod(span.tolist()) < 2 ** 62:
-        weights = np.cumprod(np.concatenate([[1], span[:0:-1]]))[::-1]
-        _, first, inv = np.unique((sig + 1) @ weights, return_index=True,
-                                  return_inverse=True)
-        return sig[first], first, inv.reshape(-1)
-    # else unique over each row's bytes, then the few distinct rows sorted
-    # by value, as a row-wise unique would return them
-    sig = np.ascontiguousarray(sig)
-    _, first, inv = np.unique(
-        sig.view(np.dtype((np.void, sig.itemsize * sig.shape[1]))).ravel(),
-        return_index=True, return_inverse=True)
-    order = np.lexsort(sig[first].T[::-1])
-    return sig[first[order]], first[order], np.argsort(order)[inv.reshape(-1)]
-
-
 def _pair_maps(mod: GridModule, src: np.ndarray, dst: np.ndarray):
     """(maps, rows, cols, inv) for the distinct pairs of flat floors
     src <= dst: their structure maps, zero-padded as
@@ -150,20 +123,19 @@ def restriction_extension(M: GridModule, grid: Grid) -> GridModule:
     if grid.n != M.grid.n:
         raise ValueError("dimension mismatch")
     src = _flat_floors(M.grid, grid)
-    dims = np.append(M.dims.ravel(), 0)[src]
-    steps = {}
-    for k in range(grid.n):
-        lo = tuple(slice(None, -1) if a == k else slice(None)
-                   for a in range(grid.n))
-        hi = tuple(slice(1, None) if a == k else slice(None)
-                   for a in range(grid.n))
-        live = (dims[lo] > 0) & (dims[hi] > 0)
-        maps, rows, cols, inv = _pair_maps(M, src[lo][live], src[hi][live])
-        mats = [m[:r, :c].copy()
-                for m, r, c in zip(maps, rows.tolist(), cols.tolist())]
-        for v, i in zip(map(tuple, np.argwhere(live).tolist()), inv.tolist()):
-            steps[(v, k)] = mats[i]
-    return GridModule(grid, dims, steps, M.p)
+    d = np.append(M.dims.ravel(), 0)
+    # every edge between nonzero vertices, all axes in one batch of maps
+    keys, ends = [], []
+    for k, s in enumerate(grid.shape):
+        lo, hi = (np.take(src, range(a, s - 1 + a), axis=k) for a in (0, 1))
+        live = (d[lo] > 0) & (d[hi] > 0)
+        keys += [(v, k) for v in map(tuple, np.argwhere(live).tolist())]
+        ends.append((lo[live], hi[live]))
+    maps, rows, cols, inv = _pair_maps(M, *map(np.concatenate, zip(*ends)))
+    mats = [m[:r, :c].copy()
+            for m, r, c in zip(maps, rows.tolist(), cols.tolist())]
+    return GridModule(grid, d[src], dict(zip(keys, [mats[i] for i in
+                                                  inv.tolist()])), M.p)
 
 
 def restrict(M: GridModule, grid: Grid) -> GridModule:
@@ -306,23 +278,22 @@ def _kept_coords(M: GridModule, k: int, invertible: bool, kept_before=()):
     rows = np.zeros(shape[:k] + shape[k + 1:], dtype=bool)
     rows[np.ix_(*kept_before, *(range(m) for m in shape[k + 1:]))] = True
     rows = rows.ravel()
-    T = M.step_tensor()[k]
-    D = T.shape[-1]
-    # the steps from slice j - 1 into slice j, for j = 1 .. s - 1
-    steps = np.moveaxis(T.reshape(shape + (D, D)), k, 0)[:-1].reshape(
-        s - 1, dims.shape[1], D, D)
-    # identity of size dims[v] padded with zeros: its diagonal, and nothing
-    # nonzero off it
-    live = np.arange(D) < dims[:-1, :, None]
-    ident = ((np.diagonal(steps, axis1=2, axis2=3) == live).all(axis=2)
-             & (np.count_nonzero(steps, axis=(2, 3)) == live.sum(axis=2)))
-    ok = (dims[1:] == dims[:-1]).all(axis=1)
-    for j in np.flatnonzero(ok & ~ident.all(axis=1)).tolist():
-        test = ~ident[j] & rows
-        ok[j] = invertible and all(
-            field.is_invertible(steps[j, r, :d, :d], M.p)
-            for r, d in zip(np.flatnonzero(test).tolist(),
-                            dims[j][test].tolist()))
+    t = M.step_table()
+    # ids of the steps from slice j - 1 into slice j, for j = 1 .. s - 1
+    ids = np.moveaxis(t.ids.reshape((M.grid.n,) + shape)[k], k, 0)[:-1]
+    ids = ids.reshape(s - 1, dims.shape[1])
+    same = (dims[1:] == dims[:-1]).all(axis=1)
+    # each distinct step matrix where it matters is tested once: is it an
+    # identity (with invertible: invertible, at the rows kept before)?
+    where = same[:, None] & (rows if invertible else True)
+    good = np.zeros(len(t.mats) + 1, dtype=bool)
+    for i in np.unique(ids[where & (ids >= 0)]).tolist():
+        m = t.mats[i]
+        good[i] = (field.is_invertible(m, M.p) if invertible else
+                   np.array_equal(m, field.eye(len(m))))
+    # a missing step passes only between zero spaces
+    ok = same & (np.where(ids >= 0, good[ids], dims[:-1] == 0)
+                 | ~where).all(axis=1)
     keep = ([0] if dims[0].any() else []) + (np.flatnonzero(~ok) + 1).tolist()
     return keep or [0]
 

@@ -124,6 +124,41 @@ def path_map(M, v, w):
     return m
 
 
+def module_is_valid(M):
+    """Do M's steps have entries in [0, p), is a step stored on every edge
+    between positive-dimensional vertices, and does every square commute?
+    The squares are composed with plain ints from M.steps, a missing step
+    taken as zero (prime, shapes and keys are not checked here)."""
+    p, dims, shape = M.p, M.dims, M.grid.shape
+    if any(not 0 <= x < p
+           for m in M.steps.values() for x in m.ravel().tolist()):
+        return False
+
+    def succ(v, k):
+        return v[:k] + (v[k] + 1,) + v[k + 1:]
+
+    def step(v, k):
+        m = M.steps.get((v, k))
+        if m is None:
+            return mat_zero(int(dims[succ(v, k)]), int(dims[v]))
+        return m.tolist()
+
+    for v in product(*map(range, shape)):
+        for k in range(len(shape)):
+            if v[k] + 1 >= shape[k]:
+                continue
+            if dims[v] and dims[succ(v, k)] and (v, k) not in M.steps:
+                return False
+            for l in range(k + 1, len(shape)):
+                if v[l] + 1 >= shape[l]:
+                    continue
+                d = int(dims[v])
+                if (mat_mul(step(succ(v, k), l), step(v, k), p, d)
+                        != mat_mul(step(succ(v, l), k), step(v, l), p, d)):
+                    return False
+    return True
+
+
 def ext_floor(M, point):
     """Grid index of the largest vertex <= point, or None if below the grid."""
     idx = []

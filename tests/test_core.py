@@ -1,6 +1,7 @@
 """Modules on grids: validation, sums, hom spaces, isomorphism."""
 
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 
 from gridpersist import field
 from gridpersist.cli import random_module
-from gridpersist.construct import module_G
+from gridpersist.construct import approximate_indecomposable, module_G
 from gridpersist.core import (Components, Grid, GridModule, ModuleMorphism,
                               direct_sum, free_module, hom_space,
                               interval_module, is_isomorphic,
@@ -17,7 +18,7 @@ from gridpersist.decomp import decompose
 from gridpersist.kan import common_refinement, restriction_extension
 
 from conftest import rect
-from oracles import hom_dim, path_map
+from oracles import hom_dim, module_is_valid, path_map
 
 
 def test_grid_floor_and_coord():
@@ -171,6 +172,33 @@ def test_morphism_validate_names_the_failing_vertex():
         mats[v] = m
         with pytest.raises(ValueError, match=re.escape(msg)):
             ModuleMorphism(M, M, mats).validate()
+    # doubled at the first and the last support vertex: the message names
+    # the first failing edge source in C order, on the first failing axis
+    mats = dict(ModuleMorphism.identity(M).mats)
+    for w in (min(mats), max(mats)):
+        mats[w] = 2 * mats[w] % M.p
+    f = ModuleMorphism(M, M, mats)
+    fails = [(k, u) for k in range(2) for u in map(tuple, M.grid.vertices())
+             if M.has_succ(u, k) and not np.array_equal(
+                 field.mmul(f.at(M.succ(u, k)), M.step(u, k), M.p),
+                 field.mmul(M.step(u, k), f.at(u), M.p))]
+    k, u = fails[0]
+    assert len([x for x in fails if x[0] == k]) >= 2
+    with pytest.raises(ValueError) as exc:
+        f.validate()
+    assert str(exc.value) == f"naturality fails at {u} axis {k}"
+
+
+def test_identity_holds_one_matrix_per_positive_dimension():
+    M = approximate_indecomposable(random_module(2, 4, 3, seed=0),
+                                   Fraction(1, 2)).module
+    ident = ModuleMorphism.identity(M)
+    assert isinstance(ident.mats, Components)
+    assert len(ident.mats.mats) == len(set(M.dims[M.dims > 0].tolist()))
+    want = {v: field.eye(M.dim(v)) for v in M.grid.vertices() if M.dim(v)}
+    got = dict(ident.mats)
+    assert got.keys() == want.keys()
+    assert all(np.array_equal(got[v], m) for v, m in want.items())
 
 
 def _pairs_below(M):
@@ -252,6 +280,63 @@ def test_validate_names_vertices_with_plain_ints():
     with pytest.raises(ValueError) as exc:
         GridModule(M.grid, M.dims.copy(), steps, M.p).validate()
     assert str(exc.value) == "step at (0, 1) axis 1: entries out of [0,p)"
+
+
+def _mutants(M):
+    """M with one step deleted, and with each entry of each step moved
+    by one mod p and by p."""
+    for key in M.steps:
+        yield GridModule(M.grid, M.dims.copy(),
+                         {k: m for k, m in M.steps.items() if k != key}, M.p)
+        for i in np.ndindex(M.steps[key].shape):
+            for delta in (1, M.p):
+                steps = dict(M.steps)
+                steps[key] = steps[key].copy()
+                steps[key][i] += delta
+                if delta == 1:
+                    steps[key][i] %= M.p
+                yield GridModule(M.grid, M.dims.copy(), steps, M.p)
+
+
+def test_validate_agrees_with_plain_int_oracle():
+    modules = [random_module(n, size, 2, seed=s) for n, size in
+               ((1, 6), (2, 4), (3, 3)) for s in range(4)]
+    assert all(M.validate() and module_is_valid(M) for M in modules)
+    verdicts = [(X.is_valid(), module_is_valid(X))
+                for X in _mutants(random_module(3, 3, 2, seed=1))]
+    assert all(a == b for a, b in verdicts)
+    assert {a for a, _ in verdicts} == {True, False}
+
+
+def test_validate_reports_the_first_of_several_violations():
+    # per axis k: ranges, presence, then the squares (k, l); so square
+    # (0, 1) is reported before an axis-1 entry out of range
+    M = random_module(2, 3, 2, seed=1)
+    steps = dict(M.steps)
+    square, wild = ((0, 2), 0), ((0, 1), 1)
+    for key in (square, wild):
+        steps[key] = steps[key].copy()
+    steps[square][0, 0] = (steps[square][0, 0] + 1) % M.p
+    steps[wild][0, 0] += M.p
+    with pytest.raises(ValueError) as exc:
+        GridModule(M.grid, M.dims.copy(), steps, M.p).validate()
+    assert str(exc.value) == "square at (0, 1) axes (0,1) does not commute"
+
+
+def test_validate_memory_follows_the_distinct_steps():
+    # 200 x 200 vertices of dimension 9 with one shared identity step on
+    # every edge: a dense n x V x D x D step array alone would be 51.8 MB
+    eye = field.eye(9)
+    steps = {((i, j), k): eye for i in range(200) for j in range(200)
+             for k in range(2) if (i, j)[k] < 199}
+    M = GridModule(Grid([range(200)] * 2), np.full((200, 200), 9), steps)
+    tracemalloc.start()
+    try:
+        assert M.validate()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
 
 
 def test_validate_rejects_prime_too_large_for_int64_products():

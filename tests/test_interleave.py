@@ -149,6 +149,37 @@ def test_compose_chain_of_three():
     c.verify()
 
 
+def test_compose_chain_compares_middle_modules_by_extension():
+    M = random_module(2, 3, 2, seed=1)
+    eps = Fraction(1, 4)
+    first = identity_certificate(M, eps)
+    # one entry of one step changed: a different middle module
+    steps = dict(M.steps)
+    key = next(k for k, m in steps.items() if m.size)
+    steps[key] = steps[key].copy()
+    steps[key][0, 0] = (steps[key][0, 0] + 1) % M.p
+    other = GridModule(M.grid, M.dims.copy(), steps, M.p)
+    with pytest.raises(CertificateError, match="middle modules do not match"):
+        compose_chain([first, identity_certificate(other, eps, verify=False)])
+    # extra empty steps into zero vertices, or a refined grid, leave the
+    # extension as it is
+    steps = dict(M.steps)
+    for v in M.support_vertices():
+        v = tuple(map(int, v))
+        for k in range(2):
+            if M.has_succ(v, k) and not M.dim(M.succ(v, k)):
+                steps[(v, k)] = field.zeros(0, M.dim(v))
+    padded = GridModule(M.grid, M.dims.copy(), steps, M.p)
+    assert padded.validate() and len(padded.steps) > len(M.steps)
+    finer = restriction_extension(M, Grid([
+        sorted(set(ax) | {(a + b) / 2 for a, b in zip(ax, ax[1:])})
+        for ax in M.grid.axes]))
+    assert finer.grid.shape != M.grid.shape
+    for mid in (padded, finer):
+        c = compose_chain([first, identity_certificate(mid, eps)])
+        assert c.eps == 2 * eps
+
+
 def test_pair_sum_and_sum_certificates():
     for s in range(4):
         A = random_module(2, 3, 2, seed=s)
