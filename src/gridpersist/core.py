@@ -616,19 +616,18 @@ class ModuleMorphism:
 
     def is_isomorphism(self) -> bool:
         """Is the component at every vertex of the support invertible?  Each
-        distinct component is tested once."""
+        distinct component is tested once, all in one batch."""
         if not np.array_equal(self.source.dims, self.target.dims):
             return False
         t = Components.of(self.mats, self.source.grid.shape)
         ids = t.ids[self.source.dims.ravel() > 0]
-        return bool((ids >= 0).all()) and all(
-            field.is_invertible(t.mats[i], self.p)
-            for i in np.unique(ids).tolist())
+        return bool((ids >= 0).all()) and bool(field.invertible(
+            [t.mats[i] for i in np.unique(ids).tolist()], self.p).all())
 
     def inverse(self) -> "ModuleMorphism":
         """The componentwise inverse on the target's support (ValueError
         where a component there is missing or singular); each distinct
-        component is inverted once."""
+        component is inverted once, all in one batch."""
         t = Components.of(self.mats, self.source.grid.shape)
         live = self.target.dims.ravel() > 0
         gaps = np.flatnonzero(live & (t.ids < 0))
@@ -637,7 +636,7 @@ class ModuleMorphism:
         used = np.unique(t.ids[live])
         return ModuleMorphism(self.target, self.source, Components(
             t.shape, np.where(live, np.searchsorted(used, t.ids), -1),
-            [field.minv(t.mats[i], self.p) for i in used.tolist()]))
+            field.inverses([t.mats[i] for i in used.tolist()], self.p)))
 
     @staticmethod
     def identity(M: GridModule) -> "ModuleMorphism":

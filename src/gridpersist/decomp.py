@@ -144,12 +144,13 @@ class EndAlgebra(_Algebra):
 
     def image_bases(self, coords):
         """One dict per coordinate column: vertex -> column basis of the
-        image of that endomorphism there."""
+        image of that endomorphism there, all found in one batch."""
         comps = field.mmul(self._vecmat, coords, self.p)
-        return [{v: field.column_space(
-                    comps[s, i].reshape(self.module.dim(v), -1), self.p)
-                 for v, s in self._slots.items()}
-                for i in range(coords.shape[1])]
+        k = coords.shape[1]
+        spaces = iter(field.column_spaces(
+            [comps[s, i].reshape(self.module.dim(v), -1)
+             for i in range(k) for v, s in self._slots.items()], self.p))
+        return [{v: next(spaces) for v in self._slots} for _ in range(k)]
 
     def _structure_constants(self):
         D, p = self.dim, self.p
@@ -355,7 +356,7 @@ def fitting_split(M: GridModule, phi: ModuleMorphism):
 def _image_kernel_split(M: GridModule, mats):
     """(M_im, M_ker, W) along the pointwise images and kernels of mats
     (support vertex -> endomorphism of M there), once W is checked."""
-    bases = [{v: field.column_space(a, M.p) for v, a in mats.items()},
+    bases = [dict(zip(mats, field.column_spaces(list(mats.values()), M.p))),
              {v: field.nullspace(a, M.p) for v, a in mats.items()}]
     parts = _split_by_bases(M, bases)
     W = _side_by_side(M, parts, bases)
@@ -372,15 +373,15 @@ def _split_by_bases(M: GridModule, bases):
     bases; decompose and _image_kernel_split check the result."""
     p = M.p
     dims = np.zeros((len(bases),) + M.grid.shape, dtype=np.int64)
-    W, Winv, offs = {}, {}, {}
+    W, offs = {}, {}
     for v in M.support_vertices():
         W[v] = np.concatenate([b[v] for b in bases], axis=1)
         if W[v].shape[1] != M.dim(v):
             raise ValueError(f"the subspaces do not complement at {v}")
-        Winv[v] = field.minv(W[v], p)
         widths = [b[v].shape[1] for b in bases]
         dims[(slice(None),) + v] = widths
         offs[v] = np.cumsum([0] + widths).tolist()
+    Winv = dict(zip(W, field.inverses(list(W.values()), p)))
     steps = [{} for _ in bases]
     for (v, k), st in M.steps.items():
         v = tuple(v)

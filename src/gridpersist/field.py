@@ -9,6 +9,13 @@ batched products of step matrices padded to D x D (GridModule.validate,
 structure_maps) have the module's largest pointwise dimension D as inner
 dimension and run unchunked; GridModule.validate requires
 (p-1)**2 * D < 2**63 for them, so p = 2**31 - 1 is accepted up to D = 2.
+
+rref_stack row-reduces a whole (m, r, c) stack of matrices at once;
+ranks, column_spaces, invertible, minv_stack and inverses derive from it.
+Each of its products has two factors in [0, p), so every intermediate is
+below (p-1)**2 < 2**63 in magnitude at any accepted prime, whatever the
+shape.  The single-matrix rref serves the large sparse systems of hom
+spaces, solve and nullspace, where it clears only the rows that need it.
 """
 
 from __future__ import annotations
@@ -188,3 +195,120 @@ def minv(a: np.ndarray, p: int) -> np.ndarray:
     if pivots != list(range(n)):
         raise ValueError("matrix not invertible mod p")
     return r[:, n:].copy()
+
+
+def _inv_mod(x: np.ndarray, p: int) -> np.ndarray:
+    """The inverses mod p of the nonzero entries in [0, p) of an array: one
+    Python pow each for fewer than 64 entries (cheaper there), else the
+    Fermat powers x ** (p - 2) by square-and-multiply."""
+    if x.size < 64:
+        return np.array([pow(v, -1, p) for v in x.ravel().tolist()],
+                        dtype=np.int64).reshape(x.shape)
+    out, e = np.ones_like(x), p - 2
+    while e:
+        if e & 1:
+            out = out * x % p
+        e >>= 1
+        if e:
+            x = x * x % p
+    return out
+
+
+def rref_stack(a, p: int, scale: bool = True):
+    """Row-reduce every matrix of an (m, r, c) stack mod p at once.
+
+    Returns (R, piv): R[i] is the reduced row echelon form of a[i], equal to
+    rref(a[i], p)[0], and piv the (m, c) bool mask of its pivot columns.
+    Column by column, each matrix with a pivot there swaps it up and clears
+    the column in its other rows as d * row - x * pivot row (d the pivot,
+    x the row's entry).  At the end one batch of inverses scales each
+    pivot to 1; with scale=False that step is skipped and the pivot rows
+    keep their pivots, which leaves piv the same.
+    """
+    R = np.array(a, dtype=np.int64) % p
+    m, nr, nc = R.shape
+    piv = np.zeros((m, nc), dtype=bool)
+    if not R.size:
+        return R, piv
+    row = np.zeros(m, dtype=np.int64)   # pivots found so far
+    rows, ar = np.arange(nr), np.arange(m)
+    for col in range(nc):
+        nz = (R[:, :, col] != 0) & (rows >= row[:, None])
+        live = np.flatnonzero(nz.any(axis=1))
+        if not live.size:
+            continue
+        at, src = row[live], nz[live].argmax(axis=1)
+        top = R[live, src]
+        R[live, src] = R[live, at]
+        B = R[live]
+        B = (B * top[:, col, None, None]
+             - B[:, :, col, None] * top[:, None, :]) % p
+        B[ar[:len(live)], at] = top
+        R[live] = B
+        piv[live, col] = True
+        row[live] += 1
+        if row.min() == nr:
+            break
+    if scale:
+        # each row's leading entry is its pivot (1 for a zero row)
+        d = np.take_along_axis(R, (R != 0).argmax(axis=2)[:, :, None], 2)
+        R = R * _inv_mod(np.where(d, d, 1), p) % p
+    return R, piv
+
+
+def _padded_stack(mats, eye_fill: bool = False) -> np.ndarray:
+    """The matrices of a list stacked, each padded to the largest shape
+    among them with zeros, or with eye_fill, with the rest of an identity."""
+    r = max((m.shape[0] for m in mats), default=0)
+    c = max((m.shape[1] for m in mats), default=0)
+    out = np.zeros((len(mats), r, c), dtype=np.int64)
+    if eye_fill:
+        out[:] = np.eye(r, c, dtype=np.int64)
+    for i, m in enumerate(mats):
+        out[i, :m.shape[0], :m.shape[1]] = m
+    return out
+
+
+def ranks(mats, p: int) -> np.ndarray:
+    """The rank of each matrix of a list (or stack): zero padding keeps
+    ranks, so one rref_stack of the list padded to its largest shape."""
+    if not len(mats):
+        return np.zeros(0, dtype=np.int64)
+    return rref_stack(_padded_stack(mats), p, scale=False)[1].sum(axis=1)
+
+
+def column_spaces(mats, p: int) -> list:
+    """A column basis of each matrix of a list, its pivot columns: zero
+    padding keeps them, so one rref_stack of the list padded to its
+    largest shape."""
+    piv = rref_stack(_padded_stack(mats), p, scale=False)[1]
+    return [m[:, c[:m.shape[1]]] for m, c in zip(mats, piv)]
+
+
+def invertible(mats, p: int) -> np.ndarray:
+    """Whether each matrix of a list is invertible: square, of full rank."""
+    n = np.array([m.shape for m in mats], dtype=np.int64).reshape(-1, 2)
+    return (n[:, 0] == n[:, 1]) & (ranks(mats, p) == n[:, 0])
+
+
+def minv_stack(a: np.ndarray, p: int) -> np.ndarray:
+    """The inverses of an (m, n, n) stack, by Gauss-Jordan on [A | I];
+    ValueError if a member is singular."""
+    m, n = a.shape[:2]
+    if a.shape[2] != n:
+        raise ValueError("not square")
+    R, piv = rref_stack(np.concatenate(
+        [a, np.broadcast_to(eye(n), (m, n, n))], axis=2), p)
+    if not piv[:, :n].all():
+        raise ValueError("matrix not invertible mod p")
+    return np.ascontiguousarray(R[:, :, n:])
+
+
+def inverses(mats, p: int) -> list:
+    """The inverse of each square matrix of a list, from one minv_stack:
+    padded to the largest size, A becomes diag(A, I), whose inverse is
+    diag(A^-1, I)."""
+    if any(m.shape[0] != m.shape[1] for m in mats):
+        raise ValueError("not square")
+    inv = minv_stack(_padded_stack(mats, eye_fill=True), p)
+    return [x[:len(m), :len(m)].copy() for x, m in zip(inv, mats)]

@@ -231,11 +231,8 @@ class InterleavingCertificate:
         D = max(M.max_pointwise_dim(), N.max_pointwise_dim())
         CF, CG = (_padded(t.mats, D, D) for t in (F, G))
 
-        # vertices reached from a predecessor by an onto map of M (resp. N),
-        # and whether each of cmats is onto
-        onto = []
-        covered = {"f": np.zeros(len(m0), dtype=bool),
-                   "g": np.zeros(len(n0), dtype=bool)}
+        # the edges into each vertex, with the map of M (resp. N) on each
+        into = {"f": [], "g": []}
         idx = np.arange(int(np.prod(shape))).reshape(shape)
         for k in range(P.n):
             if shape[k] < 2:
@@ -249,14 +246,21 @@ class InterleavingCertificate:
                 ca_all = edge_ids(ma, a0[src], a0[dst], k)
                 sig = np.stack([t.ids[src], t.ids[dst], ca_all,
                                 edge_ids(mb, b0[src], b0[dst], k)], axis=1)
-                onto += [field.rank(m, p) == len(m) for m in cmats[len(onto):]]
-                covered[name][dst] |= np.array(onto, dtype=bool)[ca_all]
+                into[name].append((dst, ca_all))
                 S = _padded(cmats, D, D)
                 bad = _failing_squares(sig, p, C, S, S)
                 if len(bad):
                     raise CertificateError(
                         f"{name} naturality fails at "
                         f"{_vertex(src[bad[0]], shape)} axis {k}")
+        # vertices reached from a predecessor by an onto map of M (resp. N),
+        # with the ranks of all the maps taken in one batch
+        onto = field.ranks(cmats, p) == [len(m) for m in cmats]
+        covered = {}
+        for name, size in (("f", len(m0)), ("g", len(n0))):
+            covered[name] = np.zeros(size, dtype=bool)
+            for dst, ca in into[name]:
+                covered[name][dst] |= onto[ca]
         # triangle identities g[eps] o f = eta_2eps and f[eps] o g = eta_2eps;
         # the component at v + eps is the one at its floor pe in P.  Both
         # sides are natural (checked above), so two of them that agree at a
@@ -510,13 +514,14 @@ def snap_certificate(M: GridModule, pitch):
                                  _axis_floors(L.grid, grid, shift)),
                      M.grid.shape).ravel()
 
-    fids, fmats = _unique_maps(M, _flat_floors(M.grid, grid).ravel(),
-                               in_m(pitch))
-    gids, gmats = _unique_maps(M, in_m(0),
-                               _flat_floors(M.grid, grid, pitch).ravel())
-    cert = InterleavingCertificate(
-        M, L, pitch, grid, Components(grid.shape, fids, fmats, drop_zero=True),
-        Components(grid.shape, gids, gmats, drop_zero=True))
+    # the maps of f and g in one batch; each table renumbers its own
+    ids, mats = _unique_maps(
+        M, np.concatenate([_flat_floors(M.grid, grid).ravel(), in_m(0)]),
+        np.concatenate([in_m(pitch),
+                        _flat_floors(M.grid, grid, pitch).ravel()]))
+    f, g = (Components(grid.shape, half, mats, drop_zero=True)
+            for half in np.split(ids, 2))
+    cert = InterleavingCertificate(M, L, pitch, grid, f, g)
     cert.verify()
     return L, cert
 
@@ -623,11 +628,11 @@ def _rank_violation(M: GridModule, N: GridModule, eps) -> bool:
 
 def _ranks(mod: GridModule, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     """Ranks of mod's structure maps between the flat vertices src <= dst,
-    one rank computation per distinct map."""
+    each distinct map ranked once, all in one batch."""
     if not len(src):
         return np.zeros(0, dtype=np.int64)
     inv, mats = _unique_maps(mod, src, dst)
-    return np.array([field.rank(m, mod.p) for m in mats], dtype=np.int64)[inv]
+    return field.ranks(mats, mod.p)[inv]
 
 
 # -- factoring through a bounded-mesh grid ------------------------------------

@@ -124,10 +124,16 @@ def _component_list(comp, shape, p: int):
 
 
 def module_to_obj(M: GridModule) -> dict:
-    steps = []
-    for (vidx, k) in sorted(M.steps, key=lambda key: (key[0], key[1])):
-        steps.append({"vertex": list(vidx), "axis": k,
-                      "matrix": _matrix_obj(M.steps[(vidx, k)], M.p)})
+    """The JSON object of M, steps sorted by vertex, then axis; each distinct
+    step matrix is converted once."""
+    t, n = M.step_table(), M.grid.n
+    rows = [_matrix_obj(m, M.p) for m in t.mats]
+    # the table runs over (axis, vertex); read it vertex by vertex
+    ids = t.ids.reshape(n, -1).T.ravel()
+    at = np.flatnonzero(ids >= 0)
+    vs = np.stack(np.unravel_index(at // n, M.grid.shape), axis=1).tolist()
+    steps = [{"vertex": v, "axis": k, "matrix": [r[:] for r in rows[i]]}
+             for v, k, i in zip(vs, (at % n).tolist(), ids[at].tolist())]
     return {
         "type": "module",
         "p": M.p,

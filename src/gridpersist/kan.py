@@ -287,10 +287,10 @@ def _kept_coords(M: GridModule, k: int, invertible: bool, kept_before=()):
     # identity (with invertible: invertible, at the rows kept before)?
     where = same[:, None] & (rows if invertible else True)
     good = np.zeros(len(t.mats) + 1, dtype=bool)
-    for i in np.unique(ids[where & (ids >= 0)]).tolist():
-        m = t.mats[i]
-        good[i] = (field.is_invertible(m, M.p) if invertible else
-                   np.array_equal(m, field.eye(len(m))))
+    test = np.unique(ids[where & (ids >= 0)])
+    mats = [t.mats[i] for i in test.tolist()]
+    good[test] = (field.invertible(mats, M.p) if invertible else
+                  [np.array_equal(m, field.eye(len(m))) for m in mats])
     # a missing step passes only between zero spaces
     ok = same & (np.where(ids >= 0, good[ids], dims[:-1] == 0)
                  | ~where).all(axis=1)

@@ -355,15 +355,19 @@ def test_isomorphism_tests_each_distinct_component_once(monkeypatch):
     _, W = decompose(M)
     distinct = len(Components.of(W.mats, M.grid.shape).mats)
     assert distinct < len(M.support_vertices())
-    calls = []
-    rank = field.rank
-    monkeypatch.setattr(field, "rank",
-                        lambda a, p: calls.append(a.shape) or rank(a, p))
+    # the matrices handed to the batched elimination kernel
+    handed = []
+    rref_stack = field.rref_stack
+    monkeypatch.setattr(field, "rref_stack", lambda a, p, **kw:
+                        handed.append(len(a)) or rref_stack(a, p, **kw))
     assert W.is_isomorphism()
-    assert 0 < len(calls) <= distinct
-    calls.clear()
-    assert W.inverse().is_isomorphism()
-    assert len(calls) <= distinct
+    assert 0 < sum(handed) <= distinct
+    handed.clear()
+    Winv = W.inverse()
+    assert 0 < sum(handed) <= distinct
+    handed.clear()
+    assert Winv.is_isomorphism()
+    assert 0 < sum(handed) <= distinct
 
 
 def test_one_singular_component_among_shared_identities():

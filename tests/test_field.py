@@ -120,3 +120,100 @@ def test_mmul_is_exact_for_any_inner_dimension(p):
     assert out.shape == (5, 2, 3)
     for i in range(5):
         assert out[i].tolist() == mat_mul(a[i].tolist(), b[i].tolist(), p)
+
+
+STACK_PRIMES = [2, 3, 65521, 2 ** 31 - 1]
+
+
+def _mixed_stack(rng, m, nr, nc, p):
+    """m random nr x nc matrices, every other one made rank-deficient by
+    repeating a multiple of its first row, and one of them zero."""
+    a = rng.integers(0, p, size=(m, nr, nc)).astype(np.int64)
+    if nr > 1:
+        a[::2, -1] = a[::2, 0] * 2 % p
+    if m:
+        a[m // 2] = 0
+    return a
+
+
+@pytest.mark.parametrize("p", STACK_PRIMES)
+def test_rref_stack_matches_rref(p):
+    rng = np.random.default_rng(p % 1009)
+    # 64 or more rows in all take the vectorized pivot inverses
+    for m, nr, nc in [(0, 3, 3), (0, 0, 0), (4, 0, 3), (4, 3, 0), (1, 1, 1),
+                      (5, 2, 4), (5, 4, 2), (7, 3, 3), (6, 5, 5), (3, 1, 6),
+                      (30, 3, 4)]:
+        a = _mixed_stack(rng, m, nr, nc, p)
+        R, piv = field.rref_stack(a, p)
+        assert R.shape == a.shape and piv.shape == (m, nc)
+        assert R.dtype == np.int64 and piv.dtype == bool
+        for i in range(m):
+            r, pivots = field.rref(a[i], p)
+            assert R[i].tolist() == r.tolist()
+            assert np.flatnonzero(piv[i]).tolist() == pivots
+        # without the final scaling the pivots are the same
+        assert field.rref_stack(a, p, scale=False)[1].tolist() == piv.tolist()
+        assert field.ranks(a, p).tolist() == [field.rank(x, p) for x in a]
+
+
+@pytest.mark.parametrize("p", STACK_PRIMES)
+def test_ranks_and_invertible_on_a_list_of_mixed_shapes(p):
+    rng = np.random.default_rng(p % 997)
+    mats = [x for nr, nc in [(2, 2), (3, 1), (0, 2), (2, 0), (3, 3), (1, 1),
+                             (0, 0)]
+            for x in _mixed_stack(rng, 3, nr, nc, p)]
+    order = rng.permutation(len(mats))
+    mats = [mats[i] for i in order]
+    assert field.ranks(mats, p).tolist() == [
+        field.rank(x, p) for x in mats]
+    assert field.invertible(mats, p).tolist() == [
+        field.is_invertible(x, p) for x in mats]
+    assert field.ranks([], p).shape == field.invertible([], p).shape == (0,)
+
+
+@pytest.mark.parametrize("p", STACK_PRIMES)
+def test_minv_stack_matches_minv(p):
+    rng = np.random.default_rng(p % 983)
+    for m, n in ((6, 0), (6, 1), (6, 2), (6, 4), (30, 4)):
+        a = rng.integers(0, p, size=(m, n, n)).astype(np.int64)
+        a = a[field.invertible(a, p)]
+        inv = field.minv_stack(a, p)
+        assert inv.shape == a.shape
+        for x, y in zip(a, inv):
+            assert y.tolist() == field.minv(x, p).tolist()
+    assert field.minv_stack(np.zeros((0, 3, 3), dtype=np.int64), p).shape \
+        == (0, 3, 3)
+    # mixed sizes, each inverted on its own
+    mats = [x for n in (3, 1, 0, 2) for x in rng.integers(0, p, size=(4, n, n))]
+    mats = [x for x in mats if field.is_invertible(x, p)]
+    mats.append(field.fmat([[1, 1], [0, 1]], p))
+    assert [x.tolist() for x in field.inverses(mats, p)] == [
+        field.minv(x, p).tolist() for x in mats]
+    assert field.inverses([], p) == []
+
+
+@pytest.mark.parametrize("p", STACK_PRIMES)
+def test_minv_stack_raises_on_a_singular_member(p):
+    a = np.stack([field.eye(3), field.eye(3), field.eye(3)])
+    a[1, 2, 2] = 0
+    with pytest.raises(ValueError, match="not invertible"):
+        field.minv_stack(a, p)
+    with pytest.raises(ValueError, match="not invertible"):
+        field.inverses([field.eye(2), a[1]], p)
+    with pytest.raises(ValueError, match="not square"):
+        field.minv_stack(np.zeros((2, 2, 3), dtype=np.int64), p)
+    with pytest.raises(ValueError, match="not square"):
+        field.inverses([field.eye(3), field.eye(3)[:2]], p)
+
+
+def test_rref_stack_stays_exact_at_the_largest_prime():
+    # entries p - 1 everywhere: each elimination product is (p-1)**2,
+    # just below 2**62
+    p = 2 ** 31 - 1
+    a = np.full((2, 4, 4), p - 1, dtype=np.int64)
+    a[:, np.arange(4), np.arange(4)] = [[1, 2, 3, 4], [p - 2, 5, 6, 7]]
+    R, piv = field.rref_stack(a, p)
+    for i in range(2):
+        assert R[i].tolist() == field.rref(a[i], p)[0].tolist()
+        assert piv[i].tolist() == [True] * 4
+        assert field.minv_stack(a, p)[i].tolist() == field.minv(a[i], p).tolist()
