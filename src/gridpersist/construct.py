@@ -580,22 +580,20 @@ def infer_pitch(*modules) -> Fraction:
     return _frac_gcd(vals)
 
 
-def fold_eps0(parts, delta, tau=None) -> Fraction:
+def fold_eps0(parts, delta) -> Fraction:
     """The fold scale for pruned `parts` within delta: eps0 = tau/m with tau
-    the coarsest pitch of their grids (unless given) and m minimal such
-    that eps0 < delta/4."""
-    tau = infer_pitch(*parts) if tau is None else as_frac(tau)
+    the coarsest pitch of their grids and m minimal such that
+    eps0 < delta/4."""
+    tau = infer_pitch(*parts)
     return tau / (int(4 * tau / delta) + 1)
 
 
-def tack(A: GridModule, B: GridModule, delta, tau=None,
-         check_stages: bool = False):
+def tack(A: GridModule, B: GridModule, delta, check_stages: bool = False):
     """Replace two indecomposables A and B (ValueError otherwise) by a
     single indecomposable within delta of A + B.
 
     The fold of [A, B] (see `fold`) at eps0 = tau/m, with tau the coarsest
-    pitch of both (pruned) grids unless given and m minimal such that
-    eps0 < delta/4: thin corners (eps0/2), antennas at pitch eps0/10
+    pitch of both (pruned) grids and m minimal such that eps0 < delta/4: thin corners (eps0/2), antennas at pitch eps0/10
     (eps0/2), relocation of both antennas to a common out-of-support corner
     (eps0/10) and the gadget join (eps0/2).  The returned certificate
     between M and A + B has eps = 1.6 eps0 < delta, and is verified here,
@@ -613,7 +611,7 @@ def tack(A: GridModule, B: GridModule, delta, tau=None,
     A, B = prune(A), prune(B)
     if not (is_indecomposable(A) and is_indecomposable(B)):
         raise PreconditionError("tack joins two indecomposable modules")
-    eps0 = fold_eps0([A, B], delta, tau)
+    eps0 = fold_eps0([A, B], delta)
     assert eps0 < delta / 4
     M, cert, _ = fold([A, B], eps0, check_stages=check_stages)
     cert.verify()

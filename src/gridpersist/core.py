@@ -15,7 +15,6 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections.abc import Mapping
 from fractions import Fraction
-from itertools import product
 from math import gcd, lcm, prod
 
 import numpy as np
@@ -670,22 +669,6 @@ def zero_module(n: int, p: int = DEFAULT_PRIME) -> GridModule:
     return GridModule(grid, np.zeros((1,) * n, dtype=np.int64), {}, p)
 
 
-def free_module(grid: Grid, gen_point, p: int = DEFAULT_PRIME) -> GridModule:
-    """The module that is k at every vertex >= gen_point and 0 elsewhere."""
-    gen_point = tuple(as_frac(x) for x in gen_point)
-    dims = np.zeros(grid.shape, dtype=np.int64)
-    for vidx in grid.vertices():
-        if pt_leq(gen_point, grid.coord(vidx)):
-            dims[vidx] = 1
-    steps = {}
-    for vidx in grid.vertices():
-        for k in range(grid.n):
-            w = vidx[:k] + (vidx[k] + 1,) + vidx[k + 1:]
-            if w[k] < grid.shape[k] and dims[vidx] and dims[w]:
-                steps[(vidx, k)] = field.eye(1)
-    return GridModule(grid, dims, steps, p)
-
-
 def interval_module(a, b, p: int = DEFAULT_PRIME) -> GridModule:
     """The module k on the half-open hyper-rectangle [a, b)."""
     a = tuple(as_frac(x) for x in a)
@@ -978,46 +961,3 @@ def hom_space(M: GridModule, N: GridModule):
                 mats[j][vidx] = comps[j].copy()
     return [ModuleMorphism(M, N, m) for m in mats]
 
-
-class IsoResult:
-    def __init__(self, isomorphic: bool, witness, definitive: bool):
-        self.isomorphic = isomorphic
-        self.witness = witness
-        self.definitive = definitive
-
-    def __bool__(self):
-        return self.isomorphic
-
-
-def is_isomorphic(M: GridModule, N: GridModule, trials: int = 64,
-                  seed: int = 0) -> IsoResult:
-    """Decide isomorphism of two modules on a common grid.
-
-    Positive answers come with a verified witness.  Negative answers are
-    definitive when dimensions differ or Hom is too small; otherwise they are
-    certified by exhaustion for small search spaces and reported as
-    non-definitive after `trials` random attempts for large ones.
-    """
-    if M.grid != N.grid:
-        raise ValueError("is_isomorphic requires a common grid")
-    if not np.array_equal(M.dims, N.dims):
-        return IsoResult(False, None, True)
-    if M.total_dim() == 0:
-        return IsoResult(True, ModuleMorphism(M, N, {}), True)
-    basis = hom_space(M, N)
-    d = len(basis)
-    if d == 0:
-        return IsoResult(False, None, True)
-    rng = np.random.RandomState(seed)
-    for _ in range(trials):
-        coeffs = rng.randint(0, M.p, size=d)
-        f = ModuleMorphism.linear_combination(basis, coeffs, M.p)
-        if f.is_isomorphism():
-            return IsoResult(True, f, True)
-    if M.p ** d <= 4096:
-        for coeffs in product(range(M.p), repeat=d):
-            f = ModuleMorphism.linear_combination(basis, coeffs, M.p)
-            if f.is_isomorphism():
-                return IsoResult(True, f, True)
-        return IsoResult(False, None, True)
-    return IsoResult(False, None, False)

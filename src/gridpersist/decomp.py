@@ -24,7 +24,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import field
-from .core import GridModule, ModuleMorphism, hom_space, sum_module
+from .core import (GridModule, ModuleMorphism, direct_sum, hom_space,
+                   sum_module)
 from .kan import (compress, compression_witness,
                   morphism_restriction_extension, restriction_extension)
 
@@ -212,15 +213,6 @@ def is_indecomposable(M: GridModule) -> bool:
     return M.total_dim() > 0 and _idempotent(end_algebra(compress(M))) is None
 
 
-def find_idempotent(M: GridModule, seed: int = 0) -> ModuleMorphism:
-    """A nontrivial idempotent endomorphism of a decomposable module."""
-    A = end_algebra(M)
-    e = _idempotent(A, seed) if A.dim else None
-    if e is None:
-        raise ValueError("module is zero or indecomposable")
-    return A.morphism_of(e)
-
-
 def _idempotent(A: _Algebra, seed: int = 0):
     """Coordinates of a nontrivial idempotent of A (dim A > 0), or None
     exactly when A is local."""
@@ -332,45 +324,11 @@ def _primitive_idempotents(A: _Algebra, seed: int):
 
 # -- splitting a module -------------------------------------------------------
 
-def split_by_idempotent(M: GridModule, e: ModuleMorphism):
-    """Split M as image(e) + kernel(e).  Returns (M_im, M_ker, witness) with
-    witness a verified isomorphism direct_sum(M_im, M_ker) -> M."""
-    for v in M.support_vertices():
-        ev = e.at(v)
-        if not np.array_equal(field.mmul(ev, ev, M.p), ev):
-            raise ValueError(f"not idempotent at {v}")
-    return _image_kernel_split(M, {v: e.at(v) for v in M.support_vertices()})
-
-
-def fitting_split(M: GridModule, phi: ModuleMorphism):
-    """Fitting decomposition along an endomorphism: M = im(phi^N) + ker(phi^N)
-    for N large enough to stabilize.  Returns (M_im, M_ker, witness)."""
-    powers = {}
-    for v in M.support_vertices():
-        powers[v] = field.eye(M.dim(v))
-        for _ in range(max(1, M.max_pointwise_dim())):
-            powers[v] = field.mmul(powers[v], phi.at(v), M.p)
-    return _image_kernel_split(M, powers)
-
-
-def _image_kernel_split(M: GridModule, mats):
-    """(M_im, M_ker, W) along the pointwise images and kernels of mats
-    (support vertex -> endomorphism of M there), once W is checked."""
-    bases = [dict(zip(mats, field.column_spaces(list(mats.values()), M.p))),
-             {v: field.nullspace(a, M.p) for v, a in mats.items()}]
-    parts = _split_by_bases(M, bases)
-    W = _side_by_side(M, parts, bases)
-    W.validate()
-    if not W.is_isomorphism():
-        raise ValueError("split witness is not an isomorphism")
-    return (*parts, W)
-
-
 def _split_by_bases(M: GridModule, bases):
     """The summands of M spanned by the columns of bases[0], bases[1], ...
     (dicts over M's support that side by side give a basis of M at every
     vertex).  Their steps are the diagonal blocks of M's steps in those
-    bases; decompose and _image_kernel_split check the result."""
+    bases; decompose checks the result."""
     p = M.p
     dims = np.zeros((len(bases),) + M.grid.shape, dtype=np.int64)
     W, offs = {}, {}
@@ -439,3 +397,60 @@ def decompose(M: GridModule, seed: int = 0):
     if not W.is_isomorphism():
         raise RuntimeError("decomposition witness failed verification")
     return summands, W
+
+
+# -- isomorphism ----------------------------------------------------------------
+
+def _basis_isomorphism(M: GridModule, N: GridModule):
+    """The first element of the hom_space(M, N) basis that is an
+    isomorphism, or None."""
+    if not np.array_equal(M.dims, N.dims):
+        return None
+    return next((f for f in hom_space(M, N) if f.is_isomorphism()), None)
+
+
+def is_isomorphic(M: GridModule, N: GridModule):
+    """An isomorphism M -> N of modules on one grid, or None if there is
+    none.  Exact and deterministic.
+
+    For indecomposable X, X ~ Y iff some element f_i of the hom_space(X, Y)
+    basis is an isomorphism: if f = sum c_i f_i is one, 1 = sum c_i f^-1 f_i
+    in the local ring End(X), so some f^-1 f_i is a unit and f_i is an
+    isomorphism.  Hence None when the dimension vectors differ, and when no
+    f_i of Hom(M, N) is an isomorphism and M is indecomposable.  Otherwise
+    each summand of M takes the first unpaired summand of N that this scan
+    finds isomorphic; by Krull-Schmidt the greedy pairing is exact, and a
+    summand left unpaired means None.  The witness W_N o (+ f_i) o W_M^-1
+    is assembled from both decomposition witnesses and checked.  Raises
+    FieldTooSmall where decompose does.
+    """
+    if M.grid != N.grid:
+        raise ValueError("is_isomorphic requires a common grid")
+    if not np.array_equal(M.dims, N.dims):
+        return None
+    if M.total_dim() == 0:
+        return ModuleMorphism(M, N, {})
+    f = _basis_isomorphism(M, N)
+    if f is not None:
+        return f
+    parts, WM = decompose(M)
+    if len(parts) == 1:
+        return None
+    targets, WN = decompose(N)
+    incs = direct_sum(*targets)[1]
+    free, terms = list(range(len(targets))), []
+    for X, proj in zip(parts, direct_sum(*parts)[2]):
+        for j in free:
+            f = _basis_isomorphism(X, targets[j])
+            if f is not None:
+                break
+        else:
+            return None
+        free.remove(j)
+        terms.append(incs[j].compose(f).compose(proj))
+    W = WN.compose(ModuleMorphism.linear_combination(
+        terms, [1] * len(terms), M.p)).compose(WM.inverse())
+    W.validate()
+    if not W.is_isomorphism():
+        raise RuntimeError("isomorphism witness failed verification")
+    return W

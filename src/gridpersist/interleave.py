@@ -478,12 +478,6 @@ def pair_sum_certificates(c1: InterleavingCertificate,
     return block_sum_certificates([c1, c2], verify=verify)
 
 
-def sum_certificates(c: InterleavingCertificate, X: GridModule):
-    """Certify d(M + X, N + X) <= eps from d(M, N) <= eps."""
-    return pair_sum_certificates(c, identity_certificate(X, c.eps,
-                                                         verify=False))
-
-
 def weaken_certificate(c: InterleavingCertificate, eps2) -> InterleavingCertificate:
     """Relax a certificate to a larger eps: compose it with the shift units
     of its second module."""
@@ -571,15 +565,15 @@ def local_change_certificate(M: GridModule, M2: GridModule,
 
 # -- rank obstruction ---------------------------------------------------------
 
-def rank_lower_bound(M: GridModule, N: GridModule, max_candidates: int = 96):
+def rank_lower_bound(M: GridModule, N: GridModule):
     """A certified lower bound for the interleaving distance of M and N.
 
     If an eps-interleaving existed, every rank rk(M(a) -> M(b)) with
     b - a >= 2 eps would be bounded by rk(N(a+eps) -> N(b-eps)).  The sweep
     tests exact windows at candidate eps drawn from half-differences of grid
-    coordinates (and their 9/10 multiples, to witness open-ended windows);
-    any violated candidate is a sound bound.  Returns a Fraction (0 when no
-    obstruction is found).
+    coordinates (and their 9/10 multiples, to witness open-ended windows),
+    the 192 largest of them, from the top down; any violated candidate is a
+    sound bound.  Returns a Fraction (0 when no obstruction is found).
     """
     cands = set()
     for A in (M, N):
@@ -589,7 +583,7 @@ def rank_lower_bound(M: GridModule, N: GridModule, max_candidates: int = 96):
                 h = (c2 - c1) / 2
                 cands.add(h)
                 cands.add(h * Fraction(9, 10))
-    cands = sorted(cands, reverse=True)[: 2 * max_candidates]
+    cands = sorted(cands, reverse=True)[:192]
     for eps in cands:
         if _rank_violation(M, N, eps) or _rank_violation(N, M, eps):
             return eps

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .core import GridModule, as_frac, is_isomorphic, zero_module
-from .decomp import decompose, is_indecomposable
+from .core import GridModule, as_frac, zero_module
+from .decomp import decompose, is_indecomposable, is_isomorphic
 from .interleave import (CertificateError, InterleavingCertificate,
                          TrivialRegion, certificate_grid, compose_chain,
                          is_eps_trivial, is_strictly_eps_trivial,
@@ -98,9 +98,9 @@ def summand_certificate(X: GridModule, Y: GridModule, eps):
         pass
     g = union_grid(X.grid, Y.grid)
     Xg, Yg = restriction_extension(X, g), restriction_extension(Y, g)
-    iso = is_isomorphic(Xg, Yg)
-    if iso:
-        return weaken_certificate(iso_certificate(iso.witness), eps)
+    W = is_isomorphic(Xg, Yg)
+    if W is not None:
+        return weaken_certificate(iso_certificate(W), eps)
     cx = _pad_to_zero_certificate(X, eps / 2)
     cy = _pad_to_zero_certificate(Y, eps / 2)
     if cx is not None and cy is not None:

@@ -7,8 +7,25 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from gridpersist import field
 from gridpersist.cli import random_module
-from gridpersist.core import interval_module
+from gridpersist.core import DEFAULT_PRIME, GridModule, interval_module
+
+
+def free_module(grid, gen_point, p=DEFAULT_PRIME):
+    """The module that is k at every vertex >= gen_point and 0 elsewhere."""
+    gen_point = tuple(Fraction(x) for x in gen_point)
+    dims = np.zeros(grid.shape, dtype=np.int64)
+    for vidx in grid.vertices():
+        if all(a <= b for a, b in zip(gen_point, grid.coord(vidx))):
+            dims[vidx] = 1
+    steps = {}
+    for vidx in grid.vertices():
+        for k in range(grid.n):
+            w = vidx[:k] + (vidx[k] + 1,) + vidx[k + 1:]
+            if w[k] < grid.shape[k] and dims[vidx] and dims[w]:
+                steps[(vidx, k)] = field.eye(1)
+    return GridModule(grid, dims, steps, p)
 
 
 def rect(a, b, p=65521):

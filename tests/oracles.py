@@ -225,6 +225,37 @@ def hom_basis(M, N):
 
 
 # ---------------------------------------------------------------------------
+# exhaustive isomorphism search (tiny corpora only)
+
+def is_isomorphic_bruteforce(M, N):
+    """Is some element of Hom(M, N) invertible at every vertex?
+
+    Enumerates all p^d elements of Hom(M, N), d its dimension; feasible
+    only for p^d <= 4096 (ValueError otherwise).  Modules with different
+    dimension vectors are not isomorphic.
+    """
+    if M.dims.shape != N.dims.shape or (M.dims != N.dims).any():
+        return False
+    p = M.p
+    basis = hom_basis(M, N)
+    if p ** len(basis) > 4096:
+        raise ValueError(f"corpus too large: {p}^{len(basis)}")
+    offs, n = [], 0
+    for v in product(*(range(s) for s in M.dims.shape)):
+        d = int(M.dims[v])
+        if d:
+            offs.append((n, d))
+        n += d * d
+    for coeffs in product(range(p), repeat=len(basis)):
+        vec = [sum(c * b[i] for c, b in zip(coeffs, basis)) % p
+               for i in range(n)]
+        if all(gauss_rank([vec[o + i * d:o + (i + 1) * d] for i in range(d)],
+                          p) == d for o, d in offs):
+            return True
+    return False
+
+
+# ---------------------------------------------------------------------------
 # exhaustive idempotent search (tiny corpora only)
 
 def find_idempotent_bruteforce(M):

@@ -18,9 +18,10 @@ from gridpersist.cli import random_module
 from gridpersist.construct import (approximate_indecomposable, module_G,
                                    tack)
 from gridpersist.core import (Grid, ModuleMorphism, direct_sum, hom_space,
-                              interval_module, is_isomorphic,
-                              random_basis_change, zero_module)
-from gridpersist.decomp import decompose, end_algebra, is_indecomposable
+                              interval_module, random_basis_change,
+                              zero_module)
+from gridpersist.decomp import (decompose, end_algebra, is_indecomposable,
+                                is_isomorphic)
 from gridpersist.interleave import (identity_certificate, is_eps_trivial,
                                     rank_lower_bound, snap_certificate,
                                     factor_through_grid, trivial_certificate,

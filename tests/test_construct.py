@@ -15,9 +15,8 @@ from gridpersist.construct import (add_antenna, add_thin_corner,
                                    iso_certificate, module_G, move_antenna,
                                    tack)
 from gridpersist.core import (Components, Grid, GridModule, direct_sum,
-                              interval_module, is_isomorphic, zero_module,
-                              ModuleMorphism)
-from gridpersist.decomp import decompose, is_indecomposable
+                              interval_module, zero_module, ModuleMorphism)
+from gridpersist.decomp import decompose, is_indecomposable, is_isomorphic
 from gridpersist.interleave import (CertificateError, InterleavingCertificate,
                                     TrivialRegion, compose_chain,
                                     identity_certificate, is_eps_trivial,

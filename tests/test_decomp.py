@@ -7,18 +7,62 @@ import pytest
 
 from gridpersist import decomp, field, io
 from gridpersist.cli import random_module
-from gridpersist.construct import module_G
-from gridpersist.core import (ModuleMorphism, direct_sum, interval_module,
-                              is_isomorphic, random_basis_change, zero_module)
-from gridpersist.decomp import (decompose, end_algebra, find_idempotent,
-                                fitting_split, is_indecomposable, radical,
-                                split_by_idempotent)
+from gridpersist.construct import iso_certificate, module_G
+from gridpersist.core import (GridModule, ModuleMorphism, direct_sum,
+                              interval_module, random_basis_change, zero_module)
+from gridpersist.decomp import (FieldTooSmall, decompose, end_algebra,
+                                is_indecomposable, is_isomorphic, radical)
 from gridpersist.kan import (common_refinement, compress, restriction_extension,
                              union_axes)
 from gridpersist.core import Grid
 
 from conftest import rect
 import oracles as O
+
+
+# -- splits along a given endomorphism, built on the library's split -----------
+
+def find_idempotent(M: GridModule) -> ModuleMorphism:
+    """A nontrivial idempotent endomorphism of a decomposable module."""
+    A = end_algebra(M)
+    e = decomp._idempotent(A) if A.dim else None
+    if e is None:
+        raise ValueError("module is zero or indecomposable")
+    return A.morphism_of(e)
+
+
+def split_by_idempotent(M: GridModule, e: ModuleMorphism):
+    """Split M as image(e) + kernel(e).  Returns (M_im, M_ker, witness) with
+    witness a verified isomorphism direct_sum(M_im, M_ker) -> M."""
+    for v in M.support_vertices():
+        ev = e.at(v)
+        if not np.array_equal(field.mmul(ev, ev, M.p), ev):
+            raise ValueError(f"not idempotent at {v}")
+    return _image_kernel_split(M, {v: e.at(v) for v in M.support_vertices()})
+
+
+def fitting_split(M: GridModule, phi: ModuleMorphism):
+    """Fitting decomposition along an endomorphism: M = im(phi^N) + ker(phi^N)
+    for N large enough to stabilize.  Returns (M_im, M_ker, witness)."""
+    powers = {}
+    for v in M.support_vertices():
+        powers[v] = field.eye(M.dim(v))
+        for _ in range(max(1, M.max_pointwise_dim())):
+            powers[v] = field.mmul(powers[v], phi.at(v), M.p)
+    return _image_kernel_split(M, powers)
+
+
+def _image_kernel_split(M: GridModule, mats):
+    """(M_im, M_ker, W) along the pointwise images and kernels of mats
+    (support vertex -> endomorphism of M there), once W is checked."""
+    bases = [dict(zip(mats, field.column_spaces(list(mats.values()), M.p))),
+             {v: field.nullspace(a, M.p) for v, a in mats.items()}]
+    parts = decomp._split_by_bases(M, bases)
+    W = decomp._side_by_side(M, parts, bases)
+    W.validate()
+    if not W.is_isomorphism():
+        raise ValueError("split witness is not an isomorphism")
+    return (*parts, W)
 
 
 def _refine_all(*mods):
@@ -519,3 +563,80 @@ def test_decompose_splits_by_the_trace_form_at_small_primes(
     assert w.is_isomorphism()
     assert sorted(X.dims.ravel().tolist() for X in parts) == sorted(
         X.dims.ravel().tolist() for X in pieces)
+
+
+# -- isomorphism ----------------------------------------------------------------
+
+def _nested_intervals(p):
+    """The sum of the eight nested intervals [(0, 0), (i+1, i+1)): End has
+    dimension 36, and a random endomorphism is invertible with probability
+    about 2^-8 at p = 2."""
+    return direct_sum(*_refine_all(*(interval_module(
+        (0, 0), (i + 1, i + 1), p=p) for i in range(8))))[0]
+
+
+def test_is_isomorphic_finds_a_witness_on_nested_intervals():
+    S = _nested_intervals(65521)
+    W = is_isomorphic(S, random_basis_change(S, seed=5))
+    assert W is not None
+    W.validate()
+    assert W.is_isomorphism()
+    iso_certificate(W).verify()
+
+
+def test_is_isomorphic_refuses_where_decompose_does():
+    S = _nested_intervals(2)
+    with pytest.raises(FieldTooSmall):
+        decompose(S)
+    with pytest.raises(FieldTooSmall):
+        is_isomorphic(S, random_basis_change(S, seed=5))
+
+
+def _iso_pairs(p):
+    """Pairs of tiny modules on a common grid with equal dimension vectors,
+    each with the exhaustive verdict: random modules, their basis changes,
+    sums against basis changes of the swapped sum, and a sum of two points
+    against the interval they span."""
+    mods = [random_module(2, 2, d, seed=s, p=p)
+            for d, seeds in ((1, range(8)), (2, range(3))) for s in seeds]
+    mods += [random_basis_change(M, seed=40 + i) for i, M in enumerate(mods)]
+    A, B = mods[1], mods[9]
+    mods += [direct_sum(A, B)[0],
+             random_basis_change(direct_sum(B, A)[0], seed=50)]
+    pts = _refine_all(rect((0, 0), (1, 1), p=p), rect((1, 0), (2, 1), p=p),
+                      rect((0, 0), (2, 1), p=p))
+    mods += [direct_sum(*pts[:2])[0], pts[2]]
+    out = []
+    for M in mods:
+        for N in mods:
+            if M.grid == N.grid and np.array_equal(M.dims, N.dims):
+                try:
+                    out.append((M, N, O.is_isomorphic_bruteforce(M, N)))
+                except ValueError:   # Hom too large to enumerate
+                    pass
+    assert {iso for _, _, iso in out} == {True, False}
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_is_isomorphic_agrees_with_exhaustive_search(p):
+    pairs = _iso_pairs(p)
+    assert len(pairs) >= 60
+    for M, N, iso in pairs:
+        W = is_isomorphic(M, N)
+        assert (W is not None) == iso
+        if iso:
+            assert W.source is M and W.target is N
+            W.validate()
+            assert W.is_isomorphism()
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_hom_basis_scan_is_exact_from_an_indecomposable(p):
+    # End(X) local: X ~ Y iff some basis element of Hom(X, Y) is invertible
+    seen = set()
+    for X, Y, iso in _iso_pairs(p):
+        if X.total_dim() and is_indecomposable(X):
+            assert (decomp._basis_isomorphism(X, Y) is not None) == iso
+            seen.add(iso)
+    assert seen == {True, False}

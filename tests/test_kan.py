@@ -9,9 +9,10 @@ import pytest
 from gridpersist import field
 from gridpersist.cli import random_module
 from gridpersist.construct import approximate_indecomposable, tack
-from gridpersist.core import (Components, Grid, GridModule, free_module,
-                              hom_space, interval_module, is_isomorphic,
-                              random_basis_change, zero_module)
+from gridpersist.core import (Components, Grid, GridModule, hom_space,
+                              interval_module, random_basis_change,
+                              zero_module)
+from gridpersist.decomp import is_isomorphic
 from gridpersist.interleave import certificate_grid
 from gridpersist.kan import (_axis_floors, _floors_via, _unique_rows,
                              common_refinement, compress, compression_witness,
@@ -19,6 +20,7 @@ from gridpersist.kan import (_axis_floors, _floors_via, _unique_rows,
                              restrict, restriction_extension, shift,
                              shift_unit, snap_to_lattice, union_axes)
 
+from conftest import free_module
 import oracles as O
 from oracles import hom_dim, regular_grid
 
