@@ -12,6 +12,7 @@ convention, so refining a grid never changes the meaning of a module.
 
 from __future__ import annotations
 
+import heapq
 from bisect import bisect_right
 from collections.abc import Mapping
 from fractions import Fraction
@@ -328,7 +329,7 @@ class GridModule:
         self.p = p
         self.dims = np.asarray(dims, dtype=np.int64).reshape(grid.shape)
         self.steps = steps
-        self._table = None
+        self._table = self._pad = None
 
     # -- basic accessors ---------------------------------------------------
 
@@ -416,6 +417,15 @@ class GridModule:
         self._table = Components.shared((n,) + shape, at, mats)
         return self._table
 
+    def _padded_steps(self) -> np.ndarray:
+        """The step table's matrices zero-padded to D x D (D =
+        max_pointwise_dim()) and stacked, then a zero matrix for id -1:
+        built once, like the table."""
+        if self._pad is None:
+            D = self.max_pointwise_dim()
+            self._pad = _padded(self.step_table().mats, D, D)
+        return self._pad
+
     def structure_maps(self, src, dst) -> np.ndarray:
         """Structure maps between arrays of flat vertex indices src <= dst.
 
@@ -429,7 +439,7 @@ class GridModule:
         """
         t = self.step_table()
         D = self.max_pointwise_dim()
-        S = _padded(t.mats, D, D)
+        S = self._padded_steps()
         ids = t.ids.reshape(self.grid.n, -1)
         shape = self.grid.shape
         src = np.asarray(src, dtype=np.int64).ravel()
@@ -491,7 +501,7 @@ class GridModule:
         shape, n = self.grid.shape, self.grid.n
         t = self.step_table()
         ids = t.ids.reshape(n, -1)
-        S = _padded(t.mats, D, D)
+        S = self._padded_steps()
         # per step id (and -1 last): does the matrix leave [0, p)?
         wild = np.array([bool(((m < 0) | (m >= p)).any()) for m in t.mats]
                         + [False])
@@ -577,7 +587,7 @@ class ModuleMorphism:
         DM, DN = M.max_pointwise_dim(), N.max_pointwise_dim()
         tm, tn = M.step_table(), N.step_table()
         C = _padded(t.mats, DN, DM)
-        SM, SN = _padded(tm.mats, DM, DM), _padded(tn.mats, DN, DN)
+        SM, SN = M._padded_steps(), N._padded_steps()
         idx = np.arange(t.ids.size).reshape(shape)
         for k, stride in enumerate(_strides(shape).tolist()):
             v = np.take(idx, range(shape[k] - 1), axis=k).ravel()
@@ -777,187 +787,313 @@ def random_basis_change(M: GridModule, seed: int) -> GridModule:
 
 # -- hom spaces --------------------------------------------------------------
 
-def _kron_eye(d: int, a: np.ndarray, left: bool) -> np.ndarray:
-    """kron(eye(d), a) if left else kron(a, eye(d)), without np.kron's
-    overhead (these run once per edge of a hom-space sweep)."""
-    e = np.eye(d, dtype=np.int64)
-    if left:
-        out = e[:, None, :, None] * a[None, :, None, :]
-        return out.reshape(d * a.shape[0], d * a.shape[1])
-    out = a[:, None, :, None] * e[None, :, None, :]
-    return out.reshape(a.shape[0] * d, a.shape[1] * d)
+def _eye_flags(mats) -> list:
+    """For each matrix of a step table, then for id -1 (no step, last):
+    is it an identity matrix?"""
+    return [m.shape[0] == m.shape[1] and np.array_equal(m, field.eye(len(m)))
+            for m in mats] + [False]
+
+
+def _edge_systems(keys, mats, p) -> dict:
+    """The systems x A = C t of hom_space's sweep, reduced in one batch.
+
+    A key (b, a, ((du, i), ...)) stands for b x a unknowns x at a vertex
+    whose incoming edges carry the steps mats[i] (zero for i = -1) from
+    du-dimensional spaces; A is those steps side by side.  Its value is
+    (xp, Q, R, Y): Q A^T = [R0; 0] with R0 in reduced row echelon form (Q
+    None when a = 0), xp the pivot columns of R0, R the columns of A, and
+    Y (b, a, b f) the part of x in fresh parameters, one per row of x and
+    free column of R0 (1 there, minus R0's entries in the pivot rows)."""
+    keys = list(keys)
+    As = [np.concatenate([mats[i] if i >= 0 else field.zeros(a, du)
+                          for du, i in es] or [field.zeros(a, 0)], axis=1)
+          for _, a, es in keys]
+    ra = max((a for _, a, _ in keys), default=0)
+    rr = max((A.shape[1] for A in As), default=0)
+    # [A^T 0 I]: zero padding keeps the reduced form, and the identity's
+    # extra rows only add pivots of their own below it
+    S = np.zeros((len(keys), rr, ra + rr), dtype=np.int64)
+    S[:, :, ra:] = field.eye(rr)
+    for t, A in enumerate(As):
+        S[t, :A.shape[1], :A.shape[0]] = A.T
+    red, piv = field.rref_stack(S, p)
+    out = {}
+    for t, (key, A, pv) in enumerate(zip(keys, As, piv[:, :ra].tolist())):
+        b, a, R = key[0], key[1], A.shape[1]
+        xp = [c for c in range(a) if pv[c]]
+        free = [c for c in range(a) if not pv[c]]
+        Y = np.zeros((b, a, b * len(free)), dtype=np.int64)
+        if free:
+            rows = np.arange(b)[:, None]
+            cols = np.arange(b * len(free)).reshape(b, len(free))
+            Y[rows, free, cols] = 1
+            if xp:
+                Y[rows[:, :, None], np.array(xp)[:, None], cols[:, None]] = (
+                    -red[t][:len(xp), free]) % p
+        out[key] = (xp, red[t, :R, ra:ra + R] if a else None, R, Y)
+    return out
 
 
 def hom_space(M: GridModule, N: GridModule):
-    """A basis of the space of natural transformations M -> N.
+    """A basis of the space of natural transformations M -> N, as Components
+    morphisms: the columns of hom_matrix(M, N).
 
     Requires M and N on the same grid (use common_refinement otherwise).
-    Sweeps the grid in lexicographic order keeping a parametric description
-    of all partial solutions, so the cost stays local even on large grids.
+    The grid is swept in C order, keeping the unknowns of every vertex
+    still to be read in terms of the free parameters found so far; the
+    final basis element j sets parameter j to 1.  Only vertices with work
+    are visited: dim N(v) > 0 and either an unknown at v (dim M(v) > 0) or
+    a constraint from a predecessor u with unknowns (dim M(u) dim N(u) >
+    0).  Every other vertex adds neither parameters nor constraints; for
+    End(M) the visited vertices are the support.
+
+    At each vertex the parameters are cut down to the nullspace K of the
+    consistency conditions of its incoming edges, and the unknowns become a
+    particular solution on K plus one fresh parameter per free column of
+    the reduced system.  Both are canonical, as the reduced row echelon
+    form is unique and K is read off it, and the arithmetic is exact mod p;
+    so the basis does not depend on how the conditions are found.  An edge
+    that is the identity in M fixes the unknowns outright (one that is the
+    identity in N too copies them from u), other edges are contracted with
+    their step matrices, and the rest reduces one small system in M's
+    steps.
     """
+    return _hom_morphisms(M, N, hom_matrix(M, N))
+
+
+def hom_matrix(M: GridModule, N: GridModule) -> np.ndarray:
+    """The hom_space basis as the columns of one matrix: its rows are the
+    vertices v with dim M(v) dim N(v) > 0 in C order, each holding its
+    dim N(v) x dim M(v) component row by row."""
     if M.grid != N.grid:
         raise ValueError("hom_space requires a common grid")
     if M.p != N.p:
         raise ValueError("mixed primes")
-    p = M.p
-    shape = M.grid.shape
-    n = M.grid.n
+    p, shape, n = M.p, M.grid.shape, M.grid.n
+    dm, dn = M.dims.ravel(), N.dims.ravel()
+    unk = dm * dn
+    size = dm.size
+    flat = np.arange(size)
+    coord = np.indices(shape).reshape(n, size)
+    stride = _strides(shape)
+    # the edge u = v - e_k -> v along each axis k, where dim M(u) > 0 (an
+    # edge without rows of conditions otherwise), else -1
+    pred = np.where(coord > 0, flat - stride[:, None], -1)
+    pred[dm[np.maximum(pred, 0)] == 0] = -1
+    fed = (pred >= 0) & (unk[np.maximum(pred, 0)] > 0)
+    visit = np.flatnonzero((dn > 0) & ((dm > 0) | fed.any(axis=0)))
+    tm, tn = M.step_table(), N.step_table()
+    e = pred[:, visit]
+    axis = np.arange(n)[:, None]
+    sid = [np.where(e >= 0, t.ids.reshape(n, size)[axis, np.maximum(e, 0)],
+                    -1) for t in (tm, tn)]
+    # u's unknowns are last read by u + e_a for the first axis a with room
+    room = coord + 1 < np.array(shape)[:, None]
+    last = np.where(room.any(axis=0), flat + stride[room.argmax(axis=0)],
+                    flat).tolist()
+    mM, mN = tm.mats, tn.mats
+    eyeM, eyeN = _eye_flags(mM), _eye_flags(mN)
+    dml, unkl = dm.tolist(), unk.tolist()
 
-    D = 0                 # current number of free parameters
-    B = {}                # vidx -> matrix (dN*dM x D) in current parameters
-    keep = {}             # vidx -> matrix kept for final reconstruction
-    events = []           # (transform old_params x new_params) applied so far
-    epoch_of = {}         # vidx -> epoch index at which keep[vidx] was stored
+    # the frontier's unknowns, one row each, in the current D parameters;
+    # the columns of F from D on are zero, so new parameters cost nothing
+    D = rows = live = 0   # parameters, rows of F in use, rows still read
+    F = np.zeros((64, 16), dtype=np.int64)
+    row_of = {}       # vertex -> first row of its unknowns in F
+    held = {}         # first row -> [vertices holding it, rows]
+    ends = []         # heap of (last reader, vertex) over row_of
+    order = []        # rows of the vertices fixed in this epoch, in C order
+    runs, cuts = [], []   # per past epoch its rows, and the K that ended it
 
-    def apply_event(T):
-        nonlocal D
-        for u in B:
-            B[u] = field.mmul(B[u], T, p) if B[u].size else field.zeros(B[u].shape[0], T.shape[1])
-        events.append(T)
-        D = T.shape[1]
+    def restrict(K):
+        """Cut the parameters down to the span of K's columns: one product
+        for the whole frontier, after saving the epoch's rows; rows no
+        vertex reads any more are dropped once they outnumber the rest."""
+        nonlocal F, rows, D, row_of, held
+        runs.append(F[order, :D])
+        order.clear()
+        cuts.append(K)
+        src = F[:rows, :D]
+        if rows > 2 * live + 32:
+            new, sel = {}, []
+            for s in sorted(held):
+                new[s] = len(sel)
+                sel.extend(range(s, s + held[s][1]))
+            row_of = {u: new[s] for u, s in row_of.items()}
+            held = {new[s]: h for s, h in held.items()}
+            src, rows = F[sel, :D], len(sel)
+        F = np.zeros(F.shape, dtype=np.int64)
+        D = K.shape[1]
+        F[:rows, :D] = field.mmul(src, K, p)
 
-    Md, Nd = M.dims, N.dims
-    for vidx in np.ndindex(shape):
-        dm, dn = int(Md[vidx]), int(Nd[vidx])
-        m = dm * dn
-        # assemble equations  E x = C t  from all incoming edges
-        E_rows, C_rows, ident = [], [], []
-        for k in range(n):
-            if vidx[k] == 0:
-                continue
-            u = list(vidx)
-            u[k] -= 1
-            u = tuple(u)
-            du_m, du_n = int(Md[u]), int(Nd[u])
-            rows = dn * du_m
-            if rows == 0:
-                continue
-            stepM = M.step(u, k)      # dm x du_m
-            stepN = N.step(u, k)      # dn x du_n
-            E = _kron_eye(dn, stepM.T, left=True) if m else field.zeros(rows, 0)
-            Bu = B.get(u)
-            if Bu is None or du_n == 0:
-                C = field.zeros(rows, D)
-            else:
-                C = field.mmul(_kron_eye(du_m, stepN, left=False), Bu, p)
-            E_rows.append(E)
-            C_rows.append(C)
-            ident.append(m > 0 and du_m == dm and
-                         np.array_equal(stepM, field.eye(dm)))
-        if any(ident):
-            # an identity step of M fixes x = C_j t outright; the other
-            # edges only constrain the parameters
-            j0 = ident.index(True)
-            x = C_rows[j0]
-            cons = [r for i, (E, C) in enumerate(zip(E_rows, C_rows))
-                    if i != j0
-                    for r in (field.mmul(E, x, p) - C) % p if r.any()]
+    def grow(k):
+        """k fresh parameters."""
+        nonlocal F, D
+        D += k
+        if D > F.shape[1]:
+            G = np.zeros((len(F), max(2 * F.shape[1], D)), dtype=np.int64)
+            G[:rows, :F.shape[1]] = F[:rows]
+            F = G
+
+    def add(v, x, s=None):
+        """Fix the unknowns x of v, or those in the rows from s on."""
+        nonlocal F, rows, live
+        if s is None:
+            s, c = rows, len(x)
+            if rows + c > len(F):
+                G = np.zeros((2 * (rows + c), F.shape[1]), dtype=np.int64)
+                G[:rows] = F[:rows]
+                F = G
+            F[rows:rows + c, :D] = x
+            rows += c
+            live += c
+            held[s] = [0, c]
+        held[s][0] += 1
+        row_of[v] = s
+        order.extend(range(s, s + unkl[v]))
+        heapq.heappush(ends, (last[v], v))
+
+    def pull(b, u, du, i):
+        """N's step u -> v applied to the unknowns at u: dim N(v) dim M(u)
+        rows."""
+        s = row_of.get(u)
+        if s is None or i < 0:
+            return field.zeros(b * du, D)
+        X = F[s:s + unkl[u], :D]
+        if eyeN[i]:
+            return X
+        st = mN[i]
+        return field.mmul(st, X.reshape(st.shape[1], du * D), p
+                          ).reshape(b * du, D)
+
+    def push(x, a, b, du, i):
+        """The unknowns x at v times M's step u -> v: dim N(v) dim M(u)
+        rows."""
+        if i < 0:
+            return field.zeros(b * du, D)
+        if eyeM[i]:
+            return x
+        return field.mmul(mM[i].T, x.reshape(b, a, D), p).reshape(b * du, D)
+
+    # per visited vertex its edges (u, dim M(u), M step id, N step id), and
+    # the edge that fixes x (an identity of M, also of N where there is
+    # one) or else the key of its system
+    work = []
+    for v, a, b, us, ims, ins in zip(visit.tolist(), dm[visit].tolist(),
+                                     dn[visit].tolist(), zip(*e.tolist()),
+                                     zip(*sid[0].tolist()),
+                                     zip(*sid[1].tolist())):
+        edges = [(u, dml[u], i, j) for u, i, j in zip(us, ims, ins) if u >= 0]
+        ident = [ed for ed in edges if eyeM[ed[2]]] if a * b else []
+        work.append((v, a, b, edges, next(
+            (ed for ed in ident if eyeN[ed[3]]), ident[0]) if ident else
+            (b, a, tuple(ed[1:3] for ed in edges))))
+    systems = _edge_systems({w[4] for w in work if len(w[4]) == 3}, mM, p)
+
+    for v, a, b, edges, e0 in work:
+        while ends and ends[0][0] < v:
+            s = row_of.pop(heapq.heappop(ends)[1])
+            held[s][0] -= 1
+            if not held[s][0]:
+                live -= held.pop(s)[1]
+        m = a * b
+        if len(e0) == 4:
+            # an identity step of M fixes x outright (a copy of u's rows
+            # when it is one of N too); the other edges only constrain the
+            # parameters
+            x = pull(b, e0[0], e0[1], e0[3])
+            s0 = row_of[e0[0]] if eyeN[e0[3]] else None
+            cons = []
+            for ed in edges:
+                if ed is e0 or (s0 is not None and eyeM[ed[2]] and
+                                eyeN[ed[3]] and row_of.get(ed[0]) == s0):
+                    continue
+                d = push(x, a, b, ed[1], ed[2]) - pull(b, ed[0], ed[1], ed[3])
+                if d.any():
+                    cons.append(d % p)
             if cons:
-                K = field.nullspace(np.stack(cons), p)
-                apply_event(K)
-                X = field.mmul(x, K, p)
+                K = field.nullspace(np.concatenate(cons), p)
+                restrict(K)
+                add(v, field.mmul(x, K, p))
             else:
-                X = x
-        elif m == 1 and E_rows and all(E.shape == (1, 1) for E in E_rows):
-            # one-dimensional vertex fed by one-dimensional vertices:
-            # x s_j = c_j t for every incoming edge j, solved without rref
-            s = [int(E[0, 0]) for E in E_rows]
-            c = [C[0] for C in C_rows]
-            j0 = next((j for j, sj in enumerate(s) if sj), None)
-            if j0 is None:
-                x = None
-                cons = [cj for cj in c if cj.any()]
-            else:
-                x = c[j0] * field.minv_scalar(s[j0], p) % p
-                cons = [r for r in ((sj * x - cj) % p for sj, cj
-                                    in zip(s, c)) if r.any()]
-            K = field.nullspace(np.stack(cons), p) if cons else None
-            if x is None:
-                Kc = D if K is None else K.shape[1]
-                T = field.zeros(D, Kc + 1)
-                T[:, :Kc] = field.eye(D) if K is None else K
-                apply_event(T)
-                X = field.zeros(1, D)
-                X[0, D - 1] = 1
-            elif K is None:
-                X = x.reshape(1, D)
-            else:
-                apply_event(K)
-                X = field.mmul(x.reshape(1, -1), K, p)
-        elif E_rows:
-            E = np.concatenate(E_rows, axis=0)
-            C = np.concatenate(C_rows, axis=0)
-            aug = np.concatenate([E, C], axis=1)
-            R, piv = rref(aug, p)
-            x_piv = [c for c in piv if c < m]
-            # consistency constraints: reduced rows whose x-part vanished
-            cons = R[len(x_piv):, m:]
-            if cons.size and cons.any():
-                K = field.nullspace(cons, p)
-            else:
-                K = field.eye(D)
-            free_cols = [j for j in range(m) if j not in x_piv]
-            nf = len(free_cols)
-            Dnew = K.shape[1] + nf
-            if K.shape != (D, D) or not np.array_equal(K, field.eye(D)) or nf:
-                T = field.zeros(D, Dnew)
-                T[:, :K.shape[1]] = K
-                apply_event(T)
-                newD = Dnew
-            else:
-                newD = D
-            # express x in the new parameters (restricted t', then fresh s)
-            X = field.zeros(m, newD)
-            for j, col in enumerate(free_cols):
-                X[col, K.shape[1] + j] = 1
-            for i, pc in enumerate(x_piv):
-                # x_pc = R[i, m:] t  -  sum_free R[i, j] x_j,  with t = K t'
-                X[pc, :K.shape[1]] = field.mmul(R[i:i + 1, m:], K, p)[0]
-                for j, col in enumerate(free_cols):
-                    X[pc, K.shape[1] + j] = (-R[i, col]) % p
+                add(v, x, s0)
         else:
-            # no incoming constraints: every entry is a fresh parameter
+            xp, Q, R, Y = systems[e0]
+            k = D
+            if R:
+                C = np.concatenate([pull(b, u, du, j).reshape(b, du, D)
+                                    for u, du, _, j in edges], axis=1)
+                if Q is not None:
+                    C = field.mmul(Q, C, p)
+                part = C[:, :len(xp)]
+                cons = C[:, len(xp):].reshape(b * (R - len(xp)), D)
+                if cons.any():
+                    K = field.nullspace(cons, p)
+                    part = field.mmul(part, K, p)
+                    restrict(K)
+                    k = D
+            grow(Y.shape[2])
             if m:
-                T = field.zeros(D, D + m)
-                T[:, :D] = field.eye(D)
-                apply_event(T)
-                X = field.zeros(m, D)
-                X[:, D - m:] = field.eye(m)
-            else:
-                X = field.zeros(0, D)
-        B[vidx] = X
-        keep[vidx] = X
-        epoch_of[vidx] = len(events)
-        # B[u] is last read by u's last successor in sweep order, which is
-        # u + e_a for the first axis a with room at u
-        for k in range(n):
-            if vidx[k] and all(vidx[a] + 1 >= shape[a] for a in range(k)):
-                del B[vidx[:k] + (vidx[k] - 1,) + vidx[k + 1:]]
-        if all(vidx[a] + 1 >= shape[a] for a in range(n)):
-            del B[vidx]
+                x = np.zeros((b, a, D), dtype=np.int64)
+                if xp:
+                    x[:, xp, :k] = part
+                x[:, :, k:] = Y
+                add(v, x.reshape(m, D))
 
-    # pull every kept matrix into the final parameter space
-    suffix = [None] * (len(events) + 1)
-    suffix[len(events)] = field.eye(D)
-    for e in range(len(events) - 1, -1, -1):
-        suffix[e] = field.mmul(events[e], suffix[e + 1], p)
+    if not D:
+        return field.zeros(int(unk.sum()), 0)
+    runs.append(F[order, :D])
+    # each epoch's unknowns in the final parameters, one product per epoch
+    lift, out = field.eye(D), []
+    for ep in range(len(runs) - 1, -1, -1):
+        if len(runs[ep]):
+            out.append(field.mmul(runs[ep], lift, p))
+        if ep:
+            K = cuts[ep - 1]
+            T = field.zeros(K.shape[0], len(lift))
+            T[:, :K.shape[1]] = K
+            lift = field.mmul(T, lift, p)
+    return np.concatenate(out[::-1])
 
-    if D == 0:
+
+def _hom_morphisms(M: GridModule, N: GridModule, V: np.ndarray) -> list:
+    """The morphisms M -> N whose components the columns of V hold, in the
+    layout of hom_matrix, as Components tables without zero components:
+    the distinct components of each shape are found in one batch."""
+    shape, D = M.grid.shape, V.shape[1]
+    if not D:
         return []
-    # components of every basis element, one product per parameter epoch
-    mats = [{} for _ in range(D)]
-    by_epoch = {}
-    for vidx, X in keep.items():
-        if X.size:
-            by_epoch.setdefault(epoch_of[vidx], []).append(vidx)
-    for e, verts in by_epoch.items():
-        Xf = field.mmul(np.concatenate([keep[v] for v in verts]), suffix[e], p)
-        r = 0
-        for vidx in verts:
-            dm, dn = int(Md[vidx]), int(Nd[vidx])
-            comps = Xf[r:r + dm * dn].T.reshape(D, dn, dm)
-            r += dm * dn
-            for j in np.flatnonzero(comps.reshape(D, -1).any(axis=1)).tolist():
-                mats[j][vidx] = comps[j].copy()
-    return [ModuleMorphism(M, N, m) for m in mats]
-
+    dm, dn = M.dims.ravel(), N.dims.ravel()
+    at = np.flatnonzero(dm * dn)
+    start = np.cumsum(dm * dn)[at] - (dm * dn)[at]
+    ids = np.full((D, dm.size), -1, dtype=np.int64)
+    mats = []
+    kinds, kind = np.unique(np.stack([dn[at], dm[at]], axis=1), axis=0,
+                            return_inverse=True)
+    for g, (r, c) in enumerate(kinds.tolist()):
+        sel = np.flatnonzero(kind.reshape(-1) == g)
+        comps = V[start[sel][:, None] + np.arange(r * c)]  # vertex, entry, j
+        rows, _, inv = _unique_rows(
+            comps.transpose(2, 0, 1).reshape(-1, r * c))
+        num = np.where(rows.any(axis=1), len(mats) + np.arange(len(rows)), -1)
+        ids[:, at[sel]] = num[inv].reshape(D, len(sel))
+        mats += [x.reshape(r, c) for x in rows]
+    # renumber each element's components in order of first appearance
+    flat = ids.ravel()
+    live = np.flatnonzero(flat >= 0)
+    key = live // dm.size * len(mats) + flat[live]      # (element, matrix)
+    pairs, first, inv = np.unique(key, return_index=True, return_inverse=True)
+    order = np.argsort(first)                 # by element, then vertex
+    owner = pairs[order] // len(mats)
+    count = np.bincount(owner, minlength=D)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order)) - np.repeat(np.cumsum(count) - count,
+                                                    count)
+    flat[live] = rank[inv.reshape(-1)]
+    used = np.split(pairs[order] % len(mats), np.cumsum(count)[:-1])
+    out = []
+    for j, u in enumerate(used):
+        t = Components.__new__(Components)
+        t.shape, t.ids, t.mats = shape, ids[j], [mats[i] for i in u.tolist()]
+        out.append(ModuleMorphism(M, N, t))
+    return out

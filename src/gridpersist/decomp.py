@@ -21,11 +21,13 @@ summands and the witness back to the input's grid.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from . import field
-from .core import (GridModule, ModuleMorphism, direct_sum, hom_space,
-                   sum_module)
+from .core import (GridModule, ModuleMorphism, _hom_morphisms, direct_sum,
+                   hom_matrix, hom_space, sum_module)
 from .kan import (compress, compression_witness,
                   morphism_restriction_extension, restriction_extension)
 
@@ -108,22 +110,34 @@ class EndAlgebra(_Algebra):
 
     def __init__(self, M: GridModule):
         self.module = M
-        self.basis = hom_space(M, M)
+        # the basis stacked vertex by vertex (row-major), one column each
+        self._vecmat = hom_matrix(M, M)
         self._verts = [tuple(v) for v in np.argwhere(M.dims > 0).tolist()]
         sizes = [M.dim(v) ** 2 for v in self._verts]
         # where each vertex's entries sit in the stacked vectors
         self._len = sum(sizes)
         self._slots = {v: slice(o, o + d) for v, o, d in
                        zip(self._verts, np.cumsum([0] + sizes).tolist(), sizes)}
-        self._vecmat = (np.stack([self._vec(f) for f in self.basis], axis=1)
-                        if self.basis else field.zeros(self._len, 0))
-        self.p, self.dim = M.p, len(self.basis)
-        if self.dim:
-            self.table = self._structure_constants()
-            self.one = self.coords_of(ModuleMorphism.identity(M))
-        else:
-            self.table = np.zeros((0, 0, 0), dtype=np.int64)
-            self.one = np.zeros(0, dtype=np.int64)
+        self.p, self.dim = M.p, self._vecmat.shape[1]
+        # a basis element is determined by its entries on D pivot rows of
+        # _vecmat (row = one matrix entry at one vertex)
+        self._piv = np.asarray(field.rref(self._vecmat.T, self.p)[1],
+                               dtype=np.int64)
+        self._pivinv = field.minv(self._vecmat[self._piv], self.p)
+        self.table = (self._structure_constants() if self.dim else
+                      np.zeros((0, 0, 0), dtype=np.int64))
+        # the identity: 1 at each diagonal entry of each vertex
+        d = M.dims[M.dims > 0]
+        starts = np.repeat(np.cumsum(d * d) - d * d, d)
+        within = np.arange(d.sum()) - np.repeat(np.cumsum(d) - d, d)
+        one = np.zeros(self._len, dtype=np.int64)
+        one[starts + within * (np.repeat(d, d) + 1)] = 1
+        self.one = self._coords(one)
+
+    @cached_property
+    def basis(self) -> list:
+        """The basis morphisms, read off _vecmat on first use."""
+        return _hom_morphisms(self.module, self.module, self._vecmat)
 
     def _vec(self, f: ModuleMorphism):
         """The components of f stacked vertex by vertex (row-major)."""
@@ -134,11 +148,17 @@ class EndAlgebra(_Algebra):
                 out[slot] = m.ravel()
         return out
 
-    def coords_of(self, f: ModuleMorphism) -> np.ndarray:
-        c = field.solve(self._vecmat, self._vec(f), self.p)
-        if c is None:
+    def _coords(self, vec) -> np.ndarray:
+        """The coordinates of a stacked vector: read off the pivot rows,
+        then checked on all rows."""
+        vec = vec % self.p
+        c = field.mmul(self._pivinv, vec[self._piv].reshape(-1, 1), self.p)
+        if not np.array_equal(field.mmul(self._vecmat, c, self.p)[:, 0], vec):
             raise ValueError("endomorphism not in the computed basis span")
-        return c
+        return c[:, 0]
+
+    def coords_of(self, f: ModuleMorphism) -> np.ndarray:
+        return self._coords(self._vec(f))
 
     def morphism_of(self, coords) -> ModuleMorphism:
         return ModuleMorphism.linear_combination(self.basis, coords, self.p)
@@ -154,12 +174,8 @@ class EndAlgebra(_Algebra):
         return [{v: next(spaces) for v in self._slots} for _ in range(k)]
 
     def _structure_constants(self):
-        D, p = self.dim, self.p
-        # a basis element is determined by its entries on D pivot rows of
-        # _vecmat (row = one matrix entry at one vertex), so vec(f_i o f_j)
-        # is only evaluated there
-        piv = np.asarray(field.rref(self._vecmat.T, p)[1], dtype=np.int64)
-        sub = self._vecmat[piv]                         # D x D, invertible
+        D, p, piv = self.dim, self.p, self._piv
+        # vec(f_i o f_j) is only evaluated on the pivot rows
         offs = np.array([self._slots[v].start for v in self._verts],
                         dtype=np.int64)
         vert_of = np.searchsorted(offs, piv, side="right") - 1
@@ -168,14 +184,14 @@ class EndAlgebra(_Algebra):
             v = self._verts[vi]
             d = self.module.dim(v)
             rows = piv[vert_of == vi] - offs[vi]
-            mats = np.stack([f.at(v) for f in self.basis])  # D x d x d
+            mats = self._vecmat[self._slots[v]].T.reshape(D, d, d)
             a, c = rows // d, rows % d
             # (f_i o f_j)[a, c] = sum_b f_i[a, b] f_j[b, c], inner size d
             # is bounded by GridModule.validate
             blocks.append(np.einsum("irb,jbr->ijr", mats[:, a, :],
                                     mats[:, :, c]) % p)
         prod_vecs = np.concatenate(blocks, axis=2).reshape(D * D, D)
-        coeffs = field.mmul(field.minv(sub, p), prod_vecs.T, p)
+        coeffs = field.mmul(self._pivinv, prod_vecs.T, p)
         # table[i, j, k]: coefficient of basis k in f_i o f_j
         return np.ascontiguousarray(coeffs.T.reshape(D, D, D))
 

@@ -14,8 +14,8 @@ rref_stack row-reduces a whole (m, r, c) stack of matrices at once;
 ranks, column_spaces, invertible, minv_stack and inverses derive from it.
 Each of its products has two factors in [0, p), so every intermediate is
 below (p-1)**2 < 2**63 in magnitude at any accepted prime, whatever the
-shape.  The single-matrix rref serves the large sparse systems of hom
-spaces, solve and nullspace, where it clears only the rows that need it.
+shape.  The single-matrix rref serves solve, nullspace and the small
+systems of hom spaces, where it clears only the rows that need it.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ def mmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     if n != b.shape[-2]:
         raise ValueError(f"shape mismatch {a.shape} @ {b.shape}")
     if a.size == 0 or b.size == 0:
-        return np.zeros(a.shape[:-1] + b.shape[-1:], dtype=np.int64)
+        return np.zeros(np.matmul(a, b).shape, dtype=np.int64)
     if (p - 1) ** 2 <= (2 ** 63 - 1) // n:
         return (a @ b) % p
     chunk = (2 ** 63 - 1) // (int(p) - 1) ** 2
@@ -130,10 +130,8 @@ def nullspace(a: np.ndarray, p: int) -> np.ndarray:
     r, pivots = rref(a, p)
     free = [j for j in range(ncols) if j not in pivots]
     basis = zeros(ncols, len(free))
-    for k, j in enumerate(free):
-        basis[j, k] = 1
-        for i, pc in enumerate(pivots):
-            basis[pc, k] = (-r[i, j]) % p
+    basis[free, range(len(free))] = 1
+    basis[pivots] = (-r[:len(pivots), free]) % p
     return basis
 
 
@@ -269,19 +267,27 @@ def _padded_stack(mats, eye_fill: bool = False) -> np.ndarray:
     return out
 
 
+def _pivot_columns(mats, p: int) -> np.ndarray:
+    """The (m, c) pivot-column masks of a list of matrices padded to their
+    largest shape, which zero padding keeps: one rref_stack, or directly
+    when that shape is at most 1 x 1 (a 1 x 1 matrix has a pivot exactly
+    when its entry is nonzero mod p)."""
+    a = _padded_stack(mats)
+    if a.shape[1] <= 1 and a.shape[2] <= 1:
+        return (a % p != 0).any(axis=1)
+    return rref_stack(a, p, scale=False)[1]
+
+
 def ranks(mats, p: int) -> np.ndarray:
-    """The rank of each matrix of a list (or stack): zero padding keeps
-    ranks, so one rref_stack of the list padded to its largest shape."""
+    """The rank of each matrix of a list (or stack)."""
     if not len(mats):
         return np.zeros(0, dtype=np.int64)
-    return rref_stack(_padded_stack(mats), p, scale=False)[1].sum(axis=1)
+    return _pivot_columns(mats, p).sum(axis=1)
 
 
 def column_spaces(mats, p: int) -> list:
-    """A column basis of each matrix of a list, its pivot columns: zero
-    padding keeps them, so one rref_stack of the list padded to its
-    largest shape."""
-    piv = rref_stack(_padded_stack(mats), p, scale=False)[1]
+    """A column basis of each matrix of a list, its pivot columns."""
+    piv = _pivot_columns(mats, p)
     return [m[:, c[:m.shape[1]]] for m, c in zip(mats, piv)]
 
 
@@ -307,8 +313,15 @@ def minv_stack(a: np.ndarray, p: int) -> np.ndarray:
 def inverses(mats, p: int) -> list:
     """The inverse of each square matrix of a list, from one minv_stack:
     padded to the largest size, A becomes diag(A, I), whose inverse is
-    diag(A^-1, I)."""
+    diag(A^-1, I).  Matrices of at most 1 x 1 need no elimination."""
     if any(m.shape[0] != m.shape[1] for m in mats):
         raise ValueError("not square")
-    inv = minv_stack(_padded_stack(mats, eye_fill=True), p)
+    a = _padded_stack(mats, eye_fill=True)
+    if a.shape[1] <= 1:
+        # at most 1 x 1: the inverse of each entry
+        if not (a % p).all():
+            raise ValueError("matrix not invertible mod p")
+        inv = _inv_mod(a % p, p)
+    else:
+        inv = minv_stack(a, p)
     return [x[:len(m), :len(m)].copy() for x, m in zip(inv, mats)]

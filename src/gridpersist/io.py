@@ -9,6 +9,7 @@ lexicographic, steps by (vertex, axis)) to keep outputs byte-reproducible.
 from __future__ import annotations
 
 import json
+import marshal
 from fractions import Fraction
 from itertools import chain
 from math import prod
@@ -78,7 +79,9 @@ def _matrix_reader(p: int):
     seen = {}
 
     def read(rows):
-        key = repr(rows)
+        # marshal without back-references (version 2) gives equal integer
+        # matrices equal bytes, and tells bool from int, which == does not
+        key = marshal.dumps(rows, 2)
         m = seen.get(key)
         if m is None:
             if (not isinstance(rows, list) or set(map(type, rows)) - {list}

@@ -217,3 +217,45 @@ def test_rref_stack_stays_exact_at_the_largest_prime():
         assert R[i].tolist() == field.rref(a[i], p)[0].tolist()
         assert piv[i].tolist() == [True] * 4
         assert field.minv_stack(a, p)[i].tolist() == field.minv(a[i], p).tolist()
+
+
+@pytest.mark.parametrize("p", [2, 3, 65521])
+def test_at_most_1x1_fast_path_matches_elimination(p, monkeypatch):
+    # lists of 0x0, 0x1, 1x0 and 1x1 matrices, zero and nonzero (an entry
+    # of p is zero mod p), against the same list with a 2 x 2 matrix
+    # appended, which sends every kernel through rref_stack / minv_stack
+    small = [np.zeros(shape, dtype=np.int64)
+             for shape in ((0, 0), (0, 1), (1, 0))] + [
+        np.array([[x]], dtype=np.int64) for x in (0, 1, p - 1, p)]
+    lists = [[m] for m in small] + [list(t) for t in
+                                    zip(small, small[1:] + small[:1])]
+    lists.append(small)
+    two = np.array([[1, 1], [0, 1]], dtype=np.int64)
+    want = []
+    for mats in lists:
+        spaces = field.column_spaces(mats + [two], p)[:-1]
+        square = [m for m in mats if m.shape[0] == m.shape[1]]
+        units = [m for m in square if field.invertible([m], p)[0]]
+        want.append((field.ranks(mats + [two], p)[:-1].tolist(),
+                     field.invertible(mats + [two], p)[:-1].tolist(),
+                     spaces, field.inverses(units + [two], p)[:-1], units,
+                     len(units) < len(square)))
+
+    def boom(*args, **kwargs):
+        raise AssertionError("the fast path eliminated")
+
+    monkeypatch.setattr(field, "rref_stack", boom)
+    monkeypatch.setattr(field, "minv_stack", boom)
+    for mats, (ranks, inv, spaces, inverses, units, singular) in zip(lists,
+                                                                      want):
+        assert field.ranks(mats, p).tolist() == ranks
+        assert field.invertible(mats, p).tolist() == inv
+        for got, exp in zip(field.column_spaces(mats, p), spaces):
+            assert got.shape == exp.shape and got.dtype == exp.dtype
+            assert np.array_equal(got, exp)
+        for got, exp in zip(field.inverses(units, p), inverses):
+            assert got.shape == exp.shape and np.array_equal(got, exp)
+        if singular:
+            with pytest.raises(ValueError):
+                field.inverses([m for m in mats
+                                if m.shape[0] == m.shape[1]], p)

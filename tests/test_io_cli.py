@@ -576,3 +576,29 @@ def test_cli_proof_output_is_byte_stable(case, capsys, tmp_path):
     for cmd, want in (("approx-indec", approx_sha),
                       ("decompose", decompose_sha)):
         assert hashlib.sha256(outs[cmd].encode()).hexdigest() == want, cmd
+
+
+def test_matrix_reader_shares_equal_matrices_and_refuses_bools():
+    read = io._matrix_reader(65521)
+    a = read([[1, 2], [3, 4]])
+    assert read([[1, 2], [3, 4]]) is a
+    assert read([[1]]) is read([[1]]) is not read([[1, 0]])
+    # True == 1 and False == 0, so a cache keyed by equal values would
+    # hand back the integer matrices read before
+    for rows in ([[True]], [[1, False]], [[False, 0], [0, 1]]):
+        with pytest.raises(ValueError, match="integers"):
+            read(rows)
+    read([[0, 0], [0, 1]])
+    with pytest.raises(ValueError, match="integers"):
+        read([[False, 0], [0, 1]])
+
+
+def test_loader_refuses_a_bool_step_equal_to_an_int_step():
+    M = GridModule(Grid([[Fraction(0), Fraction(1), Fraction(2)]]),
+                   np.array([1, 1, 1]), {((0,), 0): np.array([[1]]),
+                                         ((1,), 0): np.array([[1]])})
+    obj = io.module_to_obj(M)
+    assert io.module_from_obj(json.loads(json.dumps(obj))).validate()
+    obj["steps"][1]["matrix"] = [[True]]
+    with pytest.raises(ValueError, match="integers"):
+        io.module_from_obj(json.loads(json.dumps(obj)))
