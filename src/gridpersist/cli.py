@@ -116,8 +116,8 @@ def _load(path, want=None):
 
 def _parse_frac(s):
     try:
-        return Fraction(s)
-    except (ValueError, ZeroDivisionError) as exc:
+        return io.parse_frac(s)
+    except ValueError as exc:
         raise CliError(2, "malformed-input", f"bad rational {s!r}: {exc}")
 
 

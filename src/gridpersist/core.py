@@ -306,13 +306,12 @@ def _unique_rows(sig: np.ndarray):
 def _failing_squares(sig: np.ndarray, p: int, F, A, B) -> np.ndarray:
     """Check F[j] A[a] = B[b] F[i] (mod p) once per distinct row (i, j, a, b)
     of the id array sig, on stacks made by _padded (id -1 reads as zero);
-    return the index in sig of the first row holding each failing distinct
-    row, in the order of _unique_rows."""
+    return the index of the first row of sig that fails, or None."""
     rows, first, _ = _unique_rows(sig)
     i, j, a, b = rows.T
     bad = (np.matmul(F[j], A[a]) % p != np.matmul(B[b], F[i]) % p
            ).any(axis=(1, 2))
-    return first[bad]
+    return int(first[bad].min()) if bad.any() else None
 
 
 class GridModule:
@@ -526,8 +525,8 @@ class GridModule:
                 bad = _failing_squares(np.stack(
                     [ids[l, u], ids[l, u + stride[k]], ids[k, u],
                      ids[k, u + stride[l]]], axis=1), p, S, S, S)
-                if len(bad):
-                    raise ValueError(f"square at {_vertex(u[min(bad)], shape)}"
+                if bad is not None:
+                    raise ValueError(f"square at {_vertex(u[bad], shape)}"
                                      f" axes ({k},{l}) does not commute")
         return True
 
@@ -594,9 +593,9 @@ class ModuleMorphism:
             bad = _failing_squares(np.stack(
                 [t.ids[v], t.ids[v + stride], tm.ids[k * idx.size + v],
                  tn.ids[k * idx.size + v]], axis=1), p, C, SM, SN)
-            if len(bad):
+            if bad is not None:
                 raise ValueError(f"naturality fails at "
-                                 f"{_vertex(v[bad.min()], shape)} axis {k}")
+                                 f"{_vertex(v[bad], shape)} axis {k}")
         return True
 
     def is_valid(self) -> bool:

@@ -105,8 +105,8 @@ class _Algebra:
 
 
 class EndAlgebra(_Algebra):
-    """End(M) in a fixed basis, with structure constants and a solver for
-    expressing arbitrary endomorphisms in that basis."""
+    """End(M) in a fixed basis, with structure constants and the
+    coordinates of the identity in that basis."""
 
     def __init__(self, M: GridModule):
         self.module = M
@@ -139,15 +139,6 @@ class EndAlgebra(_Algebra):
         """The basis morphisms, read off _vecmat on first use."""
         return _hom_morphisms(self.module, self.module, self._vecmat)
 
-    def _vec(self, f: ModuleMorphism):
-        """The components of f stacked vertex by vertex (row-major)."""
-        out = np.zeros(self._len, dtype=np.int64)
-        for v, m in f.mats.items():
-            slot = self._slots.get(tuple(v))
-            if slot is not None:
-                out[slot] = m.ravel()
-        return out
-
     def _coords(self, vec) -> np.ndarray:
         """The coordinates of a stacked vector: read off the pivot rows,
         then checked on all rows."""
@@ -156,9 +147,6 @@ class EndAlgebra(_Algebra):
         if not np.array_equal(field.mmul(self._vecmat, c, self.p)[:, 0], vec):
             raise ValueError("endomorphism not in the computed basis span")
         return c[:, 0]
-
-    def coords_of(self, f: ModuleMorphism) -> np.ndarray:
-        return self._coords(self._vec(f))
 
     def morphism_of(self, coords) -> ModuleMorphism:
         return ModuleMorphism.linear_combination(self.basis, coords, self.p)

@@ -161,10 +161,12 @@ class InterleavingCertificate:
         at the other vertices the triangles follow from the checked
         naturality.  The two ends of a grid edge have floors at most one
         step apart in M and N, so the structure maps of a naturality square
-        are read off the modules' step tables; only the triangles walk
-        structure maps.  Vertices are grouped by signature (the components
-        and structure maps involved); the distinct checks of a kind run as
-        one batched product.
+        are read by id off the modules' step tables, as validate reads
+        them; only the triangles walk structure maps.  Vertices are grouped
+        by signature (the ids of the components and maps involved); the
+        distinct checks of a kind run as one batched product.  A failure is
+        reported at the first failing vertex in C order of the first
+        failing check.
         """
         M, N, eps, P = self.m_module, self.n_module, self.eps, self.grid
         if eps < 0:
@@ -195,44 +197,37 @@ class InterleavingCertificate:
             # x + eps fell below the grid: only possible when eps < 0
             raise CertificateError("evaluation grid not closed under -eps")
 
-        # structure maps, numbered by content: a check depends only on the
-        # matrices involved, and refined grids repeat the same few maps.
-        # New contents in a batch are numbered in order of shape, then
-        # entries (the order _unique_maps lists them in), so the checks and
-        # the failure reported do not depend on how the maps were found
-        canon, cmats = {}, []
+        # each module's steps zero-padded to one square size D, then the
+        # identity (for the ends of an edge that share a floor), then zero
+        # at id -1 (no stored step, or no floor); with the distinct steps'
+        # ranks, to tell which maps are onto
+        D = max(M.max_pointwise_dim(), N.max_pointwise_dim())
 
-        def number(mats):
-            ids = np.empty(len(mats), dtype=np.int64)
-            for i in sorted(range(len(mats)), key=lambda i: (
-                    mats[i].shape, mats[i].ravel().tolist())):
-                m = mats[i]
-                ids[i] = canon.setdefault((m.shape, m.tobytes()), len(cmats))
-                if ids[i] == len(cmats):
-                    cmats.append(m)
-            return ids
+        def stack(mod):
+            t = mod.step_table()
+            full = field.ranks(t.mats, p) == [len(m) for m in t.mats]
+            return (_padded(t.mats + [field.eye(D)], D, D),
+                    np.append(full, [True, False]))
+
+        SM = stack(M)
+        SN = SM if N is M else stack(N)
 
         def edge_ids(mod, a, b, k):
-            # the maps of mod from floor a to floor b of the ends of edges
-            # along axis k: the identity where a == b, the empty map where
-            # a is -1, else the step at a (zero where none is stored)
-            t, d = mod.step_table(), np.append(mod.dims.ravel(), 0)
+            # the ids in mod's stack of its maps from floor a to floor b of
+            # the ends of edges along axis k: zero where a is -1, the
+            # identity where a == b, else the step at a
+            t = mod.step_table()
             step = (a >= 0) & (b == a + _strides(mod.grid.shape)[k])
             if not ((a == b) | (a < 0) | step).all():
                 raise CertificateError("evaluation grid too coarse")
-            sid = np.where(step, t.ids[k * mod.dims.size + np.maximum(a, 0)],
-                           -1)
-            maps, _, inv = _unique_rows(np.stack([sid, d[b], d[a], a == b], 1))
-            return number([t.mats[i] if i >= 0 else field.eye(r) if eye else
-                           field.zeros(r, c)
-                           for i, r, c, eye in maps.tolist()])[inv]
+            sid = t.ids[k * mod.dims.size + np.maximum(a, 0)]
+            return np.where(a < 0, -1, np.where(a == b, len(t.mats), sid))
 
-        # components and structure maps zero-padded to one square size
-        D = max(M.max_pointwise_dim(), N.max_pointwise_dim())
         CF, CG = (_padded(t.mats, D, D) for t in (F, G))
-
-        # the edges into each vertex, with the map of M (resp. N) on each
-        into = {"f": [], "g": []}
+        # vertices reached from a predecessor by an onto map of M (resp. N);
+        # any map into a zero space is onto
+        covered = {"f": np.zeros(len(m0), dtype=bool),
+                   "g": np.zeros(len(n0), dtype=bool)}
         idx = np.arange(int(np.prod(shape))).reshape(shape)
         for k in range(P.n):
             if shape[k] < 2:
@@ -241,46 +236,37 @@ class InterleavingCertificate:
             dst = src + idx.strides[k] // idx.itemsize
             # naturality of f: f(w) M(v->w) = N(v+eps->w+eps) f(v), and of
             # g likewise; absent components are zero
-            for name, t, C, a0, b0, ma, mb in (("f", F, CF, m0, ne, M, N),
-                                               ("g", G, CG, n0, me, N, M)):
-                ca_all = edge_ids(ma, a0[src], a0[dst], k)
-                sig = np.stack([t.ids[src], t.ids[dst], ca_all,
-                                edge_ids(mb, b0[src], b0[dst], k)], axis=1)
-                into[name].append((dst, ca_all))
-                S = _padded(cmats, D, D)
-                bad = _failing_squares(sig, p, C, S, S)
-                if len(bad):
+            for name, t, C, a0, b0, ma, mb, da, (SA, onto), (SB, _) in (
+                    ("f", F, CF, m0, ne, M, N, dm, SM, SN),
+                    ("g", G, CG, n0, me, N, M, dn, SN, SM)):
+                ca = edge_ids(ma, a0[src], a0[dst], k)
+                covered[name][dst] |= onto[ca] | (da[a0[dst]] == 0)
+                cb = edge_ids(mb, b0[src], b0[dst], k)
+                bad = _failing_squares(np.stack(
+                    [t.ids[src], t.ids[dst], ca, cb], axis=1), p, C, SA, SB)
+                if bad is not None:
                     raise CertificateError(
                         f"{name} naturality fails at "
-                        f"{_vertex(src[bad[0]], shape)} axis {k}")
-        # vertices reached from a predecessor by an onto map of M (resp. N),
-        # with the ranks of all the maps taken in one batch
-        onto = field.ranks(cmats, p) == [len(m) for m in cmats]
-        covered = {}
-        for name, size in (("f", len(m0)), ("g", len(n0))):
-            covered[name] = np.zeros(size, dtype=bool)
-            for dst, ca in into[name]:
-                covered[name][dst] |= onto[ca]
+                        f"{_vertex(src[bad], shape)} axis {k}")
         # triangle identities g[eps] o f = eta_2eps and f[eps] o g = eta_2eps;
         # the component at v + eps is the one at its floor pe in P.  Both
         # sides are natural (checked above), so two of them that agree at a
         # predecessor of v agree at v whenever the structure map from there
         # onto M(v) (resp. N(v)) is onto; by induction along the grid order
         # only the other vertices, where M(v) has generators, are checked
-        for name, up, Cu, t, C, x0, x2e, mid, mod, cov in (
-                ("g.f", G, CG, F, CF, m0, m2e, dn[ne], M, covered["f"]),
-                ("f.g", F, CF, G, CG, n0, n2e, dm[me], N, covered["g"])):
+        for name, up, Cu, t, C, x0, x2e, mod, cov in (
+                ("g.f", G, CG, F, CF, m0, m2e, M, covered["f"]),
+                ("f.g", F, CF, G, CG, n0, n2e, N, covered["g"])):
             at = np.flatnonzero((x0 >= 0) & ~cov)
             inv, walks = _unique_maps(mod, x0[at], x2e[at])
-            sig = np.stack([up.ids[pe[at]], t.ids[at], number(walks)[inv],
-                            mid[at]], axis=1)
-            rows, first, _ = _unique_rows(sig)
-            iu, iv, c, _ = rows.T
-            diff = np.matmul(Cu[iu], C[iv]) - _padded(cmats, D, D)[c]
-            bad = np.flatnonzero((diff % p).any(axis=(1, 2)))
+            rows, first, _ = _unique_rows(
+                np.stack([up.ids[pe[at]], t.ids[at], inv], axis=1))
+            iu, iv, c = rows.T
+            diff = np.matmul(Cu[iu], C[iv]) - _padded(walks, D, D)[c]
+            bad = first[(diff % p).any(axis=(1, 2))]
             if len(bad):
                 raise CertificateError(f"triangle {name} fails at "
-                                       f"{_vertex(at[first[bad[0]]], shape)}")
+                                       f"{_vertex(at[bad.min()], shape)}")
         return True
 
     def is_valid(self) -> bool:

@@ -75,7 +75,10 @@ def _matrix_obj(m: np.ndarray, p: int):
 def _matrix_reader(p: int):
     """A function that reads JSON matrices over F_p: ValueError unless the
     value is a list of equal-length lists of integers (bool is not an
-    integer).  Equal matrices are read once and share one array."""
+    integer) in [0, p), for a prime p.  Equal matrices are read once and
+    share one array."""
+    if not field.is_probable_prime(p):
+        raise ValueError(f"p={p} is not prime")
     seen = {}
 
     def read(rows):
@@ -87,6 +90,8 @@ def _matrix_reader(p: int):
             if (not isinstance(rows, list) or set(map(type, rows)) - {list}
                     or set(map(type, chain.from_iterable(rows))) - {int}):
                 raise ValueError("a matrix must be a list of rows of integers")
+            if not all(0 <= x < p for x in chain.from_iterable(rows)):
+                raise ValueError("entries out of [0, p)")
             m = seen[key] = field.fmat(rows, p)
         return m
 

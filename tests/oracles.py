@@ -459,11 +459,14 @@ def has_antenna(A, axis, eps=None):
 # ---------------------------------------------------------------------------
 # interleaving certificates, vertex by vertex
 
-def certificate_holds(c):
+def certificate_failures(c):
     """Check every naturality square and both triangle identities of an
     interleaving certificate at every vertex of its evaluation grid, with
-    structure maps composed step by step from the raw module data.  Returns
-    False on the first failure (including a component of the wrong shape)."""
+    structure maps composed step by step from the raw module data.  Yields
+    each failure as (check, v), vertex by vertex in C order: check is
+    "shape" for a component at v of the wrong shape, ("f", k) or ("g", k)
+    for the naturality square of f or g along the edge from v on axis k,
+    and "g.f" or "f.g" for a triangle identity at v."""
     M, N, eps, p = c.m_module, c.n_module, c.eps, c.m_module.p
     axes = [list(ax) for ax in c.grid.axes]
 
@@ -497,7 +500,8 @@ def certificate_holds(c):
         f, fc = comp(c.f, M, N, v)
         g, gc = comp(c.g, N, M, v)
         if f is None or g is None:
-            return False
+            yield "shape", v
+            continue
         for k in range(len(axes)):
             if v[k] + 1 >= len(axes[k]):
                 continue
@@ -506,23 +510,27 @@ def certificate_holds(c):
             fw, _ = comp(c.f, M, N, w)
             gw, _ = comp(c.g, N, M, w)
             if fw is None or gw is None:
-                return False
+                continue   # the shape failure is yielded at w
             if mat_mul(fw, smap(M, x, y), p, fc) != \
                     mat_mul(smap(N, up(x, eps), up(y, eps)), f, p, fc):
-                return False
+                yield ("f", k), v
             if mat_mul(gw, smap(N, x, y), p, gc) != \
                     mat_mul(smap(M, up(x, eps), up(y, eps)), g, p, gc):
-                return False
+                yield ("g", k), v
         ve = tuple(bisect_right(ax, t) - 1 for ax, t in zip(axes, up(x, eps)))
         fe, _ = comp(c.f, M, N, ve)
         ge, _ = comp(c.g, N, M, ve)
         if fe is None or ge is None:
-            return False
+            continue   # the shape failure is yielded at ve
         if mat_mul(ge, f, p, fc) != smap(M, x, up(x, 2 * eps)):
-            return False
+            yield "g.f", v
         if mat_mul(fe, g, p, gc) != smap(N, x, up(x, 2 * eps)):
-            return False
-    return True
+            yield "f.g", v
+
+
+def certificate_holds(c):
+    """Does every check of certificate_failures pass?"""
+    return next(certificate_failures(c), None) is None
 
 
 # ---------------------------------------------------------------------------

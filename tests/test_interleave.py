@@ -1,6 +1,7 @@
 """Triviality, interleaving certificates, composition, rank obstructions."""
 
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -454,6 +455,29 @@ def test_verify_agrees_with_oracle_on_missing_steps_late_supports_and_stages():
         certs.append(InterleavingCertificate(
             A, Z, eps, certificate_grid(A, Z, eps), {}, {}))
     certs += fold([rect((0, 0), (2, 2)), rect((3, 1), (5, 4))], 1)[2]
+    # a refinement R of M stores identity steps between a coordinate and a
+    # new midpoint; R against itself and against M, whose extension it is
+    M = random_module(2, 3, 2, seed=3)
+    R = restriction_extension(M, Grid([sorted(set(ax) | {(a + b) / 2 for a, b
+                                                      in zip(ax, ax[1:])})
+                                       for ax in M.grid.axes]))
+    assert any(m.shape[0] == 2 and (m == field.eye(2)).all()
+               for m in R.steps.values())
+    c = identity_certificate(R, half, verify=False)
+    certs += [c, InterleavingCertificate(M, R, half, c.grid, c.f, c.g)]
+    # maps into a zero space, stored (0 x 1) or left out, and zero maps out
+    # of one into the row above it, whose vertices are then reached by no
+    # onto map
+    g = Grid([[0, 1, 2], [0, 1]])
+    eye = field.eye(1)
+    gap = {((i, 0), 1): eye for i in (0, 2)}
+    stored = dict(gap)
+    stored.update({((0, j), 0): field.zeros(0, 1) for j in (0, 1)})
+    stored.update({((1, j), 0): field.zeros(1, 0) for j in (0, 1)})
+    for steps in (gap, stored):
+        certs.append(identity_certificate(
+            GridModule(g, [[1, 1], [0, 0], [1, 1]], steps), half,
+            verify=False))
     cases = []
     for c in certs:
         cases.append(("built", c))
@@ -473,14 +497,85 @@ def test_verify_agrees_with_oracle_on_missing_steps_late_supports_and_stages():
             cases.append(("step", InterleavingCertificate(
                 _rebased(M, v, 2 * field.eye(M.dim(v))), c.n_module, c.eps,
                 c.grid, c.f, c.g)))
-    outcomes = {"built": [], "component": [], "step": []}
+    # f and g natural but g scaled by 3 on the summand Y of X + Y, which
+    # starts at (1, 1): the triangles fail there first, at a vertex every
+    # predecessor maps into by a map of rank 1 < 2, and at no other check
+    X, Y, _ = common_refinement(rect((0, 0), (3, 3)), rect((1, 1), (3, 3)))
+    for eps in (half, third):
+        c = identity_certificate(direct_sum(X, Y)[0], eps)
+        g = {}
+        for v, m in c.g.items():
+            scale = np.ones(m.shape[1], dtype=np.int64)
+            scale[m.shape[1] - Y.dim_at(c.grid.coord(v)):] = 3
+            g[v] = m * scale % c.m_module.p
+        cases.append(("triangle", InterleavingCertificate(
+            c.m_module, c.n_module, eps, c.grid, c.f, g)))
+        fails = list(O.certificate_failures(cases[-1][1]))
+        assert {check for check, _ in fails} == {"g.f", "f.g"}
+        assert c.grid.coord(min(v for _, v in fails)) == (1, 1)
+    outcomes = {"built": [], "component": [], "step": [], "triangle": []}
     for kind, c in cases:
         want = O.certificate_holds(c)
         assert c.is_valid() == want
         outcomes[kind].append(want)
     # every built certificate holds but d(A, 0) <= 1/4
-    assert outcomes["built"] == [True] * 4 + [False] + [True] * 4
+    assert outcomes["built"] == [True] * 4 + [False] + [True] * 8
     assert False in outcomes["component"] and False in outcomes["step"]
+    assert outcomes["triangle"] == [False, False]
+
+
+def _first_failure(c):
+    """The message verify raises for c: the oracle's first failing vertex
+    in C order of the first failing check in verify's order (per axis the
+    naturality of f, then of g; then the triangles g.f and f.g)."""
+    def order(failure):
+        check, v = failure
+        if isinstance(check, tuple):
+            return (0, check[1], "fg".index(check[0])), v
+        return (1, ("g.f", "f.g").index(check), 0), v
+
+    fails = sorted(O.certificate_failures(c), key=order)
+    if not fails:
+        return None
+    check, v = fails[0]
+    if isinstance(check, tuple):
+        return f"{check[0]} naturality fails at {v} axis {check[1]}"
+    return f"triangle {check} fails at {v}"
+
+
+def test_verify_reports_the_first_failing_vertex_in_any_mapping_order():
+    # two faults in an identity certificate; f and g inserted in C order
+    # or its reverse, verify names the first failing vertex in C order
+    # (a fault the certificate's other maps cannot see breaks nothing)
+    rng = np.random.default_rng(7)
+    checked = 0
+    for seed in range(6):
+        c = identity_certificate(random_module(2, 3, 2, seed=seed),
+                                 Fraction(1, 2))
+        p = c.m_module.p
+        live = [(name, v) for name in "fg"
+                for v, m in getattr(c, name).items() if m.size]
+        for _ in range(5):
+            comps = {"f": dict(c.f), "g": dict(c.g)}
+            for i in rng.choice(len(live), 2, replace=False):
+                name, v = live[i]
+                comps[name][v] = comps[name][v].copy()
+                comps[name][v][0, 0] = (comps[name][v][0, 0] + 1) % p
+            want = _first_failure(InterleavingCertificate(
+                c.m_module, c.n_module, c.eps, c.grid, comps["f"],
+                comps["g"]))
+            checked += want is not None
+            for f, g in product(*[(d, dict(reversed(d.items())))
+                                  for d in comps.values()]):
+                c2 = InterleavingCertificate(c.m_module, c.n_module, c.eps,
+                                             c.grid, f, g)
+                if want is None:
+                    assert c2.verify()
+                    continue
+                with pytest.raises(CertificateError) as exc:
+                    c2.verify()
+                assert str(exc.value) == want
+    assert checked >= 25
 
 
 def test_verify_walks_structure_maps_only_for_the_triangles(monkeypatch):

@@ -5,13 +5,14 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from gridpersist import io
-from gridpersist.cli import main, random_module
+from gridpersist.cli import CliError, _parse_frac, main, random_module
 from gridpersist.construct import module_G
 from gridpersist.core import (Grid, GridModule, ModuleMorphism, direct_sum,
                               interval_module)
@@ -414,6 +415,26 @@ def test_loader_rejects_non_integer_certificate_entries(capsys, tmp_path):
     assert code == 2 and "malformed-input" in err
 
 
+@pytest.mark.parametrize("sign", [1, -1])
+def test_loader_rejects_module_entries_out_of_range(sign, capsys, tmp_path):
+    # x + p and x - p would stand for x mod p: the step still commutes
+    obj = io.module_to_obj(module_G())
+    _first_nonzero(obj["steps"])["matrix"][0][0] += sign * obj["p"]
+    with pytest.raises(ValueError, match=r"out of \[0, p\)"):
+        io.from_obj(obj)
+    code, err = _cli(capsys, tmp_path, "decompose", obj)
+    assert code == 2 and "malformed-input" in err
+
+
+def test_loader_rejects_certificate_entries_out_of_range(capsys, tmp_path):
+    obj = _cert_obj()
+    _first_nonzero(obj["f"])["matrix"][0][0] -= obj["m_module"]["p"]
+    with pytest.raises(ValueError, match=r"out of \[0, p\)"):
+        io.from_obj(obj)
+    code, err = _cli(capsys, tmp_path, "certify", obj)
+    assert code == 2 and "malformed-input" in err
+
+
 @pytest.mark.parametrize("case", ["string", "fraction", "outside", "negative",
                                   "too-short", "too-long", "duplicate"])
 def test_cli_certify_rejects_bad_component_vertex(case, capsys, tmp_path):
@@ -471,6 +492,24 @@ def test_zero_denominator_is_malformed_input(capsys, tmp_path):
     obj["axes"][0][1] = "1/0"
     code, err = _cli(capsys, tmp_path, "decompose", obj)
     assert code == 2 and "malformed-input" in err
+
+
+@pytest.mark.parametrize("value", ["0.5", "1e-3"])
+def test_cli_rationals_are_num_den_or_integers(value, capsys, tmp_path):
+    io.save(module_G(), tmp_path / "a.json")
+    a = str(tmp_path / "a.json")
+    for argv in (["match", a, a, "--eps", value],
+                 ["tack", a, a, "--delta", value]):
+        assert main(argv) == 2, argv
+        assert "malformed-input" in capsys.readouterr().err
+
+
+def test_cli_refuses_a_huge_exponent_without_computing_it():
+    # Fraction("1e-10000000") would compute 10**10000000 in full
+    t = time.perf_counter()
+    with pytest.raises(CliError):
+        _parse_frac("1e-10000000")
+    assert time.perf_counter() - t < 1
 
 
 def test_loader_refuses_huge_dimensions_before_allocating(capsys, tmp_path):
