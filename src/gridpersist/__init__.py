@@ -10,7 +10,7 @@ from .core import (DEFAULT_PRIME, Grid, GridModule, ModuleMorphism,
                    random_basis_change, zero_module)
 from .decomp import decompose, end_algebra, is_indecomposable, is_isomorphic
 from .interleave import (CertificateError, InterleavingCertificate,
-                         TrivialRegion, compose_certificates, compose_chain,
+                         TrivialRegion, compose_chain,
                          is_eps_trivial, rank_lower_bound, triviality_radius)
 from .construct import (approximate_indecomposable, module_G, tack)
 from .match import (bottleneck_upper_bound, instability_demo,

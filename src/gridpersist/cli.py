@@ -266,6 +266,10 @@ def main(argv=None):
         # the input breaks a precondition that the library checks
         _diag("precondition-violation", exc)
         return 3
+    except RuntimeError as exc:
+        # the library raises RuntimeError only when a self-check fails
+        _diag("verification-failure", exc)
+        return 1
 
 
 if __name__ == "__main__":

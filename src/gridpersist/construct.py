@@ -28,14 +28,15 @@ from math import gcd
 import numpy as np
 
 from . import field
-from .core import (Components, Grid, GridModule, ModuleMorphism, as_frac,
-                   interval_module, sum_module)
+from .core import (Components, Grid, GridModule, ModuleMorphism,
+                   _edge_ends, _unique_rows, _vertex, as_frac, interval_module,
+                   sum_module)
 from .decomp import PreconditionError, decompose, is_indecomposable
 from .interleave import (CertificateError, InterleavingCertificate,
                          TrivialRegion, block_sum_certificates,
-                         certificate_grid, compose_certificates,
-                         compose_chain, local_change_certificate,
-                         snap_certificate, trivial_certificate)
+                         certificate_grid, compose_chain,
+                         local_change_certificate, snap_certificate,
+                         trivial_certificate)
 from .kan import (_axis_floors, _flat, prune, restriction_extension,
                   union_grid)
 
@@ -101,7 +102,8 @@ def _place_G(grid: Grid, origin, axes, p):
     dims = np.zeros(grid.shape, dtype=np.int64)
     for g, v in block.items():
         dims[v] = _G_DIMS[g]
-    steps = {(block[g], axes[k]): m for (g, k), m in _g_steps(p).items()}
+    steps = Components.of({(axes[k],) + block[g]: m for (g, k), m in
+                           _g_steps(p).items()}, (grid.n,) + grid.shape)
     return GridModule(grid, dims, steps, p), block
 
 
@@ -118,54 +120,61 @@ def module_G(p: int = field.DEFAULT_PRIME) -> GridModule:
 
 def _run(grid: Grid, cells: np.ndarray, ends, p):
     """A constant one-dimensional run on the vertex mask `cells`: the piece
-    (identity steps between cells) and its links {(v, k): ends[w]} for the
-    edges from a cell v into a vertex w = v + e_k listed in `ends`."""
-    one = field.eye(1)
-    steps, links = {}, {}
-    for v in map(tuple, np.argwhere(cells).tolist()):
-        for k in range(grid.n):
-            w = v[:k] + (v[k] + 1,) + v[k + 1:]
-            if w in ends:
-                links[(v, k)] = ends[w]
-            elif w[k] < grid.shape[k] and cells[w]:
-                steps[(v, k)] = one
-    return GridModule(grid, cells.astype(np.int64), steps, p), links
+    (identity steps between cells) and the table of its links, ends[w] on
+    the edges from a cell v into a vertex w = v + e_k listed in `ends`."""
+    v, w = _edge_ends(grid.shape)
+    # per vertex its index in ends, and -1 (also for w = -1, no successor)
+    end = np.full(cells.size + 1, -1, dtype=np.int64)
+    end[[np.ravel_multi_index(x, grid.shape) for x in ends]] = range(len(ends))
+    c = np.append(cells.ravel(), False)
+    link = np.where(c[v], end[w], -1)
+    shape = (grid.n,) + grid.shape
+    step = Components(shape, np.where(c[v] & c[w] & (link < 0), 0, -1),
+                      [field.eye(1)])
+    return (GridModule(grid, cells.astype(np.int64), step, p),
+            Components(shape, link, list(ends.values())))
 
 
 def _splice(base: GridModule, region: np.ndarray, pieces, links):
     """The module that is `base` outside the vertex mask `region` and the
     sum of `pieces` (modules on base's grid with disjoint supports) inside
-    it, with links[(v, k)] the matrix of the edge v -> v + e_k leaving a
-    piece.  Every other edge between nonzero vertices is zero, except that
-    an edge from a nonzero base vertex outside the region into a nonzero
-    vertex inside it raises ValueError unless links names it.  The result
-    is validated."""
-    grid, n = base.grid, base.grid.n
-    dims = np.where(region, sum(P.dims for P in pieces), base.dims)
-    # base steps between two vertices outside the region
-    steps = dict(base.steps)
-    for v in map(tuple, np.argwhere(region).tolist()):
-        for k in range(n):
-            steps.pop((v, k), None)
-            steps.pop((v[:k] + (v[k] - 1,) + v[k + 1:], k), None)
-    for P in pieces:
-        steps.update(P.steps)
-    steps.update(links)
+    it, wired by `links`: step tables (or {(k,) + v: matrix} mappings) of
+    the edges v -> v + e_k leaving a piece, a later one overriding an
+    earlier one.  Every other edge between nonzero vertices is zero, except
+    that an edge from a nonzero base vertex outside the region into a
+    nonzero vertex inside it raises ValueError unless a link names it.  The
+    result is validated."""
+    grid = base.grid
+    shape = (grid.n,) + grid.shape
+    dims = np.append(np.where(region, sum(P.dims for P in pieces),
+                              base.dims).ravel(), 0)
+    v, w = _edge_ends(grid.shape)
+    inside = np.append(region.ravel(), False)
+    # base steps between two vertices outside the region, then the pieces'
+    # steps and the links, each overriding what came before
+    t = base.step_table()
+    ids = np.where(inside[v] | inside[w], -1, t.ids)
+    mats = list(t.mats)
+    links = [Components.of(x, shape) for x in links]
+    for t in [P.step_table() for P in pieces] + links:
+        ids = np.where(t.ids >= 0, t.ids + len(mats), ids)
+        mats += t.mats
+    linked = (np.array([t.ids for t in links]) >= 0).any(axis=0)
     pos = dims > 0
-    for k in range(n):
-        lo = tuple(slice(None, -1) if j == k else slice(None) for j in range(n))
-        hi = tuple(slice(1, None) if j == k else slice(None) for j in range(n))
-        bad = ~region[lo] & (base.dims[lo] > 0) & region[hi] & pos[hi]
-        for v in map(tuple, np.argwhere(bad).tolist()):
-            if (v, k) not in links:
-                raise ValueError(f"the module's support at {grid.coord(v)} "
-                                 f"enters the spliced region along axis {k}")
-        touch = pos[lo] & pos[hi] & (region[lo] | region[hi])
-        for v in map(tuple, np.argwhere(touch).tolist()):
-            if (v, k) not in steps:
-                w = v[:k] + (v[k] + 1,) + v[k + 1:]
-                steps[(v, k)] = field.zeros(int(dims[w]), int(dims[v]))
-    out = GridModule(grid, dims, steps, base.p)
+    bad = np.flatnonzero(~inside[v] & (base.dims.ravel()[v] > 0) & inside[w]
+                         & pos[w] & ~linked)
+    if len(bad):
+        at = grid.coord(_vertex(v[bad[0]], grid.shape))
+        raise ValueError(f"the module's support at {at} enters the spliced "
+                         f"region along axis {bad[0] // region.size}")
+    # zero steps on the other edges between nonzero vertices that touch the
+    # region, one matrix per shape
+    gap = np.flatnonzero(pos[v] & pos[w] & (inside[v] | inside[w])
+                         & (ids < 0))
+    sizes, _, kind = _unique_rows(np.stack([dims[w[gap]], dims[v[gap]]], 1))
+    ids[gap] = len(mats) + kind
+    mats += [field.zeros(r, c) for r, c in sizes.tolist()]
+    out = GridModule(grid, dims[:-1], Components(shape, ids, mats), base.p)
     out.validate()
     return out
 
@@ -249,9 +258,11 @@ def add_thin_corner(A: GridModule, eps, check: bool = True):
     rv = Aref.grid.index_of(r)
     corner = np.zeros(Aref.grid.shape, dtype=bool)
     corner[rv] = True
-    A2 = _splice(Aref, corner, [GridModule(Aref.grid, corner, {}, p)],
-                 {(rv, k): field.mmul(Aref.steps[(rv, k)], iota, p)
-                  for k in range(n) if (rv, k) in Aref.steps})
+    t = Aref.step_table()
+    A2 = _splice(Aref, corner, [GridModule(Aref.grid, corner,
+                                           Components.of({}, t.shape), p)],
+                 [{(k,) + rv: field.mmul(t[(k,) + rv], iota, p)
+                   for k in range(n) if (k,) + rv in t}])
     region = TrivialRegion([[(r[k], r[k] + h) for k in range(n)]])
     cert = local_change_certificate(Aref, A2, region, h, verify=False)
     if has_thin_corner(A2) is None:
@@ -294,14 +305,14 @@ def add_antenna(A: GridModule, eps, check: bool = True):
     # the composites G(x, y) -> G(4, 4); block lists (4, 4) last
     flat = np.ravel_multi_index(np.array(list(block.values())).T, grid.shape)
     tops = G.structure_maps(flat, np.full(25, flat[-1]))
-    links = {}
+    t, links = Aref.step_table(), {}
     for (g, v), top in zip(block.items(), tops):
         for k in range(n):
             w = v[:k] + (v[k] + 1,) + v[k + 1:]
-            if _G_DIMS[g] and (v, k) in Aref.steps and not region[w]:
-                links[(v, k)] = field.mmul(Aref.steps[(v, k)],
-                                           top[:1, :_G_DIMS[g]], p)
-    out = _splice(Aref, region, [G], links)
+            if _G_DIMS[g] and (k,) + v in t and not region[w]:
+                links[(k,) + v] = field.mmul(t[(k,) + v],
+                                             top[:1, :_G_DIMS[g]], p)
+    out = _splice(Aref, region, [G], [links])
     region = TrivialRegion([[(r[k], r[k] + 4 * q) for k in range(n)]])
     cert = local_change_certificate(Aref, out, region, eps, verify=False)
     tip = (r[0], r[1] + 3 * q) + tuple(r[2:])
@@ -366,7 +377,7 @@ def move_antenna(A: GridModule, eps, s, check: bool = True):
     grid = Aref.grid
     in_T = region.mask(grid)
     run, links = _run(grid, in_T, {grid.index_of(r): field.eye(1)}, A.p)
-    out = _splice(Aref, in_T, [run], links)
+    out = _splice(Aref, in_T, [run], [links])
     cert = local_change_certificate(Aref, out, region, eps, verify=False)
     new_axis = 0 if n % 2 == 0 else n - 1
     if has_antenna(out, new_axis, eps=eps) is None:
@@ -438,7 +449,7 @@ def _join_chain(Ys, joins, eta, ell, ellp):
         return m
 
     region = np.zeros(gm.shape, dtype=bool)
-    pieces, links = [], {}
+    pieces, links = [], []
     tip_in = into(0, gm.index_of(plans[0][0]))
     for j, (t, tB, a, b, runA, runB) in enumerate(plans):
         corner = list(t)
@@ -459,14 +470,13 @@ def _join_chain(Ys, joins, eta, ell, ellp):
                                       {tip: m, block[g]: field.eye(1)}, p)
             region |= cells
             pieces.append(piece)
-            links.update(piece_links)
+            links.append(piece_links)
         tip_in = field.eye(1)   # the next join feeds this gadget's (0, 3)
     # from the second join on, the antenna of Ys[j + 1] sits at the zero
     # cell (0, 2) of the gadget before; its maps into that gadget vanish
-    for _, tB, *_ in plans[1:]:
-        v = gm.index_of(tB)
-        for k in (ell, ellp):
-            links[(v, k)] = field.zeros(1, int(base.dims[v]))
+    links.append({(k,) + v: field.zeros(1, int(base.dims[v]))
+                  for v in (gm.index_of(tB) for _, tB, *_ in plans[1:])
+                  for k in (ell, ellp)})
     return _splice(base, region, pieces, links), TrivialRegion(boxes)
 
 
@@ -694,7 +704,7 @@ def approximate_indecomposable(N: GridModule, eps, seed: int = 0
         M = interval_module((0,) * n, (eps,) * n, p=N.p)
         cube_c = trivial_certificate(M, eps / 2)  # d(M, 0) <= eps/2, exact
         # the snapped module is the zero extension; its data matches 0
-        total = compose_certificates(cube_c, snap_c.flip())   # verified
+        total = compose_chain([cube_c, snap_c.flip()])   # verified
         if not is_indecomposable(M):
             raise RuntimeError("cube module failed indecomposability")
         return ApproxResult(M, total, snap_c, [cube_c])

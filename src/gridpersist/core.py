@@ -314,21 +314,55 @@ def _failing_squares(sig: np.ndarray, p: int, F, A, B) -> np.ndarray:
     return int(first[bad].min()) if bad.any() else None
 
 
+def _edge_ends(shape):
+    """(v, w): for every entry (k, v) of a step table over (n,) + shape, in
+    C order, the flat vertex v and its successor along axis k (-1 where
+    there is none)."""
+    v = np.arange(prod(shape))
+    room = (np.indices(shape).reshape(len(shape), -1) + 1
+            < np.array(shape)[:, None])
+    return (np.tile(v, len(shape)),
+            np.where(room, v + _strides(shape)[:, None], -1).ravel())
+
+
+def _step_table(steps, shape) -> Components:
+    """The step table over (n,) + shape of a {(vidx, k): matrix} mapping;
+    ValueError unless every key is a vertex of the grid and an axis."""
+    keys, n = list(steps), len(shape)
+    at = np.zeros(0, dtype=np.int64)
+    if keys:
+        try:
+            vs = np.array([v for v, _ in keys]).reshape(len(keys), -1)
+            ks = np.array([k for _, k in keys])
+        except (TypeError, ValueError):
+            raise ValueError("malformed step keys") from None
+        if vs.dtype.kind not in "iu" or ks.dtype.kind not in "iu":
+            raise ValueError("step keys must be integers")
+        if vs.shape[1] != n or ((ks < 0) | (ks >= n)).any():
+            raise ValueError("step key is not (vertex, axis) of the grid")
+        # ValueError off the grid
+        at = ks * prod(shape) + np.ravel_multi_index(vs.T, shape)
+    return Components.shared((n,) + tuple(shape), at, list(steps.values()))
+
+
 class GridModule:
-    """dims: array over grid.shape; steps[(vidx, k)]: matrix for the edge
-    from vidx to its successor along axis k.
+    """dims: array over grid.shape; steps: the step table, a Components
+    table over (n,) + grid.shape whose entry (k, vidx) is the matrix of the
+    edge from vidx to its successor along axis k, or a {(vidx, k): matrix}
+    mapping, converted to that table once, on first use.
 
     A step entry must be present for every edge whose endpoints both have
     positive dimension; zero maps are stored explicitly.  Modules are treated
-    as immutable once built; step_table(), built once, is the one step store.
+    as immutable once built; step_table() is the one step store, and the
+    library's builders hand theirs over directly.
     """
 
     def __init__(self, grid: Grid, dims, steps, p: int = DEFAULT_PRIME):
         self.grid = grid
         self.p = p
         self.dims = np.asarray(dims, dtype=np.int64).reshape(grid.shape)
-        self.steps = steps
-        self._table = self._pad = None
+        self._table = steps   # a mapping until step_table() converts it
+        self._steps = self._pad = None
 
     # -- basic accessors ---------------------------------------------------
 
@@ -345,10 +379,18 @@ class GridModule:
 
     def step(self, vidx, k) -> np.ndarray:
         """Matrix of the edge vidx -> vidx + e_k."""
-        key = (tuple(vidx), k)
-        if key in self.steps:
-            return self.steps[key]
-        return field.zeros(self.dim(self.succ(vidx, k)), self.dim(vidx))
+        m = self.step_table().get((k,) + tuple(vidx))
+        if m is None:
+            return field.zeros(self.dim(self.succ(vidx, k)), self.dim(vidx))
+        return m
+
+    @property
+    def steps(self) -> dict:
+        """The step table as a {(vidx, k): matrix} dict, built on first use."""
+        if self._steps is None:
+            self._steps = {(v[1:], v[0]): m
+                           for v, m in self.step_table().items()}
+        return self._steps
 
     def dim_at(self, point) -> int:
         """Dimension of the extension at an arbitrary point of R^n."""
@@ -377,43 +419,11 @@ class GridModule:
         return m[:self.dim(widx), :self.dim(vidx)].copy()
 
     def step_table(self) -> Components:
-        """The stored steps as a Components table over (n,) + grid.shape,
-        entry (k, v) holding step(v, k) where stored, each distinct matrix
-        once.  Built on first use, after checking that every key is a
-        vertex with a successor and every matrix has the shape the dims
-        demand (ValueError)."""
-        if self._table is not None:
-            return self._table
-        n, shape = self.grid.n, self.grid.shape
-        keys, mats = list(self.steps), list(self.steps.values())
-        at = np.zeros(0, dtype=np.int64)
-        if keys:
-            try:
-                vs = np.array([v for v, _ in keys]).reshape(len(keys), -1)
-                ks = np.array([k for _, k in keys])
-            except (TypeError, ValueError):
-                raise ValueError("malformed step keys") from None
-            if vs.dtype.kind not in "iu" or ks.dtype.kind not in "iu":
-                raise ValueError("step keys must be integers")
-            if vs.shape[1] != n or ((ks < 0) | (ks >= n)).any():
-                raise ValueError("step key is not (vertex, axis) of the grid")
-            flat = np.ravel_multi_index(vs.T, shape)  # ValueError off the grid
-            last = vs[np.arange(len(ks)), ks] + 1 >= np.array(shape)[ks]
-            if last.any():
-                i = int(np.flatnonzero(last)[0])
-                raise ValueError(f"step at {keys[i][0]} axis {keys[i][1]}: "
-                                 "no successor")
-            dims = self.dims.ravel()
-            want = np.stack([dims[flat + _strides(shape)[ks]], dims[flat]], 1)
-            shp = np.array([m.shape for m in mats], dtype=np.int64)
-            bad = (shp.reshape(-1, 2) != want).any(axis=1)
-            if bad.any():
-                i = int(np.flatnonzero(bad)[0])
-                raise ValueError(f"step at {keys[i][0]} axis {keys[i][1]}: "
-                                 f"shape {mats[i].shape}, want "
-                                 f"{tuple(want[i].tolist())}")
-            at = ks * dims.size + flat
-        self._table = Components.shared((n,) + shape, at, mats)
+        """The steps as a Components table over (n,) + grid.shape, entry
+        (k, v) holding step(v, k) where stored, each distinct matrix once:
+        a mapping of steps is converted on first use (_step_table)."""
+        if not isinstance(self._table, Components):
+            self._table = _step_table(self._table, self.grid.shape)
         return self._table
 
     def _padded_steps(self) -> np.ndarray:
@@ -485,8 +495,9 @@ class GridModule:
         step reads as zero).  The prime must keep products of D x D
         matrices exact in int64 ((p-1)**2 * max(D, 1) < 2**63, D =
         max_pointwise_dim()).  Raises ValueError at the first vertex in C
-        order of the first failing check: per axis k, entry ranges,
-        presence, then the squares (k, l) for l > k.
+        order of the first failing check: the step shapes (a step needs a
+        successor), then per axis k, entry ranges, presence, then the
+        squares (k, l) for l > k.
         """
         p = self.p
         if not field.is_probable_prime(p):
@@ -499,32 +510,39 @@ class GridModule:
             raise ValueError("negative dimension")
         shape, n = self.grid.shape, self.grid.n
         t = self.step_table()
+        v, w = _edge_ends(shape)
+        dims = self.dims.ravel()
+        bad = t.misfits(np.append(dims, -1)[w], dims[v])
+        if len(bad):
+            e = int(bad[0])
+            at = f"step at {_vertex(v[e], shape)} axis {e // dims.size}"
+            if w[e] < 0:
+                raise ValueError(f"{at}: no successor")
+            raise ValueError(f"{at}: shape {t.mats[t.ids[e]].shape}, want "
+                             f"{(int(dims[w[e]]), int(dims[v[e]]))}")
         ids = t.ids.reshape(n, -1)
         S = self._padded_steps()
         # per step id (and -1 last): does the matrix leave [0, p)?
         wild = np.array([bool(((m < 0) | (m >= p)).any()) for m in t.mats]
                         + [False])
-        pos = self.dims.ravel() > 0
-        idx = np.arange(self.dims.size).reshape(shape)
-        # flat vertices with a successor along axis k, kept grid-shaped
-        lo = [np.take(idx, range(shape[k] - 1), axis=k) for k in range(n)]
-        stride = _strides(shape)
+        pos = np.append(dims > 0, False)
+        # per axis k, the successor of every vertex (-1 for none)
+        succ = w.reshape(n, -1)
         for k in range(n):
-            v = lo[k].ravel()
-            bad = wild[ids[k, v]]
-            if bad.any():
-                raise ValueError(f"step at {_vertex(v[bad][0], shape)} axis "
+            bad = np.flatnonzero(wild[ids[k]])
+            if len(bad):
+                raise ValueError(f"step at {_vertex(bad[0], shape)} axis "
                                  f"{k}: entries out of [0,p)")
-            bad = pos[v] & pos[v + stride[k]] & (ids[k, v] < 0)
-            if bad.any():
+            bad = np.flatnonzero(pos[:-1] & pos[succ[k]] & (ids[k] < 0))
+            if len(bad):
                 raise ValueError(f"missing step at "
-                                 f"{_vertex(v[bad][0], shape)} axis {k}")
+                                 f"{_vertex(bad[0], shape)} axis {k}")
             for l in range(k + 1, n):
-                u = np.take(lo[k], range(shape[l] - 1), axis=l).ravel()
+                u = np.flatnonzero((succ[k] >= 0) & (succ[l] >= 0))
                 # the square at u: the axis-l steps natural along axis k
                 bad = _failing_squares(np.stack(
-                    [ids[l, u], ids[l, u + stride[k]], ids[k, u],
-                     ids[k, u + stride[l]]], axis=1), p, S, S, S)
+                    [ids[l, u], ids[l, succ[k, u]], ids[k, u],
+                     ids[k, succ[l, u]]], axis=1), p, S, S, S)
                 if bad is not None:
                     raise ValueError(f"square at {_vertex(u[bad], shape)}"
                                      f" axes ({k},{l}) does not commute")
@@ -587,15 +605,14 @@ class ModuleMorphism:
         tm, tn = M.step_table(), N.step_table()
         C = _padded(t.mats, DN, DM)
         SM, SN = M._padded_steps(), N._padded_steps()
-        idx = np.arange(t.ids.size).reshape(shape)
-        for k, stride in enumerate(_strides(shape).tolist()):
-            v = np.take(idx, range(shape[k] - 1), axis=k).ravel()
-            bad = _failing_squares(np.stack(
-                [t.ids[v], t.ids[v + stride], tm.ids[k * idx.size + v],
-                 tn.ids[k * idx.size + v]], axis=1), p, C, SM, SN)
-            if bad is not None:
-                raise ValueError(f"naturality fails at "
-                                 f"{_vertex(v[bad], shape)} axis {k}")
+        # every edge v -> w, axis by axis
+        v, w = _edge_ends(shape)
+        e = np.flatnonzero(w >= 0)
+        bad = _failing_squares(np.stack([t.ids[v[e]], t.ids[w[e]], tm.ids[e],
+                                         tn.ids[e]], axis=1), p, C, SM, SN)
+        if bad is not None:
+            raise ValueError(f"naturality fails at {_vertex(v[e[bad]], shape)}"
+                             f" axis {e[bad] // t.ids.size}")
         return True
 
     def is_valid(self) -> bool:
@@ -692,50 +709,50 @@ def interval_module(a, b, p: int = DEFAULT_PRIME) -> GridModule:
     return GridModule(grid, dims, {}, p)
 
 
-def sum_module(*modules) -> GridModule:
-    """The direct sum of modules on one common grid, without witnesses.
+def _block_table(shape, parts, drop_zero: bool = False) -> Components:
+    """Block-diagonal matrices over a grid of the given shape, one block per
+    part (ids, mats, rows, cols): a flat id table (-1 reads as a zero
+    block), its matrices, and the block's row and column count at every
+    vertex.  One matrix per distinct row of ids and counts, wherever both
+    totals are positive; with drop_zero, zero matrices count as absent."""
+    sig = np.stack([a for ids, _, rows, cols in parts
+                    for a in (ids, rows, cols)], axis=1)
+    live = np.flatnonzero((sig[:, 1::3].sum(axis=1) > 0)
+                          & (sig[:, 2::3].sum(axis=1) > 0))
+    out = np.full(len(sig), -1, dtype=np.int64)
+    rows, _, out[live] = _unique_rows(sig[live])
+    blocks = []
+    for row in rows.tolist():
+        m = field.zeros(sum(row[1::3]), sum(row[2::3]))
+        r = c = 0
+        for (_, mats, _, _), i, dr, dc in zip(parts, row[0::3], row[1::3],
+                                              row[2::3]):
+            if i >= 0:
+                m[r:r + dr, c:c + dc] = mats[i]
+            r += dr
+            c += dc
+        blocks.append(m)
+    return Components(shape, out, blocks, drop_zero)
 
-    Blocks are stacked in argument order at every vertex.  A step that only
-    one summand carries (all others vanish at both ends) is shared with that
-    summand rather than copied; modules are immutable once built.
-    """
+
+def sum_module(*modules) -> GridModule:
+    """The direct sum of modules on one common grid, without witnesses:
+    blocks stacked in argument order at every vertex, with a step (zero
+    where no summand carries one) on every edge between nonzero vertices."""
     if not modules:
         raise ValueError("empty direct sum")
-    grid = modules[0].grid
-    p = modules[0].p
+    grid, p = modules[0].grid, modules[0].p
     for M in modules:
         if M.grid != grid or M.p != p:
             raise ValueError("direct_sum requires a common grid and prime; "
                              "refine with common_refinement first")
-    stacked = np.stack([M.dims for M in modules])
-    dims = stacked.sum(axis=0)
-    offs = np.cumsum(stacked, axis=0) - stacked
-    steps = {}
-    for off, M in zip(offs, modules):
-        for (v, k), m in M.steps.items():
-            if not m.size:
-                continue
-            v = tuple(v)
-            w = v[:k] + (v[k] + 1,) + v[k + 1:]
-            key = (v, k)
-            blk = steps.get(key)
-            if blk is None:
-                if m.shape == (dims[w], dims[v]):
-                    steps[key] = m
-                    continue
-                blk = steps[key] = field.zeros(int(dims[w]), int(dims[v]))
-            r, c = int(off[w]), int(off[v])
-            blk[r:r + m.shape[0], c:c + m.shape[1]] = m
-    # explicit zero steps on the other edges between nonzero vertices
-    pos = dims > 0
-    for k in range(grid.n):
-        both = (np.take(pos, range(grid.shape[k] - 1), axis=k)
-                & np.take(pos, range(1, grid.shape[k]), axis=k))
-        for v in map(tuple, np.argwhere(both).tolist()):
-            if (v, k) not in steps:
-                w = v[:k] + (v[k] + 1,) + v[k + 1:]
-                steps[(v, k)] = field.zeros(int(dims[w]), int(dims[v]))
-    return GridModule(grid, dims, steps, p)
+    v, w = _edge_ends(grid.shape)
+    parts = []
+    for M in modules:
+        t, d = M.step_table(), np.append(M.dims.ravel(), 0)
+        parts.append((t.ids, t.mats, d[w], d[v]))
+    return GridModule(grid, sum(M.dims for M in modules),
+                      _block_table((grid.n,) + grid.shape, parts), p)
 
 
 def direct_sum(*modules):
@@ -763,25 +780,22 @@ def random_basis_change(M: GridModule, seed: int) -> GridModule:
     """Conjugate M by random invertible matrices at every vertex."""
     rng = np.random.RandomState(seed)
     g = {}
-    for vidx in M.grid.vertices():
-        vidx = tuple(vidx)
-        d = M.dim(vidx)
-        if d == 0:
-            continue
-        while True:
+    for u, d in enumerate(M.dims.ravel().tolist()):
+        while d:
             a = rng.randint(0, M.p, size=(d, d)).astype(np.int64)
             if field.is_invertible(a, M.p):
-                g[vidx] = a
+                g[u] = a
                 break
-    steps = {}
-    for (vidx, k), m in M.steps.items():
-        w = M.succ(vidx, k)
-        a = g.get(tuple(w))
-        b = g.get(tuple(vidx))
-        if a is None or b is None:
-            continue
-        steps[(vidx, k)] = field.mmul(field.mmul(a, m, M.p), field.minv(b, M.p), M.p)
-    return GridModule(M.grid, M.dims.copy(), steps, M.p)
+    t = M.step_table()
+    v, w = (a.tolist() for a in _edge_ends(M.grid.shape))
+    # the steps between nonzero vertices, each conjugated on its own
+    at = [e for e in np.flatnonzero(t.ids >= 0).tolist()
+          if v[e] in g and w[e] in g]
+    ids = np.full(t.ids.size, -1, dtype=np.int64)
+    ids[at] = np.arange(len(at))
+    return GridModule(M.grid, M.dims.copy(), Components(t.shape, ids, [
+        field.mmul(field.mmul(g[w[e]], t.mats[t.ids[e]], M.p),
+                   field.minv(g[v[e]], M.p), M.p) for e in at]), M.p)
 
 
 # -- hom spaces --------------------------------------------------------------

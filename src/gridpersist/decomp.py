@@ -26,8 +26,9 @@ from functools import cached_property
 import numpy as np
 
 from . import field
-from .core import (GridModule, ModuleMorphism, _hom_morphisms, direct_sum,
-                   hom_matrix, hom_space, sum_module)
+from .core import (Components, GridModule, ModuleMorphism, _edge_ends,
+                   _hom_morphisms, direct_sum, hom_matrix, hom_space,
+                   sum_module)
 from .kan import (compress, compression_witness,
                   morphism_restriction_extension, restriction_extension)
 
@@ -332,30 +333,33 @@ def _split_by_bases(M: GridModule, bases):
     """The summands of M spanned by the columns of bases[0], bases[1], ...
     (dicts over M's support that side by side give a basis of M at every
     vertex).  Their steps are the diagonal blocks of M's steps in those
-    bases; decompose checks the result."""
+    bases, one step table per part; decompose checks the result."""
     p = M.p
-    dims = np.zeros((len(bases),) + M.grid.shape, dtype=np.int64)
+    dims = np.zeros((len(bases), M.dims.size), dtype=np.int64)
     W, offs = {}, {}
     for v in M.support_vertices():
-        W[v] = np.concatenate([b[v] for b in bases], axis=1)
-        if W[v].shape[1] != M.dim(v):
+        u = int(np.ravel_multi_index(v, M.grid.shape))
+        W[u] = np.concatenate([b[v] for b in bases], axis=1)
+        if W[u].shape[1] != M.dim(v):
             raise ValueError(f"the subspaces do not complement at {v}")
-        widths = [b[v].shape[1] for b in bases]
-        dims[(slice(None),) + v] = widths
-        offs[v] = np.cumsum([0] + widths).tolist()
+        dims[:, u] = [b[v].shape[1] for b in bases]
+        offs[u] = np.cumsum([0] + dims[:, u].tolist()).tolist()
     Winv = dict(zip(W, field.inverses(list(W.values()), p)))
-    steps = [{} for _ in bases]
-    for (v, k), st in M.steps.items():
-        v = tuple(v)
-        w = M.succ(v, k)
-        if v not in W or w not in W:
+    t = M.step_table()
+    v, w = (a.tolist() for a in _edge_ends(M.grid.shape))
+    ids = np.full((len(bases), t.ids.size), -1, dtype=np.int64)
+    mats = [[] for _ in bases]
+    for e in np.flatnonzero(t.ids >= 0).tolist():
+        x, y = v[e], w[e]
+        if x not in W or y not in W:
             continue
-        T = field.mmul(Winv[w], field.mmul(st, W[v], p), p)
-        for i, s in enumerate(steps):
-            if dims[i][v] and dims[i][w]:
-                s[(v, k)] = T[offs[w][i]:offs[w][i + 1],
-                              offs[v][i]:offs[v][i + 1]]
-    return [GridModule(M.grid, d, s, p) for d, s in zip(dims, steps)]
+        T = field.mmul(Winv[y], field.mmul(t.mats[t.ids[e]], W[x], p), p)
+        for i in np.flatnonzero(dims[:, x] * dims[:, y]).tolist():
+            ids[i, e] = len(mats[i])
+            mats[i].append(T[offs[y][i]:offs[y][i + 1],
+                             offs[x][i]:offs[x][i + 1]])
+    return [GridModule(M.grid, d, Components(t.shape, i, m), p)
+            for d, i, m in zip(dims, ids, mats)]
 
 
 def _side_by_side(M: GridModule, parts, bases) -> ModuleMorphism:

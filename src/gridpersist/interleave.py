@@ -15,9 +15,9 @@ from math import ceil, lcm
 import numpy as np
 
 from . import field
-from .core import (Components, Grid, GridModule, _failing_squares, _padded,
-                   _strides, _unique_rows, _vertex, as_frac, sum_module,
-                   zero_module)
+from .core import (Components, Grid, GridModule, _block_table,
+                   _failing_squares, _padded, _strides, _unique_rows, _vertex,
+                   as_frac, sum_module, zero_module)
 from .kan import (_axis_floors, _flat, _flat_floors, _floors_via, _is_subgrid,
                   _pair_maps, _unique_maps, restriction_extension,
                   snap_to_lattice, union_grid)
@@ -370,13 +370,6 @@ def compose_chain(certs, verify: bool = True) -> InterleavingCertificate:
     return cert
 
 
-def compose_certificates(c1: InterleavingCertificate,
-                         c2: InterleavingCertificate,
-                         verify: bool = True) -> InterleavingCertificate:
-    """From d(M,N) <= e1 and d(N,L) <= e2, certify d(M,L) <= e1+e2."""
-    return compose_chain([c1, c2], verify=verify)
-
-
 def _require_same_module(A: GridModule, B: GridModule):
     """The middle modules of a composition must have equal extensions (the
     certificates' components then refer to the same value spaces); comparing
@@ -416,29 +409,13 @@ def block_sum_certificates(certs, verify: bool = True):
     def fill(comps, rows_of, cols_of):
         # per summand: its component id at each vertex, with the block's
         # row and column dimensions (needed where the component is absent)
-        cols, mats = [], []
+        parts = []
         for c, comp, R, C in zip(certs, comps, rows_of, cols_of):
             t = Components.of(comp, c.grid.shape, drop_zero=True)
             fl = _flat_floors(c.grid, grid).ravel()
-            cols += [np.where(fl >= 0, t.ids[np.maximum(fl, 0)], -1),
-                     _dims_at(R, grid, eps), _dims_at(C, grid)]
-            mats.append(t.mats)
-        sig = np.stack(cols, axis=1)
-        live = (sig[:, 0::3] >= 0).any(axis=1)
-        out = np.full(len(sig), -1, dtype=np.int64)
-        rows, _, out[live] = _unique_rows(sig[live])
-        blocks = []
-        for row in rows.tolist():
-            trip = list(zip(row[0::3], row[1::3], row[2::3]))
-            m = field.zeros(sum(t[1] for t in trip), sum(t[2] for t in trip))
-            r = c = 0
-            for cm, (i, dr, dc) in zip(mats, trip):
-                if i >= 0:
-                    m[r:r + dr, c:c + dc] = cm[i]
-                r += dr
-                c += dc
-            blocks.append(m)
-        return Components(grid.shape, out, blocks)
+            parts.append((np.where(fl >= 0, t.ids[np.maximum(fl, 0)], -1),
+                          t.mats, _dims_at(R, grid, eps), _dims_at(C, grid)))
+        return _block_table(grid.shape, parts, drop_zero=True)
 
     f = fill([c.f for c in certs], [c.n_module for c in certs],
              [c.m_module for c in certs])
@@ -454,14 +431,6 @@ def _sum_on_union(mods) -> GridModule:
     grid = union_grid(*(X.grid for X in mods))
     return sum_module(*(X if X.grid == grid else
                         restriction_extension(X, grid) for X in mods))
-
-
-def pair_sum_certificates(c1: InterleavingCertificate,
-                          c2: InterleavingCertificate,
-                          verify: bool = True):
-    """Block sum: from d(A,B) <= eps and d(C,D) <= eps, certify
-    d(A+C, B+D) <= eps.  Returns (cert, A+C, B+D)."""
-    return block_sum_certificates([c1, c2], verify=verify)
 
 
 def weaken_certificate(c: InterleavingCertificate, eps2) -> InterleavingCertificate:

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import field
 from .core import (Components, Grid, GridModule, ModuleMorphism, _affine,
-                   _exact, _over_den, _unique_rows, as_frac)
+                   _edge_ends, _exact, _over_den, _unique_rows, as_frac)
 
 
 # -- evaluation-grid signatures ------------------------------------------------
@@ -122,20 +122,18 @@ def restriction_extension(M: GridModule, grid: Grid) -> GridModule:
     """
     if grid.n != M.grid.n:
         raise ValueError("dimension mismatch")
-    src = _flat_floors(M.grid, grid)
+    src = _flat_floors(M.grid, grid).ravel()
     d = np.append(M.dims.ravel(), 0)
     # every edge between nonzero vertices, all axes in one batch of maps
-    keys, ends = [], []
-    for k, s in enumerate(grid.shape):
-        lo, hi = (np.take(src, range(a, s - 1 + a), axis=k) for a in (0, 1))
-        live = (d[lo] > 0) & (d[hi] > 0)
-        keys += [(v, k) for v in map(tuple, np.argwhere(live).tolist())]
-        ends.append((lo[live], hi[live]))
-    maps, rows, cols, inv = _pair_maps(M, *map(np.concatenate, zip(*ends)))
-    mats = [m[:r, :c].copy()
-            for m, r, c in zip(maps, rows.tolist(), cols.tolist())]
-    return GridModule(grid, d[src], dict(zip(keys, [mats[i] for i in
-                                                  inv.tolist()])), M.p)
+    v, w = _edge_ends(grid.shape)
+    lo, hi = src[v], np.append(src, -1)[w]
+    at = np.flatnonzero((d[lo] > 0) & (d[hi] > 0))
+    maps, rows, cols, inv = _pair_maps(M, lo[at], hi[at])
+    ids = np.full(len(v), -1, dtype=np.int64)
+    ids[at] = inv
+    return GridModule(grid, d[src], Components((grid.n,) + grid.shape, ids, [
+        m[:r, :c].copy() for m, r, c in zip(maps, rows.tolist(),
+                                            cols.tolist())]), M.p)
 
 
 def restrict(M: GridModule, grid: Grid) -> GridModule:
@@ -190,7 +188,7 @@ def shift(M: GridModule, r) -> GridModule:
     """The shifted module M[r], with M[r](x) = M(x + r); its grid is M's
     grid translated by -r."""
     grid = union_grid(M.grid, shifts=(r,))
-    return GridModule(grid, M.dims.copy(), dict(M.steps), M.p)
+    return GridModule(grid, M.dims.copy(), M.step_table(), M.p)
 
 
 def shift_unit(M: GridModule, r) -> ModuleMorphism:

@@ -15,9 +15,9 @@ from fractions import Fraction
 from .core import GridModule, as_frac, zero_module
 from .decomp import decompose, is_indecomposable, is_isomorphic
 from .interleave import (CertificateError, InterleavingCertificate,
-                         TrivialRegion, certificate_grid, compose_chain,
-                         is_eps_trivial, is_strictly_eps_trivial,
-                         local_change_certificate, pair_sum_certificates,
+                         TrivialRegion, block_sum_certificates,
+                         certificate_grid, compose_chain, is_eps_trivial,
+                         is_strictly_eps_trivial, local_change_certificate,
                          rank_lower_bound, trivial_certificate,
                          weaken_certificate)
 from .kan import prune, restriction_extension, union_grid
@@ -197,8 +197,8 @@ def matching_to_interleaving(result: MatchResult) -> InterleavingCertificate:
     order = sorted(result.pairs)
     cert = None
     for i, j, c in order:
-        cert = c if cert is None else pair_sum_certificates(cert, c,
-                                                            verify=False)[0]
+        cert = c if cert is None else block_sum_certificates(
+            [cert, c], verify=False)[0]
     cert.verify()
     return cert
 

@@ -28,6 +28,17 @@ def free_module(grid, gen_point, p=DEFAULT_PRIME):
     return GridModule(grid, dims, steps, p)
 
 
+def matches_dict_route(X):
+    """Is X's step table the one its step dict converts to: the same ids
+    and each distinct matrix once, in order of first appearance?"""
+    t = X.step_table()
+    u = GridModule(X.grid, X.dims, dict(X.steps), X.p).step_table()
+    return (t.shape == u.shape and np.array_equal(t.ids, u.ids)
+            and len(t.mats) == len(u.mats)
+            and all(a.shape == b.shape and np.array_equal(a, b)
+                    for a, b in zip(t.mats, u.mats)))
+
+
 def rect(a, b, p=65521):
     """Interval module on the 2-d box [a, b)."""
     return interval_module(tuple(map(Fraction, a)), tuple(map(Fraction, b)), p=p)

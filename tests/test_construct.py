@@ -18,14 +18,14 @@ from gridpersist.core import (Components, Grid, GridModule, direct_sum,
                               interval_module, zero_module, ModuleMorphism)
 from gridpersist.decomp import decompose, is_indecomposable, is_isomorphic
 from gridpersist.interleave import (CertificateError, InterleavingCertificate,
-                                    TrivialRegion, compose_chain,
-                                    identity_certificate, is_eps_trivial,
-                                    local_change_certificate,
-                                    pair_sum_certificates, snap_certificate,
-                                    triviality_radius)
-from gridpersist.kan import common_refinement, prune, restriction_extension
+                                    TrivialRegion, block_sum_certificates,
+                                    compose_chain, identity_certificate,
+                                    is_eps_trivial, local_change_certificate,
+                                    snap_certificate, triviality_radius)
+from gridpersist.kan import (common_refinement, prune, restriction_extension,
+                             union_grid)
 
-from conftest import rect
+from conftest import matches_dict_route, rect
 import oracles as O
 
 
@@ -352,8 +352,8 @@ def _built_certificates():
     return [idc, snap_certificate(M, half)[1],
             local_change_certificate(M, M, corner, half),
             compose_chain([idc, idc]),
-            pair_sum_certificates(idc, identity_certificate(
-                rect((1, 1), (3, 3)), Fraction(1, 3)))[0],
+            block_sum_certificates([idc, identity_certificate(
+                rect((1, 1), (3, 3)), Fraction(1, 3))])[0],
             iso_certificate(W)] + stages
 
 
@@ -377,3 +377,34 @@ def test_builders_return_component_tables():
         plain = InterleavingCertificate(c.m_module, c.n_module, c.eps, c.grid,
                                         dict(c.f), dict(c.g))
         assert io.dumps(plain) == io.dumps(c)
+
+
+def test_pipeline_builders_hand_over_step_tables(monkeypatch):
+    # once the inputs' own step mappings are converted, every module the
+    # approximation and a decomposition build comes with its step table
+    from gridpersist import core
+    N = core.random_basis_change(random_module(2, 3, 2, seed=4), 1)
+    R = random_module(2, 4, 3, seed=2)
+    R = restriction_extension(R, union_grid(R.grid, [[Fraction(1, 2)],
+                                                     [Fraction(3, 2)]]))
+    N.step_table()
+
+    def refuse(steps, shape):
+        raise AssertionError("a library builder handed over a step mapping")
+
+    monkeypatch.setattr(core, "_step_table", refuse)
+    res = approximate_indecomposable(N, Fraction(1, 2))
+    assert len(res.stage_certs) == 4          # k = 3 summands were folded
+    parts, _ = decompose(core.random_basis_change(R, 5))
+    assert len(parts) >= 2
+
+
+def test_stage_and_summand_tables_match_the_dict_route():
+    M, cert, stages = fold([rect((0, 0), (2, 2)), rect((3, 1), (5, 4)),
+                            random_module(2, 3, 2, seed=1)], Fraction(1, 4))
+    mods = [M] + [X for c in [cert] + stages for X in (c.m_module,
+                                                      c.n_module)]
+    X = random_module(2, 4, 3, seed=2)
+    X = restriction_extension(X, union_grid(X.grid, [[Fraction(1, 2)], []]))
+    mods += decompose(X)[0] + decompose(random_module(3, 3, 2, seed=4))[0]
+    assert all(matches_dict_route(X) for X in mods)

@@ -12,11 +12,11 @@ from gridpersist.cli import random_module
 from gridpersist.construct import approximate_indecomposable, module_G
 from gridpersist.core import (Components, Grid, GridModule, ModuleMorphism,
                               direct_sum, hom_space, interval_module,
-                              random_basis_change, zero_module)
+                              random_basis_change, sum_module, zero_module)
 from gridpersist.decomp import decompose, is_isomorphic
 from gridpersist.kan import common_refinement, restriction_extension
 
-from conftest import free_module, rect
+from conftest import free_module, matches_dict_route, rect
 from oracles import hom_dim, module_is_valid, path_map
 
 
@@ -56,6 +56,47 @@ def test_validate_rejects_missing_step():
     bad = GridModule(M.grid, M.dims.copy(), steps, M.p)
     with pytest.raises(ValueError):
         bad.validate()
+
+
+def test_validate_checks_builder_tables():
+    # a table handed over by a builder gets the checks a step mapping gets:
+    # every step has the shape the dims demand and a successor
+    M = random_module(2, 3, 2, seed=1)
+    t = M.step_table()
+    e = int(np.flatnonzero(t.ids >= 0)[0])
+    v = tuple(np.unravel_index(e, t.shape)[1:])
+    want = t.mats[t.ids[e]].shape
+    last = np.ravel_multi_index((0, 2) + v[1:], t.shape)   # (2, .) axis 0
+    for at, m, msg in (
+            (e, field.zeros(want[0] + 1, want[1]),
+             f"step at {tuple(map(int, v))} axis 0: shape"),
+            (last, field.eye(1), f"step at {(2,) + tuple(map(int, v[1:]))} "
+                                 f"axis 0: no successor")):
+        ids = t.ids.copy()
+        ids[at] = len(t.mats)
+        bad = GridModule(M.grid, M.dims.copy(),
+                         Components(t.shape, ids, t.mats + [m]), M.p)
+        with pytest.raises(ValueError, match=re.escape(msg)):
+            bad.validate()
+
+
+def test_sum_module_table_matches_the_dict_route():
+    for s in range(4):
+        A = random_module(2, 3, 2, seed=s)
+        B, C, _ = common_refinement(random_module(2, 3, 2, seed=10 + s),
+                                    rect((1, 0), (3, 2)))
+        A = restriction_extension(A, B.grid)
+        for S in (sum_module(A, B), sum_module(B, C, A), sum_module(C)):
+            assert S.validate()
+            assert matches_dict_route(S)
+        # block by block: the steps of the sum hold the summands' steps
+        S = sum_module(A, B)
+        for (v, k), m in S.steps.items():
+            a, b = A.step(v, k), B.step(v, k)
+            assert np.array_equal(m[:a.shape[0], :a.shape[1]], a)
+            assert np.array_equal(m[a.shape[0]:, a.shape[1]:], b)
+            assert not m[:a.shape[0], a.shape[1]:].any()
+            assert not m[a.shape[0]:, :a.shape[1]].any()
 
 
 def test_direct_sum_of_random_modules_validates():

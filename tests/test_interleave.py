@@ -13,12 +13,11 @@ from gridpersist.core import (Grid, GridModule, direct_sum, interval_module,
                               zero_module)
 from gridpersist.interleave import (CertificateError, InterleavingCertificate,
                                     _rank_violation,
-                                    TrivialRegion, compose_certificates,
+                                    TrivialRegion, block_sum_certificates,
                                     compose_chain, certificate_grid,
                                     factor_through_grid, identity_certificate,
                                     is_eps_trivial, is_strictly_eps_trivial,
-                                    local_change_certificate,
-                                    pair_sum_certificates, rank_lower_bound,
+                                    local_change_certificate, rank_lower_bound,
                                     snap_certificate, triviality_radius,
                                     trivial_certificate, weaken_certificate)
 from gridpersist.kan import (common_refinement, restrict,
@@ -31,8 +30,8 @@ from oracles import regular_grid
 
 def sum_certificates(c, X):
     """Certify d(M + X, N + X) <= eps from d(M, N) <= eps."""
-    return pair_sum_certificates(c, identity_certificate(X, c.eps,
-                                                         verify=False))
+    return block_sum_certificates([c, identity_certificate(X, c.eps,
+                                                           verify=False)])
 
 
 # -- triviality ---------------------------------------------------------------
@@ -142,7 +141,7 @@ def test_compose_certificates_adds_eps():
     M = random_module(2, 3, 2, seed=6)
     c1 = identity_certificate(M, Fraction(1, 4))
     c2 = identity_certificate(M, Fraction(1, 2))
-    c = compose_certificates(c1, c2)
+    c = compose_chain([c1, c2])
     assert c.eps == Fraction(3, 4)
     c.verify()
 
@@ -192,7 +191,7 @@ def test_pair_sum_and_sum_certificates():
         B = random_module(2, 3, 2, seed=30 + s)
         cA = identity_certificate(A, Fraction(1, 3))
         cB = identity_certificate(B, Fraction(1, 3))
-        c, S1, S2 = pair_sum_certificates(cA, cB)
+        c, S1, S2 = block_sum_certificates([cA, cB])
         assert c.eps == Fraction(1, 3)
         c.verify()
         c2, _, _ = sum_certificates(cA, B)
@@ -377,8 +376,8 @@ def test_verify_agrees_with_vertexwise_oracle():
         certs.append(identity_certificate(M, Fraction(1, 2)))
         certs.append(snap_certificate(M, Fraction(1, 3))[1])
     X, Y, _ = common_refinement(rect((0, 0), (2, 2)), rect((1, 1), (3, 3)))
-    certs.append(pair_sum_certificates(identity_certificate(X, 1),
-                                       identity_certificate(Y, 1))[0])
+    certs.append(block_sum_certificates([identity_certificate(X, 1),
+                                         identity_certificate(Y, 1)])[0])
     cases = []
     for c in certs:
         cases.append(c)

@@ -235,6 +235,20 @@ def test_cli_tack_and_approx_indec_do_not_report_internal_faults_as_exit_3(
         assert "precondition-violation" not in capsys.readouterr().err
 
 
+def test_cli_reports_a_failed_self_check_as_exit_1(files, monkeypatch,
+                                                   capsys):
+    # every RuntimeError of the library is a failed self-check: one JSON
+    # diagnostic and exit 1, never a traceback
+    import gridpersist.construct as construct
+    monkeypatch.setattr(construct, "is_indecomposable", lambda M: False)
+    assert main(["approx-indec", str(files["module"]), "--eps", "1/2"]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    diag = json.loads(err.strip().splitlines()[-1])
+    assert diag["error"] == "verification-failure"
+    assert "indecomposability" in diag["message"]
+
+
 def _non_commuting_G_obj():
     """module_G with one internal step doubled: the square above it no
     longer commutes."""
