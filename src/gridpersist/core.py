@@ -200,13 +200,18 @@ class Components(Mapping):
         ids = np.array(ids, dtype=np.int64).ravel()
         ids[ids >= 0] = kind[ids[ids >= 0]]
         live = np.flatnonzero(ids >= 0)
-        # number the distinct matrices in order of first appearance
-        used, first, inv = np.unique(ids[live], return_index=True,
-                                     return_inverse=True)
-        order = np.argsort(first)
-        ids[live] = np.argsort(order)[inv.reshape(-1)]
+        # number the distinct matrices in order of first appearance: one
+        # pass finds each kind's first position, then the used kinds are
+        # ordered by it (no sort over the grid)
+        k = ids[live]
+        first = np.full(len(reps), len(k))
+        np.minimum.at(first, k, np.arange(len(k)))
+        order = k[np.sort(first[first < len(k)])]
+        new = np.empty(len(reps), dtype=np.int64)
+        new[order] = np.arange(len(order))
+        ids[live] = new[k]
         self.shape, self.ids = tuple(shape), ids
-        self.mats = [reps[c] for c in used[order].tolist()]
+        self.mats = [reps[c] for c in order.tolist()]
 
     @classmethod
     def shared(cls, shape, at, mats) -> "Components":
@@ -318,11 +323,12 @@ def _edge_ends(shape):
     """(v, w): for every entry (k, v) of a step table over (n,) + shape, in
     C order, the flat vertex v and its successor along axis k (-1 where
     there is none)."""
-    v = np.arange(prod(shape))
-    room = (np.indices(shape).reshape(len(shape), -1) + 1
-            < np.array(shape)[:, None])
-    return (np.tile(v, len(shape)),
-            np.where(room, v + _strides(shape)[:, None], -1).ravel())
+    n, v = len(shape), np.arange(prod(shape))
+    w = (v + _strides(shape)[:, None]).reshape((n,) + tuple(shape))
+    # the last slice along axis k has no successor
+    for k, s in enumerate(shape):
+        w[k].swapaxes(0, k)[s - 1:] = -1
+    return np.tile(v, n), w.ravel()
 
 
 def _step_table(steps, shape) -> Components:

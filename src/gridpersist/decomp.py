@@ -27,8 +27,8 @@ import numpy as np
 
 from . import field
 from .core import (Components, GridModule, ModuleMorphism, _edge_ends,
-                   _hom_morphisms, direct_sum, hom_matrix, hom_space,
-                   sum_module)
+                   _hom_morphisms, _unique_rows, direct_sum, hom_matrix,
+                   hom_space, sum_module)
 from .kan import (compress, compression_witness,
                   morphism_restriction_extension, restriction_extension)
 
@@ -121,9 +121,13 @@ class EndAlgebra(_Algebra):
                        zip(self._verts, np.cumsum([0] + sizes).tolist(), sizes)}
         self.p, self.dim = M.p, self._vecmat.shape[1]
         # a basis element is determined by its entries on D pivot rows of
-        # _vecmat (row = one matrix entry at one vertex)
-        self._piv = np.asarray(field.rref(self._vecmat.T, self.p)[1],
-                               dtype=np.int64)
+        # _vecmat (row = one matrix entry at one vertex), its first
+        # independent rows; a zero row or a repeat of an earlier row is
+        # never one, so only the first copy of each distinct row is reduced
+        _, first, _ = _unique_rows(self._vecmat)
+        rows = np.sort(first)
+        rows = rows[self._vecmat[rows].any(axis=1)]
+        self._piv = rows[field.rref(self._vecmat[rows].T, self.p)[1]]
         self._pivinv = field.minv(self._vecmat[self._piv], self.p)
         self.table = (self._structure_constants() if self.dim else
                       np.zeros((0, 0, 0), dtype=np.int64))

@@ -15,11 +15,11 @@ from math import ceil, lcm
 import numpy as np
 
 from . import field
-from .core import (Components, Grid, GridModule, _block_table,
-                   _failing_squares, _padded, _strides, _unique_rows, _vertex,
-                   as_frac, sum_module, zero_module)
-from .kan import (_axis_floors, _flat, _flat_floors, _floors_via, _is_subgrid,
-                  _pair_maps, _unique_maps, restriction_extension,
+from .core import (Components, Grid, GridModule, _block_table, _exact,
+                   _failing_squares, _over_den, _padded, _unique_rows,
+                   _vertex, as_frac, sum_module, zero_module)
+from .kan import (_axis_floors, _edge_ids, _flat, _flat_floors, _floors_via,
+                  _is_subgrid, _pair_maps, _unique_maps, restriction_extension,
                   snap_to_lattice, union_grid)
 
 
@@ -46,17 +46,21 @@ class TrivialRegion:
                    for box in self.boxes)
 
     def is_eps_trivial(self, eps) -> bool:
-        """True when the region does not meet its own diagonal eps-translate."""
+        """True when the region does not meet its own diagonal eps-translate:
+        no boxes b1, b2 with lo1 < hi2 + eps and lo2 + eps < hi1 on every
+        axis (boxes are not degenerate), all pairs compared at once as
+        integers over one common denominator."""
         eps = as_frac(eps)
         if eps <= 0:
             return not self.boxes
-        for b1 in self.boxes:
-            for b2 in self.boxes:
-                # does b1 intersect (b2 + eps)?
-                if all(max(lo1, lo2 + eps) < min(hi1, hi2 + eps)
-                       for (lo1, hi1), (lo2, hi2) in zip(b1, b2)):
-                    return False
-        return True
+        _, (lo, hi, (e,)) = _over_den(
+            [[c for box in self.boxes for c, _ in box],
+             [c for box in self.boxes for _, c in box], [eps]])
+        lo, hi, loe, hie = (a.reshape(len(self.boxes), self.n) for a in
+                            _exact([lo, hi, [c + e for c in lo],
+                                    [c + e for c in hi]]))
+        return not ((lo[:, None] < hie[None]) & (loe[None] < hi[:, None])
+                    ).all(axis=2).any()
 
     def mask(self, grid: Grid) -> np.ndarray:
         """Boolean array over grid.shape marking the vertices in the region;
@@ -212,17 +216,6 @@ class InterleavingCertificate:
         SM = stack(M)
         SN = SM if N is M else stack(N)
 
-        def edge_ids(mod, a, b, k):
-            # the ids in mod's stack of its maps from floor a to floor b of
-            # the ends of edges along axis k: zero where a is -1, the
-            # identity where a == b, else the step at a
-            t = mod.step_table()
-            step = (a >= 0) & (b == a + _strides(mod.grid.shape)[k])
-            if not ((a == b) | (a < 0) | step).all():
-                raise CertificateError("evaluation grid too coarse")
-            sid = t.ids[k * mod.dims.size + np.maximum(a, 0)]
-            return np.where(a < 0, -1, np.where(a == b, len(t.mats), sid))
-
         CF, CG = (_padded(t.mats, D, D) for t in (F, G))
         # vertices reached from a predecessor by an onto map of M (resp. N);
         # any map into a zero space is onto
@@ -239,9 +232,13 @@ class InterleavingCertificate:
             for name, t, C, a0, b0, ma, mb, da, (SA, onto), (SB, _) in (
                     ("f", F, CF, m0, ne, M, N, dm, SM, SN),
                     ("g", G, CG, n0, me, N, M, dn, SN, SM)):
-                ca = edge_ids(ma, a0[src], a0[dst], k)
+                # the ids in the stacks of the maps between the floors of
+                # the edge's ends; floors further apart would need a walk
+                ca = _edge_ids(ma, a0[src], a0[dst], k)
+                cb = _edge_ids(mb, b0[src], b0[dst], k)
+                if -2 in ca or -2 in cb:
+                    raise CertificateError("evaluation grid too coarse")
                 covered[name][dst] |= onto[ca] | (da[a0[dst]] == 0)
-                cb = edge_ids(mb, b0[src], b0[dst], k)
                 bad = _failing_squares(np.stack(
                     [t.ids[src], t.ids[dst], ca, cb], axis=1), p, C, SA, SB)
                 if bad is not None:

@@ -13,7 +13,8 @@ import numpy as np
 
 from . import field
 from .core import (Components, Grid, GridModule, ModuleMorphism, _affine,
-                   _edge_ends, _exact, _over_den, _unique_rows, as_frac)
+                   _edge_ends, _exact, _over_den, _strides, _unique_rows,
+                   as_frac)
 
 
 # -- evaluation-grid signatures ------------------------------------------------
@@ -24,10 +25,11 @@ from .core import (Components, Grid, GridModule, ModuleMorphism, _affine,
 # combined into flat indices) and by the components it carries (their ids in
 # a core.Components table, read from any vertex -> matrix mapping by
 # Components.of); vertices with equal descriptions share one evaluation, and
-# the builders hand their id tables over as Components.  The two ends of an
-# edge of an evaluation grid have floors equal or one step apart, so verify
-# reads a naturality square's maps off GridModule.step_table, the one step
-# store; structure maps are walked (_unique_maps) only for the triangles.
+# the builders hand their id tables over as Components.  The two ends of a
+# grid edge mostly have floors equal or one step apart, so verify and
+# restriction_extension read its map off GridModule.step_table, the one step
+# store (_edge_ids); structure maps are walked (_unique_maps) only for
+# verify's triangles and for coarsenings (snap_to_lattice, prune, compress).
 
 def _on(grid: Grid, L: int, shift=0):
     """Per-axis integer arrays: grid's coordinates plus shift, times L (a
@@ -114,26 +116,49 @@ def _unique_maps(mod: GridModule, src: np.ndarray, dst: np.ndarray):
     return same[inv], mats
 
 
+def _edge_ids(mod: GridModule, a: np.ndarray, b: np.ndarray, k):
+    """Ids of mod's maps between the flat floors a <= b of the ends of edges
+    along axis k (an int or one per edge): -1 where a is -1 or no step is
+    stored, len(step_table().mats) for the identity (a == b), the step at a
+    where b is its successor along k, else -2 (the map needs a walk)."""
+    t = mod.step_table()
+    step = (a >= 0) & (b == a + _strides(mod.grid.shape)[k])
+    sid = t.ids[k * mod.dims.size + np.maximum(a, 0)]
+    return np.where(a < 0, -1, np.where(a == b, len(t.mats),
+                                        np.where(step, sid, -2)))
+
+
 def restriction_extension(M: GridModule, grid: Grid) -> GridModule:
     """Evaluate the extension of M at the vertices of `grid`.
 
     The value at a vertex q is M at the largest M-grid vertex <= q (zero when
-    none exists); steps are the corresponding structure maps of M.
+    none exists); steps are the corresponding structure maps of M, walked
+    only where the floors are two or more steps apart (_edge_ids).
     """
     if grid.n != M.grid.n:
         raise ValueError("dimension mismatch")
     src = _flat_floors(M.grid, grid).ravel()
     d = np.append(M.dims.ravel(), 0)
-    # every edge between nonzero vertices, all axes in one batch of maps
+    # every edge between nonzero vertices, all axes in one batch
     v, w = _edge_ends(grid.shape)
     lo, hi = src[v], np.append(src, -1)[w]
     at = np.flatnonzero((d[lo] > 0) & (d[hi] > 0))
-    maps, rows, cols, inv = _pair_maps(M, lo[at], hi[at])
+    lo, hi = lo[at], hi[at]
+    e = _edge_ids(M, lo, hi, at // len(src))
+    # ids past M's steps: one identity per dimension met, then the walks
+    mats = list(M.step_table().mats)
+    eye = e == len(mats)
+    dims = np.flatnonzero(np.bincount(d[lo[eye]]))
+    e[eye] = len(mats) + np.searchsorted(dims, d[lo[eye]])
+    mats += [field.eye(x) for x in dims.tolist()]
+    walk = e < 0
+    wid, walks = _unique_maps(M, lo[walk], hi[walk])
+    e[walk] = len(mats) + wid
+    mats += walks
     ids = np.full(len(v), -1, dtype=np.int64)
-    ids[at] = inv
-    return GridModule(grid, d[src], Components((grid.n,) + grid.shape, ids, [
-        m[:r, :c].copy() for m, r, c in zip(maps, rows.tolist(),
-                                            cols.tolist())]), M.p)
+    ids[at] = e
+    return GridModule(grid, d[src], Components((grid.n,) + grid.shape, ids,
+                                               mats), M.p)
 
 
 def restrict(M: GridModule, grid: Grid) -> GridModule:

@@ -11,8 +11,9 @@ from gridpersist import field
 from gridpersist.cli import random_module
 from gridpersist.construct import approximate_indecomposable, module_G
 from gridpersist.core import (Components, Grid, GridModule, ModuleMorphism,
-                              direct_sum, hom_space, interval_module,
-                              random_basis_change, sum_module, zero_module)
+                              _edge_ends, _strides, direct_sum, hom_space,
+                              interval_module, random_basis_change,
+                              sum_module, zero_module)
 from gridpersist.decomp import decompose, is_isomorphic
 from gridpersist.kan import common_refinement, restriction_extension
 
@@ -428,3 +429,57 @@ def test_one_singular_component_among_shared_identities():
         assert not W.is_isomorphism()
         with pytest.raises(ValueError):
             W.inverse()
+
+
+# -- component tables against sort-based references ---------------------------
+
+def _sorted_table(ids, mats, drop_zero=False):
+    """(ids, mats) of Components(shape, ids, mats, drop_zero), renumbered by
+    np.unique and two argsorts."""
+    canon = {}
+    kind = np.array([-1 if drop_zero and not (m.size and m.any()) else
+                     canon.setdefault((m.shape, m.dtype.str, m.tobytes()),
+                                      (len(canon), m))[0]
+                     for m in mats], dtype=np.int64)
+    reps = [m for _, m in canon.values()]
+    ids = np.array(ids, dtype=np.int64).ravel()
+    ids[ids >= 0] = kind[ids[ids >= 0]]
+    live = np.flatnonzero(ids >= 0)
+    used, first, inv = np.unique(ids[live], return_index=True,
+                                 return_inverse=True)
+    order = np.argsort(first)
+    ids[live] = np.argsort(order)[inv.reshape(-1)]
+    return ids, [reps[c] for c in used[order].tolist()]
+
+
+def test_components_number_matrices_as_a_sort_would():
+    rng = np.random.default_rng(5)
+    pool = [np.array([[1, 2]]), np.array([[1, 2]]), np.zeros((1, 2), int),
+            np.zeros((0, 3), int), np.array([[3]]), np.eye(2, dtype=int),
+            np.array([[1], [2]]), np.zeros((2, 2), int), np.array([[3]]),
+            np.array([[3]], dtype=np.int32)]
+    cases = [((4, 5), rng.integers(-1, len(pool), 20)),
+             ((3, 3, 2), rng.integers(-1, 3, 18)),
+             ((60,), rng.integers(0, len(pool), 60)),
+             ((2, 6), np.full(12, -1)),
+             ((0,), np.zeros(0, int)), ((3, 0), np.zeros(0, int))]
+    for size in (1, 7, 400):
+        cases.append(((size,), rng.integers(-1, len(pool), size)))
+    for shape, ids in cases:
+        for drop_zero in (False, True):
+            t = Components(shape, ids, pool, drop_zero)
+            want_ids, want_mats = _sorted_table(ids, pool, drop_zero)
+            assert np.array_equal(t.ids, want_ids)
+            assert [m is x for m, x in zip(t.mats, want_mats)] == \
+                [True] * len(want_mats) and len(t.mats) == len(want_mats)
+
+
+def test_edge_ends_match_index_arrays():
+    for shape in ((3, 4), (1, 5), (4, 1, 2), (2, 0), (0,), (6,), (2, 3, 2, 2)):
+        v, w = _edge_ends(shape)
+        room = (np.indices(shape).reshape(len(shape), -1) + 1
+                < np.array(shape)[:, None])
+        flat = np.arange(int(np.prod(shape)))
+        assert np.array_equal(v, np.tile(flat, len(shape)))
+        assert np.array_equal(w, np.where(
+            room, flat + _strides(shape)[:, None], -1).ravel())

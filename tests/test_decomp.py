@@ -7,7 +7,8 @@ import pytest
 
 from gridpersist import decomp, field, io
 from gridpersist.cli import random_module
-from gridpersist.construct import iso_certificate, module_G
+from gridpersist.construct import (approximate_indecomposable, iso_certificate,
+                                   module_G)
 from gridpersist.core import (GridModule, ModuleMorphism, direct_sum,
                               interval_module, random_basis_change, zero_module)
 from gridpersist.decomp import (FieldTooSmall, decompose, end_algebra,
@@ -233,6 +234,21 @@ def _refined_shuffled(seed, ways=3):
                  for i in range(3) for j in range(ways)} | {Fraction(3)})
     M = random_basis_change(restriction_extension(R, Grid([ax, ax])), seed)
     return R, M
+
+
+def test_end_pivots_are_those_of_the_whole_basis():
+    # the pivot rows are sought among the first copies of the distinct
+    # rows of the stacked basis; they must be the pivots of the whole
+    mods = [random_module(2, 3, 2, seed=s) for s in range(4)]
+    mods += [random_module(2, 4, 3, seed=5), zero_module(2)]
+    mods += [_refined_shuffled(s)[1] for s in (0, 1)]
+    for s in (4, 11):
+        F = approximate_indecomposable(random_module(2, 3, 2, seed=s),
+                                       Fraction(1, 2)).module
+        mods += [F, compress(F)]
+    for M in mods:
+        A = end_algebra(M)
+        assert A._piv.tolist() == field.rref(A._vecmat.T, M.p)[1]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

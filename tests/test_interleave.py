@@ -5,6 +5,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridpersist import field, interleave
 from gridpersist.cli import random_module
@@ -108,6 +110,65 @@ def test_trivial_region_box_logic():
     assert U.is_eps_trivial(1)
     assert not U.is_eps_trivial(Fraction(1, 2))
     assert TrivialRegion([]).is_eps_trivial(Fraction(1, 1000))
+
+
+def _pairwise_eps_trivial(region, eps):
+    """TrivialRegion.is_eps_trivial box pair by box pair, in Fractions."""
+    eps = Fraction(eps)
+    if eps <= 0:
+        return not region.boxes
+    return not any(all(max(lo1, lo2 + eps) < min(hi1, hi2 + eps)
+                       for (lo1, hi1), (lo2, hi2) in zip(b1, b2))
+                   for b1 in region.boxes for b2 in region.boxes)
+
+
+FRACS = st.fractions(-3, 3, max_denominator=3)
+
+
+@st.composite
+def _regions(draw):
+    n = draw(st.integers(0, 3))
+    boxes = draw(st.lists(st.lists(
+        st.tuples(FRACS, st.fractions(Fraction(1, 3), 3, max_denominator=3)),
+        min_size=n, max_size=n), max_size=5))
+    return TrivialRegion([[(lo, lo + h) for lo, h in box] for box in boxes])
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_regions(), st.fractions(-1, 4, max_denominator=6))
+def test_region_triviality_matches_pairwise_loop(region, eps):
+    assert region.is_eps_trivial(eps) == _pairwise_eps_trivial(region, eps)
+
+
+def test_region_triviality_on_touching_and_wide_boxes():
+    big = Fraction(1, 2 ** 61 - 1)
+    cases = [([[(0, 1), (0, 1)], [(1, 2), (1, 2)]], 1),
+             ([[(0, 1), (0, 1)], [(1, 2), (1, 2)]], Fraction(1, 2)),
+             ([[(0, 1), (0, 1)], [(1, 2), (0, 1)]], 1),
+             ([[(0, 1)], [(2, 3)]], 2), ([[(0, 1)], [(2, 3)]], 3),
+             ([[(0, big)], [(big, 2 * big)]], big),
+             ([[(0, big)], [(big, 2 * big)]], big / 2),
+             ([[(-10 ** 20, big)]], 10 ** 20), ([[]], 1), ([], 1)]
+    for boxes, eps in cases:
+        U = TrivialRegion(boxes)
+        assert U.is_eps_trivial(eps) == _pairwise_eps_trivial(U, eps), boxes
+
+
+def test_region_triviality_matches_loop_on_fold_regions(monkeypatch):
+    seen = []
+    trivial = TrivialRegion.is_eps_trivial
+
+    def record(self, eps):
+        seen.append((self, eps))
+        return trivial(self, eps)
+
+    monkeypatch.setattr(TrivialRegion, "is_eps_trivial", record)
+    fold([rect((0, 0), (2, 2)), rect((3, 1), (5, 4)), rect((1, 5), (2, 6))],
+         Fraction(1, 4))
+    assert len(seen) > 3 and any(len(U.boxes) > 1 for U, _ in seen)
+    for U, eps in seen:
+        for e in (eps, eps / 2, 2 * eps):
+            assert trivial(U, e) == _pairwise_eps_trivial(U, e)
 
 
 # -- certificates -------------------------------------------------------------

@@ -9,13 +9,14 @@ import pytest
 from gridpersist import field
 from gridpersist.cli import random_module
 from gridpersist.construct import approximate_indecomposable, tack
-from gridpersist.core import (Components, Grid, GridModule, hom_space,
-                              interval_module, random_basis_change,
+from gridpersist.core import (Components, Grid, GridModule, _edge_ends,
+                              hom_space, interval_module, random_basis_change,
                               zero_module)
 from gridpersist.decomp import is_isomorphic
 from gridpersist.interleave import certificate_grid
-from gridpersist.kan import (_axis_floors, _floors_via, _unique_rows,
-                             common_refinement, compress, compression_witness,
+from gridpersist.kan import (_axis_floors, _flat_floors, _floors_via,
+                             _pair_maps, _unique_rows, common_refinement,
+                             compress, compression_witness,
                              morphism_restriction_extension, prune,
                              restrict, restriction_extension, shift,
                              shift_unit, snap_to_lattice, union_axes)
@@ -384,3 +385,89 @@ def test_unique_rows_matches_rowwise_unique():
         assert np.array_equal(got[0], want[0])
         assert np.array_equal(got[1], want[1])
         assert np.array_equal(got[2], want[2].reshape(-1))
+
+
+# -- restriction-extension by step id ------------------------------------------
+
+def _walked_restriction_extension(M, grid):
+    """restriction_extension with every new step a walked structure map."""
+    src = _flat_floors(M.grid, grid).ravel()
+    d = np.append(M.dims.ravel(), 0)
+    v, w = _edge_ends(grid.shape)
+    lo, hi = src[v], np.append(src, -1)[w]
+    at = np.flatnonzero((d[lo] > 0) & (d[hi] > 0))
+    maps, rows, cols, inv = _pair_maps(M, lo[at], hi[at])
+    ids = np.full(len(v), -1, dtype=np.int64)
+    ids[at] = inv
+    return GridModule(grid, d[src], Components((grid.n,) + grid.shape, ids, [
+        m[:r, :c].copy() for m, r, c in zip(maps, rows.tolist(),
+                                            cols.tolist())]), M.p)
+
+
+def _zero_steps_module():
+    """Dimension 1 on a 3 x 2 grid: along axis 0 the steps are [1] then a
+    stored zero, along axis 1 identities."""
+    one, zero = np.ones((1, 1), dtype=np.int64), np.zeros((1, 1), np.int64)
+    steps = {((i, j), 0): (one, zero)[i] for i in range(2) for j in range(2)}
+    steps.update({((i, 0), 1): one for i in range(3)})
+    M = GridModule(Grid([range(3), range(2)]), np.ones((3, 2)), steps)
+    assert M.validate()
+    return M
+
+
+def _re_grids(M):
+    """Target grids for M: a refinement, coarsenings, a mixed grid (finer
+    on axis 0, coarser on axis 1), grids reaching below and above M's, and
+    the lattice snap_to_lattice builds."""
+    a0, a1 = M.grid.axes
+    lo, hi = min(a0[0], a1[0]) - 1, max(a0[-1], a1[-1]) + 1
+    return [_finer(M.grid), Grid([a0[::2], a1[::2]]),
+            Grid([a0[::3], a1[-1:]]),
+            Grid([_finer(M.grid).axes[0], a1[::2]]),
+            Grid([[lo] + list(a0), list(a1) + [hi]]),
+            Grid([[lo, lo + Fraction(1, 3)], [hi]]),
+            regular_grid(2, Fraction(1, 3), (lo, lo), (hi, hi)),
+            snap_to_lattice(M, Fraction(2, 3)).grid]
+
+
+def _re_corpus():
+    out = [_zero_steps_module(), _step_kinds_module()]
+    for s in range(3):
+        M = random_module(2, 3, 2, seed=s)
+        out += [M, random_basis_change(restriction_extension(M, _finer(
+            M.grid)), s)]
+    out.append(approximate_indecomposable(random_module(2, 3, 2, seed=4),
+                                          Fraction(1, 2)).module)
+    return out
+
+
+def test_restriction_extension_matches_walked_route():
+    for M in _re_corpus():
+        for grid in _re_grids(M):
+            got = restriction_extension(M, grid)
+            want = _walked_restriction_extension(M, grid)
+            assert np.array_equal(got.dims, want.dims)
+            t, u = got.step_table(), want.step_table()
+            assert np.array_equal(t.ids, u.ids)
+            assert len(t.mats) == len(u.mats)
+            for a, b in zip(t.mats, u.mats):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+            assert got.validate()
+
+
+def test_restriction_extension_walks_only_coarsenings(monkeypatch):
+    calls = []
+    walk = GridModule.structure_maps
+
+    def counting(self, src, dst):
+        calls.append(len(src))
+        return walk(self, src, dst)
+
+    monkeypatch.setattr(GridModule, "structure_maps", counting)
+    M = random_module(2, 3, 2, seed=1)
+    for grid in (_finer(M.grid), _finer(_finer(M.grid)), M.grid,
+                 Grid([[-1] + list(M.grid.axes[0]), M.grid.axes[1]])):
+        restriction_extension(M, grid)
+    assert calls == []
+    restriction_extension(M, Grid([M.grid.axes[0][::2], M.grid.axes[1]]))
+    assert len(calls) == 1
