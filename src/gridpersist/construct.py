@@ -34,9 +34,9 @@ from .core import (Components, Grid, GridModule, ModuleMorphism,
 from .decomp import PreconditionError, decompose, is_indecomposable
 from .interleave import (CertificateError, InterleavingCertificate,
                          TrivialRegion, block_sum_certificates,
-                         certificate_grid, compose_chain,
-                         local_change_certificate, snap_certificate,
-                         trivial_certificate)
+                         compose_chain, local_change_certificate,
+                         snap_certificate, trivial_certificate,
+                         zero_certificate)
 from .kan import (_axis_floors, _flat, prune, restriction_extension,
                   union_grid)
 
@@ -656,7 +656,7 @@ def iso_certificate(W: ModuleMorphism) -> InterleavingCertificate:
         inv = W.inverse()
     except ValueError as exc:   # a singular or non-square component
         raise CertificateError("witness is not an isomorphism") from exc
-    # at eps 0 the evaluation grid of two modules on one grid is that grid
+    # at eps 0 both map grids of two modules on one grid are that grid
     shape = W.source.grid.shape
     cert = InterleavingCertificate(
         W.source, W.target, 0, W.source.grid,
@@ -690,8 +690,7 @@ def approximate_indecomposable(N: GridModule, eps, seed: int = 0
         # the only module at distance 0 from N is zero, so approximate by the
         # unit eps-cube, which sits at distance exactly eps/2
         M = interval_module((0,) * n, (eps,) * n, p=N.p)
-        grid = certificate_grid(M, N, eps / 2)
-        total = InterleavingCertificate(M, N, eps / 2, grid, {}, {})
+        total = zero_certificate(M, N, eps / 2)
         total.verify()
         if not is_indecomposable(M):
             raise RuntimeError("cube module failed indecomposability")

@@ -1,25 +1,25 @@
 """Interleaving certificates and epsilon-triviality, with exact verification.
 
-A certificate for d(M, N) <= eps stores both interleaving morphisms on a
-common evaluation grid and re-verifies every naturality square and both
-triangle identities from scratch; nothing about how a certificate was built
-is trusted downstream.
+A certificate for d(M, N) <= eps stores each interleaving morphism on its
+own evaluation grid (a natural map is constant on that grid's cells) and
+re-verifies every naturality square and both triangle identities from
+scratch; nothing about how a certificate was built is trusted downstream.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from math import ceil, lcm
+from math import ceil, lcm, prod
 
 import numpy as np
 
 from . import field
-from .core import (Components, Grid, GridModule, _block_table, _exact,
-                   _failing_squares, _over_den, _padded, _unique_rows,
+from .core import (Components, Grid, GridModule, _affine, _block_table,
+                   _exact, _failing_squares, _over_den, _padded, _unique_rows,
                    _vertex, as_frac, sum_module, zero_module)
 from .kan import (_axis_floors, _edge_ids, _flat, _flat_floors, _floors_via,
-                  _is_subgrid, _pair_maps, _unique_maps, restriction_extension,
+                  _on, _pair_maps, _unique_maps, restriction_extension,
                   snap_to_lattice, union_grid)
 
 
@@ -64,20 +64,13 @@ class TrivialRegion:
 
     def mask(self, grid: Grid) -> np.ndarray:
         """Boolean array over grid.shape marking the vertices in the region;
-        every box corner must be a grid coordinate."""
+        a box corner need not be a grid coordinate."""
         inside = np.zeros(grid.shape, dtype=bool)
         for box in self.boxes:
             inside[tuple(slice(bisect_left(a, ceil(lo * grid.den)),
                                bisect_left(a, ceil(hi * grid.den)))
                          for (lo, hi), a in zip(box, grid.nums))] = True
         return inside
-
-    def corner_coords(self, axis: int):
-        out = set()
-        for box in self.boxes:
-            out.add(box[axis][0])
-            out.add(box[axis][1])
-        return out
 
 
 # -- module triviality --------------------------------------------------------
@@ -129,141 +122,183 @@ def is_strictly_eps_trivial(M: GridModule, eps) -> bool:
 
 # -- certificates -------------------------------------------------------------
 
-def certificate_grid(M: GridModule, N: GridModule, eps, extra_axes=None) -> Grid:
-    """The evaluation grid for an eps-certificate between M and N: the union
-    of both grids, closed downward under -eps and -2eps.  On this grid,
-    checking naturality and the triangle identities at vertices decides them
-    at every point of R^n."""
+def map_grid(M: GridModule, N: GridModule, eps) -> Grid:
+    """The evaluation grid of a natural map M -> N[eps]: M's grid together
+    with N's shifted down by eps.  Such a map is constant on the cells of
+    this grid, so its values at the vertices fix it."""
     eps = as_frac(eps)
-    return union_grid(M.grid, N.grid, *([extra_axes] if extra_axes else []),
-                      shifts=(0, eps, 2 * eps))
+    L = lcm(M.grid.den, N.grid.den, eps.denominator)
+    return Grid.from_ints(L, [np.union1d(a, b) for a, b in
+                              zip(_on(M.grid, L), _on(N.grid, L, -eps))])
+
+
+def _evaluation_axes(M: GridModule, N: GridModule, eps, PF: Grid, PG: Grid):
+    """(e, axes) from one pass over the coordinates as integers on one
+    common denominator L, with e = eps L: axes maps "M", "N", "F" (PF) and
+    "G" (PG) to their per-axis coordinates times L.  None when PF lacks a
+    coordinate of map_grid(M, N, eps) or PG one of map_grid(N, M, eps)."""
+    L = lcm(M.grid.den, N.grid.den, PF.den, PG.den, eps.denominator)
+    e = int(eps * L)
+    axes = {k: _on(X, L) for k, X in (("M", M.grid), ("N", N.grid),
+                                      ("F", PF), ("G", PG))}
+    if all(_holds(c, np.concatenate([a, _affine(b, 1, -e)]))
+           for x, y, P in (("M", "N", "F"), ("N", "M", "G"))
+           for a, b, c in zip(axes[x], axes[y], axes[P])):
+        return e, axes
+    return None
+
+
+def _holds(coords, need) -> bool:
+    """Is every value of need one of the ascending values coords?"""
+    i = np.minimum(np.searchsorted(coords, need), len(coords) - 1)
+    return bool((coords[i] == need).all())
+
+
+def _axis_edges(shape, k):
+    """(src, dst): the flat ends of the edges along axis k of a grid of the
+    given shape, src in C order."""
+    idx = np.arange(prod(shape)).reshape(shape)
+    src = np.take(idx, range(shape[k] - 1), axis=k).ravel()
+    return src, src + idx.strides[k] // idx.itemsize
 
 
 class InterleavingCertificate:
     """A claimed eps-interleaving between the extensions of M and N.
 
-    f[v]: M^(v) -> N^(v+eps) and g[v]: N^(v) -> M^(v+eps) for every vertex v
-    of the evaluation grid.  f and g may be any vertex -> matrix mappings
-    (missing entries are zero); the builders here return Components tables.
-    verify() re-checks everything exactly.
+    f[v]: M^(v) -> N^(v+eps) for every vertex v of `grid`, and
+    g[v]: N^(v) -> M^(v+eps) for every vertex v of `g_grid` (by default
+    `grid`).  A natural map is constant on the cells of its map_grid, so
+    each grid must hold every coordinate of its map's map_grid, and the
+    map's value at a point is its component at the point's floor in its
+    grid.  f and g may be any vertex -> matrix mappings (missing entries
+    are zero); the builders here return Components tables on the map
+    grids.  verify() re-checks everything exactly.
     """
 
-    def __init__(self, M: GridModule, N: GridModule, eps, grid: Grid, f, g):
+    def __init__(self, M: GridModule, N: GridModule, eps, grid: Grid, f, g,
+                 g_grid: Grid = None):
         self.m_module = M
         self.n_module = N
         self.eps = as_frac(eps)
         self.grid = grid
+        self.g_grid = grid if g_grid is None else g_grid
         self.f = f
         self.g = g
 
     def verify(self):
         """Exact re-verification; raises CertificateError on any failure.
 
-        Every component of f and g is checked against the dimensions it
-        must have, every naturality square along each grid edge, and both
-        triangle identities at each vertex where M (resp. N) has generators;
-        at the other vertices the triangles follow from the checked
-        naturality.  The two ends of a grid edge have floors at most one
-        step apart in M and N, so the structure maps of a naturality square
-        are read by id off the modules' step tables, as validate reads
-        them; only the triangles walk structure maps.  Vertices are grouped
-        by signature (the ids of the components and maps involved); the
-        distinct checks of a kind run as one batched product.  A failure is
-        reported at the first failing vertex in C order of the first
-        failing check.
+        `grid` must hold every coordinate of map_grid(M, N, eps) and `g_grid`
+        every one of map_grid(N, M, eps) ("evaluation grid too coarse").
+        Each component of f and g is checked against the dimensions it must
+        have, and each naturality square along the edges of its map's grid,
+        both structure maps read by id off the modules' step tables (the
+        floors of an edge's ends are at most one step apart).  g[eps] o f =
+        eta_2eps is checked at the vertices of M's grid where M has
+        generators (naturality implies it elsewhere), f read by floors in
+        `grid` and g by floors in `g_grid`; f[eps] o g likewise on N's grid.
+        On any grid holding M's, these are the vertices that no onto step
+        reaches, so a certificate on one grid closed under -eps and -2 eps
+        is checked as it always was.  Distinct checks of a kind run as one
+        batched product.  A failure names the first failing vertex in C
+        order of the first failing check: by index in the map's grid for a
+        component or a square, by coordinates for a triangle.
         """
-        M, N, eps, P = self.m_module, self.n_module, self.eps, self.grid
+        M, N, eps = self.m_module, self.n_module, self.eps
         if eps < 0:
             raise CertificateError("negative eps")
-        if not _is_subgrid(certificate_grid(M, N, eps), P):
+        grids = _evaluation_axes(M, N, eps, self.grid, self.g_grid)
+        if grids is None:
             raise CertificateError("evaluation grid too coarse")
+        e, axes = grids
+        shapes = {k: tuple(map(len, a)) for k, a in axes.items()}
+
+        def floors(src, dst, s=0):
+            # the flat index in grid src of the floor of every vertex of
+            # grid dst plus s / L, -1 where there is none
+            return _flat([np.searchsorted(a, _affine(b, 1, s), "right") - 1
+                          for a, b in zip(axes[src], axes[dst])],
+                         shapes[src]).ravel()
+
         p = M.p
-        shape = P.shape
-
-        def floors(grid, shift):
-            return _flat_floors(grid, P, shift).ravel()
-
-        m0, me, m2e = (floors(M.grid, s) for s in (0, eps, 2 * eps))
-        n0, ne, n2e = (floors(N.grid, s) for s in (0, eps, 2 * eps))
-        pe = floors(P, eps)
-        # dimension lookups by flat floor index; index -1 (no floor) is 0
-        dm = np.append(M.dims.ravel(), 0)
-        dn = np.append(N.dims.ravel(), 0)
-        F, G = Components.of(self.f, shape), Components.of(self.g, shape)
-        for name, t, rows, cols in (("f", F, dn[ne], dm[m0]),
-                                    ("g", G, dm[me], dn[n0])):
-            bad = t.misfits(rows, cols)
-            if len(bad):
-                raise CertificateError(
-                    f"{name} shape at {_vertex(bad[0], shape)}: "
-                    f"{t.mats[t.ids[bad[0]]].shape}")
-        if pe.min(initial=0) < 0:
-            # x + eps fell below the grid: only possible when eps < 0
-            raise CertificateError("evaluation grid not closed under -eps")
-
         # each module's steps zero-padded to one square size D, then the
         # identity (for the ends of an edge that share a floor), then zero
-        # at id -1 (no stored step, or no floor); with the distinct steps'
-        # ranks, to tell which maps are onto
+        # at id -1 (no stored step, or no floor); which of them are onto;
+        # its dimensions by flat floor index (-1, no floor, is 0)
         D = max(M.max_pointwise_dim(), N.max_pointwise_dim())
 
-        def stack(mod):
+        def tables(mod):
             t = mod.step_table()
             full = field.ranks(t.mats, p) == [len(m) for m in t.mats]
             return (_padded(t.mats + [field.eye(D)], D, D),
-                    np.append(full, [True, False]))
+                    np.append(full, [True, False]),
+                    np.append(mod.dims.ravel(), 0))
 
-        SM = stack(M)
-        SN = SM if N is M else stack(N)
+        SM = tables(M)
+        SN = SM if N is M else tables(N)
+        # per map: its name, grid, table and padded stack, source and
+        # target (key, module, tables), and the floors of its grid's
+        # vertices in its source and (at + eps) in its target
+        maps = []
+        for name, comp, P, (x, X, SX), (y, Y, SY) in (
+                ("f", self.f, "F", ("M", M, SM), ("N", N, SN)),
+                ("g", self.g, "G", ("N", N, SN), ("M", M, SM))):
+            t = Components.of(comp, shapes[P])
+            x0, ye = floors(x, P), floors(y, P, e)
+            bad = t.misfits(SY[2][ye], SX[2][x0])
+            if len(bad):
+                raise CertificateError(
+                    f"{name} shape at {_vertex(bad[0], shapes[P])}: "
+                    f"{t.mats[t.ids[bad[0]]].shape}")
+            maps.append((name, P, t, _padded(t.mats, D, D), (x, X, SX),
+                         (Y, SY), x0, ye))
 
-        CF, CG = (_padded(t.mats, D, D) for t in (F, G))
-        # vertices reached from a predecessor by an onto map of M (resp. N);
-        # any map into a zero space is onto
-        covered = {"f": np.zeros(len(m0), dtype=bool),
-                   "g": np.zeros(len(n0), dtype=bool)}
-        idx = np.arange(int(np.prod(shape))).reshape(shape)
-        for k in range(P.n):
-            if shape[k] < 2:
-                continue
-            src = np.take(idx, range(shape[k] - 1), axis=k).ravel()
-            dst = src + idx.strides[k] // idx.itemsize
+        for k in range(M.grid.n):
             # naturality of f: f(w) M(v->w) = N(v+eps->w+eps) f(v), and of
             # g likewise; absent components are zero
-            for name, t, C, a0, b0, ma, mb, da, (SA, onto), (SB, _) in (
-                    ("f", F, CF, m0, ne, M, N, dm, SM, SN),
-                    ("g", G, CG, n0, me, N, M, dn, SN, SM)):
+            for name, P, t, C, (_, X, SA), (Y, SB), a0, b0 in maps:
+                src, dst = _axis_edges(shapes[P], k)
                 # the ids in the stacks of the maps between the floors of
                 # the edge's ends; floors further apart would need a walk
-                ca = _edge_ids(ma, a0[src], a0[dst], k)
-                cb = _edge_ids(mb, b0[src], b0[dst], k)
+                ca = _edge_ids(X, a0[src], a0[dst], k)
+                cb = _edge_ids(Y, b0[src], b0[dst], k)
                 if -2 in ca or -2 in cb:
                     raise CertificateError("evaluation grid too coarse")
-                covered[name][dst] |= onto[ca] | (da[a0[dst]] == 0)
                 bad = _failing_squares(np.stack(
-                    [t.ids[src], t.ids[dst], ca, cb], axis=1), p, C, SA, SB)
+                    [t.ids[src], t.ids[dst], ca, cb], axis=1), p, C,
+                    SA[0], SB[0])
                 if bad is not None:
                     raise CertificateError(
                         f"{name} naturality fails at "
-                        f"{_vertex(src[bad], shape)} axis {k}")
-        # triangle identities g[eps] o f = eta_2eps and f[eps] o g = eta_2eps;
-        # the component at v + eps is the one at its floor pe in P.  Both
-        # sides are natural (checked above), so two of them that agree at a
-        # predecessor of v agree at v whenever the structure map from there
-        # onto M(v) (resp. N(v)) is onto; by induction along the grid order
-        # only the other vertices, where M(v) has generators, are checked
-        for name, up, Cu, t, C, x0, x2e, mod, cov in (
-                ("g.f", G, CG, F, CF, m0, m2e, M, covered["f"]),
-                ("f.g", F, CF, G, CG, n0, n2e, N, covered["g"])):
-            at = np.flatnonzero((x0 >= 0) & ~cov)
-            inv, walks = _unique_maps(mod, x0[at], x2e[at])
-            rows, first, _ = _unique_rows(
-                np.stack([up.ids[pe[at]], t.ids[at], inv], axis=1))
+                        f"{_vertex(src[bad], shapes[P])} axis {k}")
+        # triangle identities g[eps] o f = eta_2eps and f[eps] o g =
+        # eta_2eps, equations of natural maps out of X = M (resp. N).  Two
+        # of them that agree at a predecessor of v agree at v whenever the
+        # structure map from there onto X(v) is onto, so by induction along
+        # the grid order only the vertices of X's grid where X(v) has
+        # generators are checked (on a finer grid, a vertex off X's grid
+        # is reached from its predecessor by an identity of X)
+        for name, inner, outer in (("g.f", *maps), ("f.g", *maps[::-1])):
+            _, P, t, C, (x, X, (_, onto, _)), *_ = inner
+            _, Pu, u, Cu, *_ = outer
+            # any map into a zero space is onto
+            covered = X.dims.ravel() == 0
+            for k in range(X.grid.n):
+                src, dst = _axis_edges(X.grid.shape, k)
+                covered[dst] |= onto[_edge_ids(X, src, dst, k)]
+            at = np.flatnonzero(~covered)
+            inv, walks = _unique_maps(X, at, floors(x, x, 2 * e)[at])
+            # the first map at the floor of v, the second at that of v + eps
+            iv = np.append(t.ids, -1)[floors(P, x)[at]]
+            iu = np.append(u.ids, -1)[floors(Pu, x, e)[at]]
+            rows, first, _ = _unique_rows(np.stack([iu, iv, inv], axis=1))
             iu, iv, c = rows.T
             diff = np.matmul(Cu[iu], C[iv]) - _padded(walks, D, D)[c]
             bad = first[(diff % p).any(axis=(1, 2))]
             if len(bad):
+                v = X.grid.coord(_vertex(at[bad.min()], X.grid.shape))
                 raise CertificateError(f"triangle {name} fails at "
-                                       f"{_vertex(at[bad.min()], shape)}")
+                                       f"({', '.join(map(str, v))})")
         return True
 
     def is_valid(self) -> bool:
@@ -274,11 +309,12 @@ class InterleavingCertificate:
 
     def flip(self) -> "InterleavingCertificate":
         return InterleavingCertificate(self.n_module, self.m_module, self.eps,
-                                       self.grid, self.g, self.f)
+                                       self.g_grid, self.g, self.f, self.grid)
 
     def __repr__(self):
         return (f"InterleavingCertificate(eps={self.eps}, "
-                f"grid_shape={self.grid.shape})")
+                f"grid_shape={self.grid.shape}, "
+                f"g_grid_shape={self.g_grid.shape})")
 
 
 def _dims_at(mod: GridModule, grid: Grid, shift=0) -> np.ndarray:
@@ -287,26 +323,32 @@ def _dims_at(mod: GridModule, grid: Grid, shift=0) -> np.ndarray:
                                                        shift).ravel()]
 
 
+def _at_floors(comp, P: Grid, grid: Grid, shift=0) -> np.ndarray:
+    """(ids, mats): the matrices of the table Components.of(comp, P.shape,
+    drop_zero=True), and a flat array over grid of the id of the component
+    at the floor in P of each vertex plus shift (-1 where there is none)."""
+    t = Components.of(comp, P.shape, drop_zero=True)
+    return np.append(t.ids, -1)[_flat_floors(P, grid, shift).ravel()], t.mats
+
+
 def identity_certificate(M: GridModule, eps,
                          verify: bool = True) -> InterleavingCertificate:
-    """The certificate d(M, M) <= eps via shift units."""
-    eps = as_frac(eps)
-    grid = certificate_grid(M, M, eps)
-    ids, mats = _unique_maps(M, _flat_floors(M.grid, grid).ravel(),
-                             _flat_floors(M.grid, grid, eps).ravel())
-    f = Components(grid.shape, ids, mats, drop_zero=True)
-    cert = InterleavingCertificate(M, M, eps, grid, f, f)
-    if verify:
-        cert.verify()
-    return cert
+    """The certificate d(M, M) <= eps via shift units: the local change of
+    M into itself on the empty region."""
+    return local_change_certificate(M, M, TrivialRegion([]), eps, verify)
+
+
+def zero_certificate(M: GridModule, N: GridModule,
+                     eps) -> InterleavingCertificate:
+    """The unverified certificate d(M, N) <= eps with f = 0 and g = 0;
+    valid exactly when M and N are both 2eps-trivial."""
+    return InterleavingCertificate(M, N, eps, map_grid(M, N, eps), {}, {},
+                                   map_grid(N, M, eps))
 
 
 def trivial_certificate(M: GridModule, eps) -> InterleavingCertificate:
     """Certificate d(M, 0) <= eps; valid exactly when M is 2eps-trivial."""
-    eps = as_frac(eps)
-    Z = zero_module(M.grid.n, M.p)
-    grid = certificate_grid(M, Z, eps)
-    cert = InterleavingCertificate(M, Z, eps, grid, {}, {})
+    cert = zero_certificate(M, zero_module(M.grid.n, M.p), eps)
     cert.verify()
     return cert
 
@@ -330,38 +372,39 @@ def compose_chain(certs, verify: bool = True) -> InterleavingCertificate:
             _require_same_module(c1.n_module, c2.m_module)
     M, L = certs[0].m_module, certs[-1].n_module
     eps = sum(c.eps for c in certs)
-    # the composite is natural, hence constant on cells of the refinement of
-    # the two endpoint grids; middle grids need not appear here
-    grid = certificate_grid(M, L, eps)
     p = M.p
 
-    def fill(ordered, comps):
-        # per chain element: its component at the floor (in its own grid) of
-        # each evaluation vertex shifted by the cumulative interleaving
-        # shift.  A missing or zero component anywhere in the chain makes
-        # the composite component zero.
-        cols, mats, s = [], [], 0
-        for c, comp in zip(ordered, comps):
-            t = Components.of(comp, c.grid.shape, drop_zero=True)
-            fl = _flat_floors(c.grid, grid, s).ravel()
-            cols.append(np.where(fl >= 0, t.ids[np.maximum(fl, 0)], -1))
-            mats.append(t.mats)
-            s += c.eps
+    def fill(grid, parts):
+        # per chain element (component, its grid, its eps): its component
+        # at the floor, in its grid, of each vertex shifted by the
+        # cumulative interleaving shift.  A missing or zero component
+        # anywhere in the chain makes the composite component zero.
+        cols, tabs, s = [], [], 0
+        for comp, P, e in parts:
+            ids, mats = _at_floors(comp, P, grid, s)
+            cols.append(ids)
+            tabs.append(mats)
+            s += e
         sig = np.stack(cols, axis=1)
         live = (sig >= 0).all(axis=1)
         out = np.full(len(sig), -1, dtype=np.int64)
         rows, _, out[live] = _unique_rows(sig[live])
-        prods = []
-        for row in rows.tolist():
-            m = mats[0][row[0]]
-            for cm, i in zip(mats[1:], row[1:]):
-                m = field.mmul(cm[i], m, p)
-            prods.append(m)
-        return Components(grid.shape, out, prods, drop_zero=True)
+        # one batched product per chain position, on zero-padded stacks
+        D = max((max(m.shape) for mats in tabs for m in mats), default=0)
+        prods = _padded(tabs[0], D, D)[rows[:, 0]]
+        for mats, i in zip(tabs[1:], rows.T[1:]):
+            prods = field.mmul(_padded(mats, D, D)[i], prods, p)
+        r = [tabs[-1][i].shape[0] for i in rows[:, -1].tolist()]
+        c = [tabs[0][i].shape[1] for i in rows[:, 0].tolist()]
+        return Components(grid.shape, out, [m[:a, :b].copy() for m, a, b in
+                                            zip(prods, r, c)], drop_zero=True)
 
-    f = fill(certs, [c.f for c in certs])
-    g = fill(certs[::-1], [c.g for c in reversed(certs)])
-    cert = InterleavingCertificate(M, L, eps, grid, f, g)
+    # each composite is natural, hence constant on the cells of its map
+    # grid; middle grids need not appear there
+    GF, GG = map_grid(M, L, eps), map_grid(L, M, eps)
+    f = fill(GF, [(c.f, c.grid, c.eps) for c in certs])
+    g = fill(GG, [(c.g, c.g_grid, c.eps) for c in reversed(certs)])
+    cert = InterleavingCertificate(M, L, eps, GF, f, g, GG)
     if verify:
         cert.verify()
     return cert
@@ -401,24 +444,19 @@ def block_sum_certificates(certs, verify: bool = True):
         raise CertificateError("block sums require equal eps (weaken first)")
     S1 = _sum_on_union([c.m_module for c in certs])
     S2 = _sum_on_union([c.n_module for c in certs])
-    grid = certificate_grid(S1, S2, eps)
 
-    def fill(comps, rows_of, cols_of):
-        # per summand: its component id at each vertex, with the block's
-        # row and column dimensions (needed where the component is absent)
-        parts = []
-        for c, comp, R, C in zip(certs, comps, rows_of, cols_of):
-            t = Components.of(comp, c.grid.shape, drop_zero=True)
-            fl = _flat_floors(c.grid, grid).ravel()
-            parts.append((np.where(fl >= 0, t.ids[np.maximum(fl, 0)], -1),
-                          t.mats, _dims_at(R, grid, eps), _dims_at(C, grid)))
-        return _block_table(grid.shape, parts, drop_zero=True)
+    def fill(grid, parts):
+        # per summand (component, its grid, source, target): its component
+        # id at the floor of each vertex, with the block's row and column
+        # dimensions (needed where the component is absent)
+        return _block_table(grid.shape, [
+            (*_at_floors(comp, P, grid), _dims_at(Y, grid, eps),
+             _dims_at(X, grid)) for comp, P, X, Y in parts], drop_zero=True)
 
-    f = fill([c.f for c in certs], [c.n_module for c in certs],
-             [c.m_module for c in certs])
-    g = fill([c.g for c in certs], [c.m_module for c in certs],
-             [c.n_module for c in certs])
-    cert = InterleavingCertificate(S1, S2, eps, grid, f, g)
+    GF, GG = map_grid(S1, S2, eps), map_grid(S2, S1, eps)
+    f = fill(GF, [(c.f, c.grid, c.m_module, c.n_module) for c in certs])
+    g = fill(GG, [(c.g, c.g_grid, c.n_module, c.m_module) for c in certs])
+    cert = InterleavingCertificate(S1, S2, eps, GF, f, g, GG)
     if verify:
         cert.verify()
     return cert, S1, S2
@@ -452,9 +490,9 @@ def snap_certificate(M: GridModule, pitch):
     """
     pitch = as_frac(pitch)
     L = snap_to_lattice(M, pitch)
-    grid = certificate_grid(M, L, pitch)
+    GF, GG = map_grid(M, L, pitch), map_grid(L, M, pitch)
 
-    def in_m(shift):
+    def in_m(grid, shift):
         # flat floors in M of the floors in L of the vertices plus shift
         return _flat(_floors_via(M.grid, L.grid,
                                  _axis_floors(L.grid, grid, shift)),
@@ -462,12 +500,12 @@ def snap_certificate(M: GridModule, pitch):
 
     # the maps of f and g in one batch; each table renumbers its own
     ids, mats = _unique_maps(
-        M, np.concatenate([_flat_floors(M.grid, grid).ravel(), in_m(0)]),
-        np.concatenate([in_m(pitch),
-                        _flat_floors(M.grid, grid, pitch).ravel()]))
-    f, g = (Components(grid.shape, half, mats, drop_zero=True)
-            for half in np.split(ids, 2))
-    cert = InterleavingCertificate(M, L, pitch, grid, f, g)
+        M, np.concatenate([_flat_floors(M.grid, GF).ravel(), in_m(GG, 0)]),
+        np.concatenate([in_m(GF, pitch),
+                        _flat_floors(M.grid, GG, pitch).ravel()]))
+    f, g = (Components(P.shape, half, mats, drop_zero=True) for P, half in
+            zip((GF, GG), np.split(ids, [prod(GF.shape)])))
+    cert = InterleavingCertificate(M, L, pitch, GF, f, g, GG)
     cert.verify()
     return L, cert
 
@@ -485,31 +523,28 @@ def local_change_certificate(M: GridModule, M2: GridModule,
         raise CertificateError("region is not eps-trivial")
     if M.p != M2.p or M.grid.n != M2.grid.n:
         raise CertificateError("incompatible modules")
-    extra = [sorted(region.corner_coords(k)) for k in range(M.grid.n)]
-    grid = certificate_grid(M, M2, eps, extra_axes=extra)
-    inside = region.mask(grid).ravel()
-    fm0 = _flat_floors(M.grid, grid).ravel()
-    f20 = _flat_floors(M2.grid, grid).ravel()
-    dm = np.append(M.dims.ravel(), 0)
-    d2 = np.append(M2.dims.ravel(), 0)
-    bad = ~inside & (dm[fm0] != d2[f20])
-    if bad.any():
-        v = _vertex(np.flatnonzero(bad)[0], grid.shape)
-        raise CertificateError(
-            f"modules differ outside the region at {grid.coord(v)}")
-    # the eps-shift structure maps of both modules
-    own, own_mats = _unique_maps(M, fm0,
-                                 _flat_floors(M.grid, grid, eps).ravel())
-    other, other_mats = _unique_maps(M2, f20,
-                                     _flat_floors(M2.grid, grid, eps).ravel())
+    # f on its map grid, then g on its, as one flat array of vertices
+    GF, GG = map_grid(M, M2, eps), map_grid(M2, M, eps)
+    inside = np.concatenate([region.mask(P).ravel() for P in (GF, GG)])
+
+    def floors(X, shift=0):
+        return np.concatenate([_flat_floors(X.grid, P, shift).ravel()
+                               for P in (GF, GG)])
+
+    # the eps-shift structure maps of both modules; whether M and M2 agree
+    # outside U is not checked here: verify decides whether these maps
+    # interleave them
+    own, own_mats = _unique_maps(M, floors(M), floors(M, eps))
+    other, other_mats = _unique_maps(M2, floors(M2), floors(M2, eps))
     other += len(own_mats)
+    nf = prod(GF.shape)
     mats = own_mats + other_mats
     cert = InterleavingCertificate(
-        M, M2, eps, grid,
-        Components(grid.shape, np.where(inside, own, other), mats,
+        M, M2, eps, GF,
+        Components(GF.shape, np.where(inside, own, other)[:nf], mats,
                    drop_zero=True),
-        Components(grid.shape, np.where(inside, other, own), mats,
-                   drop_zero=True))
+        Components(GG.shape, np.where(inside, other, own)[nf:], mats,
+                   drop_zero=True), GG)
     if verify:
         cert.verify()
     return cert

@@ -23,7 +23,7 @@ from .interleave import InterleavingCertificate
 
 # The loader refuses a module with n * V * D**2 above this many entries (V
 # vertices, D the largest pointwise dimension; structure_maps gathers a D x D
-# block per walk and step), or a certificate whose evaluation grid would pass
+# block per walk and step), or a certificate with an evaluation grid past
 # this many vertices (128 MiB of int64), before building it: a few bytes of
 # "dims" or a few thousand coordinates could otherwise ask for any memory.
 MAX_TENSOR_ENTRIES = 1 << 24
@@ -205,28 +205,34 @@ def certificate_to_obj(c: InterleavingCertificate) -> dict:
         "m_module": module_to_obj(c.m_module),
         "n_module": module_to_obj(c.n_module),
         "grid": _axes_obj(c.grid),
+        "g_grid": _axes_obj(c.g_grid),
         "f": _component_list(c.f, c.grid.shape, p),
-        "g": _component_list(c.g, c.grid.shape, p),
+        "g": _component_list(c.g, c.g_grid.shape, p),
     }
 
 
 def certificate_from_obj(obj: dict) -> InterleavingCertificate:
+    """The certificate an object describes, f on "grid" and g on "g_grid"
+    (on "grid" too when there is none, as in the one-grid layout)."""
     _obj(obj, "certificate")
     grid = _axes_from(obj["grid"])
-    if prod(grid.shape) > MAX_TENSOR_ENTRIES:
-        raise ValueError(f"evaluation grid of {prod(grid.shape)} vertices "
-                         f"exceeds the loader's limit of {MAX_TENSOR_ENTRIES}")
+    g_grid = _axes_from(obj["g_grid"]) if "g_grid" in obj else grid
+    for P in (grid, g_grid):
+        if prod(P.shape) > MAX_TENSOR_ENTRIES:
+            raise ValueError(f"evaluation grid of {prod(P.shape)} vertices "
+                             f"exceeds the loader's limit of "
+                             f"{MAX_TENSOR_ENTRIES}")
     M = module_from_obj(obj["m_module"])
     N = module_from_obj(obj["n_module"])
     if M.p != N.p:
         raise ValueError("mixed primes")
-    if not M.grid.n == N.grid.n == grid.n:
+    if len({M.grid.n, N.grid.n, grid.n, g_grid.n}) != 1:
         raise ValueError("modules and grid of different dimensions")
     read = _matrix_reader(M.p)
     return InterleavingCertificate(
         M, N, parse_frac(obj["eps"]), grid,
         _components(obj["f"], grid.shape, read),
-        _components(obj["g"], grid.shape, read))
+        _components(obj["g"], g_grid.shape, read), g_grid)
 
 
 def from_obj(obj: dict):

@@ -53,13 +53,6 @@ def _floors_via(mod_grid: Grid, via: Grid, tabs):
             for f, t in zip(_axis_floors(mod_grid, via), tabs)]
 
 
-def _is_subgrid(sub: Grid, grid: Grid) -> bool:
-    """Is every coordinate of sub a coordinate of grid on the same axis?"""
-    L = lcm(sub.den, grid.den)
-    return sub.n == grid.n and all(
-        np.isin(a, b).all() for a, b in zip(_on(sub, L), _on(grid, L)))
-
-
 def _flat_floors(mod_grid: Grid, grid: Grid, shift=0) -> np.ndarray:
     """Array over grid.shape: flat index (in mod_grid) of the floor of each
     vertex shifted by `shift`, or -1 where there is none."""
@@ -163,7 +156,9 @@ def restriction_extension(M: GridModule, grid: Grid) -> GridModule:
 
 def restrict(M: GridModule, grid: Grid) -> GridModule:
     """Restriction to a subgrid (every axis a subset of M's axis)."""
-    if not _is_subgrid(grid, M.grid):
+    L = lcm(grid.den, M.grid.den)
+    if grid.n != M.grid.n or not all(np.isin(a, b).all() for a, b in
+                                     zip(_on(grid, L), _on(M.grid, L))):
         raise ValueError("restrict requires a subgrid; "
                          "use restriction_extension to snap")
     return restriction_extension(M, grid)

@@ -16,10 +16,10 @@ from .core import GridModule, as_frac, zero_module
 from .decomp import decompose, is_indecomposable, is_isomorphic
 from .interleave import (CertificateError, InterleavingCertificate,
                          TrivialRegion, block_sum_certificates,
-                         certificate_grid, compose_chain, is_eps_trivial,
+                         compose_chain, is_eps_trivial,
                          is_strictly_eps_trivial, local_change_certificate,
                          rank_lower_bound, trivial_certificate,
-                         weaken_certificate)
+                         weaken_certificate, zero_certificate)
 from .kan import prune, restriction_extension, union_grid
 from .construct import fold, fold_eps0, iso_certificate
 
@@ -85,8 +85,7 @@ def summand_certificate(X: GridModule, Y: GridModule, eps):
     """
     eps = as_frac(eps)
     if X.total_dim() == 0 and Y.total_dim() == 0:
-        grid = certificate_grid(X, Y, eps)
-        return InterleavingCertificate(X, Y, eps, grid, {}, {})
+        return zero_certificate(X, Y, eps)
     if X.total_dim() == 0:
         c = _pad_to_zero_certificate(Y, eps)
         return None if c is None else c.flip()

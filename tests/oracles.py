@@ -15,6 +15,7 @@ from itertools import product
 import numpy as np
 
 from gridpersist.core import Grid, GridModule
+from gridpersist.interleave import InterleavingCertificate
 
 
 # ---------------------------------------------------------------------------
@@ -459,16 +460,41 @@ def has_antenna(A, axis, eps=None):
 # ---------------------------------------------------------------------------
 # interleaving certificates, vertex by vertex
 
+def _grid_floor(axes, point):
+    """Index of the largest vertex of the grid with these axes <= point, or
+    None if below the grid."""
+    idx = tuple(bisect_right(ax, x) - 1 for ax, x in zip(axes, point))
+    return None if min(idx) < 0 else idx
+
+
+def _map_grids_held(c):
+    """Does c.grid hold every coordinate c of M and c - eps of N, and
+    c.g_grid every coordinate of N and c - eps of M?"""
+    M, N, eps = c.m_module, c.n_module, c.eps
+    return all(set(a) | {y - eps for y in b} <= set(held)
+               for P, X, Y in ((c.grid, M, N), (c.g_grid, N, M))
+               for held, a, b in zip(P.axes, _axes(X), _axes(Y)))
+
+
 def certificate_failures(c):
     """Check every naturality square and both triangle identities of an
-    interleaving certificate at every vertex of its evaluation grid, with
-    structure maps composed step by step from the raw module data.  Yields
-    each failure as (check, v), vertex by vertex in C order: check is
-    "shape" for a component at v of the wrong shape, ("f", k) or ("g", k)
-    for the naturality square of f or g along the edge from v on axis k,
-    and "g.f" or "f.g" for a triangle identity at v."""
+    interleaving certificate at every vertex of c.grid, with structure maps
+    composed step by step from the raw module data; f is read at the floor
+    of a point in c.grid and g at its floor in c.g_grid.  Yields each
+    failure as (check, v), vertex by vertex in C order: check is "grid"
+    (v None) when c.grid lacks a coordinate c of M or c - eps of N, or
+    c.g_grid one of N or c - eps of M (a grid that coarse does not fix its
+    map), "shape" for a component at v of the wrong shape, ("f", k) or
+    ("g", k) for the naturality square of f or g along the edge from v on
+    axis k, and "g.f" or "f.g" for a triangle identity at v.  The checks
+    at vertices cover R^n when c.grid holds every coordinate of M and N
+    shifted by 0, -eps and -2 eps (see widened)."""
     M, N, eps, p = c.m_module, c.n_module, c.eps, c.m_module.p
+    if not _map_grids_held(c):
+        yield "grid", None
+        return
     axes = [list(ax) for ax in c.grid.axes]
+    g_axes = [list(ax) for ax in c.g_grid.axes]
 
     def at(v):
         return tuple(ax[i] for ax, i in zip(axes, v))
@@ -486,9 +512,11 @@ def certificate_failures(c):
             return mat_zero(dim(X, y), 0)
         return path_map(X, fx, fy)
 
-    def comp(d, X, Y, v):
-        rows, cols = dim(Y, up(at(v), eps)), dim(X, at(v))
-        m = d.get(v)
+    def comp(d, grid_axes, X, Y, x):
+        # the component at the floor of x, as a map X(x) -> Y(x + eps)
+        rows, cols = dim(Y, up(x, eps)), dim(X, x)
+        fl = _grid_floor(grid_axes, x)
+        m = None if fl is None else d.get(fl)
         if m is None:
             return mat_zero(rows, cols), cols
         if tuple(m.shape) != (rows, cols):
@@ -497,31 +525,29 @@ def certificate_failures(c):
 
     for v in product(*(range(len(ax)) for ax in axes)):
         x = at(v)
-        f, fc = comp(c.f, M, N, v)
-        g, gc = comp(c.g, N, M, v)
+        f, fc = comp(c.f, axes, M, N, x)
+        g, gc = comp(c.g, g_axes, N, M, x)
         if f is None or g is None:
             yield "shape", v
             continue
         for k in range(len(axes)):
             if v[k] + 1 >= len(axes[k]):
                 continue
-            w = v[:k] + (v[k] + 1,) + v[k + 1:]
-            y = at(w)
-            fw, _ = comp(c.f, M, N, w)
-            gw, _ = comp(c.g, N, M, w)
+            y = at(v[:k] + (v[k] + 1,) + v[k + 1:])
+            fw, _ = comp(c.f, axes, M, N, y)
+            gw, _ = comp(c.g, g_axes, N, M, y)
             if fw is None or gw is None:
-                continue   # the shape failure is yielded at w
+                continue   # the shape failure is yielded at y's vertex
             if mat_mul(fw, smap(M, x, y), p, fc) != \
                     mat_mul(smap(N, up(x, eps), up(y, eps)), f, p, fc):
                 yield ("f", k), v
             if mat_mul(gw, smap(N, x, y), p, gc) != \
                     mat_mul(smap(M, up(x, eps), up(y, eps)), g, p, gc):
                 yield ("g", k), v
-        ve = tuple(bisect_right(ax, t) - 1 for ax, t in zip(axes, up(x, eps)))
-        fe, _ = comp(c.f, M, N, ve)
-        ge, _ = comp(c.g, N, M, ve)
+        fe, _ = comp(c.f, axes, M, N, up(x, eps))
+        ge, _ = comp(c.g, g_axes, N, M, up(x, eps))
         if fe is None or ge is None:
-            continue   # the shape failure is yielded at ve
+            continue   # the shape failure is yielded at the floor
         if mat_mul(ge, f, p, fc) != smap(M, x, up(x, 2 * eps)):
             yield "g.f", v
         if mat_mul(fe, g, p, gc) != smap(N, x, up(x, 2 * eps)):
@@ -531,6 +557,36 @@ def certificate_failures(c):
 def certificate_holds(c):
     """Does every check of certificate_failures pass?"""
     return next(certificate_failures(c), None) is None
+
+
+def one_grid(M, N, eps, *grids):
+    """The evaluation grid of the one-grid layout: on every axis each
+    coordinate c of M and N, c - eps and c - 2 eps, with the coordinates of
+    any further grids."""
+    return Grid([sorted(set(a).union(*(g.axes[k] for g in grids)))
+                 for k, a in enumerate(union_of_axes(
+                     [_axes(M), _axes(N)], (0, eps, 2 * eps)))])
+
+
+def widened(c):
+    """c on the one-grid layout: f and g both on one_grid of its modules,
+    eps and grids, each read at the floor of every vertex in its own grid.
+    c itself when a grid lacks a coordinate of its map's grid: nothing
+    fixes the map between the coordinates it has."""
+    if not _map_grids_held(c):
+        return c
+    P = one_grid(c.m_module, c.n_module, c.eps, c.grid, c.g_grid)
+
+    def read(d, grid):
+        out = {}
+        for v in product(*(range(len(ax)) for ax in P.axes)):
+            fl = _grid_floor(grid.axes, P.coord(v))
+            if fl is not None and d.get(fl) is not None:
+                out[v] = d[fl]
+        return out
+
+    return InterleavingCertificate(c.m_module, c.n_module, c.eps, P,
+                                   read(c.f, c.grid), read(c.g, c.g_grid))
 
 
 # ---------------------------------------------------------------------------

@@ -184,7 +184,7 @@ def test_tack_of_three_parameter_intervals():
     cert.verify()
     # a change to this digest is a change to the fold's output
     assert hashlib.sha256(io.dumps(cert).encode()).hexdigest() == (
-        "38d21b3b1d2655f7095091f7a7cc2bb1b131b8eff60257418c949f28c8200545")
+        "5e9773e1873f391a0bba8be8570321e817f9f78b993c5ba84b04604394a17ce6")
 
 
 def test_corner_and_antenna_detection_match_oracle(
@@ -220,15 +220,15 @@ def _digests(*objs):
 
 # sha256 prefixes of io.dumps of (module, certificate) after each stage
 STAGE_DIGESTS = {
-    "n2": [("fcc727c31696d075", "b665951445be7045"),
-           ("a4b509a66eef7570", "85ab68e143b35771"),
-           ("7deb585a1088b95b", "f729de0b138caccf")],
-    "n3": [("bec4fe8da7672909", "f979f81e02502063"),
-           ("c2265192c9b6aa2b", "a3d467922a6cc332"),
-           ("bab4f511c22c212c", "220781140ce35fe2")],
-    "n3-random": [("fdfd1009b6bc5f4a", "2767b26f69412c6f"),
-                  ("dc4835e4999bad75", "11db6faec162d8e9"),
-                  ("0d7c7c4386b17b96", "c57f633867286f68")],
+    "n2": [("fcc727c31696d075", "e550441b150eae06"),
+           ("a4b509a66eef7570", "206d60a6f551bb04"),
+           ("7deb585a1088b95b", "09b6801d9d0cc4c7")],
+    "n3": [("bec4fe8da7672909", "2525ab48f6b999a9"),
+           ("c2265192c9b6aa2b", "012c85c4ed506fd7"),
+           ("bab4f511c22c212c", "45c48447ec46fc6f")],
+    "n3-random": [("fdfd1009b6bc5f4a", "9fb1ca551a87f419"),
+                  ("dc4835e4999bad75", "873d63f1a6a2248d"),
+                  ("0d7c7c4386b17b96", "a7cd460e498d201c")],
 }
 
 
@@ -262,7 +262,7 @@ def test_thin_corner_keeps_the_corner_line_that_leaves():
     V1, cert, r = add_thin_corner(V, 1, check=False)
     assert r == (0, 0) and V1.dims.tolist() == [[1, 2, 1], [2, 2, 1],
                                                 [1, 1, 0]]
-    assert _digests(V1, cert) == ("3dc48e82482d712b", "31a90c7e8cb4865c")
+    assert _digests(V1, cert) == ("3dc48e82482d712b", "bd04a7458dfcd591")
     cert.verify()
 
 
@@ -359,8 +359,7 @@ def _built_certificates():
 
 def test_builders_return_component_tables():
     for c in _built_certificates():
-        shape = c.grid.shape
-        for t in (c.f, c.g):
+        for t, shape in ((c.f, c.grid.shape), (c.g, c.g_grid.shape)):
             assert isinstance(t, Components) and t.shape == shape
             assert Components.of(t, shape) is t
             keys = list(t)
@@ -375,7 +374,7 @@ def test_builders_return_component_tables():
             assert len(u.mats) == len(t.mats)
             assert all(np.array_equal(a, b) for a, b in zip(u.mats, t.mats))
         plain = InterleavingCertificate(c.m_module, c.n_module, c.eps, c.grid,
-                                        dict(c.f), dict(c.g))
+                                        dict(c.f), dict(c.g), c.g_grid)
         assert io.dumps(plain) == io.dumps(c)
 
 

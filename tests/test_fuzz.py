@@ -80,9 +80,9 @@ def mutants(obj, values=None, where=lambda path: True):
 
 
 def _on_axes(path):
-    # a module's axes or a certificate's grid, or one axis of either
-    return path[-1] in ("axes", "grid") or (
-        len(path) > 1 and path[-2] in ("axes", "grid"))
+    # a module's axes or a certificate's grids, or one axis of any
+    return path[-1] in ("axes", "grid", "g_grid") or (
+        len(path) > 1 and path[-2] in ("axes", "grid", "g_grid"))
 
 
 _DROP = object()

@@ -1,7 +1,9 @@
 """Triviality, interleaving certificates, composition, rank obstructions."""
 
 from fractions import Fraction
+from functools import cache
 from itertools import product
+from math import lcm
 
 import numpy as np
 import pytest
@@ -10,20 +12,24 @@ from hypothesis import strategies as st
 
 from gridpersist import field, interleave
 from gridpersist.cli import random_module
-from gridpersist.construct import fold, module_G
+from gridpersist.construct import (approximate_indecomposable, fold,
+                                   iso_certificate, module_G)
 from gridpersist.core import (Grid, GridModule, direct_sum, interval_module,
-                              zero_module)
+                              random_basis_change, zero_module)
 from gridpersist.interleave import (CertificateError, InterleavingCertificate,
                                     _rank_violation,
                                     TrivialRegion, block_sum_certificates,
-                                    compose_chain, certificate_grid,
-                                    factor_through_grid, identity_certificate,
+                                    compose_chain, factor_through_grid,
+                                    identity_certificate,
                                     is_eps_trivial, is_strictly_eps_trivial,
-                                    local_change_certificate, rank_lower_bound,
+                                    local_change_certificate, map_grid,
+                                    rank_lower_bound,
                                     snap_certificate, triviality_radius,
                                     trivial_certificate, weaken_certificate)
+from gridpersist.decomp import decompose
 from gridpersist.kan import (common_refinement, restrict,
                              restriction_extension, shift, snap_to_lattice)
+from gridpersist.match import summand_certificate
 
 from conftest import free_module, rect
 import oracles as O
@@ -297,7 +303,7 @@ def test_snap_certificate_matches_oracle():
         for pitch in (Fraction(1, 2), Fraction(1, 3), Fraction(1, 8)):
             L, c = snap_certificate(M, pitch)
             assert c.eps == pitch
-            assert O.certificate_holds(c)
+            assert O.certificate_holds(O.widened(c))
 
 
 def test_flip_swaps_sides():
@@ -449,7 +455,7 @@ def test_verify_agrees_with_vertexwise_oracle():
             cases.append(InterleavingCertificate(
                 c.m_module, c.n_module, c.eps, c.grid,
                 {v: m * 3 % p for v, m in c.f.items()},
-                {v: m * lg % p for v, m in c.g.items()}))
+                {v: m * lg % p for v, m in c.g.items()}, c.g_grid))
         for comp in ("f", "g"):
             d = dict(getattr(c, comp))
             keys = sorted(v for v, m in d.items() if m.size)
@@ -459,10 +465,11 @@ def test_verify_agrees_with_vertexwise_oracle():
             d[v] = (d[v] + 1) % p
             f, g = (d, c.g) if comp == "f" else (c.f, d)
             cases.append(InterleavingCertificate(c.m_module, c.n_module,
-                                                 c.eps, c.grid, f, g))
+                                                 c.eps, c.grid, f, g,
+                                                 c.g_grid))
     outcomes = set()
     for c in cases:
-        want = O.certificate_holds(c)
+        want = O.certificate_holds(O.widened(c))
         assert c.is_valid() == want
         outcomes.add(want)
     assert outcomes == {True, False}
@@ -512,8 +519,8 @@ def test_verify_agrees_with_oracle_on_missing_steps_late_supports_and_stages():
     # d(A, 0) <= eps holds exactly when A is 2 eps-trivial
     A, Z = rect((0, 0), (1, 1)), zero_module(2)
     for eps in (Fraction(1, 4), half):
-        certs.append(InterleavingCertificate(
-            A, Z, eps, certificate_grid(A, Z, eps), {}, {}))
+        certs.append(InterleavingCertificate(A, Z, eps, O.one_grid(A, Z, eps),
+                                             {}, {}))
     certs += fold([rect((0, 0), (2, 2)), rect((3, 1), (5, 4))], 1)[2]
     # a refinement R of M stores identity steps between a coordinate and a
     # new midpoint; R against itself and against M, whose extension it is
@@ -548,7 +555,7 @@ def test_verify_agrees_with_oracle_on_missing_steps_late_supports_and_stages():
             v = keys[int(rng.integers(len(keys)))]
             f[v] = (f[v] + 1) % p
             cases.append(("component", InterleavingCertificate(
-                c.m_module, c.n_module, c.eps, c.grid, f, c.g)))
+                c.m_module, c.n_module, c.eps, c.grid, f, c.g, c.g_grid)))
         # a changed basis at one vertex of M: a changed step, same dims
         M = c.m_module
         live = [v for (v, _), m in M.steps.items() if m.size]
@@ -556,7 +563,7 @@ def test_verify_agrees_with_oracle_on_missing_steps_late_supports_and_stages():
             v = live[int(rng.integers(len(live)))]
             cases.append(("step", InterleavingCertificate(
                 _rebased(M, v, 2 * field.eye(M.dim(v))), c.n_module, c.eps,
-                c.grid, c.f, c.g)))
+                c.grid, c.f, c.g, c.g_grid)))
     # f and g natural but g scaled by 3 on the summand Y of X + Y, which
     # starts at (1, 1): the triangles fail there first, at a vertex every
     # predecessor maps into by a map of rank 1 < 2, and at no other check
@@ -575,7 +582,7 @@ def test_verify_agrees_with_oracle_on_missing_steps_late_supports_and_stages():
         assert c.grid.coord(min(v for _, v in fails)) == (1, 1)
     outcomes = {"built": [], "component": [], "step": [], "triangle": []}
     for kind, c in cases:
-        want = O.certificate_holds(c)
+        want = O.certificate_holds(O.widened(c))
         assert c.is_valid() == want
         outcomes[kind].append(want)
     # every built certificate holds but d(A, 0) <= 1/4
@@ -600,7 +607,8 @@ def _first_failure(c):
     check, v = fails[0]
     if isinstance(check, tuple):
         return f"{check[0]} naturality fails at {v} axis {check[1]}"
-    return f"triangle {check} fails at {v}"
+    coords = ", ".join(map(str, c.grid.coord(v)))
+    return f"triangle {check} fails at ({coords})"
 
 
 def test_verify_reports_the_first_failing_vertex_in_any_mapping_order():
@@ -659,12 +667,12 @@ def test_verify_walks_structure_maps_only_for_the_triangles(monkeypatch):
 
 
 def test_verify_fails_closed_when_floors_skip_a_step(monkeypatch):
-    # with the subgrid check fooled, an evaluation grid that lacks one of
-    # M's coordinates puts the floors of an edge's ends two steps apart;
-    # verify must refuse rather than pass the certificate restricted to it
+    # with the grid check fooled, an evaluation grid that lacks one of M's
+    # coordinates puts the floors of an edge's ends two steps apart; verify
+    # must refuse rather than pass the certificate restricted to it
     M = random_module(2, 3, 2, seed=4)
     c = identity_certificate(M, 1)
-    monkeypatch.setattr(interleave, "_is_subgrid", lambda sub, grid: True)
+    monkeypatch.setattr(interleave, "_holds", lambda coords, need: True)
     for k in range(2):
         x = M.grid.axes[k][1]
         axes = [list(ax) for ax in c.grid.axes]
@@ -684,8 +692,8 @@ def test_verify_fails_closed_when_floors_skip_a_step(monkeypatch):
 
 
 def test_verify_rejects_grid_missing_a_coordinate_by_a_near_tie():
-    # the evaluation grid must hold every c, c - eps and c - 2 eps exactly;
-    # one coordinate moved by 10**-30 no longer does
+    # the evaluation grid must hold every c and c - eps exactly; one
+    # coordinate moved by 10**-30 no longer does
     M = random_module(2, 3, 2, seed=5)
     c = identity_certificate(M, Fraction(1, 3))
     axes = [list(ax) for ax in c.grid.axes]
@@ -696,3 +704,83 @@ def test_verify_rejects_grid_missing_a_coordinate_by_a_near_tie():
     finer = Grid([ax + [ax[-1] + 1] for ax in axes])
     with pytest.raises(ValueError, match="subgrid"):
         restrict(restriction_extension(M, c.grid), finer)
+
+
+# -- per-map evaluation grids -------------------------------------------------
+
+@cache
+def _built_certificates():
+    """One certificate of every builder, built once: f on
+    map_grid(M, N, eps) and g on map_grid(N, M, eps)."""
+    third, half = Fraction(1, 3), Fraction(1, 2)
+    M = random_module(2, 3, 2, seed=4)
+    _, snap = snap_certificate(shift(random_module(2, 3, 2, seed=2),
+                                     Fraction(-1, 7)), third)
+    # X + T against X, T inside a region whose corners are on no grid
+    X, T, _ = common_refinement(rect((0, 0), (2, 2)),
+                                rect((third, third), (2 * third, 2 * third)))
+    U = TrivialRegion([[(Fraction(1, 4), Fraction(3, 4))] * 2])
+    Y = random_module(2, 3, 2, seed=1)
+    return (
+        identity_certificate(M, half),
+        trivial_certificate(rect((0, 0), (1, 1)), half),
+        compose_chain([snap, snap.flip()]),
+        block_sum_certificates([snap, identity_certificate(M, third)])[0],
+        snap,
+        local_change_certificate(direct_sum(X, T)[0], X, U, half),
+        iso_certificate(decompose(M)[1]),
+        approximate_indecomposable(shift(zero_module(2), third),
+                                   half).certificate,
+        summand_certificate(zero_module(2), shift(zero_module(2), third),
+                            third),
+        summand_certificate(Y, random_basis_change(Y, 1), third),
+        summand_certificate(rect((0, 0), (half, half)),
+                            rect((1, 1), (1 + third, 1 + third)), half))
+
+
+def test_builders_fill_the_map_grids_and_agree_with_the_oracle():
+    for c in _built_certificates():
+        M, N, eps = c.m_module, c.n_module, c.eps
+        assert c.grid == map_grid(M, N, eps)
+        assert c.g_grid == map_grid(N, M, eps)
+        wide = O.widened(c)
+        assert wide.grid == wide.g_grid == O.one_grid(M, N, eps)
+        assert c.verify() and O.certificate_holds(wide)
+        # the one-grid copy verifies too, with its triangles on that grid
+        assert wide.verify()
+
+
+def _mutant(c, kind, i):
+    """c with one entry of a component changed, one component dropped, or
+    eps lowered by one step of the lattice of both grids and eps; None when
+    c has no component to change."""
+    M, N, eps, p = c.m_module, c.n_module, c.eps, c.m_module.p
+    if kind == "eps":
+        step = Fraction(1, lcm(M.grid.den, N.grid.den, eps.denominator))
+        return InterleavingCertificate(M, N, eps - step, c.grid, c.f, c.g,
+                                       c.g_grid)
+    name = "fg"[i % 2]
+    comp = dict(getattr(c, name))
+    keys = sorted(v for v, m in comp.items() if m.size)
+    if not keys:
+        return None
+    v = keys[i // 2 % len(keys)]
+    if kind == "entry":
+        comp[v] = comp[v].copy()
+        comp[v][0, 0] = (comp[v][0, 0] + 1) % p
+    else:
+        del comp[v]
+    f, g = (comp, c.g) if name == "f" else (c.f, comp)
+    return InterleavingCertificate(M, N, eps, c.grid, f, g, c.g_grid)
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(st.integers(0, 10), st.sampled_from(["entry", "drop", "eps"]),
+       st.integers(0, 10 ** 6))
+def test_mutant_verdicts_match_the_oracle_on_the_one_grid_layout(which, kind,
+                                                                 i):
+    # verify reads each map on its own grid; the oracle checks the copy
+    # widened onto the one-grid layout at every vertex
+    c = _mutant(_built_certificates()[which], kind, i)
+    if c is not None:
+        assert c.is_valid() == O.certificate_holds(O.widened(c))

@@ -20,6 +20,8 @@ from gridpersist.interleave import (CertificateError, identity_certificate,
                                     snap_certificate)
 from gridpersist.kan import common_refinement, shift
 
+import oracles as O
+
 
 def _same_module(A, B):
     assert A.grid == B.grid and A.p == B.p
@@ -550,6 +552,58 @@ def test_loader_refuses_huge_evaluation_grids_before_verifying(capsys,
     assert code == 2 and "malformed-input" in err
 
 
+def _approx_proof(capsys, tmp_path):
+    """The certificate object of `approx-indec --emit-proof` on
+    random_module(2, 3, 2, seed=1) at eps 1/2."""
+    path = tmp_path / "m.json"
+    io.save(random_module(2, 3, 2, seed=1), path)
+    assert main(["approx-indec", str(path), "--eps", "1/2",
+                 "--emit-proof"]) == 0
+    return json.loads(capsys.readouterr().out)["certificate"]
+
+
+def test_certify_reads_the_one_grid_layout(capsys, tmp_path):
+    # a proof in the layout without "g_grid": f and g on one grid, both
+    # modules' coordinates shifted by 0, -eps and -2 eps
+    obj = _approx_proof(capsys, tmp_path)
+    c = io.from_obj(obj)
+    wide = io.certificate_to_obj(O.widened(c))
+    assert wide.pop("g_grid") == wide["grid"]
+    assert [len(a) for a in wide["grid"]] == \
+        list(O.one_grid(c.m_module, c.n_module, c.eps).shape)
+    old = io.from_obj(wide)
+    assert old.g_grid is old.grid and old.verify()
+    assert _cli(capsys, tmp_path, "certify", wide)[0] == 0
+    entry = _first_nonzero(wide["f"])
+    entry["matrix"][0][0] = (entry["matrix"][0][0] + 1) % wide["m_module"]["p"]
+    code, err = _cli(capsys, tmp_path, "certify", wide)
+    assert code == 1 and "verification-failure" in err
+
+
+def test_certify_refuses_a_g_grid_without_a_coordinate_of_n(capsys,
+                                                            tmp_path):
+    obj = _approx_proof(capsys, tmp_path)
+    assert _cli(capsys, tmp_path, "certify", obj)[0] == 0
+    # drop one of N's coordinates from g's grid, and the components there
+    k = obj["g_grid"][0].index(obj["n_module"]["axes"][0][-1])
+    del obj["g_grid"][0][k]
+    obj["g"] = [dict(e, vertex=[e["vertex"][0] - (e["vertex"][0] > k)]
+                     + e["vertex"][1:])
+                for e in obj["g"] if e["vertex"][0] != k]
+    code, err = _cli(capsys, tmp_path, "certify", obj)
+    assert code == 1 and "too coarse" in err
+
+
+def test_loader_refuses_a_huge_g_grid(capsys, tmp_path):
+    obj = _cert_obj()
+    axis = [f"{i}/2" for i in range(-10, 4990)]
+    obj["g_grid"] = [axis, list(axis)]
+    with pytest.raises(ValueError, match="limit"):
+        io.from_obj(obj)
+    code, err = _cli(capsys, tmp_path, "certify", obj)
+    assert code == 2 and "malformed-input" in err
+
+
 def test_loader_rejects_non_natural_morphism(capsys, tmp_path):
     obj = io.morphism_to_obj(ModuleMorphism.identity(module_G()))
     io.from_obj(obj).validate()
@@ -564,24 +618,29 @@ def test_loader_rejects_non_natural_morphism(capsys, tmp_path):
 
 # -- byte-stable output ------------------------------------------------------
 
-# sha256 of the stdout of `approx-indec <m> --eps 1/2 --seed 0 --emit-proof`
-# and `decompose <m> --seed 0 --emit-proof`; a change to these digests is a
-# change to the CLI's output for a fixed seed.  The summands' bases follow
-# the idempotents decompose finds, so a new splitting strategy changes the
-# digests but none of STABLE_SHAPE below.
+# sha256 of the stdout of `approx-indec <m> --eps 1/2 --seed 0 --emit-proof`,
+# of `decompose <m> --seed 0 --emit-proof` and of `approx-indec <m> --eps 1/2
+# --seed 0` (the module alone); a change to these digests is a change to
+# the CLI's output for a fixed seed.  The summands' bases follow the
+# idempotents decompose finds, so a new splitting strategy changes the
+# digests but none of STABLE_SHAPE below.  A new certificate layout
+# changes only the first.
 STABLE_OUTPUT = {
     "on-integers": (
         lambda: random_module(2, 3, 2, seed=0),
-        "a4b84a70825d80492f3136deca886c6d064cf89d566fea71c84b38e33dc02d4b",
-        "a09c5adff3fe3d9fa32205a4bff5e782be70f918b23ec6c6afaa0e03297e57ae"),
+        "bd52d41ceaed9f7b37bb0d93f0c33679862ddfe9deafcb5bbd75e667cf63fb21",
+        "a09c5adff3fe3d9fa32205a4bff5e782be70f918b23ec6c6afaa0e03297e57ae",
+        "f3e90ed28e003b0fb0c85a0010e2b0ff45bf71515e433255f7aff5f215c0f329"),
     "off-lattice": (
         lambda: shift(random_module(2, 3, 2, seed=10), Fraction(-1, 7)),
-        "cbb7db9fe84bd7198a6e9167740a398fbdc32e73d26c80991286cdd3c47e6790",
-        "66f7bad0be42f3ccc10fba6e5cec088611e9b26800df4feee1e04f926a1d8f20"),
+        "bf2583e7866169225aba8b0157806622407ffdf193457601ab15f9eaa411b6de",
+        "66f7bad0be42f3ccc10fba6e5cec088611e9b26800df4feee1e04f926a1d8f20",
+        "52436d88827c148fcff2de4ff5d28362a73f04f25e75148b28c51b4ca4abaea6"),
     "negative": (
         lambda: shift(random_module(2, 3, 2, seed=21), Fraction(5, 3)),
-        "40066b0f9a1147190042eee2e282825778b6cd6460c068965deb878639725c88",
-        "88577f00a952d77e64a65c2cea243ebb83211b4787ea2e997755b977e2b2ab90"),
+        "c0ab2e5cde22cf053b0ed18c9fd9ba67bae1b61baddb405f42c0da8b71d66895",
+        "88577f00a952d77e64a65c2cea243ebb83211b4787ea2e997755b977e2b2ab90",
+        "e867d6fc2cd7e095e16474f644601e0c7523f8bcc9e99f655966131824bdc320"),
 }
 
 # what the outputs above must keep under any valid choice of idempotents:
@@ -607,9 +666,13 @@ def _json_sha(obj):
 
 @pytest.mark.parametrize("case", sorted(STABLE_OUTPUT))
 def test_cli_proof_output_is_byte_stable(case, capsys, tmp_path):
-    build, approx_sha, decompose_sha = STABLE_OUTPUT[case]
+    build, approx_sha, decompose_sha, module_sha = STABLE_OUTPUT[case]
     path = tmp_path / "m.json"
     io.save(build(), path)
+    assert main(["approx-indec", str(path), "--eps", "1/2", "--seed", "0"]) \
+        == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() \
+        == module_sha
     outs = {}
     for argv in (["approx-indec", str(path), "--eps", "1/2"],
                  ["decompose", str(path)]):

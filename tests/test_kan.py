@@ -13,7 +13,7 @@ from gridpersist.core import (Components, Grid, GridModule, _edge_ends,
                               hom_space, interval_module, random_basis_change,
                               zero_module)
 from gridpersist.decomp import is_isomorphic
-from gridpersist.interleave import certificate_grid
+from gridpersist.interleave import map_grid
 from gridpersist.kan import (_axis_floors, _flat_floors, _floors_via,
                              _pair_maps, _unique_rows, common_refinement,
                              compress, compression_witness,
@@ -284,9 +284,11 @@ def test_unions_and_certificate_grids_match_fraction_oracle():
             N = interval_module(B.coord((0, 0)), B.coord((1, 1)))
             M = restriction_extension(M, A)
             N = restriction_extension(N, B)
-            P = certificate_grid(M, N, eps)
-            assert [list(ax) for ax in P.axes] == O.union_of_axes(
-                [A.axes, B.axes], (0, eps, 2 * eps))
+            P = map_grid(M, N, eps)
+            assert [list(ax) for ax in P.axes] == [
+                sorted(set(a) | set(b)) for a, b in zip(
+                    O.union_of_axes([A.axes]),
+                    O.union_of_axes([B.axes], (eps,)))]
 
 
 def test_component_ids_share_objects_and_equal_content():
