@@ -106,7 +106,8 @@ def _diag(kind, message):
 def _load(path, want=None):
     try:
         obj = io.load(path)
-    except (OSError, ValueError, KeyError, TypeError, OverflowError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, OverflowError,
+            RecursionError) as exc:
         raise CliError(2, "malformed-input", f"{path}: {exc}")
     if want is not None and not isinstance(obj, want):
         raise CliError(2, "malformed-input",
@@ -122,9 +123,14 @@ def _parse_frac(s):
 
 
 def _seed(args):
-    if args.seed is not None:
-        return args.seed
-    return int(os.environ.get("PF_SEED", "0"))
+    s = os.environ.get("PF_SEED", "0") if args.seed is None else args.seed
+    try:
+        if 0 <= int(s) < 2 ** 32:
+            return int(s)
+    except ValueError:
+        pass
+    raise CliError(2, "malformed-input",
+                   f"seed {s!r} is not an integer in [0, 2**32)")
 
 
 def _emit(obj):
@@ -222,7 +228,7 @@ def build_parser():
 
     p = sub.add_parser("decompose", help="split into indecomposables")
     p.add_argument("module")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed")
     p.add_argument("--emit-proof", action="store_true")
     p.set_defaults(func=cmd_decompose)
 
@@ -237,7 +243,7 @@ def build_parser():
                        help="nearest-indecomposable approximation")
     p.add_argument("module")
     p.add_argument("--eps", required=True)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed")
     p.add_argument("--emit-proof", action="store_true")
     p.set_defaults(func=cmd_approx_indec)
 
@@ -245,7 +251,7 @@ def build_parser():
     p.add_argument("module_a")
     p.add_argument("module_b")
     p.add_argument("--eps", required=True)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed")
     p.add_argument("--emit-proof", action="store_true")
     p.set_defaults(func=cmd_match)
 

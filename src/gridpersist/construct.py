@@ -249,8 +249,9 @@ def add_thin_corner(A: GridModule, eps, check: bool = True):
     rv = tuple(np.argwhere(A.dims > 0)[0].tolist())
     r = A.grid.coord(rv)
     # the inclusion of the new 1-dim corner into A(r)
-    cols = [c for k in range(n) if A.has_succ(rv, k)
-            for c in np.flatnonzero(A.step(rv, k).any(axis=0)).tolist()]
+    t = A.step_table()
+    cols = [c for k in range(n) if (k,) + rv in t
+            for c in np.flatnonzero(t[(k,) + rv].any(axis=0)).tolist()]
     iota = field.zeros(A.dim(rv), 1)
     iota[cols[0] if cols else 0, 0] = 1
     Aref = restriction_extension(
@@ -352,7 +353,7 @@ def move_antenna(A: GridModule, eps, s, check: bool = True):
             raise ValueError(f"need s[{k}] > r[{k}]")
         if ((s[k] - r[k]) / eps).denominator != 1:
             raise ValueError("target not on the lattice")
-    if A.dims[:A.grid._axis_floor(0, s[0]) + 1].any():
+    if A.dims[:sum(c <= s[0] for c in A.grid.axes[0])].any():
         raise ValueError("module must vanish at axis-0 coordinates <= s_0")
 
     # half-open staircase boxes T_1 ... T_n (stage k moves along axis k-1)
@@ -519,7 +520,7 @@ def fold(parts, eps0, check_stages: bool = False):
         prepared.append((X2, c1, c2, alpha))
 
     def support_min(X, k):
-        return min(X.grid.axes[k][v[k]] for v in X.support_vertices())
+        return X.grid.axes[k][np.argwhere(X.dims > 0)[:, k].min()]
 
     # the staircase corner u: below (axis 0 and ell), left or right of every
     # antenna according to the relocation's axis parities

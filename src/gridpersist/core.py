@@ -13,7 +13,7 @@ convention, so refining a grid never changes the meaning of a module.
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_right
+from bisect import bisect_left
 from collections.abc import Mapping
 from fractions import Fraction
 from math import gcd, lcm, prod
@@ -30,16 +30,6 @@ def as_frac(x) -> Fraction:
     if isinstance(x, float):
         return Fraction(x).limit_denominator(10**9)
     return Fraction(x)
-
-
-def pt_shift(point, r):
-    """Translate every coordinate by the scalar r (diagonal shift)."""
-    r = as_frac(r)
-    return tuple(c + r for c in point)
-
-
-def pt_leq(x, y):
-    return all(a <= b for a, b in zip(x, y))
 
 
 # below this magnitude the difference of any two values is exact in int64
@@ -142,29 +132,16 @@ class Grid:
     def coord(self, vidx):
         return tuple(self.axes[k][i] for k, i in enumerate(vidx))
 
-    def _axis_floor(self, k, x):
-        """Largest i with axes[k][i] <= x, or -1."""
-        x = as_frac(x)
-        return bisect_right(self.nums[k],
-                            x.numerator * self.den // x.denominator) - 1
-
-    def floor_index(self, point):
-        """Index of the largest vertex <= point, or None if there is none."""
+    def index_of(self, point):
+        """The index of the vertex at point; ValueError if it is none."""
         idx = []
-        for k, x in enumerate(point):
-            i = self._axis_floor(k, x)
-            if i < 0:
-                return None
+        for a, x in zip(self.nums, map(as_frac, point)):
+            num, rem = divmod(x.numerator * self.den, x.denominator)
+            i = bisect_left(a, num)
+            if rem or i == len(a) or a[i] != num:
+                raise ValueError(f"{point} is not a grid vertex")
             idx.append(i)
         return tuple(idx)
-
-    def index_of(self, point):
-        idx = self.floor_index(point)
-        if idx is None or any(
-                int(self.nums[k][i]) * x.denominator != x.numerator * self.den
-                for k, (i, x) in enumerate(zip(idx, map(as_frac, point)))):
-            raise ValueError(f"{point} is not a grid vertex")
-        return idx
 
 
 def _strides(shape) -> np.ndarray:
@@ -368,40 +345,12 @@ class GridModule:
         self.p = p
         self.dims = np.asarray(dims, dtype=np.int64).reshape(grid.shape)
         self._table = steps   # a mapping until step_table() converts it
-        self._steps = self._pad = None
+        self._pad = None
 
     # -- basic accessors ---------------------------------------------------
 
     def dim(self, vidx) -> int:
         return int(self.dims[tuple(vidx)])
-
-    def succ(self, vidx, k):
-        w = list(vidx)
-        w[k] += 1
-        return tuple(w)
-
-    def has_succ(self, vidx, k) -> bool:
-        return vidx[k] + 1 < self.grid.shape[k]
-
-    def step(self, vidx, k) -> np.ndarray:
-        """Matrix of the edge vidx -> vidx + e_k."""
-        m = self.step_table().get((k,) + tuple(vidx))
-        if m is None:
-            return field.zeros(self.dim(self.succ(vidx, k)), self.dim(vidx))
-        return m
-
-    @property
-    def steps(self) -> dict:
-        """The step table as a {(vidx, k): matrix} dict, built on first use."""
-        if self._steps is None:
-            self._steps = {(v[1:], v[0]): m
-                           for v, m in self.step_table().items()}
-        return self._steps
-
-    def dim_at(self, point) -> int:
-        """Dimension of the extension at an arbitrary point of R^n."""
-        idx = self.grid.floor_index(point)
-        return 0 if idx is None else self.dim(idx)
 
     def total_dim(self) -> int:
         return int(self.dims.sum())
@@ -411,23 +360,13 @@ class GridModule:
         takes its values at grid vertices, and 0 off-support)."""
         return int(self.dims.max()) if self.dims.size else 0
 
-    def support_vertices(self):
-        return [tuple(v) for v in np.argwhere(self.dims > 0)]
-
     # -- structure maps ----------------------------------------------------
-
-    def structure_map(self, vidx, widx) -> np.ndarray:
-        """The structure map M(vidx) -> M(widx), vidx <= widx: the one-pair
-        case of structure_maps."""
-        v, w = (int(np.ravel_multi_index(tuple(x), self.grid.shape))
-                for x in (vidx, widx))
-        m = self.structure_maps([v], [w])[0]
-        return m[:self.dim(widx), :self.dim(vidx)].copy()
 
     def step_table(self) -> Components:
         """The steps as a Components table over (n,) + grid.shape, entry
-        (k, v) holding step(v, k) where stored, each distinct matrix once:
-        a mapping of steps is converted on first use (_step_table)."""
+        (k, v) holding the step from v along axis k where stored, each
+        distinct matrix once: a mapping of steps is converted on first use
+        (_step_table)."""
         if not isinstance(self._table, Components):
             self._table = _step_table(self._table, self.grid.shape)
         return self._table
@@ -481,16 +420,6 @@ class GridModule:
         out = np.empty_like(R)
         out[order] = R
         return out
-
-    def structure_map_points(self, x, y) -> np.ndarray:
-        """Structure map of the extension between arbitrary points x <= y."""
-        if not pt_leq(x, y):
-            raise ValueError(f"{x} !<= {y}")
-        vi = self.grid.floor_index(x)
-        wi = self.grid.floor_index(y)
-        if vi is None:
-            return field.zeros(0 if wi is None else self.dim(wi), 0)
-        return self.structure_map(vi, wi)
 
     # -- validation ---------------------------------------------------------
 
@@ -668,13 +597,6 @@ class ModuleMorphism:
         return ModuleMorphism(self.target, self.source, Components(
             t.shape, np.where(live, np.searchsorted(used, t.ids), -1),
             field.inverses([t.mats[i] for i in used.tolist()], self.p)))
-
-    @staticmethod
-    def identity(M: GridModule) -> "ModuleMorphism":
-        """The identity of M, one identity matrix per positive dimension."""
-        sizes, at = np.unique(M.dims, return_inverse=True)
-        return ModuleMorphism(M, M, Components(M.grid.shape, at, [
-            field.eye(s) for s in sizes.tolist()], drop_zero=True))
 
     @staticmethod
     def linear_combination(basis, coeffs, p):

@@ -153,9 +153,6 @@ class EndAlgebra(_Algebra):
             raise ValueError("endomorphism not in the computed basis span")
         return c[:, 0]
 
-    def morphism_of(self, coords) -> ModuleMorphism:
-        return ModuleMorphism.linear_combination(self.basis, coords, self.p)
-
     def image_bases(self, coords):
         """One dict per coordinate column: vertex -> column basis of the
         image of that endomorphism there, all found in one batch."""
@@ -327,7 +324,7 @@ def _primitive_idempotents(A: _Algebra, seed: int):
     for f in (g, (A.one - g) % A.p):
         B = _corner(A, f)
         out += [field.mmul(B.embed, e.reshape(-1, 1), A.p)[:, 0]
-                for e in _primitive_idempotents(B, seed + 1)]
+                for e in _primitive_idempotents(B, (seed + 1) % 2 ** 32)]
     return out
 
 
@@ -341,7 +338,7 @@ def _split_by_bases(M: GridModule, bases):
     p = M.p
     dims = np.zeros((len(bases), M.dims.size), dtype=np.int64)
     W, offs = {}, {}
-    for v in M.support_vertices():
+    for v in map(tuple, np.argwhere(M.dims > 0).tolist()):
         u = int(np.ravel_multi_index(v, M.grid.shape))
         W[u] = np.concatenate([b[v] for b in bases], axis=1)
         if W[u].shape[1] != M.dim(v):
@@ -371,7 +368,7 @@ def _side_by_side(M: GridModule, parts, bases) -> ModuleMorphism:
     basis (unchecked)."""
     return ModuleMorphism(sum_module(*parts), M, {
         v: np.concatenate([b[v] for b in bases], axis=1)
-        for v in M.support_vertices()})
+        for v in map(tuple, np.argwhere(M.dims > 0).tolist())})
 
 
 # -- full decomposition --------------------------------------------------------

@@ -16,8 +16,8 @@ import numpy as np
 
 from . import field
 from .core import (Components, Grid, GridModule, _affine, _block_table,
-                   _exact, _failing_squares, _over_den, _padded, _unique_rows,
-                   _vertex, as_frac, sum_module, zero_module)
+                   _edge_ends, _exact, _failing_squares, _over_den, _padded,
+                   _unique_rows, _vertex, as_frac, sum_module, zero_module)
 from .kan import (_axis_floors, _edge_ids, _flat, _flat_floors, _floors_via,
                   _on, _pair_maps, _unique_maps, restriction_extension,
                   snap_to_lattice, union_grid)
@@ -154,14 +154,6 @@ def _holds(coords, need) -> bool:
     return bool((coords[i] == need).all())
 
 
-def _axis_edges(shape, k):
-    """(src, dst): the flat ends of the edges along axis k of a grid of the
-    given shape, src in C order."""
-    idx = np.arange(prod(shape)).reshape(shape)
-    src = np.take(idx, range(shape[k] - 1), axis=k).ravel()
-    return src, src + idx.strides[k] // idx.itemsize
-
-
 class InterleavingCertificate:
     """A claimed eps-interleaving between the extensions of M and N.
 
@@ -250,14 +242,18 @@ class InterleavingCertificate:
                 raise CertificateError(
                     f"{name} shape at {_vertex(bad[0], shapes[P])}: "
                     f"{t.mats[t.ids[bad[0]]].shape}")
+            # the successor of each vertex of the map's grid along each
+            # axis (-1 for none)
+            succ = _edge_ends(shapes[P])[1].reshape(M.grid.n, -1)
             maps.append((name, P, t, _padded(t.mats, D, D), (x, X, SX),
-                         (Y, SY), x0, ye))
+                         (Y, SY), x0, ye, succ))
 
         for k in range(M.grid.n):
             # naturality of f: f(w) M(v->w) = N(v+eps->w+eps) f(v), and of
             # g likewise; absent components are zero
-            for name, P, t, C, (_, X, SA), (Y, SB), a0, b0 in maps:
-                src, dst = _axis_edges(shapes[P], k)
+            for name, P, t, C, (_, X, SA), (Y, SB), a0, b0, succ in maps:
+                src = np.flatnonzero(succ[k] >= 0)
+                dst = succ[k, src]
                 # the ids in the stacks of the maps between the floors of
                 # the edge's ends; floors further apart would need a walk
                 ca = _edge_ids(X, a0[src], a0[dst], k)
@@ -283,9 +279,10 @@ class InterleavingCertificate:
             _, Pu, u, Cu, *_ = outer
             # any map into a zero space is onto
             covered = X.dims.ravel() == 0
-            for k in range(X.grid.n):
-                src, dst = _axis_edges(X.grid.shape, k)
-                covered[dst] |= onto[_edge_ids(X, src, dst, k)]
+            src, dst = _edge_ends(X.grid.shape)
+            on = np.flatnonzero(dst >= 0)
+            ids = _edge_ids(X, src[on], dst[on], on // len(covered))
+            covered[dst[on[onto[ids]]]] = True
             at = np.flatnonzero(~covered)
             inv, walks = _unique_maps(X, at, floors(x, x, 2 * e)[at])
             # the first map at the floor of v, the second at that of v + eps

@@ -159,6 +159,9 @@ def module_from_obj(obj: dict) -> GridModule:
     dims = np.asarray(obj["dims"], dtype=object)
     if set(map(type, dims.ravel())) - {int}:
         raise ValueError("dimensions must be integers")
+    if dims.shape != grid.shape:
+        raise ValueError(f"dims of shape {dims.shape} on a grid of shape "
+                         f"{grid.shape}")
     D = max(dims.ravel().tolist(), default=0)
     if grid.n * dims.size * max(D, 0) ** 2 > MAX_TENSOR_ENTRIES:
         raise ValueError(f"pointwise dimension {D} on {dims.size} vertices "

@@ -211,21 +211,6 @@ def shift(M: GridModule, r) -> GridModule:
     return GridModule(grid, M.dims.copy(), M.step_table(), M.p)
 
 
-def shift_unit(M: GridModule, r) -> ModuleMorphism:
-    """The canonical morphism M -> M[r] (r >= 0) with components the
-    structure maps x -> x + r, expressed on the union of both grids."""
-    r = as_frac(r)
-    if r < 0:
-        raise ValueError("shift unit needs r >= 0")
-    Mr = shift(M, r)
-    grid = union_grid(M.grid, shifts=(0, r))
-    ids, mats = _unique_maps(M, _flat_floors(M.grid, grid).ravel(),
-                             _flat_floors(M.grid, grid, r).ravel())
-    return ModuleMorphism(restriction_extension(M, grid),
-                          restriction_extension(Mr, grid),
-                          Components(grid.shape, ids, mats, drop_zero=True))
-
-
 def snap_to_lattice(M: GridModule, pitch) -> GridModule:
     """Snap M onto the lattice (pitch Z)^n: x -> M(lattice floor of x),
     pitch-interleaved with M.  It changes only at the lattice ceilings of

@@ -11,6 +11,8 @@ from gridpersist import field
 from gridpersist.cli import random_module
 from gridpersist.core import DEFAULT_PRIME, GridModule, interval_module
 
+from oracles import step_dict
+
 
 def free_module(grid, gen_point, p=DEFAULT_PRIME):
     """The module that is k at every vertex >= gen_point and 0 elsewhere."""
@@ -32,7 +34,7 @@ def matches_dict_route(X):
     """Is X's step table the one its step dict converts to: the same ids
     and each distinct matrix once, in order of first appearance?"""
     t = X.step_table()
-    u = GridModule(X.grid, X.dims, dict(X.steps), X.p).step_table()
+    u = GridModule(X.grid, X.dims, step_dict(X), X.p).step_table()
     return (t.shape == u.shape and np.array_equal(t.ids, u.ids)
             and len(t.mats) == len(u.mats)
             and all(a.shape == b.shape and np.array_equal(a, b)

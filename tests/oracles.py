@@ -98,8 +98,14 @@ def _axes(M):
     return [list(ax) for ax in M.grid.axes]
 
 
+def step_dict(M):
+    """M's steps as a {(vertex, axis): matrix} dict, read off its step table
+    (a mapping keyed (axis,) + vertex)."""
+    return {(v[1:], v[0]): m for v, m in M.step_table().items()}
+
+
 def path_map(M, v, w):
-    """Structure map M(v) -> M(w) composed step by step from M.steps.
+    """Structure map M(v) -> M(w) composed step by step from M's steps.
 
     v, w are grid index tuples with v <= w.  Walks one axis at a time in
     axis order; any missing step between positive-dimensional endpoints is
@@ -107,6 +113,7 @@ def path_map(M, v, w):
     """
     p = M.p
     dims = M.dims
+    steps = M.step_table()   # keyed (axis,) + vertex
     cur = list(v)
     cols = int(dims[tuple(v)])
     m = mat_eye(cols)
@@ -116,7 +123,7 @@ def path_map(M, v, w):
             cur[k] += 1
             tgt = tuple(cur)
             ds, dt = int(dims[src]), int(dims[tgt])
-            step = M.steps.get((src, k))
+            step = steps.get((k,) + src)
             if step is None:
                 sm = mat_zero(dt, ds)
             else:
@@ -128,18 +135,19 @@ def path_map(M, v, w):
 def module_is_valid(M):
     """Do M's steps have entries in [0, p), is a step stored on every edge
     between positive-dimensional vertices, and does every square commute?
-    The squares are composed with plain ints from M.steps, a missing step
+    The squares are composed with plain ints from M's steps, a missing step
     taken as zero (prime, shapes and keys are not checked here)."""
     p, dims, shape = M.p, M.dims, M.grid.shape
+    steps = step_dict(M)
     if any(not 0 <= x < p
-           for m in M.steps.values() for x in m.ravel().tolist()):
+           for m in steps.values() for x in m.ravel().tolist()):
         return False
 
     def succ(v, k):
         return v[:k] + (v[k] + 1,) + v[k + 1:]
 
     def step(v, k):
-        m = M.steps.get((v, k))
+        m = steps.get((v, k))
         if m is None:
             return mat_zero(int(dims[succ(v, k)]), int(dims[v]))
         return m.tolist()
@@ -148,7 +156,7 @@ def module_is_valid(M):
         for k in range(len(shape)):
             if v[k] + 1 >= shape[k]:
                 continue
-            if dims[v] and dims[succ(v, k)] and (v, k) not in M.steps:
+            if dims[v] and dims[succ(v, k)] and (v, k) not in steps:
                 return False
             for l in range(k + 1, len(shape)):
                 if v[l] + 1 >= shape[l]:

@@ -36,8 +36,9 @@ def test_module_G_shape_and_invariants():
     assert G.max_pointwise_dim() == 2
     assert is_indecomposable(G)
     # the two characteristic zero steps next to one-dimensional values
-    assert not G.steps.get(((0, 3), 1), np.zeros((1, 1))).any()
-    assert not G.steps.get(((3, 0), 0), np.zeros((1, 1))).any()
+    t = G.step_table()
+    assert not t.get((1, 0, 3), np.zeros((1, 1))).any()
+    assert not t.get((0, 3, 0), np.zeros((1, 1))).any()
 
 
 def test_add_thin_corner_on_interval():
@@ -48,7 +49,7 @@ def test_add_thin_corner_on_interval():
     assert cert.eps == Fraction(1, 2)
     # the support minimum gained a one-dimensional half-pitch corner
     assert has_thin_corner(A2)
-    assert A2.dim_at(r) == 1
+    assert A2.dim(O.ext_floor(A2, r)) == 1
 
 
 def test_add_antenna_produces_antenna_and_keeps_indecomposable():
@@ -103,7 +104,7 @@ def test_infer_pitch():
 
 def test_iso_certificate_is_zero_eps():
     A = rect((0, 0), (2, 2))
-    c = iso_certificate(ModuleMorphism.identity(A))
+    c = iso_certificate(ModuleMorphism(A, A, {(0, 0): field.eye(1)}))
     assert c.eps == 0
     c.verify()
 
@@ -319,7 +320,9 @@ def _with_component(W, v, m):
 
 
 def test_iso_certificate_refuses_a_witness_that_is_no_isomorphism():
-    W = ModuleMorphism.identity(module_G())
+    G = module_G()
+    W = ModuleMorphism(G, G, {v: field.eye(G.dim(v))
+                              for v in map(tuple, np.argwhere(G.dims > 0))})
     v = next(v for v, m in W.mats.items() if len(m) == 2)
     # twice the identity at one vertex is invertible but not natural
     with pytest.raises(CertificateError):

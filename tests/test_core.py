@@ -9,7 +9,7 @@ import pytest
 
 from gridpersist import field
 from gridpersist.cli import random_module
-from gridpersist.construct import approximate_indecomposable, module_G
+from gridpersist.construct import module_G
 from gridpersist.core import (Components, Grid, GridModule, ModuleMorphism,
                               _edge_ends, _strides, direct_sum, hom_space,
                               interval_module, random_basis_change,
@@ -18,7 +18,7 @@ from gridpersist.decomp import decompose, is_isomorphic
 from gridpersist.kan import common_refinement, restriction_extension
 
 from conftest import free_module, matches_dict_route, rect
-from oracles import hom_dim, module_is_valid, path_map
+from oracles import ext_floor, hom_dim, module_is_valid, path_map, step_dict
 
 
 def test_grid_floor_and_coord():
@@ -26,8 +26,24 @@ def test_grid_floor_and_coord():
               [Fraction(0), Fraction(2)]])
     assert g.shape == (3, 2)
     assert g.coord((2, 1)) == (Fraction(3), Fraction(2))
-    assert g.floor_index((Fraction(2), Fraction(5))) == (1, 1)
-    assert g.floor_index((Fraction(-1), Fraction(0))) is None
+    assert g.index_of((Fraction(1), Fraction(2))) == (1, 1)
+    for x in ((Fraction(2), Fraction(2)), (Fraction(-1), Fraction(0)),
+              (Fraction(3), Fraction(5))):
+        with pytest.raises(ValueError, match="not a grid vertex"):
+            g.index_of(x)
+
+
+def _path(M, v, w):
+    """oracles.path_map(M, v, w) as an int64 array of dim M(w) x dim M(v)."""
+    v, w = tuple(map(int, v)), tuple(map(int, w))
+    return np.array(path_map(M, v, w), dtype=np.int64).reshape(M.dim(w),
+                                                               M.dim(v))
+
+
+def _identity(M):
+    """The components of M's identity, as a dict over its support."""
+    return {v: field.eye(M.dim(v))
+            for v in map(tuple, np.argwhere(M.dims > 0).tolist())}
 
 
 def test_validate_accepts_standard_constructions():
@@ -42,8 +58,8 @@ def test_validate_rejects_scaled_step():
     # commutativity of the square above it
     G = module_G()
     key = ((1, 3), 0)
-    assert key in G.steps
-    steps = dict(G.steps)
+    assert (0, 1, 3) in G.step_table()
+    steps = step_dict(G)
     steps[key] = (2 * steps[key]) % G.p
     bad = GridModule(G.grid, G.dims.copy(), steps, G.p)
     with pytest.raises(ValueError):
@@ -52,8 +68,8 @@ def test_validate_rejects_scaled_step():
 
 def test_validate_rejects_missing_step():
     M = module_G()
-    key = next(iter(M.steps))
-    steps = {k: v for k, v in M.steps.items() if k != key}
+    steps = step_dict(M)
+    del steps[next(iter(steps))]
     bad = GridModule(M.grid, M.dims.copy(), steps, M.p)
     with pytest.raises(ValueError):
         bad.validate()
@@ -92,8 +108,9 @@ def test_sum_module_table_matches_the_dict_route():
             assert matches_dict_route(S)
         # block by block: the steps of the sum hold the summands' steps
         S = sum_module(A, B)
-        for (v, k), m in S.steps.items():
-            a, b = A.step(v, k), B.step(v, k)
+        for (k, *v), m in S.step_table().items():
+            w = np.add(v, np.eye(2, dtype=int)[k])
+            a, b = _path(A, v, w), _path(B, v, w)
             assert np.array_equal(m[:a.shape[0], :a.shape[1]], a)
             assert np.array_equal(m[a.shape[0]:, a.shape[1]:], b)
             assert not m[:a.shape[0], a.shape[1]:].any()
@@ -136,9 +153,11 @@ def test_hom_space_matches_dense_oracle():
                 m = path_map(M, v, w)
                 assert len(m) == M.dim(w)
                 assert all(len(row) == M.dim(v) for row in m)
-                assert np.array_equal(
-                    np.array(m, dtype=np.int64).reshape(M.dim(w), M.dim(v)),
-                    M.structure_map(v, w))
+                got = M.structure_maps(
+                    [np.ravel_multi_index(v, M.grid.shape)],
+                    [np.ravel_multi_index(w, M.grid.shape)])[0]
+                assert np.array_equal(_path(M, v, w),
+                                      got[:M.dim(w), :M.dim(v)])
 
 
 def test_end_of_G_is_one_dimensional():
@@ -158,19 +177,29 @@ def test_max_pointwise_dim():
 def test_structure_map_composes_along_paths():
     M = random_module(2, 4, 3, seed=5)
     top = tuple(s - 1 for s in M.grid.shape)
-    via_x = field.mmul(M.structure_map((2, 0), top),
-                       M.structure_map((0, 0), (2, 0)), M.p)
-    via_y = field.mmul(M.structure_map((0, 2), top),
-                       M.structure_map((0, 0), (0, 2)), M.p)
+    # one batch: (2,0) -> top, (0,0) -> (2,0), (0,2) -> top, (0,0) -> (0,2)
+    # and (0,0) -> top, each cut to its dim M(w) x dim M(v) block
+    pairs = [((2, 0), top), ((0, 0), (2, 0)), ((0, 2), top),
+             ((0, 0), (0, 2)), ((0, 0), top)]
+    src, dst = (np.ravel_multi_index(np.array(x).T, M.grid.shape)
+                for x in zip(*pairs))
+    m = [a[:M.dim(w), :M.dim(v)]
+         for a, (v, w) in zip(M.structure_maps(src, dst), pairs)]
+    via_x = field.mmul(m[0], m[1], M.p)
+    via_y = field.mmul(m[2], m[3], M.p)
     assert np.array_equal(via_x, via_y)
-    assert np.array_equal(via_x, M.structure_map((0, 0), top))
+    assert np.array_equal(via_x, m[4])
 
 
 def test_extension_semantics_dim_at():
+    # the extension's dimension at a point is that of its floor vertex, and
+    # 0 below the grid
     M = interval_module((0, 0), (2, 2))
-    assert M.dim_at((Fraction(1, 2), Fraction(3, 2))) == 1
-    assert M.dim_at((Fraction(-1), Fraction(0))) == 0
-    assert M.dim_at((Fraction(5), Fraction(5))) == 0
+    for x, d in (((Fraction(1, 2), Fraction(3, 2)), 1),
+                 ((Fraction(-1), Fraction(0)), 0),
+                 ((Fraction(5), Fraction(5)), 0)):
+        v = ext_floor(M, x)
+        assert (0 if v is None else M.dim(v)) == d
 
 
 def test_is_isomorphic_to_basis_change():
@@ -191,7 +220,7 @@ def test_is_isomorphic_distinguishes():
 
 def test_morphism_identity_and_compose():
     M = random_module(2, 3, 2, seed=1)
-    i = ModuleMorphism.identity(M)
+    i = ModuleMorphism(M, M, _identity(M))
     assert i.is_valid()
     assert i.compose(i).is_valid()
     basis = hom_space(M, M)
@@ -206,40 +235,29 @@ def test_morphism_identity_and_compose():
 
 def test_morphism_validate_names_the_failing_vertex():
     M = random_module(2, 3, 2, seed=1)
-    v = tuple(map(int, max(M.support_vertices(), key=M.dim)))
+    v = max(_identity(M), key=M.dim)
     for m, msg in ((field.eye(M.dim(v) + 1), f"component at {v}: shape"),
                    (2 * field.eye(M.dim(v)), "naturality fails at")):
-        mats = dict(ModuleMorphism.identity(M).mats)
+        mats = _identity(M)
         mats[v] = m
         with pytest.raises(ValueError, match=re.escape(msg)):
             ModuleMorphism(M, M, mats).validate()
     # doubled at the first and the last support vertex: the message names
     # the first failing edge source in C order, on the first failing axis
-    mats = dict(ModuleMorphism.identity(M).mats)
+    mats = _identity(M)
     for w in (min(mats), max(mats)):
         mats[w] = 2 * mats[w] % M.p
     f = ModuleMorphism(M, M, mats)
     fails = [(k, u) for k in range(2) for u in map(tuple, M.grid.vertices())
-             if M.has_succ(u, k) and not np.array_equal(
-                 field.mmul(f.at(M.succ(u, k)), M.step(u, k), M.p),
-                 field.mmul(M.step(u, k), f.at(u), M.p))]
+             for w in [u[:k] + (u[k] + 1,) + u[k + 1:]]
+             if w[k] < M.grid.shape[k] and not np.array_equal(
+                 field.mmul(f.at(w), _path(M, u, w), M.p),
+                 field.mmul(_path(M, u, w), f.at(u), M.p))]
     k, u = fails[0]
     assert len([x for x in fails if x[0] == k]) >= 2
     with pytest.raises(ValueError) as exc:
         f.validate()
     assert str(exc.value) == f"naturality fails at {u} axis {k}"
-
-
-def test_identity_holds_one_matrix_per_positive_dimension():
-    M = approximate_indecomposable(random_module(2, 4, 3, seed=0),
-                                   Fraction(1, 2)).module
-    ident = ModuleMorphism.identity(M)
-    assert isinstance(ident.mats, Components)
-    assert len(ident.mats.mats) == len(set(M.dims[M.dims > 0].tolist()))
-    want = {v: field.eye(M.dim(v)) for v in M.grid.vertices() if M.dim(v)}
-    got = dict(ident.mats)
-    assert got.keys() == want.keys()
-    assert all(np.array_equal(got[v], m) for v, m in want.items())
 
 
 def _pairs_below(M):
@@ -268,9 +286,7 @@ def test_structure_maps_match_path_oracle_and_point_query():
             w = tuple(np.unravel_index(b, M.grid.shape))
             r, c = M.dim(w), M.dim(v)
             assert not m[r:].any() and not m[:, c:].any()
-            assert np.array_equal(m[:r, :c], M.structure_map(v, w))
-            want = np.array(path_map(M, v, w), dtype=np.int64).reshape(r, c)
-            assert np.array_equal(m[:r, :c], want)
+            assert np.array_equal(m[:r, :c], _path(M, v, w))
 
 
 def test_structure_maps_of_zero_module_and_empty_batch():
@@ -285,8 +301,8 @@ def test_structure_maps_of_zero_module_and_empty_batch():
 
 def test_validate_rejects_wrong_shape():
     G = module_G()
-    key = next(k for k, m in G.steps.items() if m.size)
-    steps = dict(G.steps)
+    steps = step_dict(G)
+    key = next(k for k, m in steps.items() if m.size)
     steps[key] = field.zeros(steps[key].shape[0] + 1, steps[key].shape[1])
     with pytest.raises(ValueError, match="shape"):
         GridModule(G.grid, G.dims.copy(), steps, G.p).validate()
@@ -294,8 +310,8 @@ def test_validate_rejects_wrong_shape():
 
 def test_validate_rejects_out_of_range_entry():
     G = module_G()
-    key = next(k for k, m in G.steps.items() if m.size)
-    steps = dict(G.steps)
+    steps = step_dict(G)
+    key = next(k for k, m in steps.items() if m.size)
     steps[key] = steps[key].copy()
     steps[key][0, 0] = G.p
     with pytest.raises(ValueError, match="out of"):
@@ -310,13 +326,13 @@ def test_validate_names_vertices_with_plain_ints():
                                     "commute"),
                       (((0, 1), 1), "square at (0, 1) axes (0,1) does not "
                                     "commute")):
-        steps = dict(M.steps)
+        steps = step_dict(M)
         steps[key] = steps[key].copy()
         steps[key][0, 0] = (steps[key][0, 0] + 1) % M.p
         with pytest.raises(ValueError) as exc:
             GridModule(M.grid, M.dims.copy(), steps, M.p).validate()
         assert str(exc.value) == want
-    steps = dict(M.steps)
+    steps = step_dict(M)
     steps[((0, 1), 1)] = steps[((0, 1), 1)] + M.p
     with pytest.raises(ValueError) as exc:
         GridModule(M.grid, M.dims.copy(), steps, M.p).validate()
@@ -326,12 +342,13 @@ def test_validate_names_vertices_with_plain_ints():
 def _mutants(M):
     """M with one step deleted, and with each entry of each step moved
     by one mod p and by p."""
-    for key in M.steps:
+    given = step_dict(M)
+    for key in given:
         yield GridModule(M.grid, M.dims.copy(),
-                         {k: m for k, m in M.steps.items() if k != key}, M.p)
-        for i in np.ndindex(M.steps[key].shape):
+                         {k: m for k, m in given.items() if k != key}, M.p)
+        for i in np.ndindex(given[key].shape):
             for delta in (1, M.p):
-                steps = dict(M.steps)
+                steps = dict(given)
                 steps[key] = steps[key].copy()
                 steps[key][i] += delta
                 if delta == 1:
@@ -353,7 +370,7 @@ def test_validate_reports_the_first_of_several_violations():
     # per axis k: ranges, presence, then the squares (k, l); so square
     # (0, 1) is reported before an axis-1 entry out of range
     M = random_module(2, 3, 2, seed=1)
-    steps = dict(M.steps)
+    steps = step_dict(M)
     square, wild = ((0, 2), 0), ((0, 1), 1)
     for key in (square, wild):
         steps[key] = steps[key].copy()
@@ -395,7 +412,7 @@ def test_isomorphism_tests_each_distinct_component_once(monkeypatch):
                               Grid([[Fraction(i, 4) for i in range(10)]] * 2))
     _, W = decompose(M)
     distinct = len(Components.of(W.mats, M.grid.shape).mats)
-    assert distinct < len(M.support_vertices())
+    assert distinct < np.count_nonzero(M.dims)
     # the matrices handed to the batched elimination kernel
     handed = []
     rref_stack = field.rref_stack
@@ -414,8 +431,8 @@ def test_isomorphism_tests_each_distinct_component_once(monkeypatch):
 def test_one_singular_component_among_shared_identities():
     M = random_module(2, 3, 2, seed=4)
     eye = {d: field.eye(d) for d in range(1, M.max_pointwise_dim() + 1)}
-    mats = {v: eye[M.dim(v)] for v in M.support_vertices()}
-    v = max(M.support_vertices(), key=M.dim)
+    mats = {v: eye[M.dim(v)] for v in _identity(M)}
+    v = max(mats, key=M.dim)
     assert M.dim(v) == 2
     assert ModuleMorphism(M, M, mats).is_isomorphism()
     inv = ModuleMorphism(M, M, mats).inverse()

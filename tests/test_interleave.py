@@ -33,7 +33,7 @@ from gridpersist.match import summand_certificate
 
 from conftest import free_module, rect
 import oracles as O
-from oracles import regular_grid
+from oracles import regular_grid, step_dict
 
 
 def sum_certificates(c, X):
@@ -226,7 +226,7 @@ def test_compose_chain_compares_middle_modules_by_extension():
     eps = Fraction(1, 4)
     first = identity_certificate(M, eps)
     # one entry of one step changed: a different middle module
-    steps = dict(M.steps)
+    steps = step_dict(M)
     key = next(k for k, m in steps.items() if m.size)
     steps[key] = steps[key].copy()
     steps[key][0, 0] = (steps[key][0, 0] + 1) % M.p
@@ -235,14 +235,15 @@ def test_compose_chain_compares_middle_modules_by_extension():
         compose_chain([first, identity_certificate(other, eps, verify=False)])
     # extra empty steps into zero vertices, or a refined grid, leave the
     # extension as it is
-    steps = dict(M.steps)
-    for v in M.support_vertices():
-        v = tuple(map(int, v))
+    steps = step_dict(M)
+    for v in map(tuple, np.argwhere(M.dims > 0).tolist()):
         for k in range(2):
-            if M.has_succ(v, k) and not M.dim(M.succ(v, k)):
+            w = v[:k] + (v[k] + 1,) + v[k + 1:]
+            if w[k] < M.grid.shape[k] and not M.dim(w):
                 steps[(v, k)] = field.zeros(0, M.dim(v))
     padded = GridModule(M.grid, M.dims.copy(), steps, M.p)
-    assert padded.validate() and len(padded.steps) > len(M.steps)
+    assert padded.validate()
+    assert len(padded.step_table()) > len(M.step_table())
     finer = restriction_extension(M, Grid([
         sorted(set(ax) | {(a + b) / 2 for a, b in zip(ax, ax[1:])})
         for ax in M.grid.axes]))
@@ -396,17 +397,25 @@ def test_rank_lower_bound_below_certificate_eps():
 # -- factoring through bounded grids -------------------------------------------
 
 def _check_factor_square(L, window, r):
+    # m o L(v -> v + r) = L(v -> the floor in window of v + beta), each map
+    # of L's extension composed by the oracle between the floors in L's grid
     import gridpersist.field as field
-    from gridpersist.core import pt_shift
     mats = factor_through_grid(L, window, r)
     meshes = [ax[i + 1] - ax[i] for ax in window.axes
               for i in range(len(ax) - 1)]
     beta = max(meshes)
+
+    def ext_map(x, y):
+        a, b = O.ext_floor(L, x), O.ext_floor(L, y)
+        rows = 0 if b is None else L.dim(b)
+        return (field.zeros(rows, 0) if a is None else np.array(
+            O.path_map(L, a, b), dtype=np.int64).reshape(rows, L.dim(a)))
+
     for vidx, m in mats.items():
         v = window.coord(vidx)
-        tgt = window.coord(window.floor_index(pt_shift(v, beta)))
-        lhs = field.mmul(m, L.structure_map_points(v, pt_shift(v, r)), L.p)
-        assert np.array_equal(lhs, L.structure_map_points(v, tgt))
+        tgt = window.coord(O._grid_floor(window.axes, [c + beta for c in v]))
+        lhs = field.mmul(m, ext_map(v, [c + r for c in v]), L.p)
+        assert np.array_equal(lhs, ext_map(v, tgt))
     return mats
 
 
@@ -479,19 +488,19 @@ def _rebased(M, v, a):
     """M with the basis at vertex v changed by the invertible matrix a: a
     valid module whose steps into and out of v differ from M's."""
     p, ai = M.p, field.minv(a, M.p)
-    steps = dict(M.steps)
-    for (u, k), m in M.steps.items():
+    steps = step_dict(M)
+    for (u, k), m in list(steps.items()):
         if u == v:
             steps[(u, k)] = field.mmul(m, ai, p)
-        elif M.succ(u, k) == v:
+        elif u[:k] + (u[k] + 1,) + u[k + 1:] == v:
             steps[(u, k)] = field.mmul(a, m, p)
     return GridModule(M.grid, M.dims, steps, p)
 
 
 def _without_zero_steps(M):
     """M with its stored zero steps left out, which read as zero anyway."""
-    return GridModule(M.grid, M.dims, {key: m for key, m in M.steps.items()
-                                       if m.any()}, M.p)
+    return GridModule(M.grid, M.dims, {key: m for key, m in
+                                       step_dict(M).items() if m.any()}, M.p)
 
 
 def test_verify_agrees_with_oracle_on_missing_steps_late_supports_and_stages():
@@ -504,9 +513,10 @@ def test_verify_agrees_with_oracle_on_missing_steps_late_supports_and_stages():
     sparse = [_without_zero_steps(direct_sum(X, Y)[0]),
               _without_zero_steps(random_module(2, 3, 2, seed=5))]
     for A in sparse:   # an edge between nonzero spaces without a step
-        assert any(A.dims[v] and A.dims[A.succ(v, k)] and (v, k) not in A.steps
+        assert any(A.dims[v] and A.dims[w] and (k,) + v not in A.step_table()
                    for v in A.grid.vertices() for k in range(2)
-                   if A.has_succ(v, k))
+                   for w in [v[:k] + (v[k] + 1,) + v[k + 1:]]
+                   if w[k] < A.grid.shape[k])
     certs = [identity_certificate(A, half, verify=False) for A in sparse]
     # modules whose grid or support begins inside the evaluation grid: the
     # snap of an off-lattice module, a support starting at (1, 1), and the
@@ -529,7 +539,7 @@ def test_verify_agrees_with_oracle_on_missing_steps_late_supports_and_stages():
                                                       in zip(ax, ax[1:])})
                                        for ax in M.grid.axes]))
     assert any(m.shape[0] == 2 and (m == field.eye(2)).all()
-               for m in R.steps.values())
+               for m in R.step_table().mats)
     c = identity_certificate(R, half, verify=False)
     certs += [c, InterleavingCertificate(M, R, half, c.grid, c.f, c.g)]
     # maps into a zero space, stored (0 x 1) or left out, and zero maps out
@@ -558,7 +568,7 @@ def test_verify_agrees_with_oracle_on_missing_steps_late_supports_and_stages():
                 c.m_module, c.n_module, c.eps, c.grid, f, c.g, c.g_grid)))
         # a changed basis at one vertex of M: a changed step, same dims
         M = c.m_module
-        live = [v for (v, _), m in M.steps.items() if m.size]
+        live = [v for (v, _), m in step_dict(M).items() if m.size]
         if live:
             v = live[int(rng.integers(len(live)))]
             cases.append(("step", InterleavingCertificate(
@@ -573,7 +583,8 @@ def test_verify_agrees_with_oracle_on_missing_steps_late_supports_and_stages():
         g = {}
         for v, m in c.g.items():
             scale = np.ones(m.shape[1], dtype=np.int64)
-            scale[m.shape[1] - Y.dim_at(c.grid.coord(v)):] = 3
+            y = O.ext_floor(Y, c.grid.coord(v))
+            scale[m.shape[1] - (0 if y is None else Y.dim(y)):] = 3
             g[v] = m * scale % c.m_module.p
         cases.append(("triangle", InterleavingCertificate(
             c.m_module, c.n_module, eps, c.grid, c.f, g)))

@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gridpersist import io
+from gridpersist import field, io
 from gridpersist.cli import CliError, _parse_frac, main, random_module
 from gridpersist.construct import module_G
 from gridpersist.core import (Grid, GridModule, ModuleMorphism, direct_sum,
@@ -26,9 +26,17 @@ import oracles as O
 def _same_module(A, B):
     assert A.grid == B.grid and A.p == B.p
     assert np.array_equal(A.dims, B.dims)
-    assert set(A.steps) == set(B.steps)
-    for k in A.steps:
-        assert np.array_equal(A.steps[k], B.steps[k])
+    ta, tb = A.step_table(), B.step_table()
+    assert set(ta) == set(tb)
+    for k in ta:
+        assert np.array_equal(ta[k], tb[k])
+
+
+def _identity_of_G():
+    """The identity of module_G as a morphism object."""
+    G = module_G()
+    return io.morphism_to_obj(ModuleMorphism(G, G, {
+        v: field.eye(G.dim(v)) for v in map(tuple, np.argwhere(G.dims > 0))}))
 
 
 def corpus():
@@ -49,7 +57,8 @@ def test_module_round_trip_is_bit_exact():
 
 def test_morphism_round_trip():
     M = random_module(2, 3, 2, seed=1)
-    f = ModuleMorphism.identity(M)
+    f = ModuleMorphism(M, M, {v: field.eye(M.dim(v))
+                              for v in map(tuple, np.argwhere(M.dims > 0))})
     f2 = io.loads(io.dumps(f))
     assert f2.is_valid()
     for v in f.mats:
@@ -251,6 +260,52 @@ def test_cli_reports_a_failed_self_check_as_exit_1(files, monkeypatch,
     assert "indecomposability" in diag["message"]
 
 
+def _malformed(code, err):
+    """Exit 2 with a malformed-input JSON diagnostic as the last line."""
+    assert code == 2 and "Traceback" not in err
+    assert json.loads(err.strip().splitlines()[-1])["error"] == \
+        "malformed-input"
+
+
+def test_cli_seeds_outside_the_generator_range_are_malformed_input(
+        capsys, monkeypatch, tmp_path):
+    # random_module(2, 3, 2, seed=4) has three summands, so every command
+    # below draws random idempotents
+    path = str(tmp_path / "m.json")
+    io.save(random_module(2, 3, 2, seed=4), path)
+    for argv in (["decompose", path], ["approx-indec", path, "--eps", "1/2"],
+                 ["match", path, path, "--eps", "1/2"]):
+        for seed in ("-1", str(2 ** 32), "abc"):
+            _malformed(main(argv + ["--seed", seed]), capsys.readouterr().err)
+        monkeypatch.setenv("PF_SEED", "abc")
+        _malformed(main(argv), capsys.readouterr().err)
+        monkeypatch.delenv("PF_SEED")
+    assert main(["decompose", path, "--seed", str(2 ** 32 - 1)]) == 0
+    assert len(json.loads(capsys.readouterr().out)["summands"]) == 3
+
+
+@pytest.mark.parametrize("command", ["validate", "certify"])
+def test_cli_deeply_nested_json_is_malformed_input(command, capsys,
+                                                   tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    _malformed(main([command, str(path)]), capsys.readouterr().err)
+
+
+def test_loader_refuses_dims_of_another_shape(capsys, tmp_path):
+    # on a 2 x 3 grid, the transposed 3 x 2 dims and the flat list of six
+    # would both be read in C order as another layout that validates
+    M = GridModule(Grid([[0, 1], [0, 1, 2]]), np.array([[0, 1, 0], [0, 0, 0]]),
+                   {})
+    obj = io.module_to_obj(M)
+    assert io.dumps(io.module_from_obj(obj)) == io.dumps(M)
+    for dims in (M.dims.T.tolist(), M.dims.ravel().tolist()):
+        bad = dict(obj, dims=dims)
+        with pytest.raises(ValueError, match="shape"):
+            io.module_from_obj(bad)
+        _malformed(*_cli(capsys, tmp_path, "validate", bad))
+
+
 def _non_commuting_G_obj():
     """module_G with one internal step doubled: the square above it no
     longer commutes."""
@@ -416,7 +471,7 @@ def test_loader_rejects_non_integer_module_entries(entry, capsys, tmp_path):
 
 
 def test_loader_rejects_non_integer_morphism_entries():
-    obj = io.morphism_to_obj(ModuleMorphism.identity(module_G()))
+    obj = _identity_of_G()
     _first_nonzero(obj["components"])["matrix"][0][0] = 1.0
     with pytest.raises(ValueError, match="integers"):
         io.from_obj(obj)
@@ -468,7 +523,7 @@ def test_cli_certify_rejects_bad_component_vertex(case, capsys, tmp_path):
 
 
 def test_loader_rejects_morphism_vertex_outside_source_grid():
-    obj = io.morphism_to_obj(ModuleMorphism.identity(module_G()))
+    obj = _identity_of_G()
     obj["components"][0]["vertex"] = [len(obj["source"]["axes"][0]), 0]
     with pytest.raises(ValueError, match="outside"):
         io.from_obj(obj)
@@ -605,7 +660,7 @@ def test_loader_refuses_a_huge_g_grid(capsys, tmp_path):
 
 
 def test_loader_rejects_non_natural_morphism(capsys, tmp_path):
-    obj = io.morphism_to_obj(ModuleMorphism.identity(module_G()))
+    obj = _identity_of_G()
     io.from_obj(obj).validate()
     # twice the identity at one vertex breaks the squares around it
     entry = _first_nonzero(obj["components"])
