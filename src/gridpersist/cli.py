@@ -215,8 +215,15 @@ def cmd_certify(args):
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are malformed input (subparsers are of this class too)."""
+
+    def error(self, message):
+        raise CliError(2, "malformed-input", f"{self.prog}: {message}")
+
+
 def build_parser():
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="gridpersist",
         description="exact decomposition and interleaving certificates for "
                     "multiparameter persistence modules")
@@ -262,8 +269,8 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except CliError as exc:
         _diag(exc.kind, exc)

@@ -11,7 +11,8 @@ Otherwise powers taken in the algebra give a nontrivial idempotent, in
 the manner of Cantor-Zassenhaus: (c^((p-1)/2) + c^(p-1)) / 2 for a
 Frobenius-fixed c of the quotient, or of the commutative subalgebra F_p[b]
 of a random b when the quotient is noncommutative; it lifts through the
-radical.
+radical.  Powers square left-multiplication matrices (the regular
+representation), one matrix product per exponent bit, exact at any prime.
 decompose compresses its input once to C and builds End(C) once.  It
 splits End(C) into primitive orthogonal idempotents by running
 _idempotent on corner algebras eAe, each restricted from its parent's
@@ -56,13 +57,17 @@ class _Algebra:
         self.table, self.one, self.p = table, one, p
         self.dim = len(one)
 
+    def left(self, x):
+        """The left-multiplication matrices y -> x y on row vectors, one
+        per row of x, in one mmul."""
+        D, p = self.dim, self.p
+        return field.mmul(np.reshape(x, (-1, D)) % p,
+                          self.table.reshape(D, D * D), p).reshape(-1, D, D)
+
     def mul(self, x, y):
         """x y for coordinate vectors, or row by row for stacks of them."""
-        D, p = self.dim, self.p
-        xt = field.mmul(np.reshape(x, (-1, D)) % p,
-                        self.table.reshape(D, D * D), p)
-        return field.mmul(np.reshape(y, (-1, 1, D)) % p,
-                          xt.reshape(-1, D, D), p).reshape(np.shape(x))
+        return field.mmul(np.reshape(y, (-1, 1, self.dim)) % self.p,
+                          self.left(x), self.p).reshape(np.shape(x))
 
     def restrict(self, embed, project, one):
         """The algebra on the columns of embed (D x d): products are taken
@@ -85,16 +90,18 @@ class _Algebra:
         return np.array_equal(self.table, self.table.transpose(1, 0, 2))
 
     def power(self, x, e: int):
-        """x ** e by square-and-multiply, row by row for stacks."""
-        acc = np.broadcast_to(self.one, np.shape(x)).copy()
-        x = np.asarray(x) % self.p
+        """x ** e, row by row for stacks, as 1 X^e: X = left(x) is squared
+        once per bit of e, one batched matrix product, and acc takes one
+        vector-matrix product per set bit; exact at any prime."""
+        X, p = self.left(x), self.p
+        acc = np.tile(self.one, (len(X), 1, 1))
         while e:
             if e & 1:
-                acc = self.mul(acc, x)
+                acc = field.mmul(acc, X, p)
             e >>= 1
             if e:
-                x = self.mul(x, x)
-        return acc
+                X = field.mmul(X, X, p)
+        return acc.reshape(np.shape(x))
 
     def frobenius_fixed_basis(self) -> np.ndarray:
         """Basis of {x : x^p = x} of a commutative algebra: a subalgebra

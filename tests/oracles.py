@@ -91,6 +91,32 @@ def mat_zero(nr, nc):
     return [[0] * nc for _ in range(nr)]
 
 
+def algebra_power(table, one, xs, e, p):
+    """[x ** e for x in xs] by square-and-multiply on algebra products, in
+    the algebra whose structure table has table[i][j][k] = coefficient of
+    b_k in b_i b_j and whose unit is one (coordinate lists).  Products are
+    summed over the nonzero table entries."""
+    terms = [(i, j, k, c) for i, row in enumerate(table)
+             for j, col in enumerate(row) for k, c in enumerate(col) if c]
+
+    def mul(a, b):
+        out = [0] * len(one)
+        for i, j, k, c in terms:
+            out[k] += a[i] * b[j] * c
+        return [v % p for v in out]
+
+    def pw(v):
+        acc, v, n = [c % p for c in one], [c % p for c in v], e
+        while n:
+            if n & 1:
+                acc = mul(acc, v)
+            n >>= 1
+            if n:
+                v = mul(v, v)
+        return acc
+    return [pw(x) for x in xs]
+
+
 # ---------------------------------------------------------------------------
 # module structure from raw data
 

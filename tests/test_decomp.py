@@ -545,6 +545,96 @@ def test_power_and_quotient_idempotent_on_hand_built_tables(p):
             assert np.array_equal(B.mul(e, e), e), name
 
 
+def _algebras_of(M, monkeypatch):
+    """End(compress(M)) and every corner algebra, semisimple quotient and
+    commutative subalgebra that its primitive idempotent search builds."""
+    seen = [end_algebra(compress(M))]
+    for name in ("_quotient_idempotent", "_fixed_idempotent"):
+        def spy(B, rng, wrapped=getattr(decomp, name)):
+            seen.append(B)
+            return wrapped(B, rng)
+        monkeypatch.setattr(decomp, name, spy)
+    corner = decomp._corner
+    monkeypatch.setattr(decomp, "_corner",
+                        lambda A, f: seen.append(corner(A, f)) or seen[-1])
+    decomp._primitive_idempotents(seen[0], 0)
+    monkeypatch.undo()
+    return seen
+
+
+def _check_power(A, xs, e):
+    got = A.power(xs, e)
+    assert got.shape == np.shape(xs)
+    want = O.algebra_power(A.table.tolist(), A.one.tolist(),
+                           np.reshape(xs, (-1, A.dim)).tolist(), e, A.p)
+    assert got.reshape(-1, A.dim).tolist() == want, (A.dim, e)
+
+
+def _power_corpus():
+    # random, refined, basis-changed and fold-output modules
+    mods = [random_module(2, 3, 2, seed=s) for s in (0, 3)]
+    mods += [random_module(2, 4, 3, seed=1),
+             random_basis_change(random_module(2, 4, 3, seed=2), seed=2),
+             restriction_extension(random_module(2, 3, 2, seed=3), Grid(
+                 [[Fraction(i, 2) for i in range(5)]] * 2)),
+             _refined_shuffled(0)[1]]
+    G = module_G()
+    I = interval_module((0, 0), (1, 1))
+    mods.append(random_basis_change(
+        direct_sum(*_refine_all(G, G, I, I, I))[0], seed=13))
+    mods += [approximate_indecomposable(random_module(2, 3, 2, seed=s),
+                                        Fraction(1, 2)).module
+             for s in (4, 11)]
+    return mods
+
+
+def test_power_matches_the_algebra_product_oracle(monkeypatch):
+    rng = np.random.default_rng(5)
+    dims = set()
+    for M in _power_corpus():
+        for A in _algebras_of(M, monkeypatch):
+            dims.add(A.dim)
+            p, D = A.p, A.dim
+            stacks = [rng.integers(0, p, D), rng.integers(0, p, (3, D)),
+                      np.zeros((0, D), dtype=np.int64), field.eye(D)]
+            big = int(rng.integers(2 ** 31, 2 ** 32))
+            for e in (0, 1, 2, p, (p - 1) // 2, big):
+                for xs in stacks:
+                    _check_power(A, xs, e)
+    # End algebras, corners, quotients and F_p[b] of several sizes
+    assert {1, 2}.issubset(dims) and max(dims) >= 20
+
+
+def test_power_and_fixed_basis_are_exact_at_the_largest_accepted_prime(
+        monkeypatch):
+    # at p = 2**31 - 1, field.mmul splits every inner sum of 3 or more
+    # terms; End(M) has dimension 3 (validate allows M no more), and on a
+    # random basis its table is dense, so unsplit sums would overflow
+    X = interval_module((0, 0), (2, 2), p=P31)
+    Y = interval_module((1, 1), (3, 3), p=P31)
+    M = random_basis_change(direct_sum(*_refine_all(X, Y))[0], seed=3)
+    algebras = _algebras_of(M, monkeypatch)
+    E = algebras[0]
+    assert E.dim == 3
+    rng = np.random.default_rng(2)
+    P = rng.integers(0, P31, (3, 3))
+    assert field.rank(P, P31) == 3
+    algebras.append(E.restrict(P, field.minv(P, P31), E.one))
+    assert np.count_nonzero(algebras[-1].table) == 27
+    for A in algebras:
+        D = A.dim
+        xs = np.concatenate([np.full((1, D), P31 - 1),
+                             rng.integers(0, P31, (64, D)), field.eye(D)])
+        for e in (2, P31, (P31 - 1) // 2, 2 ** 32 - 1):
+            _check_power(A, xs, e)
+        fx = O.algebra_power(A.table.tolist(), A.one.tolist(),
+                             field.eye(D).tolist(), P31, P31)
+        rows = [[(fx[j][i] - (i == j)) % P31 for j in range(D)]
+                for i in range(D)]
+        assert A.frobenius_fixed_basis().T.tolist() == \
+            O.gauss_nullspace(rows, P31)
+
+
 def _decompose_twice(M):
     runs = [decompose(M, seed=7) for _ in range(2)]
     assert [io.dumps(X) for X in runs[0][0]] == \

@@ -284,6 +284,28 @@ def test_cli_seeds_outside_the_generator_range_are_malformed_input(
     assert len(json.loads(capsys.readouterr().out)["summands"]) == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ["approx-indec", "{module}"], ["certify"], ["nope", "{module}"],
+    ["decompose", "{module}", "--nope"], []], ids=[
+        "no-eps", "no-certificate", "unknown-command", "unknown-option",
+        "no-command"])
+def test_cli_usage_errors_are_malformed_input(argv, files, capsys):
+    # a missing --eps or operand, an unknown subcommand or option
+    argv = [a.format(module=files["module"]) for a in argv]
+    _malformed(main(argv), capsys.readouterr().err)
+    res = _run(argv)
+    _malformed(res.returncode, res.stderr)
+    assert res.stdout == "" and "usage:" not in res.stderr
+
+
+def test_cli_help_still_exits_0(capsys):
+    for argv in (["--help"], ["decompose", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert "usage:" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("command", ["validate", "certify"])
 def test_cli_deeply_nested_json_is_malformed_input(command, capsys,
                                                    tmp_path):
