@@ -14,10 +14,11 @@ Axes are 0-indexed here; the constructions treat axis 0 / axis 1 the way the
 informal pictures treat their first two coordinates, freezing the remaining
 coordinates.  Every constructor returns its result together with a
 local-change interleaving certificate back to its input.  The stages and
-the fold return their certificates unverified: what the construction
-claims is the bound on the composite, so only the composite is verified,
-once, by the function that returns it (tack, approximate_indecomposable
-and match.instability_demo).
+the fold return their certificates unverified and their modules untested
+for indecomposability: what the construction claims is the bound on the
+composite and the indecomposability of the final module, so only those
+are checked, once, by the function that returns them (tack,
+approximate_indecomposable and match.instability_demo).
 """
 
 from __future__ import annotations
@@ -197,11 +198,10 @@ def has_thin_corner(A: GridModule):
     return _first_vertex(A, (A.dims == 1) & (lower == 1))
 
 
-def has_antenna(A: GridModule, axis: int, eps=None):
+def has_antenna(A: GridModule, axis: int, eps):
     """A vertex r with A(r) = k, A zero on the ray below r along `axis`, and
-    zero structure maps out of r along every other axis (at lattice shift eps
-    when given, else to the immediate grid successor).  Returns the first
-    such vertex or None."""
+    zero structure maps from r to r + eps e_j for every other axis j.
+    Returns the first such vertex or None."""
     shape = A.grid.shape
     found = ((A.dims == 1) & (A.dims.cumsum(axis=axis) == 1)).ravel()
     for j in range(A.grid.n):
@@ -209,9 +209,8 @@ def has_antenna(A: GridModule, axis: int, eps=None):
             continue
         # where the map out of each vertex along axis j lands (-1: nowhere)
         tabs = [np.arange(s) for s in shape]
-        tabs[j] = (np.append(np.arange(1, shape[j]), -1) if eps is None else
-                   _axis_floors(A.grid, A.grid, eps)[j])
-        dst = _flat(tabs, shape).ravel()
+        tabs[j] = _axis_floors(A.grid, A.grid, eps)[j]
+        dst = _flat(tabs, shape)
         found &= dst >= 0
         at = np.flatnonzero(found)
         found[at] = ~A.structure_maps(at, dst[at]).any(axis=(1, 2))
@@ -227,7 +226,7 @@ def _assert_lattice(A: GridModule, eps):
                 raise ValueError(f"grid coordinate {c} not on the {eps}-lattice")
 
 
-def add_thin_corner(A: GridModule, eps, check: bool = True):
+def add_thin_corner(A: GridModule, eps):
     """Make the minimal support corner one-dimensional at half pitch.
 
     Returns (A2, certificate at eps/2, corner vertex r).  The corner r is
@@ -235,15 +234,14 @@ def add_thin_corner(A: GridModule, eps, check: bool = True):
     splice of A, refined at r + eps/2 and r + eps, with a one-dimensional
     piece at r, linked into A by the steps out of r restricted to one basis
     line of A(r): the first that some step out of r keeps nonzero.  It
-    differs from A only on the (eps/2)-trivial box [r, r + eps/2)^n.  The
-    certificate is not verified here.
+    differs from A only on the (eps/2)-trivial box [r, r + eps/2)^n.
+    Neither the certificate nor the indecomposability of A2 is checked
+    here.
     """
     eps = as_frac(eps)
     _assert_lattice(A, eps)
     if A.total_dim() == 0:
         raise ValueError("cannot add a corner to the zero module")
-    if check and not is_indecomposable(A):
-        raise ValueError("input must be indecomposable")
     h = eps / 2
     n, p = A.grid.n, A.p
     rv = tuple(np.argwhere(A.dims > 0)[0].tolist())
@@ -268,14 +266,12 @@ def add_thin_corner(A: GridModule, eps, check: bool = True):
     cert = local_change_certificate(Aref, A2, region, h, verify=False)
     if has_thin_corner(A2) is None:
         raise RuntimeError("corner construction failed its own check")
-    if check and not is_indecomposable(A2):
-        raise RuntimeError("corner construction broke indecomposability")
     return A2, cert, r
 
 
 # -- antenna splice ----------------------------------------------------------------
 
-def add_antenna(A: GridModule, eps, check: bool = True):
+def add_antenna(A: GridModule, eps):
     """Splice the gadget into the thin corner, producing an axis-0 antenna.
 
     Requires has_thin_corner(A) over the eps-lattice.  A2 is the splice of
@@ -284,7 +280,8 @@ def add_antenna(A: GridModule, eps, check: bool = True):
     block maps through G's top corner G(4, 4), which takes the place of
     the one-dimensional corner value.  Returns (A2, certificate at eps,
     antenna tip r + 3 q e_1); A2 differs from A only on the eps-trivial
-    box [r, r + 4 q)^n.  The certificate is not verified here.
+    box [r, r + 4 q)^n.  Neither the certificate nor the indecomposability
+    of A2 is checked here.
     """
     eps = as_frac(eps)
     _assert_lattice(A, eps)
@@ -319,14 +316,12 @@ def add_antenna(A: GridModule, eps, check: bool = True):
     tip = (r[0], r[1] + 3 * q) + tuple(r[2:])
     if has_antenna(out, 0, eps=q) != tip:
         raise RuntimeError("antenna construction failed its own check")
-    if check and not is_indecomposable(out):
-        raise RuntimeError("antenna construction broke indecomposability")
     return out, cert, tip
 
 
 # -- antenna relocation ------------------------------------------------------------
 
-def move_antenna(A: GridModule, eps, s, check: bool = True):
+def move_antenna(A: GridModule, eps, s):
     """Relocate an axis-0 antenna at r to the vertex s by laying a constant-k
     staircase, one axis at a time.
 
@@ -337,7 +332,8 @@ def move_antenna(A: GridModule, eps, s, check: bool = True):
     by the identity; support of A right below T makes that splice, and so
     this function, raise ValueError.  Returns (A2, certificate at eps, new
     antenna axis): the antenna ends up on axis 0 when n is even and on axis
-    n-1 when n is odd.  The certificate is not verified here.
+    n-1 when n is odd.  Neither the certificate nor the indecomposability
+    of A2 is checked here.
     """
     eps = as_frac(eps)
     _assert_lattice(A, eps)
@@ -383,8 +379,6 @@ def move_antenna(A: GridModule, eps, s, check: bool = True):
     new_axis = 0 if n % 2 == 0 else n - 1
     if has_antenna(out, new_axis, eps=eps) is None:
         raise RuntimeError("relocation failed its own antenna check")
-    if check and not is_indecomposable(out):
-        raise RuntimeError("relocation broke indecomposability")
     return out, cert, new_axis
 
 
@@ -481,7 +475,7 @@ def _join_chain(Ys, joins, eta, ell, ellp):
     return _splice(base, region, pieces, links), TrivialRegion(boxes)
 
 
-def fold(parts, eps0, check_stages: bool = False):
+def fold(parts, eps0):
     """Join k >= 2 indecomposables, all on the eps0-lattice, into one
     indecomposable M with d(M, X_1 + ... + X_k) <= 8/5 eps0.
 
@@ -499,8 +493,9 @@ def fold(parts, eps0, check_stages: bool = False):
     extension as X_1 + ... + X_k, blocks in the order of `parts`);
     stage_certs are the per-summand certificates d(Y_i, X_i) <= 11/10 eps0
     (Y_i the relocated summand), followed by the join certificate
-    d(M, sum Y_i) <= eps0/2.  None of them is verified here: the caller
-    verifies cert, or a composite that contains it.
+    d(M, sum Y_i) <= eps0/2.  None of them is verified here, and neither
+    M nor any stage's module is tested for indecomposability: the caller
+    verifies cert, or a composite that contains it, and tests M.
     """
     eps0 = as_frac(eps0)
     if len(parts) < 2:
@@ -515,8 +510,8 @@ def fold(parts, eps0, check_stages: bool = False):
     ell, ellp = _fold_axes(n)
     prepared = []
     for X in parts:
-        X1, c1, _ = add_thin_corner(prune(X), eps0, check=check_stages)
-        X2, c2, alpha = add_antenna(X1, eps0 / 2, check=check_stages)
+        X1, c1, _ = add_thin_corner(prune(X), eps0)
+        X2, c2, alpha = add_antenna(X1, eps0 / 2)
         prepared.append((X2, c1, c2, alpha))
 
     def support_min(X, k):
@@ -540,7 +535,7 @@ def fold(parts, eps0, check_stages: bool = False):
 
     def relocate(i, target):
         X2, c1, c2, _ = prepared[i]
-        Y, c3, axis = move_antenna(X2, eta, target, check=check_stages)
+        Y, c3, axis = move_antenna(X2, eta, target)
         assert axis == ell
         prep = compose_chain([c3.flip(), c2.flip(), c1.flip()], verify=False)
         return Y, prep
@@ -599,16 +594,18 @@ def fold_eps0(parts, delta) -> Fraction:
     return tau / (int(4 * tau / delta) + 1)
 
 
-def tack(A: GridModule, B: GridModule, delta, check_stages: bool = False):
+def tack(A: GridModule, B: GridModule, delta):
     """Replace two indecomposables A and B (ValueError otherwise) by a
     single indecomposable within delta of A + B.
 
     The fold of [A, B] (see `fold`) at eps0 = tau/m, with tau the coarsest
-    pitch of both (pruned) grids and m minimal such that eps0 < delta/4: thin corners (eps0/2), antennas at pitch eps0/10
-    (eps0/2), relocation of both antennas to a common out-of-support corner
-    (eps0/10) and the gadget join (eps0/2).  The returned certificate
-    between M and A + B has eps = 1.6 eps0 < delta, and is verified here,
-    the one verification of the whole fold.
+    pitch of both (pruned) grids and m minimal such that eps0 < delta/4:
+    thin corners (eps0/2), antennas at pitch eps0/10 (eps0/2), relocation
+    of both antennas to a common out-of-support corner (eps0/10) and the
+    gadget join (eps0/2).  The returned certificate between M and A + B has
+    eps = 1.6 eps0 < delta, and is verified here, the one verification of
+    the whole fold; M is tested for indecomposability here too, the one
+    such test of the fold (RuntimeError when it fails).
     """
     delta = as_frac(delta)
     if delta <= 0:
@@ -624,7 +621,7 @@ def tack(A: GridModule, B: GridModule, delta, check_stages: bool = False):
         raise PreconditionError("tack joins two indecomposable modules")
     eps0 = fold_eps0([A, B], delta)
     assert eps0 < delta / 4
-    M, cert, _ = fold([A, B], eps0, check_stages=check_stages)
+    M, cert, _ = fold([A, B], eps0)
     cert.verify()
     if not is_indecomposable(M):
         raise RuntimeError("tacked module failed its indecomposability check")

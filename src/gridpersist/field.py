@@ -14,7 +14,7 @@ rref_stack row-reduces a whole (m, r, c) stack of matrices at once;
 ranks, column_spaces, invertible, minv_stack and inverses derive from it.
 Each of its products has two factors in [0, p), so every intermediate is
 below (p-1)**2 < 2**63 in magnitude at any accepted prime, whatever the
-shape.  The single-matrix rref serves solve, nullspace and the small
+shape.  The single-matrix rref serves nullspace and the small
 systems of hom spaces, where it clears only the rows that need it.
 """
 
@@ -141,24 +141,6 @@ def column_space(a: np.ndarray, p: int) -> np.ndarray:
         return zeros(a.shape[0], 0)
     _, pivots = rref(a, p)
     return a[:, pivots].copy()
-
-
-def solve(a: np.ndarray, b: np.ndarray, p: int):
-    """One solution x of a x = b, or None if inconsistent.
-
-    b may be a vector or a matrix (solved column by column, consistently).
-    """
-    b2 = b.reshape(-1, 1) if b.ndim == 1 else b
-    nrows, ncols = a.shape
-    aug = np.concatenate([a, b2], axis=1) if nrows else zeros(0, ncols + b2.shape[1])
-    r, pivots = rref(aug, p)
-    pivset = [c for c in pivots if c < ncols]
-    if len(pivset) != len(pivots):
-        return None  # a pivot in the b-columns: inconsistent
-    x = zeros(ncols, b2.shape[1])
-    for i, pc in enumerate(pivots):
-        x[pc] = r[i, ncols:]
-    return x[:, 0] if b.ndim == 1 else x
 
 
 def quotient_map(a: np.ndarray, p: int) -> np.ndarray:

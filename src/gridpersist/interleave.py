@@ -15,12 +15,12 @@ from math import ceil, lcm, prod
 import numpy as np
 
 from . import field
-from .core import (Components, Grid, GridModule, _affine, _block_table,
+from .core import (Components, Grid, GridModule, _block_table,
                    _edge_ends, _exact, _failing_squares, _over_den, _padded,
                    _unique_rows, _vertex, as_frac, sum_module, zero_module)
-from .kan import (_axis_floors, _edge_ids, _flat, _flat_floors, _floors_via,
-                  _on, _pair_maps, _unique_maps, restriction_extension,
-                  snap_to_lattice, union_grid)
+from .kan import (_axis_floors, _edge_ids, _floors, _on, _pair_maps,
+                  _unique_maps, restriction_extension, snap_to_lattice,
+                  union_grid)
 
 
 class CertificateError(ValueError):
@@ -85,7 +85,7 @@ def is_eps_trivial(M: GridModule, eps) -> bool:
     if eps < 0:
         raise ValueError("eps must be >= 0")
     src = np.flatnonzero(M.dims.ravel() > 0)
-    dst = _flat_floors(M.grid, M.grid, eps).ravel()[src]
+    dst = _floors(M.grid, M.grid, eps)[src]
     # maps into zero spaces vanish without composing them
     live = M.dims.ravel()[dst] > 0
     return not (live.any() and
@@ -132,20 +132,15 @@ def map_grid(M: GridModule, N: GridModule, eps) -> Grid:
                               zip(_on(M.grid, L), _on(N.grid, L, -eps))])
 
 
-def _evaluation_axes(M: GridModule, N: GridModule, eps, PF: Grid, PG: Grid):
-    """(e, axes) from one pass over the coordinates as integers on one
-    common denominator L, with e = eps L: axes maps "M", "N", "F" (PF) and
-    "G" (PG) to their per-axis coordinates times L.  None when PF lacks a
-    coordinate of map_grid(M, N, eps) or PG one of map_grid(N, M, eps)."""
+def _holds_map_grids(M: GridModule, N: GridModule, eps, PF: Grid, PG: Grid):
+    """Does PF hold every coordinate of map_grid(M, N, eps) and PG every one
+    of map_grid(N, M, eps)?  All are compared as integers on one common
+    denominator."""
     L = lcm(M.grid.den, N.grid.den, PF.den, PG.den, eps.denominator)
-    e = int(eps * L)
-    axes = {k: _on(X, L) for k, X in (("M", M.grid), ("N", N.grid),
-                                      ("F", PF), ("G", PG))}
-    if all(_holds(c, np.concatenate([a, _affine(b, 1, -e)]))
-           for x, y, P in (("M", "N", "F"), ("N", "M", "G"))
-           for a, b, c in zip(axes[x], axes[y], axes[P])):
-        return e, axes
-    return None
+    return all(_holds(c, np.concatenate([a, b]))
+               for X, Y, P in ((M, N, PF), (N, M, PG))
+               for a, b, c in zip(_on(X.grid, L), _on(Y.grid, L, -eps),
+                                  _on(P, L)))
 
 
 def _holds(coords, need) -> bool:
@@ -199,19 +194,8 @@ class InterleavingCertificate:
         M, N, eps = self.m_module, self.n_module, self.eps
         if eps < 0:
             raise CertificateError("negative eps")
-        grids = _evaluation_axes(M, N, eps, self.grid, self.g_grid)
-        if grids is None:
+        if not _holds_map_grids(M, N, eps, self.grid, self.g_grid):
             raise CertificateError("evaluation grid too coarse")
-        e, axes = grids
-        shapes = {k: tuple(map(len, a)) for k, a in axes.items()}
-
-        def floors(src, dst, s=0):
-            # the flat index in grid src of the floor of every vertex of
-            # grid dst plus s / L, -1 where there is none
-            return _flat([np.searchsorted(a, _affine(b, 1, s), "right") - 1
-                          for a, b in zip(axes[src], axes[dst])],
-                         shapes[src]).ravel()
-
         p = M.p
         # each module's steps zero-padded to one square size D, then the
         # identity (for the ends of an edge that share a floor), then zero
@@ -229,29 +213,29 @@ class InterleavingCertificate:
         SM = tables(M)
         SN = SM if N is M else tables(N)
         # per map: its name, grid, table and padded stack, source and
-        # target (key, module, tables), and the floors of its grid's
-        # vertices in its source and (at + eps) in its target
+        # target (module, tables), and the floors of its grid's vertices in
+        # its source and (at + eps) in its target
         maps = []
-        for name, comp, P, (x, X, SX), (y, Y, SY) in (
-                ("f", self.f, "F", ("M", M, SM), ("N", N, SN)),
-                ("g", self.g, "G", ("N", N, SN), ("M", M, SM))):
-            t = Components.of(comp, shapes[P])
-            x0, ye = floors(x, P), floors(y, P, e)
+        for name, comp, P, (X, SX), (Y, SY) in (
+                ("f", self.f, self.grid, (M, SM), (N, SN)),
+                ("g", self.g, self.g_grid, (N, SN), (M, SM))):
+            t = Components.of(comp, P.shape)
+            x0, ye = _floors(X.grid, P), _floors(Y.grid, P, eps)
             bad = t.misfits(SY[2][ye], SX[2][x0])
             if len(bad):
                 raise CertificateError(
-                    f"{name} shape at {_vertex(bad[0], shapes[P])}: "
+                    f"{name} shape at {_vertex(bad[0], P.shape)}: "
                     f"{t.mats[t.ids[bad[0]]].shape}")
             # the successor of each vertex of the map's grid along each
             # axis (-1 for none)
-            succ = _edge_ends(shapes[P])[1].reshape(M.grid.n, -1)
-            maps.append((name, P, t, _padded(t.mats, D, D), (x, X, SX),
+            succ = _edge_ends(P.shape)[1].reshape(M.grid.n, -1)
+            maps.append((name, P, t, _padded(t.mats, D, D), (X, SX),
                          (Y, SY), x0, ye, succ))
 
         for k in range(M.grid.n):
             # naturality of f: f(w) M(v->w) = N(v+eps->w+eps) f(v), and of
             # g likewise; absent components are zero
-            for name, P, t, C, (_, X, SA), (Y, SB), a0, b0, succ in maps:
+            for name, P, t, C, (X, SA), (Y, SB), a0, b0, succ in maps:
                 src = np.flatnonzero(succ[k] >= 0)
                 dst = succ[k, src]
                 # the ids in the stacks of the maps between the floors of
@@ -266,7 +250,7 @@ class InterleavingCertificate:
                 if bad is not None:
                     raise CertificateError(
                         f"{name} naturality fails at "
-                        f"{_vertex(src[bad], shapes[P])} axis {k}")
+                        f"{_vertex(src[bad], P.shape)} axis {k}")
         # triangle identities g[eps] o f = eta_2eps and f[eps] o g =
         # eta_2eps, equations of natural maps out of X = M (resp. N).  Two
         # of them that agree at a predecessor of v agree at v whenever the
@@ -275,7 +259,7 @@ class InterleavingCertificate:
         # generators are checked (on a finer grid, a vertex off X's grid
         # is reached from its predecessor by an identity of X)
         for name, inner, outer in (("g.f", *maps), ("f.g", *maps[::-1])):
-            _, P, t, C, (x, X, (_, onto, _)), *_ = inner
+            _, P, t, C, (X, (_, onto, _)), *_ = inner
             _, Pu, u, Cu, *_ = outer
             # any map into a zero space is onto
             covered = X.dims.ravel() == 0
@@ -284,10 +268,11 @@ class InterleavingCertificate:
             ids = _edge_ids(X, src[on], dst[on], on // len(covered))
             covered[dst[on[onto[ids]]]] = True
             at = np.flatnonzero(~covered)
-            inv, walks = _unique_maps(X, at, floors(x, x, 2 * e)[at])
+            inv, walks = _unique_maps(X, at, _floors(X.grid, X.grid,
+                                                     2 * eps)[at])
             # the first map at the floor of v, the second at that of v + eps
-            iv = np.append(t.ids, -1)[floors(P, x)[at]]
-            iu = np.append(u.ids, -1)[floors(Pu, x, e)[at]]
+            iv = np.append(t.ids, -1)[_floors(P, X.grid)[at]]
+            iu = np.append(u.ids, -1)[_floors(Pu, X.grid, eps)[at]]
             rows, first, _ = _unique_rows(np.stack([iu, iv, inv], axis=1))
             iu, iv, c = rows.T
             diff = np.matmul(Cu[iu], C[iv]) - _padded(walks, D, D)[c]
@@ -314,18 +299,12 @@ class InterleavingCertificate:
                 f"g_grid_shape={self.g_grid.shape})")
 
 
-def _dims_at(mod: GridModule, grid: Grid, shift=0) -> np.ndarray:
-    """Flat array over grid: dim of mod's extension at each vertex + shift."""
-    return np.append(mod.dims.ravel(), 0)[_flat_floors(mod.grid, grid,
-                                                       shift).ravel()]
-
-
 def _at_floors(comp, P: Grid, grid: Grid, shift=0) -> np.ndarray:
     """(ids, mats): the matrices of the table Components.of(comp, P.shape,
     drop_zero=True), and a flat array over grid of the id of the component
     at the floor in P of each vertex plus shift (-1 where there is none)."""
     t = Components.of(comp, P.shape, drop_zero=True)
-    return np.append(t.ids, -1)[_flat_floors(P, grid, shift).ravel()], t.mats
+    return np.append(t.ids, -1)[_floors(P, grid, shift)], t.mats
 
 
 def identity_certificate(M: GridModule, eps,
@@ -447,8 +426,10 @@ def block_sum_certificates(certs, verify: bool = True):
         # id at the floor of each vertex, with the block's row and column
         # dimensions (needed where the component is absent)
         return _block_table(grid.shape, [
-            (*_at_floors(comp, P, grid), _dims_at(Y, grid, eps),
-             _dims_at(X, grid)) for comp, P, X, Y in parts], drop_zero=True)
+            (*_at_floors(comp, P, grid),
+             np.append(Y.dims.ravel(), 0)[_floors(Y.grid, grid, eps)],
+             np.append(X.dims.ravel(), 0)[_floors(X.grid, grid)])
+            for comp, P, X, Y in parts], drop_zero=True)
 
     GF, GG = map_grid(S1, S2, eps), map_grid(S2, S1, eps)
     f = fill(GF, [(c.f, c.grid, c.m_module, c.n_module) for c in certs])
@@ -489,17 +470,12 @@ def snap_certificate(M: GridModule, pitch):
     L = snap_to_lattice(M, pitch)
     GF, GG = map_grid(M, L, pitch), map_grid(L, M, pitch)
 
-    def in_m(grid, shift):
-        # flat floors in M of the floors in L of the vertices plus shift
-        return _flat(_floors_via(M.grid, L.grid,
-                                 _axis_floors(L.grid, grid, shift)),
-                     M.grid.shape).ravel()
-
     # the maps of f and g in one batch; each table renumbers its own
     ids, mats = _unique_maps(
-        M, np.concatenate([_flat_floors(M.grid, GF).ravel(), in_m(GG, 0)]),
-        np.concatenate([in_m(GF, pitch),
-                        _flat_floors(M.grid, GG, pitch).ravel()]))
+        M, np.concatenate([_floors(M.grid, GF),
+                           _floors(M.grid, GG, via=L.grid)]),
+        np.concatenate([_floors(M.grid, GF, pitch, via=L.grid),
+                        _floors(M.grid, GG, pitch)]))
     f, g = (Components(P.shape, half, mats, drop_zero=True) for P, half in
             zip((GF, GG), np.split(ids, [prod(GF.shape)])))
     cert = InterleavingCertificate(M, L, pitch, GF, f, g, GG)
@@ -525,8 +501,7 @@ def local_change_certificate(M: GridModule, M2: GridModule,
     inside = np.concatenate([region.mask(P).ravel() for P in (GF, GG)])
 
     def floors(X, shift=0):
-        return np.concatenate([_flat_floors(X.grid, P, shift).ravel()
-                               for P in (GF, GG)])
+        return np.concatenate([_floors(X.grid, P, shift) for P in (GF, GG)])
 
     # the eps-shift structure maps of both modules; whether M and M2 agree
     # outside U is not checked here: verify decides whether these maps
@@ -638,9 +613,8 @@ def factor_through_grid(L: GridModule, window: Grid, r):
     # On each axis t is the next window coordinate after v or later, so
     # t >= v + alpha >= v + r, or t = v on the window's top, where both
     # floors are L's top; m is the structure map between the last two
-    base, src, tgt = (_flat(f, L.grid.shape).ravel() for f in (
-        _axis_floors(L.grid, window), _axis_floors(L.grid, window, r),
-        _floors_via(L.grid, window, _axis_floors(window, window, beta))))
+    base, src, tgt = (_floors(L.grid, window), _floors(L.grid, window, r),
+                      _floors(L.grid, window, beta, via=window))
     maps, rows, cols, inv = _pair_maps(L, src, tgt)
     # verify the square eta_beta = m o (eta_r)_P wherever v has a floor in L
     on = np.flatnonzero(base >= 0)

@@ -21,9 +21,10 @@ from .core import (Components, Grid, GridModule, ModuleMorphism, _affine,
 #
 # Certificate routines evaluate natural maps at every vertex of an evaluation
 # grid.  A natural map is constant on cells of the common refinement, so each
-# vertex is described by its floors in the grids involved (per-axis tables,
-# combined into flat indices) and by the components it carries (their ids in
-# a core.Components table, read from any vertex -> matrix mapping by
+# vertex is described by its floors in the grids involved, all read through
+# one routine (_floors: flat floor indices, optionally after a shift or by
+# way of a third grid), and by the components it carries (their ids in a
+# core.Components table, read from any vertex -> matrix mapping by
 # Components.of); vertices with equal descriptions share one evaluation, and
 # the builders hand their id tables over as Components.  The two ends of a
 # grid edge mostly have floors equal or one step apart, so verify and
@@ -34,7 +35,8 @@ from .core import (Components, Grid, GridModule, ModuleMorphism, _affine,
 def _on(grid: Grid, L: int, shift=0):
     """Per-axis integer arrays: grid's coordinates plus shift, times L (a
     multiple of grid.den and of the denominator of shift)."""
-    return [_affine(a, L // grid.den, int(shift * L)) for a in grid.nums]
+    f, s = L // grid.den, shift.numerator * (L // shift.denominator)
+    return [_affine(a, f, s) for a in grid.nums]
 
 
 def _axis_floors(mod_grid: Grid, grid: Grid, shift=0):
@@ -46,23 +48,22 @@ def _axis_floors(mod_grid: Grid, grid: Grid, shift=0):
             for a, b in zip(_on(mod_grid, L), _on(grid, L, shift))]
 
 
-def _floors_via(mod_grid: Grid, via: Grid, tabs):
-    """Per-axis arrays: floor index in mod_grid of the coordinate of `via`
-    at each index of the per-axis index arrays tabs (-1 stays -1)."""
-    return [np.where(t >= 0, f[np.maximum(t, 0)], -1)
-            for f, t in zip(_axis_floors(mod_grid, via), tabs)]
-
-
-def _flat_floors(mod_grid: Grid, grid: Grid, shift=0) -> np.ndarray:
-    """Array over grid.shape: flat index (in mod_grid) of the floor of each
-    vertex shifted by `shift`, or -1 where there is none."""
-    return _flat(_axis_floors(mod_grid, grid, shift), mod_grid.shape)
+def _floors(mod_grid: Grid, grid: Grid, shift=0, via: Grid = None):
+    """Flat array over grid's vertices in C order: the flat index in
+    mod_grid of the floor of each vertex plus shift, -1 where there is
+    none.  With via, the floor is taken in via first, and the entry is the
+    floor in mod_grid of that floor."""
+    tabs = _axis_floors(mod_grid if via is None else via, grid, shift)
+    if via is not None:
+        tabs = [np.where(t >= 0, f[np.maximum(t, 0)], -1)
+                for f, t in zip(_axis_floors(mod_grid, via), tabs)]
+    return _flat(tabs, mod_grid.shape)
 
 
 def _flat(tabs, shape) -> np.ndarray:
     """Combine per-axis index arrays (-1 for none) into flat indices over a
-    grid of the given shape, -1 where any axis has none; the result spans
-    the product of the tables' lengths."""
+    grid of the given shape, -1 where any axis has none: a flat array over
+    the product of the tables' lengths, in C order."""
     n = len(tabs)
     out = np.zeros([len(t) for t in tabs], dtype=np.int64)
     none = np.zeros(out.shape, dtype=bool)
@@ -75,7 +76,7 @@ def _flat(tabs, shape) -> np.ndarray:
         none |= (t < 0).reshape(view)
         stride *= shape[k]
     out[none] = -1
-    return out
+    return out.ravel()
 
 
 def _pair_maps(mod: GridModule, src: np.ndarray, dst: np.ndarray):
@@ -130,7 +131,7 @@ def restriction_extension(M: GridModule, grid: Grid) -> GridModule:
     """
     if grid.n != M.grid.n:
         raise ValueError("dimension mismatch")
-    src = _flat_floors(M.grid, grid).ravel()
+    src = _floors(M.grid, grid)
     d = np.append(M.dims.ravel(), 0)
     # every edge between nonzero vertices, all axes in one batch
     v, w = _edge_ends(grid.shape)
@@ -169,7 +170,7 @@ def morphism_restriction_extension(f: ModuleMorphism, grid: Grid) -> ModuleMorph
     Mg = restriction_extension(f.source, grid)
     Ng = restriction_extension(f.target, grid)
     t = Components.of(f.mats, f.source.grid.shape, drop_zero=True)
-    at = np.append(t.ids, -1)[_flat_floors(f.source.grid, grid)]
+    at = np.append(t.ids, -1)[_floors(f.source.grid, grid)]
     return ModuleMorphism(Mg, Ng, Components(grid.shape, at, t.mats))
 
 
@@ -305,8 +306,7 @@ def compression_witness(M: GridModule, C: GridModule) -> ModuleMorphism:
     """The natural isomorphism (C extended onto M's grid) -> M, for C a
     compression of M.  Components are structure maps of M from the floor in
     C's grid up to each vertex."""
-    src = _floors_via(M.grid, C.grid, _axis_floors(C.grid, M.grid))
-    ids, mats = _unique_maps(M, _flat(src, M.grid.shape).ravel(),
+    ids, mats = _unique_maps(M, _floors(M.grid, M.grid, via=C.grid),
                              np.arange(M.dims.size))
     return ModuleMorphism(restriction_extension(C, M.grid), M,
                           Components(M.grid.shape, ids, mats, drop_zero=True))

@@ -7,7 +7,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from gridpersist import field
+from gridpersist import construct, field
 from gridpersist.cli import random_module
 from gridpersist.core import DEFAULT_PRIME, GridModule, interval_module
 
@@ -39,6 +39,19 @@ def matches_dict_route(X):
             and len(t.mats) == len(u.mats)
             and all(a.shape == b.shape and np.array_equal(a, b)
                     for a, b in zip(t.mats, u.mats)))
+
+
+def record_stages(monkeypatch):
+    """The list to which every later add_thin_corner, add_antenna and
+    move_antenna call appends the module it returns."""
+    stages = []
+    for name in ("add_thin_corner", "add_antenna", "move_antenna"):
+        def record(*args, _stage=getattr(construct, name), **kwargs):
+            out = _stage(*args, **kwargs)
+            stages.append(out[0])
+            return out
+        monkeypatch.setattr(construct, name, record)
+    return stages
 
 
 def rect(a, b, p=65521):

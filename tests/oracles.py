@@ -21,40 +21,15 @@ from gridpersist.interleave import InterleavingCertificate
 # ---------------------------------------------------------------------------
 # plain-int linear algebra mod p
 
-def gauss_rank(rows, p):
-    """Rank of a matrix given as a list of lists of ints, mod p."""
-    rows = [[x % p for x in r] for r in rows]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    col = 0
-    while rank < len(rows) and col < ncols:
-        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
-        if piv is None:
-            col += 1
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = pow(rows[rank][col], p - 2, p)
-        rows[rank] = [(x * inv) % p for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col]:
-                c = rows[i][col]
-                rows[i] = [(a - c * b) % p for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-        col += 1
-    return rank
-
-
-def gauss_nullspace(rows, p):
-    """Basis of the right nullspace, as a list of int vectors."""
-    ncols = len(rows[0]) if rows else 0
+def _gauss_jordan(rows, p, ncols):
+    """(reduced rows, pivot columns): the reduced row echelon form mod p of
+    a list of int rows, pivots taken among their first ncols columns."""
     rows = [[x % p for x in r] for r in rows]
     pivots = []
-    rank = 0
-    col = 0
-    while rank < len(rows) and col < ncols:
+    for col in range(ncols):
+        rank = len(pivots)
         piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
         if piv is None:
-            col += 1
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
         inv = pow(rows[rank][col], p - 2, p)
@@ -64,8 +39,18 @@ def gauss_nullspace(rows, p):
                 c = rows[i][col]
                 rows[i] = [(a - c * b) % p for a, b in zip(rows[i], rows[rank])]
         pivots.append(col)
-        rank += 1
-        col += 1
+    return rows, pivots
+
+
+def gauss_rank(rows, p):
+    """Rank of a matrix given as a list of lists of ints, mod p."""
+    return len(_gauss_jordan(rows, p, len(rows[0]) if rows else 0)[1])
+
+
+def gauss_nullspace(rows, p):
+    """Basis of the right nullspace, as a list of int vectors."""
+    ncols = len(rows[0]) if rows else 0
+    rows, pivots = _gauss_jordan(rows, p, ncols)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for f in free:
@@ -75,6 +60,22 @@ def gauss_nullspace(rows, p):
             v[c] = (-rows[r][f]) % p
         basis.append(v)
     return basis
+
+
+def solve(a, b, p):
+    """One solution x of a x = b mod p, or None if there is none: a is an
+    int64 matrix, b a vector or a matrix (every column solved), and x an
+    int64 array of b's kind."""
+    b2 = b.reshape(-1, 1) if b.ndim == 1 else b
+    ncols, k = a.shape[1], b2.shape[1]
+    rows, pivots = _gauss_jordan([ra + rb for ra, rb in zip(
+        a.tolist(), b2.tolist())], p, ncols)
+    if any(any(r[ncols:]) for r in rows[len(pivots):]):
+        return None
+    x = np.zeros((ncols, k), dtype=np.int64)
+    for r, c in enumerate(pivots):
+        x[c] = rows[r][ncols:]
+    return x[:, 0] if b.ndim == 1 else x
 
 
 def mat_mul(a, b, p, cols=0):
@@ -462,11 +463,10 @@ def has_thin_corner(A):
     return None
 
 
-def has_antenna(A, axis, eps=None):
+def has_antenna(A, axis, eps):
     """The coordinates of the first vertex r (in C order) with A(r)
     one-dimensional, A zero on the ray below r along `axis`, and a zero map
-    from r to r + eps e_j (to the next vertex along j when eps is None;
-    there must be one) for every other axis j, or None."""
+    from r to r + eps e_j for every other axis j, or None."""
     axes = _axes(A)
     shape = A.dims.shape
     for v in _vertices(A):
@@ -478,12 +478,8 @@ def has_antenna(A, axis, eps=None):
         for j in range(len(shape)):
             if j == axis:
                 continue
-            if eps is None:
-                w = v[:j] + (v[j] + 1,) + v[j + 1:]
-                ok = v[j] + 1 < shape[j] and _is_zero(path_map(A, v, w))
-            else:
-                ok = _is_zero(path_map(A, v, ext_floor(
-                    A, r[:j] + [r[j] + eps] + r[j + 1:])))
+            ok = _is_zero(path_map(A, v, ext_floor(
+                A, r[:j] + [r[j] + eps] + r[j + 1:])))
             if not ok:
                 break
         if ok:

