@@ -249,6 +249,19 @@ class Components(Mapping):
         return int(np.count_nonzero(self.ids >= 0))
 
 
+def _products(a: Components, b: Components, p: int) -> Components:
+    """The table of a[v] b[v] (mod p) wherever both tables have one: each
+    distinct pair of ids is multiplied once, zero products left out."""
+    live = (a.ids >= 0) & (b.ids >= 0)
+    pairs, at = np.unique(a.ids[live] * len(b.mats) + b.ids[live],
+                          return_inverse=True)
+    prods = [field.mmul(a.mats[u // len(b.mats)], b.mats[u % len(b.mats)], p)
+             for u in pairs.tolist()]
+    ids = np.full(live.size, -1, dtype=np.int64)
+    ids[live] = at.reshape(-1)
+    return Components(a.shape, ids, prods, drop_zero=True)
+
+
 def _padded(mats, rows: int, cols: int) -> np.ndarray:
     """The matrices zero-padded to rows x cols and stacked, followed by one
     zero matrix, so that index -1 (no component) reads as zero."""
@@ -563,16 +576,8 @@ class ModuleMorphism:
         if other.target is not self.source and other.target.dims.shape != self.source.dims.shape:
             raise ValueError("composition mismatch")
         shape = self.source.grid.shape
-        a, b = (Components.of(x.mats, shape) for x in (self, other))
-        live = (a.ids >= 0) & (b.ids >= 0)
-        pairs, at = np.unique(a.ids[live] * len(b.mats) + b.ids[live],
-                              return_inverse=True)
-        prods = [field.mmul(a.mats[u // len(b.mats)], b.mats[u % len(b.mats)],
-                            self.p) for u in pairs.tolist()]
-        ids = np.full(live.size, -1, dtype=np.int64)
-        ids[live] = at.reshape(-1)
-        return ModuleMorphism(other.source, self.target,
-                              Components(shape, ids, prods, drop_zero=True))
+        return ModuleMorphism(other.source, self.target, _products(
+            *(Components.of(x.mats, shape) for x in (self, other)), self.p))
 
     def is_isomorphism(self) -> bool:
         """Is the component at every vertex of the support invertible?  Each

@@ -16,8 +16,8 @@ representation), one matrix product per exponent bit, exact at any prime.
 decompose compresses its input once to C and builds End(C) once.  It
 splits End(C) into primitive orthogonal idempotents by running
 _idempotent on corner algebras eAe, each restricted from its parent's
-table, splits C once along the images of all of them, and transports the
-summands and the witness back to the input's grid.
+table, splits C once along the images of all of them, moves the summands
+back to the input's grid and builds the witness there in one pass.
 """
 
 from __future__ import annotations
@@ -28,10 +28,10 @@ import numpy as np
 
 from . import field
 from .core import (Components, GridModule, ModuleMorphism, _edge_ends,
-                   _hom_morphisms, _unique_rows, direct_sum, hom_matrix,
-                   hom_space, sum_module)
-from .kan import (compress, compression_witness,
-                  morphism_restriction_extension, restriction_extension)
+                   _hom_morphisms, _products, _unique_rows, direct_sum,
+                   hom_matrix, hom_space, sum_module)
+from .kan import (_compression_table, _floors, compress,
+                  restriction_extension)
 
 
 class FieldTooSmall(ValueError):
@@ -214,9 +214,13 @@ def radical(A: _Algebra) -> np.ndarray:
 
 def _corner(A: _Algebra, f) -> _Algebra:
     """The corner algebra fAf of an idempotent f, on a column basis of
-    x -> f x f; the reduced rows of that map give the coordinates."""
-    F = np.tile(f, (A.dim, 1))
-    fxf = A.mul(A.mul(F, field.eye(A.dim)), F).T
+    x -> f x f; the reduced rows of that map give the coordinates.  Its
+    matrix is left(f) times the right-multiplication matrix of f (row j:
+    b_j f), so row j is f b_j f."""
+    D, p = A.dim, A.p
+    right = field.mmul(np.reshape(f, (1, D)) % p, A.table.transpose(1, 0, 2)
+                       .reshape(D, D * D), p).reshape(D, D)
+    fxf = field.mmul(A.left(f)[0], right, p).T
     R, piv = field.rref(fxf, A.p)
     return A.restrict(fxf[:, piv], R[:len(piv)], f)
 
@@ -370,14 +374,6 @@ def _split_by_bases(M: GridModule, bases):
             for d, i, m in zip(dims, ids, mats)]
 
 
-def _side_by_side(M: GridModule, parts, bases) -> ModuleMorphism:
-    """The morphism sum_module(*parts) -> M that includes each part by its
-    basis (unchecked)."""
-    return ModuleMorphism(sum_module(*parts), M, {
-        v: np.concatenate([b[v] for b in bases], axis=1)
-        for v in map(tuple, np.argwhere(M.dims > 0).tolist())})
-
-
 # -- full decomposition --------------------------------------------------------
 
 def decompose(M: GridModule, seed: int = 0):
@@ -387,10 +383,11 @@ def decompose(M: GridModule, seed: int = 0):
     primitive orthogonal idempotents of End(C) comes from splitting off
     one idempotent at a time in corner algebras, each restricted from its
     parent's structure table, so no module is built on the way; C then
-    splits once along the images of all of them.  Summands and witness
-    move back to M's grid: summands by restriction-extension, exact
-    because M's grid refines C's, and the witness through
-    compression_witness.
+    splits once along the images of all of them.  The summands move back
+    to M's grid by restriction-extension (exact: M's grid refines C's).
+    The witness is built on M's grid in one pass: at each vertex, the
+    summands' bases side by side at its floor in C, times M's structure
+    map from that floor up to it (nothing to multiply when C is M).
 
     Returns (summands, witness) where witness is a verified isomorphism
     direct_sum(*summands) -> M, all on M's grid.  Summands are ordered by
@@ -401,14 +398,17 @@ def decompose(M: GridModule, seed: int = 0):
     C = compress(M)
     A = end_algebra(C)
     bases = A.image_bases(np.stack(_primitive_idempotents(A, seed), axis=1))
-    parts = sorted(((restriction_extension(X, M.grid), X, b)
+    parts = sorted(((restriction_extension(X, M.grid), b)
                     for X, b in zip(_split_by_bases(C, bases), bases)),
                    key=lambda t: (t[0].total_dim(), t[0].dims.ravel().tolist()))
-    Wc = _side_by_side(C, [X for _, X, _ in parts], [b for _, _, b in parts])
-    W = compression_witness(M, C).compose(
-        morphism_restriction_extension(Wc, M.grid))
-    summands = [Y for Y, _, _ in parts]
-    W = ModuleMorphism(sum_module(*summands), M, W.mats)
+    summands = [Y for Y, _ in parts]
+    Wc = Components.of({v: np.concatenate([b[v] for _, b in parts], axis=1)
+                        for v in bases[0]}, C.grid.shape)
+    if C is not M:
+        fc = np.append(Wc.ids, -1)[_floors(C.grid, M.grid)]
+        Wc = _products(_compression_table(M, C),
+                       Components(M.grid.shape, fc, Wc.mats), M.p)
+    W = ModuleMorphism(sum_module(*summands), M, Wc)
     W.validate()
     if not W.is_isomorphism():
         raise RuntimeError("decomposition witness failed verification")

@@ -127,14 +127,19 @@ def restriction_extension(M: GridModule, grid: Grid) -> GridModule:
 
     The value at a vertex q is M at the largest M-grid vertex <= q (zero when
     none exists); steps are the corresponding structure maps of M, walked
-    only where the floors are two or more steps apart (_edge_ids).
+    only where the floors are two or more steps apart (_edge_ids).  On M's
+    own grid that is M itself, unless M stores a step on an edge touching
+    a zero-dimensional vertex (a loader accepts one; the rebuild drops it).
     """
     if grid.n != M.grid.n:
         raise ValueError("dimension mismatch")
-    src = _floors(M.grid, grid)
     d = np.append(M.dims.ravel(), 0)
     # every edge between nonzero vertices, all axes in one batch
     v, w = _edge_ends(grid.shape)
+    if grid == M.grid and not (
+            M.step_table().ids[(d[v] == 0) | (d[w] == 0)] >= 0).any():
+        return M
+    src = _floors(M.grid, grid)
     lo, hi = src[v], np.append(src, -1)[w]
     at = np.flatnonzero((d[lo] > 0) & (d[hi] > 0))
     lo, hi = lo[at], hi[at]
@@ -304,9 +309,14 @@ def _kept_coords(M: GridModule, k: int, invertible: bool, kept_before=()):
 
 def compression_witness(M: GridModule, C: GridModule) -> ModuleMorphism:
     """The natural isomorphism (C extended onto M's grid) -> M, for C a
-    compression of M.  Components are structure maps of M from the floor in
-    C's grid up to each vertex."""
+    compression of M, with _compression_table as its components."""
+    return ModuleMorphism(restriction_extension(C, M.grid), M,
+                          _compression_table(M, C))
+
+
+def _compression_table(M: GridModule, C: GridModule) -> Components:
+    """The table over M's grid of M's structure maps from each vertex's
+    floor in C's grid (a coarsening of M's) up to the vertex."""
     ids, mats = _unique_maps(M, _floors(M.grid, M.grid, via=C.grid),
                              np.arange(M.dims.size))
-    return ModuleMorphism(restriction_extension(C, M.grid), M,
-                          Components(M.grid.shape, ids, mats, drop_zero=True))
+    return Components(M.grid.shape, ids, mats, drop_zero=True)

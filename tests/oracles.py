@@ -92,19 +92,25 @@ def mat_zero(nr, nc):
     return [[0] * nc for _ in range(nr)]
 
 
-def algebra_power(table, one, xs, e, p):
-    """[x ** e for x in xs] by square-and-multiply on algebra products, in
-    the algebra whose structure table has table[i][j][k] = coefficient of
-    b_k in b_i b_j and whose unit is one (coordinate lists).  Products are
-    summed over the nonzero table entries."""
+def _algebra_mul(table, p):
+    """The product of coordinate lists in the algebra whose structure table
+    has table[i][j][k] = coefficient of b_k in b_i b_j, summed over the
+    nonzero table entries."""
     terms = [(i, j, k, c) for i, row in enumerate(table)
              for j, col in enumerate(row) for k, c in enumerate(col) if c]
 
     def mul(a, b):
-        out = [0] * len(one)
+        out = [0] * len(table)
         for i, j, k, c in terms:
             out[k] += a[i] * b[j] * c
         return [v % p for v in out]
+    return mul
+
+
+def algebra_power(table, one, xs, e, p):
+    """[x ** e for x in xs] by square-and-multiply on algebra products (see
+    _algebra_mul), in the algebra with unit one."""
+    mul = _algebra_mul(table, p)
 
     def pw(v):
         acc, v, n = [c % p for c in one], [c % p for c in v], e
@@ -116,6 +122,14 @@ def algebra_power(table, one, xs, e, p):
                 v = mul(v, v)
         return acc
     return [pw(x) for x in xs]
+
+
+def corner_map(table, f, p):
+    """The matrix of x -> f x f (see _algebra_mul), by two algebra products
+    per basis element: column i holds the coordinates of (f b_i) f."""
+    mul, D = _algebra_mul(table, p), len(f)
+    cols = [mul(mul(f, [int(i == j) for j in range(D)]), f) for i in range(D)]
+    return [list(r) for r in zip(*cols)]
 
 
 # ---------------------------------------------------------------------------

@@ -5,16 +5,19 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gridpersist import decomp, field, io
+from gridpersist import decomp, field, io, kan
 from gridpersist.cli import random_module
 from gridpersist.construct import (approximate_indecomposable, iso_certificate,
                                    module_G)
-from gridpersist.core import (GridModule, ModuleMorphism, direct_sum,
-                              interval_module, random_basis_change, zero_module)
+from gridpersist.core import (Components, GridModule, ModuleMorphism,
+                              direct_sum, interval_module, random_basis_change,
+                              sum_module, zero_module)
 from gridpersist.decomp import (FieldTooSmall, decompose, end_algebra,
                                 is_indecomposable, is_isomorphic, radical)
-from gridpersist.kan import (common_refinement, compress, restriction_extension,
-                             union_axes)
+from gridpersist.interleave import snap_certificate
+from gridpersist.kan import (common_refinement, compress, compression_witness,
+                             morphism_restriction_extension,
+                             restriction_extension, shift, union_axes)
 from gridpersist.core import Grid
 
 from conftest import rect
@@ -57,13 +60,21 @@ def fitting_split(M: GridModule, phi: ModuleMorphism):
     return _image_kernel_split(M, powers)
 
 
+def _side_by_side(M: GridModule, parts, bases) -> ModuleMorphism:
+    """The morphism sum_module(*parts) -> M that includes each part by its
+    basis (unchecked)."""
+    return ModuleMorphism(sum_module(*parts), M, {
+        v: np.concatenate([b[v] for b in bases], axis=1)
+        for v in _support(M)})
+
+
 def _image_kernel_split(M: GridModule, mats):
     """(M_im, M_ker, W) along the pointwise images and kernels of mats
     (support vertex -> endomorphism of M there), once W is checked."""
     bases = [dict(zip(mats, field.column_spaces(list(mats.values()), M.p))),
              {v: field.nullspace(a, M.p) for v, a in mats.items()}]
     parts = decomp._split_by_bases(M, bases)
-    W = decomp._side_by_side(M, parts, bases)
+    W = _side_by_side(M, parts, bases)
     W.validate()
     if not W.is_isomorphism():
         raise ValueError("split witness is not an isomorphism")
@@ -260,12 +271,21 @@ def test_end_pivots_are_those_of_the_whole_basis():
 def test_decompose_builds_one_end_per_node_on_the_compressed_grid(
         seed, monkeypatch):
     # one End(C) for C = compress(M), split by its corner algebras, and
-    # one split of C along all the idempotents
+    # one split of C along all the idempotents; the only modules
+    # restriction_extension rebuilds are C (inside compress) and each
+    # summand on M's grid, and none when C is M
     _, M = _refined_shuffled(seed)
     shape = compress(M).grid.shape
-    built, compressed, splits = [], [], []
+    built, compressed, splits, rebuilt = [], [], [], []
     init = decomp.EndAlgebra.__init__
     split = decomp._split_by_bases
+    rext = kan.restriction_extension
+
+    def counting_rext(X, grid):
+        out = rext(X, grid)
+        if out is not X:
+            rebuilt.append(out.grid.shape)
+        return out
 
     def counting_init(self, X):
         built.append(X.grid.shape)
@@ -282,12 +302,20 @@ def test_decompose_builds_one_end_per_node_on_the_compressed_grid(
     monkeypatch.setattr(decomp.EndAlgebra, "__init__", counting_init)
     monkeypatch.setattr(decomp, "compress", counting_compress)
     monkeypatch.setattr(decomp, "_split_by_bases", counting_split)
+    for mod in (kan, decomp):
+        monkeypatch.setattr(mod, "restriction_extension", counting_rext)
     parts, w = decompose(M)
     assert len(parts) >= 2
     assert built == [shape]
     assert splits == [len(parts)]
     assert compressed == [M]
     assert w.target is M and w.is_isomorphism()
+    assert shape != M.grid.shape
+    assert rebuilt == [shape] + [M.grid.shape] * len(parts)
+    C = compress(M)
+    rebuilt.clear()
+    assert compress(C) is C and len(decompose(C)[0]) == len(parts)
+    assert rebuilt == []
 
 
 def _count_validate(monkeypatch):
@@ -311,6 +339,63 @@ def test_decompose_checks_one_witness(seed, monkeypatch):
     parts, w = decompose(M)
     assert len(parts) >= 2
     assert calls == [w]
+
+
+def _openness_shaped(r, seed):
+    """As the openness benchmark builds it: a rectangle plus a 1/4-square,
+    basis-changed, shifted by -r and snapped to the 1/8-lattice."""
+    X = rect((0, 1), (3, 3))
+    T = rect((Fraction(3, 8), Fraction(5, 8)), (Fraction(5, 8), Fraction(7, 8)))
+    S = random_basis_change(direct_sum(*_refine_all(X, T))[0], seed)
+    return snap_certificate(shift(S, -r), Fraction(1, 8))[0]
+
+
+def _witness_corpus():
+    """Random, refined (compress shrinks the grid), basis-changed,
+    openness-shaped and fold-output modules."""
+    mods = [random_module(2, 3, 2, seed=s) for s in (0, 4)]
+    mods += [random_module(2, 4, 3, seed=1), _refined_shuffled(0)[1],
+             _refined_shuffled(2)[1],
+             random_basis_change(random_module(2, 4, 3, seed=2), seed=5)]
+    mods += [_openness_shaped(Fraction(r, 64), r) for r in (0, 3)]
+    F = approximate_indecomposable(random_module(2, 3, 2, seed=4),
+                                   Fraction(1, 2)).module
+    I = restriction_extension(interval_module((0, 0), (1, 1)), F.grid)
+    return mods + [F, random_basis_change(direct_sum(F, I)[0], seed=6)]
+
+
+def test_decompose_witness_matches_the_composite_through_the_compressed_grid(
+        monkeypatch):
+    # the witness built in one pass on M's grid, table for table, against
+    # the inclusion of the split of C = compress(M) side by side, moved to
+    # M's grid and composed with the compression witness
+    split, seen, shrunk = decomp._split_by_bases, [], set()
+
+    def recording_split(C, bases):
+        seen.append((C, bases, split(C, bases)))
+        return seen[-1][2]
+
+    monkeypatch.setattr(decomp, "_split_by_bases", recording_split)
+    for M in _witness_corpus():
+        seen.clear()
+        parts, W = decompose(M)
+        (C, bases, Xs), = seen
+        shrunk.add(C.grid != M.grid)
+        Ys = [restriction_extension(X, M.grid) for X in Xs]
+        order = sorted(range(len(Xs)), key=lambda i: (
+            Ys[i].total_dim(), Ys[i].dims.ravel().tolist()))
+        assert [Y.dims.tolist() for Y in parts] == [Ys[i].dims.tolist()
+                                                   for i in order]
+        Wc = _side_by_side(C, [Xs[i] for i in order],
+                           [bases[i] for i in order])
+        old = compression_witness(M, C).compose(
+            morphism_restriction_extension(Wc, M.grid))
+        got, want = (Components.of(f.mats, M.grid.shape) for f in (W, old))
+        assert np.array_equal(got.ids, want.ids)
+        assert len(got.mats) == len(want.mats)
+        for a, b in zip(got.mats, want.mats):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert shrunk == {False, True}
 
 
 def test_decompose_accepts_every_seed_below_2_to_the_32():
@@ -560,6 +645,37 @@ def _algebras_of(M, monkeypatch):
     decomp._primitive_idempotents(seen[0], 0)
     monkeypatch.undo()
     return seen
+
+
+def test_corner_matches_the_two_mul_route(monkeypatch):
+    # every corner algebra decompose's idempotent search builds on the
+    # decomposition corpora (End(G + G) among them is noncommutative), and
+    # corners of the noncommutative semisimple algebras M_2 and M_2 x F_p,
+    # each its own semisimple quotient, against x -> f x f taken as two
+    # algebra products per basis element
+    calls, corner = [], decomp._corner
+    monkeypatch.setattr(decomp, "_corner",
+                        lambda A, f: calls.append((A, f)) or corner(A, f))
+    mods = _power_corpus() + [M for p in (3, 65521)
+                              for M, _ in _idempotent_corpus(p)]
+    for M in mods:
+        decomp._primitive_idempotents(end_algebra(compress(M)), 0)
+    for p in (5, 65521):
+        for seed, (_, mats, _) in enumerate(_semisimple_algebras(p)):
+            B = _matrix_algebra(mats, p, seed)[0]
+            if not B.is_commutative():
+                e = decomp._quotient_idempotent(B, np.random.RandomState(seed))
+                calls += [(B, e), (B, (B.one - e) % p)]
+    assert sum(not A.is_commutative() for A, _ in calls) >= 6
+    for A, f in calls:
+        fxf = np.array(O.corner_map(A.table.tolist(), f.tolist(), A.p),
+                       dtype=np.int64).reshape(A.dim, A.dim)
+        R, piv = field.rref(fxf, A.p)
+        want = A.restrict(fxf[:, piv], R[:len(piv)], f)
+        got = corner(A, f)
+        for a, b in ((got.table, want.table), (got.one, want.one),
+                     (got.embed, want.embed)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 def _check_power(A, xs, e):

@@ -7,13 +7,13 @@ import numpy as np
 
 import pytest
 
-from gridpersist import field
+from gridpersist import field, io
 from gridpersist.cli import random_module
-from gridpersist.construct import approximate_indecomposable, tack
+from gridpersist.construct import approximate_indecomposable, module_G, tack
 from gridpersist.core import (Components, Grid, GridModule, _edge_ends,
                               direct_sum, hom_space, interval_module,
                               random_basis_change, zero_module)
-from gridpersist.decomp import is_isomorphic
+from gridpersist.decomp import decompose, is_isomorphic
 from gridpersist.interleave import map_grid
 from gridpersist.kan import (_axis_floors, _floors, _pair_maps,
                              _unique_rows, common_refinement,
@@ -471,18 +471,53 @@ def _re_corpus():
     return out
 
 
+def _assert_same_module(got, want):
+    """The same dims, step ids and step matrices (with their dtypes)."""
+    assert np.array_equal(got.dims, want.dims)
+    t, u = got.step_table(), want.step_table()
+    assert np.array_equal(t.ids, u.ids)
+    assert len(t.mats) == len(u.mats)
+    for a, b in zip(t.mats, u.mats):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
 def test_restriction_extension_matches_walked_route():
     for M in _re_corpus():
         for grid in _re_grids(M):
             got = restriction_extension(M, grid)
-            want = _walked_restriction_extension(M, grid)
-            assert np.array_equal(got.dims, want.dims)
-            t, u = got.step_table(), want.step_table()
-            assert np.array_equal(t.ids, u.ids)
-            assert len(t.mats) == len(u.mats)
-            for a, b in zip(t.mats, u.mats):
-                assert a.dtype == b.dtype and np.array_equal(a, b)
+            _assert_same_module(got, _walked_restriction_extension(M, grid))
             assert got.validate()
+
+
+def test_restriction_extension_on_the_own_grid_returns_the_module():
+    # the rebuild on M's own grid keeps exactly M's steps between nonzero
+    # vertices, so a module built by the library comes back as it is, for
+    # the grid object itself and for an equal one
+    X, Y = (interval_module(a, b) for a, b in (((0, 0), (2, 1)),
+                                               ((1, 0), (3, 3))))
+    mods = _re_corpus() + [module_G(), X, zero_module(2),
+                           common_refinement(X, Y)[0],
+                           snap_to_lattice(random_module(2, 3, 2, seed=1),
+                                           Fraction(2, 3))]
+    mods += [direct_sum(*common_refinement(X, Y)[:2])[0]]
+    R = random_basis_change(restriction_extension(X, _finer(_finer(
+        X.grid))), 1)
+    mods += [compress(M) for M in mods] + decompose(direct_sum(R, R)[0])[0]
+    for M in mods:
+        assert restriction_extension(M, M.grid) is M
+        assert restriction_extension(M, Grid(M.grid.axes)) is M
+    # a loaded module may store a step on an edge that touches a
+    # zero-dimensional vertex ("matrix": [] out of (0, 0) along axis 0);
+    # the rebuild drops it, so that module is still rebuilt
+    M = io.module_from_obj({
+        "type": "module", "p": 65521, "axes": [["0", "1", "2"], ["0", "1"]],
+        "dims": [[1, 1], [0, 0], [1, 0]],
+        "steps": [{"vertex": [0, 0], "axis": 1, "matrix": [[1]]},
+                  {"vertex": [0, 0], "axis": 0, "matrix": []}]})
+    R = restriction_extension(M, M.grid)
+    assert R is not M
+    _assert_same_module(R, _walked_restriction_extension(M, M.grid))
+    assert len(R.step_table()) == 1 and io.dumps(R) != io.dumps(M)
 
 
 def test_restriction_extension_walks_only_coarsenings(monkeypatch):
