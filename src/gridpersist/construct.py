@@ -30,8 +30,7 @@ import numpy as np
 
 from . import field
 from .core import (Components, Grid, GridModule, ModuleMorphism,
-                   _edge_ends, _unique_rows, _vertex, as_frac, interval_module,
-                   sum_module)
+                   _unique_rows, _vertex, as_frac, interval_module, sum_module)
 from .decomp import PreconditionError, decompose, is_indecomposable
 from .interleave import (CertificateError, InterleavingCertificate,
                          TrivialRegion, block_sum_certificates,
@@ -123,7 +122,7 @@ def _run(grid: Grid, cells: np.ndarray, ends, p):
     """A constant one-dimensional run on the vertex mask `cells`: the piece
     (identity steps between cells) and the table of its links, ends[w] on
     the edges from a cell v into a vertex w = v + e_k listed in `ends`."""
-    v, w = _edge_ends(grid.shape)
+    v, w = grid.edge_ends()
     # per vertex its index in ends, and -1 (also for w = -1, no successor)
     end = np.full(cells.size + 1, -1, dtype=np.int64)
     end[[np.ravel_multi_index(x, grid.shape) for x in ends]] = range(len(ends))
@@ -149,7 +148,7 @@ def _splice(base: GridModule, region: np.ndarray, pieces, links):
     shape = (grid.n,) + grid.shape
     dims = np.append(np.where(region, sum(P.dims for P in pieces),
                               base.dims).ravel(), 0)
-    v, w = _edge_ends(grid.shape)
+    v, w = grid.edge_ends()
     inside = np.append(region.ravel(), False)
     # base steps between two vertices outside the region, then the pieces'
     # steps and the links, each overriding what came before

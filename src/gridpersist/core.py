@@ -63,6 +63,12 @@ def _affine(a: np.ndarray, f: int, s: int) -> np.ndarray:
     return a.astype(object) * f + s
 
 
+def _read_only(arrays) -> tuple:
+    for a in arrays:
+        a.flags.writeable = False
+    return tuple(arrays)
+
+
 def _over_den(axes):
     """(den, nums) for axes of Fractions: the least common denominator of
     all coordinates, and per axis the list of coordinates times den."""
@@ -98,7 +104,7 @@ class Grid:
 
     def _set(self, den, nums):
         self.den = den
-        self.nums = tuple(_exact(nums))
+        self.nums = _read_only(_exact(nums))
         for a in self.nums:
             if len(a) == 0:
                 raise ValueError("empty axis")
@@ -106,6 +112,7 @@ class Grid:
                 raise ValueError("axis coordinates must be strictly increasing")
         self.n = len(self.nums)
         self.shape = tuple(len(a) for a in self.nums)
+        self._edges, self._ints = None, {}
 
     @property
     def axes(self):
@@ -113,6 +120,22 @@ class Grid:
             self._axes = tuple(tuple(Fraction(x, self.den) for x in a.tolist())
                                for a in self.nums)
         return self._axes
+
+    def edge_ends(self):
+        """_edge_ends(self.shape), built once and read-only, as the grid is
+        immutable: 2 n V int64 values (V vertices)."""
+        if self._edges is None:
+            self._edges = _read_only(_edge_ends(self.shape))
+        return self._edges
+
+    def ints(self, L: int):
+        """Per axis, the coordinates times L (a multiple of den; dtype as
+        _affine makes it), built once per L and read-only: O(sum of the
+        axis lengths) values per L (rank_lower_bound asks for <= 192 L)."""
+        if L not in self._ints:
+            self._ints[L] = _read_only([_affine(a, L // self.den, 0)
+                                        for a in self.nums])
+        return self._ints[L]
 
     def __eq__(self, other):
         return self is other or (
@@ -309,6 +332,42 @@ def _failing_squares(sig: np.ndarray, p: int, F, A, B) -> np.ndarray:
     return int(first[bad].min()) if bad.any() else None
 
 
+def _wild(mats, p: int) -> np.ndarray:
+    """Per matrix, then False for id -1: is it not an integer array with
+    entries in [0, p)?  The entries of all integer ones are compared in one
+    pass (misfits checks that each is 2-D)."""
+    ints = [m.dtype.kind in "iu" for m in mats]
+    flat = np.concatenate([np.zeros(0, np.int64)] + [
+        m.ravel() if i else np.zeros(m.size, np.int64)
+        for m, i in zip(mats, ints)])
+    wild = np.array([not i for i in ints] + [False])
+    wild[np.repeat(np.arange(len(mats)), [m.size for m in mats])[
+        (flat < 0) | (flat >= p)]] = True
+    return wild
+
+
+def _field_table(comp, shape, p: int, rows, cols, what: str,
+                 error=ValueError) -> Components:
+    """Components.of(comp, shape), or error at the first vertex v in C order
+    (of shapes first) whose component is not an array (a list, say) of
+    rows[v] x cols[v] integers in [0, p); each distinct matrix once."""
+    try:
+        t = Components.of(comp, shape)
+    except (AttributeError, TypeError):
+        raise error(f"{what}: not an array") from None
+    bad = t.misfits(rows, cols)
+    if len(bad):
+        v = bad[0]
+        raise error(f"{what} at {_vertex(v, shape)}: shape "
+                    f"{t.mats[t.ids[v]].shape}, want "
+                    f"{(int(rows[v]), int(cols[v]))}")
+    bad = np.flatnonzero(_wild(t.mats, p)[t.ids])
+    if len(bad):
+        raise error(f"{what} at {_vertex(bad[0], shape)}: entries out of "
+                    f"[0,p)")
+    return t
+
+
 def _edge_ends(shape):
     """(v, w): for every entry (k, v) of a step table over (n,) + shape, in
     C order, the flat vertex v and its successor along axis k (-1 where
@@ -458,7 +517,7 @@ class GridModule:
             raise ValueError("negative dimension")
         shape, n = self.grid.shape, self.grid.n
         t = self.step_table()
-        v, w = _edge_ends(shape)
+        v, w = self.grid.edge_ends()
         dims = self.dims.ravel()
         bad = t.misfits(np.append(dims, -1)[w], dims[v])
         if len(bad):
@@ -470,9 +529,7 @@ class GridModule:
                              f"{(int(dims[w[e]]), int(dims[v[e]]))}")
         ids = t.ids.reshape(n, -1)
         S = self._padded_steps()
-        # per step id (and -1 last): does the matrix leave [0, p)?
-        wild = np.array([bool(((m < 0) | (m >= p)).any()) for m in t.mats]
-                        + [False])
+        wild = _wild(t.mats, p)
         pos = np.append(dims > 0, False)
         # per axis k, the successor of every vertex (-1 for none)
         succ = w.reshape(n, -1)
@@ -534,27 +591,21 @@ class ModuleMorphism:
         return m
 
     def validate(self):
-        """Check the shape of every component and naturality along every
+        """Check every component (_field_table) and naturality along every
         edge on the step tables, once per distinct (component at v, at
         v + e_k, M-step, N-step); raises ValueError at the first vertex in
-        C order of the first failing axis."""
+        C order of the first failing check (for naturality, axis)."""
         M, N, p = self.source, self.target, self.p
         shape = M.grid.shape
-        t = Components.of(self.mats, shape)
-        rows, cols = N.dims.ravel(), M.dims.ravel()
-        bad = t.misfits(rows, cols)
-        if len(bad):
-            v = bad[0]
-            raise ValueError(f"component at {_vertex(v, shape)}: shape "
-                             f"{t.mats[t.ids[v]].shape}, want "
-                             f"{(int(rows[v]), int(cols[v]))}")
+        t = _field_table(self.mats, shape, p, N.dims.ravel(), M.dims.ravel(),
+                         "component")
         # components and steps zero-padded to the largest dimensions
         DM, DN = M.max_pointwise_dim(), N.max_pointwise_dim()
         tm, tn = M.step_table(), N.step_table()
         C = _padded(t.mats, DN, DM)
         SM, SN = M._padded_steps(), N._padded_steps()
         # every edge v -> w, axis by axis
-        v, w = _edge_ends(shape)
+        v, w = M.grid.edge_ends()
         e = np.flatnonzero(w >= 0)
         bad = _failing_squares(np.stack([t.ids[v[e]], t.ids[w[e]], tm.ids[e],
                                          tn.ids[e]], axis=1), p, C, SM, SN)
@@ -679,7 +730,7 @@ def sum_module(*modules) -> GridModule:
         if M.grid != grid or M.p != p:
             raise ValueError("direct_sum requires a common grid and prime; "
                              "refine with common_refinement first")
-    v, w = _edge_ends(grid.shape)
+    v, w = grid.edge_ends()
     parts = []
     for M in modules:
         t, d = M.step_table(), np.append(M.dims.ravel(), 0)
@@ -720,7 +771,7 @@ def random_basis_change(M: GridModule, seed: int) -> GridModule:
                 g[u] = a
                 break
     t = M.step_table()
-    v, w = (a.tolist() for a in _edge_ends(M.grid.shape))
+    v, w = (a.tolist() for a in M.grid.edge_ends())
     # the steps between nonzero vertices, each conjugated on its own
     at = [e for e in np.flatnonzero(t.ids >= 0).tolist()
           if v[e] in g and w[e] in g]

@@ -27,9 +27,9 @@ from functools import cached_property
 import numpy as np
 
 from . import field
-from .core import (Components, GridModule, ModuleMorphism, _edge_ends,
-                   _hom_morphisms, _products, _unique_rows, direct_sum,
-                   hom_matrix, hom_space, sum_module)
+from .core import (Components, GridModule, ModuleMorphism, _hom_morphisms,
+                   _products, _unique_rows, direct_sum, hom_matrix,
+                   hom_space, sum_module)
 from .kan import (_compression_table, _floors, compress,
                   restriction_extension)
 
@@ -358,7 +358,7 @@ def _split_by_bases(M: GridModule, bases):
         offs[u] = np.cumsum([0] + dims[:, u].tolist()).tolist()
     Winv = dict(zip(W, field.inverses(list(W.values()), p)))
     t = M.step_table()
-    v, w = (a.tolist() for a in _edge_ends(M.grid.shape))
+    v, w = (a.tolist() for a in M.grid.edge_ends())
     ids = np.full((len(bases), t.ids.size), -1, dtype=np.int64)
     mats = [[] for _ in bases]
     for e in np.flatnonzero(t.ids >= 0).tolist():

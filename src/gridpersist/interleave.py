@@ -15,8 +15,8 @@ from math import ceil, lcm, prod
 import numpy as np
 
 from . import field
-from .core import (Components, Grid, GridModule, _block_table,
-                   _edge_ends, _exact, _failing_squares, _over_den, _padded,
+from .core import (Components, Grid, GridModule, _block_table, _exact,
+                   _failing_squares, _field_table, _over_den, _padded,
                    _unique_rows, _vertex, as_frac, sum_module, zero_module)
 from .kan import (_axis_floors, _edge_ids, _floors, _on, _pair_maps,
                   _unique_maps, restriction_extension, snap_to_lattice,
@@ -175,15 +175,16 @@ class InterleavingCertificate:
     def verify(self):
         """Exact re-verification; raises CertificateError on any failure.
 
-        `grid` must hold every coordinate of map_grid(M, N, eps) and `g_grid`
-        every one of map_grid(N, M, eps) ("evaluation grid too coarse").
-        Each component of f and g is checked against the dimensions it must
-        have, and each naturality square along the edges of its map's grid,
-        both structure maps read by id off the modules' step tables (the
-        floors of an edge's ends are at most one step apart).  g[eps] o f =
-        eta_2eps is checked at the vertices of M's grid where M has
-        generators (naturality implies it elsewhere), f read by floors in
-        `grid` and g by floors in `g_grid`; f[eps] o g likewise on N's grid.
+        M and N are taken to be valid.  `grid` must hold every coordinate
+        of map_grid(M, N, eps) and `g_grid` every one of map_grid(N, M,
+        eps) ("evaluation grid too coarse").  Each component of f and g is
+        checked for its dimensions and entries (core._field_table), and
+        each naturality square along the edges of its map's grid, one batch
+        per map, both structure maps read by id off the modules' step
+        tables (the floors of an edge's ends are at most one step apart).
+        g[eps] o f = eta_2eps is checked at the vertices of M's grid where
+        M has generators (naturality implies it elsewhere), f read by
+        floors in `grid` and g by floors in `g_grid`; f[eps] o g likewise.
         On any grid holding M's, these are the vertices that no onto step
         reaches, so a certificate on one grid closed under -eps and -2 eps
         is checked as it always was.  Distinct checks of a kind run as one
@@ -212,45 +213,39 @@ class InterleavingCertificate:
 
         SM = tables(M)
         SN = SM if N is M else tables(N)
-        # per map: its name, grid, table and padded stack, source and
-        # target (module, tables), and the floors of its grid's vertices in
-        # its source and (at + eps) in its target
-        maps = []
+        # per map (f, then g): its grid, table, padded stack, source and
+        # the source's onto flags; its naturality failures, if any
+        maps, fails = [], []
         for name, comp, P, (X, SX), (Y, SY) in (
                 ("f", self.f, self.grid, (M, SM), (N, SN)),
                 ("g", self.g, self.g_grid, (N, SN), (M, SM))):
-            t = Components.of(comp, P.shape)
+            # the floors of the grid's vertices in X, and of them + eps in Y
             x0, ye = _floors(X.grid, P), _floors(Y.grid, P, eps)
-            bad = t.misfits(SY[2][ye], SX[2][x0])
-            if len(bad):
-                raise CertificateError(
-                    f"{name} shape at {_vertex(bad[0], P.shape)}: "
-                    f"{t.mats[t.ids[bad[0]]].shape}")
-            # the successor of each vertex of the map's grid along each
-            # axis (-1 for none)
-            succ = _edge_ends(P.shape)[1].reshape(M.grid.n, -1)
-            maps.append((name, P, t, _padded(t.mats, D, D), (X, SX),
-                         (Y, SY), x0, ye, succ))
-
-        for k in range(M.grid.n):
-            # naturality of f: f(w) M(v->w) = N(v+eps->w+eps) f(v), and of
-            # g likewise; absent components are zero
-            for name, P, t, C, (X, SA), (Y, SB), a0, b0, succ in maps:
-                src = np.flatnonzero(succ[k] >= 0)
-                dst = succ[k, src]
-                # the ids in the stacks of the maps between the floors of
-                # the edge's ends; floors further apart would need a walk
-                ca = _edge_ids(X, a0[src], a0[dst], k)
-                cb = _edge_ids(Y, b0[src], b0[dst], k)
-                if -2 in ca or -2 in cb:
-                    raise CertificateError("evaluation grid too coarse")
-                bad = _failing_squares(np.stack(
-                    [t.ids[src], t.ids[dst], ca, cb], axis=1), p, C,
-                    SA[0], SB[0])
-                if bad is not None:
-                    raise CertificateError(
-                        f"{name} naturality fails at "
-                        f"{_vertex(src[bad], P.shape)} axis {k}")
+            t = _field_table(comp, P.shape, p, SY[2][ye], SX[2][x0],
+                             f"{name} component", CertificateError)
+            C = _padded(t.mats, D, D)
+            maps.append((P, t, C, X, SX[1]))
+            # naturality, f(w) M(v->w) = N(v+eps->w+eps) f(v) for f, in one
+            # batch over the edges of P, axis by axis; absent components
+            # are zero, and both maps are read by id in the stacks
+            v, w = P.edge_ends()
+            e = np.flatnonzero(w >= 0)
+            src, dst, k = v[e], w[e], e // len(x0)
+            ca = _edge_ids(X, x0[src], x0[dst], k)
+            cb = _edge_ids(Y, ye[src], ye[dst], k)
+            # floors further apart need a walk (-2, read as the identity):
+            # the grid is too coarse unless a square fails on an earlier axis
+            top = np.min(k[(ca == -2) | (cb == -2)], initial=P.n)
+            bad = _failing_squares(np.stack(
+                [t.ids[src], t.ids[dst], ca, cb], axis=1), p, C, SX[0], SY[0])
+            if bad is not None and k[bad] < top:
+                fails.append((k[bad], name, f"{name} naturality fails at "
+                              f"{_vertex(src[bad], P.shape)} axis {k[bad]}"))
+            elif top < P.n:
+                fails.append((top, name, "evaluation grid too coarse"))
+        # the first by axis, f before g ("f" < "g")
+        if fails:
+            raise CertificateError(min(fails)[2])
         # triangle identities g[eps] o f = eta_2eps and f[eps] o g =
         # eta_2eps, equations of natural maps out of X = M (resp. N).  Two
         # of them that agree at a predecessor of v agree at v whenever the
@@ -259,14 +254,12 @@ class InterleavingCertificate:
         # generators are checked (on a finer grid, a vertex off X's grid
         # is reached from its predecessor by an identity of X)
         for name, inner, outer in (("g.f", *maps), ("f.g", *maps[::-1])):
-            _, P, t, C, (X, (_, onto, _)), *_ = inner
-            _, Pu, u, Cu, *_ = outer
-            # any map into a zero space is onto
+            P, t, C, X, onto = inner
+            Pu, u, Cu, *_ = outer
+            # any map into a zero space is onto; X stores a step only
+            # where there is a successor (a missing one, id -1, is not onto)
             covered = X.dims.ravel() == 0
-            src, dst = _edge_ends(X.grid.shape)
-            on = np.flatnonzero(dst >= 0)
-            ids = _edge_ids(X, src[on], dst[on], on // len(covered))
-            covered[dst[on[onto[ids]]]] = True
+            covered[X.grid.edge_ends()[1][onto[X.step_table().ids]]] = True
             at = np.flatnonzero(~covered)
             inv, walks = _unique_maps(X, at, _floors(X.grid, X.grid,
                                                      2 * eps)[at])

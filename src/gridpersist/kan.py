@@ -13,8 +13,7 @@ import numpy as np
 
 from . import field
 from .core import (Components, Grid, GridModule, ModuleMorphism, _affine,
-                   _edge_ends, _exact, _over_den, _strides, _unique_rows,
-                   as_frac)
+                   _exact, _over_den, _strides, _unique_rows, as_frac)
 
 
 # -- evaluation-grid signatures ------------------------------------------------
@@ -23,20 +22,22 @@ from .core import (Components, Grid, GridModule, ModuleMorphism, _affine,
 # grid.  A natural map is constant on cells of the common refinement, so each
 # vertex is described by its floors in the grids involved, all read through
 # one routine (_floors: flat floor indices, optionally after a shift or by
-# way of a third grid), and by the components it carries (their ids in a
-# core.Components table, read from any vertex -> matrix mapping by
-# Components.of); vertices with equal descriptions share one evaluation, and
-# the builders hand their id tables over as Components.  The two ends of a
-# grid edge mostly have floors equal or one step apart, so verify and
-# restriction_extension read its map off GridModule.step_table, the one step
-# store (_edge_ids); structure maps are walked (_unique_maps) only for
-# verify's triangles and for coarsenings (snap_to_lattice, prune, compress).
+# way of a third grid, on each grid's kept integer axes, Grid.ints), and by
+# the components it carries (their ids in a core.Components table, read from
+# any vertex -> matrix mapping by Components.of); vertices with equal
+# descriptions share one evaluation, and the builders hand their id tables
+# over as Components.  The two ends of a
+# grid edge (Grid.edge_ends) mostly have floors equal or one step apart, so
+# verify (one naturality batch per map) and restriction_extension read its
+# map off GridModule.step_table, the one step store (_edge_ids); structure
+# maps are walked (_unique_maps), between nonzero ends only, for verify's
+# triangles and for coarsenings (snap_to_lattice, prune, compress).
 
 def _on(grid: Grid, L: int, shift=0):
     """Per-axis integer arrays: grid's coordinates plus shift, times L (a
-    multiple of grid.den and of the denominator of shift)."""
-    f, s = L // grid.den, shift.numerator * (L // shift.denominator)
-    return [_affine(a, f, s) for a in grid.nums]
+    multiple of grid.den and of shift's denominator), off grid.ints(L)."""
+    s = shift.numerator * (L // shift.denominator)
+    return [_affine(a, 1, s) for a in grid.ints(L)]
 
 
 def _axis_floors(mod_grid: Grid, grid: Grid, shift=0):
@@ -83,17 +84,18 @@ def _pair_maps(mod: GridModule, src: np.ndarray, dst: np.ndarray):
     """(maps, rows, cols, inv) for the distinct pairs of flat floors
     src <= dst: their structure maps, zero-padded as
     GridModule.structure_maps returns them, the row and column count of
-    each, and the distinct-pair index of every pair.  A pair with src -1
-    (no floor) has the empty map, with no columns and dims[dst] rows (none
-    when dst is -1 too)."""
+    each, and the distinct-pair index of every pair.  Only the pairs whose
+    ends both have positive dimension are walked; any other has the empty
+    map, dims[dst] x dims[src] (src -1, no floor, and dst -1 read as 0)."""
     pairs, _, inv = _unique_rows(np.stack([src, dst], axis=1))
-    live = pairs[:, 0] >= 0
+    dims = np.append(mod.dims.ravel(), 0)
+    rows, cols = dims[pairs[:, 1]], dims[pairs[:, 0]]
+    live = (rows > 0) & (cols > 0)
     D = mod.max_pointwise_dim()
     maps = np.zeros((len(pairs), D, D), dtype=np.int64)
     if live.any():
         maps[live] = mod.structure_maps(pairs[live, 0], pairs[live, 1])
-    dims = np.append(mod.dims.ravel(), 0)
-    return maps, dims[pairs[:, 1]], dims[pairs[:, 0]], inv
+    return maps, rows, cols, inv
 
 
 def _unique_maps(mod: GridModule, src: np.ndarray, dst: np.ndarray):
@@ -135,7 +137,7 @@ def restriction_extension(M: GridModule, grid: Grid) -> GridModule:
         raise ValueError("dimension mismatch")
     d = np.append(M.dims.ravel(), 0)
     # every edge between nonzero vertices, all axes in one batch
-    v, w = _edge_ends(grid.shape)
+    v, w = grid.edge_ends()
     if grid == M.grid and not (
             M.step_table().ids[(d[v] == 0) | (d[w] == 0)] >= 0).any():
         return M

@@ -44,15 +44,15 @@ class EpsIndecomposability:
 
 
 def is_eps_indecomposable(M: GridModule, eps, seed: int = 0):
-    """Does M split as (indecomposable) + (strictly eps-trivial rest)?"""
+    """Does M split as (indecomposable) + (strictly eps-trivial rest)?
+
+    The parts are decompose(M)'s summands, on M's own grid (decompose
+    compresses M, so no coordinate needs shedding first)."""
     eps = as_frac(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
     if M.total_dim() == 0:
         return EpsIndecomposability(False, None, [], True)
-    # the verdict only depends on the extension, so shed redundant grid
-    # coordinates before decomposing
-    M = prune(M)
     parts, _ = decompose(M, seed)
     big = [X for X in parts if not is_strictly_eps_trivial(X, eps)]
     if len(big) > 1:

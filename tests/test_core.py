@@ -233,6 +233,24 @@ def test_morphism_identity_and_compose():
         assert np.array_equal(fg.at(v), field.mmul(f.at(v), g.at(v), M.p))
 
 
+@pytest.mark.parametrize("kind", ["list", "object", "float", "too big",
+                                  "negative"])
+def test_morphism_validate_refuses_components_that_are_not_field_matrices(
+        kind):
+    M = random_module(2, 3, 2, seed=1)
+    v = max(_identity(M), key=M.dim)
+    mats = _identity(M)
+    m = mats[v]
+    mats[v] = {"list": m.tolist(), "float": m.astype(float),
+               "object": m.astype(object) + 2 ** 70, "too big": m + 2 ** 32,
+               "negative": m - M.p}[kind]
+    f = ModuleMorphism(M, M, mats)
+    with pytest.raises(ValueError, match="component: not an array" if kind == "list"
+                       else re.escape(f"component at {v}: entries out of")):
+        f.validate()
+    assert f.is_valid() is False
+
+
 def test_morphism_validate_names_the_failing_vertex():
     M = random_module(2, 3, 2, seed=1)
     v = max(_identity(M), key=M.dim)

@@ -717,6 +717,68 @@ def test_verify_rejects_grid_missing_a_coordinate_by_a_near_tie():
         restrict(restriction_extension(M, c.grid), finer)
 
 
+def test_verify_refuses_entries_whose_products_overflow_int64():
+    # 2**32 * 2**32 wraps to 0 in int64, so unchecked g.f reads as the
+    # identity; mod p it is not, and reduced mod p the triangle fails
+    p = 65521
+    M = interval_module((0, 0), (2, 2), p)
+    c = identity_certificate(M, 0)
+    big, b = 2 ** 32, pow(2 ** 32, -1, p)
+    assert (big * (big + b)) % p != 1
+    for f, g, msg in ((big + b, big, "f component at (0, 0): entries out of [0,p)"),
+                      ((big + b) % p, big % p, "triangle g.f fails at (0, 0)")):
+        cert = InterleavingCertificate(
+            M, M, 0, c.grid, {v: np.array([[f]]) for v in c.f},
+            {v: np.array([[g]]) for v in c.g}, c.g_grid)
+        with pytest.raises(CertificateError) as exc:
+            cert.verify()
+        assert str(exc.value) == msg
+        assert cert.is_valid() is False
+
+
+@cache
+def _small_identity_certificate():
+    return identity_certificate(random_module(2, 3, 2, seed=1),
+                                Fraction(1, 2))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.sampled_from("fg"), st.integers(0, 10 ** 6),
+       st.one_of(st.integers(-2 ** 63, -1),
+                 st.integers(field.DEFAULT_PRIME, 2 ** 63 - 1)))
+def test_verify_refuses_int64_entries_outside_the_field(name, pick, x):
+    c = _small_identity_certificate()
+    comps = {"f": dict(c.f), "g": dict(c.g)}
+    live = [v for v, m in comps[name].items() if m.size]
+    v = live[pick % len(live)]
+    m = comps[name][v].copy()
+    m.flat[pick % m.size] = x
+    comps[name][v] = m
+    bad = InterleavingCertificate(c.m_module, c.n_module, c.eps, c.grid,
+                                  comps["f"], comps["g"], c.g_grid)
+    with pytest.raises(CertificateError, match=f"{name} component at "):
+        bad.verify()
+    assert bad.is_valid() is False
+
+
+@pytest.mark.parametrize("kind", ["list", "object", "float", "bool"])
+def test_verify_refuses_components_that_are_not_integer_arrays(kind):
+    # each would otherwise raise (AttributeError, OverflowError) or pass
+    c = _small_identity_certificate()
+    for name in "fg":
+        comps = {"f": dict(c.f), "g": dict(c.g)}
+        v = next(v for v, m in comps[name].items() if m.size)
+        m = comps[name][v]
+        comps[name][v] = {"list": m.tolist(), "float": m.astype(float),
+                          "bool": m.astype(bool),
+                          "object": m.astype(object) + 2 ** 70}[kind]
+        bad = InterleavingCertificate(c.m_module, c.n_module, c.eps, c.grid,
+                                      comps["f"], comps["g"], c.g_grid)
+        with pytest.raises(CertificateError, match=f"^{name} "):
+            bad.verify()
+        assert bad.is_valid() is False
+
+
 # -- per-map evaluation grids -------------------------------------------------
 
 @cache

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 import numpy as np
 
@@ -15,8 +16,8 @@ from gridpersist.core import (Components, Grid, GridModule, _edge_ends,
                               random_basis_change, zero_module)
 from gridpersist.decomp import decompose, is_isomorphic
 from gridpersist.interleave import map_grid
-from gridpersist.kan import (_axis_floors, _floors, _pair_maps,
-                             _unique_rows, common_refinement,
+from gridpersist.kan import (_axis_floors, _floors, _on, _pair_maps,
+                             _unique_maps, _unique_rows, common_refinement,
                              compress, compression_witness,
                              morphism_restriction_extension, prune,
                              restrict, restriction_extension, shift,
@@ -304,6 +305,32 @@ def test_floors_match_fraction_oracle():
                 for t in product(*O.axis_floors(B.axes, A.axes, s))]
 
 
+def test_grid_memos_are_read_only_and_equal_fresh_tables():
+    # a grid computes its edge table and its integer axes at each common
+    # denominator once, and hands them out read-only; they equal a fresh
+    # computation, at negative and off-lattice shifts too, and on axes
+    # whose integers pass 2**62 (object dtype)
+    wide = 0
+    for A, B, shifts in _grid_pairs():
+        assert A.edge_ends() is A.edge_ends()
+        for got, want in zip(A.edge_ends(), _edge_ends(A.shape)):
+            assert np.array_equal(got, want) and not got.flags.writeable
+        for s in shifts:
+            L = lcm(A.den, B.den, F(s).denominator)
+            ints = A.ints(L)
+            assert ints is A.ints(L)
+            assert [a.tolist() for a in ints] == [
+                [int(c * L) for c in ax] for ax in A.axes]
+            assert [a.tolist() for a in _on(A, L, F(s))] == [
+                [int((c + s) * L) for c in ax] for ax in A.axes]
+            wide += any(a.dtype == object for a in ints)
+            for a in ints + A.nums:
+                assert not a.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    a[0] = a[0]
+    assert wide
+
+
 def test_unions_and_certificate_grids_match_fraction_oracle():
     for A, B, shifts in _grid_pairs():
         assert union_axes(A, B) == O.union_of_axes([A.axes, B.axes])
@@ -432,6 +459,44 @@ def _walked_restriction_extension(M, grid):
     return GridModule(grid, d[src], Components((grid.n,) + grid.shape, ids, [
         m[:r, :c].copy() for m, r, c in zip(maps, rows.tolist(),
                                             cols.tolist())]), M.p)
+
+
+def test_pair_maps_walk_only_pairs_with_two_nonzero_ends(monkeypatch):
+    # a pair with an empty end (no floor, or a zero space) yields its empty
+    # matrix without a walk; the rows handed to structure_maps are exactly
+    # the distinct pairs whose ends both have positive dimension
+    walked = []
+    walk = GridModule.structure_maps
+
+    def counting(self, src, dst):
+        walked.append(len(src))
+        return walk(self, src, dst)
+
+    monkeypatch.setattr(GridModule, "structure_maps", counting)
+    for seed in range(4):
+        M = random_module(2, 4, 3, seed=seed)
+        src = _floors(M.grid, M.grid, -1)
+        dst = _floors(M.grid, M.grid, 1)
+        d = np.append(M.dims.ravel(), 0)
+        pairs = set(zip(src.tolist(), dst.tolist()))
+        live = [x for x in pairs if d[x[0]] > 0 and d[x[1]] > 0]
+        assert 0 < len(live) < len(pairs) and -1 in src
+        walked.clear()
+        maps, rows, cols, inv = _pair_maps(M, src, dst)
+        assert walked == [len(live)]
+        for a, b, j in zip(src.tolist(), dst.tolist(), inv.tolist()):
+            assert (rows[j], cols[j]) == (d[b], d[a])
+            if d[a] and d[b]:
+                assert maps[j, :d[b], :d[a]].tolist() == O.path_map(
+                    M, np.unravel_index(a, M.grid.shape),
+                    np.unravel_index(b, M.grid.shape))
+            else:
+                assert not maps[j].any()
+        walked.clear()
+        ids, mats = _unique_maps(M, src, dst)
+        assert walked == [len(live)]
+        assert [mats[i].shape for i in ids.tolist()] == [
+            (d[b], d[a]) for a, b in zip(src.tolist(), dst.tolist())]
 
 
 def _zero_steps_module():

@@ -10,15 +10,17 @@ import pytest
 from gridpersist import io
 from gridpersist.cli import random_module
 from gridpersist.construct import module_G
-from gridpersist.core import (direct_sum, interval_module, random_basis_change,
-                              zero_module)
+from gridpersist.core import (Grid, direct_sum, interval_module,
+                              random_basis_change, zero_module)
 from gridpersist.interleave import rank_lower_bound
-from gridpersist.kan import common_refinement
+from gridpersist.kan import (common_refinement, prune, restriction_extension,
+                             union_grid)
 from gridpersist.match import (bottleneck_upper_bound, instability_demo,
                                is_eps_indecomposable, matching_lower_bound,
                                matching_to_interleaving, summand_certificate)
 
 from conftest import rect
+import oracles as O
 
 
 def _sum(*mods):
@@ -49,6 +51,30 @@ def test_small_trivial_rest_is_absorbed():
     T = rect((0, 0), (Fraction(1, 10), Fraction(1, 10)))
     S = _sum(X, T)
     assert is_eps_indecomposable(S, Fraction(1, 2))
+
+
+def test_eps_indecomposability_matches_the_pruned_route():
+    # decompose compresses M itself, so deciding on M gives the verdict and
+    # parts (with the same extensions) that deciding on prune(M) gives; the
+    # parts sit on M's own grid
+    thirds = Grid([[Fraction(i, 3) for i in range(9)]] * 2)
+    mods = [random_module(2, 3, 2, seed=s) for s in range(4)]
+    mods.append(_sum(rect((0, 0), (4, 4)),
+                     rect((0, 0), (Fraction(1, 10), Fraction(1, 10)))))
+    for M in (restriction_extension(X, union_grid(X.grid, thirds))
+              for X in mods):
+        assert prune(M).grid != M.grid
+        for eps in (Fraction(1, 10), Fraction(1, 2), 2):
+            r = is_eps_indecomposable(M, eps)
+            q = is_eps_indecomposable(prune(M), eps)
+            assert (bool(r), r.is_zero) == (bool(q), q.is_zero)
+            got = [r.indecomposable_part] + r.trivial_parts
+            want = [q.indecomposable_part] + q.trivial_parts
+            assert len(got) == len(want)
+            for X, Y in zip(got, want):
+                assert (X is None) == (Y is None)
+                if X is not None:
+                    assert X.grid == M.grid and O.same_extension(X, Y)
 
 
 def test_zero_module_flagged():
