@@ -20,8 +20,7 @@ import numpy as np
 
 from . import field, io
 from .core import Grid, GridModule
-from .decomp import (FieldTooSmall, PreconditionError, decompose,
-                     is_indecomposable)
+from .decomp import FieldTooSmall, PreconditionError, decompose
 from .field import DEFAULT_PRIME
 from .construct import approximate_indecomposable, tack
 from .match import bottleneck_upper_bound, matching_to_interleaving

@@ -21,7 +21,7 @@ from math import gcd, lcm, prod
 import numpy as np
 
 from . import field
-from .field import DEFAULT_PRIME, rref
+from .field import DEFAULT_PRIME
 
 
 def as_frac(x) -> Fraction:

@@ -81,10 +81,6 @@ def mmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-def minv_scalar(x: int, p: int) -> int:
-    return pow(int(x), -1, p)
-
-
 def rref(a: np.ndarray, p: int):
     """Row-reduce a mod p in place (on a copy).
 
@@ -104,7 +100,7 @@ def rref(a: np.ndarray, p: int):
         piv = row + nz[0]
         if piv != row:
             r[[row, piv]] = r[[piv, row]]
-        r[row] = r[row] * minv_scalar(r[row, col], p) % p
+        r[row] = r[row] * pow(int(r[row, col]), -1, p) % p
         mask = np.nonzero(r[:, col])[0]
         mask = mask[mask != row]
         if mask.size:

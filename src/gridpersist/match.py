@@ -2,14 +2,16 @@
 
 A module is eps-indecomposable when it splits as one indecomposable plus a
 strictly eps-trivial rest.  Bottleneck matchings pair summands of two modules
-with per-pair verified interleaving certificates; a successful matching
-certifies d_B <= eps, while matching failure is inconclusive (the per-pair
-certificate search is incomplete).  Rank obstructions provide the converse
-kind of evidence: sound lower bounds on any possible matching.
+by a Hopcroft-Karp matching of per-pair verified interleaving certificates;
+a successful matching certifies d_B <= eps, while matching failure is
+inconclusive (the per-pair certificate search is incomplete).  Rank
+obstructions give the converse: sound lower bounds on any matching.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections import deque
 from fractions import Fraction
 
 from .core import GridModule, as_frac, zero_module
@@ -174,18 +176,39 @@ def bottleneck_upper_bound(M: GridModule, N: GridModule, eps,
 def _perfect_matching(n_left: int, n_right: int, edges):
     """The right partner of every left node in a maximum matching of the
     bipartite graph with the given (i, j) edges, or None when it leaves a
-    left node unmatched.  Nodes are integers (left i, right n_left + j):
-    their hashes, unlike those of strings, do not change between runs, so
-    neither does the matching."""
-    import networkx as nx   # loaded on first use: a slow import
+    left node unmatched.  Hopcroft-Karp, left nodes in index order and
+    neighbours in edge order, so the edge list alone fixes which matching
+    is picked (and with it the bytes of a matching's certificates)."""
+    adj = [[] for _ in range(n_left)]
+    for i, j in edges:
+        adj[i].append(j)
+    free, inf = n_left, float("inf")       # free: owner of a free right node
+    partner, owner = [None] * n_left, [free] * n_right
 
-    graph = nx.Graph()
-    graph.add_nodes_from(range(n_left + n_right))
-    graph.add_edges_from((i, n_left + j) for i, j in edges)
-    matching = nx.bipartite.maximum_matching(graph, top_nodes=range(n_left))
-    if any(i not in matching for i in range(n_left)):
-        return None
-    return [matching[i] - n_left for i in range(n_left)]
+    def augment(i):
+        for j in adj[i]:
+            k = owner[j]
+            if dist[k] == dist[i] + 1 and (k == free or augment(k)):
+                owner[j], partner[i] = i, j
+                return True
+        dist[i] = inf
+        return False
+
+    while True:     # a phase: layer by breadth first, augment depth first
+        dist = [0 if j is None else inf for j in partner] + [inf]
+        queue = deque(i for i in range(n_left) if partner[i] is None)
+        while queue:
+            i = queue.popleft()
+            if dist[i] < dist[free]:
+                for j in adj[i]:
+                    if dist[owner[j]] == inf:
+                        dist[owner[j]] = dist[i] + 1
+                        queue.append(owner[j])
+        if dist[free] == inf:
+            return None if None in partner else partner
+        for i in range(n_left):
+            if partner[i] is None:
+                augment(i)
 
 
 def matching_to_interleaving(result: MatchResult) -> InterleavingCertificate:
@@ -193,11 +216,8 @@ def matching_to_interleaving(result: MatchResult) -> InterleavingCertificate:
     between the padded sums; verifies the assembled certificate."""
     if not result.matched:
         raise ValueError("no matching to assemble")
-    order = sorted(result.pairs)
-    cert = None
-    for i, j, c in order:
-        cert = c if cert is None else block_sum_certificates(
-            [cert, c], verify=False)[0]
+    cert = block_sum_certificates([c for _, _, c in sorted(result.pairs)],
+                                  verify=False)[0]
     cert.verify()
     return cert
 
@@ -208,27 +228,22 @@ def matching_to_interleaving(result: MatchResult) -> InterleavingCertificate:
 def matching_lower_bound(M: GridModule, N: GridModule, seed: int = 0):
     """A sound lower bound for d_B(M, N) from per-pair rank obstructions.
 
-    Every eps-matching must pair each left summand with some right summand
-    (or a zero pad) at interleaving distance <= eps, and rank_lower_bound
-    bounds each pair from below.  The bottleneck over perfect matchings of
-    those per-edge bounds is therefore a lower bound for d_B.  Returns
-    (bound, edge_bounds) with edge_bounds[(i, j)] the per-pair bound.
+    Every eps-matching pairs each left summand with a right summand (or a
+    zero pad) at interleaving distance <= eps, which rank_lower_bound bounds
+    from below; so does the least bound whose edges hold a perfect matching
+    (found by bisection, as more edges keep one).  Returns (bound,
+    edge_bounds) with edge_bounds[(i, j)] the per-pair bound.
     """
     left, right = _padded_summands(M, N, seed)
     bounds = {}
     for i, X in enumerate(left):
         for j, Y in enumerate(right):
             bounds[(i, j)] = rank_lower_bound(X, Y)
-    best = None
-    values = sorted(set(bounds.values()))
-    for v in values:
-        if _perfect_matching(len(left), len(right), [
-                e for e, b in bounds.items() if b <= v]) is not None:
-            best = v
-            break
-    if best is None:
-        best = values[-1] if values else Fraction(0)
-    return best, bounds
+    values = sorted(set(bounds.values())) or [Fraction(0)]
+    i = bisect_left(values, True, key=lambda v: _perfect_matching(
+        len(left), len(right), [e for e, b in bounds.items() if b <= v])
+        is not None)
+    return values[i], bounds
 
 
 class InstabilityReport:

@@ -10,7 +10,7 @@ snap and regular grids are built as such raw data.
 
 from bisect import bisect_right
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import numpy as np
 
@@ -464,6 +464,15 @@ def rank_lower_bound(M, N, max_candidates=96):
         if rank_violation(M, N, eps) or rank_violation(N, M, eps):
             return eps
     return Fraction(0)
+
+
+def perfect_matching(n_left, n_right, edges):
+    """Some right partner list using only the given (i, j) edges that
+    matches every left node to a distinct right node, or None: every
+    injection of the left nodes into the right ones, tried in turn."""
+    edges = set(edges)
+    return next((list(t) for t in permutations(range(n_right), n_left)
+                 if all((i, j) in edges for i, j in enumerate(t))), None)
 
 
 def has_thin_corner(A):

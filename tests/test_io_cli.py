@@ -15,10 +15,11 @@ from gridpersist import field, io
 from gridpersist.cli import CliError, _parse_frac, main, random_module
 from gridpersist.construct import module_G
 from gridpersist.core import (Grid, GridModule, ModuleMorphism, direct_sum,
-                              interval_module)
+                              interval_module, random_basis_change)
 from gridpersist.interleave import (CertificateError, identity_certificate,
                                     snap_certificate)
-from gridpersist.kan import common_refinement, shift
+from gridpersist.kan import (common_refinement, restriction_extension, shift,
+                             union_grid)
 
 import oracles as O
 
@@ -769,6 +770,51 @@ def test_cli_proof_output_is_byte_stable(case, capsys, tmp_path):
     for cmd, want in (("approx-indec", approx_sha),
                       ("decompose", decompose_sha)):
         assert hashlib.sha256(outs[cmd].encode()).hexdigest() == want, cmd
+
+
+def _squares(side, *corners):
+    """The direct sum of the side x side squares with the given lower
+    corners, on the union of their grids."""
+    mods = [interval_module(c, (c[0] + side, c[1] + side)) for c in corners]
+    g = union_grid(*(X.grid for X in mods))
+    return direct_sum(*(restriction_extension(X, g) for X in mods))[0]
+
+
+# sha256 of the stdout of `match <a> <b> --eps <eps> --seed 0 --emit-proof`
+# on inputs whose summands have several perfect matchings at that eps, so
+# the digest pins which one the matcher picks as well as the pair and
+# assembled certificates
+STABLE_MATCH = {
+    "four-squares": (
+        lambda: (_squares(2, (0, 0), (0, 0), (3, 3), (0, 0)),
+                 random_basis_change(
+                     _squares(2, (3, 3), (0, 0), (0, 0), (0, 0)), 5)),
+        "1/10",
+        "94ea5b99067b60393de88037d11b56aa8ab7864115d7baee5445c0edbbe1bd49"),
+    "three-vs-two": (
+        lambda: (_squares(1, (0, 0), (3, 3), (6, 6)),
+                 _squares(1, (0, 0), (3, 3))),
+        "1",
+        "f0cf7b65c0f82798000ed58528990e115d21eeb3c7e3da663347deedf436202b"),
+    "basis-change": (
+        lambda: (random_module(2, 3, 2, seed=2),
+                 random_basis_change(random_module(2, 3, 2, seed=2), 3)),
+        "1/2",
+        "0d6356c9890cf87a6d5878a5c0c1d3ad19f8c0ae4ca22bcd090451b9399bc4c5"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STABLE_MATCH))
+def test_cli_match_proof_output_is_byte_stable(case, capsys, tmp_path):
+    build, eps, want = STABLE_MATCH[case]
+    paths = [str(tmp_path / name) for name in ("a.json", "b.json")]
+    for M, path in zip(build(), paths):
+        io.save(M, path)
+    assert main(["match", *paths, "--eps", eps, "--seed", "0",
+                 "--emit-proof"]) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out)["status"] == "matched"
+    assert hashlib.sha256(out.encode()).hexdigest() == want
 
 
 def test_matrix_reader_shares_equal_matrices_and_refuses_bools():

@@ -1,6 +1,8 @@
 """Epsilon-indecomposability, summand matching, and the stability gap."""
 
+import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -15,9 +17,10 @@ from gridpersist.core import (Grid, direct_sum, interval_module,
 from gridpersist.interleave import rank_lower_bound
 from gridpersist.kan import (common_refinement, prune, restriction_extension,
                              union_grid)
-from gridpersist.match import (bottleneck_upper_bound, instability_demo,
-                               is_eps_indecomposable, matching_lower_bound,
-                               matching_to_interleaving, summand_certificate)
+from gridpersist.match import (_perfect_matching, bottleneck_upper_bound,
+                               instability_demo, is_eps_indecomposable,
+                               matching_lower_bound, matching_to_interleaving,
+                               summand_certificate)
 
 from conftest import rect
 import oracles as O
@@ -103,6 +106,70 @@ def test_summand_certificate_through_zero():
     assert summand_certificate(X, Y, Fraction(1, 4)) is None
 
 
+def test_perfect_matching_agrees_with_brute_force():
+    rng = random.Random(0)
+    found = 0
+    for _ in range(300):
+        n_left, n_right = rng.randint(0, 7), rng.randint(0, 7)
+        density = rng.choice([0.2, 0.4, 0.6, 0.8])
+        edges = [(i, j) for i in range(n_left) for j in range(n_right)
+                 if rng.random() < density]
+        got = _perfect_matching(n_left, n_right, edges)
+        if O.perfect_matching(n_left, n_right, edges) is None:
+            assert got is None
+            continue
+        found += 1
+        assert len(got) == n_left and len(set(got)) == n_left
+        assert all((i, j) in edges for i, j in enumerate(got))
+    assert 50 < found < 250
+
+
+# (n_left, n_right, edges, the partners networkx's maximum_matching picks):
+# several perfect matchings (the complete graph, a ring in both edge
+# orders, the dense graph), augmenting paths of length 3 and 7 ("short",
+# "chain"), a right side larger than the left, and no perfect matching
+MATCHINGS = {
+    "complete": (3, 3, [(i, j) for i in range(3) for j in range(3)],
+                 [0, 1, 2]),
+    "ring": (4, 4, [(i, j) for i in range(4)
+                    for j in sorted({i, (i + 1) % 4})], [0, 1, 2, 3]),
+    "ring-reversed": (4, 4, [(i, j) for i in range(4)
+                             for j in sorted({i, (i + 1) % 4}, reverse=True)],
+                      [1, 2, 3, 0]),
+    "dense": (5, 5, [(i, j) for i in range(5) for j in range(5)
+                     if (3 * i + 7 * j) % 5], [1, 4, 3, 2, 0]),
+    "short": (2, 2, [(0, 0), (0, 1), (1, 0)], [1, 0]),
+    "chain": (4, 4, [(0, 0), (0, 1), (1, 1), (1, 2), (2, 2), (2, 3), (3, 0)],
+              [1, 2, 3, 0]),
+    "crossing": (4, 4, [(0, 0), (0, 1), (0, 2), (1, 0), (2, 0), (2, 1),
+                        (3, 2), (3, 3)], [2, 0, 1, 3]),
+    "wide": (2, 3, [(0, 1), (0, 2), (1, 1)], [2, 1]),
+    "none": (3, 3, [(0, 0), (1, 0), (2, 1), (2, 2)], None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MATCHINGS))
+def test_perfect_matching_picks_the_pinned_partners(case):
+    # which perfect matching is picked decides the bytes of match's output
+    n_left, n_right, edges, want = MATCHINGS[case]
+    assert _perfect_matching(n_left, n_right, edges) == want
+
+
+def test_match_runs_without_networkx(tmp_path):
+    # with the networkx import blocked, match still finds and assembles
+    # a matching
+    path = str(tmp_path / "m.json")
+    io.save(_sum(rect((0, 0), (2, 2)), rect((3, 3), (5, 5))), path)
+    code = ("import sys; sys.modules['networkx'] = None\n"
+            "from gridpersist.cli import main\n"
+            f"sys.exit(main(['match', {path!r}, {path!r}, '--eps', '1/10', "
+            "'--emit-proof']))")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                       text=True)
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout)["status"] == "matched"
+
+
 def test_bottleneck_matching_identical_modules():
     S = _sum(rect((0, 0), (2, 2)), rect((3, 3), (5, 5)))
     res = bottleneck_upper_bound(S, S, Fraction(1, 10))
@@ -127,6 +194,37 @@ def test_matching_lower_bound_separated_summands():
     assert all(b >= 0 for b in edge_bounds.values())
 
 
+def _linear_scan_lower_bound(bounds):
+    """The least per-pair bound whose edges hold a perfect matching, every
+    distinct bound tried in increasing order."""
+    n = max(i for i, _ in bounds) + 1 if bounds else 0
+    for v in sorted(set(bounds.values())):
+        if O.perfect_matching(n, n, [e for e, b in bounds.items()
+                                     if b <= v]) is not None:
+            return v
+    return Fraction(0)
+
+
+def test_matching_lower_bound_equals_a_linear_scan():
+    squares = _sum(rect((0, 0), (2, 2)), rect((3, 3), (5, 5)))
+    pairs = [(_sum(rect((0, 0), (2, 2)), rect((10, 10), (12, 12))),
+              _sum(rect((0, 0), (2, 2)))),
+             (squares, squares),
+             (_sum(rect((0, 0), (4, 4))), _sum(rect((10, 10), (14, 14)))),
+             (zero_module(2), zero_module(2))]
+    pairs += [(random_module(2, 3, 2, seed=s),
+               random_basis_change(random_module(2, 3, 2, seed=s + 4), 1))
+              for s in range(2)]
+    for M, N in pairs:
+        lb, bounds = matching_lower_bound(M, N)
+        assert lb == _linear_scan_lower_bound(bounds)
+    for sep in (6, 10):
+        r = instability_demo(_sum(rect((0, 0), (2, 2)),
+                                  rect((sep, sep), (sep + 2, sep + 2))),
+                             Fraction(1, 10))
+        assert r.d_b_lower == _linear_scan_lower_bound(r.edge_bounds)
+
+
 def test_instability_gap_and_growth():
     def demo(sep):
         M = _sum(rect((0, 0), (2, 2)), rect((sep, sep), (sep + 2, sep + 2)))
@@ -142,7 +240,8 @@ def test_instability_gap_and_growth():
 
 
 def test_importing_the_package_does_not_load_networkx():
-    # only the matchings need networkx; every CLI call pays for its import
+    # numpy is the one runtime dependency; no import may pull in a graph
+    # library behind it
     code = "import sys, gridpersist; print('networkx' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True)
