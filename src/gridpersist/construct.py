@@ -24,7 +24,7 @@ approximate_indecomposable and match.instability_demo).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import numpy as np
 
@@ -219,10 +219,17 @@ def has_antenna(A: GridModule, axis: int, eps):
 # -- thin corner -----------------------------------------------------------------
 
 def _assert_lattice(A: GridModule, eps):
-    for ax in A.grid.axes:
-        for c in ax:
-            if (c / eps).denominator != 1:
-                raise ValueError(f"grid coordinate {c} not on the {eps}-lattice")
+    """ValueError naming A's first grid coordinate, axis by axis, that is
+    not a multiple of eps: a modulo test on integers over lcm(den, eps's
+    denominator)."""
+    L = lcm(A.grid.den, eps.denominator)
+    e = eps.numerator * (L // eps.denominator)
+    for a in A.grid.ints(L):
+        # in Python ints, exact for any eps (and ZeroDivisionError at 0)
+        off = np.flatnonzero(a.astype(object) % e)
+        if len(off):
+            c = Fraction(int(a[off[0]]), L)
+            raise ValueError(f"grid coordinate {c} not on the {eps}-lattice")
 
 
 def add_thin_corner(A: GridModule, eps):

@@ -192,10 +192,18 @@ class Components(Mapping):
         ids over the grid in C order and mats that may repeat a matrix;
         with drop_zero, zero and empty matrices count as absent."""
         canon = {}   # content -> (index, first matrix with it)
-        kind = np.array([-1 if drop_zero and not (m.size and m.any()) else
-                         canon.setdefault((m.shape, m.dtype.str, m.tobytes()),
-                                          (len(canon), m))[0]
-                         for m in mats], dtype=np.int64)
+
+        def kind_of(m):
+            b = m.tobytes()
+            # an integer matrix is zero when its bytes are (a float's -0.0
+            # is not, and an object array's bytes are pointers)
+            if drop_zero and (b.count(0) == len(b) if m.dtype.kind in "biu"
+                              else not (m.size and m.any())):
+                return -1
+            return canon.setdefault((m.shape, m.dtype.str, b),
+                                    (len(canon), m))[0]
+
+        kind = np.array([kind_of(m) for m in mats], dtype=np.int64)
         reps = [m for _, m in canon.values()]
         ids = np.array(ids, dtype=np.int64).ravel()
         ids[ids >= 0] = kind[ids[ids >= 0]]
@@ -476,19 +484,21 @@ class GridModule:
             raise ValueError("structure maps need src <= dst")
         live = np.arange(D) < self.dims.ravel()[src][:, None]
         R = np.eye(D, dtype=np.int64) * live[:, None, :]
-        at = src.copy()
+        at = src
         order = np.arange(len(src))
         for k, stride in enumerate(_strides(shape).tolist()):
             if not gaps[k].any():
                 continue
-            # longest walks first, so the walks still going are a prefix
+            # longest walks first, so the walks still going are a prefix,
+            # of length going[t] at step t
             o = np.argsort(-gaps[k], kind="stable")
             R, at, order, gap = R[o], at[o], order[o], gaps[k][o]
             gaps = gaps[:, o]
-            for t in range(int(gap[0])):
-                m = int(np.count_nonzero(gap > t))
-                R[:m] = np.matmul(S[ids[k, at[:m]]], R[:m]) % self.p
-                at[:m] += stride
+            going = np.searchsorted(-gap, -np.arange(gap[0]))
+            row = ids[k]
+            for t, m in enumerate(going.tolist()):
+                R[:m] = np.matmul(S[row[at[:m] + t * stride]], R[:m]) % self.p
+            at = at + gap * stride
         out = np.empty_like(R)
         out[order] = R
         return out

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from math import ceil, lcm, prod
+from math import lcm, prod
 
 import numpy as np
 
@@ -40,6 +40,18 @@ class TrivialRegion:
                 if lo >= hi:
                     raise ValueError("degenerate box")
         self.n = len(self.boxes[0]) if self.boxes else 0
+        # the lower and upper corners as integers over one denominator
+        self._den, (self._lo, self._hi) = _over_den(
+            [[c for box in self.boxes for c, _ in box],
+             [c for box in self.boxes for _, c in box]])
+
+    def _corners(self, L: int, s: int = 0):
+        """(lo, hi): the lower and upper corners times L, plus s, as integer
+        arrays of shape (boxes, n); L a multiple of the corners' common
+        denominator."""
+        f = L // self._den
+        return (a.reshape(len(self.boxes), self.n) for a in _exact(
+            [[c * f + s for c in self._lo], [c * f + s for c in self._hi]]))
 
     def contains(self, point) -> bool:
         return any(all(lo <= x < hi for (lo, hi), x in zip(box, point))
@@ -53,23 +65,27 @@ class TrivialRegion:
         eps = as_frac(eps)
         if eps <= 0:
             return not self.boxes
-        _, (lo, hi, (e,)) = _over_den(
-            [[c for box in self.boxes for c, _ in box],
-             [c for box in self.boxes for _, c in box], [eps]])
-        lo, hi, loe, hie = (a.reshape(len(self.boxes), self.n) for a in
-                            _exact([lo, hi, [c + e for c in lo],
-                                    [c + e for c in hi]]))
+        L = lcm(self._den, eps.denominator)
+        (lo, hi), (loe, hie) = self._corners(L), self._corners(
+            L, eps.numerator * (L // eps.denominator))
         return not ((lo[:, None] < hie[None]) & (loe[None] < hi[:, None])
                     ).all(axis=2).any()
 
     def mask(self, grid: Grid) -> np.ndarray:
         """Boolean array over grid.shape marking the vertices in the region;
-        a box corner need not be a grid coordinate."""
+        a box corner need not be a grid coordinate.  A box holds, per axis,
+        the coordinates from the first at or above its lower corner to the
+        last below its upper one, all found by searchsorted on integers
+        over one common denominator (Grid.ints)."""
         inside = np.zeros(grid.shape, dtype=bool)
-        for box in self.boxes:
-            inside[tuple(slice(bisect_left(a, ceil(lo * grid.den)),
-                               bisect_left(a, ceil(hi * grid.den)))
-                         for (lo, hi), a in zip(box, grid.nums))] = True
+        if not self.boxes:
+            return inside
+        L = lcm(self._den, grid.den)
+        lo, hi = self._corners(L)
+        cuts = [(np.searchsorted(a, lo[:, k]), np.searchsorted(a, hi[:, k]))
+                for k, a in enumerate(grid.ints(L))]
+        for b in range(len(self.boxes)):
+            inside[tuple(slice(i[b], j[b]) for i, j in cuts)] = True
         return inside
 
 
@@ -481,35 +497,42 @@ def local_change_certificate(M: GridModule, M2: GridModule,
                              verify: bool = True) -> InterleavingCertificate:
     """Certify d(M, M2) <= eps when M and M2 agree outside an eps-trivial
     region U: use M's own structure maps inside U and M2's outside (and
-    symmetrically), then verify the interleaving exactly.  verify=False
-    defers soundness to a later verification of a composite containing this
-    certificate."""
+    symmetrically), then verify the interleaving exactly.  f is filled on
+    map_grid(M, M2, eps) and g on map_grid(M2, M, eps); when M and M2 share
+    a grid (a splice of M on its own grid) these are one grid, built once
+    and returned as both grid and g_grid, with one region mask and one
+    pair of floor tables for both modules.  verify=False defers soundness
+    to a later verification of a composite containing this certificate."""
     eps = as_frac(eps)
     if not region.is_eps_trivial(eps):
         raise CertificateError("region is not eps-trivial")
     if M.p != M2.p or M.grid.n != M2.grid.n:
         raise CertificateError("incompatible modules")
-    # f on its map grid, then g on its, as one flat array of vertices
-    GF, GG = map_grid(M, M2, eps), map_grid(M2, M, eps)
-    inside = np.concatenate([region.mask(P).ravel() for P in (GF, GG)])
+    # f on its map grid, then g on its, as one flat array of vertices; on
+    # one module grid both map grids are one grid, evaluated once
+    GF = map_grid(M, M2, eps)
+    GG = GF if M.grid == M2.grid else map_grid(M2, M, eps)
+    grids = (GF,) if GG is GF else (GF, GG)
+    inside = np.concatenate([region.mask(P).ravel() for P in grids])
 
-    def floors(X, shift=0):
-        return np.concatenate([_floors(X.grid, P, shift) for P in (GF, GG)])
+    def floors(X):
+        return [np.concatenate([_floors(X.grid, P, s) for P in grids])
+                for s in (0, eps)]
 
     # the eps-shift structure maps of both modules; whether M and M2 agree
     # outside U is not checked here: verify decides whether these maps
     # interleave them
-    own, own_mats = _unique_maps(M, floors(M), floors(M, eps))
-    other, other_mats = _unique_maps(M2, floors(M2), floors(M2, eps))
+    ends = floors(M)
+    own, own_mats = _unique_maps(M, *ends)
+    other, other_mats = _unique_maps(M2, *(ends if GG is GF else floors(M2)))
     other += len(own_mats)
-    nf = prod(GF.shape)
     mats = own_mats + other_mats
     cert = InterleavingCertificate(
         M, M2, eps, GF,
-        Components(GF.shape, np.where(inside, own, other)[:nf], mats,
-                   drop_zero=True),
-        Components(GG.shape, np.where(inside, other, own)[nf:], mats,
-                   drop_zero=True), GG)
+        Components(GF.shape, np.where(inside, own, other)[:prod(GF.shape)],
+                   mats, drop_zero=True),
+        Components(GG.shape, np.where(inside, other, own)[-prod(GG.shape):],
+                   mats, drop_zero=True), GG)
     if verify:
         cert.verify()
     return cert

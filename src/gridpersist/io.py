@@ -124,21 +124,25 @@ def _components(entries, shape, read) -> Components:
 
 def _component_list(comp, shape, p: int):
     """JSON {"vertex", "matrix"} entries of a vertex -> matrix mapping over
-    the grid of the given shape, vertices in C (that is, sorted) order."""
+    the grid of the given shape, vertices in C (that is, sorted) order; a
+    matrix with no entries is left out (JSON cannot hold its shape, and an
+    absent component reads as zero)."""
     t = Components.of(comp, shape)
-    rows = [_matrix_obj(m, p) for m in t.mats]
+    rows = [_matrix_obj(m, p) if m.size else None for m in t.mats]
     return [{"vertex": list(v), "matrix": [r[:] for r in rows[i]]}
-            for v, i in zip(t, t.ids[t.ids >= 0].tolist())]
+            for v, i in zip(t, t.ids[t.ids >= 0].tolist())
+            if rows[i] is not None]
 
 
 def module_to_obj(M: GridModule) -> dict:
     """The JSON object of M, steps sorted by vertex, then axis; each distinct
-    step matrix is converted once."""
+    step matrix is converted once.  A step with no entries is left out: one
+    end is zero-dimensional, so validate does not ask for it."""
     t, n = M.step_table(), M.grid.n
     rows = [_matrix_obj(m, M.p) for m in t.mats]
     # the table runs over (axis, vertex); read it vertex by vertex
     ids = t.ids.reshape(n, -1).T.ravel()
-    at = np.flatnonzero(ids >= 0)
+    at = np.flatnonzero(np.array([m.size > 0 for m in t.mats] + [False])[ids])
     vs = np.stack(np.unravel_index(at // n, M.grid.shape), axis=1).tolist()
     steps = [{"vertex": v, "axis": k, "matrix": [r[:] for r in rows[i]]}
              for v, k, i in zip(vs, (at % n).tolist(), ids[at].tolist())]

@@ -7,7 +7,7 @@ equality of extensions; in general it snaps the module to the new grid.
 
 from __future__ import annotations
 
-from math import lcm
+from math import lcm, prod
 
 import numpy as np
 
@@ -22,11 +22,13 @@ from .core import (Components, Grid, GridModule, ModuleMorphism, _affine,
 # grid.  A natural map is constant on cells of the common refinement, so each
 # vertex is described by its floors in the grids involved, all read through
 # one routine (_floors: flat floor indices, optionally after a shift or by
-# way of a third grid, on each grid's kept integer axes, Grid.ints), and by
-# the components it carries (their ids in a core.Components table, read from
-# any vertex -> matrix mapping by Components.of); vertices with equal
-# descriptions share one evaluation, and the builders hand their id tables
-# over as Components.  The two ends of a
+# way of a third grid, on each grid's kept integer axes, Grid.ints, the
+# axes combined by _flat's one broadcast sum), and by the components it
+# carries (their ids in a core.Components table, read from any vertex ->
+# matrix mapping by Components.of); vertices with equal descriptions share
+# one evaluation, and the builders hand their id tables over as
+# Components.  Where f and g have one map grid (a local change of a module
+# on its own grid) it is evaluated once, for both.  The two ends of a
 # grid edge (Grid.edge_ends) mostly have floors equal or one step apart, so
 # verify (one naturality batch per map) and restriction_extension read its
 # map off GridModule.step_table, the one step store (_edge_ids); structure
@@ -64,20 +66,17 @@ def _floors(mod_grid: Grid, grid: Grid, shift=0, via: Grid = None):
 def _flat(tabs, shape) -> np.ndarray:
     """Combine per-axis index arrays (-1 for none) into flat indices over a
     grid of the given shape, -1 where any axis has none: a flat array over
-    the product of the tables' lengths, in C order."""
-    n = len(tabs)
-    out = np.zeros([len(t) for t in tabs], dtype=np.int64)
-    none = np.zeros(out.shape, dtype=bool)
-    stride = 1
+    the product of the tables' lengths, in C order.  One broadcast sum, in
+    which a missing index adds -prod(shape) (less than any sum of the other
+    axes can make up), clamped to -1."""
+    size, n = prod(shape), len(tabs)
+    out, stride = 0, 1
     for k in reversed(range(n)):
         t = tabs[k]
-        view = [1] * n
-        view[k] = len(t)
-        out += (np.maximum(t, 0) * stride).reshape(view)
-        none |= (t < 0).reshape(view)
+        out = out + np.where(t >= 0, t * stride, -size).reshape(
+            (-1,) + (1,) * (n - 1 - k))
         stride *= shape[k]
-    out[none] = -1
-    return out.ravel()
+    return np.maximum(out, -1).ravel()
 
 
 def _pair_maps(mod: GridModule, src: np.ndarray, dst: np.ndarray):

@@ -307,6 +307,26 @@ def test_structure_maps_match_path_oracle_and_point_query():
             assert np.array_equal(m[:r, :c], _path(M, v, w))
 
 
+def test_structure_maps_match_a_step_by_step_oracle_on_uneven_gaps():
+    # walks whose gaps differ per axis, with zero gaps on some axes and
+    # src == dst, so the walks still going differ from axis to axis
+    rng = np.random.default_rng(7)
+    for n, size, max_dim, seed in [(2, 6, 2, 0), (3, 4, 2, 4), (1, 7, 3, 1)]:
+        M = random_module(n, size, max_dim, seed=seed)
+        shape = M.grid.shape
+        v = rng.integers(0, shape, (60, n))
+        gap = rng.integers(0, shape, (60, n)) * (rng.random((60, n)) < 0.6)
+        w = np.minimum(v + gap, np.array(shape) - 1)
+        maps = M.structure_maps(np.ravel_multi_index(v.T, shape),
+                                np.ravel_multi_index(w.T, shape))
+        assert ((w - v) == 0).any() and len(set(map(tuple, w - v))) > 5
+        for m, a, b in zip(maps, map(tuple, v.tolist()),
+                           map(tuple, w.tolist())):
+            r, c = M.dim(b), M.dim(a)
+            assert not m[r:].any() and not m[:, c:].any()
+            assert np.array_equal(m[:r, :c], _path(M, a, b))
+
+
 def test_structure_maps_of_zero_module_and_empty_batch():
     Z = zero_module(2)
     assert Z.structure_maps([0], [0]).shape == (1, 0, 0)
@@ -507,6 +527,26 @@ def test_components_number_matrices_as_a_sort_would():
             assert np.array_equal(t.ids, want_ids)
             assert [m is x for m, x in zip(t.mats, want_mats)] == \
                 [True] * len(want_mats) and len(t.mats) == len(want_mats)
+
+
+def test_components_drop_exactly_the_zero_and_empty_matrices():
+    # integer matrices are tested on their bytes, others by any(): -0.0
+    # is zero but its bytes are not, and object arrays hold pointers
+    pool = [np.zeros((2, 2), np.int64), np.array([[0, -1]]),
+            np.zeros((1, 3), np.uint8), np.array([[0, 7]], np.uint8),
+            np.zeros((2, 1), bool), np.array([[False], [True]]),
+            np.array([[0.0, -0.0]]), np.array([[0.0, 0.5]]),
+            np.array([[-0.0]]), np.array([[0, 0]], dtype=object),
+            np.array([[0, 3]], dtype=object), np.zeros((0, 2), np.int64),
+            np.zeros((2, 0), float), np.zeros((0, 0), dtype=object),
+            np.eye(2, dtype=np.int32), np.array([[0], [2 ** 40]])]
+    ids = np.arange(len(pool))
+    t = Components((len(pool),), ids, pool, drop_zero=True)
+    kept = [bool(m.size and m.any()) for m in pool]
+    assert (t.ids >= 0).tolist() == kept
+    assert [m is x for m, x in zip(t.mats, (m for m, k in zip(pool, kept)
+                                            if k))] == [True] * sum(kept)
+    assert Components((len(pool),), ids, pool).ids.tolist() == ids.tolist()
 
 
 def test_edge_ends_match_index_arrays():

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridpersist import field, interleave
+from gridpersist import construct, field, interleave
 from gridpersist.cli import random_module
 from gridpersist.construct import (approximate_indecomposable, fold,
                                    iso_certificate, module_G)
@@ -338,6 +338,106 @@ def test_local_change_rejects_non_trivial_region():
     U = TrivialRegion([[(0, 2), (0, 2)]])
     with pytest.raises(CertificateError):
         local_change_certificate(M, M, U, Fraction(1, 2))
+
+
+def _local_change_calls():
+    """(M, M2, region, eps) of every local change a fold of two rectangles
+    makes: splices of a module on its own grid, then the join."""
+    seen = []
+    real = construct.local_change_certificate
+
+    def record(M, M2, region, eps, verify=True):
+        seen.append((M, M2, region, eps))
+        return real(M, M2, region, eps, verify)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(construct, "local_change_certificate", record)
+        fold([rect((0, 0), (2, 2)), rect((3, 1), (5, 4))], Fraction(1, 4))
+    return seen
+
+
+def _assert_local_change_oracle(c, M, M2, region, eps):
+    """f at each vertex x of its grid is M's structure map from x to
+    x + eps inside the region and M2's outside; g is M2's inside and M's
+    outside.  A map that is zero or empty is absent from its table."""
+    for comp, P, inner, outer in ((c.f, c.grid, M, M2),
+                                  (c.g, c.g_grid, M2, M)):
+        for v in map(tuple, P.vertices()):
+            x = P.coord(v)
+            X = inner if region.contains(x) else outer
+            a = O.ext_floor(X, x)
+            b = O.ext_floor(X, tuple(t + eps for t in x))
+            want = (np.zeros((0, 0), np.int64) if a is None else
+                    np.array(O.path_map(X, a, b), dtype=np.int64).reshape(
+                        X.dim(b), X.dim(a)))
+            if want.any():
+                assert np.array_equal(comp[v], want), v
+            else:
+                assert v not in comp, v
+
+
+def test_local_change_matches_the_oracle_and_evaluates_one_grid_once(
+        monkeypatch):
+    calls = _local_change_calls()
+    same = [a for a in calls if a[0].grid == a[1].grid]
+    two = [a for a in calls if a[0].grid != a[1].grid]
+    assert len(same) >= 4 and len(two) == 1
+    counts = {}
+
+    def counted(name, fn):
+        def wrapped(*args, **kw):
+            counts[name] += 1
+            return fn(*args, **kw)
+        return wrapped
+
+    monkeypatch.setattr(interleave, "_floors",
+                        counted("_floors", interleave._floors))
+    monkeypatch.setattr(interleave, "map_grid",
+                        counted("map_grid", interleave.map_grid))
+    for M, M2, region, eps in same + two:
+        counts.update(_floors=0, map_grid=0)
+        c = local_change_certificate(M, M2, region, eps, verify=False)
+        # one module grid: one evaluation grid, its mask and one pair of
+        # floor tables for both modules; the join has two of each
+        if M.grid == M2.grid:
+            assert c.g_grid is c.grid
+            assert counts == {"_floors": 2, "map_grid": 1}
+        else:
+            assert counts == {"_floors": 8, "map_grid": 2}
+        assert c.grid == map_grid(M, M2, eps)
+        assert c.g_grid == map_grid(M2, M, eps)
+        _assert_local_change_oracle(c, M, M2, region, eps)
+        assert c.is_valid()
+
+
+def test_region_mask_matches_contains_at_every_vertex():
+    # box corners off the grid, negative, on grid coordinates and on a
+    # denominator whose lattice with the grid's leaves int64
+    rng = np.random.default_rng(17)
+    big = Fraction(1, 2 ** 40 + 1)
+    for trial in range(60):
+        n = 1 + trial % 3
+        den = 3 ** 30 if trial % 5 == 4 else 6
+        axes = [sorted(Fraction(int(k), den) for k in rng.choice(
+            np.arange(-12, 13), rng.integers(1, 7), replace=False))
+            for _ in range(n)]
+        grid = Grid(axes)
+        boxes = []
+        for _ in range(rng.integers(0, 4)):
+            lo = [Fraction(int(k), 12) + (big if trial % 3 == 2 else 0)
+                  for k in rng.integers(-30, 30, n)]
+            box = []
+            for k, x in enumerate(lo):
+                # a corner on a grid coordinate, now and then
+                if rng.random() < 0.3:
+                    x = axes[k][int(rng.integers(len(axes[k])))]
+                box.append((x, x + Fraction(int(rng.integers(1, 24)), 12)))
+            boxes.append(box)
+        U = TrivialRegion(boxes)
+        want = np.array([U.contains(grid.coord(v)) for v in grid.vertices()],
+                        dtype=bool).reshape(grid.shape)
+        assert np.array_equal(U.mask(grid), want), boxes
+    assert not TrivialRegion([]).mask(Grid([[0, 1], [2]])).any()
 
 
 # -- rank obstruction ---------------------------------------------------------

@@ -16,8 +16,8 @@ from gridpersist.cli import CliError, _parse_frac, main, random_module
 from gridpersist.construct import module_G
 from gridpersist.core import (Grid, GridModule, ModuleMorphism, direct_sum,
                               interval_module, random_basis_change)
-from gridpersist.interleave import (CertificateError, identity_certificate,
-                                    snap_certificate)
+from gridpersist.interleave import (CertificateError, InterleavingCertificate,
+                                    identity_certificate, snap_certificate)
 from gridpersist.kan import (common_refinement, restriction_extension, shift,
                              union_grid)
 
@@ -76,6 +76,31 @@ def test_certificate_round_trip_reverifies():
     L, sc = snap_certificate(M, Fraction(1, 2))
     sc2 = io.loads(io.dumps(sc))
     sc2.verify()
+
+
+def test_empty_matrices_survive_json():
+    # "[]" holds no column count: a stored 0 x 2 step (its end is
+    # zero-dimensional, so validate does not ask for it) is left out
+    M = GridModule(Grid([[0, 1]]), [2, 0], {((0,), 0): field.zeros(0, 2)})
+    M.validate()
+    s = io.dumps(M)
+    assert json.loads(s)["steps"] == []
+    M2 = io.loads(s)
+    assert M2.is_valid() and len(M2.step_table()) == 0
+    assert io.dumps(M2) == s
+    # a 0 x 0 component of f at the top vertex (1: zero at 1 and 3/2)
+    # verifies in memory and after a round trip, where it reads as zero
+    I = interval_module((0,), (1,))
+    c = identity_certificate(I, Fraction(1, 2))
+    assert c.grid.coord((3,)) == (1,)
+    f = dict(c.f)
+    f[(3,)] = field.zeros(0, 0)
+    c = InterleavingCertificate(I, I, c.eps, c.grid, f, c.g, c.g_grid)
+    assert c.is_valid()
+    s = io.dumps(c)
+    assert [3] not in [e["vertex"] for e in json.loads(s)["f"]]
+    c2 = io.loads(s)
+    assert c2.is_valid() and io.dumps(c2) == s
 
 
 def test_fraction_strings():
