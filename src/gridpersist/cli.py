@@ -3,7 +3,8 @@
 Subcommands: validate, decompose, tack, approx-indec, match, certify.  All
 results print as JSON on stdout; diagnostics go to stderr as one JSON object
 per line.  Exit codes: 0 all verifications passed, 1 a verification failed,
-2 malformed input, 3 precondition violation.  --seed (decompose,
+2 malformed input, 3 the input breaks a precondition of tack, approx-indec
+or match (decompose has none: it works at every prime).  --seed (decompose,
 approx-indec, match) fixes randomness, with the PF_SEED environment
 variable as fallback; tack makes no random choice.
 """
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import field, io
 from .core import Grid, GridModule
-from .decomp import FieldTooSmall, PreconditionError, decompose
+from .decomp import PreconditionError, decompose
 from .field import DEFAULT_PRIME
 from .construct import approximate_indecomposable, tack
 from .match import bottleneck_upper_bound, matching_to_interleaving
@@ -274,7 +275,7 @@ def main(argv=None):
     except CliError as exc:
         _diag(exc.kind, exc)
         return exc.code
-    except (PreconditionError, FieldTooSmall) as exc:
+    except PreconditionError as exc:
         # the input breaks a precondition that the library checks
         _diag("precondition-violation", exc)
         return 3

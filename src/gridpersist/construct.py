@@ -219,13 +219,15 @@ def has_antenna(A: GridModule, axis: int, eps):
 # -- thin corner -----------------------------------------------------------------
 
 def _assert_lattice(A: GridModule, eps):
-    """ValueError naming A's first grid coordinate, axis by axis, that is
-    not a multiple of eps: a modulo test on integers over lcm(den, eps's
-    denominator)."""
+    """ValueError when eps <= 0, or naming A's first grid coordinate, axis
+    by axis, that is not a multiple of eps: a modulo test on integers over
+    lcm(den, eps's denominator)."""
+    if eps <= 0:
+        raise ValueError("eps must be positive")
     L = lcm(A.grid.den, eps.denominator)
     e = eps.numerator * (L // eps.denominator)
     for a in A.grid.ints(L):
-        # in Python ints, exact for any eps (and ZeroDivisionError at 0)
+        # in Python ints, exact for any eps
         off = np.flatnonzero(a.astype(object) % e)
         if len(off):
             c = Fraction(int(a[off[0]]), L)
@@ -571,25 +573,16 @@ def fold(parts, eps0):
     return M, cert, preps + [join]
 
 
-def _frac_gcd(vals):
-    out = Fraction(0)
-    for v in vals:
-        v = abs(as_frac(v))
-        if v == 0:
-            continue
-        # gcd(a/b, c/d) = gcd(a d, c b) / (b d), reduced
-        out = Fraction(gcd(out.numerator * v.denominator,
-                           v.numerator * out.denominator),
-                       out.denominator * v.denominator)
-    if out == 0:
-        raise PreconditionError("cannot infer a pitch from an all-zero grid")
-    return out
-
-
 def infer_pitch(*modules) -> Fraction:
-    """The coarsest tau with every grid coordinate on (tau Z)^n."""
-    vals = [c for M in modules for ax in M.grid.axes for c in ax]
-    return _frac_gcd(vals)
+    """The coarsest tau with every grid coordinate on (tau Z)^n: g / L, L
+    the lcm of the grids' denominators and g the gcd of all coordinates
+    times L."""
+    L = lcm(*(M.grid.den for M in modules))
+    g = gcd(*(int(np.gcd.reduce(a)) * (L // M.grid.den)
+              for M in modules for a in M.grid.nums))
+    if g == 0:
+        raise PreconditionError("cannot infer a pitch from an all-zero grid")
+    return Fraction(g, L)
 
 
 def fold_eps0(parts, delta) -> Fraction:

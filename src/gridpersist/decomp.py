@@ -3,16 +3,18 @@
 A module is indecomposable iff its endomorphism algebra is local.  One
 routine, _idempotent, decides locality and finds a splitting idempotent
 together, on any algebra given by its structure table: the radical is the
-kernel of the trace bilinear form of the regular representation (valid for
-p > dim; smaller fields are searched exhaustively), and the semisimple
-quotient, restricted to a table of its own, is a division algebra iff it
-is commutative with a one-dimensional Frobenius-fixed subalgebra.
+kernel of the trace bilinear form of the regular representation, refined
+at p <= dim by the trace functions of Friedl and Ronyai, so it is exact at
+every prime, and the semisimple quotient, restricted to a table of its
+own, is a division algebra iff it is commutative with a one-dimensional
+Frobenius-fixed subalgebra.
 Otherwise powers taken in the algebra give a nontrivial idempotent, in
 the manner of Cantor-Zassenhaus: (c^((p-1)/2) + c^(p-1)) / 2 for a
-Frobenius-fixed c of the quotient, or of the commutative subalgebra F_p[b]
-of a random b when the quotient is noncommutative; it lifts through the
-radical.  Powers square left-multiplication matrices (the regular
-representation), one matrix product per exponent bit, exact at any prime.
+Frobenius-fixed c of the quotient (c itself at p = 2), or of the
+commutative subalgebra F_p[b] of a random b when the quotient is
+noncommutative; it lifts through the radical.  Powers square
+left-multiplication matrices (the regular representation), one matrix
+product per exponent bit, exact at any prime.
 decompose compresses its input once to C and builds End(C) once.  It
 splits End(C) into primitive orthogonal idempotents by running
 _idempotent on corner algebras eAe, each restricted from its parent's
@@ -34,15 +36,10 @@ from .kan import (_compression_table, _floors, compress,
                   restriction_extension)
 
 
-class FieldTooSmall(ValueError):
-    """p <= dim End and p ** dim End is too large to search: the field is
-    too small for this module's endomorphism algebra."""
-
-
 class PreconditionError(ValueError):
     """An input breaks a documented precondition of tack, fold or
-    approximate_indecomposable (the CLI answers it, like FieldTooSmall,
-    with exit 3; any other ValueError there is an internal fault)."""
+    approximate_indecomposable (the CLI answers it with exit 3; any other
+    ValueError there is an internal fault)."""
 
 
 # -- finite algebras by structure table ----------------------------------------
@@ -90,18 +87,12 @@ class _Algebra:
         return np.array_equal(self.table, self.table.transpose(1, 0, 2))
 
     def power(self, x, e: int):
-        """x ** e, row by row for stacks, as 1 X^e: X = left(x) is squared
-        once per bit of e, one batched matrix product, and acc takes one
-        vector-matrix product per set bit; exact at any prime."""
-        X, p = self.left(x), self.p
-        acc = np.tile(self.one, (len(X), 1, 1))
-        while e:
-            if e & 1:
-                acc = field.mmul(acc, X, p)
-            e >>= 1
-            if e:
-                X = field.mmul(X, X, p)
-        return acc.reshape(np.shape(x))
+        """x ** e, row by row for stacks, as 1 X^e with X = left(x): one
+        vector-matrix product per set bit of e (see _times_power); exact at
+        any prime."""
+        X = self.left(x)
+        return _times_power(np.tile(self.one, (len(X), 1, 1)), X, e,
+                            self.p).reshape(np.shape(x))
 
     def frobenius_fixed_basis(self) -> np.ndarray:
         """Basis of {x : x^p = x} of a commutative algebra: a subalgebra
@@ -110,6 +101,18 @@ class _Algebra:
         I = field.eye(self.dim)
         return field.nullspace((self.power(I, self.p).T - I) % self.p,
                                self.p)
+
+
+def _times_power(acc, X, e: int, q: int):
+    """acc X^e mod q for stacks of matrices: X is squared once per bit of e,
+    one batched matrix product, and acc takes one product per set bit."""
+    while e:
+        if e & 1:
+            acc = field.mmul(acc, X, q)
+        e >>= 1
+        if e:
+            X = field.mmul(X, X, q)
+    return acc
 
 
 class EndAlgebra(_Algebra):
@@ -198,18 +201,37 @@ def end_algebra(M: GridModule) -> EndAlgebra:
 
 
 def radical(A: _Algebra) -> np.ndarray:
-    """Basis (columns) of the Jacobson radical, via the trace form of the
-    regular representation.  Requires p > dim A."""
-    if A.p <= A.dim:
-        raise FieldTooSmall(
-            f"radical via trace form needs p > dim = {A.dim}")
+    """Basis (columns) of the Jacobson radical, at every prime (Friedl and
+    Ronyai).  I_0 is the kernel of the trace form of the regular
+    representation.  For each e = p^i <= dim A, I_i keeps the a in I_{i-1}
+    with g(a b) = 0 for every basis element b, where g(x) = Tr(L^e) / e
+    mod p and L is x's left-multiplication matrix lifted to [0, p); g is
+    additive on I_{i-1}, so I_i is a nullspace.  The last I_i is the
+    radical, I_0 itself when p > dim A."""
     if A.dim == 0:
         return field.zeros(0, 0)
     # G_ij = tr(L_i L_j) = sum_{k,m} c_{im}^k c_{jk}^m
-    D = A.dim
+    D, p = A.dim, A.p
     G = field.mmul(A.table.reshape(D, D * D),
-                   A.table.transpose(0, 2, 1).reshape(D, D * D).T, A.p)
-    return field.nullspace(G, A.p)
+                   A.table.transpose(0, 2, 1).reshape(D, D * D).T, p)
+    rad, e = field.nullspace(G, p), p
+    while e <= D and rad.shape[1]:
+        rad = _trace_refinement(A, rad, e)
+        e *= p
+    return rad
+
+
+def _trace_refinement(A: _Algebra, rad, e: int):
+    """The next ideal of radical's sequence after the one spanned by the
+    columns of rad, at e: row j of G holds g(a_j b) for every basis element
+    b, one a_j at a time (a stack of D matrices, D x D each), with L^e
+    taken mod e p, where field.mmul is exact too."""
+    D, p, q = A.dim, A.p, e * A.p
+    G = field.zeros(rad.shape[1], D)
+    for j, a in enumerate(rad.T):
+        Le = _times_power(field.eye(D), A.left(A.left(a)[0]), e, q)
+        G[j] = np.trace(Le, axis1=1, axis2=2) % q // e
+    return field.mmul(rad, field.nullspace(G.T, p), p)
 
 
 def _corner(A: _Algebra, f) -> _Algebra:
@@ -235,10 +257,6 @@ def _idempotent(A: _Algebra, seed: int = 0):
     exactly when A is local."""
     if A.dim == 1:
         return None   # A is the prime field
-    if A.p <= A.dim:
-        # trace form unavailable; locality <=> only trivial idempotents,
-        # decidable by exhaustion for small fields
-        return _enumerate_idempotent(A)
     # the semisimple quotient A / rad, on standard basis vectors that
     # complete a basis of the radical
     rad = radical(A)
@@ -261,22 +279,6 @@ def _idempotent(A: _Algebra, seed: int = 0):
     if not a.any() or np.array_equal(a, A.one):
         raise RuntimeError("lifted idempotent is trivial")
     return a
-
-
-def _enumerate_idempotent(A: _Algebra):
-    """Exhaustive search for a nontrivial idempotent (small p**dim only)."""
-    from itertools import product as iproduct
-    if A.p ** A.dim > 1 << 22:
-        raise FieldTooSmall(f"p={A.p} too small for the trace-form radical "
-                            f"and p^dim={A.p}^{A.dim} too large for "
-                            "exhaustion")
-    for coeffs in iproduct(range(A.p), repeat=A.dim):
-        x = np.array(coeffs, dtype=np.int64)
-        if not x.any() or np.array_equal(x, A.one):
-            continue
-        if np.array_equal(A.mul(x, x), x):
-            return x
-    return None
 
 
 def _quotient_idempotent(B: _Algebra, rng):
@@ -306,15 +308,18 @@ def _quotient_idempotent(B: _Algebra, rng):
 
 def _fixed_idempotent(S: _Algebra, rng):
     """A nontrivial idempotent of a commutative algebra S, or None when its
-    Frobenius-fixed subalgebra V = F_p^s has s = 1.  For c in V the element
-    (c^((p-1)/2) + c^(p-1)) / 2 is an idempotent: 1 on the factors of V
-    where c is a nonzero square, 0 on the others (p is odd: the trace-form
-    path has p > dim >= 2).  Candidates c are drawn sixteen at a time and
-    raised in one power."""
+    Frobenius-fixed subalgebra V = F_p^s has s = 1.  At p = 2 every element
+    of V is an idempotent, so the first basis element that is not 1 is one.
+    At odd p, for c in V the element (c^((p-1)/2) + c^(p-1)) / 2 is an
+    idempotent: 1 on the factors of V where c is a nonzero square, 0 on the
+    others.  Candidates c are drawn sixteen at a time and raised in one
+    power."""
     V = S.frobenius_fixed_basis()
     if V.shape[1] == 1:
         return None
     p = S.p
+    if p == 2:
+        return next(v for v in V.T if not np.array_equal(v, S.one))
     for _ in range(64):
         c = field.mmul(rng.randint(0, p, size=(16, V.shape[1])), V.T, p)
         h = S.power(c, (p - 1) // 2)
@@ -437,8 +442,8 @@ def is_isomorphic(M: GridModule, N: GridModule):
     each summand of M takes the first unpaired summand of N that this scan
     finds isomorphic; by Krull-Schmidt the greedy pairing is exact, and a
     summand left unpaired means None.  The witness W_N o (+ f_i) o W_M^-1
-    is assembled from both decomposition witnesses and checked.  Raises
-    FieldTooSmall where decompose does.
+    is assembled from both decomposition witnesses and checked.  Exact at
+    every prime, as decompose is.
     """
     if M.grid != N.grid:
         raise ValueError("is_isomorphic requires a common grid")

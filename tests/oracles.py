@@ -124,6 +124,29 @@ def algebra_power(table, one, xs, e, p):
     return [pw(x) for x in xs]
 
 
+def radical_bruteforce(A):
+    """The Jacobson radical of the unital algebra with structure table
+    A.table over F_{A.p} (see _algebra_mul), as the set of coordinate
+    tuples a with a b nilpotent for every b: enumerates all pairs, so it
+    is feasible only for p^(2 dim) <= 2^16."""
+    table, p, D = A.table.tolist(), A.p, A.dim
+    if p ** (2 * D) > 2 ** 16:
+        raise ValueError(f"algebra too large: {p}^(2 {D})")
+    mul = _algebra_mul(table, p)
+    elems = [list(c) for c in product(range(p), repeat=D)]
+
+    def nilpotent(x):
+        y = x
+        for _ in range(D):   # x^D = 0 for every nilpotent x
+            if not any(y):
+                return True
+            y = mul(y, x)
+        return not any(y)
+    nil = {tuple(x) for x in elems if nilpotent(x)}
+    return {a for a in nil
+            if all(tuple(mul(list(a), b)) in nil for b in elems)}
+
+
 def corner_map(table, f, p):
     """The matrix of x -> f x f (see _algebra_mul), by two algebra products
     per basis element: column i holds the coordinates of (f b_i) f."""

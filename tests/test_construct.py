@@ -3,6 +3,7 @@
 import hashlib
 import time
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 import pytest
@@ -16,7 +17,8 @@ from gridpersist.construct import (add_antenna, add_thin_corner,
                                    tack)
 from gridpersist.core import (Components, Grid, GridModule, direct_sum,
                               interval_module, zero_module, ModuleMorphism)
-from gridpersist.decomp import decompose, is_indecomposable, is_isomorphic
+from gridpersist.decomp import (PreconditionError, decompose,
+                                is_indecomposable, is_isomorphic)
 from gridpersist.interleave import (CertificateError, InterleavingCertificate,
                                     TrivialRegion, block_sum_certificates,
                                     compose_chain, identity_certificate,
@@ -64,6 +66,17 @@ def test_add_antenna_produces_antenna_and_keeps_indecomposable():
     assert is_indecomposable(A2)
 
 
+@pytest.mark.parametrize("eps", [0, Fraction(-1, 2)])
+def test_gadget_stages_reject_a_nonpositive_eps(eps):
+    A1, _, _ = add_thin_corner(rect((0, 0), (2, 2)), 1)
+    A2, _, _ = add_antenna(A1, Fraction(1, 2))
+    for stage in (lambda: add_thin_corner(A1, eps),
+                  lambda: add_antenna(A1, eps),
+                  lambda: move_antenna(A2, eps, (0, 0))):
+        with pytest.raises(ValueError, match="eps must be positive"):
+            stage()
+
+
 def test_tack_two_intervals():
     A = rect((0, 0), (2, 2))
     B = rect((3, 1), (5, 4))
@@ -102,11 +115,42 @@ def test_tack_rejects_bad_inputs():
         tack(S, A, 1)
 
 
+def _frac_gcd(vals):
+    """gcd of rationals on Fractions: gcd(a/b, c/d) = gcd(a d, c b) / (b d)."""
+    out = Fraction(0)
+    for v in vals:
+        out = Fraction(gcd(out.numerator * v.denominator,
+                           v.numerator * out.denominator),
+                       out.denominator * v.denominator)
+    return out
+
+
 def test_infer_pitch():
     A = rect((0, 0), (2, 2))
     B = rect((Fraction(1, 2), 0), (3, 2))
     assert infer_pitch(A) == 2
     assert infer_pitch(A, B) == Fraction(1, 2)
+    # against the gcd of the coordinates as Fractions, on grids with
+    # negative, zero and (beyond int64) huge coordinates
+    rng = np.random.default_rng(0)
+    for t in range(60):
+        mods = []
+        for _ in range(int(rng.integers(1, 4))):
+            axes = [sorted({Fraction(int(rng.integers(-50, 50)) *
+                                     2 ** (70 * (t % 5 == 0)),
+                                     int(rng.integers(1, 30)))
+                            for _ in range(int(rng.integers(1, 4)))})
+                    for _ in range(2)]
+            g = Grid(axes)
+            mods.append(GridModule(g, np.zeros(g.shape, dtype=np.int64), {}))
+        want = _frac_gcd(c for M in mods for ax in M.grid.axes for c in ax)
+        if want:
+            assert infer_pitch(*mods) == want
+        else:
+            with pytest.raises(PreconditionError):
+                infer_pitch(*mods)
+    with pytest.raises(PreconditionError, match="all-zero"):
+        infer_pitch(GridModule(Grid([[0], [0]]), np.zeros((1, 1), int), {}))
 
 
 def test_iso_certificate_is_zero_eps():

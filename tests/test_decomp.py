@@ -1,6 +1,7 @@
 """Endomorphism algebras, idempotents, and full decomposition."""
 
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -12,8 +13,8 @@ from gridpersist.construct import (approximate_indecomposable, iso_certificate,
 from gridpersist.core import (Components, GridModule, ModuleMorphism,
                               direct_sum, interval_module, random_basis_change,
                               sum_module, zero_module)
-from gridpersist.decomp import (FieldTooSmall, decompose, end_algebra,
-                                is_indecomposable, is_isomorphic, radical)
+from gridpersist.decomp import (decompose, end_algebra, is_indecomposable,
+                                is_isomorphic, radical)
 from gridpersist.interleave import snap_certificate
 from gridpersist.kan import (common_refinement, compress, compression_witness,
                              morphism_restriction_extension,
@@ -121,6 +122,76 @@ def test_radical_detects_nilpotents():
     A = end_algebra(S)
     assert A.dim > 2
     assert radical(A).shape[1] > 0
+
+
+def _span(cols, p):
+    """Every F_p-combination of the columns, as coordinate tuples."""
+    return {tuple(field.mmul(cols, np.array(c, dtype=np.int64)
+                             .reshape(-1, 1), p)[:, 0].tolist())
+            for c in product(range(p), repeat=cols.shape[1])}
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_radical_matches_the_nilpotent_products_oracle(p):
+    # End and its corner algebras at primes p <= dim End, where the trace
+    # form alone is not enough, against {a : a b nilpotent for all b}
+    mods = [random_module(2, 2, d, seed=s, p=p)
+            for d, seeds in ((1, range(6)), (2, range(4))) for s in seeds]
+    X, Y = _refine_all(interval_module((0,), (2,), p=p),
+                       interval_module((1,), (3,), p=p))
+    mods += [direct_sum(X, Y)[0], direct_sum(X, X)[0],
+             GridModule(Grid([[0], [0]]), np.array([[2]]), {}, p)]
+    algebras = []
+    for M in mods:
+        if M.total_dim():
+            A = end_algebra(compress(M))
+            algebras.append(A)
+            g = decomp._idempotent(A) if A.dim else None
+            if g is not None:
+                algebras += [decomp._corner(A, f)
+                             for f in (g, (A.one - g) % p)]
+    # F_p[x] / (x^m) for m = p, p + 1: there Tr(L_1) = m, and at m = p
+    # the trace-form kernel is all of A
+    J = np.eye(p + 1, k=-1, dtype=np.int64)
+    algebras += [_matrix_algebra([np.linalg.matrix_power(J[:m, :m], k)
+                                  for k in range(m)], p, m)[0]
+                 for m in (p, p + 1)]
+    small = [A for A in algebras if p ** (2 * A.dim) <= 2 ** 16]
+    assert len(small) >= 10 and any(A.dim >= p for A in small)
+    assert any(len(O.radical_bruteforce(A)) > 1 for A in small)
+    for A in small:
+        assert _span(radical(A), p) == O.radical_bruteforce(A)
+
+
+@pytest.mark.parametrize("p, d", [(2, 2), (3, 3), (2, 4)])
+def test_full_matrix_algebras_split_below_their_dimension(p, d, monkeypatch):
+    # End(k^d at one vertex) = M_d(F_p) with p | d: Tr(L_x L_y) = d tr(x y)
+    # vanishes, so the trace-form kernel is all of A, and only the trace
+    # functions find the radical 0
+    M = GridModule(Grid([[0], [0]]), np.array([[d]]), {}, p)
+    seen, refine = [], decomp._trace_refinement
+    monkeypatch.setattr(decomp, "_trace_refinement", lambda A, rad, e: (
+        seen.append((A.dim, rad.shape[1], e)) or refine(A, rad, e)))
+    A = end_algebra(M)
+    assert radical(A).shape[1] == 0
+    assert seen[0] == (d * d, d * d, p)
+    parts, w = decompose(M)
+    assert [X.dims.tolist() for X in parts] == [[[1]]] * d
+    w.validate()
+    assert w.is_isomorphism()
+
+
+def test_trace_refinement_never_runs_at_the_default_prime(monkeypatch):
+    # p = 65521 > dim End on the decompose corpora: radical is the
+    # trace-form kernel alone, as it was before the refinement existed
+    def refuse(A, rad, e):
+        raise AssertionError("trace refinement at p > dim")
+
+    monkeypatch.setattr(decomp, "_trace_refinement", refuse)
+    mods = _witness_corpus() + [M for M, _ in _idempotent_corpus(65521)]
+    for M in mods + [_nested_intervals(65521)]:
+        parts, w = decompose(M)
+        assert sum(X.total_dim() for X in parts) == M.total_dim()
 
 
 def test_end_of_G_plus_G_splits_evenly():
@@ -784,13 +855,9 @@ def test_decompose_splits_a_noncommutative_quotient(monkeypatch):
     (3, [((0, 0), (1, 1)), ((4, 4), (5, 5))]),
     (5, [((0, 0), (1, 1)), ((2, 3), (3, 4)), ((4, 0), (6, 1))])])
 def test_decompose_splits_by_the_trace_form_at_small_primes(
-        p, corners, monkeypatch):
+        p, corners):
     # p > dim End, so the split takes powers c^((p-1)/2) with (p-1)/2 in
-    # {1, 2}; exhaustive search is never needed
-    def refuse(A):
-        raise AssertionError("exhaustive search on a trace-form algebra")
-
-    monkeypatch.setattr(decomp, "_enumerate_idempotent", refuse)
+    # {1, 2}
     pieces = _refine_all(*(rect(a, b, p=p) for a, b in corners))
     M = random_basis_change(direct_sum(*pieces)[0], seed=p)
     parts, w = _decompose_twice(M)
@@ -819,12 +886,18 @@ def test_is_isomorphic_finds_a_witness_on_nested_intervals():
     iso_certificate(W).verify()
 
 
-def test_is_isomorphic_refuses_where_decompose_does():
-    S = _nested_intervals(2)
-    with pytest.raises(FieldTooSmall):
-        decompose(S)
-    with pytest.raises(FieldTooSmall):
-        is_isomorphic(S, random_basis_change(S, seed=5))
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_nested_intervals_split_and_match_at_small_primes(p):
+    # dim End = 36 > p: the radical needs the trace functions
+    S = _nested_intervals(p)
+    parts, w = decompose(S)
+    assert len(parts) == 8
+    w.validate()
+    assert w.is_isomorphism()
+    W = is_isomorphic(S, random_basis_change(S, seed=5))
+    assert W is not None
+    W.validate()
+    assert W.is_isomorphism()
 
 
 def _iso_pairs(p):

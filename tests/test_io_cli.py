@@ -232,15 +232,16 @@ def test_cli_decompose_on_one_coordinate_axes(tmp_path):
     assert len(json.loads(r.stdout)["summands"]) == 2
 
 
-def test_cli_decompose_field_too_small_is_exit_3(tmp_path):
-    # End of k^5 at one vertex has dimension 25: over F_2 the trace form
-    # fails and 2^25 idempotent candidates are too many to search
+def test_cli_decompose_of_k5_over_f2_is_five_points(tmp_path):
+    # End of k^5 at one vertex is M_5(F_2), of dimension 25 > p = 2: the
+    # radical comes from the trace functions
     M = GridModule(Grid([[0], [0]]), np.array([[5]]), {}, 2)
     path = tmp_path / "k5.json"
     path.write_text(io.dumps(M))
     r = _run(["decompose", str(path)])
-    assert r.returncode == 3
-    assert "precondition-violation" in r.stderr
+    assert r.returncode == 0, r.stderr
+    parts = json.loads(r.stdout)["summands"]
+    assert [io.module_from_obj(X).dims.tolist() for X in parts] == [[[1]]] * 5
 
 
 def test_cli_decompose_does_not_report_internal_errors_as_exit_3(
