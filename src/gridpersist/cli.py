@@ -12,6 +12,7 @@ variable as fallback; tack makes no random choice.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -222,7 +223,9 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(2, "malformed-input", f"{self.prog}: {message}")
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process (parsing keeps it)."""
     ap = _Parser(
         prog="gridpersist",
         description="exact decomposition and interleaving certificates for "
@@ -231,20 +234,17 @@ def build_parser():
 
     p = sub.add_parser("validate", help="check module files")
     p.add_argument("module", nargs="+")
-    p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("decompose", help="split into indecomposables")
     p.add_argument("module")
     p.add_argument("--seed")
     p.add_argument("--emit-proof", action="store_true")
-    p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("tack", help="join two indecomposables within delta")
     p.add_argument("module_a")
     p.add_argument("module_b")
     p.add_argument("--delta", required=True)
     p.add_argument("--emit-proof", action="store_true")
-    p.set_defaults(func=cmd_tack)
 
     p = sub.add_parser("approx-indec",
                        help="nearest-indecomposable approximation")
@@ -252,7 +252,6 @@ def build_parser():
     p.add_argument("--eps", required=True)
     p.add_argument("--seed")
     p.add_argument("--emit-proof", action="store_true")
-    p.set_defaults(func=cmd_approx_indec)
 
     p = sub.add_parser("match", help="bottleneck matching attempt")
     p.add_argument("module_a")
@@ -260,18 +259,17 @@ def build_parser():
     p.add_argument("--eps", required=True)
     p.add_argument("--seed")
     p.add_argument("--emit-proof", action="store_true")
-    p.set_defaults(func=cmd_match)
 
     p = sub.add_parser("certify", help="re-verify certificate files")
     p.add_argument("certificate", nargs="+")
-    p.set_defaults(func=cmd_certify)
     return ap
 
 
 def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        # by name at call time, as the parser outlives any patch of a command
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except CliError as exc:
         _diag(exc.kind, exc)
         return exc.code

@@ -187,10 +187,12 @@ class Components(Mapping):
     vertex -> matrix mapping through Components.of.
     """
 
-    def __init__(self, shape, ids, mats, drop_zero: bool = False):
+    def __init__(self, shape, ids, mats, drop_zero: bool = False,
+                 distinct: bool = False):
         """The table of mats[ids[v]] at each vertex v with ids[v] >= 0, for
         ids over the grid in C order and mats that may repeat a matrix;
-        with drop_zero, zero and empty matrices count as absent."""
+        with drop_zero, zero and empty matrices count as absent.  With
+        distinct, no two of mats are equal: they are only renumbered."""
         canon = {}   # content -> (index, first matrix with it)
 
         def kind_of(m):
@@ -203,34 +205,24 @@ class Components(Mapping):
             return canon.setdefault((m.shape, m.dtype.str, b),
                                     (len(canon), m))[0]
 
-        kind = np.array([kind_of(m) for m in mats], dtype=np.int64)
-        reps = [m for _, m in canon.values()]
         ids = np.array(ids, dtype=np.int64).ravel()
-        ids[ids >= 0] = kind[ids[ids >= 0]]
+        if not distinct:
+            kind = np.array([kind_of(m) for m in mats], dtype=np.int64)
+            mats = [m for _, m in canon.values()]
+            ids[ids >= 0] = kind[ids[ids >= 0]]
         live = np.flatnonzero(ids >= 0)
         # number the distinct matrices in order of first appearance: one
         # pass finds each kind's first position, then the used kinds are
         # ordered by it (no sort over the grid)
         k = ids[live]
-        first = np.full(len(reps), len(k))
+        first = np.full(len(mats), len(k))
         np.minimum.at(first, k, np.arange(len(k)))
         order = k[np.sort(first[first < len(k)])]
-        new = np.empty(len(reps), dtype=np.int64)
+        new = np.empty(len(mats), dtype=np.int64)
         new[order] = np.arange(len(order))
         ids[live] = new[k]
         self.shape, self.ids = tuple(shape), ids
-        self.mats = [reps[c] for c in order.tolist()]
-
-    @classmethod
-    def shared(cls, shape, at, mats) -> "Components":
-        """The table of mats[i] at the distinct flat vertices at[i], numbered
-        by id() first (equal matrices often share one array), then content."""
-        _, first, kind = np.unique(
-            np.fromiter(map(id, mats), np.uint64, len(mats)),
-            return_index=True, return_inverse=True)
-        ids = np.full(prod(shape), -1, dtype=np.int64)
-        ids[at] = kind.reshape(-1)
-        return cls(shape, ids, [mats[i] for i in first.tolist()])
+        self.mats = [mats[c] for c in order.tolist()]
 
     @classmethod
     def of(cls, comp, shape, drop_zero: bool = False) -> "Components":
@@ -392,7 +384,7 @@ def _step_table(steps, shape) -> Components:
     """The step table over (n,) + shape of a {(vidx, k): matrix} mapping;
     ValueError unless every key is a vertex of the grid and an axis."""
     keys, n = list(steps), len(shape)
-    at = np.zeros(0, dtype=np.int64)
+    ids = np.full(n * prod(shape), -1, dtype=np.int64)
     if keys:
         try:
             vs = np.array([v for v, _ in keys]).reshape(len(keys), -1)
@@ -404,8 +396,9 @@ def _step_table(steps, shape) -> Components:
         if vs.shape[1] != n or ((ks < 0) | (ks >= n)).any():
             raise ValueError("step key is not (vertex, axis) of the grid")
         # ValueError off the grid
-        at = ks * prod(shape) + np.ravel_multi_index(vs.T, shape)
-    return Components.shared((n,) + tuple(shape), at, list(steps.values()))
+        ids[ks * prod(shape) + np.ravel_multi_index(vs.T, shape)] = range(
+            len(keys))
+    return Components((n,) + tuple(shape), ids, list(steps.values()))
 
 
 class GridModule:

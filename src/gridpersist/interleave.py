@@ -523,8 +523,11 @@ def local_change_certificate(M: GridModule, M2: GridModule,
     # outside U is not checked here: verify decides whether these maps
     # interleave them
     ends = floors(M)
-    own, own_mats = _unique_maps(M, *ends)
-    other, other_mats = _unique_maps(M2, *(ends if GG is GF else floors(M2)))
+    # on one grid both modules map the same pairs of floors, found once
+    found = _unique_rows(np.stack(ends, axis=1)) if GG is GF else None
+    own, own_mats = _unique_maps(M, *ends, found)
+    other, other_mats = _unique_maps(
+        M2, *(ends if GG is GF else floors(M2)), found)
     other += len(own_mats)
     mats = own_mats + other_mats
     cert = InterleavingCertificate(

@@ -10,15 +10,16 @@ from __future__ import annotations
 
 import json
 import marshal
+import re
 from fractions import Fraction
 from itertools import chain
-from math import prod
+from math import lcm, prod
 
 import numpy as np
 
 from . import field
-from .core import (Components, Grid, GridModule, ModuleMorphism, _strides,
-                   as_frac)
+from .core import (Components, Grid, GridModule, ModuleMorphism, _exact,
+                   _strides, as_frac)
 from .interleave import InterleavingCertificate
 
 # The loader refuses a module with n * V * D**2 above this many entries (V
@@ -34,15 +35,24 @@ def frac_str(x) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def parse_frac(s: str) -> Fraction:
-    """The rational a "num/den" or "num" string stands for (ValueError on
-    anything else, a zero denominator included)."""
-    if not isinstance(s, str):
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
+def _ratio(s) -> tuple:
+    """(num, den) of a string -?[0-9]+(/[0-9]+)?, ASCII digits only (int()
+    also takes "1_0", " 7 ", "+3" and "٣"), den > 0; else ValueError."""
+    m = _RATIONAL.fullmatch(s) if isinstance(s, str) else None
+    if m is None:
         raise ValueError(f"not a rational string: {s!r}")
-    num, den = s.split("/") if "/" in s else (s, "1")
-    if int(den) == 0:
+    num, den = int(m[1]), int(m[2] or 1)
+    if den == 0:
         raise ValueError(f"zero denominator in {s!r}")
-    return Fraction(int(num), int(den))
+    return num, den
+
+
+def parse_frac(s: str) -> Fraction:
+    """The rational a "num/den" or "num" string stands for (see _ratio)."""
+    return Fraction(*_ratio(s))
 
 
 def _obj(obj, kind: str):
@@ -65,7 +75,10 @@ def _axes_from(obj) -> Grid:
         raise ValueError("axes must be a list of coordinate lists")
     if not obj:
         raise ValueError("a grid needs at least one axis")
-    return Grid([[parse_frac(c) for c in ax] for ax in obj])
+    axes = [[_ratio(c) for c in ax] for ax in obj]
+    den = lcm(*(d for ax in axes for _, d in ax))
+    return Grid.from_ints(den, _exact([[x * (den // d) for x, d in ax]
+                                       for ax in axes]))
 
 
 def _matrix_obj(m: np.ndarray, p: int):
@@ -73,53 +86,67 @@ def _matrix_obj(m: np.ndarray, p: int):
 
 
 def _matrix_reader(p: int):
-    """A function that reads JSON matrices over F_p: ValueError unless the
-    value is a list of equal-length lists of integers (bool is not an
-    integer) in [0, p), for a prime p.  Equal matrices are read once and
-    share one array."""
+    """read(rows), the matrix over F_p (p prime) of a JSON value, and
+    read.ids(values), each value's index in read.mats, in order of first
+    reading (each distinct matrix is read once); ValueError unless a value
+    is a list of equal-length lists of integers (not bools) in [0, p)."""
     if not field.is_probable_prime(p):
         raise ValueError(f"p={p} is not prime")
-    seen = {}
+    seen, mats = {}, []
 
-    def read(rows):
+    def ids(values):
         # marshal without back-references (version 2) gives equal integer
         # matrices equal bytes, and tells bool from int, which == does not
-        key = marshal.dumps(rows, 2)
-        m = seen.get(key)
-        if m is None:
+        keys = [marshal.dumps(rows, 2) for rows in values]
+        for key, rows in dict(zip(keys, values)).items():
+            if key in seen:
+                continue
             if (not isinstance(rows, list) or set(map(type, rows)) - {list}
                     or set(map(type, chain.from_iterable(rows))) - {int}):
                 raise ValueError("a matrix must be a list of rows of integers")
             if not all(0 <= x < p for x in chain.from_iterable(rows)):
                 raise ValueError("entries out of [0, p)")
-            m = seen[key] = field.fmat(rows, p)
-        return m
+            seen[key] = len(mats)
+            mats.append(field.fmat(rows, p))
+        return list(map(seen.__getitem__, keys))
 
+    def read(rows):
+        return mats[ids([rows])[0]]
+
+    read.ids, read.mats = ids, mats
     return read
 
 
-def _vertices(vs, shape) -> np.ndarray:
-    """JSON vertices as the rows of an integer array; ValueError unless each
-    is a list of one integer per axis, inside the grid of the given shape."""
-    n = len(shape)
-    if (set(map(type, vs)) - {list} or set(map(len, vs)) - {n}
-            or set(map(type, chain.from_iterable(vs))) - {int}):
-        raise ValueError(f"vertices must be lists of {n} integers")
-    a = np.array(vs, dtype=np.int64).reshape(len(vs), n)
+def _components(entries, shape, read, n: int = 0) -> Components:
+    """The table of JSON {"vertex", "matrix"} entries on a grid of the given
+    shape, or for n > 0 of {"vertex", "axis", "matrix"} steps on (n,) +
+    shape; ValueError unless each vertex is a list of one integer per axis
+    in the grid, each axis an integer in [0, n) and no place repeats."""
+    vs, d = [e["vertex"] for e in entries], len(shape)
+    # one flat list of coordinates: numpy reads it faster than nested lists
+    flat = ([] if set(map(type, vs)) - {list} or set(map(len, vs)) - {d}
+            else list(chain.from_iterable(vs)))
+    if len(flat) != d * len(vs) or set(map(type, flat)) - {int}:
+        raise ValueError(f"vertices must be lists of {d} integers")
+    a = np.array(flat, dtype=np.int64).reshape(len(vs), d)
     if ((a < 0) | (a >= np.array(shape, dtype=np.int64))).any():
         raise ValueError("vertex outside the grid")
-    return a
-
-
-def _components(entries, shape, read) -> Components:
-    """The table of a JSON list of {"vertex", "matrix"} entries; ValueError
-    unless the vertices are distinct integer vertices of the grid of the
-    given shape."""
-    at = _vertices([e["vertex"] for e in entries], shape) @ _strides(shape)
+    at = a @ _strides(shape)
+    if n:
+        ks = [e["axis"] for e in entries]
+        if set(map(type, ks)) - {int}:
+            _int(next(k for k in ks if type(k) is not int), "a step axis")
+        if ks and not 0 <= min(ks) <= max(ks) < n:
+            raise ValueError("step key is not (vertex, axis) of the grid")
+        at += np.array(ks, dtype=np.int64) * prod(shape)
+        shape = (n,) + tuple(shape)
     if len(np.unique(at)) != len(at):
-        raise ValueError("duplicate component vertex")
-    # read shares one array among equal matrices
-    return Components.shared(shape, at, [read(e["matrix"]) for e in entries])
+        raise ValueError("duplicate step" if n else
+                         "duplicate component vertex")
+    ids = np.full(prod(shape), -1, dtype=np.int64)
+    ids[at] = read.ids([e["matrix"] for e in entries])
+    # the reader's matrices are distinct already: the table only renumbers
+    return Components(shape, ids, read.mats, distinct=True)
 
 
 def _component_list(comp, shape, p: int):
@@ -155,8 +182,9 @@ def module_to_obj(M: GridModule) -> dict:
     }
 
 
-def module_from_obj(obj: dict) -> GridModule:
-    """The module an object describes; ValueError unless it validates."""
+def module_from_obj(obj: dict, readers=None) -> GridModule:
+    """The module an object describes; ValueError unless it validates.
+    readers ({p: _matrix_reader(p)}) is shared within one proof."""
     _obj(obj, "module")
     p = _int(obj["p"], "p")
     grid = _axes_from(obj["axes"])
@@ -171,15 +199,10 @@ def module_from_obj(obj: dict) -> GridModule:
         raise ValueError(f"pointwise dimension {D} on {dims.size} vertices "
                          f"exceeds the loader's limit of "
                          f"{MAX_TENSOR_ENTRIES} step tensor entries")
-    entries = obj["steps"]
-    keys = list(zip(map(tuple, _vertices([e["vertex"] for e in entries],
-                                         grid.shape).tolist()),
-                    [_int(e["axis"], "a step axis") for e in entries]))
-    if len(set(keys)) != len(keys):
-        raise ValueError("duplicate step")
-    read = _matrix_reader(p)
-    M = GridModule(grid, dims.astype(np.int64),
-                   dict(zip(keys, [read(e["matrix"]) for e in entries])), p)
+    readers = {} if readers is None else readers
+    read = readers.get(p) or readers.setdefault(p, _matrix_reader(p))
+    M = GridModule(grid, dims.astype(np.int64), _components(
+        obj["steps"], grid.shape, read, grid.n), p)
     M.validate()
     return M
 
@@ -196,10 +219,11 @@ def morphism_to_obj(f: ModuleMorphism) -> dict:
 def morphism_from_obj(obj: dict) -> ModuleMorphism:
     """The morphism an object describes; ValueError unless it is natural."""
     _obj(obj, "morphism")
-    src = module_from_obj(obj["source"])
-    tgt = module_from_obj(obj["target"])
+    readers = {}
+    src = module_from_obj(obj["source"], readers)
+    tgt = module_from_obj(obj["target"], readers)
     f = ModuleMorphism(src, tgt, _components(
-        obj["components"], src.grid.shape, _matrix_reader(src.p)))
+        obj["components"], src.grid.shape, readers[src.p]))
     f.validate()
     return f
 
@@ -229,17 +253,17 @@ def certificate_from_obj(obj: dict) -> InterleavingCertificate:
             raise ValueError(f"evaluation grid of {prod(P.shape)} vertices "
                              f"exceeds the loader's limit of "
                              f"{MAX_TENSOR_ENTRIES}")
-    M = module_from_obj(obj["m_module"])
-    N = module_from_obj(obj["n_module"])
+    readers = {}   # one reader for the whole proof
+    M = module_from_obj(obj["m_module"], readers)
+    N = module_from_obj(obj["n_module"], readers)
     if M.p != N.p:
         raise ValueError("mixed primes")
     if len({M.grid.n, N.grid.n, grid.n, g_grid.n}) != 1:
         raise ValueError("modules and grid of different dimensions")
-    read = _matrix_reader(M.p)
     return InterleavingCertificate(
         M, N, parse_frac(obj["eps"]), grid,
-        _components(obj["f"], grid.shape, read),
-        _components(obj["g"], g_grid.shape, read), g_grid)
+        _components(obj["f"], grid.shape, readers[M.p]),
+        _components(obj["g"], g_grid.shape, readers[M.p]), g_grid)
 
 
 def from_obj(obj: dict):

@@ -79,14 +79,15 @@ def _flat(tabs, shape) -> np.ndarray:
     return np.maximum(out, -1).ravel()
 
 
-def _pair_maps(mod: GridModule, src: np.ndarray, dst: np.ndarray):
+def _pair_maps(mod: GridModule, src: np.ndarray, dst: np.ndarray, found=None):
     """(maps, rows, cols, inv) for the distinct pairs of flat floors
     src <= dst: their structure maps, zero-padded as
     GridModule.structure_maps returns them, the row and column count of
     each, and the distinct-pair index of every pair.  Only the pairs whose
     ends both have positive dimension are walked; any other has the empty
-    map, dims[dst] x dims[src] (src -1, no floor, and dst -1 read as 0)."""
-    pairs, _, inv = _unique_rows(np.stack([src, dst], axis=1))
+    map, dims[dst] x dims[src] (src -1, no floor, and dst -1 read as 0).
+    found is _unique_rows of the pairs, when the caller has it already."""
+    pairs, _, inv = found or _unique_rows(np.stack([src, dst], axis=1))
     dims = np.append(mod.dims.ravel(), 0)
     rows, cols = dims[pairs[:, 1]], dims[pairs[:, 0]]
     live = (rows > 0) & (cols > 0)
@@ -97,11 +98,12 @@ def _pair_maps(mod: GridModule, src: np.ndarray, dst: np.ndarray):
     return maps, rows, cols, inv
 
 
-def _unique_maps(mod: GridModule, src: np.ndarray, dst: np.ndarray):
+def _unique_maps(mod: GridModule, src: np.ndarray, dst: np.ndarray,
+                 found=None):
     """(ids, mats): the distinct structure maps of mod between the flat
-    floors src <= dst (see _pair_maps), each once by content, and the index
-    into mats of the map of every pair."""
-    maps, rows, cols, inv = _pair_maps(mod, src, dst)
+    floors src <= dst (see _pair_maps, also for found), each once by
+    content, and the index into mats of the map of every pair."""
+    maps, rows, cols, inv = _pair_maps(mod, src, dst, found)
     # padding is zero, so rows, cols and entries decide a map
     _, first, same = _unique_rows(np.concatenate(
         [rows[:, None], cols[:, None], maps.reshape(len(maps), maps.shape[1] ** 2)], axis=1))

@@ -14,7 +14,7 @@ from itertools import permutations, product
 
 import numpy as np
 
-from gridpersist.core import Grid, GridModule
+from gridpersist.core import Components, Grid, GridModule, ModuleMorphism
 from gridpersist.interleave import InterleavingCertificate
 
 
@@ -797,3 +797,66 @@ def staged_kept_coords(M, invertible):
                 keep[k] = kept
                 changed = True
     return keep
+
+
+# ---------------------------------------------------------------------------
+# the loader's tables, by the dict route
+
+def _dict_grid(axes):
+    return Grid([[Fraction(c) for c in ax] for ax in axes])
+
+
+def _dict_matrix(rows):
+    # "[]" stands for a 0 x 1 matrix, as the loader reads it
+    a = np.array(rows, dtype=np.int64)
+    return a.reshape(len(rows), -1) if len(rows) else a.reshape(0, 1)
+
+
+def _dict_module(obj):
+    """GridModule(grid, dims, {(vertex, axis): matrix}) of a module object."""
+    return GridModule(_dict_grid(obj["axes"]), obj["dims"], {
+        (tuple(e["vertex"]), e["axis"]): _dict_matrix(e["matrix"])
+        for e in obj["steps"]}, obj["p"])
+
+
+def _dict_table(entries, grid):
+    """Components.of a {vertex: matrix} dict of the entries, keyed in C
+    (sorted) order, as the loader numbers its tables."""
+    return Components.of({tuple(e["vertex"]): _dict_matrix(e["matrix"])
+                          for e in sorted(entries, key=lambda e: e["vertex"])},
+                         grid.shape)
+
+
+def _assert_same_table(a, b):
+    assert a.shape == b.shape and np.array_equal(a.ids, b.ids)
+    assert [(m.shape, m.dtype) for m in a.mats] == \
+        [(m.shape, m.dtype) for m in b.mats]
+    assert all(np.array_equal(x, y) for x, y in zip(a.mats, b.mats))
+
+
+def _assert_same_module(X, Y):
+    assert X.grid == Y.grid and X.p == Y.p
+    assert np.array_equal(X.dims, Y.dims) and X.dims.dtype == Y.dims.dtype
+    _assert_same_table(X.step_table(), Y.step_table())
+
+
+def assert_loaded_as_by_dicts(x, obj):
+    """x, loaded from obj, holds the grids, eps and tables (ids and
+    matrices) that the dict route builds from obj's entries."""
+    if isinstance(x, GridModule):
+        _assert_same_module(x, _dict_module(obj))
+    elif isinstance(x, ModuleMorphism):
+        _assert_same_module(x.source, _dict_module(obj["source"]))
+        _assert_same_module(x.target, _dict_module(obj["target"]))
+        _assert_same_table(x.mats, _dict_table(obj["components"],
+                                               x.source.grid))
+    else:
+        assert isinstance(x, InterleavingCertificate)
+        _assert_same_module(x.m_module, _dict_module(obj["m_module"]))
+        _assert_same_module(x.n_module, _dict_module(obj["n_module"]))
+        grid = _dict_grid(obj["grid"])
+        g_grid = _dict_grid(obj["g_grid"]) if "g_grid" in obj else grid
+        assert x.eps == Fraction(obj["eps"])
+        assert x.grid == grid and x.g_grid == g_grid
+        _assert_same_table(x.f, _dict_table(obj["f"], grid))
+        _assert_same_table(x.g, _dict_table(obj["g"], g_grid))

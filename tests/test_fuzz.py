@@ -4,8 +4,9 @@ Mutants of genuine module and certificate objects replace one node (a
 leaf or a whole subtree) with an int, float, string, bool, null or list, or
 drop one dict key or list element; long-axis mutants put axes of 5000
 coordinates in place of a grid or one of its axes.  Loading must fail with
-one of the documented exception types or give an object that validates; a
-loaded certificate must verify or raise CertificateError; the CLI must
+one of the documented exception types or give an object that validates and
+holds the tables the dict route builds (oracles.assert_loaded_as_by_dicts);
+a loaded certificate must verify or raise CertificateError; the CLI must
 answer with an exit code in 0-3 and no traceback, also when a mutant is
 the first of the two modules of `tack` or `match`.
 """
@@ -25,6 +26,8 @@ from gridpersist.cli import random_module
 from gridpersist.core import GridModule, interval_module
 from gridpersist.interleave import (CertificateError, InterleavingCertificate,
                                     identity_certificate)
+
+import oracles as O
 
 MODULE = io.module_to_obj(random_module(2, 2, 2, seed=3))
 CERT = io.certificate_to_obj(identity_certificate(
@@ -95,6 +98,8 @@ def _check_loads(mutant):
         x = io.loads(json.dumps(mutant))
     except LOAD_ERRORS:
         return
+    # what loads holds the tables the dict route builds from the entries
+    O.assert_loaded_as_by_dicts(x, mutant)
     if isinstance(x, GridModule):
         assert x.validate()
     else:

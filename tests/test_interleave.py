@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridpersist import construct, field, interleave
+from gridpersist import construct, field, interleave, kan
 from gridpersist.cli import random_module
 from gridpersist.construct import (approximate_indecomposable, fold,
                                    iso_certificate, module_G)
@@ -394,16 +394,21 @@ def test_local_change_matches_the_oracle_and_evaluates_one_grid_once(
                         counted("_floors", interleave._floors))
     monkeypatch.setattr(interleave, "map_grid",
                         counted("map_grid", interleave.map_grid))
+    for mod in (kan, interleave):
+        monkeypatch.setattr(mod, "_unique_rows",
+                            counted("_unique_rows", mod._unique_rows))
     for M, M2, region, eps in same + two:
-        counts.update(_floors=0, map_grid=0)
+        counts.update(_floors=0, map_grid=0, _unique_rows=0)
         c = local_change_certificate(M, M2, region, eps, verify=False)
         # one module grid: one evaluation grid, its mask and one pair of
-        # floor tables for both modules; the join has two of each
+        # floor tables for both modules, whose distinct pairs are found
+        # once (then one _unique_rows per module over its maps); the join
+        # has two of each
         if M.grid == M2.grid:
             assert c.g_grid is c.grid
-            assert counts == {"_floors": 2, "map_grid": 1}
+            assert counts == {"_floors": 2, "map_grid": 1, "_unique_rows": 3}
         else:
-            assert counts == {"_floors": 8, "map_grid": 2}
+            assert counts == {"_floors": 8, "map_grid": 2, "_unique_rows": 4}
         assert c.grid == map_grid(M, M2, eps)
         assert c.g_grid == map_grid(M2, M, eps)
         _assert_local_change_oracle(c, M, M2, region, eps)

@@ -11,11 +11,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gridpersist import field, io
+from gridpersist import cli, core, field, io
 from gridpersist.cli import CliError, _parse_frac, main, random_module
 from gridpersist.construct import module_G
 from gridpersist.core import (Grid, GridModule, ModuleMorphism, direct_sum,
-                              interval_module, random_basis_change)
+                              interval_module, random_basis_change,
+                              zero_module)
 from gridpersist.interleave import (CertificateError, InterleavingCertificate,
                                     identity_certificate, snap_certificate)
 from gridpersist.kan import (common_refinement, restriction_extension, shift,
@@ -107,6 +108,10 @@ def test_fraction_strings():
     assert io.frac_str(Fraction(3, 7)) == "3/7"
     assert io.parse_frac("3/7") == Fraction(3, 7)
     assert io.parse_frac("5") == 5
+    for s, want in (("-3/4", Fraction(-3, 4)), ("007", 7), ("-0", 0),
+                    ("10/20", Fraction(1, 2)), ("-12/08", Fraction(-3, 2)),
+                    (str(2 ** 70) + "/3", Fraction(2 ** 70, 3))):
+        assert io.parse_frac(s) == want
     M = random_module(2, 3, 2, seed=3)
     obj = io.module_to_obj(M)
     for step in obj["steps"]:
@@ -614,14 +619,40 @@ def test_zero_denominator_is_malformed_input(capsys, tmp_path):
     assert code == 2 and "malformed-input" in err
 
 
-@pytest.mark.parametrize("value", ["0.5", "1e-3"])
+# int() takes all of these: digit separators, spaces, a plus sign, non-ASCII
+# digits and a signed denominator
+NOT_RATIONALS = ["1_0/3", " 7 ", "7\n", "٣/2", "+3", "1/-2", "1/+2", "1/ 2",
+                 "-", "/2", "1/", "1//2", "0x10", "1.5", "", "½"]
+
+
+@pytest.mark.parametrize("value", NOT_RATIONALS)
+def test_rationals_are_ascii_digits_over_a_positive_denominator(value):
+    with pytest.raises(ValueError, match="not a rational string"):
+        io.parse_frac(value)
+
+
+@pytest.mark.parametrize("value", ["0.5", "1e-3"] + NOT_RATIONALS)
 def test_cli_rationals_are_num_den_or_integers(value, capsys, tmp_path):
     io.save(module_G(), tmp_path / "a.json")
     a = str(tmp_path / "a.json")
     for argv in (["match", a, a, "--eps", value],
-                 ["tack", a, a, "--delta", value]):
+                 ["tack", a, a, "--delta", value],
+                 ["approx-indec", a, "--eps", value]):
         assert main(argv) == 2, argv
-        assert "malformed-input" in capsys.readouterr().err
+        err = capsys.readouterr().err.strip().splitlines()[-1]
+        assert json.loads(err)["error"] == "malformed-input"
+    # the eps of a certificate, and a coordinate of a module's grid and of
+    # a certificate's
+    for where in ("eps", "axes", "grid"):
+        obj = _cert_obj()
+        if where == "eps":
+            obj["eps"] = value
+        elif where == "axes":
+            obj["m_module"]["axes"][0][1] = value
+        else:
+            obj["grid"][1][0] = value
+        code, err = _cli(capsys, tmp_path, "certify", obj)
+        assert code == 2 and "not a rational string" in err, where
 
 
 def test_cli_refuses_a_huge_exponent_without_computing_it():
@@ -867,3 +898,89 @@ def test_loader_refuses_a_bool_step_equal_to_an_int_step():
     obj["steps"][1]["matrix"] = [[True]]
     with pytest.raises(ValueError, match="integers"):
         io.module_from_obj(json.loads(json.dumps(obj)))
+
+
+# -- the loader builds each table once ---------------------------------------
+
+def _genuine_objects(capsys, tmp_path):
+    """Module, morphism and certificate objects the library writes: random
+    (n = 2 and 3), refined and basis-changed, zero, with a stored 0 x 2
+    step, fold outputs and identity and snap certificates."""
+    ax = [Fraction(i, 3) for i in range(9)]
+    mods = [random_module(2, 3, 2, seed=s) for s in range(3)]
+    mods += [random_basis_change(restriction_extension(mods[0],
+                                                       Grid([ax, ax])), 1),
+             random_module(3, 2, 2, seed=9), zero_module(2),
+             GridModule(Grid([[0, 1]]), [2, 0], {((0,), 0): field.zeros(0, 2)})]
+    objs = [io.module_to_obj(M) for M in mods] + [_identity_of_G()]
+    for M in mods[:2] + mods[4:5]:
+        objs.append(io.certificate_to_obj(identity_certificate(
+            M, Fraction(1, 2))))
+    objs.append(io.certificate_to_obj(snap_certificate(mods[1],
+                                                       Fraction(1, 2))[1]))
+    objs.append(_approx_proof(capsys, tmp_path))
+    return objs
+
+
+def test_loaded_tables_equal_the_dict_route(capsys, tmp_path):
+    for obj in _genuine_objects(capsys, tmp_path):
+        O.assert_loaded_as_by_dicts(io.from_obj(obj), obj)
+    # entries out of C order and coordinates not in lowest terms: the
+    # tables still number their matrices in C order
+    obj = _approx_proof(capsys, tmp_path)
+    for key in ("f", "g"):
+        obj[key].reverse()
+    obj["m_module"]["steps"].reverse()
+    obj["grid"] = [[c.replace("/", "0/") + "0" if "/" in c else c
+                    for c in ax] for ax in obj["grid"]]
+    c = io.from_obj(obj)
+    O.assert_loaded_as_by_dicts(c, obj)
+    assert c.verify()
+
+
+def test_loading_a_proof_reads_each_distinct_matrix_once(capsys, tmp_path,
+                                                         monkeypatch):
+    obj = _approx_proof(capsys, tmp_path)
+    matrices = [e["matrix"] for key in ("f", "g") for e in obj[key]] + [
+        e["matrix"] for key in ("m_module", "n_module")
+        for e in obj[key]["steps"]]
+    calls = []
+    fmat = field.fmat
+
+    def counting(rows, p):
+        calls.append(rows)
+        return fmat(rows, p)
+
+    def refuse(*args):
+        raise AssertionError("a step table built from a dict")
+
+    monkeypatch.setattr(field, "fmat", counting)
+    monkeypatch.setattr(core, "_step_table", refuse)
+    c = io.from_obj(obj)
+    distinct = {json.dumps(m) for m in matrices}
+    assert len(calls) == len(distinct) < len(matrices)
+    assert {json.dumps(m) for m in calls} == distinct
+    assert c.verify()
+
+
+def test_cli_main_builds_one_parser(files, monkeypatch, capsys):
+    built = []
+    init = cli._Parser.__init__
+
+    def counting(self, *args, **kw):
+        init(self, *args, **kw)
+        built.append(self.prog)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting)
+    cli.build_parser.cache_clear()
+    for _ in range(2):
+        assert main(["validate", str(files["module"])]) == 0
+    assert built.count("gridpersist") == 1
+    assert capsys.readouterr().out.count('"status":"ok"') == 2
+    # the parser outlives a patch of a command (tracing wraps them): main
+    # looks the command up when it runs it
+    seen = []
+    monkeypatch.setattr(cli, "cmd_validate", lambda args: seen.append(args)
+                        or 0)
+    assert main(["validate", str(files["module"])]) == 0
+    assert len(seen) == 1 and built.count("gridpersist") == 1
