@@ -3,7 +3,8 @@
 Rationals travel as "num/den" strings and matrix entries as canonical
 representatives in [0, p), so parsing a serialized object reproduces exactly
 the same data.  All collections are emitted in a stable order (vertices
-lexicographic, steps by (vertex, axis)) to keep outputs byte-reproducible.
+lexicographic, a module's step matrices by first use in C order) to keep
+outputs byte-reproducible.
 """
 
 from __future__ import annotations
@@ -161,48 +162,87 @@ def _component_list(comp, shape, p: int):
             if rows[i] is not None]
 
 
+def _runs(a) -> list:
+    """[value, length, ...] of the runs of equal values in a flat array."""
+    at = np.flatnonzero(np.diff(a, prepend=a[:1] - 1))
+    return np.stack([a[at], np.diff(at, append=a.size)], 1).ravel().tolist()
+
+
+def _runs_from(runs, size: int, what: str):
+    """(values, lengths) of a [value, length, ...] list for a table of size
+    entries; ValueError unless it holds integers (no bools), the lengths
+    positive and summing to size."""
+    if (not isinstance(runs, list) or len(runs) % 2
+            or set(map(type, runs)) - {int}
+            or min(runs[1::2], default=1) < 1 or sum(runs[1::2]) != size):
+        raise ValueError(f"{what} must be integer [value, length] runs of "
+                         f"positive lengths summing to {size}")
+    return runs[::2], runs[1::2]
+
+
 def module_to_obj(M: GridModule) -> dict:
-    """The JSON object of M, steps sorted by vertex, then axis; each distinct
-    step matrix is converted once.  A step with no entries is left out: one
-    end is zero-dimensional, so validate does not ask for it."""
-    t, n = M.step_table(), M.grid.n
-    rows = [_matrix_obj(m, M.p) for m in t.mats]
-    # the table runs over (axis, vertex); read it vertex by vertex
-    ids = t.ids.reshape(n, -1).T.ravel()
-    at = np.flatnonzero(np.array([m.size > 0 for m in t.mats] + [False])[ids])
-    vs = np.stack(np.unravel_index(at // n, M.grid.shape), axis=1).tolist()
-    steps = [{"vertex": v, "axis": k, "matrix": [r[:] for r in rows[i]]}
-             for v, k, i in zip(vs, (at % n).tolist(), ids[at].tolist())]
+    """The JSON object of M in format 2: "mats" holds each distinct step
+    matrix once, in order of first appearance, and "dims" and "steps" (the
+    step table's ids over (axis, vertex), -1 for none) are runs in C
+    order.  A step with no entries is written as none: one end is
+    zero-dimensional, so validate does not ask for it."""
+    t = M.step_table()
+    empty = np.array([m.size == 0 for m in t.mats] + [True])
+    t = Components(t.shape, np.where(empty[t.ids], -1, t.ids), t.mats,
+                   distinct=True)
     return {
         "type": "module",
+        "format": 2,
         "p": M.p,
         "axes": _axes_obj(M.grid),
-        "dims": M.dims.tolist(),
-        "steps": steps,
+        "dims": _runs(M.dims.ravel()),
+        "mats": [_matrix_obj(m, M.p) for m in t.mats],
+        "steps": _runs(t.ids),
     }
 
 
 def module_from_obj(obj: dict, readers=None) -> GridModule:
-    """The module an object describes; ValueError unless it validates.
-    readers ({p: _matrix_reader(p)}) is shared within one proof."""
+    """The module an object describes, in format 2 or (with no "format")
+    format 1; ValueError unless it validates.  readers ({p:
+    _matrix_reader(p)}) is shared within one proof."""
     _obj(obj, "module")
+    fmt = obj.get("format", 1)
+    if type(fmt) is not int or fmt not in (1, 2):
+        raise ValueError(f"unknown module format {fmt!r}")
     p = _int(obj["p"], "p")
     grid = _axes_from(obj["axes"])
-    dims = np.asarray(obj["dims"], dtype=object)
-    if set(map(type, dims.ravel())) - {int}:
-        raise ValueError("dimensions must be integers")
-    if dims.shape != grid.shape:
-        raise ValueError(f"dims of shape {dims.shape} on a grid of shape "
-                         f"{grid.shape}")
-    D = max(dims.ravel().tolist(), default=0)
-    if grid.n * dims.size * max(D, 0) ** 2 > MAX_TENSOR_ENTRIES:
-        raise ValueError(f"pointwise dimension {D} on {dims.size} vertices "
+    n, V = grid.n, prod(grid.shape)
+    if fmt == 2:
+        dims, lengths = _runs_from(obj["dims"], V, "dims")
+    else:
+        dims, lengths = np.asarray(obj["dims"], dtype=object), 1
+        if set(map(type, dims.ravel())) - {int}:
+            raise ValueError("dimensions must be integers")
+        if dims.shape != grid.shape:
+            raise ValueError(f"dims of shape {dims.shape} on a grid of shape "
+                             f"{grid.shape}")
+        dims = dims.ravel().tolist()
+    # a few bytes of format 2 can describe n V step ids: D counts as 1 there
+    D = max(dims, default=0)
+    if n * V * max(D, fmt - 1) ** 2 > MAX_TENSOR_ENTRIES:
+        raise ValueError(f"pointwise dimension {D} on {V} vertices "
                          f"exceeds the loader's limit of "
                          f"{MAX_TENSOR_ENTRIES} step tensor entries")
     readers = {} if readers is None else readers
     read = readers.get(p) or readers.setdefault(p, _matrix_reader(p))
-    M = GridModule(grid, dims.astype(np.int64), _components(
-        obj["steps"], grid.shape, read, grid.n), p)
+    dims = np.repeat(np.array(dims, dtype=np.int64), lengths)
+    if fmt == 1:
+        steps = _components(obj["steps"], grid.shape, read, n)
+    else:
+        ids, lengths = _runs_from(obj["steps"], n * V, "steps")
+        mats = obj["mats"]
+        if not isinstance(mats, list) or ids and not (
+                -1 <= min(ids) <= max(ids) < len(mats)):
+            raise ValueError("step ids must be -1 or index the list mats")
+        pool = np.array(read.ids(mats) + [-1], dtype=np.int64)
+        steps = Components((n,) + grid.shape, pool[np.repeat(ids, lengths)],
+                           read.mats, distinct=True)
+    M = GridModule(grid, dims.reshape(grid.shape), steps, p)
     M.validate()
     return M
 

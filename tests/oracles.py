@@ -8,6 +8,7 @@ array, step matrices), which are the ground truth being tested; the window
 snap and regular grids are built as such raw data.
 """
 
+import json
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import permutations, product
@@ -800,6 +801,100 @@ def staged_kept_coords(M, invertible):
 
 
 # ---------------------------------------------------------------------------
+# module JSON in both formats, in plain Python
+
+def module_obj_v1(M):
+    """M as a format-1 module object, the reference writer of the format
+    the loader still reads: nested dims and one {"vertex", "axis",
+    "matrix"} entry per stored step, sorted by vertex, then axis; a step
+    with no entries is left out (one end is zero-dimensional)."""
+    t, n, p = M.step_table(), M.grid.n, M.p
+    rows = [[[int(x) % p for x in row] for row in m.tolist()] for m in t.mats]
+    # the table runs over (axis, vertex); read it vertex by vertex
+    ids = t.ids.reshape(n, -1).T.ravel()
+    at = np.flatnonzero(np.array([m.size > 0 for m in t.mats] + [False])[ids])
+    vs = np.stack(np.unravel_index(at // n, M.grid.shape), axis=1).tolist()
+    steps = [{"vertex": v, "axis": k, "matrix": [r[:] for r in rows[i]]}
+             for v, k, i in zip(vs, (at % n).tolist(), ids[at].tolist())]
+    return {"type": "module", "p": p,
+            "axes": [[f"{c.numerator}/{c.denominator}" for c in ax]
+                     for ax in M.grid.axes],
+            "dims": M.dims.tolist(), "steps": steps}
+
+
+def runs(values):
+    """[value, length, ...] of the runs of equal values in a list."""
+    out = []
+    for v in values:
+        if out and out[-2] == v:
+            out[-1] += 1
+        else:
+            out += [v, 1]
+    return out
+
+
+def unruns(rs):
+    """The list a [value, length, ...] run list stands for."""
+    return [v for v, k in zip(rs[::2], rs[1::2]) for _ in range(k)]
+
+
+def _flat(x):
+    return [y for z in x for y in _flat(z)] if isinstance(x, list) else [x]
+
+
+def module_v1_of(obj):
+    """The format-1 object of a format-2 module object."""
+    shape = [len(ax) for ax in obj["axes"]]
+    V = int(np.prod(shape))
+    dims, ids = unruns(obj["dims"]), unruns(obj["steps"])
+    for k in reversed(shape[1:]):
+        dims = [dims[i:i + k] for i in range(0, len(dims), k)]
+    steps = [{"vertex": list(v), "axis": k,
+              "matrix": [list(r) for r in obj["mats"][ids[k * V + i]]]}
+             for i, v in enumerate(product(*map(range, shape)))
+             for k in range(len(shape)) if ids[k * V + i] >= 0]
+    return {"type": "module", "p": obj["p"],
+            "axes": [list(a) for a in obj["axes"]], "dims": dims,
+            "steps": steps}
+
+
+def module_v2_of(obj):
+    """The format-2 object of a format-1 module object: its matrices as
+    written (bools, floats and rows of no entries too), numbered by first
+    use in C order over (axis, vertex); of steps at one place, the last."""
+    shape = [len(ax) for ax in obj["axes"]]
+    V = int(np.prod(shape))
+    at = {}
+    for e in obj["steps"]:
+        i = 0
+        for x, size in zip(e["vertex"], shape):
+            i = i * size + x
+        at[e["axis"] * V + i] = e["matrix"]
+    pool = {}   # JSON tells 1 from true and 1.0
+    ids = [pool.setdefault(json.dumps(at[i]), len(pool)) if i in at else -1
+           for i in range(len(shape) * V)]
+    return {"type": "module", "format": 2, "p": obj["p"],
+            "axes": [list(a) for a in obj["axes"]],
+            "dims": runs(_flat(obj["dims"])),
+            "mats": [json.loads(m) for m in pool], "steps": runs(ids)}
+
+
+def as_format1(x):
+    """x with every format-2 module object in it rendered in format 1."""
+    if isinstance(x, dict):
+        if x.get("type") == "module" and x.get("format") == 2:
+            return module_v1_of(x)
+        return {k: as_format1(v) for k, v in x.items()}
+    return [as_format1(v) for v in x] if isinstance(x, list) else x
+
+
+def format1_dumps(x):
+    """JSON text of a JSON value x with its modules in format 1, in the
+    layout io.dumps and the CLI write (sorted keys, no spaces)."""
+    return json.dumps(as_format1(x), sort_keys=True, separators=(",", ":"))
+
+
+# ---------------------------------------------------------------------------
 # the loader's tables, by the dict route
 
 def _dict_grid(axes):
@@ -813,7 +908,10 @@ def _dict_matrix(rows):
 
 
 def _dict_module(obj):
-    """GridModule(grid, dims, {(vertex, axis): matrix}) of a module object."""
+    """GridModule(grid, dims, {(vertex, axis): matrix}) of a module object
+    in either format."""
+    if obj.get("format") == 2:
+        obj = module_v1_of(obj)
     return GridModule(_dict_grid(obj["axes"]), obj["dims"], {
         (tuple(e["vertex"]), e["axis"]): _dict_matrix(e["matrix"])
         for e in obj["steps"]}, obj["p"])

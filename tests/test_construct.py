@@ -237,9 +237,13 @@ def test_tack_of_three_parameter_intervals():
     assert is_indecomposable(M)
     assert cert.eps == Fraction(8, 25)
     cert.verify()
-    # a change to this digest is a change to the fold's output
+    # a change to these digests is a change to the fold's output: of its
+    # JSON with the modules in format 1, and of io.dumps (format 2)
+    assert hashlib.sha256(O.format1_dumps(io.to_obj(cert)).encode()) \
+        .hexdigest() == (
+            "5e9773e1873f391a0bba8be8570321e817f9f78b993c5ba84b04604394a17ce6")
     assert hashlib.sha256(io.dumps(cert).encode()).hexdigest() == (
-        "5e9773e1873f391a0bba8be8570321e817f9f78b993c5ba84b04604394a17ce6")
+        "80ea483f281a557bde310ab7b0cc827d9f469a0e113a18a95bb74dab60600c7f")
 
 
 def test_corner_and_antenna_detection_match_oracle(monkeypatch):
@@ -261,12 +265,16 @@ def test_corner_and_antenna_detection_match_oracle(monkeypatch):
                         == O.has_antenna(X, axis, eps)), (X, axis, eps)
 
 
-def _digests(*objs):
-    return tuple(hashlib.sha256(io.dumps(x).encode()).hexdigest()[:16]
+def _digests(*objs, format1=True):
+    """sha256 prefixes of the JSON of objs, their modules in format 1 (or,
+    with format1 False, of io.dumps, modules in format 2)."""
+    return tuple(hashlib.sha256((O.format1_dumps(io.to_obj(x)) if format1
+                                 else io.dumps(x)).encode()).hexdigest()[:16]
                  for x in objs)
 
 
-# sha256 prefixes of io.dumps of (module, certificate) after each stage
+# sha256 prefixes of the JSON of (module, certificate) after each stage,
+# modules in format 1, and of io.dumps
 STAGE_DIGESTS = {
     "n2": [("fcc727c31696d075", "e550441b150eae06"),
            ("a4b509a66eef7570", "206d60a6f551bb04"),
@@ -277,6 +285,17 @@ STAGE_DIGESTS = {
     "n3-random": [("fdfd1009b6bc5f4a", "9fb1ca551a87f419"),
                   ("dc4835e4999bad75", "873d63f1a6a2248d"),
                   ("0d7c7c4386b17b96", "a7cd460e498d201c")],
+}
+STAGE_DIGESTS_FORMAT2 = {
+    "n2": [("3a24517c7186f2da", "9fdbf253201b19cf"),
+           ("578cdd1dcc36c05f", "2af0da5e006736d3"),
+           ("40b964c6d5f995f1", "76fa30d113fd7b86")],
+    "n3": [("a37f15886f5a634d", "d14b4689afdd00c8"),
+           ("b092ed3b28052fdc", "e38b77dfc3f35773"),
+           ("6d1ed6a1d196c068", "4654493c47d0d675")],
+    "n3-random": [("ac5003b7e437f762", "3fbdad46f53121cf"),
+                  ("da10fe715d96f8c4", "78953320a7086ca9"),
+                  ("17fcf64347d17655", "b28ac44ee5ac92d8")],
 }
 
 
@@ -297,6 +316,8 @@ def test_stage_outputs_are_pinned(name):
     assert all(is_indecomposable(Y) for Y in (X1, X2, X3))
     assert [_digests(X1, c1), _digests(X2, c2),
             _digests(X3, c3)] == STAGE_DIGESTS[name]
+    assert [_digests(X1, c1, format1=False), _digests(X2, c2, format1=False),
+            _digests(X3, c3, format1=False)] == STAGE_DIGESTS_FORMAT2[name]
     for c in (c1, c2, c3):
         c.verify()
 
@@ -312,6 +333,8 @@ def test_thin_corner_keeps_the_corner_line_that_leaves():
     assert r == (0, 0) and V1.dims.tolist() == [[1, 2, 1], [2, 2, 1],
                                                 [1, 1, 0]]
     assert _digests(V1, cert) == ("3dc48e82482d712b", "bd04a7458dfcd591")
+    assert _digests(V1, cert, format1=False) == ("ef23f4667c513b2d",
+                                                 "7f7c79d02ffeb400")
     cert.verify()
 
 

@@ -1,9 +1,11 @@
 """Fuzzing the loader and the CLI with mutated JSON.
 
-Mutants of genuine module and certificate objects replace one node (a
-leaf or a whole subtree) with an int, float, string, bool, null or list, or
-drop one dict key or list element; long-axis mutants put axes of 5000
-coordinates in place of a grid or one of its axes.  Loading must fail with
+Mutants of genuine module and certificate objects, with their modules in
+format 2 (runs and a matrix pool, as io writes them) and in format 1
+(oracles.as_format1), replace one node (a leaf or a whole subtree) with an
+int, float, string, bool, null or list, or drop one dict key or list
+element; long-axis mutants put axes of 5000 coordinates in place of a grid
+or one of its axes.  Loading must fail with
 one of the documented exception types or give an object that validates and
 holds the tables the dict route builds (oracles.assert_loaded_as_by_dicts);
 a loaded certificate must verify or raise CertificateError; the CLI must
@@ -29,9 +31,10 @@ from gridpersist.interleave import (CertificateError, InterleavingCertificate,
 
 import oracles as O
 
-MODULE = io.module_to_obj(random_module(2, 2, 2, seed=3))
-CERT = io.certificate_to_obj(identity_certificate(
+MODULE2 = io.module_to_obj(random_module(2, 2, 2, seed=3))
+CERT2 = io.certificate_to_obj(identity_certificate(
     random_module(2, 2, 2, seed=3), Fraction(1, 2)))
+MODULE, CERT = O.as_format1(MODULE2), O.as_format1(CERT2)
 
 # small ints, large ones (a large dimension must be refused before its
 # D x D blocks are allocated) and a few beyond int64
@@ -123,10 +126,24 @@ def test_loads_of_mutated_certificate_fails_closed(mutant):
     _check_loads(mutant)
 
 
+@FUZZ
+@given(mutants(MODULE2))
+def test_loads_of_mutated_format2_module_fails_closed(mutant):
+    _check_loads(mutant)
+
+
+@FUZZ
+@given(mutants(CERT2))
+def test_loads_of_mutated_format2_certificate_fails_closed(mutant):
+    _check_loads(mutant)
+
+
 @settings(derandomize=True, deadline=None, max_examples=40,
           suppress_health_check=[HealthCheck.too_slow])
 @given(st.one_of(mutants(MODULE, LONG, _on_axes),
-                 mutants(CERT, LONG, _on_axes)))
+                 mutants(CERT, LONG, _on_axes),
+                 mutants(MODULE2, LONG, _on_axes),
+                 mutants(CERT2, LONG, _on_axes)))
 def test_loads_of_long_axis_mutants_fails_closed(mutant):
     _check_loads(mutant)
 
@@ -138,7 +155,9 @@ OPTIONS = {"tack": ["--delta", "1"], "match": ["--eps", "1/2"]}
 
 @pytest.mark.parametrize("command,obj", [("decompose", MODULE),
                                          ("certify", CERT),
-                                         ("tack", MODULE), ("match", MODULE)])
+                                         ("tack", MODULE), ("match", MODULE),
+                                         ("decompose", MODULE2),
+                                         ("certify", CERT2)])
 def test_cli_on_mutants_exits_with_a_documented_code(command, obj, tmp_path):
     extra = []
     if command in OPTIONS:

@@ -85,7 +85,8 @@ def test_empty_matrices_survive_json():
     M = GridModule(Grid([[0, 1]]), [2, 0], {((0,), 0): field.zeros(0, 2)})
     M.validate()
     s = io.dumps(M)
-    assert json.loads(s)["steps"] == []
+    assert json.loads(s)["mats"] == [] and json.loads(s)["steps"] == [-1, 2]
+    assert O.module_obj_v1(M)["steps"] == []
     M2 = io.loads(s)
     assert M2.is_valid() and len(M2.step_table()) == 0
     assert io.dumps(M2) == s
@@ -113,9 +114,8 @@ def test_fraction_strings():
                     (str(2 ** 70) + "/3", Fraction(2 ** 70, 3))):
         assert io.parse_frac(s) == want
     M = random_module(2, 3, 2, seed=3)
-    obj = io.module_to_obj(M)
-    for step in obj["steps"]:
-        for row in step["matrix"]:
+    for m in io.module_to_obj(M)["mats"]:
+        for row in m:
             assert all(0 <= x < M.p for x in row)
 
 
@@ -351,70 +351,87 @@ def test_loader_refuses_dims_of_another_shape(capsys, tmp_path):
     # would both be read in C order as another layout that validates
     M = GridModule(Grid([[0, 1], [0, 1, 2]]), np.array([[0, 1, 0], [0, 0, 0]]),
                    {})
-    obj = io.module_to_obj(M)
+    obj = O.module_obj_v1(M)
     assert io.dumps(io.module_from_obj(obj)) == io.dumps(M)
     for dims in (M.dims.T.tolist(), M.dims.ravel().tolist()):
         bad = dict(obj, dims=dims)
         with pytest.raises(ValueError, match="shape"):
             io.module_from_obj(bad)
         _malformed(*_cli(capsys, tmp_path, "validate", bad))
+    # format 2 reads dims as runs over the grid: five or seven entries, or
+    # nested lists, are refused
+    obj = io.module_to_obj(M)
+    for dims in ([0, 1, 1, 1, 0, 3], [0, 1, 1, 1, 0, 5], M.dims.tolist()):
+        bad = dict(obj, dims=dims)
+        with pytest.raises(ValueError, match="runs"):
+            io.module_from_obj(bad)
+        _malformed(*_cli(capsys, tmp_path, "validate", bad))
 
 
 def _non_commuting_G_obj():
     """module_G with one internal step doubled: the square above it no
-    longer commutes."""
-    obj = io.module_to_obj(module_G())
+    longer commutes, in format 1."""
+    obj = O.module_obj_v1(module_G())
     step = next(s for s in obj["steps"] if s["vertex"] == [1, 3]
                 and s["axis"] == 0)
     step["matrix"] = [[2 * x % obj["p"] for x in row] for row in step["matrix"]]
     return obj
 
 
+def _twins(obj):
+    """A format-1 module object and the same module in format 2."""
+    return obj, O.module_v2_of(obj)
+
+
 def test_loader_rejects_invalid_modules():
-    with pytest.raises(ValueError, match="commute"):
-        io.from_obj(_non_commuting_G_obj())
-    obj = io.module_to_obj(module_G())
-    obj["p"] = 4
-    with pytest.raises(ValueError, match="not prime"):
-        io.from_obj(obj)
+    for obj in _twins(_non_commuting_G_obj()):
+        with pytest.raises(ValueError, match="commute"):
+            io.from_obj(obj)
+    for obj in (O.module_obj_v1(module_G()), io.module_to_obj(module_G())):
+        obj["p"] = 4
+        with pytest.raises(ValueError, match="not prime"):
+            io.from_obj(obj)
 
 
 def test_cli_decompose_rejects_non_commuting_module(tmp_path):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(_non_commuting_G_obj()))
-    r = _run(["decompose", str(path)])
-    assert r.returncode == 2
-    assert "malformed-input" in r.stderr
+    for obj in _twins(_non_commuting_G_obj()):
+        path.write_text(json.dumps(obj))
+        r = _run(["decompose", str(path)])
+        assert r.returncode == 2
+        assert "malformed-input" in r.stderr
 
 
 def test_cli_approx_indec_rejects_non_commuting_module(tmp_path):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(_non_commuting_G_obj()))
-    r = _run(["approx-indec", str(path), "--eps", "1/2"])
-    assert r.returncode == 2
-    assert "malformed-input" in r.stderr
+    for obj in _twins(_non_commuting_G_obj()):
+        path.write_text(json.dumps(obj))
+        r = _run(["approx-indec", str(path), "--eps", "1/2"])
+        assert r.returncode == 2
+        assert "malformed-input" in r.stderr
 
 
 def test_cli_rejects_composite_prime_without_traceback(tmp_path):
-    obj = io.module_to_obj(module_G())
-    obj["p"] = 4
-    path = tmp_path / "p4.json"
-    path.write_text(json.dumps(obj))
-    r = _run(["decompose", str(path)])
-    assert r.returncode == 2
-    assert "malformed-input" in r.stderr
-    assert "Traceback" not in r.stderr
+    for obj in (O.module_obj_v1(module_G()), io.module_to_obj(module_G())):
+        obj["p"] = 4
+        path = tmp_path / "p4.json"
+        path.write_text(json.dumps(obj))
+        r = _run(["decompose", str(path)])
+        assert r.returncode == 2
+        assert "malformed-input" in r.stderr
+        assert "Traceback" not in r.stderr
 
 
 def test_cli_certify_rejects_non_commuting_embedded_module(tmp_path):
     obj = io.certificate_to_obj(identity_certificate(module_G(),
                                                      Fraction(1, 2)))
-    obj["m_module"] = _non_commuting_G_obj()
     path = tmp_path / "cert.json"
-    path.write_text(json.dumps(obj))
-    r = _run(["certify", str(path)])
-    assert r.returncode == 2
-    assert "malformed-input" in r.stderr
+    for cert, bad in ((O.as_format1(obj), _non_commuting_G_obj()),
+                      (obj, O.module_v2_of(_non_commuting_G_obj()))):
+        path.write_text(json.dumps(dict(cert, m_module=bad)))
+        r = _run(["certify", str(path)])
+        assert r.returncode == 2
+        assert "malformed-input" in r.stderr
 
 
 def test_cli_match(files):
@@ -510,7 +527,7 @@ def _first_nonzero(entries):
 
 @pytest.mark.parametrize("entry", [0.5, True])
 def test_loader_rejects_non_integer_module_entries(entry, capsys, tmp_path):
-    obj = io.module_to_obj(module_G())
+    obj = O.module_obj_v1(module_G())
     step = _first_nonzero(obj["steps"])
     if entry is True:
         step["matrix"] = [[True if x == 1 else x for x in r]
@@ -518,10 +535,11 @@ def test_loader_rejects_non_integer_module_entries(entry, capsys, tmp_path):
         assert any(True in r for r in step["matrix"])
     else:
         step["matrix"][0][0] += entry
-    with pytest.raises(ValueError, match="integers"):
-        io.from_obj(obj)
-    code, err = _cli(capsys, tmp_path, "decompose", obj)
-    assert code == 2 and "malformed-input" in err
+    for obj in _twins(obj):
+        with pytest.raises(ValueError, match="integers"):
+            io.from_obj(obj)
+        code, err = _cli(capsys, tmp_path, "decompose", obj)
+        assert code == 2 and "malformed-input" in err
 
 
 def test_loader_rejects_non_integer_morphism_entries():
@@ -543,12 +561,13 @@ def test_loader_rejects_non_integer_certificate_entries(capsys, tmp_path):
 @pytest.mark.parametrize("sign", [1, -1])
 def test_loader_rejects_module_entries_out_of_range(sign, capsys, tmp_path):
     # x + p and x - p would stand for x mod p: the step still commutes
-    obj = io.module_to_obj(module_G())
+    obj = O.module_obj_v1(module_G())
     _first_nonzero(obj["steps"])["matrix"][0][0] += sign * obj["p"]
-    with pytest.raises(ValueError, match=r"out of \[0, p\)"):
-        io.from_obj(obj)
-    code, err = _cli(capsys, tmp_path, "decompose", obj)
-    assert code == 2 and "malformed-input" in err
+    for obj in _twins(obj):
+        with pytest.raises(ValueError, match=r"out of \[0, p\)"):
+            io.from_obj(obj)
+        code, err = _cli(capsys, tmp_path, "decompose", obj)
+        assert code == 2 and "malformed-input" in err
 
 
 def test_loader_rejects_certificate_entries_out_of_range(capsys, tmp_path):
@@ -584,27 +603,38 @@ def test_loader_rejects_morphism_vertex_outside_source_grid():
 
 
 def test_cli_refuses_grids_without_axes(tmp_path):
-    flat = {"type": "module", "p": 5, "axes": [], "dims": 1, "steps": []}
-    module = tmp_path / "flat.json"
-    module.write_text(json.dumps(flat))
-    cert = tmp_path / "flat_cert.json"
-    cert.write_text(json.dumps({"type": "certificate", "eps": "0/1",
-                                "m_module": flat, "n_module": flat,
-                                "grid": [], "f": [], "g": []}))
-    m = str(module)
-    for argv in (["validate", m], ["decompose", m],
-                 ["match", m, m, "--eps", "1"], ["certify", str(cert)],
-                 ["tack", m, m, "--delta", "1"],
-                 ["approx-indec", m, "--eps", "1/2"]):
-        r = _run(argv)
-        assert r.returncode == 2, argv
-        assert "malformed-input" in r.stderr and "Traceback" not in r.stderr
+    for flat in ({"type": "module", "p": 5, "axes": [], "dims": 1,
+                  "steps": []},
+                 {"type": "module", "format": 2, "p": 5, "axes": [],
+                  "dims": [1, 1], "mats": [], "steps": []}):
+        module = tmp_path / "flat.json"
+        module.write_text(json.dumps(flat))
+        cert = tmp_path / "flat_cert.json"
+        cert.write_text(json.dumps({"type": "certificate", "eps": "0/1",
+                                    "m_module": flat, "n_module": flat,
+                                    "grid": [], "f": [], "g": []}))
+        m = str(module)
+        for argv in (["validate", m], ["decompose", m],
+                     ["match", m, m, "--eps", "1"], ["certify", str(cert)],
+                     ["tack", m, m, "--delta", "1"],
+                     ["approx-indec", m, "--eps", "1/2"]):
+            r = _run(argv)
+            assert r.returncode == 2, argv
+            assert "malformed-input" in r.stderr
+            assert "Traceback" not in r.stderr
 
 
 def test_loader_rejects_duplicate_module_step(capsys, tmp_path):
-    obj = io.module_to_obj(module_G())
+    obj = O.module_obj_v1(module_G())
     obj["steps"].append(dict(obj["steps"][0]))
     with pytest.raises(ValueError, match="duplicate"):
+        io.from_obj(obj)
+    code, err = _cli(capsys, tmp_path, "decompose", obj)
+    assert code == 2 and "malformed-input" in err
+    # in format 2 a place can only be given twice by runs past the table
+    obj = io.module_to_obj(module_G())
+    obj["steps"] += obj["steps"][:2]
+    with pytest.raises(ValueError, match="summing to"):
         io.from_obj(obj)
     code, err = _cli(capsys, tmp_path, "decompose", obj)
     assert code == 2 and "malformed-input" in err
@@ -613,10 +643,10 @@ def test_loader_rejects_duplicate_module_step(capsys, tmp_path):
 def test_zero_denominator_is_malformed_input(capsys, tmp_path):
     with pytest.raises(ValueError, match="zero denominator"):
         io.parse_frac("1/0")
-    obj = io.module_to_obj(module_G())
-    obj["axes"][0][1] = "1/0"
-    code, err = _cli(capsys, tmp_path, "decompose", obj)
-    assert code == 2 and "malformed-input" in err
+    for obj in (O.module_obj_v1(module_G()), io.module_to_obj(module_G())):
+        obj["axes"][0][1] = "1/0"
+        code, err = _cli(capsys, tmp_path, "decompose", obj)
+        assert code == 2 and "malformed-input" in err
 
 
 # int() takes all of these: digit separators, spaces, a plus sign, non-ASCII
@@ -643,11 +673,13 @@ def test_cli_rationals_are_num_den_or_integers(value, capsys, tmp_path):
         assert json.loads(err)["error"] == "malformed-input"
     # the eps of a certificate, and a coordinate of a module's grid and of
     # a certificate's
-    for where in ("eps", "axes", "grid"):
+    for where in ("eps", "axes", "format-1 axes", "grid"):
         obj = _cert_obj()
         if where == "eps":
             obj["eps"] = value
-        elif where == "axes":
+        elif where.endswith("axes"):
+            if where == "format-1 axes":
+                obj = O.as_format1(obj)
             obj["m_module"]["axes"][0][1] = value
         else:
             obj["grid"][1][0] = value
@@ -666,12 +698,103 @@ def test_cli_refuses_a_huge_exponent_without_computing_it():
 def test_loader_refuses_huge_dimensions_before_allocating(capsys, tmp_path):
     # one vertex of dimension 10**9 needs no step, but its D x D blocks
     # would take 16 EB
-    obj = {"type": "module", "p": 65521, "axes": [["0"], ["0"]],
-           "dims": [[10 ** 9]], "steps": []}
-    with pytest.raises(ValueError, match="limit"):
+    for obj in ({"type": "module", "p": 65521, "axes": [["0"], ["0"]],
+                 "dims": [[10 ** 9]], "steps": []},
+                {"type": "module", "format": 2, "p": 65521,
+                 "axes": [["0"], ["0"]], "dims": [10 ** 9, 1], "mats": [],
+                 "steps": [-1, 2]}):
+        with pytest.raises(ValueError, match="limit"):
+            io.from_obj(obj)
+        code, err = _cli(capsys, tmp_path, "decompose", obj)
+        assert code == 2 and "malformed-input" in err
+
+
+def _bad_runs(case):
+    """module_G in format 2 with one fault in its runs or its format."""
+    obj = io.module_to_obj(module_G())
+    dims, steps = obj["dims"], obj["steps"]
+    if case == "odd-dims":
+        dims.append(1)
+    elif case == "odd-steps":
+        steps.pop()
+    elif case == "zero-length":
+        steps += [0, 0]
+    elif case == "negative-length":
+        steps[-1] += 1
+        steps += [-1, -1]
+    elif case == "short-dims":
+        del dims[-2:]
+    elif case == "long-steps":
+        steps[-1] += 1
+    elif case == "id-too-large":
+        steps[0] = len(obj["mats"])
+    elif case == "id-below-none":
+        steps[0] = -2
+    elif case in ("bool-value", "float-value"):
+        k = 2 * steps[::2].index(1)   # a run of id 1, which true equals
+        steps[k] = True if case == "bool-value" else 1.0
+    elif case in ("bool-length", "float-length"):
+        k = 1 + 2 * steps[1::2].index(1)   # a run of length 1
+        steps[k] = True if case == "bool-length" else 1.0
+    elif case == "mats-not-a-list":
+        obj["mats"] = {}
+    else:
+        obj["format"] = {"format-true": True, "format-3": 3,
+                         "format-string": "2"}[case]
+    return obj
+
+
+@pytest.mark.parametrize("case", [
+    "odd-dims", "odd-steps", "zero-length", "negative-length", "short-dims",
+    "long-steps", "id-too-large", "id-below-none", "bool-value",
+    "float-value", "bool-length", "float-length", "mats-not-a-list",
+    "format-true", "format-3", "format-string"])
+def test_format2_faults_are_malformed_input(case, capsys, tmp_path):
+    obj = _bad_runs(case)
+    with pytest.raises((ValueError, KeyError, TypeError, OverflowError)):
         io.from_obj(obj)
-    code, err = _cli(capsys, tmp_path, "decompose", obj)
-    assert code == 2 and "malformed-input" in err
+    _malformed(*_cli(capsys, tmp_path, "validate", obj))
+    _malformed(*_cli(capsys, tmp_path, "certify", dict(_cert_obj(),
+                                                       m_module=obj)))
+
+
+# a file of about 130 bytes whose one run claims 2^40 step ids of a
+# two-vertex grid, and one of about 600 bytes whose 40 axes of two
+# coordinates do have 2^40 vertices: both are refused before any table
+# is built
+RUN_BOMBS = {
+    "short": {"type": "module", "format": 2, "p": 65521,
+              "axes": [["0", "1"], ["0"]], "dims": [0, 2], "mats": [],
+              "steps": [-1, 2 ** 40]},
+    "wide": {"type": "module", "format": 2, "p": 65521,
+             "axes": [["0", "1"]] * 40, "dims": [0, 2 ** 40], "mats": [],
+             "steps": [-1, 40 * 2 ** 40]},
+}
+
+
+@pytest.mark.parametrize("case", sorted(RUN_BOMBS))
+def test_loader_refuses_a_run_length_bomb_before_allocating(case, tmp_path):
+    with pytest.raises(ValueError, match="summing to" if case == "short"
+                       else "limit"):
+        io.from_obj(RUN_BOMBS[case])
+    # the peak RSS of a process validating the bomb against one validating
+    # a small module (ru_maxrss is in kB)
+    probe = ("import resource, sys; from gridpersist.cli import main; "
+             "code = main(sys.argv[1:]); print(code, resource.getrusage("
+             "resource.RUSAGE_SELF).ru_maxrss)")
+    peaks = []
+    for name, obj in (("small", io.module_to_obj(module_G())),
+                      (case, RUN_BOMBS[case])):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(obj))
+        r = subprocess.run([sys.executable, "-c", probe, "validate",
+                            str(path)], capture_output=True, text=True)
+        code, peak = map(int, r.stdout.split()[-2:])
+        peaks.append(peak)
+    assert code == 2 and "Traceback" not in r.stderr
+    assert json.loads(r.stderr.strip().splitlines()[-1])["error"] == \
+        "malformed-input"
+    assert peaks[1] < peaks[0] + 32 * 1024
 
 
 def test_loader_refuses_huge_evaluation_grids_before_verifying(capsys,
@@ -759,7 +882,9 @@ def test_loader_rejects_non_natural_morphism(capsys, tmp_path):
 # the CLI's output for a fixed seed.  The summands' bases follow the
 # idempotents decompose finds, so a new splitting strategy changes the
 # digests but none of STABLE_SHAPE below.  A new certificate layout
-# changes only the first.
+# changes only the first.  Each digest is of the output with its modules
+# rendered in format 1 (oracles.format1_dumps, one line as the CLI prints
+# it); STABLE_OUTPUT_FORMAT2 pins the output's own bytes.
 STABLE_OUTPUT = {
     "on-integers": (
         lambda: random_module(2, 3, 2, seed=0),
@@ -778,10 +903,26 @@ STABLE_OUTPUT = {
         "e867d6fc2cd7e095e16474f644601e0c7523f8bcc9e99f655966131824bdc320"),
 }
 
+STABLE_OUTPUT_FORMAT2 = {
+    "on-integers": (
+        "486008b9779c47c3adfe90d9e08e05f199971f2ed5d837c7040d243a0acf5a1f",
+        "2e4ca235a389c6e1bee0c8519745d6b7163c144744d096082431f3de7ca74a09",
+        "577e35257b663cef12364d386afb8cd066a7953c98d79c434fca0c58927384a6"),
+    "off-lattice": (
+        "54da05041cd12356f883348d3287b2c204c69b2433452baa0f6f3ba8e579a340",
+        "4db4a7e55ac3dbd50e190e68f39d4ba48b74486dcc12d0be38e0ee300eaa9625",
+        "4e655acbc30f9738fcb177c2eb19744e6f241e1f875448450b4e7f25dbadddc4"),
+    "negative": (
+        "38a0b5a092d524c89505987caac938a1a14d1885688b16b0817dfa32ef8bd0a4",
+        "a655bf88f302d5ef8abf5591db94af8bcbd5f2e78d47216e735b9d6998061174",
+        "41384fdfb2e60e466e08bf0271de13d81efb3dc21e5d184fe6f6ba746acbfba7"),
+}
+
 # what the outputs above must keep under any valid choice of idempotents:
 # the summand count, sha256 of the JSON of the summands' sorted dims
-# arrays, sha256 of the JSON of the approximation's dims array, and its
-# certificate eps
+# arrays, sha256 of the JSON of the approximation's dims array (both as
+# format 1 writes them, nested lists over the grid), and its certificate
+# eps
 STABLE_SHAPE = {
     "on-integers": (
         4, "b1ac1dfd04507d9bcf697cb816b80adbb86814068aed13cce2c0ba570cd431c4",
@@ -799,15 +940,25 @@ def _json_sha(obj):
     return hashlib.sha256(json.dumps(obj).encode()).hexdigest()
 
 
+def _sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _format1_sha(out):
+    """sha256 of a line of CLI output with its modules in format 1."""
+    return _sha(O.format1_dumps(json.loads(out)) + "\n")
+
+
 @pytest.mark.parametrize("case", sorted(STABLE_OUTPUT))
 def test_cli_proof_output_is_byte_stable(case, capsys, tmp_path):
     build, approx_sha, decompose_sha, module_sha = STABLE_OUTPUT[case]
+    approx2_sha, decompose2_sha, module2_sha = STABLE_OUTPUT_FORMAT2[case]
     path = tmp_path / "m.json"
     io.save(build(), path)
     assert main(["approx-indec", str(path), "--eps", "1/2", "--seed", "0"]) \
         == 0
-    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() \
-        == module_sha
+    out = capsys.readouterr().out
+    assert _format1_sha(out) == module_sha and _sha(out) == module2_sha
     outs = {}
     for argv in (["approx-indec", str(path), "--eps", "1/2"],
                  ["decompose", str(path)]):
@@ -817,16 +968,18 @@ def test_cli_proof_output_is_byte_stable(case, capsys, tmp_path):
             runs.append(capsys.readouterr().out)
         assert runs[0] == runs[1], argv[0]
         outs[argv[0]] = runs[0]
-    approx, dec = (json.loads(outs[c]) for c in ("approx-indec", "decompose"))
+    approx, dec = (O.as_format1(json.loads(outs[c]))
+                   for c in ("approx-indec", "decompose"))
     k, summand_dims_sha, approx_dims_sha = STABLE_SHAPE[case]
     assert len(dec["summands"]) == k
     assert _json_sha(sorted(X["dims"] for X in dec["summands"])) \
         == summand_dims_sha
     assert _json_sha(approx["module"]["dims"]) == approx_dims_sha
     assert approx["certificate_eps"] == "9/20"
-    for cmd, want in (("approx-indec", approx_sha),
-                      ("decompose", decompose_sha)):
-        assert hashlib.sha256(outs[cmd].encode()).hexdigest() == want, cmd
+    for cmd, want, want2 in (("approx-indec", approx_sha, approx2_sha),
+                             ("decompose", decompose_sha, decompose2_sha)):
+        assert _format1_sha(outs[cmd]) == want, cmd
+        assert _sha(outs[cmd]) == want2, cmd
 
 
 def _squares(side, *corners):
@@ -840,7 +993,8 @@ def _squares(side, *corners):
 # sha256 of the stdout of `match <a> <b> --eps <eps> --seed 0 --emit-proof`
 # on inputs whose summands have several perfect matchings at that eps, so
 # the digest pins which one the matcher picks as well as the pair and
-# assembled certificates
+# assembled certificates: of the output with its modules in format 1, and
+# of its own bytes
 STABLE_MATCH = {
     "four-squares": (
         lambda: (_squares(2, (0, 0), (0, 0), (3, 3), (0, 0)),
@@ -859,6 +1013,14 @@ STABLE_MATCH = {
         "1/2",
         "0d6356c9890cf87a6d5878a5c0c1d3ad19f8c0ae4ca22bcd090451b9399bc4c5"),
 }
+STABLE_MATCH_FORMAT2 = {
+    "four-squares":
+        "4dabcf8fe06c1da72f9fbe49b79d53ed3ecd8a6fa13b330c530d4bd0084da746",
+    "three-vs-two":
+        "83b00ad937148abbdcecc7919b8af036353359e50536bd40ca0a33ea4e0c0f2f",
+    "basis-change":
+        "dd7e965fa366a3f2cb558bc0cf9e1f3aa920dca63dee0c5a448de6ce9abe9022",
+}
 
 
 @pytest.mark.parametrize("case", sorted(STABLE_MATCH))
@@ -871,7 +1033,8 @@ def test_cli_match_proof_output_is_byte_stable(case, capsys, tmp_path):
                  "--emit-proof"]) == 0
     out = capsys.readouterr().out
     assert json.loads(out)["status"] == "matched"
-    assert hashlib.sha256(out.encode()).hexdigest() == want
+    assert _format1_sha(out) == want
+    assert _sha(out) == STABLE_MATCH_FORMAT2[case]
 
 
 def test_matrix_reader_shares_equal_matrices_and_refuses_bools():
@@ -893,11 +1056,14 @@ def test_loader_refuses_a_bool_step_equal_to_an_int_step():
     M = GridModule(Grid([[Fraction(0), Fraction(1), Fraction(2)]]),
                    np.array([1, 1, 1]), {((0,), 0): np.array([[1]]),
                                          ((1,), 0): np.array([[1]])})
-    obj = io.module_to_obj(M)
+    obj = O.module_obj_v1(M)
     assert io.module_from_obj(json.loads(json.dumps(obj))).validate()
     obj["steps"][1]["matrix"] = [[True]]
-    with pytest.raises(ValueError, match="integers"):
-        io.module_from_obj(json.loads(json.dumps(obj)))
+    # format 2 pools [[1]] and [[True]] apart, as JSON tells them apart
+    assert len(O.module_v2_of(obj)["mats"]) == 2
+    for obj in _twins(obj):
+        with pytest.raises(ValueError, match="integers"):
+            io.module_from_obj(json.loads(json.dumps(obj)))
 
 
 # -- the loader builds each table once ---------------------------------------
@@ -930,20 +1096,125 @@ def test_loaded_tables_equal_the_dict_route(capsys, tmp_path):
     obj = _approx_proof(capsys, tmp_path)
     for key in ("f", "g"):
         obj[key].reverse()
+    obj["m_module"] = O.module_v1_of(obj["m_module"])
     obj["m_module"]["steps"].reverse()
     obj["grid"] = [[c.replace("/", "0/") + "0" if "/" in c else c
                     for c in ax] for ax in obj["grid"]]
+    # and a format-2 pool out of first use, with a matrix no step uses
+    N = obj["n_module"]
+    k = len(N["mats"])
+    N["steps"][::2] = [i if i < 0 else k - 1 - i for i in N["steps"][::2]]
+    N["mats"] = N["mats"][::-1] + [[[1]]]
     c = io.from_obj(obj)
     O.assert_loaded_as_by_dicts(c, obj)
     assert c.verify()
+
+
+def _load_outcome(obj):
+    """io.dumps of what obj loads to (with the certificate's verdict), or
+    the loader's ValueError message."""
+    try:
+        x = io.from_obj(obj)
+    except ValueError as exc:
+        return "refused", str(exc)
+    O.assert_loaded_as_by_dicts(x, obj)
+    if isinstance(x, InterleavingCertificate):
+        try:
+            return io.dumps(x), x.verify()
+        except CertificateError as exc:
+            return io.dumps(x), str(exc)
+    return io.dumps(x)
+
+
+def test_format1_and_format2_load_alike(capsys, tmp_path):
+    # the loader corpus, and invalid modules, in both formats: identical
+    # tables (one canonical dump), verdicts and CLI diagnostics
+    pairs = [(O.as_format1(obj), obj)
+             for obj in _genuine_objects(capsys, tmp_path)]
+    bad = [_non_commuting_G_obj(), dict(O.module_obj_v1(module_G()), p=4)]
+    for change in ("entry", "bool", "shape", "no-successor"):
+        obj = O.module_obj_v1(module_G())
+        step = _first_nonzero(obj["steps"])
+        if change == "entry":
+            step["matrix"][0][0] += obj["p"]
+        elif change == "bool":
+            step["matrix"] = [[x == 1 for x in r] for r in step["matrix"]]
+        elif change == "shape":
+            step["matrix"] = step["matrix"] + step["matrix"][:1]
+        else:
+            last = [len(ax) - 1 for ax in obj["axes"]]
+            obj["steps"].append({"vertex": last, "axis": 0,
+                                 "matrix": [[1]]})
+        bad.append(obj)
+    pairs += [_twins(obj) for obj in bad]
+    cert = _cert_obj()
+    pairs.append((dict(O.as_format1(cert), m_module=bad[0]),
+                  dict(cert, m_module=O.module_v2_of(bad[0]))))
+    for obj1, obj2 in pairs:
+        assert obj1 != obj2
+        first = _load_outcome(obj1)
+        assert _load_outcome(obj2) == first
+        command = ("certify" if obj1["type"] == "certificate" else
+                   "validate")
+        outs = []
+        for obj in (obj1, obj2):
+            (tmp_path / "in.json").write_text(json.dumps(obj))
+            code = main([command, str(tmp_path / "in.json")])
+            outs.append((code, capsys.readouterr()))
+        assert outs[0] == outs[1]
+    assert sum(_load_outcome(a)[0] == "refused" for a, _ in pairs) == 7
+
+
+def _edge_modules():
+    p = 65521
+    one = field.fmat([[1]], p)
+    return {
+        "zero": zero_module(2),
+        "one-vertex": GridModule(Grid([[0], [0]]), np.array([[2]]), {}),
+        "zero-by-two-step": GridModule(Grid([[0, 1]]), [2, 0],
+                                       {((0,), 0): field.zeros(0, 2)}),
+        "no-steps": GridModule(Grid([[0, 1], [0, 1]]), [[1, 0], [0, 1]], {}),
+        # a run of no step from the end of axis 0's block into axis 1's
+        "across-axes": GridModule(Grid([[0, 1], [0]]), np.array([[1], [1]]),
+                                  {((0, 0), 0): one}),
+        # the top vertex alone ends the dims, and a step ends the steps
+        "top-alone": GridModule(Grid([[0, 1, 2]]), [1, 1, 2],
+                                {((0,), 0): one,
+                                 ((1,), 0): field.fmat([[1], [0]], p)}),
+        **{f"n={n}": random_module(n, 2, 2, seed=4) for n in range(1, 5)},
+    }
+
+
+def test_format2_round_trips_at_the_edges():
+    runs = {}
+    for name, M in _edge_modules().items():
+        s = io.dumps(M)
+        X = io.loads(s)
+        assert io.dumps(X) == s, name
+        O.assert_loaded_as_by_dicts(X, json.loads(s))
+        # format 1, without "format" or with "format": 1
+        v1 = O.module_obj_v1(M)
+        assert io.dumps(io.from_obj(v1)) == s, name
+        assert io.dumps(io.from_obj(dict(v1, format=1))) == s, name
+        runs[name] = {k: json.loads(s)[k] for k in ("dims", "mats", "steps")}
+    assert runs["zero"] == {"dims": [0, 1], "mats": [], "steps": [-1, 2]}
+    assert runs["one-vertex"] == {"dims": [2, 1], "mats": [],
+                                  "steps": [-1, 2]}
+    # the stored 0 x 2 step is written as none
+    assert runs["zero-by-two-step"] == {"dims": [2, 1, 0, 1], "mats": [],
+                                        "steps": [-1, 2]}
+    assert runs["no-steps"]["steps"] == [-1, 8]
+    assert runs["across-axes"]["steps"] == [0, 1, -1, 3]
+    assert runs["top-alone"]["dims"] == [1, 2, 2, 1]
+    assert runs["top-alone"]["steps"] == [0, 1, 1, 1, -1, 1]
+    assert [len(runs[f"n={n}"]["mats"]) for n in range(1, 5)] == [1, 4, 9, 20]
 
 
 def test_loading_a_proof_reads_each_distinct_matrix_once(capsys, tmp_path,
                                                          monkeypatch):
     obj = _approx_proof(capsys, tmp_path)
     matrices = [e["matrix"] for key in ("f", "g") for e in obj[key]] + [
-        e["matrix"] for key in ("m_module", "n_module")
-        for e in obj[key]["steps"]]
+        m for key in ("m_module", "n_module") for m in obj[key]["mats"]]
     calls = []
     fmat = field.fmat
 
